@@ -87,7 +87,8 @@ class ApspState:
         if not heap:
             return None
         est, owner = heap[0]
-        assert self._keys.get((owner, v)) == est, "stale witness heap top"
+        if self._keys.get((owner, v)) != est:
+            raise AssertionError("stale witness heap top")
         return owner, est
 
     def _ingest(self, events):

@@ -8,6 +8,11 @@ levels never decrease, so repair work amortizes against total level movement;
 
 A node is re-examined only when the edge to its current parent degrades or
 its parent's level rises; other incident edges cannot change its minimum.
+Every parent pointer has its inverse in ``children`` (parent -> set of
+children), built with the tree and kept in step by ``_set_parent`` during
+repair, so a node whose level rises hands its children to the repair heap
+without scanning its neighbours.  The heap
+pops by ``(level, node)``, so the order children are pushed in is immaterial.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .graph import dijkstra_bounded
 
 
 class EsTree:
-    def __init__(self, view, root, depth, *, _defer_init=False):
+    def __init__(self, view, root, depth):
         self.view = view
         self.root = root
         # No finite distance can exceed (node count - 1) * max weight, so the
@@ -28,13 +33,14 @@ class EsTree:
         self.depth = min(depth, finite_cap)
         self.level = {}  # node -> exact distance; absent means above depth / cut off
         self.parent = {}  # node -> parent node id (root maps to None)
+        self.children = {}  # node -> set of nodes whose parent it is
         self.work_counter = 0
-        if not _defer_init:
-            self._rebuild()
+        self._rebuild()
 
     def _rebuild(self):
         self.level = dijkstra_bounded(self.view, self.root, self.depth)
-        self.parent = {self.root: None}
+        self.parent = parent = {self.root: None}
+        self.children = children = {}
         for x in self.level:
             if x == self.root:
                 continue
@@ -46,7 +52,22 @@ class EsTree:
                 if ly + w == lx and (best_p is None or y < best_p):
                     best_p = y
             assert best_p is not None
-            self.parent[x] = best_p
+            parent[x] = best_p
+            children.setdefault(best_p, set()).add(x)
+
+    def _set_parent(self, x, p):
+        """Point ``x`` at parent ``p`` (``None`` detaches it), keeping
+        ``children`` the exact inverse of ``parent``."""
+        old = self.parent.get(x)
+        if old == p:
+            return
+        if old is not None:
+            self.children[old].discard(x)
+        if p is None:
+            del self.parent[x]
+        else:
+            self.parent[x] = p
+            self.children.setdefault(p, set()).add(x)
 
     # -- reads --------------------------------------------------------------
 
@@ -94,23 +115,20 @@ class EsTree:
             if best <= cur:
                 # Weight increases can leave the minimum where it was (another
                 # route ties); reattach the parent pointer and stop.
-                assert best == cur, "level regression at node %r" % (x,)
+                if best != cur:
+                    raise AssertionError("level regression at node %r" % (x,))
                 if cur != inf:
-                    self.parent[x] = best_p
+                    self._set_parent(x, best_p)
                 continue
             if x not in pre:
                 pre[x] = cur
-            kids = [
-                t
-                for t, _ in list(self.view.neighbors(x))
-                if self.parent.get(t) == x
-            ]
+            kids = list(self.children.get(x, ()))
             if best is inf:
                 self.level.pop(x, None)
-                self.parent.pop(x, None)
+                self._set_parent(x, None)
             else:
                 self.level[x] = best
-                self.parent[x] = best_p
+                self._set_parent(x, best_p)
             for t in kids:
                 heapq.heappush(heap, (self.level.get(t, inf), t))
         return [
@@ -118,8 +136,6 @@ class EsTree:
             for x in sorted(pre)
             if self.level.get(x, inf) != pre[x]
         ]
-
-    handle_update = process_update
 
 
 def es_build(graph, source, depth):

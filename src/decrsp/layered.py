@@ -175,7 +175,8 @@ class LayerAssembly:
             value = min(self.lower.estimate(node), self.sg.estimate(node))
             old = self._est[node]
             if value != old:
-                assert value > old, "layer estimates must never decrease"
+                if value < old:
+                    raise AssertionError("layer estimates must never decrease")
                 self._est[node] = value
                 out.append((node, value))
         return out

@@ -15,11 +15,18 @@ Batch protocol: ``begin_batch``; any number of edge operations;
 ``end_batch`` runs the level-raising fixpoint and returns the sorted list of
 ``(node, new_level)`` changes (new level may be ``inf`` once above the cap).
 
-Priority queues are lazy: stale entries are recognized because every stored
-key is at most the current value (levels and weights only grow), so anything
-smaller than the live value is discarded on sight.  ``work_counter`` counts
-heap traffic, which is proportional to (edges ever present) * (level cap)
-plus the number of edge operations.
+Each node keeps a lazily re-keyed heap of ``(candidate level, edge key)``
+over its incident edges, where the candidate is ``level(other) + weight``.
+An entry is written when the edge is inserted (or the tree is built) and is
+never refreshed eagerly: levels and weights only grow, so a stored
+candidate stays a lower bound on the live one.  A level rise or a weight
+increase therefore touches no heap.  When a node asks for its minimum, a
+stale top is re-keyed in place to its live candidate, or popped once that
+candidate is ``inf`` (a cut-off node never comes back) or its edge is gone;
+a top that matches its live candidate is the true minimum, and the
+``(candidate, key)`` order makes its key the smallest among the ties.
+``work_counter`` counts heap traffic, which is proportional to
+(edges ever present) * (level cap) plus the number of edge operations.
 """
 
 from __future__ import annotations
@@ -65,8 +72,8 @@ class MonotoneEsTree:
         self._nheap.setdefault(u, [])
         self._nheap.setdefault(v, [])
 
-    def _initialize(self):
-        """Exact levels up to the cap, then seed all candidate heaps."""
+    def _capped_distances(self):
+        """Exact Dijkstra distances from the root, dropping those above the cap."""
         dist = {}
         heap = [(0, self.root)]
         while heap:
@@ -77,7 +84,11 @@ class MonotoneEsTree:
             for key, (v, w) in self.adj[u].items():
                 if v not in dist and d + w <= self.cap:
                     heapq.heappush(heap, (d + w, v))
-        self.level = dist
+        return dist
+
+    def _initialize(self):
+        """Exact levels up to the cap, then seed all candidate heaps."""
+        self.level = dist = self._capped_distances()
         self.parent = {self.root: None}
         for u in self.adj:
             if u == self.root or u not in dist:
@@ -136,13 +147,7 @@ class MonotoneEsTree:
         assert new_weight > w, "weight must strictly increase"
         self.adj[u][key] = (v, new_weight)
         self.adj[v][key] = (u, new_weight)
-        lu, lv = self.level.get(u, inf), self.level.get(v, inf)
-        if lu != inf:
-            heapq.heappush(self._nheap[v], (lu + new_weight, key))
-            self.work_counter += 1
-        if lv != inf:
-            heapq.heappush(self._nheap[u], (lv + new_weight, key))
-            self.work_counter += 1
+        # The old heap entries stay valid lower bounds; see the module notes.
         self._enqueue(u)
         self._enqueue(v)
 
@@ -177,16 +182,26 @@ class MonotoneEsTree:
         self.work_counter += 1
 
     def _min_candidate(self, u):
-        """Current min over incident edges of level(other) + weight, lazily."""
+        """Current min over incident edges of level(other) + weight, lazily.
+
+        A stale top is re-keyed to its live candidate; a top whose edge is
+        gone or whose candidate is ``inf`` is dropped.
+        """
         heap = self._nheap[u]
         alive = self.adj.get(u, {})
+        level = self.level
         while heap:
             val, key = heap[0]
             edge = alive.get(key)
             if edge is not None:
                 v, w = edge
-                if self.level.get(v, inf) + w == val:
+                live = level.get(v, inf) + w
+                if live == val:
                     return val, key
+                if live != inf:
+                    heapq.heapreplace(heap, (live, key))
+                    self.work_counter += 1
+                    continue
             heapq.heappop(heap)
             self.work_counter += 1
         return inf, None
@@ -216,9 +231,6 @@ class MonotoneEsTree:
             else:
                 self.level[u] = new
                 self.parent[u] = best_key
-                for key, (v, w) in self.adj[u].items():
-                    heapq.heappush(self._nheap[v], (new + w, key))
-                    self.work_counter += 1
             seen = set()
             for key, (v, w) in self.adj[u].items():
                 if v not in seen:
@@ -241,19 +253,6 @@ class MonotoneEsTree:
                 if route <= self.cap and lu > route:
                     out.add((key, u))
         return out
-
-    def _levels_vs_exact(self):
-        dist = {}
-        heap = [(0, self.root)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            dist[u] = d
-            for key, (v, w) in self.adj[u].items():
-                if v not in dist and d + w <= self.cap:
-                    heapq.heappush(heap, (d + w, v))
-        return dist
 
     def _check_invariants(self):
         prev = self._prev_levels
@@ -295,7 +294,7 @@ class MonotoneEsTree:
                         "unstretched edge %r leaves node %r inconsistent" % (key, u)
                     )
         # Safety: levels never undercut true distances in the current multigraph.
-        exact = self._levels_vs_exact()
+        exact = self._capped_distances()
         for u, lv in self.level.items():
             assert lv >= exact.get(u, inf), "level below true distance at %r" % (u,)
         # Without insertions the tree is simply exact.

@@ -145,3 +145,35 @@ def test_work_counter_bound():
         u, v, _ = rng.choice(list(g.edges()))
         t.process_update(g.apply_update(UpdateEvent("delete", u, v)))
     assert t.work_counter <= 3 * m * depth
+
+
+def assert_children_invert_parent(t):
+    inverse = {}
+    for x, p in t.parent.items():
+        if p is not None:
+            inverse.setdefault(p, set()).add(x)
+    assert {p: kids for p, kids in t.children.items() if kids} == inverse
+
+
+def test_children_stay_inverse_of_parent_through_full_drain():
+    for seed in range(5):
+        rng = random.Random(500 + seed)
+        g = random_graph(24, 70, 6, seed=40 + seed)
+        art = ArtificialSourceView(g, attach=[3, 11, 20])
+        trees = [
+            es_build(g, 0, rng.choice([6, 12, inf])),
+            es_build(art, art.source_id, inf),
+        ]
+        for t in trees:
+            assert_children_invert_parent(t)
+        while g.edge_count:
+            u, v, w = rng.choice(list(g.edges()))
+            if w < 6 and rng.random() < 0.3:
+                ev = UpdateEvent("increase", u, v, rng.randint(w + 1, 6))
+            else:
+                ev = UpdateEvent("delete", u, v)
+            rec = g.apply_update(ev)
+            for t in trees:
+                t.process_update(rec)
+                assert_children_invert_parent(t)
+                levels_against_oracle(t, t.view, t.root, t.depth)

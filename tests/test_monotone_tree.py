@@ -126,7 +126,21 @@ def play_and_compare(root, cap, edges, batches):
             )
         for node, lvl in changes:
             assert tree.level_of(node) == lvl
+        assert_heaps_bound_live_candidates(tree)
     return tree
+
+
+def assert_heaps_bound_live_candidates(tree):
+    # Every live edge with a finite candidate keeps an entry at or below it
+    # in its head's heap: the invariant that makes re-keying on pop exact.
+    for u, incident in tree.adj.items():
+        lowest = {}
+        for val, key in tree._nheap[u]:
+            lowest[key] = min(val, lowest.get(key, inf))
+        for key, (v, w) in incident.items():
+            live = tree.level_of(v) + w
+            if live != inf:
+                assert lowest.get(key, inf) <= live, (u, key)
 
 
 PATH = [("e01", 0, 1, 2), ("e12", 1, 2, 3), ("e23", 2, 3, 4), ("e13", 1, 3, 9)]
@@ -260,3 +274,39 @@ def test_random_sequences_match_simulator(seed):
                 live[k] = (u, v, nw)
         batches.append(ops)
     play_and_compare(0, cap, edges, batches)
+
+
+def test_reused_keys_match_simulator():
+    # Deleted keys come back with new endpoints and weights, so stale heap
+    # entries of one key can sit above or below its live candidate.
+    for seed in range(30):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(4, 10)
+        live = {}
+        for key in range(rng.randint(n, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            live[key] = (u, v, rng.randint(1, 6))
+        edges = [(k, u, v, w) for k, (u, v, w) in live.items()]
+        retired = []
+        batches = []
+        for _ in range(12):
+            ops = []
+            for _ in range(rng.randint(1, 4)):
+                roll = rng.random()
+                if roll < 0.3 and retired:
+                    key = retired.pop(rng.randrange(len(retired)))
+                    u, v = rng.sample(range(n), 2)
+                    live[key] = (u, v, rng.randint(1, 6))
+                    ops.append(("insert", key) + live[key])
+                elif roll < 0.6 and live:
+                    key = rng.choice(sorted(live))
+                    u, v, w = live[key]
+                    live[key] = (u, v, w + rng.randint(1, 4))
+                    ops.append(("increase", key, live[key][2]))
+                elif live:
+                    key = rng.choice(sorted(live))
+                    del live[key]
+                    retired.append(key)
+                    ops.append(("delete", key))
+            batches.append(ops)
+        play_and_compare(0, rng.choice([8, 15, 30]), edges, batches)
