@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import inf
 
 from .balls import EST, JOIN, LEAVE, BallSystem
+from .hopset import ParamConfigError
 from .layered import FullRangeSssp
 from .sampling import sample_priorities
 
@@ -61,6 +62,7 @@ class ApspState:
             bucket_eps=self.eps_run,
         )
         self._keys = {}  # (owner, member) -> journaled estimate
+        self._answers = {}  # (u, v) -> largest answer returned so far
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
         self.last_query_expansions = 0
         for owner, table in self.balls.initial_membership().items():
@@ -137,8 +139,16 @@ class ApspState:
     # -- queries ----------------------------------------------------------------
 
     def query(self, u, v):
-        """Approximate distance between u and v; inf when no witness chain."""
-        assert self.graph.has_node(u) and self.graph.has_node(v)
+        """Approximate distance between u and v; inf when no witness chain.
+
+        The witness chain is recomputed on every call, and a cheaper chain
+        can appear as balls and witnesses change, so the answer is clamped
+        to the largest one returned before for the pair.  The clamped value
+        stays sound and within the stretch bound because distances only grow.
+        """
+        for x in (u, v):
+            if not self.graph.has_node(x):
+                raise ParamConfigError("node %r is not in the graph" % (x,))
         self.last_query_expansions = 0
         memo = {}
 
@@ -162,7 +172,9 @@ class ApspState:
             memo[x] = result
             return result
 
-        return estimate_from(u)
+        answer = max(estimate_from(u), self._answers.get((u, v), 0))
+        self._answers[(u, v)] = answer
+        return answer
 
 
 def apsp_init(graph, k, eps, seed, **overrides):

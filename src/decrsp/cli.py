@@ -19,8 +19,9 @@ import sys
 from fractions import Fraction
 
 from .apsp import ApspState
-from .graph import QueryProbe, load_graph, parse_update_stream
+from .graph import GraphFormatError, QueryProbe, UpdateError, load_graph, parse_update_stream
 from .harness import RunConfig, Schedule, run_with_oracle
+from .hopset import ParamConfigError
 from .layered import FullRangeSssp
 
 
@@ -121,8 +122,17 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    """Run one mode; a rejected input prints one error line and returns 1."""
     args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
+    try:
+        return _run(args, out)
+    except (GraphFormatError, UpdateError, ParamConfigError) as exc:
+        sys.stderr.write("decrsp: error: %s\n" % (exc,))
+        return 1
+
+
+def _run(args, out):
     schedule = _load_schedule(args.graph, args.updates)
     if args.mode in ("check", "bench"):
         return _report_run(schedule, args, out)

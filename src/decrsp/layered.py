@@ -10,11 +10,16 @@ geometrically: delta_k is the k-th q-th-root power of R and D_k the
 the stretch by at most (1 + 2*eps'), and eps' = eps / (2(q-2)) keeps the
 composed stretch within 1 + eps.
 
-Full-range part: one rounded/scaled mirror of the base graph per distance
-band [2^i, 2^(i+1)] up to n*W, each running its own layer stack with range
-R = 4n/eps.  A query reads one per-node min-heap seeded with the scaled
-estimates of all bands; heap entries carry version tokens and stale tops
-are cleaned when updates land, so a query is a single heap read.
+Full-range part: distance bands [2^i, 2^(i+1)] up to n*W.  Band i rounds
+weights up to multiples of the grain phi_i = (eps/3) * 2^i / n and runs its
+own layer stack with range R = 4n/(eps/3) on that scaled mirror, so it covers
+true distances up to 4 * 2^i.  A band with phi_i <= 1 is finer than the
+integer weights; when the stacks run exact trees, all such bands give way to
+one exact band: a stack over the base view itself, bounded at 4 * 2^i* for
+the last such band i*, which answers exactly inside that range.  A query
+reads one per-node min-heap over the per-band estimates; heap entries carry
+version tokens and stale tops are cleaned when updates land, so a query is a
+single heap read.
 
 The default layer count formula collapses below three layers at any
 realistic desk scale; the stack then falls back to a single exact tree
@@ -339,12 +344,15 @@ class ScaledMirror:
 
     def __init__(self, view, phi):
         self.phi = Fraction(phi)
-        self.graph = MirrorGraph(view.node_ids(), self._scale(view.max_weight))
+        self._num = self.phi.numerator
+        self._den = self.phi.denominator
+        self.graph = MirrorGraph(view.node_ids(), self.scale(view.max_weight))
         for u, v, w in view.edges():
-            self.graph.add_edge(u, v, self._scale(w))
+            self.graph.add_edge(u, v, self.scale(w))
 
-    def _scale(self, weight):
-        return math.ceil(Fraction(weight) / self.phi)
+    def scale(self, weight):
+        """ceil(weight / phi) for an integer weight, in integer arithmetic."""
+        return -(-weight * self._den // self._num)
 
     def translate(self, record):
         """Mirror one base change; returns the mirror record or None.
@@ -354,7 +362,7 @@ class ScaledMirror:
         """
         if record.kind == "delete":
             return self.graph.delete_edge(record.u, record.v)
-        scaled = self._scale(record.new_weight)
+        scaled = self.scale(record.new_weight)
         if scaled == self.graph.weight(record.u, record.v):
             return None
         return self.graph.increase_edge(record.u, record.v, scaled)
@@ -366,7 +374,20 @@ class FullRangeSssp:
     One scaled mirror per distance band, each under its own layer stack at
     a third of the requested error (two rounding/stack factors compose to
     at most 1 + eps), and per-node min-heaps over the per-band estimates
-    so that a query is exactly one heap read.
+    so that a query is exactly one heap read.  When the stacks run exact
+    trees (q < 3 after the p/q overrides), the bands with phi_i <= 1 are
+    replaced by one exact band over ``view`` itself, which has no mirror
+    (``mirrors[0] is None``) and covers true distances up to 4 * 2^i* for
+    the last such band i*.  When the overrides select layered stacks, every
+    band keeps its mirror.
+
+    The grains phi_i = (A/B) * 2^i, with A/B = (eps/3)/n in lowest terms,
+    share the denominator B, so a scaled band's estimate ``level`` has heap
+    key ``level * (A << i)`` and the exact band's estimate ``d`` has key
+    ``d * B``: integers whenever the stacks are exact trees (a layered
+    stack's estimate may itself be a Fraction).  Each entry carries its
+    answer, built once at push time: ``Fraction(key, B)``, or the plain
+    ``int`` for the exact band.
 
     Works on any read-protocol view; updates arrive as already-applied
     change records, so instances can also serve as the distance contract
@@ -379,44 +400,54 @@ class FullRangeSssp:
         self.eps = Fraction(eps)
         if not (0 < self.eps <= 1):
             raise ParamConfigError("need 0 < eps <= 1, got %s" % (self.eps,))
+        if not view.has_node(source):
+            raise ParamConfigError("source %r is not in the graph" % (source,))
         self.eps_inner = self.eps / 3
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
+        grain = self.eps_inner / n
+        unit, self._denom = grain.numerator, grain.denominator
         band_count = max(1, (n * view.max_weight).bit_length())
+        fine = 0  # bands with phi_i <= 1, replaced by the exact band
+        if (default_layer_counts(n, self.eps_inner)[1] if q is None else q) < 3:
+            while fine < band_count and unit << fine <= self._denom:
+                fine += 1
+        stack_args = dict(p=p, q=q, c=c, debug=debug)
         self.mirrors = []
         self.stacks = []
-        for i in range(band_count):
-            phi = self.eps_inner * 2**i / n
-            mirror = ScaledMirror(view, phi)
-            stack = LayerStack(
-                mirror.graph,
-                source,
-                self.range_bound,
-                self.eps_inner,
-                p=p,
-                q=q,
-                c=c,
-                seed=seed * 1_000_003 + i,
-                debug=debug,
-            )
+        self._units = []  # per band: the multiplier from estimate to heap key
+        if fine:
+            exact = LayerStack(view, source, 4 << (fine - 1), self.eps_inner,
+                               seed=seed * 1_000_003, **stack_args)
+            self.mirrors.append(None)
+            self.stacks.append(exact)
+            self._units.append(self._denom)
+        for i in range(fine, band_count):
+            mirror = ScaledMirror(view, Fraction(unit << i, self._denom))
+            stack = LayerStack(mirror.graph, source, self.range_bound, self.eps_inner,
+                               seed=seed * 1_000_003 + i, **stack_args)
             self.mirrors.append(mirror)
             self.stacks.append(stack)
+            self._units.append(unit << i)
         self.debug = debug
         self.heap_reads = 0
-        self._tokens = {v: [0] * band_count for v in view.node_ids()}
+        self._tokens = {v: [0] * len(self.stacks) for v in view.node_ids()}
         self._heaps = {}
         self._current = {}
         for v in view.node_ids():
-            entries = [
-                (self._band_value(i, v), i, 0) for i in range(band_count)
-            ]
+            entries = [self._entry(b, s.estimate(v), 0) for b, s in enumerate(self.stacks)]
             heapq.heapify(entries)
             self._heaps[v] = entries
-            self._current[v] = entries[0][0]
+            self._current[v] = entries[0][3]
 
-    def _band_value(self, i, node):
-        est = self.stacks[i].estimate(node)
-        return inf if est == inf else est * self.mirrors[i].phi
+    def _entry(self, band, estimate, token):
+        """Heap entry ``(key, band, token, answer)`` for one band estimate."""
+        if estimate == inf:
+            return (inf, band, token, inf)
+        key = estimate * self._units[band]
+        if self.mirrors[band] is None:
+            return (key, band, token, estimate)
+        return (key, band, token, Fraction(key, self._denom))
 
     def _refresh_top(self, node):
         heap = self._heaps[node]
@@ -427,7 +458,7 @@ class FullRangeSssp:
     def query(self, node):
         """Current estimate; exactly one heap read."""
         self.heap_reads += 1
-        return self._heaps[node][0][0]
+        return self._heaps[node][0][3]
 
     estimate = query
 
@@ -441,25 +472,29 @@ class FullRangeSssp:
         if record is None:
             return []
         touched = set()
-        for i, (mirror, stack) in enumerate(zip(self.mirrors, self.stacks)):
-            mirror_record = mirror.translate(record)
-            if mirror_record is None:
+        for band, (mirror, stack) in enumerate(zip(self.mirrors, self.stacks)):
+            band_record = record if mirror is None else mirror.translate(record)
+            if band_record is None:
                 continue
-            phi = mirror.phi
-            for node, value in stack.process_update(mirror_record):
-                token = self._tokens[node][i] + 1
-                self._tokens[node][i] = token
-                entry = (inf if value == inf else value * phi, i, token)
-                heapq.heappush(self._heaps[node], entry)
+            for node, value in stack.process_update(band_record):
+                tokens = self._tokens[node]
+                tokens[band] += 1
+                heapq.heappush(self._heaps[node], self._entry(band, value, tokens[band]))
                 touched.add(node)
         out = []
         for node in sorted(touched):
             self._refresh_top(node)
+            top = self._heaps[node][0]
             if self.debug:
-                band_count = len(self.stacks)
-                fresh = min(self._band_value(i, node) for i in range(band_count))
-                assert self._heaps[node][0][0] == fresh
-            value = self._heaps[node][0][0]
+                fresh = min(
+                    self._entry(b, s.estimate(node), 0)[0] for b, s in enumerate(self.stacks)
+                )
+                if top[0] != fresh:
+                    raise AssertionError(
+                        "band heap top %s at node %r is not the least band key %s"
+                        % (top[0], node, fresh)
+                    )
+            value = top[3]
             if value != self._current[node]:
                 self._current[node] = value
                 out.append((node, value))

@@ -61,34 +61,3 @@ def cross_checked_distances(view, source):
         }
         raise AssertionError("oracle disagreement from %r: %r" % (source, diff))
     return a
-
-
-def all_pairs(view):
-    """Exact all-pairs distances as {u: {v: dist}} (Dijkstra from every node)."""
-    return {u: dijkstra(view, u) for u in view.node_ids()}
-
-
-def hop_limited_distances(nodes, edge_list, source, max_hops):
-    """Bellman-Ford distance profile by hop count on an explicit edge list.
-
-    ``edge_list`` holds undirected (u, v, w) triples (parallel edges allowed;
-    the cheapest applies).  Returns a list ``profile`` of length max_hops + 1
-    where profile[h][v] is the cheapest walk weight from source to v using at
-    most h edges (missing = unreachable within h hops).
-    """
-    adj = {u: [] for u in nodes}
-    for u, v, w in edge_list:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    cur = {source: 0}
-    profile = [dict(cur)]
-    for _ in range(max_hops):
-        nxt = dict(cur)
-        for u, du in cur.items():
-            for v, w in adj[u]:
-                nd = du + w
-                if nd < nxt.get(v, inf):
-                    nxt[v] = nd
-        cur = nxt
-        profile.append(dict(cur))
-    return profile

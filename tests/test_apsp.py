@@ -14,6 +14,7 @@ import pytest
 from decrsp.apsp import ApspState, apsp_init, apsp_process_update, apsp_query
 from decrsp.balls import BallEvent
 from decrsp.graph import DynamicGraph, UpdateEvent, dijkstra_bounded
+from decrsp.hopset import ParamConfigError
 
 from test_graph_core import random_graph
 
@@ -64,6 +65,15 @@ def test_parameter_validation():
         ApspState(g, 1, Fraction(1, 2), seed=1)
     with pytest.raises(ValueError, match="priority levels"):
         ApspState(g, 9, Fraction(1, 2), seed=1)
+
+
+def test_query_outside_the_graph_is_a_config_error():
+    g = random_graph(16, 24, 4, seed=1)
+    state = ApspState(g, 2, Fraction(1, 2), seed=1)
+    with pytest.raises(ParamConfigError, match="node 16"):
+        state.query(0, 16)
+    with pytest.raises(ParamConfigError, match="node -1"):
+        state.query(-1, 0)
 
 
 def test_internal_error_is_one_seventh():
@@ -247,3 +257,33 @@ def test_identically_seeded_states_agree():
         return repr(log)
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pair_answers_never_decrease_through_full_drain(seed):
+    # A fresh witness chain can come out cheaper than an earlier one; the
+    # answers handed out must still only grow, and stay within the bounds.
+    n, m, w_max, k = 24, 48, 8, 2
+    eps = Fraction(1, 2)
+    bound = (2 + eps) ** k - 1
+    g = random_graph(n, m, w_max, seed=40 + seed)
+    state = ApspState(g, k, eps, seed=seed, c=0.25)
+    rng = random.Random(seed)
+    last = {}
+    while True:
+        for u in g.node_ids():
+            dist = dijkstra_bounded(g, u, inf)
+            for v in g.node_ids():
+                est = state.query(u, v)
+                d = dist.get(v, inf)
+                assert d <= est <= bound * d or est == d == inf
+                assert est >= last.get((u, v), 0), (u, v, last[(u, v)], est)
+                last[(u, v)] = est
+        live = list(g.edges())
+        if not live:
+            break
+        a, b, w = rng.choice(live)
+        if w < w_max and rng.random() < 0.3:
+            state.process_update(UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
+        else:
+            state.process_update(UpdateEvent("delete", a, b))

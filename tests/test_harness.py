@@ -1,8 +1,12 @@
 """Schedule generation, oracle-validated runs, reports, and the CLI."""
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,30 @@ def test_cli_bench_mode_reports_work_counters_and_time(instance_files):
     assert "work_es_edge_scans=" in text
     assert "work_monotone_heap_ops=" in text
     assert "wall_time_ms=" in text
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("mode", ["sssp", "check"])
+def test_cli_source_outside_graph_is_one_error_line(tmp_path, mode, optimize):
+    gp = tmp_path / "g.txt"
+    gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable] + (["-O"] if optimize else [])
+    cmd += ["-m", "decrsp.cli", mode, "--graph", str(gp), "--source", "9"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["decrsp: error: source 9 is not in the graph"]
+
+
+def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):
+    gp = tmp_path / "g.txt"
+    up = tmp_path / "u.txt"
+    gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    up.write_text("D 0 2\n")
+    for mode in ("sssp", "apsp", "check"):
+        rc = main([mode, "--graph", str(gp), "--updates", str(up)], out=io.StringIO())
+        assert rc == 1
+        assert capsys.readouterr().err == "decrsp: error: edge (0, 2) not present\n"

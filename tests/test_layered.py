@@ -254,11 +254,94 @@ def test_single_edge_graph_query_is_exact():
 
 
 def test_band_count_matches_distance_range():
+    # Under the p/q overrides every band keeps its own scaled mirror: one
+    # band per bit of n*W.
     g = DynamicGraph(2, 4)
     g.add_edge(0, 1, 4)
-    assert len(build_full_range(g, 0, Fraction(1, 2)).stacks) == 4  # (2*4).bit_length()
+    layered = build_full_range(g, 0, Fraction(1, 2), p=2, q=3)
+    assert len(layered.stacks) == 4  # (2*4).bit_length()
+    assert all(m is not None for m in layered.mirrors)
     g2 = random_graph(30, 40, 4, seed=2)
-    assert len(build_full_range(g2, 0, Fraction(1, 2)).stacks) == 7  # 120.bit_length()
+    layered = build_full_range(g2, 0, Fraction(1, 2), p=4, q=3)
+    assert len(layered.stacks) == 7  # 120.bit_length()
+    assert {s.mode for s in layered.stacks} == {"layered"}
+    # Default mode: phi_i = 2^i / (6n), so 2^i <= 12 (n=2) and 2^i <= 180
+    # (n=30) hold for every band, and all of them collapse into one exact band.
+    assert len(build_full_range(g, 0, Fraction(1, 2)).stacks) == 1
+    assert len(build_full_range(g2, 0, Fraction(1, 2)).stacks) == 1
+    # n=20, W=1024: 20480.bit_length() = 15 bands and 2^i <= 120 for i <= 6,
+    # so one exact band replaces seven and eight scaled bands remain.
+    g3 = random_graph(20, 40, 1024, seed=2)
+    assert len(build_full_range(g3, 0, Fraction(1, 2)).stacks) == 1 + 8
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(min_value=1, max_value=500),
+    i=st.integers(min_value=0, max_value=40),
+    eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]),
+    w=st.integers(min_value=0, max_value=10**6),
+)
+def test_integer_scale_matches_fraction_ceiling(n, i, eps, w):
+    grain = eps / 3 / n  # A/B in lowest terms; A > 1 for eps = 2/3, 3/4
+    phi = grain * 2**i
+    mirror = ScaledMirror(DynamicGraph(1, 1), phi)
+    assert mirror.scale(w) == ceil(Fraction(w) / phi)
+    assert -(-w * grain.denominator // (grain.numerator << i)) == ceil(Fraction(w) / phi)
+
+
+@pytest.mark.parametrize(
+    "n, m, w_max, eps, seed",
+    [(20, 40, 1024, Fraction(1, 2), 3), (21, 50, 512, Fraction(2, 3), 4),
+     (16, 30, 256, Fraction(3, 4), 5), (18, 36, 64, Fraction(1), 6)],
+)
+def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed):
+    g = random_graph(n, m, w_max, seed=seed)
+    full = FullRangeSssp(g, 0, eps, seed=1, debug=True)
+    bands = (n * w_max).bit_length()
+    grains = [eps / 3 * 2**i / n for i in range(bands)]
+    i_star = max(i for i, phi in enumerate(grains) if phi <= 1)
+    assert full.mirrors[0] is None and full.stacks[0].mode == "exact"
+    assert full.stacks[0].range_bound == 4 << i_star
+    assert [mirror.phi for mirror in full.mirrors[1:]] == grains[i_star + 1:]
+    assert all(stack.mode == "exact" for stack in full.stacks)
+    rng = random.Random(seed)
+    exact_answers = approximate_answers = 0
+    while True:
+        live = list(g.edges())
+        if not live:
+            break
+        u, v, w = rng.choice(live)
+        if w < w_max and rng.random() < 0.3:
+            event = UpdateEvent("increase", u, v, rng.randint(w + 1, w_max))
+        else:
+            event = UpdateEvent("delete", u, v)
+        full.apply_event(event)
+        dist = exact_distances(g, 0)
+        for x in g.node_ids():
+            d = dist.get(x, inf)
+            before = full.heap_reads
+            est = full.query(x)
+            assert full.heap_reads == before + 1
+            # The heap top is the least band answer.
+            answers = [
+                stack.estimate(x) * (1 if mirror is None else mirror.phi)
+                for stack, mirror in zip(full.stacks, full.mirrors)
+            ]
+            assert est == min(answers)
+            if d <= 4 << i_star:
+                assert est == d and type(est) is int
+                exact_answers += 1
+            else:
+                assert d <= est <= (1 + eps) * d
+                approximate_answers += d != inf
+    assert exact_answers and approximate_answers
+
+
+def test_source_outside_view_is_a_config_error():
+    g = random_graph(4, 4, 4, seed=1)
+    with pytest.raises(ParamConfigError, match="source"):
+        FullRangeSssp(g, 9, Fraction(1, 2))
 
 
 def test_full_range_tracks_oracle_with_mixed_updates():
