@@ -24,8 +24,8 @@ import itertools
 from fractions import Fraction
 from math import inf
 
-from .balls import EST, JOIN, LEAVE, BallSystem
-from .hopset import ParamConfigError
+from .balls import LEAVE, BallSystem
+from .graph import ParamConfigError
 from .layered import FullRangeSssp
 from .sampling import sample_priorities
 
@@ -36,7 +36,7 @@ class ApspState:
     def __init__(self, graph, k, eps, seed, *, c=2.0, debug=False):
         eps = Fraction(eps)
         if not (0 < eps <= 1):
-            raise ValueError("need 0 < eps <= 1, got %s" % (eps,))
+            raise ParamConfigError("need 0 < eps <= 1, got %s" % (eps,))
         self.graph = graph
         self.k = k
         self.eps = eps
@@ -176,14 +176,3 @@ class ApspState:
         self._answers[(u, v)] = answer
         return answer
 
-
-def apsp_init(graph, k, eps, seed, **overrides):
-    return ApspState(graph, k, eps, seed, **overrides)
-
-
-def apsp_process_update(state, event):
-    state.process_update(event)
-
-
-def apsp_query(state, u, v):
-    return state.query(u, v)

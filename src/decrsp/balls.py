@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .graph import ArtificialSourceView, InducedSubgraphView, dijkstra_bounded
-from .sampling import sample_priorities
+from .graph import ArtificialSourceView, InducedSubgraphView, ParamConfigError, dijkstra_bounded
 
 JOIN, LEAVE, EST = "join", "leave", "est"
 _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
@@ -81,7 +80,12 @@ class BallSystem:
         self.beta = Fraction(beta)
         self.depth = depth  # int | Fraction | inf
         self.eps = Fraction(bucket_eps)
-        assert self.alpha >= 1 and self.beta >= 0 and self.eps > 0
+        if not 0 < self.eps <= 1:
+            raise ParamConfigError("bucket growth eps must lie in (0, 1], got %s" % (self.eps,))
+        if self.alpha < 1 or self.beta < 0:
+            raise ParamConfigError(
+                "need alpha >= 1 and beta >= 0, got alpha=%s beta=%s" % (self.alpha, self.beta)
+            )
         self._growth = 1 + self.eps
         self.threshold = inf if depth == inf else self.alpha * depth + self.beta
         self._nodes = sorted(view.node_ids())
@@ -104,7 +108,7 @@ class BallSystem:
                 if val != inf:
                     table[u] = val
         # Per-node ball state.
-        self._bucket = {}  # node -> (j, (1+eps)^j) once the watched value >= 2
+        self._bucket = {}  # node -> bucket power (1+eps)^j reached so far
         self._radius = {}
         self._scope = {}
         self._inner = {}
@@ -151,14 +155,10 @@ class BallSystem:
         if val <= 1:
             return 0
         x = val - 1
-        state = self._bucket.get(u)
-        if state is None:
-            state = (0, Fraction(1))
-        j, power = state
+        power = self._bucket.get(u, Fraction(1))
         while power * self._growth <= x:
             power *= self._growth
-            j += 1
-        self._bucket[u] = (j, power)
+        self._bucket[u] = power
         r = (power - self.beta) / self.alpha
         if r < 0:
             r = 0
@@ -376,36 +376,3 @@ def witness_reach(a, b, x, l):
     grow = (a + 1) ** (l - 1)
     return a * grow * x + (grow * (a + 1) - 1) * b / a
 
-
-# -- module-level operation aliases --------------------------------------------
-
-
-def balls_init(graph, p, eps, depth, alpha, beta, sssp_contract, seed, *, c=2.0):
-    if not 0 < eps <= 1:
-        raise ValueError("bucket growth eps must lie in (0, 1], got %r" % (eps,))
-    assignment = sample_priorities(graph, p, c, seed)
-    return BallSystem(
-        graph,
-        assignment,
-        sssp_contract,
-        alpha=alpha,
-        beta=beta,
-        depth=depth,
-        bucket_eps=eps,
-    )
-
-
-def balls_radius(system, u):
-    return system.radius(u)
-
-
-def balls_process_update(system, rec):
-    return system.process_update(rec)
-
-
-def balls_membership(system, u):
-    return system.membership(u)
-
-
-def balls_structural_witness(system, u, v, dist_fn):
-    return system.structural_witness(u, v, dist_fn)

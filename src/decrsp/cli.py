@@ -19,9 +19,9 @@ import sys
 from fractions import Fraction
 
 from .apsp import ApspState
-from .graph import GraphFormatError, QueryProbe, UpdateError, load_graph, parse_update_stream
+from .graph import GraphFormatError, ParamConfigError, QueryProbe, UpdateError
+from .graph import load_graph, parse_update_stream
 from .harness import RunConfig, Schedule, run_with_oracle
-from .hopset import ParamConfigError
 from .layered import FullRangeSssp
 
 
@@ -50,7 +50,7 @@ def _fmt(value):
 def _stream_run(schedule, args, out):
     """Replay updates, printing one answer line per query probe."""
     graph = schedule.build_graph()
-    eps = Fraction(args.epsilon)
+    eps = args.epsilon
     if args.mode == "sssp":
         structure = FullRangeSssp(
             graph, args.source, eps, p=args.p, q=args.q, c=args.c, seed=args.seed
@@ -80,7 +80,7 @@ def _report_run(schedule, args, out):
     config = RunConfig(
         mode="apsp" if args.mode == "apsp" else "sssp",
         source=args.source,
-        eps=Fraction(args.epsilon),
+        eps=args.epsilon,
         k=args.k,
         p=args.p,
         q=args.q,
@@ -99,6 +99,22 @@ def _report_run(schedule, args, out):
     )
 
 
+def fraction(text):
+    """argparse type: an exact rational such as ``1/2`` or ``0.25``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def positive_int(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="decrsp",
@@ -108,7 +124,7 @@ def build_parser():
     parser.add_argument("mode", choices=("sssp", "apsp", "bench", "check"))
     parser.add_argument("--graph", required=True, help="graph file (n m W header)")
     parser.add_argument("--updates", help="update stream file (D/I/Q lines)")
-    parser.add_argument("--epsilon", default="1/2", help="approximation slack")
+    parser.add_argument("--epsilon", type=fraction, default="1/2", help="approximation slack")
     parser.add_argument("--source", type=int, default=0)
     parser.add_argument("--k", type=int, default=2, help="priority levels for apsp")
     parser.add_argument("--seed", type=int, default=0)
@@ -116,7 +132,7 @@ def build_parser():
     parser.add_argument("--q", type=int, default=None, help="layer count override")
     parser.add_argument("--c", type=float, default=2.0, help="sampling density")
     parser.add_argument("--oracle-check", action="store_true")
-    parser.add_argument("--oracle-stride", type=int, default=1)
+    parser.add_argument("--oracle-stride", type=positive_int, default=1)
     parser.add_argument("--report", help="write the key=value report here")
     return parser
 

@@ -137,14 +137,3 @@ class EsTree:
             if self.level.get(x, inf) != pre[x]
         ]
 
-
-def es_build(graph, source, depth):
-    return EsTree(graph, source, depth)
-
-
-def es_handle_update(tree, rec):
-    return tree.process_update(rec)
-
-
-def es_query(tree, node):
-    return tree.query(node)

@@ -16,13 +16,16 @@ Two lightweight views are provided:
 Both views support the same read protocol as ``DynamicGraph`` (``node_ids``,
 ``neighbors``, ``edges``, ``weight``, ``filter_record``), which is all the
 shortest-path code needs.
+
+:class:`AdjacencyGraph` implements the edge reads of that protocol over a
+symmetric adjacency map; ``DynamicGraph`` and the scaled mirrors of
+:mod:`decrsp.layered` extend it with their own node sets and mutations.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import inf
 
 
 class GraphFormatError(ValueError):
@@ -31,6 +34,10 @@ class GraphFormatError(ValueError):
 
 class UpdateError(ValueError):
     """Raised for updates that violate the decremental contract."""
+
+
+class ParamConfigError(ValueError):
+    """Raised when a structure's parameters violate their preconditions."""
 
 
 @dataclass(frozen=True)
@@ -67,49 +74,17 @@ class ChangeRecord:
     version: int
 
 
-class DynamicGraph:
-    """Undirected graph with integer weights in [1, max_weight], decremental only."""
+class AdjacencyGraph:
+    """Read protocol over a symmetric ``node -> {neighbor: weight}`` map.
 
-    def __init__(self, n, max_weight=1):
-        assert n >= 0 and max_weight >= 1
-        self.n = n
+    Subclasses own the node set (``node_ids``, ``node_count``, ``has_node``)
+    and every mutation; both sides of an edge are always stored.
+    """
+
+    def __init__(self, max_weight):
         self.max_weight = max_weight
         self.version = 0
-        self.edge_count = 0
         self._adj = {}  # node -> {neighbor: weight}; absent node means isolated
-
-    # -- construction -----------------------------------------------------
-
-    def add_edge(self, u, v, w):
-        """Insert an edge at build time (the update stream never inserts)."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise GraphFormatError("self-loop (%d, %d)" % (u, v))
-        if not (1 <= w <= self.max_weight):
-            raise GraphFormatError(
-                "weight %r outside [1, %d] on edge (%d, %d)" % (w, self.max_weight, u, v)
-            )
-        if v in self._adj.get(u, ()):
-            raise GraphFormatError("duplicate edge (%d, %d)" % (u, v))
-        self._adj.setdefault(u, {})[v] = w
-        self._adj.setdefault(v, {})[u] = w
-        self.edge_count += 1
-
-    def _check_node(self, u):
-        if not (isinstance(u, int) and 0 <= u < self.n):
-            raise GraphFormatError("node id %r outside [0, %d)" % (u, self.n))
-
-    # -- read protocol ----------------------------------------------------
-
-    def node_ids(self):
-        return range(self.n)
-
-    def node_count(self):
-        return self.n
-
-    def has_node(self, u):
-        return 0 <= u < self.n
 
     def has_edge(self, u, v):
         return v in self._adj.get(u, ())
@@ -133,6 +108,52 @@ class DynamicGraph:
 
     def filter_record(self, rec):
         return rec
+
+
+class DynamicGraph(AdjacencyGraph):
+    """Undirected graph with integer weights in [1, max_weight], decremental only."""
+
+    def __init__(self, n, max_weight=1):
+        if n < 0 or max_weight < 1:
+            raise GraphFormatError(
+                "need n >= 0 and max_weight >= 1, got n=%r max_weight=%r" % (n, max_weight)
+            )
+        super().__init__(max_weight)
+        self.n = n
+        self.edge_count = 0
+
+    # -- construction -----------------------------------------------------
+
+    def add_edge(self, u, v, w):
+        """Insert an edge at build time (the update stream never inserts)."""
+        self._check_node(u)
+        self._check_node(v)
+        if u == v:
+            raise GraphFormatError("self-loop (%d, %d)" % (u, v))
+        if not (1 <= w <= self.max_weight):
+            raise GraphFormatError(
+                "weight %r outside [1, %d] on edge (%d, %d)" % (w, self.max_weight, u, v)
+            )
+        if v in self._adj.get(u, ()):
+            raise GraphFormatError("duplicate edge (%d, %d)" % (u, v))
+        self._adj.setdefault(u, {})[v] = w
+        self._adj.setdefault(v, {})[u] = w
+        self.edge_count += 1
+
+    def _check_node(self, u):
+        if not (isinstance(u, int) and 0 <= u < self.n):
+            raise GraphFormatError("node id %r outside [0, %d)" % (u, self.n))
+
+    # -- node set -----------------------------------------------------------
+
+    def node_ids(self):
+        return range(self.n)
+
+    def node_count(self):
+        return self.n
+
+    def has_node(self, u):
+        return 0 <= u < self.n
 
     # -- mutation ---------------------------------------------------------
 
@@ -365,11 +386,6 @@ class ArtificialSourceView:
 
     def filter_record(self, rec):
         return self.parent.filter_record(rec)
-
-
-def induced_subgraph(graph, nodes):
-    """Convenience constructor for the induced-subgraph view."""
-    return InducedSubgraphView(graph, nodes)
 
 
 # -- bounded Dijkstra --------------------------------------------------------

@@ -385,41 +385,27 @@ def collect_work_counters(mode, structure):
         return {"es_edge_scans": structure.work_counter}
     if mode == "sssp":
         return _full_range_work(structure)
-    counters = {"apsp_heap_pairs": len(structure._keys)}
-    for key, value in _ball_system_work(structure.balls).items():
-        counters[key] = value
-    return counters
+    return {
+        "apsp_heap_pairs": len(structure._keys),
+        "ball_rebuilds": sum(structure.balls.rebuild_counts.values()),
+    }
 
-
-def _stack_work(stack):
-    es_work = 0
-    monotone_work = 0
-    if stack.mode == "exact":
-        return {"es": stack.top.work_counter, "monotone": 0}
-    assembly = stack.top
-    while assembly.k > 0:
-        monotone_work += assembly.sg.tree.work_counter
-        assembly = assembly.lower
-    es_work += assembly._exact.work_counter
-    return {"es": es_work, "monotone": monotone_work}
 
 def _full_range_work(full):
+    """Edge scans of each band's exact tree, heap traffic of its monotone trees."""
     es_work = 0
     monotone_work = 0
     for stack in full.stacks:
-        work = _stack_work(stack)
-        es_work += work["es"]
-        monotone_work += work["monotone"]
+        layer = stack.top
+        while not isinstance(layer, EsTree):
+            monotone_work += layer.sg.tree.work_counter
+            layer = layer.lower
+        es_work += layer.work_counter
     return {
         "es_edge_scans": es_work,
         "monotone_heap_ops": monotone_work,
         "query_heap_reads": full.heap_reads,
     }
-
-
-def _ball_system_work(balls):
-    rebuilds = sum(balls.rebuild_counts.values())
-    return {"ball_rebuilds": rebuilds}
 
 
 # -- static shortcut-edge verification ------------------------------------------

@@ -24,22 +24,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from .graph import ParamConfigError
 from .monotone_tree import MonotoneEsTree
 
 
-class ParamConfigError(ValueError):
-    """Raised when the parameter block violates its preconditions."""
-
-
-def integer_root_ceil(n, p):
-    """Smallest integer x >= 1 with x**p >= n."""
-    assert n >= 1 and p >= 1
-    if n == 1:
+def integer_root_ceil(value, p):
+    """Smallest integer x >= 1 with x**p >= value, for a rational value >= 0."""
+    assert p >= 1
+    if value <= 1:
         return 1
-    x = max(1, round(n ** (1.0 / p)))
-    while x**p >= n:
+    x = max(1, round(float(value) ** (1.0 / p)))
+    while x**p >= value:
         x -= 1
-    while x**p < n:
+    while x**p < value:
         x += 1
     return x
 
@@ -280,22 +277,6 @@ class ShortcutGraph:
         level = self.tree.level_of(node)
         return inf if level == inf else level * self.params.phi
 
-    def estimates(self):
-        """Current finite estimates as a dict node -> value."""
-        phi = self.params.phi
-        return {u: lev * phi for u, lev in self.tree.level.items()}
-
-    def dump_scaled_edges(self):
-        """Live scaled edges in the graph file format (one line per edge)."""
-        lines = ["p %d %d" % (len(set(self.view.node_ids())), len(self._admitted))]
-        for key in sorted(self._admitted, key=repr):
-            if key[0] == "G":
-                _, u, v = key
-            else:
-                _, u, v, _gen = key
-            lines.append("e %d %d %d" % (u, v, self._admitted[key]))
-        return "\n".join(lines) + "\n"
-
     # -- internal edge traffic --------------------------------------------------
 
     def _tree_insert(self, key, u, v, weight):
@@ -342,11 +323,6 @@ class ShortcutGraph:
             members, _ = self.balls.membership(owner)
             expected |= {(owner, v) for v in members if v != owner}
         assert set(self._f_weight) == expected
-
-
-def build_shortcut_graph(view, balls, params, root, *, debug=False):
-    """Materialize the scaled shortcut graph and its monotone tree."""
-    return ShortcutGraph(view, balls, params, root, debug=debug)
 
 
 def shortcut_process_update(sg, record, ball_changes):

@@ -31,20 +31,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
 from .balls import BallSystem
 from .es_tree import EsTree
-from .graph import ChangeRecord
-from .hopset import (
-    ParamConfigError,
-    build_shortcut_graph,
-    derive_params,
-    integer_root_ceil,
-    shortcut_process_update,
-)
+from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError
+from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_process_update
 from .sampling import sample_priorities
 
 
@@ -65,19 +59,6 @@ def default_layer_counts(n, eps, a=4):
     return p, q
 
 
-def fraction_root_ceil(value, q):
-    """Smallest integer x >= 1 with x**q >= value (value a Fraction >= 0)."""
-    value = Fraction(value)
-    if value <= 1:
-        return 1
-    x = max(1, round(float(value) ** (1.0 / q)))
-    while x**q >= value:
-        x -= 1
-    while x**q < value:
-        x += 1
-    return x
-
-
 def layer_scales(range_bound, q):
     """Per-layer (delta_k, depth_k) for k = 0..q-2.
 
@@ -88,8 +69,8 @@ def layer_scales(range_bound, q):
     R = Fraction(range_bound)
     scales = []
     for k in range(q - 1):
-        delta = fraction_root_ceil(R**k, q)
-        depth = fraction_root_ceil(R ** (k + 2), q)
+        delta = integer_root_ceil(R**k, q)
+        depth = integer_root_ceil(R ** (k + 2), q)
         scales.append((delta, depth))
     return scales
 
@@ -114,7 +95,11 @@ class StackConfig:
 
 
 class LayerAssembly:
-    """One recursive range-restricted SSSP instance at layer ``k``.
+    """One recursive range-restricted SSSP instance at layer ``k >= 1``.
+
+    Its ``lower`` companion is the layer-(k-1) instance: another assembly,
+    or at layer 1 the exact ``EsTree`` that ``_layer_factory(config, 0)``
+    returns.
 
     Satisfies the ball-system contract: ``estimate(node)`` plus
     ``process_update(record) -> [(node, new_estimate)]`` with estimates
@@ -127,12 +112,9 @@ class LayerAssembly:
         self.view = view
         self.root = root
         self.depth = depth
-        if k == 0:
-            self._exact = EsTree(view, root, depth)
-            return
         delta_k, depth_k = config.scales[k]
         lower_depth = min(depth, config.scales[k - 1][1])
-        self.lower = LayerAssembly(config, k - 1, view, root, lower_depth)
+        self.lower = _layer_factory(config, k - 1)(view, root, lower_depth)
         self.assignment = sample_priorities(view, config.p, config.c, config.next_seed())
         alpha_prev = config.alphas[k - 1]
         self.balls = BallSystem(
@@ -156,19 +138,15 @@ class LayerAssembly:
             config.n,
             enforce_bound=False,
         )
-        self.sg = build_shortcut_graph(view, self.balls, self.params, root, debug=config.debug)
+        self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=config.debug)
         self._est = {
             v: min(self.lower.estimate(v), self.sg.estimate(v)) for v in view.node_ids()
         }
 
     def estimate(self, node):
-        if self.k == 0:
-            return self._exact.estimate(node)
         return self._est.get(node, inf)
 
     def process_update(self, record):
-        if self.k == 0:
-            return self._exact.process_update(record)
         touched = set()
         for node, _ in self.lower.process_update(record):
             touched.add(node)
@@ -207,7 +185,6 @@ class LayerStack:
         q=None,
         c=2.0,
         seed=0,
-        allow_fallback=True,
         debug=False,
     ):
         n = view.node_count()
@@ -226,10 +203,6 @@ class LayerStack:
         self.p = default_p if p is None else p
         self.q = default_q if q is None else q
         if self.q < 3:
-            if not allow_fallback:
-                raise ParamConfigError(
-                    "layer count q=%d is below 3 and fallback is disabled" % (self.q,)
-                )
             self.mode = "exact"
             self.top = EsTree(view, source, math.ceil(self.range_bound))
             return
@@ -268,11 +241,7 @@ class LayerStack:
         return self.top.process_update(record)
 
 
-def build_layer_stack(view, source, range_bound, eps, **overrides):
-    return LayerStack(view, source, range_bound, eps, **overrides)
-
-
-class MirrorGraph:
+class MirrorGraph(AdjacencyGraph):
     """Dict-backed weighted graph used for scaled mirrors.
 
     Unlike the primary graph container this accepts arbitrary integer node
@@ -282,11 +251,9 @@ class MirrorGraph:
     """
 
     def __init__(self, nodes, max_weight):
+        super().__init__(max_weight)
         self._nodes = sorted(nodes)
         self._node_set = frozenset(self._nodes)
-        self.max_weight = max_weight
-        self.version = 0
-        self._adj = {}
 
     def add_edge(self, u, v, w):
         assert u in self._node_set and v in self._node_set and u != v and w >= 0
@@ -302,27 +269,6 @@ class MirrorGraph:
 
     def has_node(self, u):
         return u in self._node_set
-
-    def has_edge(self, u, v):
-        return v in self._adj.get(u, ())
-
-    def weight(self, u, v):
-        return self._adj[u][v]
-
-    def neighbors(self, u):
-        return self._adj.get(u, {}).items()
-
-    def degree(self, u):
-        return len(self._adj.get(u, ()))
-
-    def edges(self):
-        for u in sorted(self._adj):
-            for v, w in self._adj[u].items():
-                if u < v:
-                    yield (u, v, w)
-
-    def filter_record(self, rec):
-        return rec
 
     def delete_edge(self, u, v):
         old = self._adj[u].pop(v)
@@ -500,6 +446,3 @@ class FullRangeSssp:
                 out.append((node, value))
         return out
 
-
-def build_full_range(graph, source, eps, **overrides):
-    return FullRangeSssp(graph, source, eps, **overrides)

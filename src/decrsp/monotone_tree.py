@@ -34,6 +34,8 @@ from __future__ import annotations
 import heapq
 from math import inf
 
+from .graph import dijkstra_bounded
+
 
 class DuplicateEdgeError(ValueError):
     """Raised when inserting an edge key that is currently present."""
@@ -72,23 +74,9 @@ class MonotoneEsTree:
         self._nheap.setdefault(u, [])
         self._nheap.setdefault(v, [])
 
-    def _capped_distances(self):
-        """Exact Dijkstra distances from the root, dropping those above the cap."""
-        dist = {}
-        heap = [(0, self.root)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            dist[u] = d
-            for key, (v, w) in self.adj[u].items():
-                if v not in dist and d + w <= self.cap:
-                    heapq.heappush(heap, (d + w, v))
-        return dist
-
     def _initialize(self):
         """Exact levels up to the cap, then seed all candidate heaps."""
-        self.level = dist = self._capped_distances()
+        self.level = dist = dijkstra_bounded(self, self.root, self.cap)
         self.parent = {self.root: None}
         for u in self.adj:
             if u == self.root or u not in dist:
@@ -119,6 +107,13 @@ class MonotoneEsTree:
 
     def has_edge(self, key, u):
         return key in self.adj.get(u, ())
+
+    def has_node(self, u):
+        return u in self.adj
+
+    def neighbors(self, u):
+        """Iterate (other, weight) over the edges at ``u``, parallel keys included."""
+        return self.adj[u].values()
 
     # -- batch protocol --------------------------------------------------------
 
@@ -294,7 +289,7 @@ class MonotoneEsTree:
                         "unstretched edge %r leaves node %r inconsistent" % (key, u)
                     )
         # Safety: levels never undercut true distances in the current multigraph.
-        exact = self._capped_distances()
+        exact = dijkstra_bounded(self, self.root, self.cap)
         for u, lv in self.level.items():
             assert lv >= exact.get(u, inf), "level below true distance at %r" % (u,)
         # Without insertions the tree is simply exact.
@@ -309,32 +304,3 @@ def _key_lt(a, b):
         return a < b
     except TypeError:
         return repr(a) < repr(b)
-
-
-# -- single-operation aliases (one batch per call) ----------------------------
-
-
-def mes_initialize(edges, root, level_cap, *, debug=False):
-    return MonotoneEsTree(root, level_cap, edges, debug=debug)
-
-
-def mes_insert(tree, key, u, v, w):
-    tree.begin_batch()
-    tree.insert_edge(key, u, v, w)
-    return tree.end_batch()
-
-
-def mes_increase(tree, key, u, new_weight):
-    tree.begin_batch()
-    tree.increase_edge(key, u, new_weight)
-    return tree.end_batch()
-
-
-def mes_delete(tree, key, u):
-    tree.begin_batch()
-    tree.delete_edge(key, u)
-    return tree.end_batch()
-
-
-def mes_level(tree, node):
-    return tree.level_of(node)

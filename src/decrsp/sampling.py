@@ -18,6 +18,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .graph import ParamConfigError
+
 
 @dataclass(frozen=True)
 class PriorityAssignment:
@@ -31,9 +33,6 @@ class PriorityAssignment:
     def priority_of(self, node):
         return self.priority.get(node, 0)
 
-    def nodes_at_least(self, level):
-        return self.level_sets[level]
-
 
 def max_priority_levels(n):
     """Largest admissible p for an n-node graph (binary log scale)."""
@@ -45,7 +44,7 @@ def sample_priorities(view, p, c, seed):
     nodes = list(view.node_ids())
     n = len(nodes)
     if not (isinstance(p, int) and 2 <= p <= max(2, max_priority_levels(n))):
-        raise ValueError(
+        raise ParamConfigError(
             "priority levels p=%r outside [2, log2(n)=%.2f] for n=%d"
             % (p, math.log2(n) if n else float("-inf"), n)
         )
@@ -77,11 +76,3 @@ def sample_priorities(view, p, c, seed):
         c=c,
     )
 
-
-def hitting_probability(s, l, t, a):
-    """Chance needed for an a-boosted sample to hit one of l groups of size s
-
-    within t rounds: min(1, a * ln(l * t) / s).
-    """
-    assert s > 0 and l >= 1 and t >= 1 and a > 0
-    return min(1.0, a * math.log(l * t) / s)

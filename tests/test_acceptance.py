@@ -14,7 +14,7 @@ from math import ceil, inf
 sys.path.insert(0, "tests")
 
 from decrsp.apsp import ApspState
-from decrsp.balls import balls_init
+from decrsp.balls import BallSystem
 from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, UpdateEvent
 from decrsp.harness import RunConfig, generate_instance, run_with_oracle, static_hopset_check
@@ -147,7 +147,8 @@ def test_criterion_4_ball_properties_exhaustive_at_n60():
     for seed, depth in ((5, 24), (9, 30)):
         n, m = 60, 120
         graph = random_graph(n, m, 4, seed=seed)
-        system = balls_init(graph, 3, 0.4, depth, 1, 0, EsTree, seed=seed * 3 + 1)
+        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed * 3 + 1), EsTree,
+                            alpha=1, beta=0, depth=depth, bucket_eps=0.4)
         checker = InvariantChecker(graph, system, 1, 0, depth)
         checker.check()  # exhaustive: sandwich, containment, witnesses, rebuilds
         rng = random.Random(seed + 40)

@@ -11,10 +11,9 @@ from math import inf
 
 import pytest
 
-from decrsp.apsp import ApspState, apsp_init, apsp_process_update, apsp_query
+from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
-from decrsp.graph import DynamicGraph, UpdateEvent, dijkstra_bounded
-from decrsp.hopset import ParamConfigError
+from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
 
 from test_graph_core import random_graph
 
@@ -193,7 +192,7 @@ def test_stretch_battery_two_priorities_full_deletion():
     bound = (2 + eps) ** k - 1
     assert bound == Fraction(21, 4)  # 5.25
     g = random_graph(n, m, w_max, seed=21)
-    state = apsp_init(g, k, eps, seed=5, c=0.25)
+    state = ApspState(g, k, eps, seed=5, c=0.25)
     # The sparse sampling must leave a real top-priority set so the
     # witness-chain branch is actually exercised.
     assert 0 < len(state.assignment.level_sets[1]) < n
@@ -206,7 +205,7 @@ def test_stretch_battery_two_priorities_full_deletion():
         if not live:
             break
         u, v, _ = rng.choice(live)
-        apsp_process_update(state, UpdateEvent("delete", u, v))
+        state.process_update(UpdateEvent("delete", u, v))
         if step % 4 == 0:
             worst = max(worst, check_all_pairs(state, g, bound))
             chain_answers += sum(
@@ -214,13 +213,13 @@ def test_stretch_battery_two_priorities_full_deletion():
                 for a in g.node_ids()
                 for b in g.node_ids()
                 if state.balls.estimate(a, b) == inf
-                and apsp_query(state, a, b) != inf
+                and state.query(a, b) != inf
             )
         step += 1
     assert step == m
     assert worst <= bound
     assert chain_answers > 0
-    assert all(apsp_query(state, 0, v) == inf for v in g.node_ids() if v != 0)
+    assert all(state.query(0, v) == inf for v in g.node_ids() if v != 0)
 
 
 def test_stretch_battery_three_priorities():

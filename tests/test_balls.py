@@ -18,17 +18,12 @@ from decrsp.balls import (
     EMPTY_CHANGESET,
     BallEvent,
     BallSystem,
-    balls_init,
-    balls_membership,
-    balls_process_update,
-    balls_radius,
-    balls_structural_witness,
     radius_from_watched,
     witness_reach,
 )
 from decrsp.es_tree import EsTree
-from decrsp.graph import DynamicGraph, UpdateEvent, dijkstra_bounded
-from decrsp.sampling import PriorityAssignment
+from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.sampling import PriorityAssignment, sample_priorities
 
 from test_graph_core import graph_from_edges, random_graph
 
@@ -152,9 +147,22 @@ def test_init_matches_static_definition_ten_nodes():
         r, scope, members = expected[u]
         assert system.radius(u) == r
         assert system.scope(u) == scope
-        got_members, got_est = balls_membership(system, u)
+        got_members, got_est = system.membership(u)
         assert got_members == set(members)
         assert got_est == members
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(bucket_eps=0), dict(bucket_eps=Fraction(3, 2)), dict(alpha=Fraction(1, 2)),
+     dict(beta=-1)],
+)
+def test_parameter_checks_raise_typed_errors(bad):
+    graph = path_graph(4)
+    assignment = manual_assignment(4, 2, [{3}])
+    params = dict(alpha=1, beta=0, depth=5, bucket_eps=1) | bad
+    with pytest.raises(ParamConfigError):
+        BallSystem(graph, assignment, EsTree, **params)
 
 
 def test_top_priority_scope_covers_depth():
@@ -189,7 +197,7 @@ def test_isolated_node_is_singleton():
 
 def apply(graph, system, event):
     rec = graph.apply_update(event)
-    return balls_process_update(system, rec)
+    return system.process_update(rec)
 
 
 def test_bucket_crossing_rebuild_on_path():
@@ -420,7 +428,7 @@ class InvariantChecker:
             for v in sorted(graph.node_ids()):
                 if u == v or not system.witness_proviso_holds(u, v, d):
                     continue
-                kind, _, j = balls_structural_witness(system, u, v, d)
+                kind, _, j = system.structural_witness(u, v, d)
                 assert kind in ("in_ball", "witness")
                 if kind == "witness":
                     assert j > assignment.priority_of(u)
@@ -432,11 +440,11 @@ def test_properties_hold_after_every_update(declared, seed):
     alpha, beta, inflate = declared
     n, m = 24, 44
     graph = random_graph(n, m, 4, seed=seed)
-    system = balls_init(
-        graph, 3, 1, 8, alpha, beta,
+    system = BallSystem(
+        graph, sample_priorities(graph, 3, 2.0, seed * 5 + 1),
         (lambda view, source, depth: InflatingEsTree(view, source, depth, inflate))
         if inflate else EsTree,
-        seed=seed * 5 + 1,
+        alpha=alpha, beta=beta, depth=8, bucket_eps=1,
     )
     snapshot = system.initial_membership()
     changesets = []
@@ -536,13 +544,14 @@ def test_witness_search_is_exercised_nontrivially():
     # Seeded 12-node instance where at least one pair resolves via an actual
     # higher-priority witness (not just in-ball membership).
     graph = random_graph(12, 22, 3, seed=5)
-    system = balls_init(graph, 3, 1, 6, 1, 0, EsTree, seed=17)
+    system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 17), EsTree,
+                        alpha=1, beta=0, depth=6, bucket_eps=1)
     d = dist_fn(graph)
     kinds = set()
     for u in graph.node_ids():
         for v in graph.node_ids():
             if u == v or not system.witness_proviso_holds(u, v, d):
                 continue
-            kinds.add(balls_structural_witness(system, u, v, d)[0])
+            kinds.add(system.structural_witness(u, v, d)[0])
     assert "none" not in kinds
     assert "witness" in kinds or "in_ball" in kinds

@@ -6,8 +6,8 @@ from math import inf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrsp.es_tree import EsTree, es_build, es_handle_update, es_query
-from decrsp.graph import ArtificialSourceView, DynamicGraph, UpdateEvent, induced_subgraph
+from decrsp.es_tree import EsTree
+from decrsp.graph import ArtificialSourceView, DynamicGraph, InducedSubgraphView, UpdateEvent
 from decrsp.oracle import dijkstra
 
 from test_graph_core import graph_from_edges, random_graph
@@ -32,15 +32,15 @@ def drain(g, tree, events, depth, check_every=1):
 
 def test_build_matches_bounded_dijkstra():
     g = graph_from_edges(6, 9, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 4, 2), (0, 5, 7)])
-    t = es_build(g, 0, 4)
-    assert {v: es_query(t, v) for v in range(6)} == {0: 0, 1: 2, 2: 4, 3: inf, 4: inf, 5: inf}
+    t = EsTree(g, 0, 4)
+    assert {v: t.query(v) for v in range(6)} == {0: 0, 1: 2, 2: 4, 3: inf, 4: inf, 5: inf}
     assert t.parent[2] == 1 and t.parent[0] is None
 
 
 def test_nontree_edge_delete_is_noop():
     # Both endpoints keep their parents; the change list must be empty.
     g = graph_from_edges(4, 9, [(0, 1, 1), (0, 2, 1), (1, 2, 5), (2, 3, 1)])
-    t = es_build(g, 0, inf)
+    t = EsTree(g, 0, inf)
     rec = g.apply_update(UpdateEvent("delete", 1, 2))
     assert t.process_update(rec) == []
     levels_against_oracle(t, g, 0, inf)
@@ -48,7 +48,7 @@ def test_nontree_edge_delete_is_noop():
 
 def test_tree_edge_delete_reroutes():
     g = graph_from_edges(4, 9, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (2, 3, 1)])
-    t = es_build(g, 0, inf)
+    t = EsTree(g, 0, inf)
     assert t.query(2) == 2 and t.query(3) == 3
     rec = g.apply_update(UpdateEvent("delete", 1, 2))
     changes = t.process_update(rec)
@@ -58,7 +58,7 @@ def test_tree_edge_delete_reroutes():
 
 def test_increase_with_tying_alternative_keeps_level():
     g = graph_from_edges(3, 9, [(0, 1, 2), (0, 2, 4), (1, 2, 2)])
-    t = es_build(g, 0, inf)
+    t = EsTree(g, 0, inf)
     assert t.query(2) == 4 and t.parent[2] == 0  # smallest-id tie-break
     rec = g.apply_update(UpdateEvent("increase", 0, 2, 5))
     assert t.process_update(rec) == []  # the route through node 1 still gives 4
@@ -67,7 +67,7 @@ def test_increase_with_tying_alternative_keeps_level():
 
 def test_depth_cutoff_emits_infinity():
     g = graph_from_edges(3, 9, [(0, 1, 3), (1, 2, 3)])
-    t = es_build(g, 0, 6)
+    t = EsTree(g, 0, 6)
     rec = g.apply_update(UpdateEvent("increase", 0, 1, 4))
     changes = t.process_update(rec)
     assert changes == [(1, 4), (2, inf)]
@@ -77,7 +77,7 @@ def test_depth_cutoff_emits_infinity():
 def test_update_on_deep_region_is_cheap():
     # A change entirely beyond the depth bound never touches finite levels.
     g = graph_from_edges(5, 9, [(0, 1, 1), (1, 2, 9), (2, 3, 1), (3, 4, 1)])
-    t = es_build(g, 0, 5)
+    t = EsTree(g, 0, 5)
     before = dict(t.level)
     rec = g.apply_update(UpdateEvent("delete", 3, 4))
     assert t.process_update(rec) == []
@@ -89,7 +89,7 @@ def test_monotone_levels_and_exactness_full_deletion():
         rng = random.Random(1000 + seed)
         g = random_graph(18, 50, 9, seed=seed)
         depth = rng.choice([8, 15, inf])
-        t = es_build(g, 0, depth)
+        t = EsTree(g, 0, depth)
         prev = {v: t.query(v) for v in range(g.n)}
         while g.edge_count:
             u, v, w = rng.choice(list(g.edges()))
@@ -112,7 +112,7 @@ def test_exactness_property(seed):
     m = rng.randint(n - 1, n * (n - 1) // 2)
     g = random_graph(n, m, 6, seed)
     depth = rng.choice([3, 7, 12, inf])
-    t = es_build(g, rng.randrange(n), depth)
+    t = EsTree(g, rng.randrange(n), depth)
     events = []
     edges = list(g.edges())
     rng.shuffle(edges)
@@ -123,11 +123,11 @@ def test_exactness_property(seed):
 
 def test_works_on_views():
     g = random_graph(16, 40, 5, seed=11)
-    sub = induced_subgraph(g, range(10))
-    t = es_build(sub, 0, inf)
+    sub = InducedSubgraphView(g, range(10))
+    t = EsTree(sub, 0, inf)
     levels_against_oracle(t, sub, 0, inf)
     art = ArtificialSourceView(g, attach=[2, 9, 13])
-    t2 = es_build(art, art.source_id, inf)
+    t2 = EsTree(art, art.source_id, inf)
     levels_against_oracle(t2, art, art.source_id, inf)
     # Updates outside the induced view are no-ops for its tree.
     rec = g.apply_update(UpdateEvent("delete", 13, [v for v, _ in g.neighbors(13)][0]))
@@ -139,7 +139,7 @@ def test_work_counter_bound():
     g = random_graph(40, 150, 4, seed=7)
     m = g.edge_count
     depth = 25
-    t = es_build(g, 0, depth)
+    t = EsTree(g, 0, depth)
     rng = random.Random(2)
     while g.edge_count:
         u, v, _ = rng.choice(list(g.edges()))
@@ -161,8 +161,8 @@ def test_children_stay_inverse_of_parent_through_full_drain():
         g = random_graph(24, 70, 6, seed=40 + seed)
         art = ArtificialSourceView(g, attach=[3, 11, 20])
         trees = [
-            es_build(g, 0, rng.choice([6, 12, inf])),
-            es_build(art, art.source_id, inf),
+            EsTree(g, 0, rng.choice([6, 12, inf])),
+            EsTree(art, art.source_id, inf),
         ]
         for t in trees:
             assert_children_invert_parent(t)

@@ -17,7 +17,6 @@ from decrsp.graph import (
     UpdateError,
     UpdateEvent,
     dijkstra_bounded,
-    induced_subgraph,
     load_graph,
     parse_update_stream,
 )
@@ -64,6 +63,13 @@ def test_load_graph_errors(text, fragment):
     with pytest.raises(GraphFormatError) as exc:
         load_graph(io.StringIO(text))
     assert fragment in str(exc.value)
+
+
+def test_graph_constructor_rejects_bad_sizes():
+    with pytest.raises(GraphFormatError, match="n >= 0"):
+        DynamicGraph(-1, 4)
+    with pytest.raises(GraphFormatError, match="max_weight >= 1"):
+        DynamicGraph(4, 0)
 
 
 def test_parse_update_stream():
@@ -126,7 +132,7 @@ def test_edge_multiset_replay():
 
 def test_induced_subgraph_view():
     g = graph_from_edges(5, 9, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 1)])
-    sub = induced_subgraph(g, {0, 1, 2})
+    sub = InducedSubgraphView(g, {0, 1, 2})
     assert isinstance(sub, InducedSubgraphView)
     assert list(sub.edges()) == [(0, 1, 2), (1, 2, 3)]
     assert sub.has_edge(0, 1) and not sub.has_edge(0, 4)
@@ -140,7 +146,7 @@ def test_induced_subgraph_view():
 
 def test_induced_distances_never_shorter():
     g = random_graph(14, 35, 6, seed=3)
-    sub = induced_subgraph(g, range(9))
+    sub = InducedSubgraphView(g, range(9))
     full = dijkstra(g, 0)
     restricted = dijkstra(sub, 0)
     for v, d in restricted.items():

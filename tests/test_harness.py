@@ -265,20 +265,44 @@ def test_cli_bench_mode_reports_work_counters_and_time(instance_files):
     assert "wall_time_ms=" in text
 
 
+# case id -> (arguments, exit code, last stderr line).  Exit 2 is argparse
+# rejecting an argument's type; exit 1 is a typed error from the library.
+CLI_REJECTIONS = {
+    "sssp": (["sssp", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
+    "check": (["check", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
+    "epsilon-abc": (["sssp", "--epsilon", "abc"], 2,
+                    "decrsp: error: argument --epsilon: invalid fraction value: 'abc'"),
+    "oracle-stride-0": (["check", "--oracle-stride", "0"], 2,
+                        "decrsp: error: argument --oracle-stride: invalid positive_int value: '0'"),
+    "apsp-k1": (["apsp", "--k", "1"], 1,
+                "decrsp: error: priority levels p=1 outside [2, log2(n)=2.00] for n=4"),
+    "apsp-k5": (["apsp", "--k", "5"], 1,
+                "decrsp: error: priority levels p=5 outside [2, log2(n)=2.00] for n=4"),
+    "apsp-epsilon-0": (["apsp", "--epsilon", "0"], 1, "decrsp: error: need 0 < eps <= 1, got 0"),
+}
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
-@pytest.mark.parametrize("mode", ["sssp", "check"])
-def test_cli_source_outside_graph_is_one_error_line(tmp_path, mode, optimize):
+@pytest.mark.parametrize("case", list(CLI_REJECTIONS))
+def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
+    # Every rejected input on a 4-node graph ends in one error line, never a
+    # traceback, also under -O where asserts are gone.
+    args, code, message = CLI_REJECTIONS[case]
     gp = tmp_path / "g.txt"
     gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable] + (["-O"] if optimize else [])
-    cmd += ["-m", "decrsp.cli", mode, "--graph", str(gp), "--source", "9"]
+    cmd += ["-m", "decrsp.cli"] + args + ["--graph", str(gp)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1
+    assert done.returncode == code
     assert done.stdout == ""
-    assert done.stderr.splitlines() == ["decrsp: error: source 9 is not in the graph"]
+    lines = done.stderr.splitlines()
+    if code == 2:
+        assert lines[0].startswith("usage: decrsp") and lines[-1] == message
+    else:
+        assert lines == [message]
 
 
 def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):

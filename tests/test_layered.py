@@ -14,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrsp.graph import DynamicGraph, UpdateEvent, dijkstra_bounded
-from decrsp.hopset import ParamConfigError
+from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.hopset import integer_root_ceil
 from decrsp.layered import (
     FullRangeSssp,
     LayerStack,
     ScaledMirror,
-    build_full_range,
-    build_layer_stack,
     default_layer_counts,
-    fraction_root_ceil,
     layer_scales,
 )
 
@@ -78,20 +75,15 @@ def test_top_layer_depth_is_ceiling_of_range():
     q=st.integers(min_value=1, max_value=5),
 )
 def test_fraction_root_ceil_is_tight(num, den, q):
+    # layer_scales takes q-th roots of rational ranges through integer_root_ceil.
     value = Fraction(num, den)
-    x = fraction_root_ceil(value, q)
+    x = integer_root_ceil(value, q)
     assert x >= 1 and x**q >= value
     if x > 1:
         assert (x - 1) ** q < value
 
 
 # -- configuration validation -------------------------------------------------
-
-
-def test_fallback_error_when_disallowed():
-    g = random_graph(12, 20, 4, seed=1)
-    with pytest.raises(ParamConfigError, match="fallback"):
-        LayerStack(g, 0, 50, Fraction(1, 2), allow_fallback=False)
 
 
 def test_layered_mode_requires_two_priorities():
@@ -128,7 +120,7 @@ def test_eps_validation():
 
 def test_fallback_mode_is_exact_under_deletions():
     g = random_graph(20, 40, 4, seed=3)
-    stack = build_layer_stack(g, 0, 60, Fraction(1, 2))  # defaults: q=0
+    stack = LayerStack(g, 0, 60, Fraction(1, 2))  # defaults: q=0
     assert stack.mode == "exact"
     rng = random.Random(5)
     for rec in delete_all_edges(g, rng):
@@ -248,7 +240,7 @@ def test_single_edge_graph_query_is_exact():
     for w in (4, 32):
         g = DynamicGraph(2, w)
         g.add_edge(0, 1, w)
-        full = build_full_range(g, 0, Fraction(1, 2))
+        full = FullRangeSssp(g, 0, Fraction(1, 2))
         assert full.query(0) == 0
         assert full.query(1) == w
 
@@ -258,21 +250,21 @@ def test_band_count_matches_distance_range():
     # band per bit of n*W.
     g = DynamicGraph(2, 4)
     g.add_edge(0, 1, 4)
-    layered = build_full_range(g, 0, Fraction(1, 2), p=2, q=3)
+    layered = FullRangeSssp(g, 0, Fraction(1, 2), p=2, q=3)
     assert len(layered.stacks) == 4  # (2*4).bit_length()
     assert all(m is not None for m in layered.mirrors)
     g2 = random_graph(30, 40, 4, seed=2)
-    layered = build_full_range(g2, 0, Fraction(1, 2), p=4, q=3)
+    layered = FullRangeSssp(g2, 0, Fraction(1, 2), p=4, q=3)
     assert len(layered.stacks) == 7  # 120.bit_length()
     assert {s.mode for s in layered.stacks} == {"layered"}
     # Default mode: phi_i = 2^i / (6n), so 2^i <= 12 (n=2) and 2^i <= 180
     # (n=30) hold for every band, and all of them collapse into one exact band.
-    assert len(build_full_range(g, 0, Fraction(1, 2)).stacks) == 1
-    assert len(build_full_range(g2, 0, Fraction(1, 2)).stacks) == 1
+    assert len(FullRangeSssp(g, 0, Fraction(1, 2)).stacks) == 1
+    assert len(FullRangeSssp(g2, 0, Fraction(1, 2)).stacks) == 1
     # n=20, W=1024: 20480.bit_length() = 15 bands and 2^i <= 120 for i <= 6,
     # so one exact band replaces seven and eight scaled bands remain.
     g3 = random_graph(20, 40, 1024, seed=2)
-    assert len(build_full_range(g3, 0, Fraction(1, 2)).stacks) == 1 + 8
+    assert len(FullRangeSssp(g3, 0, Fraction(1, 2)).stacks) == 1 + 8
 
 
 @settings(max_examples=300)
@@ -415,7 +407,7 @@ def test_update_outside_source_component_emits_nothing():
     g.add_edge(0, 1, 2)
     g.add_edge(1, 2, 2)
     g.add_edge(3, 4, 3)
-    full = build_full_range(g, 0, Fraction(1, 2))
+    full = FullRangeSssp(g, 0, Fraction(1, 2))
     assert full.query(3) == inf
     assert full.apply_event(UpdateEvent("delete", 3, 4)) == []
 

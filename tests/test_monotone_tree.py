@@ -13,15 +13,7 @@ from math import inf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrsp.monotone_tree import (
-    DuplicateEdgeError,
-    MonotoneEsTree,
-    mes_delete,
-    mes_increase,
-    mes_initialize,
-    mes_insert,
-    mes_level,
-)
+from decrsp.monotone_tree import DuplicateEdgeError, MonotoneEsTree
 
 import pytest
 
@@ -143,57 +135,64 @@ def assert_heaps_bound_live_candidates(tree):
                 assert lowest.get(key, inf) <= live, (u, key)
 
 
+def one_batch(tree, op, *args):
+    """Run one edge operation (``tree.<op>(*args)``) as its own batch."""
+    tree.begin_batch()
+    getattr(tree, op)(*args)
+    return tree.end_batch()
+
+
 PATH = [("e01", 0, 1, 2), ("e12", 1, 2, 3), ("e23", 2, 3, 4), ("e13", 1, 3, 9)]
 
 
 def test_initialize_is_capped_exact():
-    t = mes_initialize(PATH, 0, 6, debug=True)
-    assert [mes_level(t, x) for x in range(4)] == [0, 2, 5, inf]
-    t2 = mes_initialize(PATH, 0, 100, debug=True)
-    assert [mes_level(t2, x) for x in range(4)] == [0, 2, 5, 9]
+    t = MonotoneEsTree(0, 6, PATH, debug=True)
+    assert [t.level_of(x) for x in range(4)] == [0, 2, 5, inf]
+    t2 = MonotoneEsTree(0, 100, PATH, debug=True)
+    assert [t2.level_of(x) for x in range(4)] == [0, 2, 5, 9]
 
 
 def test_insert_never_lowers_levels():
-    t = mes_initialize(PATH, 0, 100, debug=True)
-    assert mes_level(t, 3) == 9
+    t = MonotoneEsTree(0, 100, PATH, debug=True)
+    assert t.level_of(3) == 9
     # A much better route appears; the level deliberately stays put.
-    changes = mes_insert(t, "short", 0, 3, 1)
+    changes = one_batch(t, "insert_edge", "short", 0, 3, 1)
     assert changes == []
-    assert mes_level(t, 3) == 9
+    assert t.level_of(3) == 9
     assert ("short", 3) in t._stretched_set()
 
 
 def test_insert_then_delete_roundtrip():
-    t = mes_initialize(PATH, 0, 100, debug=True)
-    before = {x: mes_level(t, x) for x in range(4)}
-    mes_insert(t, "tmp", 0, 3, 1)
-    mes_delete(t, "tmp", 0)
-    assert {x: mes_level(t, x) for x in range(4)} == before
+    t = MonotoneEsTree(0, 100, PATH, debug=True)
+    before = {x: t.level_of(x) for x in range(4)}
+    one_batch(t, "insert_edge", "tmp", 0, 3, 1)
+    one_batch(t, "delete_edge", "tmp", 0)
+    assert {x: t.level_of(x) for x in range(4)} == before
 
 
 def test_duplicate_key_rejected():
-    t = mes_initialize(PATH, 0, 100)
+    t = MonotoneEsTree(0, 100, PATH)
     with pytest.raises(DuplicateEdgeError):
-        mes_insert(t, "e01", 0, 1, 7)
+        one_batch(t, "insert_edge", "e01", 0, 1, 7)
 
 
 def test_increase_propagates_and_caps():
-    t = mes_initialize(PATH, 0, 8, debug=True)
-    assert [mes_level(t, x) for x in range(4)] == [0, 2, 5, inf]
-    changes = mes_increase(t, "e01", 0, 4)
+    t = MonotoneEsTree(0, 8, PATH, debug=True)
+    assert [t.level_of(x) for x in range(4)] == [0, 2, 5, inf]
+    changes = one_batch(t, "increase_edge", "e01", 0, 4)
     assert changes == [(1, 4), (2, 7)]
-    changes = mes_increase(t, "e01", 0, 5)
+    changes = one_batch(t, "increase_edge", "e01", 0, 5)
     # Node 2 would land at 8 via e12; node 3 stays cut off.
     assert changes == [(1, 5), (2, 8)]
-    changes = mes_increase(t, "e12", 1, 4)
+    changes = one_batch(t, "increase_edge", "e12", 1, 4)
     assert changes == [(2, inf)]
 
 
 def test_delete_cuts_component():
-    t = mes_initialize(PATH, 0, 100, debug=True)
-    changes = mes_delete(t, "e01", 0)
+    t = MonotoneEsTree(0, 100, PATH, debug=True)
+    changes = one_batch(t, "delete_edge", "e01", 0)
     assert changes == [(1, inf), (2, inf), (3, inf)]
-    assert mes_level(t, 0) == 0
+    assert t.level_of(0) == 0
 
 
 def test_stretched_edge_pins_level_until_cured():
@@ -201,13 +200,13 @@ def test_stretched_edge_pins_level_until_cured():
     # it stays stretched the level is pinned; once the stretch is cured by a
     # weight increase the edge behaves normally.
     edges = [("a", 0, 1, 6)]
-    t = mes_initialize(edges, 0, 100, debug=True)
-    mes_insert(t, "b", 0, 1, 1)
-    assert mes_level(t, 1) == 6
-    mes_increase(t, "a", 0, 9)  # best route is now the inserted edge at 1 < 6
-    assert mes_level(t, 1) == 6  # monotone: nothing to raise
-    mes_increase(t, "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
-    assert mes_level(t, 1) == 7
+    t = MonotoneEsTree(0, 100, edges, debug=True)
+    one_batch(t, "insert_edge", "b", 0, 1, 1)
+    assert t.level_of(1) == 6
+    one_batch(t, "increase_edge", "a", 0, 9)  # best route is now the inserted edge at 1 < 6
+    assert t.level_of(1) == 6  # monotone: nothing to raise
+    one_batch(t, "increase_edge", "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
+    assert t.level_of(1) == 7
 
 
 def test_scripted_mixed_sequence_matches_simulator():

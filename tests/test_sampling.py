@@ -6,7 +6,7 @@ import random
 import pytest
 
 from decrsp.oracle import dijkstra
-from decrsp.sampling import hitting_probability, max_priority_levels, sample_priorities
+from decrsp.sampling import max_priority_levels, sample_priorities
 
 from test_graph_core import random_graph
 
@@ -71,14 +71,6 @@ def test_sampled_edge_count_within_binomial_window():
         a = sample_priorities(g, p, 2.0, seed=seed)
         count = len(a.sampled_edges[0])
         assert abs(count - mean) <= 5 * sigma, (count, mean, sigma)
-
-
-def test_hitting_probability_formula():
-    assert hitting_probability(4, 10, 3, 2) == 1.0  # 2*ln(30)/4 > 1 caps
-    got = hitting_probability(100, 10, 3, 2)
-    assert abs(got - 2 * math.log(30) / 100) < 1e-12
-    with pytest.raises(AssertionError):
-        hitting_probability(0, 1, 1, 1)
 
 
 def test_empirical_ball_size_statistics():
