@@ -7,13 +7,16 @@ per priority class ``j`` holding the owners of priority ``j`` whose ball
 contains ``v``, keyed by the journaled estimate; the heap minimum is the
 cheapest priority-j witness reachable from ``v``.
 
-A pair query walks the priority ladder: if the target sits in the queried
-node's ball, its stored estimate answers directly; otherwise the query
-recurses through the cheapest witness of each higher priority class and
-takes the best witness-leg-plus-recursive-tail sum.  Priorities strictly
-increase along the recursion, so a query expands at most k^k nodes; the
-returned estimate never underestimates and stays within a
-((2 + eps)^k - 1) stretch factor.  Every internal component runs at
+A pair query walks the priority ladder: the tail of a node ``x`` toward the
+target ``v`` is its stored ball estimate when ``v`` sits in ``x``'s ball,
+and otherwise the best witness-leg-plus-tail sum over the cheapest witness
+of each higher priority class.  Priorities strictly increase along the
+recursion, so one query computes at most k^k fresh tails.  Balls and
+witness heaps change only in ``process_update``, so a tail is the same for
+every query between two updates: the state keeps a ``(x, v) -> tail`` table
+that an update clears and queries share, and a query whose tails are all
+cached computes none.  The returned estimate never underestimates and stays
+within a ((2 + eps)^k - 1) stretch factor.  Every internal component runs at
 eps/7, which absorbs the error compounding of the witness chain.
 """
 
@@ -47,9 +50,12 @@ class ApspState:
         self.debug = debug
         self.assignment = sample_priorities(graph, k, c, seed)
         counter = itertools.count(seed * 1_000_003 + 1)
+        eps_run = self.eps_run
 
+        # The factory lives in ``self.balls``; capturing ``self`` would make
+        # every state a reference cycle that only the cyclic GC reclaims.
         def factory(view, root, depth):
-            return FullRangeSssp(view, root, self.eps_run, seed=next(counter))
+            return FullRangeSssp(view, root, eps_run, seed=next(counter))
 
         horizon = graph.node_count() * graph.max_weight
         self.balls = BallSystem(
@@ -63,6 +69,7 @@ class ApspState:
         )
         self._keys = {}  # (owner, member) -> journaled estimate
         self._answers = {}  # (u, v) -> largest answer returned so far
+        self._tails = {}  # (x, v) -> tail from x toward v; cleared by each update
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
         self.last_query_expansions = 0
         for owner, table in self.balls.initial_membership().items():
@@ -132,6 +139,9 @@ class ApspState:
 
     def process_update(self, event):
         """Advance the graph, the balls, and the witness heaps by one change."""
+        # Cleared before anything moves, so an update that raises leaves no
+        # tail computed against the old balls.
+        self._tails.clear()
         record = self.graph.apply_update(event)
         changes = self.balls.process_update(record)
         self._ingest(changes.events)
@@ -141,38 +151,42 @@ class ApspState:
     def query(self, u, v):
         """Approximate distance between u and v; inf when no witness chain.
 
-        The witness chain is recomputed on every call, and a cheaper chain
-        can appear as balls and witnesses change, so the answer is clamped
-        to the largest one returned before for the pair.  The clamped value
-        stays sound and within the stretch bound because distances only grow.
+        ``last_query_expansions`` counts the tails this call computed: at
+        most k^k, and 0 when every tail it needed was already in the table.
+        A cheaper witness chain can appear as balls and witnesses change, so
+        the answer is clamped to the largest one returned before for the
+        pair.  The clamped value stays sound and within the stretch bound
+        because distances only grow.
         """
-        for x in (u, v):
-            if not self.graph.has_node(x):
-                raise ParamConfigError("node %r is not in the graph" % (x,))
+        key = (u, v)
+        prev = self._answers.get(key)
+        if prev is None:  # a pair with an answer had its nodes checked then
+            for x in key:
+                if not self.graph.has_node(x):
+                    raise ParamConfigError("node %r is not in the graph" % (x,))
+            prev = 0
         self.last_query_expansions = 0
-        memo = {}
-
-        def estimate_from(x):
-            if x in memo:
-                return memo[x]
-            self.last_query_expansions += 1
-            direct = self.balls.estimate(x, v)
-            if direct != inf:
-                result = direct
-            else:
-                result = inf
-                for j in range(self.assignment.priority_of(x) + 1, self.k):
-                    top = self.witness(x, j)
-                    if top is None:
-                        continue
-                    owner, leg = top
-                    tail = estimate_from(owner)
-                    if leg + tail < result:
-                        result = leg + tail
-            memo[x] = result
-            return result
-
-        answer = max(estimate_from(u), self._answers.get((u, v), 0))
-        self._answers[(u, v)] = answer
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tail(u, v)
+        answer = prev if prev > tail else tail
+        self._answers[key] = answer
         return answer
 
+    def _tail(self, x, v):
+        """Best estimate from x to v along x's ball or a witness chain; the
+        caller has found no table entry for (x, v)."""
+        self.last_query_expansions += 1
+        tail = self.balls.estimate(x, v)
+        if tail == inf:
+            for j in range(self.assignment.priority_of(x) + 1, self.k):
+                top = self.witness(x, j)
+                if top is not None:
+                    owner, leg = top
+                    rest = self._tails.get((owner, v))
+                    if rest is None:
+                        rest = self._tail(owner, v)
+                    if leg + rest < tail:
+                        tail = leg + rest
+        self._tails[(x, v)] = tail
+        return tail

@@ -51,7 +51,8 @@ class EsTree:
                 ly = self.level.get(y, inf)
                 if ly + w == lx and (best_p is None or y < best_p):
                     best_p = y
-            assert best_p is not None
+            if best_p is None:
+                raise AssertionError("no parent on a shortest path to %r" % (x,))
             parent[x] = best_p
             children.setdefault(best_p, set()).add(x)
 

@@ -288,7 +288,8 @@ class InducedSubgraphView:
         return u in self.node_set and v in self.node_set and self.parent.has_edge(u, v)
 
     def weight(self, u, v):
-        assert self.has_edge(u, v)
+        if not self.has_edge(u, v):
+            raise KeyError((u, v))
         return self.parent.weight(u, v)
 
     def neighbors(self, u):
@@ -332,7 +333,8 @@ class ArtificialSourceView:
         parent_ids = list(parent.node_ids())
         self.source_id = (max(parent_ids) + 1) if parent_ids else 0
         for a in self.attach:
-            assert parent.has_node(a), "attachment %r outside parent view" % (a,)
+            if not parent.has_node(a):
+                raise ParamConfigError("attachment %r outside parent view" % (a,))
         self._attach_set = frozenset(self.attach)
 
     @property
@@ -359,7 +361,8 @@ class ArtificialSourceView:
 
     def weight(self, u, v):
         if u == self.source_id or v == self.source_id:
-            assert self.has_edge(u, v)
+            if not self.has_edge(u, v):
+                raise KeyError((u, v))
             return 0
         return self.parent.weight(u, v)
 
@@ -405,7 +408,8 @@ def dijkstra_bounded(view, source, bound):
         for s in sorted(set(source[1])):
             heapq.heappush(heap, (0, s))
     else:
-        assert view.has_node(source), "source %r outside view" % (source,)
+        if not view.has_node(source):
+            raise ParamConfigError("source %r outside view" % (source,))
         heapq.heappush(heap, (0, source))
     if bound < 0:
         return dist

@@ -13,7 +13,13 @@ import pytest
 
 from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
-from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.graph import (
+    DynamicGraph,
+    ParamConfigError,
+    UpdateError,
+    UpdateEvent,
+    dijkstra_bounded,
+)
 
 from test_graph_core import random_graph
 
@@ -50,6 +56,20 @@ def brute_force_witnesses(state, graph):
             cand = (ests[member], owner)
             if cur is None or cand < cur:
                 best[(member, j)] = cand
+    return best
+
+
+def reference_tail(state, x, v):
+    """The witness-chain recursion from scratch: no tail table, no clamp."""
+    direct = state.balls.estimate(x, v)
+    if direct != inf:
+        return direct
+    best = inf
+    for j in range(state.assignment.priority_of(x) + 1, state.k):
+        top = state.witness(x, j)
+        if top is not None:
+            owner, leg = top
+            best = min(best, leg + reference_tail(state, owner, v))
     return best
 
 
@@ -286,3 +306,47 @@ def test_pair_answers_never_decrease_through_full_drain(seed):
             state.process_update(UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
         else:
             state.process_update(UpdateEvent("delete", a, b))
+
+
+@pytest.mark.parametrize("k, seed", [(2, 1), (2, 2), (3, 3)])
+def test_shared_tails_equal_a_fresh_recomputation(k, seed):
+    # Tails are shared by every query between two updates; each answer must
+    # still be exactly what a fresh walk of the witness chains gives, clamped
+    # to the pair's previous answer, in any query order.
+    n, m, w_max = 20, 40, 8
+    g = random_graph(n, m, w_max, seed=60 + seed)
+    state = ApspState(g, k, Fraction(1, 2), seed=seed, c=0.3, debug=True)
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    last = {}
+
+    def sweep():
+        for repeat in range(2):
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                want = max(reference_tail(state, u, v), last.get((u, v), 0))
+                assert state.query(u, v) == want, (u, v)
+                assert state.last_query_expansions <= k**k
+                if repeat:
+                    assert state.last_query_expansions == 0
+                last[(u, v)] = want
+
+    sweep()
+    step = 0
+    while True:
+        live = list(g.edges())
+        if not live:
+            break
+        if step == 3:
+            absent = next((a, b) for a in range(n) for b in range(a + 1, n)
+                          if not g.has_edge(a, b))
+            with pytest.raises(UpdateError):
+                state.process_update(UpdateEvent("delete", *absent))
+            sweep()
+        a, b, w = rng.choice(live)
+        if w < w_max and rng.random() < 0.3:
+            state.process_update(UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
+        else:
+            state.process_update(UpdateEvent("delete", a, b))
+        sweep()
+        step += 1

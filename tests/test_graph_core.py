@@ -1,8 +1,12 @@
 """Graph core: parsing, update application, views, bounded Dijkstra."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from decrsp.graph import (
     DynamicGraph,
     GraphFormatError,
     InducedSubgraphView,
+    ParamConfigError,
     QueryProbe,
     UpdateError,
     UpdateEvent,
@@ -164,6 +169,46 @@ def test_artificial_source_view():
     got = dijkstra(view, s)
     # Distance from the virtual source equals distance to the attachment set.
     assert got == {s: 0, 1: 0, 3: 0, 0: 2, 2: 3}
+
+
+def test_view_checks_raise_typed_errors():
+    g = graph_from_edges(4, 9, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    with pytest.raises(ParamConfigError, match="source 9 outside view"):
+        dijkstra_bounded(g, 9, 5)
+    with pytest.raises(ParamConfigError, match="attachment 7 outside parent view"):
+        ArtificialSourceView(g, [7])
+    with pytest.raises(KeyError):
+        InducedSubgraphView(g, {0, 1, 2}).weight(2, 3)
+    view = ArtificialSourceView(g, [1])
+    with pytest.raises(KeyError):
+        view.weight(view.source_id, 0)
+
+
+VIEW_CHECKS = """
+from decrsp.graph import ArtificialSourceView, DynamicGraph, ParamConfigError, dijkstra_bounded
+g = DynamicGraph(4, 9)
+for u, v, w in [(0, 1, 2), (1, 2, 3), (2, 3, 4)]:
+    g.add_edge(u, v, w)
+for call in (lambda: dijkstra_bounded(g, 9, 5), lambda: ArtificialSourceView(g, [7])):
+    try:
+        print("accepted", call())
+    except ParamConfigError as exc:
+        print(exc)
+"""
+
+
+def test_view_checks_hold_under_optimize():
+    # Under -O an assert would vanish and both calls would be accepted.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", VIEW_CHECKS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "source 9 outside view",
+        "attachment 7 outside parent view",
+    ]
 
 
 # -- bounded Dijkstra ----------------------------------------------------------
