@@ -16,7 +16,7 @@ against the running maximum.  All membership changes are journaled as JOIN /
 LEAVE / EST events, sorted by (owner, member, kind), so downstream shortcut
 graphs can replay them deterministically.
 
-The contract factory must return objects exposing ``estimate(node)`` and
+The contract factory must return objects exposing ``query(node)`` and
 ``process_update(record) -> [(node, new_estimate)]`` whose estimates never
 underestimate true distances in the supplied view and never decrease.
 """
@@ -57,15 +57,6 @@ class BallChangeSet:
     def __bool__(self):
         return bool(self.events)
 
-    def joins(self):
-        return [e for e in self.events if e.kind == JOIN]
-
-    def leaves(self):
-        return [e for e in self.events if e.kind == LEAVE]
-
-    def estimate_increases(self):
-        return [e for e in self.events if e.kind == EST]
-
 
 EMPTY_CHANGESET = BallChangeSet(())
 
@@ -89,7 +80,6 @@ class BallSystem:
         self._growth = 1 + self.eps
         self.threshold = inf if depth == inf else self.alpha * depth + self.beta
         self._nodes = sorted(view.node_ids())
-        self._prev_reported = {}  # (owner, member) -> last journaled estimate
         p = assignment.p
         # Distance-to-set watchers for levels 1 .. p-1.
         self._set_inst = {}
@@ -104,7 +94,7 @@ class BallSystem:
             self._set_inst[i] = inst
             table = self._set_est[i]
             for u in self._nodes:
-                val = inst.estimate(u)
+                val = inst.query(u)
                 if val != inf:
                     table[u] = val
         # Per-node ball state.
@@ -116,27 +106,12 @@ class BallSystem:
         self._members = {}
         self.ever_members = {}  # node -> every member the ball has ever held
         self.rebuild_counts = {}
-        self._static_singleton = set()
         for u in self._nodes:
             self.rebuild_counts[u] = 0
-            if view.degree(u) == 0:
-                # Isolated at start: stays a singleton forever (decremental).
-                # Its watched value is inf, so the radius formula gives the
-                # full depth; the scope is still just {u}.
-                self._static_singleton.add(u)
-                self._radius[u] = self.depth
-                self._scope[u] = frozenset((u,))
-                self._inner[u] = None
-                self._est[u] = {u: 0}
-                self._members[u] = {u}
-                self.ever_members[u] = {u}
-                continue
-            self._radius[u] = -1  # forces the initial build below
             self._est[u] = {}
             self._members[u] = set()
             self.ever_members[u] = set()
-            r = self._current_radius(u)
-            self._build_scope(u, r, record=None)
+            self._build_scope(u, self._current_radius(u), record=None)
             self.rebuild_counts[u] = 0  # the initial build is not an increase
 
     # -- radius bookkeeping ---------------------------------------------------
@@ -210,11 +185,14 @@ class BallSystem:
         history = self._est[u]
         old_members = self._members[u]
         new_members = set()
+        raised = set()  # surviving members whose clamped estimate rose
         for v in sorted(scope):
-            raw = 0 if v == u else inner.estimate(v)
+            raw = 0 if v == u else inner.query(v)
             if v in old_members:
                 # A surviving membership keeps its journaled monotonicity.
                 val = max(raw, history[v])
+                if val > history[v]:
+                    raised.add(v)
             else:
                 # A (re)join starts a fresh lifetime: an estimate left over
                 # from an earlier stay (possibly inf after the old frozen
@@ -224,22 +202,15 @@ class BallSystem:
             history[v] = val
             if self._is_member_value(val):
                 new_members.add(v)
-        # _prev_reported tracks the last journaled value per pair, so EST
-        # events fire exactly on visible increases of surviving members.
+        # A member's history is its last journaled estimate, so EST events
+        # fire exactly on visible increases of surviving members.
         if record is not None:
             for v in sorted(old_members - new_members):
                 record.append(BallEvent(LEAVE, u, v))
-                self._prev_reported.pop((u, v), None)
             for v in sorted(new_members - old_members):
-                self._prev_reported[(u, v)] = history[v]
                 record.append(BallEvent(JOIN, u, v, history[v]))
-            for v in sorted(new_members & old_members):
-                if history[v] > self._prev_reported[(u, v)]:
-                    self._prev_reported[(u, v)] = history[v]
-                    record.append(BallEvent(EST, u, v, history[v]))
-        else:
-            for v in new_members:
-                self._prev_reported[(u, v)] = history[v]
+            for v in sorted(raised & new_members):
+                record.append(BallEvent(EST, u, v, history[v]))
         self._members[u] = new_members
         self.ever_members[u] |= new_members
 
@@ -267,8 +238,6 @@ class BallSystem:
                 table[node] = max(old, val)
         rebuilt = set()
         for u in self._nodes:
-            if u in self._static_singleton:
-                continue
             new_r = self._current_radius(u)
             if new_r > self._radius[u]:
                 self._build_scope(u, new_r, record=events)
@@ -294,12 +263,9 @@ class BallSystem:
         if v not in self._members[u]:
             return
         if self._is_member_value(val):
-            if val > self._prev_reported[(u, v)]:
-                events.append(BallEvent(EST, u, v, val))
-                self._prev_reported[(u, v)] = val
+            events.append(BallEvent(EST, u, v, val))
         else:
             self._members[u].discard(v)
-            self._prev_reported.pop((u, v), None)
             events.append(BallEvent(LEAVE, u, v))
 
     # -- structural witness (test support; needs true distances) -----------------

@@ -63,7 +63,7 @@ def _stream_run(schedule, args, out):
                 if item.u != args.source:
                     out.write("Q %d %d unsupported-source\n" % (item.u, item.v))
                     continue
-                answer = structure.estimate(item.v)
+                answer = structure.query(item.v)
             else:
                 answer = structure.query(item.u, item.v)
             out.write("Q %d %d %s\n" % (item.u, item.v, _fmt(answer)))
@@ -73,7 +73,7 @@ def _stream_run(schedule, args, out):
             structure.process_update(item)
     if args.mode == "sssp":
         for v in sorted(graph.node_ids()):
-            out.write("est %d %s\n" % (v, _fmt(structure.estimate(v))))
+            out.write("est %d %s\n" % (v, _fmt(structure.query(v))))
 
 
 def _report_run(schedule, args, out):

@@ -76,8 +76,6 @@ class EsTree:
         """Current exact distance from the root, inf above the depth bound."""
         return self.level.get(node, inf)
 
-    estimate = query
-
     # -- updates ------------------------------------------------------------
 
     def process_update(self, rec):

@@ -141,7 +141,7 @@ class DynamicGraph(AdjacencyGraph):
         self.edge_count += 1
 
     def _check_node(self, u):
-        if not (isinstance(u, int) and 0 <= u < self.n):
+        if not self.has_node(u):
             raise GraphFormatError("node id %r outside [0, %d)" % (u, self.n))
 
     # -- node set -----------------------------------------------------------
@@ -153,7 +153,7 @@ class DynamicGraph(AdjacencyGraph):
         return self.n
 
     def has_node(self, u):
-        return 0 <= u < self.n
+        return isinstance(u, int) and 0 <= u < self.n
 
     # -- mutation ---------------------------------------------------------
 

@@ -117,11 +117,9 @@ def _edge_topology(n, m, model, rng):
             t = stubs[rng.randrange(len(stubs))]
             pairs.add((min(t, v), max(t, v)))
             stubs += [t, v]
-        extra = sorted(set(range(n * (n - 1) // 2)))
-        while len(pairs) < min(m, n * (n - 1) // 2):
-            u, v = _unrank_pair(rng.choice(extra), n)
-            if u != v:
-                pairs.add((u, v))
+        total = n * (n - 1) // 2
+        while len(pairs) < min(m, total):
+            pairs.add(_unrank_pair(rng.randrange(total), n))
         return sorted(pairs)
     raise ScheduleError("unknown model %r" % (model,))
 
@@ -272,7 +270,7 @@ def run_with_oracle(schedule, config):
     def estimates_for_oracle():
         if config.mode == "apsp":
             return {v: structure.query(config.source, v) for v in graph.node_ids()}
-        return {v: structure.estimate(v) for v in graph.node_ids()}
+        return {v: structure.query(v) for v in graph.node_ids()}
 
     def oracle_step():
         nonlocal max_stretch, oracle_checks
@@ -312,7 +310,7 @@ def run_with_oracle(schedule, config):
         else:
             if probe.u != config.source:
                 return  # single-source structure cannot answer this pair
-            est = structure.estimate(probe.v)
+            est = structure.query(probe.v)
             d = dijkstra_bounded(graph, config.source, inf).get(probe.v, inf)
         digest.update(("Q %s %s %s\n" % (probe.u, probe.v, _fraction_str(est))).encode())
         if est < d:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from .balls import EST, JOIN, LEAVE
 from .graph import ParamConfigError
 from .monotone_tree import MonotoneEsTree
 
@@ -91,12 +92,6 @@ class ParamSeries:
         if over > 0:
             blocks = -((-over.numerator) // (over.denominator * self.delta))
         return (self.p + 1) * blocks + self.p + 1 - i
-
-    def rounding_budget_ok(self, dist, i):
-        """Total rounding error stays below eps*dist + 2*eps*delta."""
-        if dist == inf:
-            return True
-        return self.hop_budget(dist, i) * self.phi <= self.eps * dist + 2 * self.eps * self.delta
 
 
 def max_admissible_priority_count(a, eps, n):
@@ -240,7 +235,6 @@ class ShortcutGraph:
         self.params = params
         self.root = root
         self.debug = debug
-        self._g_weight = {}  # (u, v) sorted -> live base weight
         self._f_weight = {}  # (owner, member) -> live shortcut weight
         self._f_gen = {}  # (owner, member) -> generation of current/last key
         self._admitted = {}  # tree key -> rounded weight currently in tree
@@ -251,7 +245,6 @@ class ShortcutGraph:
         edges = []
         for u, v, weight in view.edges():
             pair = (u, v) if u < v else (v, u)
-            self._g_weight[pair] = weight
             if weight <= params.weight_cap:
                 key = ("G",) + pair
                 rounded = params.round_weight(weight)
@@ -273,7 +266,7 @@ class ShortcutGraph:
 
     # -- reads ----------------------------------------------------------------
 
-    def estimate(self, node):
+    def query(self, node):
         level = self.tree.level_of(node)
         return inf if level == inf else level * self.params.phi
 
@@ -306,11 +299,14 @@ class ShortcutGraph:
     # -- debug checks -------------------------------------------------------------
 
     def check_sandwich(self):
-        """Every admitted edge weight w satisfies w <= phi*scaled <= w + phi."""
+        """Every admitted edge weight w satisfies w <= phi*scaled <= w + phi.
+
+        Base edges are read from the live view, shortcuts from the journal.
+        """
         phi = self.params.phi
         for key, rounded in self._admitted.items():
             if key[0] == "G":
-                raw = self._g_weight[(key[1], key[2])]
+                raw = self.view.weight(key[1], key[2])
             else:
                 raw = self._f_weight[(key[1], key[2])]
             assert raw <= self.params.weight_cap
@@ -336,10 +332,13 @@ def shortcut_process_update(sg, record, ball_changes):
     params = sg.params
     tree = sg.tree
     tree.begin_batch()
+    joins, increases, leaves = [], [], []
+    by_kind = {JOIN: joins, EST: increases, LEAVE: leaves}
+    for ev in ball_changes.events:
+        if ev.member != ev.owner:
+            by_kind[ev.kind].append(ev)
 
-    for ev in ball_changes.joins():
-        if ev.member == ev.owner:
-            continue
+    for ev in joins:
         pair = (ev.owner, ev.member)
         gen = sg._f_gen.get(pair, -1) + 1
         sg._f_gen[pair] = gen
@@ -351,27 +350,20 @@ def shortcut_process_update(sg, record, ball_changes):
     if rec is not None:
         pair = (rec.u, rec.v) if rec.u < rec.v else (rec.v, rec.u)
         key = ("G",) + pair
-        if rec.kind == "delete":
-            del sg._g_weight[pair]
-            if key in sg._admitted:
+        if key in sg._admitted:
+            if rec.kind == "delete":
                 sg._tree_delete(key, pair[0])
-        else:
-            sg._g_weight[pair] = rec.new_weight
-            if key in sg._admitted:
+            else:
                 sg._tree_reweight(key, pair[0], rec.new_weight)
 
-    for ev in ball_changes.estimate_increases():
-        if ev.member == ev.owner:
-            continue
+    for ev in increases:
         pair = (ev.owner, ev.member)
         sg._f_weight[pair] = ev.estimate
         key = ("F", ev.owner, ev.member, sg._f_gen[pair])
         if key in sg._admitted:
             sg._tree_reweight(key, pair[0], ev.estimate)
 
-    for ev in ball_changes.leaves():
-        if ev.member == ev.owner:
-            continue
+    for ev in leaves:
         pair = (ev.owner, ev.member)
         del sg._f_weight[pair]
         key = ("F", ev.owner, ev.member, sg._f_gen[pair])

@@ -17,9 +17,10 @@ true distances up to 4 * 2^i.  A band with phi_i <= 1 is finer than the
 integer weights; when the stacks run exact trees, all such bands give way to
 one exact band: a stack over the base view itself, bounded at 4 * 2^i* for
 the last such band i*, which answers exactly inside that range.  A query
-reads one per-node min-heap over the per-band estimates; heap entries carry
-version tokens and stale tops are cleaned when updates land, so a query is a
-single heap read.
+reads one per-node min-heap holding one entry per band.  Band estimates only
+grow, so a stored entry is a lower bound on its band's live value; an update
+re-keys a touched node's top from the live value until the top is current,
+and a query is a single heap read.
 
 The default layer count formula collapses below three layers at any
 realistic desk scale; the stack then falls back to a single exact tree
@@ -101,7 +102,7 @@ class LayerAssembly:
     or at layer 1 the exact ``EsTree`` that ``_layer_factory(config, 0)``
     returns.
 
-    Satisfies the ball-system contract: ``estimate(node)`` plus
+    Satisfies the ball-system contract: ``query(node)`` plus
     ``process_update(record) -> [(node, new_estimate)]`` with estimates
     that never underestimate and never decrease.
     """
@@ -140,10 +141,10 @@ class LayerAssembly:
         )
         self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=config.debug)
         self._est = {
-            v: min(self.lower.estimate(v), self.sg.estimate(v)) for v in view.node_ids()
+            v: min(self.lower.query(v), self.sg.query(v)) for v in view.node_ids()
         }
 
-    def estimate(self, node):
+    def query(self, node):
         return self._est.get(node, inf)
 
     def process_update(self, record):
@@ -155,7 +156,7 @@ class LayerAssembly:
             touched.add(node)
         out = []
         for node in sorted(touched):
-            value = min(self.lower.estimate(node), self.sg.estimate(node))
+            value = min(self.lower.query(node), self.sg.query(node))
             old = self._est[node]
             if value != old:
                 if value < old:
@@ -234,8 +235,8 @@ class LayerStack:
         )
         self.top = LayerAssembly(self.config, self.q - 2, view, source, scales[-1][1])
 
-    def estimate(self, node):
-        return self.top.estimate(node)
+    def query(self, node):
+        return self.top.query(node)
 
     def process_update(self, record):
         return self.top.process_update(record)
@@ -331,9 +332,13 @@ class FullRangeSssp:
     share the denominator B, so a scaled band's estimate ``level`` has heap
     key ``level * (A << i)`` and the exact band's estimate ``d`` has key
     ``d * B``: integers whenever the stacks are exact trees (a layered
-    stack's estimate may itself be a Fraction).  Each entry carries its
-    answer, built once at push time: ``Fraction(key, B)``, or the plain
-    ``int`` for the exact band.
+    stack's estimate may itself be a Fraction).  Each node's heap holds
+    exactly one ``(key, band, answer)`` entry per band, the answer being
+    ``Fraction(key, B)``, or the plain ``int`` for the exact band.  Entries
+    are not updated when their band moves: a stored key only ever lags
+    below the live one, so after an update it suffices to replace the top
+    of each touched node's heap with its live entry until the top's key is
+    live.  Ties go to the lower band.
 
     Works on any read-protocol view; updates arrive as already-applied
     change records, so instances can also serve as the distance contract
@@ -377,36 +382,26 @@ class FullRangeSssp:
             self._units.append(unit << i)
         self.debug = debug
         self.heap_reads = 0
-        self._tokens = {v: [0] * len(self.stacks) for v in view.node_ids()}
         self._heaps = {}
-        self._current = {}
         for v in view.node_ids():
-            entries = [self._entry(b, s.estimate(v), 0) for b, s in enumerate(self.stacks)]
+            entries = [self._entry(b, s.query(v)) for b, s in enumerate(self.stacks)]
             heapq.heapify(entries)
             self._heaps[v] = entries
-            self._current[v] = entries[0][3]
 
-    def _entry(self, band, estimate, token):
-        """Heap entry ``(key, band, token, answer)`` for one band estimate."""
-        if estimate == inf:
-            return (inf, band, token, inf)
-        key = estimate * self._units[band]
-        if self.mirrors[band] is None:
-            return (key, band, token, estimate)
-        return (key, band, token, Fraction(key, self._denom))
+    def _key(self, band, estimate):
+        return inf if estimate == inf else estimate * self._units[band]
 
-    def _refresh_top(self, node):
-        heap = self._heaps[node]
-        tokens = self._tokens[node]
-        while heap and heap[0][2] != tokens[heap[0][1]]:
-            heapq.heappop(heap)
+    def _entry(self, band, estimate):
+        """Heap entry ``(key, band, answer)`` for one band estimate."""
+        key = self._key(band, estimate)
+        if key == inf or self.mirrors[band] is None:
+            return (key, band, estimate)
+        return (key, band, Fraction(key, self._denom))
 
     def query(self, node):
         """Current estimate; exactly one heap read."""
         self.heap_reads += 1
-        return self._heaps[node][0][3]
-
-    estimate = query
+        return self._heaps[node][0][2]
 
     def apply_event(self, event):
         """Apply an update to the owned base graph and digest it."""
@@ -418,31 +413,28 @@ class FullRangeSssp:
         if record is None:
             return []
         touched = set()
-        for band, (mirror, stack) in enumerate(zip(self.mirrors, self.stacks)):
+        for mirror, stack in zip(self.mirrors, self.stacks):
             band_record = record if mirror is None else mirror.translate(record)
-            if band_record is None:
-                continue
-            for node, value in stack.process_update(band_record):
-                tokens = self._tokens[node]
-                tokens[band] += 1
-                heapq.heappush(self._heaps[node], self._entry(band, value, tokens[band]))
-                touched.add(node)
+            if band_record is not None:
+                touched.update(node for node, _ in stack.process_update(band_record))
         out = []
         for node in sorted(touched):
-            self._refresh_top(node)
-            top = self._heaps[node][0]
+            heap = self._heaps[node]
+            before = heap[0][2]
+            while True:
+                key, band, _ = heap[0]
+                estimate = self.stacks[band].query(node)
+                if key >= self._key(band, estimate):
+                    break
+                heapq.heapreplace(heap, self._entry(band, estimate))
+            top = heap[0]
             if self.debug:
-                fresh = min(
-                    self._entry(b, s.estimate(node), 0)[0] for b, s in enumerate(self.stacks)
-                )
+                fresh = min(self._key(b, s.query(node)) for b, s in enumerate(self.stacks))
                 if top[0] != fresh:
                     raise AssertionError(
                         "band heap top %s at node %r is not the least band key %s"
                         % (top[0], node, fresh)
                     )
-            value = top[3]
-            if value != self._current[node]:
-                self._current[node] = value
-                out.append((node, value))
+            if top[2] != before:
+                out.append((node, top[2]))
         return out
-

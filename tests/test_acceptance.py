@@ -56,7 +56,7 @@ def test_criterion_1_es_tree_exactness_on_50_instances():
             tree.process_update(record)
             exact = dijkstra(graph, 0)
             for v in graph.node_ids():
-                assert tree.estimate(v) == exact.get(v, inf), (
+                assert tree.query(v) == exact.get(v, inf), (
                     "instance %d: node %d diverged" % (seed, v)
                 )
             checks += 1

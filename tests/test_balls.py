@@ -289,8 +289,8 @@ class InflatingEsTree:
     def _scale(self, val):
         return val if val == inf else val * self._factor
 
-    def estimate(self, v):
-        return self._scale(self._tree.estimate(v))
+    def query(self, v):
+        return self._scale(self._tree.query(v))
 
     def process_update(self, rec):
         return [(node, self._scale(val)) for node, val in self._tree.process_update(rec)]

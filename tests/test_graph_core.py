@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import inf
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decrsp.apsp import ApspState
+from decrsp.es_tree import EsTree
 from decrsp.graph import (
     ArtificialSourceView,
     DynamicGraph,
@@ -25,6 +28,7 @@ from decrsp.graph import (
     load_graph,
     parse_update_stream,
 )
+from decrsp.layered import FullRangeSssp
 from decrsp.oracle import bellman_ford, dijkstra
 
 
@@ -182,6 +186,21 @@ def test_view_checks_raise_typed_errors():
     view = ArtificialSourceView(g, [1])
     with pytest.raises(KeyError):
         view.weight(view.source_id, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, "x", None])
+def test_non_integer_node_ids_are_config_errors(bad):
+    g = random_graph(16, 24, 4, seed=1)
+    assert not g.has_node(bad)
+    with pytest.raises(ParamConfigError, match="source"):
+        FullRangeSssp(g, bad, Fraction(1, 2))
+    with pytest.raises(ParamConfigError, match="source"):
+        EsTree(g, bad, 10)
+    state = ApspState(g, 2, Fraction(1, 2), seed=1)
+    with pytest.raises(ParamConfigError, match="node"):
+        state.query(0, bad)
+    with pytest.raises(ParamConfigError, match="node"):
+        state.query(bad, 0)
 
 
 VIEW_CHECKS = """

@@ -1,9 +1,11 @@
 """Schedule generation, oracle-validated runs, reports, and the CLI."""
 
+import hashlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -77,6 +79,33 @@ def test_grid_and_power_law_topologies():
     assert h.edge_count >= 20  # attachment alone yields n edges
     from decrsp.oracle import dijkstra
     assert len(dijkstra(h, 0)) == 20  # preferential attachment keeps it connected
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, digest",
+    [
+        (1, 24, 48, "5928fcf6f625253c25db993434e14c71166b2bd8840e8fcc8b58500b275726f4"),
+        (7, 100, 300, "c306599a4a964641c1befbd03e613ef7f58b4b3590cf6596ce841ff3b802b2b3"),
+        (3, 500, 1500, "873802215b19fef3503b6fc5a763dc5fe1ba767d492cd1207d0bd556eb5d9e84"),
+    ],
+)
+def test_power_law_schedules_are_pinned(seed, n, m, digest):
+    sched = generate_instance(n, m, 8, "power-law", 1.0, seed,
+                              increase_rate=0.3, query_rate=0.2)
+    text = sched.dump_graph() + sched.dump_updates()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_power_law_generation_needs_no_quadratic_pool():
+    # A pool of all n(n-1)/2 pair indices peaks near 37 MB at n = 1000.
+    generate_instance(20, 30, 8, "power-law", 1.0, seed=5)  # warm imports
+    tracemalloc.start()
+    try:
+        generate_instance(1000, 3000, 8, "power-law", 1.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_rejects_bad_model_and_fraction():

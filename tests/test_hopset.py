@@ -178,7 +178,6 @@ def test_hop_budget_stays_within_rounding_allowance(dist, i, delta, eps):
     """hop_budget(d, i) * phi never exceeds eps*d + 2*eps*delta."""
     ps = derive_params(1, 0, 1, 1, eps, 3, delta, delta + 5, 10**30, enforce_bound=False)
     assert ps.hop_budget(dist, i) * ps.phi <= eps * dist + 2 * eps * delta
-    assert ps.rounding_budget_ok(dist, i)
 
 
 def test_round_weight_sandwich_property():
@@ -237,7 +236,7 @@ def test_without_shortcuts_levels_equal_scaled_baseline():
     assert [sg.tree.level_of(v) for v in range(6)] == [0, 2, 4, 6, 8, 10]
     for v in range(6):
         d = v  # path distances
-        assert d <= sg.estimate(v) <= d + 5 * ps.phi
+        assert d <= sg.query(v) <= d + 5 * ps.phi
     sg.check_sandwich()
 
 
@@ -251,7 +250,7 @@ def test_weight_cap_excludes_heavy_edges():
     assert ("G", 0, 1) in sg._admitted
     assert ("G", 1, 2) not in sg._admitted
     assert ("F", 0, 2, 0) not in sg._admitted
-    assert sg.estimate(2) == inf
+    assert sg.query(2) == inf
 
 
 def test_deletion_without_distance_change_reports_nothing():
@@ -286,24 +285,24 @@ def test_rejoin_uses_fresh_generation_key():
     balls = StubBalls({u: {u: 0} for u in range(4)})
     sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
     base_edges = sg.edges_ever
-    assert sg.estimate(3) == 4  # level 6 (three unit edges, each scaled to 2)
+    assert sg.query(3) == 4  # level 6 (three unit edges, each scaled to 2)
 
     # join at the current true distance: the insert leaves levels alone
     rec = graph.apply_update(UpdateEvent("increase", 2, 3, 2))
     out = shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 4)]))
     assert out == []
     assert sg._admitted[("F", 0, 3, 0)] == 6
-    assert sg.estimate(3) == 4
+    assert sg.query(3) == 4
 
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("leave", 0, 3)]))
     assert ("F", 0, 3, 0) not in sg._admitted
-    assert sg.estimate(3) == Fraction(16, 3)  # level 8 via the base path
+    assert sg.query(3) == Fraction(16, 3)  # level 8 via the base path
 
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 6)]))
     assert sg._admitted[("F", 0, 3, 1)] == 9
-    assert sg.estimate(3) == 6
+    assert sg.query(3) == 6
     assert sg.edges_ever == base_edges + 2
 
 
@@ -350,7 +349,7 @@ def check_estimate_bounds(graph, params, sg, root):
     bound_hits = 0
     for v in graph.node_ids():
         d = dist.get(v, inf)
-        est = sg.estimate(v)
+        est = sg.query(v)
         if d == inf:
             continue
         assert est >= d, (v, d, est)
@@ -382,7 +381,7 @@ def test_full_deletion_battery_forty_nodes():
         graph = random_graph(40, 90, 8, seed=seed)
         balls, params, sg = build_pipeline(graph, p=2, delta=4, depth=40, seed=seed)
         rng = random.Random(seed * 7 + 1)
-        prev_est = {v: sg.estimate(v) for v in graph.node_ids()}
+        prev_est = {v: sg.query(v) for v in graph.node_ids()}
         check_estimate_bounds(graph, params, sg, 0)
         while True:
             live = list(graph.edges())
@@ -393,7 +392,7 @@ def test_full_deletion_battery_forty_nodes():
             check_estimate_bounds(graph, params, sg, 0)
             # reported changes are exactly the estimate deltas
             for node in graph.node_ids():
-                est = sg.estimate(node)
+                est = sg.query(node)
                 if est != prev_est[node]:
                     assert reported[node] == est, (node, est)
                     prev_est[node] = est
@@ -401,7 +400,7 @@ def test_full_deletion_battery_forty_nodes():
                     assert node not in reported
         # everything deleted: only the root keeps a finite estimate
         for node in graph.node_ids():
-            assert sg.estimate(node) == (0 if node == 0 else inf)
+            assert sg.query(node) == (0 if node == 0 else inf)
         # journal reconciliation: every tree operation is accounted for
         cap_rounded = params.round_weight(params.weight_cap)
         for key, count in sg.increase_counts.items():
@@ -438,4 +437,4 @@ def test_priority_refined_bound_on_frozen_seed():
                 + params.gamma[i]
                 + params.hop_budget(d, i) * params.phi
             )
-            assert sg.estimate(node) <= allowance, (node, d, i)
+            assert sg.query(node) <= allowance, (node, d, i)

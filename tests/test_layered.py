@@ -128,7 +128,7 @@ def test_fallback_mode_is_exact_under_deletions():
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
-            assert stack.estimate(v) == (d if d <= 60 else inf)
+            assert stack.query(v) == (d if d <= 60 else inf)
 
 
 # -- layered mode against the oracle ------------------------------------------
@@ -160,14 +160,14 @@ def test_layered_stack_tracks_oracle_through_full_deletion():
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
-            est = stack.estimate(v)
+            est = stack.query(v)
             assert est >= d
             if d <= 80:
                 assert est <= (1 + eps) * d
         steps += 1
     assert steps == 36
-    assert all(stack.estimate(v) == inf for v in g.node_ids() if v != 0)
-    assert stack.estimate(0) == 0
+    assert all(stack.query(v) == inf for v in g.node_ids() if v != 0)
+    assert stack.query(0) == 0
 
 
 def test_layer_zero_gives_exact_values_at_short_range():
@@ -184,17 +184,17 @@ def test_layer_zero_gives_exact_values_at_short_range():
         for v in g.node_ids():
             d = dist.get(v, inf)
             if d <= base_depth:
-                assert stack.estimate(v) == d
+                assert stack.query(v) == d
 
 
 def test_stack_emissions_match_estimate_changes():
     g, stack = build_small_stack(seed=3)
-    snapshot = {v: stack.estimate(v) for v in g.node_ids()}
+    snapshot = {v: stack.query(v) for v in g.node_ids()}
     rng = random.Random(17)
     for rec in delete_all_edges(g, rng):
         out = stack.process_update(rec)
         assert out == sorted(out)
-        fresh = {v: stack.estimate(v) for v in g.node_ids()}
+        fresh = {v: stack.query(v) for v in g.node_ids()}
         expected = [(v, fresh[v]) for v in sorted(fresh) if fresh[v] != snapshot[v]]
         assert out == expected
         for v, value in out:
@@ -317,7 +317,7 @@ def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed
             assert full.heap_reads == before + 1
             # The heap top is the least band answer.
             answers = [
-                stack.estimate(x) * (1 if mirror is None else mirror.phi)
+                stack.query(x) * (1 if mirror is None else mirror.phi)
                 for stack, mirror in zip(full.stacks, full.mirrors)
             ]
             assert est == min(answers)
@@ -372,9 +372,9 @@ def test_full_range_query_is_one_heap_read():
     # brute-force the same minima over the per-band estimates
     for v, got in zip(g.node_ids(), values):
         bands = [
-            stack.estimate(v) * mirror.phi
+            stack.query(v) * mirror.phi
             for stack, mirror in zip(full.stacks, full.mirrors)
-            if stack.estimate(v) != inf
+            if stack.query(v) != inf
         ]
         want = min(bands) if bands else inf
         assert got == want
@@ -429,3 +429,41 @@ def test_full_range_rebuild_reproduces_identical_stream():
         return repr((log, tail))
 
     assert run() == run()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"p": 4, "q": 3}, {"debug": True}],
+    ids=["default", "p4q3", "debug"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
+    """Each node's heap keeps exactly one entry per band, every reported
+    value is the least band answer, and unreported nodes keep their answer."""
+    w_max = 8
+    g = random_graph(18, 36, w_max, seed=seed)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
+    bands = len(full.stacks)
+    rng = random.Random(seed)
+    snapshot = {v: full.query(v) for v in g.node_ids()}
+    while True:
+        live = list(g.edges())
+        if not live:
+            break
+        u, v, w = rng.choice(live)
+        if w < w_max and rng.random() < 0.3:
+            event = UpdateEvent("increase", u, v, rng.randint(w + 1, w_max))
+        else:
+            event = UpdateEvent("delete", u, v)
+        out = full.apply_event(event)
+        assert all(len(full._heaps[x]) == bands for x in g.node_ids())
+        reported = dict(out)
+        for x in g.node_ids():
+            answers = [
+                stack.query(x) * (1 if mirror is None else mirror.phi)
+                for stack, mirror in zip(full.stacks, full.mirrors)
+            ]
+            if x in reported:
+                assert reported[x] == min(answers) != snapshot[x]
+            assert full.query(x) == reported.get(x, snapshot[x])
+            snapshot[x] = full.query(x)
