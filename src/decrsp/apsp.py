@@ -158,6 +158,8 @@ class ApspState:
         pair.  The clamped value stays sound and within the stretch bound
         because distances only grow.
         """
+        if type(u) is not int or type(v) is not int:  # bool too: True == 1
+            raise ParamConfigError("node ids must be ints, got %r and %r" % (u, v))
         key = (u, v)
         prev = self._answers.get(key)
         if prev is None:  # a pair with an answer had its nodes checked then

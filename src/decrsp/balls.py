@@ -2,8 +2,11 @@
 
 Each node ``u`` of priority ``i`` watches its estimated distance to the node
 set one priority level up, through a single-source contract instance rooted
-at a virtual source attached to that set.  The watched value is bucketed on a
-(1 + eps) scale; the bucket determines a search radius ``r(u)``.  Whenever the
+at a virtual source attached to that set.  That watcher owns the value: it is
+read through ``query`` and never copied, and after an update only the nodes
+the watchers report as changed get their radius recomputed, in sorted order.
+The watched value is bucketed on a (1 + eps) scale, at most ``MAX_BUCKETS``
+buckets over n*W; the bucket determines a search radius ``r(u)``.  Whenever the
 radius grows, the node's *scope* ``R(u)`` (all nodes within the radius, found
 by bounded Dijkstra on the current graph) is frozen anew and a fresh contract
 instance is started on the induced subgraph.  The ball ``B(u)`` consists of
@@ -23,6 +26,7 @@ underestimate true distances in the supplied view and never decrease.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -30,6 +34,9 @@ from math import inf
 from .graph import ArtificialSourceView, InducedSubgraphView, ParamConfigError, dijkstra_bounded
 
 JOIN, LEAVE, EST = "join", "leave", "est"
+# Most (1 + eps)-buckets a ball system may span over n*W.  The radius loops
+# step one bucket at a time, so a tiny bucket eps is rejected up front.
+MAX_BUCKETS = 4096
 _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
 
 
@@ -77,26 +84,24 @@ class BallSystem:
             raise ParamConfigError(
                 "need alpha >= 1 and beta >= 0, got alpha=%s beta=%s" % (self.alpha, self.beta)
             )
+        span = view.node_count() * view.max_weight
+        growth_log = math.log1p(float(self.eps))  # 0.0 once eps underflows
+        if span > 1 and (growth_log == 0 or math.log(span) / growth_log > MAX_BUCKETS):
+            raise ParamConfigError(
+                "bucket eps too small: more than %d buckets to cover n*W=%d"
+                % (MAX_BUCKETS, span)
+            )
         self._growth = 1 + self.eps
         self.threshold = inf if depth == inf else self.alpha * depth + self.beta
         self._nodes = sorted(view.node_ids())
         p = assignment.p
-        # Distance-to-set watchers for levels 1 .. p-1.
+        # Distance-to-set watchers for levels 1 .. p-1; an empty level has none.
         self._set_inst = {}
-        self._set_est = {}
         for i in range(1, p):
             members = assignment.level_sets[i]
-            self._set_est[i] = {}
-            if not members:
-                continue
-            art = ArtificialSourceView(view, members)
-            inst = contract_factory(art, art.source_id, depth)
-            self._set_inst[i] = inst
-            table = self._set_est[i]
-            for u in self._nodes:
-                val = inst.query(u)
-                if val != inf:
-                    table[u] = val
+            if members:
+                art = ArtificialSourceView(view, members)
+                self._set_inst[i] = contract_factory(art, art.source_id, depth)
         # Per-node ball state.
         self._bucket = {}  # node -> bucket power (1+eps)^j reached so far
         self._radius = {}
@@ -117,10 +122,8 @@ class BallSystem:
     # -- radius bookkeeping ---------------------------------------------------
 
     def _watched_value(self, u):
-        i = self.assign.priority_of(u)
-        if i + 1 >= self.assign.p:
-            return inf
-        return self._set_est[i + 1].get(u, inf)
+        watcher = self._set_inst.get(self.assign.priority_of(u) + 1)
+        return inf if watcher is None else watcher.query(u)
 
     def _current_radius(self, u):
         """Radius from the bucketed watched value; monotone as the value grows."""
@@ -226,18 +229,11 @@ class BallSystem:
         if rec is None:
             return EMPTY_CHANGESET
         events = []
+        watched = set()
         for i in sorted(self._set_inst):
-            inst = self._set_inst[i]
-            table = self._set_est[i]
-            for node, val in inst.process_update(rec):
-                if node not in self._est:  # skip the virtual source
-                    continue
-                old = table.get(node, inf)
-                if old == inf:
-                    continue  # never finite, or saturated: clamped at inf
-                table[node] = max(old, val)
+            watched.update(node for node, _ in self._set_inst[i].process_update(rec))
         rebuilt = set()
-        for u in self._nodes:
+        for u in sorted(watched & self._radius.keys()):  # no virtual sources
             new_r = self._current_radius(u)
             if new_r > self._radius[u]:
                 self._build_scope(u, new_r, record=events)

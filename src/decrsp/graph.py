@@ -49,10 +49,6 @@ class UpdateEvent:
     v: int
     new_weight: int | None = None
 
-    def key(self):
-        a, b = self.u, self.v
-        return (a, b) if a < b else (b, a)
-
 
 @dataclass(frozen=True)
 class QueryProbe:
@@ -153,7 +149,7 @@ class DynamicGraph(AdjacencyGraph):
         return self.n
 
     def has_node(self, u):
-        return isinstance(u, int) and 0 <= u < self.n
+        return type(u) is int and 0 <= u < self.n  # not bool: True == 1
 
     # -- mutation ---------------------------------------------------------
 
@@ -299,9 +295,6 @@ class InducedSubgraphView:
             if v in self.node_set:
                 yield (v, w)
 
-    def degree(self, u):
-        return sum(1 for _ in self.neighbors(u))
-
     def edges(self):
         for u in self._ids:
             for v, w in self.neighbors(u):
@@ -375,11 +368,6 @@ class ArtificialSourceView:
             yield (v, w)
         if u in self._attach_set:
             yield (self.source_id, 0)
-
-    def degree(self, u):
-        if u == self.source_id:
-            return len(self.attach)
-        return self.parent.degree(u) + (1 if u in self._attach_set else 0)
 
     def edges(self):
         for e in self.parent.edges():

@@ -20,6 +20,7 @@ the total rounding error below ``eps * dist + 2 * eps * delta``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -34,12 +35,16 @@ def integer_root_ceil(value, p):
     assert p >= 1
     if value <= 1:
         return 1
-    x = max(1, round(float(value) ** (1.0 / p)))
-    while x**p >= value:
-        x -= 1
-    while x**p < value:
-        x += 1
-    return x
+    lo, hi = 1, 2  # lo**p < value; doubling stops once hi**p >= value
+    while hi**p < value:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**p < value:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,7 @@ class ParamSeries:
 
     def round_weight(self, weight):
         """Scaled integer weight: smallest k with k*phi >= weight."""
-        q = Fraction(weight) / self.phi
-        return -((-q.numerator) // q.denominator)
+        return -(-weight * self.phi.denominator // self.phi.numerator)
 
     def hop_budget(self, dist, i):
         """Hop allowance for a node of priority i at the given distance.
@@ -88,9 +92,7 @@ class ParamSeries:
         if dist == inf:
             return inf
         over = Fraction(dist) - self.r[i]
-        blocks = 0
-        if over > 0:
-            blocks = -((-over.numerator) // (over.denominator * self.delta))
+        blocks = math.ceil(over / self.delta) if over > 0 else 0
         return (self.p + 1) * blocks + self.p + 1 - i
 
 
@@ -185,11 +187,9 @@ def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=T
 
     root_bound = integer_root_ceil(n, p)
     phi = eps * delta / (p + 1)
-    lvl_main = (alpha + 2 * eps) * depth / phi
-    level_cap = -((-lvl_main.numerator) // lvl_main.denominator) + (p + 1) * root_bound
+    level_cap = math.ceil((alpha + 2 * eps) * depth / phi) + (p + 1) * root_bound
     if not admissible:
-        plain = Fraction(depth) / phi
-        level_cap = max(level_cap, -((-plain.numerator) // plain.denominator) + n + 1)
+        level_cap = max(level_cap, math.ceil(depth / phi) + n + 1)
     weight_cap = depth + root_bound * delta
 
     return ParamSeries(
@@ -222,7 +222,9 @@ class ShortcutGraph:
     ``("G", u, v)`` with u < v, shortcut edges as ``("F", owner, member,
     generation)``.  The generation counter makes re-joins (a member that
     left an owner's ball and later rejoined) produce fresh keys, since the
-    tree treats each key as one edge lifetime.
+    tree treats each key as one edge lifetime.  Every key names one endpoint
+    as ``key[1]``.  The tree owns the admitted keys and their rounded
+    weights: a key is admitted exactly while ``tree.has_edge(key, key[1])``.
 
     ``edges_ever`` counts keys ever admitted to the tree and
     ``update_ops`` counts tree operations (insert/increase/delete);
@@ -237,7 +239,6 @@ class ShortcutGraph:
         self.debug = debug
         self._f_weight = {}  # (owner, member) -> live shortcut weight
         self._f_gen = {}  # (owner, member) -> generation of current/last key
-        self._admitted = {}  # tree key -> rounded weight currently in tree
         self.edges_ever = 0
         self.update_ops = 0
         self.increase_counts = {}  # tree key -> number of weight increases
@@ -246,10 +247,7 @@ class ShortcutGraph:
         for u, v, weight in view.edges():
             pair = (u, v) if u < v else (v, u)
             if weight <= params.weight_cap:
-                key = ("G",) + pair
-                rounded = params.round_weight(weight)
-                edges.append((key, pair[0], pair[1], rounded))
-                self._admitted[key] = rounded
+                edges.append((("G",) + pair, pair[0], pair[1], params.round_weight(weight)))
         for owner, table in balls.initial_membership().items():
             for member, estimate in table.items():
                 if member == owner:
@@ -257,10 +255,8 @@ class ShortcutGraph:
                 self._f_weight[(owner, member)] = estimate
                 self._f_gen[(owner, member)] = 0
                 if estimate <= params.weight_cap:
-                    key = ("F", owner, member, 0)
                     rounded = params.round_weight(estimate)
-                    edges.append((key, owner, member, rounded))
-                    self._admitted[key] = rounded
+                    edges.append((("F", owner, member, 0), owner, member, rounded))
         self.edges_ever = len(edges)
         self.tree = MonotoneEsTree(root, params.level_cap, edges, debug=debug)
 
@@ -273,15 +269,12 @@ class ShortcutGraph:
     # -- internal edge traffic --------------------------------------------------
 
     def _tree_insert(self, key, u, v, weight):
-        rounded = self.params.round_weight(weight)
-        self.tree.insert_edge(key, u, v, rounded)
-        self._admitted[key] = rounded
+        self.tree.insert_edge(key, u, v, self.params.round_weight(weight))
         self.edges_ever += 1
         self.update_ops += 1
 
     def _tree_delete(self, key, u):
         self.tree.delete_edge(key, u)
-        del self._admitted[key]
         self.update_ops += 1
 
     def _tree_reweight(self, key, u, weight):
@@ -290,27 +283,29 @@ class ShortcutGraph:
             self._tree_delete(key, u)
             return
         rounded = self.params.round_weight(weight)
-        if rounded > self._admitted[key]:
+        if rounded > self.tree.adj[u][key][1]:
             self.tree.increase_edge(key, u, rounded)
-            self._admitted[key] = rounded
             self.update_ops += 1
             self.increase_counts[key] = self.increase_counts.get(key, 0) + 1
 
     # -- debug checks -------------------------------------------------------------
 
     def check_sandwich(self):
-        """Every admitted edge weight w satisfies w <= phi*scaled <= w + phi.
+        """Every tree edge weight w satisfies w <= phi*scaled <= w + phi.
 
-        Base edges are read from the live view, shortcuts from the journal.
+        Walks the tree's own edges, each from both ends; base edges are read
+        from the live view, shortcuts from the journal.
         """
         phi = self.params.phi
-        for key, rounded in self._admitted.items():
-            if key[0] == "G":
-                raw = self.view.weight(key[1], key[2])
-            else:
-                raw = self._f_weight[(key[1], key[2])]
-            assert raw <= self.params.weight_cap
-            assert raw <= phi * rounded <= raw + phi, (key, raw, rounded)
+        for edges in self.tree.adj.values():
+            for key, (_, rounded) in edges.items():
+                if key[0] == "G":
+                    raw = self.view.weight(key[1], key[2])
+                else:
+                    raw = self._f_weight[(key[1], key[2])]
+                if not (raw <= self.params.weight_cap and raw <= phi * rounded <= raw + phi):
+                    raise AssertionError("tree edge %r weight %s outside the sandwich of %s"
+                                         % (key, rounded, raw))
 
     def check_shortcut_mirror(self):
         """Shortcut pairs coincide with live ball memberships."""
@@ -350,7 +345,7 @@ def shortcut_process_update(sg, record, ball_changes):
     if rec is not None:
         pair = (rec.u, rec.v) if rec.u < rec.v else (rec.v, rec.u)
         key = ("G",) + pair
-        if key in sg._admitted:
+        if tree.has_edge(key, pair[0]):
             if rec.kind == "delete":
                 sg._tree_delete(key, pair[0])
             else:
@@ -360,14 +355,14 @@ def shortcut_process_update(sg, record, ball_changes):
         pair = (ev.owner, ev.member)
         sg._f_weight[pair] = ev.estimate
         key = ("F", ev.owner, ev.member, sg._f_gen[pair])
-        if key in sg._admitted:
+        if tree.has_edge(key, pair[0]):
             sg._tree_reweight(key, pair[0], ev.estimate)
 
     for ev in leaves:
         pair = (ev.owner, ev.member)
         del sg._f_weight[pair]
         key = ("F", ev.owner, ev.member, sg._f_gen[pair])
-        if key in sg._admitted:
+        if tree.has_edge(key, pair[0]):
             sg._tree_delete(key, pair[0])
 
     changes = tree.end_batch()

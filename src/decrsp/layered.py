@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -52,7 +53,9 @@ def default_layer_counts(n, eps, a=4):
     if n < 4:
         return 0, 0
     log_n = math.log2(n)
-    denom = math.log2(8 * a**3 * log_n / float(eps))
+    eps = Fraction(eps)
+    # log2(eps) from its numerator and denominator: float(eps) may underflow.
+    denom = math.log2(8 * a**3 * log_n) - math.log2(eps.numerator) + math.log2(eps.denominator)
     if denom <= 0:
         return 0, 0
     p = int(math.sqrt(log_n) / math.sqrt(denom))
@@ -216,12 +219,21 @@ class LayerStack:
         alphas = tuple(1 + 2 * k * eps_prime for k in range(self.q - 1))
         scales = tuple(layer_scales(self.range_bound, self.q))
         root_bound = integer_root_ceil(n, self.p)
+        heaviest = view.max_weight  # the largest weight any tree will hold
         for k in range(1, self.q - 1):
-            if root_bound * scales[k][0] > scales[k - 1][1]:
+            delta, depth = scales[k]
+            if root_bound * delta > scales[k - 1][1]:
                 raise ParamConfigError(
                     "scale ladder too tight at layer %d: %d * %d > %d"
-                    % (k, root_bound, scales[k][0], scales[k - 1][1])
+                    % (k, root_bound, delta, scales[k - 1][1])
                 )
+            # Layer k's weight cap, rounded by its grain eps' * delta / (p + 1).
+            heaviest = max(heaviest, (depth + root_bound * delta) * (self.p + 1)
+                           / (eps_prime * delta))
+        if heaviest > sys.float_info.max:
+            # A tree adds weights to inf, which is defined only in float range.
+            raise ParamConfigError("eps too small for a layered stack: tree weights "
+                                   "pass the float range")
         self.config = StackConfig(
             p=self.p,
             q=self.q,
@@ -242,25 +254,27 @@ class LayerStack:
         return self.top.process_update(record)
 
 
-class MirrorGraph(AdjacencyGraph):
-    """Dict-backed weighted graph used for scaled mirrors.
+class ScaledMirror(AdjacencyGraph):
+    """A rounded, scaled copy of a graph view for one distance band.
 
-    Unlike the primary graph container this accepts arbitrary integer node
-    ids (subgraph views keep their original labels) and zero weights (the
-    virtual attachment edges of a distance-to-set view scale to zero), and
-    only ever shrinks: edges are deleted or re-weighted upward.
+    Every weight is ``ceil(w / phi)``.  The mirror keeps the view's node ids
+    (subgraph views keep their original labels) and allows zero weights (the
+    virtual attachment edges of a distance-to-set view scale to zero).  It
+    changes only through ``translate``, so its edges are only ever deleted
+    or re-weighted upward.
     """
 
-    def __init__(self, nodes, max_weight):
-        super().__init__(max_weight)
-        self._nodes = sorted(nodes)
+    def __init__(self, view, phi):
+        self.phi = Fraction(phi)
+        self._num = self.phi.numerator
+        self._den = self.phi.denominator
+        super().__init__(self.scale(view.max_weight))
+        self._nodes = sorted(view.node_ids())
         self._node_set = frozenset(self._nodes)
-
-    def add_edge(self, u, v, w):
-        assert u in self._node_set and v in self._node_set and u != v and w >= 0
-        assert v not in self._adj.get(u, ())
-        self._adj.setdefault(u, {})[v] = w
-        self._adj.setdefault(v, {})[u] = w
+        for u, v, w in view.edges():
+            w = self.scale(w)
+            self._adj.setdefault(u, {})[v] = w
+            self._adj.setdefault(v, {})[u] = w
 
     def node_ids(self):
         return iter(self._nodes)
@@ -271,48 +285,30 @@ class MirrorGraph(AdjacencyGraph):
     def has_node(self, u):
         return u in self._node_set
 
-    def delete_edge(self, u, v):
-        old = self._adj[u].pop(v)
-        del self._adj[v][u]
-        self.version += 1
-        return ChangeRecord("delete", u, v, old, None, self.version)
-
-    def increase_edge(self, u, v, w):
-        old = self._adj[u][v]
-        assert w > old, "mirror weight must strictly increase"
-        self._adj[u][v] = w
-        self._adj[v][u] = w
-        self.version += 1
-        return ChangeRecord("increase", u, v, old, w, self.version)
-
-
-class ScaledMirror:
-    """A rounded, scaled copy of a graph view for one distance band."""
-
-    def __init__(self, view, phi):
-        self.phi = Fraction(phi)
-        self._num = self.phi.numerator
-        self._den = self.phi.denominator
-        self.graph = MirrorGraph(view.node_ids(), self.scale(view.max_weight))
-        for u, v, w in view.edges():
-            self.graph.add_edge(u, v, self.scale(w))
-
     def scale(self, weight):
         """ceil(weight / phi) for an integer weight, in integer arithmetic."""
         return -(-weight * self._den // self._num)
 
     def translate(self, record):
-        """Mirror one base change; returns the mirror record or None.
+        """Apply one base change in place; returns the mirror record or None.
 
         A weight increase whose scaled value is unchanged is absorbed by
         the rounding and produces no mirror traffic.
         """
+        u, v = record.u, record.v
+        old = self._adj[u][v]
+        new = None
         if record.kind == "delete":
-            return self.graph.delete_edge(record.u, record.v)
-        scaled = self.scale(record.new_weight)
-        if scaled == self.graph.weight(record.u, record.v):
-            return None
-        return self.graph.increase_edge(record.u, record.v, scaled)
+            del self._adj[u][v], self._adj[v][u]
+        else:
+            new = self.scale(record.new_weight)
+            if new == old:
+                return None
+            if new < old:
+                raise AssertionError("mirror weight must strictly increase")
+            self._adj[u][v] = self._adj[v][u] = new
+        self.version += 1
+        return ChangeRecord(record.kind, u, v, old, new, self.version)
 
 
 class FullRangeSssp:
@@ -375,7 +371,7 @@ class FullRangeSssp:
             self._units.append(self._denom)
         for i in range(fine, band_count):
             mirror = ScaledMirror(view, Fraction(unit << i, self._denom))
-            stack = LayerStack(mirror.graph, source, self.range_bound, self.eps_inner,
+            stack = LayerStack(mirror, source, self.range_bound, self.eps_inner,
                                seed=seed * 1_000_003 + i, **stack_args)
             self.mirrors.append(mirror)
             self.stacks.append(stack)

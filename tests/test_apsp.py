@@ -95,6 +95,27 @@ def test_query_outside_the_graph_is_a_config_error():
         state.query(-1, 0)
 
 
+@pytest.mark.parametrize("bad", [[1], True, 1.5, "x"], ids=["list", "bool", "float", "str"])
+def test_query_rejects_node_ids_that_are_not_ints(bad):
+    # True == 1 and hashes like it, so only a type check keeps (0, True)
+    # from reading the (0, 1) answer; a list is unhashable.
+    g = random_graph(16, 24, 4, seed=1)
+    state = ApspState(g, 2, Fraction(1, 2), seed=1)
+    for answered in (False, True):
+        if answered:
+            state.query(0, 1)
+        for pair in ((0, bad), (bad, 0)):
+            with pytest.raises(ParamConfigError, match="ints"):
+                state.query(*pair)
+
+
+def test_tiny_eps_is_rejected_before_the_bucket_loop():
+    # eps/7 = 1/7000 needs about 37k buckets over n*W = 192.
+    g = random_graph(24, 48, 8, seed=1)
+    with pytest.raises(ParamConfigError, match="4096 buckets"):
+        ApspState(g, 2, Fraction(1, 1000), seed=1, c=0.25)
+
+
 def test_internal_error_is_one_seventh():
     g = random_graph(16, 24, 4, seed=1)
     state = ApspState(g, 2, Fraction(1, 2), seed=1)

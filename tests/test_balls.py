@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decrsp.apsp import ApspState
 from decrsp.balls import (
     EMPTY_CHANGESET,
     BallEvent,
@@ -23,6 +24,8 @@ from decrsp.balls import (
 )
 from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.harness import generate_instance
+from decrsp.layered import FullRangeSssp, LayerAssembly
 from decrsp.sampling import PriorityAssignment, sample_priorities
 
 from test_graph_core import graph_from_edges, random_graph
@@ -163,6 +166,15 @@ def test_parameter_checks_raise_typed_errors(bad):
     params = dict(alpha=1, beta=0, depth=5, bucket_eps=1) | bad
     with pytest.raises(ParamConfigError):
         BallSystem(graph, assignment, EsTree, **params)
+
+
+def test_tiny_bucket_eps_is_rejected():
+    # log(n*W) / log(1 + eps) passes MAX_BUCKETS long before eps underflows.
+    graph = path_graph(4)
+    assignment = manual_assignment(4, 2, [{3}])
+    for eps in (Fraction(1, 10**4), Fraction(1, 10**400)):
+        with pytest.raises(ParamConfigError, match="4096 buckets"):
+            BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=5, bucket_eps=eps)
 
 
 def test_top_priority_scope_covers_depth():
@@ -555,3 +567,36 @@ def test_witness_search_is_exercised_nontrivially():
             kinds.add(system.structural_witness(u, v, d)[0])
     assert "none" not in kinds
     assert "witness" in kinds or "in_ball" in kinds
+
+
+@pytest.mark.parametrize("mode, seed", [("apsp", 1), ("apsp", 2), ("p4q3", 1), ("p4q3", 2)])
+def test_radius_follows_the_live_watcher_after_every_update(mode, seed):
+    # Radii are recomputed only for the nodes the watchers report; every
+    # other node's radius must still equal the one its live watcher implies.
+    sched = generate_instance(24, 48, 8, "erdos-renyi", 1.0, seed=seed, increase_rate=0.3)
+    graph = sched.build_graph()
+    if mode == "apsp":
+        state = ApspState(graph, 2, Fraction(1, 2), seed, c=0.25)
+        systems, step = [state.balls], state.process_update
+    else:
+        full = FullRangeSssp(graph, 0, Fraction(1, 2), p=4, q=3, seed=seed)
+        systems, step = [], full.apply_event
+        for stack in full.stacks:
+            layer = stack.top
+            while isinstance(layer, LayerAssembly):
+                systems.append(layer.balls)
+                layer = layer.lower
+    assert systems
+    events = [item for item in sched.items if isinstance(item, UpdateEvent)]
+    checked = 0
+    for event in events:
+        step(event)
+        for system in systems:
+            for u in system.view.node_ids():
+                watcher = system._set_inst.get(system.assign.priority_of(u) + 1)
+                watched = inf if watcher is None else watcher.query(u)
+                expected = radius_from_watched(watched, system.eps, system.alpha,
+                                               system.beta, system.depth)
+                assert system.radius(u) == expected, (u, watched)
+                checked += watched != inf
+    assert checked > 0

@@ -44,6 +44,12 @@ FROZEN = [
         "dc982118d95b555d01c679b1210f50a85e8eb722d5fdd95975ad29b07ee5bf08",
         "1",
     ),
+    (
+        (24, 48, 8, 8),
+        RunConfig(mode="apsp", k=3, c=0.4, seed=5, oracle_stride=4),
+        "50ae6762b2df4050fcecf8aa1611aa2213a8957284475a0043a05226ad2efd6c",
+        "1",
+    ),
 ]
 
 
@@ -55,7 +61,7 @@ def _schedule(n, m, w_max, seed):
 @pytest.mark.parametrize(
     "shape, config, emissions, stretch",
     FROZEN,
-    ids=["es", "sssp-default", "sssp-p4q3", "apsp"],
+    ids=["es", "sssp-default", "sssp-p4q3", "apsp", "apsp-k3"],
 )
 def test_emissions_and_stretch_are_frozen(shape, config, emissions, stretch):
     report = run_with_oracle(_schedule(*shape), config)

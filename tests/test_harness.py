@@ -308,6 +308,16 @@ CLI_REJECTIONS = {
     "apsp-k5": (["apsp", "--k", "5"], 1,
                 "decrsp: error: priority levels p=5 outside [2, log2(n)=2.00] for n=4"),
     "apsp-epsilon-0": (["apsp", "--epsilon", "0"], 1, "decrsp: error: need 0 < eps <= 1, got 0"),
+    "apsp-epsilon-tiny": (["apsp", "--epsilon", "1e-400"], 1,
+                          "decrsp: error: bucket eps too small: more than 4096 buckets to "
+                          "cover n*W=20"),
+    "p2q3-epsilon-tiny": (["sssp", "--epsilon", "1e-400", "--p", "2", "--q", "3"], 1,
+                          "decrsp: error: eps too small for a layered stack: tree weights "
+                          "pass the float range"),
+    "source-float": (["sssp", "--source", "1.5"], 2,
+                     "decrsp: error: argument --source: invalid int value: '1.5'"),
+    "source-bool": (["sssp", "--source", "True"], 2,
+                    "decrsp: error: argument --source: invalid int value: 'True'"),
 }
 
 
@@ -332,6 +342,29 @@ def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
         assert lines[0].startswith("usage: decrsp") and lines[-1] == message
     else:
         assert lines == [message]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("extra", [[], ["--p", "2", "--q", "3"]], ids=["default", "p2q3"])
+def test_cli_tiny_epsilon_answers(tmp_path, extra, optimize):
+    # The default path runs exact trees at any eps; a layered stack at
+    # eps = 1e-30 builds with integer roots instead of stepping to them.
+    eps = "1e-30" if extra else "1e-400"
+    gp = tmp_path / "g.txt"
+    gp.write_text("6 5 7\n0 1 3\n1 2 5\n2 3 4\n3 4 7\n4 5 2\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable] + (["-O"] if optimize else [])
+    cmd += ["-m", "decrsp.cli", "sssp", "--epsilon", eps] + extra + ["--graph", str(gp)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["est", str(v)] for v in range(6)]
+    exact = [0, 3, 8, 12, 19, 21]
+    for line, d in zip(lines, exact):
+        est = Fraction(line.split()[2])
+        assert d <= est <= (1 + Fraction(eps)) * d
 
 
 def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):

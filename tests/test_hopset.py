@@ -167,6 +167,12 @@ def test_integer_root_ceil_is_tight(value, p):
     assert x == 1 or (x - 1) ** p < value
 
 
+@pytest.mark.parametrize("value, p", [(10**400 + 1, 3), (Fraction(10**401, 7), 2), (2**4000, 5)])
+def test_integer_root_ceil_is_tight_beyond_float_range(value, p):
+    x = integer_root_ceil(value, p)
+    assert x**p >= value > (x - 1) ** p
+
+
 @settings(max_examples=200)
 @given(
     st.integers(0, 400),
@@ -228,6 +234,16 @@ def small_params(depth, *, delta=2, p=2, eps=1, enforce=True, n=256):
     return derive_params(1, 0, 1, 1, eps, p, delta, depth, n, enforce_bound=enforce)
 
 
+def admitted(sg, key):
+    """Whether the tree holds this key; every key names an endpoint as key[1]."""
+    return sg.tree.has_edge(key, key[1])
+
+
+def tree_weight(sg, key):
+    """The rounded weight the tree holds for this key."""
+    return sg.tree.adj[key[1]][key][1]
+
+
 def test_without_shortcuts_levels_equal_scaled_baseline():
     graph = path_graph(6)
     ps = small_params(8)
@@ -247,9 +263,9 @@ def test_weight_cap_excludes_heavy_edges():
     assert ps.weight_cap == 36
     balls = StubBalls({0: {0: 0, 2: 50}, 1: {1: 0}, 2: {2: 0}})
     sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
-    assert ("G", 0, 1) in sg._admitted
-    assert ("G", 1, 2) not in sg._admitted
-    assert ("F", 0, 2, 0) not in sg._admitted
+    assert admitted(sg, ("G", 0, 1))
+    assert not admitted(sg, ("G", 1, 2))
+    assert not admitted(sg, ("F", 0, 2, 0))
     assert sg.query(2) == inf
 
 
@@ -267,14 +283,14 @@ def test_estimate_increase_below_grain_is_absorbed():
     balls = StubBalls({0: {0: 0, 2: 3}, 1: {1: 0}, 2: {2: 0}})
     sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
     key = ("F", 0, 2, 0)
-    assert sg._admitted[key] == 5  # ceil(3 / (2/3))
+    assert tree_weight(sg, key) == 5  # ceil(3 / (2/3))
     ops_before = sg.update_ops
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
     changes = balls.changeset([BallEvent("est", 0, 2, Fraction(10, 3))])
     out = shortcut_process_update(sg, rec, changes)
     # ceil((10/3) / (2/3)) = 5: same scaled weight, so only the base edge
     # increase produced tree traffic
-    assert sg._admitted[key] == 5
+    assert tree_weight(sg, key) == 5
     assert sg.update_ops == ops_before + 1
     assert all(node != 0 for node, _ in out)
 
@@ -291,17 +307,17 @@ def test_rejoin_uses_fresh_generation_key():
     rec = graph.apply_update(UpdateEvent("increase", 2, 3, 2))
     out = shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 4)]))
     assert out == []
-    assert sg._admitted[("F", 0, 3, 0)] == 6
+    assert tree_weight(sg, ("F", 0, 3, 0)) == 6
     assert sg.query(3) == 4
 
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("leave", 0, 3)]))
-    assert ("F", 0, 3, 0) not in sg._admitted
+    assert not admitted(sg, ("F", 0, 3, 0))
     assert sg.query(3) == Fraction(16, 3)  # level 8 via the base path
 
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 6)]))
-    assert sg._admitted[("F", 0, 3, 1)] == 9
+    assert tree_weight(sg, ("F", 0, 3, 1)) == 9
     assert sg.query(3) == 6
     assert sg.edges_ever == base_edges + 2
 
@@ -311,11 +327,25 @@ def test_base_increase_absorption_and_cap_escape():
     ps = small_params(4)  # phi=2/3, cap=36
     sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0, debug=True)
     key = ("G", 0, 1)
-    assert sg._admitted[key] == 3
+    assert tree_weight(sg, key) == 3
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 37))
     out = shortcut_process_update(sg, rec, EMPTY_CHANGESET)
-    assert key not in sg._admitted
+    assert not admitted(sg, key)
     assert out == [(1, inf)]
+
+
+def test_check_sandwich_reads_the_tree_weights():
+    graph = path_graph(3)
+    ps = small_params(8)  # phi = 2/3
+    sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0)
+    sg.check_sandwich()
+    key = ("G", 0, 1)
+    sg.tree.begin_batch()
+    # ceil(1 / (2/3)) = 2; two grains more puts phi * 4 above 1 + phi.
+    sg.tree.increase_edge(key, 0, tree_weight(sg, key) + 2)
+    sg.tree.end_batch()
+    with pytest.raises(AssertionError, match="outside the sandwich"):
+        sg.check_sandwich()
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_default_layer_counts_collapse_at_desk_scale():
     assert default_layer_counts(10**6, Fraction(1, 2)) == (1, 1)
     assert default_layer_counts(100, Fraction(1, 2)) == (0, 0)
     assert default_layer_counts(3, Fraction(1, 2)) == (0, 0)
+    # log2(eps) comes from its numerator and denominator, so an eps below
+    # the float range still gives counts instead of dividing by zero.
+    assert default_layer_counts(100, Fraction(1, 10**400)) == (0, 0)
+
+
+def test_layered_stack_rejects_eps_whose_weights_pass_the_float_range():
+    g = random_graph(6, 8, 7, seed=1)
+    with pytest.raises(ParamConfigError, match="float range"):
+        FullRangeSssp(g, 0, Fraction(1, 10**400), p=2, q=3)
 
 
 def test_layer_scales_frozen_values():
@@ -210,18 +219,18 @@ def test_scaled_mirror_rounds_and_absorbs():
     g.add_edge(0, 1, 3)
     g.add_edge(1, 2, 5)
     mirror = ScaledMirror(g, Fraction(2))
-    assert mirror.graph.weight(0, 1) == 2  # ceil(3/2)
-    assert mirror.graph.weight(1, 2) == 3  # ceil(5/2)
-    assert mirror.graph.max_weight == 4  # ceil(8/2)
+    assert mirror.weight(0, 1) == 2  # ceil(3/2)
+    assert mirror.weight(1, 2) == 3  # ceil(5/2)
+    assert mirror.max_weight == 4  # ceil(8/2)
     rec = g.apply_update(UpdateEvent("increase", 0, 1, 4))
     assert mirror.translate(rec) is None  # ceil(4/2) == ceil(3/2)
-    assert mirror.graph.weight(0, 1) == 2
+    assert mirror.weight(0, 1) == 2
     rec = g.apply_update(UpdateEvent("increase", 0, 1, 5))
     out = mirror.translate(rec)
-    assert out is not None and mirror.graph.weight(0, 1) == 3
+    assert out is not None and mirror.weight(0, 1) == 3
     rec = g.apply_update(UpdateEvent("delete", 1, 2))
     assert mirror.translate(rec) is not None
-    assert not mirror.graph.has_edge(1, 2)
+    assert not mirror.has_edge(1, 2)
 
 
 def test_scaled_mirror_sandwich_property():
@@ -229,7 +238,7 @@ def test_scaled_mirror_sandwich_property():
     phi = Fraction(5, 3)
     mirror = ScaledMirror(g, phi)
     for u, v, w in g.edges():
-        scaled = mirror.graph.weight(u, v)
+        scaled = mirror.weight(u, v)
         assert w <= phi * scaled < w + phi
 
 
