@@ -9,24 +9,33 @@ interleaved insert/delete traffic generated by ball changes.  An edge whose
 head level exceeds the level of its tail plus its weight is called
 *stretched*; stretched edges can only come into existence at insertion time,
 and a node keeps its level frozen while one of its incident edges stays
-stretched.
+stretched.  Every weight is an integer >= 1.
 
 Batch protocol: ``begin_batch``; any number of edge operations;
-``end_batch`` runs the level-raising fixpoint and returns the sorted list of
+``end_batch`` repairs the levels and returns the sorted list of
 ``(node, new_level)`` changes (new level may be ``inf`` once above the cap).
 
-Each node keeps a lazily re-keyed heap of ``(candidate level, edge key)``
-over its incident edges, where the candidate is ``level(other) + weight``.
-An entry is written when the edge is inserted (or the tree is built) and is
-never refreshed eagerly: levels and weights only grow, so a stored
-candidate stays a lower bound on the live one.  A level rise or a weight
-increase therefore touches no heap.  When a node asks for its minimum, a
-stale top is re-keyed in place to its live candidate, or popped once that
-candidate is ``inf`` (a cut-off node never comes back) or its edge is gone;
-a top that matches its live candidate is the true minimum, and the
-``(candidate, key)`` order makes its key the smallest among the ties.
-``work_counter`` counts heap traffic, which is proportional to
-(edges ever present) * (level cap) plus the number of edge operations.
+Between batches every finite node but the root is *supported*: some
+incident edge has ``level(other) + weight <= level(node)``.  The new levels
+are the least ones that keep this, never drop below the old ones, and turn
+into ``inf`` above the cap.  ``end_batch`` finds them in two phases, after
+Ramalingam and Reps (J. Algorithms 21, 1996):
+
+1. The endpoints of deleted and increased edges are pending.  They are
+   popped in ``(old level, node)`` order.  A node stays put if an
+   unaffected neighbour still supports it (stretched edges count);
+   otherwise it is *affected*, and each neighbour it supported is queued.
+   Weights >= 1 make a supporter's level strictly lower, so every
+   supporter is decided before the nodes it supports.
+2. Each affected node is seeded from its unaffected neighbours, then one
+   Dijkstra over the affected set settles them with the key
+   ``max(old level, level(other) + weight)``.  That key never falls below
+   its argument, so the Dijkstra order stays exact (Knuth, IPL 6, 1977).
+   A node whose key passes the cap is never settled and becomes ``inf`` in
+   one step, however high the cap.
+
+``work_counter`` counts heap traffic (pushes and pops of the two repair
+queues) and ``edge_scans`` counts adjacency entries read by the repair.
 """
 
 from __future__ import annotations
@@ -48,11 +57,9 @@ class MonotoneEsTree:
         self.debug = debug
         self.adj = {root: {}}  # node -> {edge_key: (other, weight)}
         self.level = {}  # node -> finite level; absent = inf
-        self.parent = {}  # node -> edge key it hangs from
-        self._nheap = {root: []}  # node -> [(candidate level, edge key)]
-        self._q = []
         self._pending = set()
         self.work_counter = 0
+        self.edge_scans = 0
         self._ever_inserted = False
         # Debug bookkeeping for the batch-boundary structure checks.
         self._prev_levels = {}
@@ -61,44 +68,24 @@ class MonotoneEsTree:
         self._ever_stretched = set()
         for key, u, v, w in edges:
             self._add_edge_raw(key, u, v, w)
-        self._initialize()
-
-    # -- construction -------------------------------------------------------
-
-    def _add_edge_raw(self, key, u, v, w):
-        assert u != v and w >= 0
-        if key in self.adj.get(u, ()):
-            raise DuplicateEdgeError("edge key %r already present" % (key,))
-        self.adj.setdefault(u, {})[key] = (v, w)
-        self.adj.setdefault(v, {})[key] = (u, w)
-        self._nheap.setdefault(u, [])
-        self._nheap.setdefault(v, [])
-
-    def _initialize(self):
-        """Exact levels up to the cap, then seed all candidate heaps."""
-        self.level = dist = dijkstra_bounded(self, self.root, self.cap)
-        self.parent = {self.root: None}
-        for u in self.adj:
-            if u == self.root or u not in dist:
-                continue
-            best, best_key = inf, None
-            for key, (v, w) in self.adj[u].items():
-                cand = dist.get(v, inf) + w
-                if cand < best or (cand == best and _key_lt(key, best_key)):
-                    best, best_key = cand, key
-            assert best == dist[u]
-            self.parent[u] = best_key
-        for u in self.adj:
-            lu = dist.get(u, inf)
-            if lu == inf:
-                continue
-            for key, (v, w) in self.adj[u].items():
-                heapq.heappush(self._nheap[v], (lu + w, key))
-                self.work_counter += 1
+        self.level = dijkstra_bounded(self, self.root, self.cap)
         if self.debug:
             self._stretched_prev = self._stretched_set()
             self._ever_stretched = set(self._stretched_prev)
             self._prev_levels = dict(self.level)
+
+    # -- construction -------------------------------------------------------
+
+    def _add_edge_raw(self, key, u, v, w):
+        if u == v or not w >= 1:
+            raise AssertionError(
+                "edge %r needs distinct endpoints and weight >= 1, got %r-%r weight %r"
+                % (key, u, v, w)
+            )
+        if key in self.adj.get(u, ()):
+            raise DuplicateEdgeError("edge key %r already present" % (key,))
+        self.adj.setdefault(u, {})[key] = (v, w)
+        self.adj.setdefault(v, {})[key] = (u, w)
 
     # -- reads ---------------------------------------------------------------
 
@@ -126,25 +113,19 @@ class MonotoneEsTree:
         """Record a new edge.  Levels are left untouched on purpose."""
         self._add_edge_raw(key, u, v, w)
         self._ever_inserted = True
-        lu, lv = self.level.get(u, inf), self.level.get(v, inf)
-        if lu != inf:
-            heapq.heappush(self._nheap[v], (lu + w, key))
-            self.work_counter += 1
-        if lv != inf:
-            heapq.heappush(self._nheap[u], (lv + w, key))
-            self.work_counter += 1
         if self.debug:
             self._inserted_keys.add(key)
 
     def increase_edge(self, key, u, new_weight):
         """Raise the weight of the edge with this key (strictly)."""
         v, w = self.adj[u][key]
-        assert new_weight > w, "weight must strictly increase"
+        if not new_weight > w:
+            raise AssertionError(
+                "weight of edge %r must strictly increase, got %r -> %r" % (key, w, new_weight)
+            )
         self.adj[u][key] = (v, new_weight)
         self.adj[v][key] = (u, new_weight)
-        # The old heap entries stay valid lower bounds; see the module notes.
-        self._enqueue(u)
-        self._enqueue(v)
+        self._pending.update((u, v))
 
     def delete_edge(self, key, u):
         v, _ = self.adj[u][key]
@@ -155,11 +136,10 @@ class MonotoneEsTree:
             self._stretched_prev.discard((key, v))
             self._ever_stretched.discard((key, u))
             self._ever_stretched.discard((key, v))
-        self._enqueue(u)
-        self._enqueue(v)
+        self._pending.update((u, v))
 
     def end_batch(self):
-        changes = self._run_fixpoint()
+        changes = self._repair()
         if self.debug:
             self._check_invariants()
             now = self._stretched_set()
@@ -167,71 +147,80 @@ class MonotoneEsTree:
             self._ever_stretched |= now
         return changes
 
-    # -- fixpoint ----------------------------------------------------------------
+    # -- two-phase repair ---------------------------------------------------------
 
-    def _enqueue(self, u):
-        if u == self.root or u in self._pending:
-            return
-        self._pending.add(u)
-        heapq.heappush(self._q, (self.level.get(u, inf), u))
-        self.work_counter += 1
-
-    def _min_candidate(self, u):
-        """Current min over incident edges of level(other) + weight, lazily.
-
-        A stale top is re-keyed to its live candidate; a top whose edge is
-        gone or whose candidate is ``inf`` is dropped.
-        """
-        heap = self._nheap[u]
-        alive = self.adj.get(u, {})
-        level = self.level
-        while heap:
-            val, key = heap[0]
-            edge = alive.get(key)
-            if edge is not None:
-                v, w = edge
-                live = level.get(v, inf) + w
-                if live == val:
-                    return val, key
-                if live != inf:
-                    heapq.heapreplace(heap, (live, key))
-                    self.work_counter += 1
-                    continue
-            heapq.heappop(heap)
-            self.work_counter += 1
-        return inf, None
-
-    def _run_fixpoint(self):
-        changed = {}
-        while self._q:
-            _, u = heapq.heappop(self._q)
-            self.work_counter += 1
-            if u not in self._pending:
-                continue
-            self._pending.discard(u)
-            cur = self.level.get(u, inf)
-            best, best_key = self._min_candidate(u)
-            if best <= cur:
-                # Covers cur == inf too: nothing exceeds inf, and levels
-                # never come back down once a node is cut off.
-                if cur != inf:
-                    self.parent[u] = best_key
-                continue
-            if u not in changed:
-                changed[u] = cur
-            new = best if best <= self.cap else inf
-            if new == inf:
-                self.level.pop(u, None)
-                self.parent.pop(u, None)
+    def _repair(self):
+        adj, level, cap = self.adj, self.level, self.cap
+        pending, self._pending = self._pending, set()
+        # Phase 1: decide, lowest old level first, which nodes lost support.
+        queue = [(level[u], u) for u in pending if u in level and u != self.root]
+        heapq.heapify(queue)
+        queued = {u for _, u in queue}
+        pushes, pops, scans = len(queue), 0, 0
+        affected = {}  # node -> old level
+        while queue:
+            lu, u = heapq.heappop(queue)
+            pops += 1
+            supported = []  # neighbours this node may be supporting
+            for v, w in adj[u].values():
+                scans += 1
+                lv = level.get(v, inf)
+                if lv + w <= lu:
+                    if v not in affected:
+                        break
+                elif lv != inf and lu + w <= lv:
+                    supported.append(v)
             else:
-                self.level[u] = new
-                self.parent[u] = best_key
-            seen = set()
-            for key, (v, w) in self.adj[u].items():
-                if v not in seen:
-                    seen.add(v)
-                    self._enqueue(v)
-        return [(u, self.level.get(u, inf)) for u in sorted(changed)]
+                affected[u] = lu
+                for v in supported:
+                    if v not in queued:
+                        queued.add(v)
+                        heapq.heappush(queue, (level[v], v))
+                        pushes += 1
+        # Phase 2: one Dijkstra over the affected set, keyed
+        # max(old level, route), seeded from the unaffected neighbours.
+        # A seed is already above the old level: no unaffected neighbour
+        # supports an affected node.
+        best = {}
+        for u in affected:
+            seed = inf
+            for v, w in adj[u].values():
+                scans += 1
+                if v not in affected:
+                    seed = min(seed, level.get(v, inf) + w)
+            if seed <= cap:
+                best[u] = seed
+        heap = [(d, u) for u, d in best.items()]
+        heapq.heapify(heap)
+        pushes += len(heap)
+        settled = {}
+        while heap:
+            d, u = heapq.heappop(heap)
+            pops += 1
+            if u in settled:
+                continue
+            settled[u] = d
+            for v, w in adj[u].values():
+                scans += 1
+                if v in affected and v not in settled:
+                    key = max(affected[v], d + w)
+                    if key <= cap and key < best.get(v, inf):
+                        best[v] = key
+                        heapq.heappush(heap, (key, v))
+                        pushes += 1
+        self.work_counter += pushes + pops
+        self.edge_scans += scans
+        changes = []
+        for u, old in affected.items():
+            new = settled.get(u, inf)
+            if new != old:
+                changes.append((u, new))
+                if new == inf:
+                    del level[u]
+                else:
+                    level[u] = new
+        changes.sort()
+        return changes
 
     # -- debug checks ---------------------------------------------------------------
 
@@ -268,14 +257,12 @@ class MonotoneEsTree:
             assert self.level.get(head, inf) == prev.get(head, inf), (
                 "level moved under a persistently stretched edge at %r" % (head,)
             )
-        # Tree edges satisfy level(u) >= level(parent) + weight.
-        for u, key in self.parent.items():
-            if key is None:
-                continue
-            v, w = self.adj[u][key]
-            assert self.level.get(u, inf) >= self.level.get(v, inf) + w, (
-                "parent inequality violated at %r" % (u,)
-            )
+        # Every finite node but the root is supported: some live edge has
+        # level(other) + weight <= level(node).  Phase 1 relies on it.
+        for u, lu in self.level.items():
+            assert u == self.root or any(
+                self.level.get(v, inf) + w <= lu for v, w in self.adj[u].values()
+            ), "node %r has no supporting edge" % (u,)
         # Residual consistency: an edge that was never stretched since its
         # insertion, whose tail-route fits under the cap, keeps the head's
         # level consistent - provided the head was finite before the batch.
@@ -295,12 +282,3 @@ class MonotoneEsTree:
         # Without insertions the tree is simply exact.
         if not self._ever_inserted:
             assert self.level == exact, "insertion-free tree drifted from exact"
-
-
-def _key_lt(a, b):
-    if b is None:
-        return True
-    try:
-        return a < b
-    except TypeError:
-        return repr(a) < repr(b)

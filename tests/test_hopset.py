@@ -435,7 +435,7 @@ def test_full_deletion_battery_forty_nodes():
         cap_rounded = params.round_weight(params.weight_cap)
         for key, count in sg.increase_counts.items():
             assert count <= cap_rounded
-        assert sg.tree.work_counter <= 8 * (
+        assert sg.tree.work_counter + sg.tree.edge_scans <= 8 * (
             sg.edges_ever * params.level_cap + sg.update_ops
         )
 

@@ -3,12 +3,16 @@
 The reference simulator applies each batch's edge operations to a plain edge
 map and then chaotically raises levels (never lowering them) until stable,
 capping at the level bound.  The level-raising operator is monotone, so any
-fair iteration order reaches the same fixpoint the tree's queue-driven pass
+fair iteration order reaches the same fixpoint the tree's two-phase repair
 reaches; agreement after every batch is therefore a real equivalence check.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import inf
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,21 +122,20 @@ def play_and_compare(root, cap, edges, batches):
             )
         for node, lvl in changes:
             assert tree.level_of(node) == lvl
-        assert_heaps_bound_live_candidates(tree)
+        assert_fixpoint_holds(tree)
     return tree
 
 
-def assert_heaps_bound_live_candidates(tree):
-    # Every live edge with a finite candidate keeps an entry at or below it
-    # in its head's heap: the invariant that makes re-keying on pop exact.
-    for u, incident in tree.adj.items():
-        lowest = {}
-        for val, key in tree._nheap[u]:
-            lowest[key] = min(val, lowest.get(key, inf))
-        for key, (v, w) in incident.items():
-            live = tree.level_of(v) + w
-            if live != inf:
-                assert lowest.get(key, inf) <= live, (u, key)
+def assert_fixpoint_holds(tree):
+    # The root sits at 0, and every other finite node hangs from a live edge
+    # with level(other) + weight <= level(node): the invariant phase 1 of the
+    # repair relies on.
+    assert tree.level_of(tree.root) == 0
+    for u in tree.adj:
+        lu = tree.level_of(u)
+        if u == tree.root or lu == inf:
+            continue
+        assert any(tree.level_of(v) + w <= lu for v, w in tree.neighbors(u)), u
 
 
 def one_batch(tree, op, *args):
@@ -207,6 +210,64 @@ def test_stretched_edge_pins_level_until_cured():
     assert t.level_of(1) == 6  # monotone: nothing to raise
     one_batch(t, "increase_edge", "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
     assert t.level_of(1) == 7
+
+
+def test_stretched_route_keeps_affected_node_at_old_level():
+    # Node 3 sits at 10 and hangs, after e03 goes, only from the stretched
+    # edge s (route 1 + 2 = 3).  When node 1 rises to 5, node 3 loses its
+    # last support and is affected, but the risen route 5 + 2 = 7 still fits
+    # under its old level: the max(old, route) key keeps it at 10, and node 4
+    # below it stays at 11.
+    edges = [("e01", 0, 1, 1), ("e03", 0, 3, 10), ("e34", 3, 4, 1)]
+    batches = [
+        [("insert", "s", 1, 3, 2)],
+        [("delete", "e03")],
+        [("increase", "e01", 5)],
+    ]
+    tree = play_and_compare(0, 100, edges, batches)
+    assert [tree.level_of(x) for x in (1, 3, 4)] == [5, 10, 11]
+    one_batch(tree, "increase_edge", "e01", 0, 9)  # route 9 + 2 = 11 > 10
+    assert [tree.level_of(x) for x in (1, 3, 4)] == [9, 11, 12]
+
+
+def test_cut_off_component_cost_is_independent_of_cap():
+    # A six-node cycle hangs off the root by one bridge.  Deleting the bridge
+    # sends the whole cycle to inf in one step; a repair that raised it round
+    # by round would do work proportional to the cap.
+    cycle = [("c%d" % i, i, i % 6 + 1, 1 + i % 3) for i in range(1, 7)]
+    outcomes = []
+    for cap in (10**2, 10**6):
+        tree = MonotoneEsTree(0, cap, [("bridge", 0, 1, 1)] + cycle, debug=True)
+        before = tree.work_counter + tree.edge_scans
+        changes = one_batch(tree, "delete_edge", "bridge", 0)
+        outcomes.append((changes, tree.work_counter + tree.edge_scans - before))
+    assert outcomes[0][0] == [(x, inf) for x in range(1, 7)]
+    assert outcomes[0] == outcomes[1]
+
+
+BAD_EDGE_OPS = """
+from decrsp.monotone_tree import MonotoneEsTree
+tree = MonotoneEsTree(0, 10, [("a", 0, 1, 1)])
+for call in (lambda: tree.insert_edge("z", 1, 2, 0), lambda: tree.insert_edge("l", 1, 1, 3),
+             lambda: tree.increase_edge("a", 0, 1)):
+    try:
+        call()
+        print("accepted")
+    except AssertionError:
+        print("rejected")
+"""
+
+
+def test_edge_guards_hold_under_optimize():
+    # Phase 1 needs weights >= 1; under -O a bare assert would let a
+    # weight-0 edge, a self-loop and a non-increase through.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", BAD_EDGE_OPS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["rejected"] * 3
 
 
 def test_scripted_mixed_sequence_matches_simulator():
