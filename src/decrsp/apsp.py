@@ -128,12 +128,8 @@ class ApspState:
             for j in range(self.k):
                 top = self.witness(v, j)
                 want = best.get((v, j))
-                assert top == (None if want is None else (want[1], want[0])), (
-                    v,
-                    j,
-                    top,
-                    want,
-                )
+                if top != (None if want is None else (want[1], want[0])):
+                    raise AssertionError((v, j, top, want))
 
     # -- updates ----------------------------------------------------------------
 

@@ -129,7 +129,8 @@ def build_parser():
     parser.add_argument("--k", type=int, default=2, help="priority levels for apsp")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--p", type=int, default=None, help="priority levels override")
-    parser.add_argument("--q", type=int, default=None, help="layer count override")
+    parser.add_argument("--q", type=int, default=None,
+                        help="layer count override: q < 3 exact trees, q = 3 one shortcut layer")
     parser.add_argument("--c", type=float, default=2.0, help="sampling density")
     parser.add_argument("--oracle-check", action="store_true")
     parser.add_argument("--oracle-stride", type=positive_int, default=1)

@@ -1,10 +1,12 @@
 """Exact single-source shortest-path tree maintained to a depth bound.
 
-Classic Even-Shiloach scheme adapted to positive integer weights: each node
-stores its exact distance ("level") from the root while it is at most the
-depth bound, and infinity otherwise.  Under deletions and weight increases
-levels never decrease, so repair work amortizes against total level movement;
-``work_counter`` counts edge scans and is bounded by O(m * depth) overall.
+Classic Even-Shiloach scheme adapted to non-negative integer weights (ball
+watchers run it on distance-to-set views, whose virtual source edges weigh
+0): each node stores its exact distance ("level") from the root while it is
+at most the depth bound, and infinity otherwise.  Under deletions and weight
+increases levels never decrease, so repair work amortizes against total
+level movement; ``work_counter`` counts edge scans and is bounded by
+O(m * depth) overall.
 
 A node is re-examined only when the edge to its current parent degrades or
 its parent's level rises; other incident edges cannot change its minimum.

@@ -67,7 +67,6 @@ class ChangeRecord:
     v: int
     old_weight: int
     new_weight: int | None  # None for deletions
-    version: int
 
 
 class AdjacencyGraph:
@@ -79,7 +78,6 @@ class AdjacencyGraph:
 
     def __init__(self, max_weight):
         self.max_weight = max_weight
-        self.version = 0
         self._adj = {}  # node -> {neighbor: weight}; absent node means isolated
 
     def has_edge(self, u, v):
@@ -161,12 +159,11 @@ class DynamicGraph(AdjacencyGraph):
         if not self.has_edge(u, v):
             raise UpdateError("edge (%d, %d) not present" % (u, v))
         old = self._adj[u][v]
-        self.version += 1
         if event.kind == "delete":
             del self._adj[u][v]
             del self._adj[v][u]
             self.edge_count -= 1
-            return ChangeRecord("delete", u, v, old, None, self.version)
+            return ChangeRecord("delete", u, v, old, None)
         if event.kind == "increase":
             w = event.new_weight
             if not isinstance(w, int) or w <= old:
@@ -181,7 +178,7 @@ class DynamicGraph(AdjacencyGraph):
                 )
             self._adj[u][v] = w
             self._adj[v][u] = w
-            return ChangeRecord("increase", u, v, old, w, self.version)
+            return ChangeRecord("increase", u, v, old, w)
         raise UpdateError("unknown update kind %r" % (event.kind,))
 
 

@@ -390,12 +390,12 @@ def collect_work_counters(mode, structure):
 
 
 def _full_range_work(full):
-    """Edge scans of each band's exact tree, heap traffic of its monotone trees."""
+    """Edge scans of each band's exact tree, heap traffic of its monotone tree."""
     es_work = 0
     monotone_work = 0
     for stack in full.stacks:
         layer = stack.top
-        while not isinstance(layer, EsTree):
+        if not isinstance(layer, EsTree):
             monotone_work += layer.sg.tree.work_counter
             layer = layer.lower
         es_work += layer.work_counter

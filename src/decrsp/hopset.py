@@ -313,7 +313,8 @@ class ShortcutGraph:
         for owner in self.view.node_ids():
             members, _ = self.balls.membership(owner)
             expected |= {(owner, v) for v in members if v != owner}
-        assert set(self._f_weight) == expected
+        if set(self._f_weight) != expected:
+            raise AssertionError("shortcut pairs differ from live ball memberships")
 
 
 def shortcut_process_update(sg, record, ball_changes):

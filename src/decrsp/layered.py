@@ -1,14 +1,12 @@
 """Layered range-restricted SSSP and the full-range scaled assembly.
 
-Range-restricted part: a stack of layers indexed k = 0..q-2 over a range
-parameter R.  Layer 0 is an exact bounded-depth tree.  Layer k >= 1 runs a
-ball system whose distance watchers are layer-(k-1) instances, feeds the
-ball journal into a shortcut graph covering depth D_k, and keeps a running
-per-node minimum with its own layer-(k-1) companion.  Layer scales grow
-geometrically: delta_k is the k-th q-th-root power of R and D_k the
-(k+2)-nd, so the top layer covers the whole range.  Each layer multiplies
-the stretch by at most (1 + 2*eps'), and eps' = eps / (2(q-2)) keeps the
-composed stretch within 1 + eps.
+Range-restricted part: a two-layer stack over a range parameter R.  Layer 0
+is an exact tree bounded at D_0 = ceil(R^(2/3)).  Layer 1 runs a ball system
+whose set-distance watchers are exact trees bounded at D_0, feeds the ball
+journal into a shortcut graph at distance scale delta = ceil(R^(1/3)) that
+covers the whole range ceil(R), and keeps a running per-node minimum with
+layer 0.  The shortcut layer multiplies the stretch by at most 1 + 2*eps',
+and eps' = eps / 2 keeps it within 1 + eps.
 
 Full-range part: distance bands [2^i, 2^(i+1)] up to n*W.  Band i rounds
 weights up to multiples of the grain phi_i = (eps/3) * 2^i / n and runs its
@@ -22,10 +20,13 @@ grow, so a stored entry is a lower bound on its band's live value; an update
 re-keys a touched node's top from the live value until the top is current,
 and a query is a single heap read.
 
-The default layer count formula collapses below three layers at any
-realistic desk scale; the stack then falls back to a single exact tree
-over the whole range (correct, slower), and the p/q overrides exist so the
-multi-layer machinery can be exercised on small graphs anyway.
+The layer count q selects the stack: q < 3 is a single exact tree over the
+whole range (correct, slower), q = 3 the shortcut layer above.  The default
+formula gives q < 3 at any realistic desk scale, and the p/q overrides exist
+so the shortcut layer can be exercised on small graphs anyway.  q >= 4 is
+rejected: more shortcut layers would need set-distance watchers on
+zero-weight source edges, which the monotone tree does not take, and inner
+instances on scopes too small to sample.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
@@ -79,70 +79,29 @@ def layer_scales(range_bound, q):
     return scales
 
 
-@dataclass
-class StackConfig:
-    """Shared knobs for every instance spawned inside one layer stack."""
-
-    p: int
-    q: int
-    c: float
-    eps_prime: Fraction
-    alphas: tuple  # alphas[k] = 1 + 2k*eps_prime
-    scales: tuple  # scales[k] = (delta_k, depth_k)
-    n: int
-    debug: bool = False
-    _seed_counter: int = 0
-
-    def next_seed(self):
-        self._seed_counter += 1
-        return self._seed_counter
-
-
 class LayerAssembly:
-    """One recursive range-restricted SSSP instance at layer ``k >= 1``.
+    """The shortcut layer of a two-layer stack over ``view``.
 
-    Its ``lower`` companion is the layer-(k-1) instance: another assembly,
-    or at layer 1 the exact ``EsTree`` that ``_layer_factory(config, 0)``
-    returns.
+    ``lower`` is the exact ``EsTree`` bounded at min(depth, D_0).  The ball
+    system's set-distance watchers are exact trees bounded at D_0, with ball
+    quality alpha = 1.  The shortcut graph runs at scale delta and covers
+    ``depth``.  The estimate is the per-node minimum of ``lower`` and the
+    shortcut graph.
 
     Satisfies the ball-system contract: ``query(node)`` plus
     ``process_update(record) -> [(node, new_estimate)]`` with estimates
     that never underestimate and never decrease.
     """
 
-    def __init__(self, config, k, view, root, depth):
-        self.config = config
-        self.k = k
-        self.view = view
-        self.root = root
-        self.depth = depth
-        delta_k, depth_k = config.scales[k]
-        lower_depth = min(depth, config.scales[k - 1][1])
-        self.lower = _layer_factory(config, k - 1)(view, root, lower_depth)
-        self.assignment = sample_priorities(view, config.p, config.c, config.next_seed())
-        alpha_prev = config.alphas[k - 1]
-        self.balls = BallSystem(
-            view,
-            self.assignment,
-            _layer_factory(config, k - 1),
-            alpha=alpha_prev,
-            beta=0,
-            depth=config.scales[k - 1][1],
-            bucket_eps=1,
-        )
-        self.params = derive_params(
-            alpha_prev,
-            0,
-            2 * alpha_prev,
-            1,
-            config.eps_prime,
-            config.p,
-            delta_k,
-            min(depth, depth_k),
-            config.n,
-            enforce_bound=False,
-        )
-        self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=config.debug)
+    def __init__(self, view, root, depth, *, p, c, eps_prime, scales, seed, debug):
+        (_, ball_depth), (delta, _) = scales
+        self.lower = EsTree(view, root, min(depth, ball_depth))
+        self.assignment = sample_priorities(view, p, c, seed)
+        self.balls = BallSystem(view, self.assignment, EsTree, alpha=1, beta=0,
+                                depth=ball_depth, bucket_eps=1)
+        self.params = derive_params(1, 0, 2, 1, eps_prime, p, delta, depth,
+                                    view.node_count(), enforce_bound=False)
+        self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=debug)
         self._est = {
             v: min(self.lower.query(v), self.sg.query(v)) for v in view.node_ids()
         }
@@ -169,14 +128,13 @@ class LayerAssembly:
         return out
 
 
-def _layer_factory(config, k):
-    if k == 0:
-        return EsTree
-    return lambda view, root, depth: LayerAssembly(config, k, view, root, depth)
-
-
 class LayerStack:
-    """Range-restricted SSSP front end: layered when q >= 3, exact otherwise."""
+    """Range-restricted SSSP front end.
+
+    q < 3 runs one exact tree over the whole range (``mode == "exact"``);
+    q = 3 runs an exact tree under one ``LayerAssembly`` (``mode ==
+    "layered"``).  Any larger q is a ``ParamConfigError``.
+    """
 
     def __init__(
         self,
@@ -210,42 +168,35 @@ class LayerStack:
             self.mode = "exact"
             self.top = EsTree(view, source, math.ceil(self.range_bound))
             return
+        if self.q > 3:
+            raise ParamConfigError(
+                "layer count q=%d unsupported: q < 3 runs exact trees, q = 3 one "
+                "shortcut layer" % (self.q,)
+            )
         if self.p < 2:
             raise ParamConfigError(
                 "layered mode needs priority count p >= 2, got %d" % (self.p,)
             )
         self.mode = "layered"
-        eps_prime = eps / (2 * (self.q - 2))
-        alphas = tuple(1 + 2 * k * eps_prime for k in range(self.q - 1))
-        scales = tuple(layer_scales(self.range_bound, self.q))
+        self.eps_prime = eps / 2
+        self.scales = tuple(layer_scales(self.range_bound, 3))
+        (_, ball_depth), (delta, depth) = self.scales
         root_bound = integer_root_ceil(n, self.p)
-        heaviest = view.max_weight  # the largest weight any tree will hold
-        for k in range(1, self.q - 1):
-            delta, depth = scales[k]
-            if root_bound * delta > scales[k - 1][1]:
-                raise ParamConfigError(
-                    "scale ladder too tight at layer %d: %d * %d > %d"
-                    % (k, root_bound, delta, scales[k - 1][1])
-                )
-            # Layer k's weight cap, rounded by its grain eps' * delta / (p + 1).
-            heaviest = max(heaviest, (depth + root_bound * delta) * (self.p + 1)
-                           / (eps_prime * delta))
-        if heaviest > sys.float_info.max:
+        if root_bound * delta > ball_depth:
+            raise ParamConfigError(
+                "scale ladder too tight at layer 1: %d * %d > %d"
+                % (root_bound, delta, ball_depth)
+            )
+        # The largest weight any tree will hold: the shortcut layer's weight
+        # cap, rounded by its grain eps' * delta / (p + 1).
+        heaviest = (depth + root_bound * delta) * (self.p + 1) / (self.eps_prime * delta)
+        if max(view.max_weight, heaviest) > sys.float_info.max:
             # A tree adds weights to inf, which is defined only in float range.
             raise ParamConfigError("eps too small for a layered stack: tree weights "
                                    "pass the float range")
-        self.config = StackConfig(
-            p=self.p,
-            q=self.q,
-            c=c,
-            eps_prime=eps_prime,
-            alphas=alphas,
-            scales=scales,
-            n=n,
-            debug=debug,
-            _seed_counter=seed * 1_000_003,
-        )
-        self.top = LayerAssembly(self.config, self.q - 2, view, source, scales[-1][1])
+        self.top = LayerAssembly(view, source, depth, p=self.p, c=c,
+                                 eps_prime=self.eps_prime, scales=self.scales,
+                                 seed=seed * 1_000_003 + 1, debug=debug)
 
     def query(self, node):
         return self.top.query(node)
@@ -307,8 +258,7 @@ class ScaledMirror(AdjacencyGraph):
             if new < old:
                 raise AssertionError("mirror weight must strictly increase")
             self._adj[u][v] = self._adj[v][u] = new
-        self.version += 1
-        return ChangeRecord(record.kind, u, v, old, new, self.version)
+        return ChangeRecord(record.kind, u, v, old, new)
 
 
 class FullRangeSssp:

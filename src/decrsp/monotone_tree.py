@@ -243,26 +243,25 @@ class MonotoneEsTree:
         now_stretched = self._stretched_set()
         # Levels never decrease.
         for u in set(prev) | set(self.level):
-            assert self.level.get(u, inf) >= prev.get(u, inf), (
-                "level decreased at %r" % (u,)
-            )
+            if self.level.get(u, inf) < prev.get(u, inf):
+                raise AssertionError("level decreased at %r" % (u,))
         # New stretched edges exist only because of this batch's insertions.
-        fresh = now_stretched - self._stretched_prev
-        for key, head in fresh:
-            assert key in self._inserted_keys, (
-                "edge %r became stretched without an insertion" % (key,)
-            )
+        for key, head in now_stretched - self._stretched_prev:
+            if key not in self._inserted_keys:
+                raise AssertionError("edge %r became stretched without an insertion" % (key,))
         # An edge stretched at both boundaries pins its head's level.
         for key, head in now_stretched & self._stretched_prev:
-            assert self.level.get(head, inf) == prev.get(head, inf), (
-                "level moved under a persistently stretched edge at %r" % (head,)
-            )
+            if self.level.get(head, inf) != prev.get(head, inf):
+                raise AssertionError(
+                    "level moved under a persistently stretched edge at %r" % (head,)
+                )
         # Every finite node but the root is supported: some live edge has
         # level(other) + weight <= level(node).  Phase 1 relies on it.
         for u, lu in self.level.items():
-            assert u == self.root or any(
+            if u != self.root and not any(
                 self.level.get(v, inf) + w <= lu for v, w in self.adj[u].values()
-            ), "node %r has no supporting edge" % (u,)
+            ):
+                raise AssertionError("node %r has no supporting edge" % (u,))
         # Residual consistency: an edge that was never stretched since its
         # insertion, whose tail-route fits under the cap, keeps the head's
         # level consistent - provided the head was finite before the batch.
@@ -271,14 +270,16 @@ class MonotoneEsTree:
                 if (key, u) in self._ever_stretched or key in self._inserted_keys:
                     continue
                 route = self.level.get(v, inf) + w
-                if route <= self.cap and prev.get(u, inf) != inf:
-                    assert self.level.get(u, inf) <= route, (
+                if (route <= self.cap and prev.get(u, inf) != inf
+                        and self.level.get(u, inf) > route):
+                    raise AssertionError(
                         "unstretched edge %r leaves node %r inconsistent" % (key, u)
                     )
         # Safety: levels never undercut true distances in the current multigraph.
         exact = dijkstra_bounded(self, self.root, self.cap)
         for u, lv in self.level.items():
-            assert lv >= exact.get(u, inf), "level below true distance at %r" % (u,)
+            if lv < exact.get(u, inf):
+                raise AssertionError("level below true distance at %r" % (u,))
         # Without insertions the tree is simply exact.
-        if not self._ever_inserted:
-            assert self.level == exact, "insertion-free tree drifted from exact"
+        if not self._ever_inserted and self.level != exact:
+            raise AssertionError("insertion-free tree drifted from exact")

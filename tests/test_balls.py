@@ -580,12 +580,8 @@ def test_radius_follows_the_live_watcher_after_every_update(mode, seed):
         systems, step = [state.balls], state.process_update
     else:
         full = FullRangeSssp(graph, 0, Fraction(1, 2), p=4, q=3, seed=seed)
-        systems, step = [], full.apply_event
-        for stack in full.stacks:
-            layer = stack.top
-            while isinstance(layer, LayerAssembly):
-                systems.append(layer.balls)
-                layer = layer.lower
+        step = full.apply_event
+        systems = [s.top.balls for s in full.stacks if isinstance(s.top, LayerAssembly)]
     assert systems
     events = [item for item in sched.items if isinstance(item, UpdateEvent)]
     checked = 0

@@ -314,6 +314,12 @@ CLI_REJECTIONS = {
     "p2q3-epsilon-tiny": (["sssp", "--epsilon", "1e-400", "--p", "2", "--q", "3"], 1,
                           "decrsp: error: eps too small for a layered stack: tree weights "
                           "pass the float range"),
+    "p3q4": (["sssp", "--p", "3", "--q", "4"], 1,
+             "decrsp: error: layer count q=4 unsupported: q < 3 runs exact trees, "
+             "q = 3 one shortcut layer"),
+    "check-p3q5": (["check", "--p", "3", "--q", "5"], 1,
+                   "decrsp: error: layer count q=5 unsupported: q < 3 runs exact trees, "
+                   "q = 3 one shortcut layer"),
     "source-float": (["sssp", "--source", "1.5"], 2,
                      "decrsp: error: argument --source: invalid int value: '1.5'"),
     "source-bool": (["sssp", "--source", "True"], 2,

@@ -116,6 +116,15 @@ def test_scale_ladder_guard_rejects_tight_configs():
         LayerStack(g, 0, 80, Fraction(1, 2), p=2, q=3)
 
 
+def test_more_than_one_shortcut_layer_is_a_config_error():
+    g = random_graph(24, 48, 8, seed=1)
+    for q in (4, 5):
+        with pytest.raises(ParamConfigError, match="q=%d unsupported" % q):
+            LayerStack(g, 0, 96, Fraction(1, 2), p=3, q=q)
+        with pytest.raises(ParamConfigError, match="q=%d unsupported" % q):
+            FullRangeSssp(g, 0, Fraction(1, 2), p=3, q=q)
+
+
 def test_eps_validation():
     g = random_graph(12, 20, 4, seed=1)
     with pytest.raises(ParamConfigError, match="eps"):
@@ -153,10 +162,8 @@ def test_layered_frozen_configuration():
     g, stack = build_small_stack(seed=1)
     assert stack.mode == "layered"
     # 18^3=5832 < 80^2=6400 <= 19^3=6859 and 4^3=64 < 80 <= 5^3=125.
-    assert stack.config.scales == ((1, 19), (5, 80))
-    assert stack.config.eps_prime == Fraction(1, 4)
-    # One quality factor per layer; the top one is exactly 1 + eps.
-    assert stack.config.alphas == (1, Fraction(3, 2))
+    assert stack.scales == ((1, 19), (5, 80))
+    assert stack.eps_prime == Fraction(1, 4)
 
 
 def test_layered_stack_tracks_oracle_through_full_deletion():
@@ -183,7 +190,7 @@ def test_layer_zero_gives_exact_values_at_short_range():
     # The composite estimate is a min over layers, layer 0 is exact to its
     # depth, and no layer ever underestimates: short distances are exact.
     g, stack = build_small_stack(seed=2)
-    base_depth = stack.config.scales[0][1]
+    base_depth = stack.scales[0][1]
     rng = random.Random(11)
     for step, rec in enumerate(delete_all_edges(g, rng)):
         stack.process_update(rec)

@@ -255,19 +255,28 @@ for call in (lambda: tree.insert_edge("z", 1, 2, 0), lambda: tree.insert_edge("l
         print("accepted")
     except AssertionError:
         print("rejected")
+forged = MonotoneEsTree(0, 10, [("b", 0, 1, 3)], debug=True)
+forged.begin_batch()
+forged.level[1] = 1  # below its true distance 3
+try:
+    forged._check_invariants()
+    print("accepted")
+except AssertionError as exc:
+    print(exc)
 """
 
 
 def test_edge_guards_hold_under_optimize():
     # Phase 1 needs weights >= 1; under -O a bare assert would let a
-    # weight-0 edge, a self-loop and a non-increase through.
+    # weight-0 edge, a self-loop and a non-increase through, and the debug
+    # structure checks would pass a forged level.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", BAD_EDGE_OPS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["rejected"] * 3
+    assert done.stdout.splitlines() == ["rejected"] * 3 + ["level decreased at 1"]
 
 
 def test_scripted_mixed_sequence_matches_simulator():
