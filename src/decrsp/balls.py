@@ -6,12 +6,19 @@ at a virtual source attached to that set.  That watcher owns the value: it is
 read through ``query`` and never copied, and after an update only the nodes
 the watchers report as changed get their radius recomputed, in sorted order.
 The watched value is bucketed on a (1 + eps) scale, at most ``MAX_BUCKETS``
-buckets over n*W; the bucket determines a search radius ``r(u)``.  Whenever the
-radius grows, the node's *scope* ``R(u)`` (all nodes within the radius, found
-by bounded Dijkstra on the current graph) is frozen anew and a fresh contract
-instance is started on the induced subgraph.  The ball ``B(u)`` consists of
-the scope members whose clamped estimate stays under ``alpha * depth + beta``
-(finiteness, when depth is unbounded).
+buckets over n*W; the bucket determines a search radius ``r(u)``, read from a
+per-system table of bucket powers and radii.  Whenever the radius grows, the
+node's *scope* ``R(u)`` (all nodes within the radius, found by bounded
+Dijkstra on the current graph) is frozen anew, copied into an
+:class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
+started on that snapshot.  The ball ``B(u)`` consists of the scope members
+whose clamped estimate stays under ``alpha * depth + beta`` (finiteness, when
+depth is unbounded); the test runs in integers.
+
+An update touches only the balls it can change.  A ``member -> owners`` index,
+kept in step by every scope rebuild, routes a change on edge (x, y) to the
+owners whose scope holds both x and y, in sorted order; each of them applies
+the change to its snapshot once, then feeds it to its inner instance.
 
 Estimates reported for a pair (u, v) never decrease: rebuilds may produce
 smaller raw values (larger scope, fresh instance), and those are clamped away
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .graph import ArtificialSourceView, InducedSubgraphView, ParamConfigError, dijkstra_bounded
+from .graph import ArtificialSourceView, InducedSnapshot, ParamConfigError, dijkstra_bounded
 
 JOIN, LEAVE, EST = "join", "leave", "est"
 # Most (1 + eps)-buckets a ball system may span over n*W.  The radius loops
@@ -92,7 +99,17 @@ class BallSystem:
                 % (MAX_BUCKETS, span)
             )
         self._growth = 1 + self.eps
-        self.threshold = inf if depth == inf else self.alpha * depth + self.beta
+        # Bucket j reaches (1+eps)^j; both tables grow on demand, one entry
+        # past the largest bucket any node has reached.
+        self._powers = [Fraction(1)]
+        self._radii = [self._radius_of(self._powers[0])]
+        # Membership is val <= threshold = num / den, decided in integers,
+        # or finiteness alone when the depth is unbounded.
+        self._unbounded = depth == inf
+        self.threshold = inf if self._unbounded else self.alpha * depth + self.beta
+        if not self._unbounded:
+            bound = Fraction(self.threshold)
+            self._thr_num, self._thr_den = bound.numerator, bound.denominator
         self._nodes = sorted(view.node_ids())
         p = assignment.p
         # Distance-to-set watchers for levels 1 .. p-1; an empty level has none.
@@ -103,9 +120,11 @@ class BallSystem:
                 art = ArtificialSourceView(view, members)
                 self._set_inst[i] = contract_factory(art, art.source_id, depth)
         # Per-node ball state.
-        self._bucket = {}  # node -> bucket power (1+eps)^j reached so far
+        self._bucket = {}  # node -> bucket index j reached so far
         self._radius = {}
         self._scope = {}
+        self._owners = {u: set() for u in self._nodes}  # member -> owners whose scope holds it
+        self._snapshot = {}  # owner -> InducedSnapshot of its scope (None for a lone node)
         self._inner = {}
         self._est = {}  # node -> {member: clamped estimate}; doubles as history
         self._members = {}
@@ -133,10 +152,19 @@ class BallSystem:
         if val <= 1:
             return 0
         x = val - 1
-        power = self._bucket.get(u, Fraction(1))
-        while power * self._growth <= x:
-            power *= self._growth
-        self._bucket[u] = power
+        powers = self._powers
+        j = self._bucket.get(u, 0)
+        while True:
+            if j + 1 == len(powers):
+                powers.append(powers[j] * self._growth)
+                self._radii.append(self._radius_of(powers[j + 1]))
+            if powers[j + 1] > x:
+                break
+            j += 1
+        self._bucket[u] = j
+        return self._radii[j]
+
+    def _radius_of(self, power):
         r = (power - self.beta) / self.alpha
         if r < 0:
             r = 0
@@ -165,9 +193,10 @@ class BallSystem:
         return {u: {v: self._est[u][v] for v in self._members[u]} for u in self._nodes}
 
     def _is_member_value(self, val):
-        if self.threshold == inf:
-            return val != inf
-        return val <= self.threshold
+        if isinstance(val, float):  # inf; finite estimates are int or Fraction
+            return val != inf and val <= self.threshold
+        # Cross-multiplied, so no Fraction is built (an int has denominator 1).
+        return self._unbounded or val.numerator * self._thr_den <= self._thr_num * val.denominator
 
     # -- scope (re)construction -------------------------------------------------
 
@@ -180,10 +209,17 @@ class BallSystem:
         self._radius[u] = new_radius
         self.rebuild_counts[u] += 1
         scope = frozenset(dijkstra_bounded(self.view, u, new_radius))
+        owners = self._owners
+        for v in self._scope.get(u, ()):
+            owners[v].discard(u)
+        for v in scope:
+            owners[v].add(u)
         self._scope[u] = scope
-        inner = None
+        snapshot = inner = None
         if len(scope) > 1:
-            inner = self.factory(InducedSubgraphView(self.view, scope), u, self.depth)
+            snapshot = InducedSnapshot(self.view, scope)
+            inner = self.factory(snapshot, u, self.depth)
+        self._snapshot[u] = snapshot
         self._inner[u] = inner
         history = self._est[u]
         old_members = self._members[u]
@@ -223,7 +259,9 @@ class BallSystem:
         """Digest one graph change; returns the journaled membership changes.
 
         Order inside the batch: set watchers first, then radius-driven scope
-        rebuilds, then propagation into surviving inner instances.
+        rebuilds, then propagation into the surviving inner instances whose
+        scope holds both endpoints: each one's snapshot takes the change
+        first, then the instance itself.
         """
         rec = self.view.filter_record(rec)
         if rec is None:
@@ -238,12 +276,11 @@ class BallSystem:
             if new_r > self._radius[u]:
                 self._build_scope(u, new_r, record=events)
                 rebuilt.add(u)
-        for u in self._nodes:
-            if u in rebuilt or self._inner[u] is None:
-                continue
-            scope = self._scope[u]
-            if rec.u not in scope or rec.v not in scope:
-                continue
+        owners = self._owners
+        for u in sorted(owners[rec.u] & owners[rec.v]):
+            if u in rebuilt:
+                continue  # its fresh snapshot already holds the change
+            self._snapshot[u].apply_record(rec)
             for node, val in self._inner[u].process_update(rec):
                 self._fold_inner(u, node, val, events)
         events.sort(key=BallEvent.sort_key)
@@ -332,7 +369,8 @@ def witness_reach(a, b, x, l):
     """Distance within which a higher-priority witness must exist, per chain
 
     length l >= 1: a * (a+1)^(l-1) * x + ((a+1)^l - 1) * b / a."""
-    assert l >= 1
+    if l < 1:
+        raise AssertionError("chain length l=%r must be >= 1" % (l,))
     if x == inf:
         return inf
     grow = (a + 1) ** (l - 1)

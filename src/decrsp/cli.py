@@ -147,6 +147,12 @@ def main(argv=None, out=None):
     except (GraphFormatError, UpdateError, ParamConfigError) as exc:
         sys.stderr.write("decrsp: error: %s\n" % (exc,))
         return 1
+    except OSError as exc:  # unreadable input or unwritable report file
+        detail = exc.strerror or str(exc)
+        if exc.filename is not None:
+            detail = "%s: %s" % (exc.filename, detail)
+        sys.stderr.write("decrsp: error: %s\n" % (detail,))
+        return 1
 
 
 def _run(args, out):

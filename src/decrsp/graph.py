@@ -5,21 +5,24 @@ update-driven structures in this package consume ``ChangeRecord`` objects
 produced by :meth:`DynamicGraph.apply_update`; the graph is mutated first,
 then the records are forwarded to whatever trees/balls/stacks are listening.
 
-Two lightweight views are provided:
+Two kinds of subgraph are provided:
 
-* :class:`InducedSubgraphView` restricts a graph to a node subset.  It holds
-  no edge data of its own, so parent mutations show through immediately.
+* :class:`InducedSnapshot` copies a graph's edges among a node subset.  It
+  does not follow the parent by itself; its owner applies each parent
+  change inside the subset to it (ball scopes in :mod:`decrsp.balls`).
 * :class:`ArtificialSourceView` adds one virtual node connected by zero-weight
   edges to a fixed attachment set (used to measure distance to a node set via
-  a single-source structure).
+  a single-source structure).  It holds no edge data of its own, so parent
+  mutations show through immediately.
 
-Both views support the same read protocol as ``DynamicGraph`` (``node_ids``,
+Both support the same read protocol as ``DynamicGraph`` (``node_ids``,
 ``neighbors``, ``edges``, ``weight``, ``filter_record``), which is all the
 shortest-path code needs.
 
 :class:`AdjacencyGraph` implements the edge reads of that protocol over a
-symmetric adjacency map; ``DynamicGraph`` and the scaled mirrors of
-:mod:`decrsp.layered` extend it with their own node sets and mutations.
+symmetric adjacency map; ``DynamicGraph``, ``InducedSnapshot`` and the scaled
+mirrors of :mod:`decrsp.layered` extend it with their own node sets and
+mutations.
 """
 
 from __future__ import annotations
@@ -256,17 +259,24 @@ def parse_update_stream(stream):
 # -- views ------------------------------------------------------------------
 
 
-class InducedSubgraphView:
-    """Read-only induced subgraph over a fixed node subset of a parent view."""
+class InducedSnapshot(AdjacencyGraph):
+    """A copy of a parent view's edges among a fixed node subset.
+
+    Each row lists the parent's neighbours in the parent's order, so a scan
+    sees the same sequence a live filter over the parent would.  After
+    construction the copy changes only through ``apply_record``: its owner
+    passes in each parent change whose endpoints both lie in the subset.
+    """
 
     def __init__(self, parent, nodes):
-        self.parent = parent
+        super().__init__(parent.max_weight)
         self.node_set = frozenset(nodes)
         self._ids = tuple(sorted(self.node_set))
-
-    @property
-    def max_weight(self):
-        return self.parent.max_weight
+        inside = self.node_set
+        for u in self._ids:
+            row = {v: w for v, w in parent.neighbors(u) if v in inside}
+            if row:
+                self._adj[u] = row
 
     def node_ids(self):
         return self._ids
@@ -277,36 +287,18 @@ class InducedSubgraphView:
     def has_node(self, u):
         return u in self.node_set
 
-    def has_edge(self, u, v):
-        return u in self.node_set and v in self.node_set and self.parent.has_edge(u, v)
-
-    def weight(self, u, v):
-        if not self.has_edge(u, v):
-            raise KeyError((u, v))
-        return self.parent.weight(u, v)
-
-    def neighbors(self, u):
-        if u not in self.node_set:
-            return
-        for v, w in self.parent.neighbors(u):
-            if v in self.node_set:
-                yield (v, w)
-
-    def edges(self):
-        for u in self._ids:
-            for v, w in self.neighbors(u):
-                if u < v:
-                    yield (u, v, w)
-
     def filter_record(self, rec):
-        if rec is None:
-            return None
-        rec = self.parent.filter_record(rec)
-        if rec is None:
-            return None
         if rec.u in self.node_set and rec.v in self.node_set:
             return rec
         return None
+
+    def apply_record(self, rec):
+        """Mirror one parent change on an edge inside the subset."""
+        u, v = rec.u, rec.v
+        if rec.kind == "delete":
+            del self._adj[u][v], self._adj[v][u]
+        else:
+            self._adj[u][v] = self._adj[v][u] = rec.new_weight
 
 
 class ArtificialSourceView:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,20 +150,29 @@ def generate_instance(
     pairs = _edge_topology(n, m, model, rng)
     edges = tuple((u, v, rng.randint(1, w_max)) for u, v in pairs)
     doomed = rng.sample(range(len(edges)), round(deletion_fraction * len(edges)))
-    live = {(u, v): w for u, v, w in edges}
+    weight = [w for _, _, w in edges]
+    # Indices of the live edges below w_max, ascending (edge order).
+    grow = [i for i, w in enumerate(weight) if w < w_max]
+
+    def stop_growing(i):
+        at = bisect_left(grow, i)
+        if at < len(grow) and grow[at] == i:
+            del grow[at]
+
     items = []
     for index in doomed:
         u, v, _ = edges[index]
         if query_rate and rng.random() < query_rate:
             items.append(QueryProbe(rng.randrange(n), rng.randrange(n)))
-        if increase_rate and rng.random() < increase_rate:
-            grow = [e for e, w in live.items() if w < w_max]
-            if grow:
-                eu, ev = grow[rng.randrange(len(grow))]
-                new_w = rng.randint(live[(eu, ev)] + 1, w_max)
-                live[(eu, ev)] = new_w
-                items.append(UpdateEvent("increase", eu, ev, new_w))
-        del live[(u, v)]
+        if increase_rate and rng.random() < increase_rate and grow:
+            pick = grow[rng.randrange(len(grow))]
+            eu, ev, _ = edges[pick]
+            new_w = rng.randint(weight[pick] + 1, w_max)
+            weight[pick] = new_w
+            if new_w == w_max:
+                stop_growing(pick)
+            items.append(UpdateEvent("increase", eu, ev, new_w))
+        stop_growing(index)
         items.append(UpdateEvent("delete", u, v))
     return Schedule(
         n=n,
@@ -444,7 +454,8 @@ def static_hopset_check(graph, p, delta, eps, seed, *, c=2.0, force_empty=False)
     report dict; raises AssertionError on any violated pair.
     """
     eps = Fraction(eps)
-    assert 0 < eps <= 1 and p >= 2 and delta >= 1
+    if not (0 < eps <= 1 and p >= 2 and delta >= 1):
+        raise AssertionError("need 0 < eps <= 1, p >= 2 and delta >= 1")
     nodes = sorted(graph.node_ids())
     dist = {u: cross_checked_distances(graph, u) for u in nodes}
     assignment = sample_priorities(graph, p, c, seed)
@@ -494,10 +505,11 @@ def static_hopset_check(graph, p, delta, eps, seed, *, c=2.0, force_empty=False)
                 finite_pairs += 1
                 vi = index_of[v]
                 first = next(h for h, row in enumerate(table) if row[vi] != inf)
-                assert first == hops[v], (
-                    "pair (%d, %d): first reachable at %d hops, exact is %d"
-                    % (u, v, first, hops[v])
-                )
+                if first != hops[v]:
+                    raise AssertionError(
+                        "pair (%d, %d): first reachable at %d hops, exact is %d"
+                        % (u, v, first, hops[v])
+                    )
             continue
         budgets = {v: p * ceil(Fraction(d) / delta) for v, d in finite.items()}
         rounds = max(budgets.values())
@@ -509,17 +521,19 @@ def static_hopset_check(graph, p, delta, eps, seed, *, c=2.0, force_empty=False)
             vi = index_of[v]
             curve = [row[vi] for row in table]
             at_budget = curve[min(budget, len(curve) - 1)]
-            assert at_budget <= (1 + eps) * d + additive, (
-                "pair (%d, %d): weight %s at %d hops exceeds additive allowance"
-                % (u, v, at_budget, budget)
-            )
+            if at_budget > (1 + eps) * d + additive:
+                raise AssertionError(
+                    "pair (%d, %d): weight %s at %d hops exceeds additive allowance"
+                    % (u, v, at_budget, budget)
+                )
             if d >= covered_floor:
                 covered_pairs += 1
                 target = (1 + 2 * eps) * d
-                assert at_budget <= target, (
-                    "pair (%d, %d): weight %s at %d hops exceeds (1+2eps)*dist=%s"
-                    % (u, v, at_budget, budget, target)
-                )
+                if at_budget > target:
+                    raise AssertionError(
+                        "pair (%d, %d): weight %s at %d hops exceeds (1+2eps)*dist=%s"
+                        % (u, v, at_budget, budget, target)
+                    )
                 needed = next(h for h, w in enumerate(curve) if w <= target)
                 worst_needed_hops = max(worst_needed_hops, needed)
 

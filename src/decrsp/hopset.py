@@ -32,7 +32,8 @@ from .monotone_tree import MonotoneEsTree
 
 def integer_root_ceil(value, p):
     """Smallest integer x >= 1 with x**p >= value, for a rational value >= 0."""
-    assert p >= 1
+    if p < 1:
+        raise AssertionError("root degree p=%r must be >= 1" % (p,))
     if value <= 1:
         return 1
     lo, hi = 1, 2  # lo**p < value; doubling stops once hi**p >= value
@@ -88,7 +89,8 @@ class ParamSeries:
         Equals (p+1) * ceil(max(dist - r_i, 0) / delta) + p + 1 - i; the
         root itself has budget 0.  ``dist`` may be inf (budget inf).
         """
-        assert 0 <= i < self.p
+        if not 0 <= i < self.p:
+            raise AssertionError("priority %r outside [0, %d)" % (i, self.p))
         if dist == inf:
             return inf
         over = Fraction(dist) - self.r[i]
@@ -105,6 +107,12 @@ def max_admissible_priority_count(a, eps, n):
     while base ** ((p + 1) * (p + 1)) <= n:
         p += 1
     return p
+
+
+def _identity(holds, what):
+    """An explicit check that also runs under ``python -O``."""
+    if not holds:
+        raise AssertionError("parameter identity fails: " + what)
 
 
 def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=True):
@@ -164,26 +172,28 @@ def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=T
     # correspondence and the radius closed form are only claimed from the
     # first derived radius onwards; r[0] is pinned to delta by definition
     # and does not satisfy either in general.
-    assert gamma[p - 1] == beta
+    _identity(gamma[p - 1] == beta, "gamma[p-1] == beta")
     wsum = Fraction(0)
     for i in range(p):
         if i >= 1:
-            assert eps * r[i] == gamma[0] - gamma[i] + beta
+            _identity(eps * r[i] == gamma[0] - gamma[i] + beta,
+                      "eps * r[%d] == gamma[0] - gamma[%d] + beta" % (i, i))
             bound_r = (
                 3 * 4 ** (i - 1) * a ** (3 * i) * delta
                 + (9 * 4 ** (i - 1) - 2) * a ** (3 * i - 1) * b
             ) / eps**i
-            assert r[i] <= bound_r
+            _identity(r[i] <= bound_r, "r[%d] <= its closed-form bound" % (i,))
         wsum += w[i]
         bound_w = (
             4**i * a ** (3 * i + 2) * delta + (3 * 4**i - 1) * a ** (3 * i + 1) * b
         ) / eps**i
-        assert wsum <= bound_w
+        _identity(wsum <= bound_w, "w[0] + ... + w[%d] <= its closed-form bound" % (i,))
     if admissible:
         # Consequences of the priority-count bound, checked without real
         # roots by raising both sides to the p-th power.
-        assert ((a * gamma_total + b) / (eps * delta)) ** p <= n
-        assert ((a * r[p - 1] + b) / delta) ** p <= n
+        _identity(((a * gamma_total + b) / (eps * delta)) ** p <= n,
+                  "((a * gamma_total + b) / (eps * delta))^p <= n")
+        _identity(((a * r[p - 1] + b) / delta) ** p <= n, "((a * r[p-1] + b) / delta)^p <= n")
 
     root_bound = integer_root_ceil(n, p)
     phi = eps * delta / (p + 1)

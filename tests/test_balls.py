@@ -596,3 +596,49 @@ def test_radius_follows_the_live_watcher_after_every_update(mode, seed):
                 assert system.radius(u) == expected, (u, watched)
                 checked += watched != inf
     assert checked > 0
+
+
+def assert_routing_state(system):
+    """The owners index inverts the scopes, and each live snapshot is the
+    current view induced on its scope, rows in the view's neighbour order."""
+    view = system.view
+    inverse = {}
+    for u in view.node_ids():
+        for v in system.scope(u):
+            inverse.setdefault(v, set()).add(u)
+    assert {v: owners for v, owners in system._owners.items() if owners} == inverse
+    live = 0
+    for u in view.node_ids():
+        scope, snapshot = system.scope(u), system._snapshot[u]
+        if snapshot is None:
+            assert scope == {u}
+            continue
+        live += 1
+        assert snapshot.node_set == scope
+        assert snapshot.max_weight == view.max_weight
+        for x in sorted(scope):
+            want = [(y, w) for y, w in view.neighbors(x) if y in scope]
+            assert list(snapshot.neighbors(x)) == want, (u, x)
+    return live
+
+
+@pytest.mark.parametrize("mode, seed", [("apsp", 3), ("apsp", 4), ("p4q3", 3), ("p4q3", 4)])
+def test_routing_index_and_snapshots_track_every_update(mode, seed):
+    sched = generate_instance(24, 48, 8, "erdos-renyi", 1.0, seed=seed, increase_rate=0.3)
+    graph = sched.build_graph()
+    if mode == "apsp":
+        state = ApspState(graph, 2, Fraction(1, 2), seed, c=0.25)
+        systems, step = [state.balls], state.process_update
+    else:
+        full = FullRangeSssp(graph, 0, Fraction(1, 2), p=4, q=3, seed=seed)
+        step = full.apply_event
+        systems = [s.top.balls for s in full.stacks if isinstance(s.top, LayerAssembly)]
+    assert systems
+    live = sum(assert_routing_state(system) for system in systems)
+    rebuilds = sum(sum(system.rebuild_counts.values()) for system in systems)
+    for event in sched.updates():
+        step(event)
+        live += sum(assert_routing_state(system) for system in systems)
+    # Scopes were rebuilt along the way, and snapshots were checked.
+    assert live > 0
+    assert sum(sum(system.rebuild_counts.values()) for system in systems) > rebuilds

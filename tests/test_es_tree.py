@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decrsp.es_tree import EsTree
-from decrsp.graph import ArtificialSourceView, DynamicGraph, InducedSubgraphView, UpdateEvent
+from decrsp.graph import ArtificialSourceView, DynamicGraph, InducedSnapshot, UpdateEvent
 from decrsp.oracle import dijkstra
 
 from test_graph_core import graph_from_edges, random_graph
@@ -123,7 +123,7 @@ def test_exactness_property(seed):
 
 def test_works_on_views():
     g = random_graph(16, 40, 5, seed=11)
-    sub = InducedSubgraphView(g, range(10))
+    sub = InducedSnapshot(g, range(10))
     t = EsTree(sub, 0, inf)
     levels_against_oracle(t, sub, 0, inf)
     art = ArtificialSourceView(g, attach=[2, 9, 13])

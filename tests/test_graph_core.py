@@ -19,7 +19,7 @@ from decrsp.graph import (
     ArtificialSourceView,
     DynamicGraph,
     GraphFormatError,
-    InducedSubgraphView,
+    InducedSnapshot,
     ParamConfigError,
     QueryProbe,
     UpdateError,
@@ -140,21 +140,25 @@ def test_edge_multiset_replay():
 
 def test_induced_subgraph_view():
     g = graph_from_edges(5, 9, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 1)])
-    sub = InducedSubgraphView(g, {0, 1, 2})
-    assert isinstance(sub, InducedSubgraphView)
+    sub = InducedSnapshot(g, {0, 1, 2})
+    assert isinstance(sub, InducedSnapshot)
     assert list(sub.edges()) == [(0, 1, 2), (1, 2, 3)]
     assert sub.has_edge(0, 1) and not sub.has_edge(0, 4)
-    # Parent mutations show through the view.
+    assert sub.max_weight == 9 and sub.node_ids() == (0, 1, 2)
+    # The snapshot takes a parent change only when its owner applies it.
     rec = g.apply_update(UpdateEvent("increase", 0, 1, 8))
-    assert sub.weight(0, 1) == 8
     assert sub.filter_record(rec) is rec
+    sub.apply_record(rec)
+    assert sub.weight(0, 1) == 8
+    sub.apply_record(g.apply_update(UpdateEvent("delete", 1, 2)))
+    assert list(sub.edges()) == [(0, 1, 8)]
     rec2 = g.apply_update(UpdateEvent("delete", 3, 4))
     assert sub.filter_record(rec2) is None
 
 
 def test_induced_distances_never_shorter():
     g = random_graph(14, 35, 6, seed=3)
-    sub = InducedSubgraphView(g, range(9))
+    sub = InducedSnapshot(g, range(9))
     full = dijkstra(g, 0)
     restricted = dijkstra(sub, 0)
     for v, d in restricted.items():
@@ -181,7 +185,7 @@ def test_view_checks_raise_typed_errors():
     with pytest.raises(ParamConfigError, match="attachment 7 outside parent view"):
         ArtificialSourceView(g, [7])
     with pytest.raises(KeyError):
-        InducedSubgraphView(g, {0, 1, 2}).weight(2, 3)
+        InducedSnapshot(g, {0, 1, 2}).weight(2, 3)
     view = ArtificialSourceView(g, [1])
     with pytest.raises(KeyError):
         view.weight(view.source_id, 0)

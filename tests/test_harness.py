@@ -96,6 +96,24 @@ def test_power_law_schedules_are_pinned(seed, n, m, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed, n, m, w_max, digest",
+    [
+        (41, 24, 48, 8, "d9b094789ad2d87a6a7a2155d1fe9210f11ed329d562069653eb2c1cc834c87f"),
+        (7, 24, 48, 8, "c3e42a2f6665fc9f8d4056216e6cb81d19b8be9f15f81d6169e74312f552e8c0"),
+        (1, 100, 400, 1024, "26494f8a64edd92962e48fca81fc959f391f236723f29e25eaa1f2306ad34c0d"),
+        (11, 100, 400, 1024, "5bbe86658b7b879e6be6a9cfa53348506915be263ad68452e9efb6f9b6b7e3a9"),
+        (3, 1000, 3000, 8, "de266974243880d1154a682f7cd64e972ed92cb6664e4943561bbbbed5757951"),
+    ],
+)
+def test_erdos_renyi_increase_schedules_are_pinned(seed, n, m, w_max, digest):
+    # Weight increases draw from the growable edges in edge order; the
+    # digests were taken from the list-rebuilding generator.
+    sched = generate_instance(n, m, w_max, "erdos-renyi", 1.0, seed, increase_rate=0.3)
+    text = sched.dump_graph() + sched.dump_updates()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_power_law_generation_needs_no_quadratic_pool():
     # A pool of all n(n-1)/2 pair indices peaks near 37 MB at n = 1000.
     generate_instance(20, 30, 8, "power-law", 1.0, seed=5)  # warm imports
@@ -324,6 +342,14 @@ CLI_REJECTIONS = {
                      "decrsp: error: argument --source: invalid int value: '1.5'"),
     "source-bool": (["sssp", "--source", "True"], 2,
                     "decrsp: error: argument --source: invalid int value: 'True'"),
+    # File paths are relative to an empty working directory.
+    "graph-missing": (["sssp", "--graph", "nope.txt"], 1,
+                      "decrsp: error: nope.txt: No such file or directory"),
+    "updates-missing": (["sssp", "--updates", "nope.txt"], 1,
+                        "decrsp: error: nope.txt: No such file or directory"),
+    "graph-directory": (["check", "--graph", "."], 1, "decrsp: error: .: Is a directory"),
+    "report-unwritable": (["bench", "--report", "no-dir/report.txt"], 1,
+                          "decrsp: error: no-dir/report.txt: No such file or directory"),
 }
 
 
@@ -335,12 +361,16 @@ def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
     args, code, message = CLI_REJECTIONS[case]
     gp = tmp_path / "g.txt"
     gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    work = tmp_path / "work"
+    work.mkdir()
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable] + (["-O"] if optimize else [])
-    cmd += ["-m", "decrsp.cli"] + args + ["--graph", str(gp)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    cmd += ["-m", "decrsp.cli"] + args
+    if "--graph" not in args:
+        cmd += ["--graph", str(gp)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, cwd=work)
     assert done.returncode == code
     assert done.stdout == ""
     lines = done.stderr.splitlines()

@@ -7,9 +7,13 @@ gamma_{p-1} = beta; gamma_i = gamma_{i+1} + (alpha+1+eps)*w_i) before the
 module existed, and are asserted here as literals.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +175,39 @@ def test_integer_root_ceil_is_tight(value, p):
 def test_integer_root_ceil_is_tight_beyond_float_range(value, p):
     x = integer_root_ceil(value, p)
     assert x**p >= value > (x - 1) ** p
+
+
+GUARDS_UNDER_OPTIMIZE = """
+from decrsp.balls import witness_reach
+from decrsp.harness import static_hopset_check
+from decrsp.hopset import derive_params, integer_root_ceil
+from decrsp.graph import DynamicGraph
+params = derive_params(1, 0, 2, 1, 1, 2, 2, 10, 8, enforce_bound=False)
+for call in (lambda: witness_reach(2, 1, 5, 0), lambda: integer_root_ceil(5, 0),
+             lambda: params.hop_budget(3, 2),
+             lambda: static_hopset_check(DynamicGraph(3), 1, 1, 1, seed=0)):
+    try:
+        print("returned", call())
+    except AssertionError as exc:
+        print("rejected", exc)
+"""
+
+
+def test_internal_guards_hold_under_optimize():
+    # Under -O a bare assert vanishes: witness_reach(2, 1, 5, 0) returned
+    # 3.33 and integer_root_ceil(5, 0) never returned.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", GUARDS_UNDER_OPTIMIZE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected chain length l=0 must be >= 1",
+        "rejected root degree p=0 must be >= 1",
+        "rejected priority 2 outside [0, 2)",
+        "rejected need 0 < eps <= 1, p >= 2 and delta >= 1",
+    ]
 
 
 @settings(max_examples=200)
