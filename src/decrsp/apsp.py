@@ -8,16 +8,19 @@ contains ``v``, keyed by the journaled estimate; the heap minimum is the
 cheapest priority-j witness reachable from ``v``.
 
 A pair query walks the priority ladder: the tail of a node ``x`` toward the
-target ``v`` is its stored ball estimate when ``v`` sits in ``x``'s ball,
+target ``v`` is its journaled ball estimate when ``v`` sits in ``x``'s ball,
 and otherwise the best witness-leg-plus-tail sum over the cheapest witness
 of each higher priority class.  Priorities strictly increase along the
-recursion, so one query computes at most k^k fresh tails.  Balls and
-witness heaps change only in ``process_update``, so a tail is the same for
-every query between two updates: the state keeps a ``(x, v) -> tail`` table
-that an update clears and queries share, and a query whose tails are all
-cached computes none.  The returned estimate never underestimates and stays
-within a ((2 + eps)^k - 1) stretch factor.  Every internal component runs at
-eps/7, which absorbs the error compounding of the witness chain.
+recursion, so one query computes at most k^k fresh tails.  The state keeps a
+``(x, v) -> tail`` table that queries share, and a query whose tails are all
+cached computes none.  A tail reads the journal entry ``(x, v)``, the witness
+tops of ``x`` above its priority, and the tails it recursed into; all three
+change only when the ball journal is ingested, so an update drops exactly the
+tails whose journal entry it rewrote, the tails of every node whose top above
+its priority moved, and, through a reverse index, every cached tail that read
+a dropped one.  The returned estimate never underestimates and stays within
+a ((2 + eps)^k - 1) stretch factor.  Every internal component runs at eps/7,
+which absorbs the error compounding of the witness chain.
 """
 
 from __future__ import annotations
@@ -69,7 +72,13 @@ class ApspState:
         )
         self._keys = {}  # (owner, member) -> journaled estimate
         self._answers = {}  # (u, v) -> largest answer returned so far
-        self._tails = {}  # (x, v) -> tail from x toward v; cleared by each update
+        # x -> {v: tail from x toward v}, one row per node so that a node's
+        # whole row can be dropped at once.
+        self._tails = {v: {} for v in graph.node_ids()}
+        # owner -> {v: {x}}: the cached tails (x, v) that read tail (owner, v).
+        self._readers = {v: {} for v in graph.node_ids()}
+        self._tails_computed = 0
+        self._tails_dropped = 0
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
         self.last_query_expansions = 0
         for owner, table in self.balls.initial_membership().items():
@@ -77,6 +86,15 @@ class ApspState:
             for member, est in table.items():
                 self._keys[(owner, member)] = est
                 heapq.heappush(self._heaps[member][j], (est, owner))
+
+    def stats(self):
+        """Journal and tail-table sizes, plus two counters that never decrease."""
+        return {
+            "heap_pairs": len(self._keys),
+            "tails_cached": sum(map(len, self._tails.values())),
+            "tails_computed": self._tails_computed,
+            "tails_dropped": self._tails_dropped,
+        }
 
     # -- witness heaps --------------------------------------------------------
 
@@ -101,20 +119,57 @@ class ApspState:
         return owner, est
 
     def _ingest(self, events):
-        touched = set()
+        """Apply a journal batch to the keys and heaps, then drop every cached
+        tail that read a journal entry or a witness top the batch changed."""
+        priority_of = self.assignment.priority_of
+        tops = {}  # (member, j) -> heap top before this batch
+        stale = []  # (x, v) of tails whose journal entry changed
         for event in events:
             owner, member = event.owner, event.member
-            j = self.assignment.priority_of(owner)
+            j = priority_of(owner)
+            heap = self._heaps[member][j]
+            if (member, j) not in tops:
+                tops[(member, j)] = heap[0] if heap else None
             if event.kind == LEAVE:
                 self._keys.pop((owner, member), None)
             else:  # JOIN and EST both (re)key the pair
                 self._keys[(owner, member)] = event.estimate
-                heapq.heappush(self._heaps[member][j], (event.estimate, owner))
-            touched.add((member, j))
-        for v, j in touched:
+                heapq.heappush(heap, (event.estimate, owner))
+            stale.append((owner, member))
+        rows = set()  # nodes with a witness top above their priority moved
+        for (v, j), top in tops.items():
             self._clean(v, j)
+            heap = self._heaps[v][j]
+            if j > priority_of(v) and (heap[0] if heap else None) != top:
+                rows.add(v)
+        self._drop_tails(stale, rows)
         if self.debug:
             self.check_heaps_against_journal()
+            self.check_tails_against_recursion()
+
+    def _drop_tails(self, stale, rows):
+        """Drop the tails named in ``stale``, the whole row of every node in
+        ``rows`` and, transitively, the readers of every dropped tail.
+
+        Only a cached tail has readers: ``_tail`` registers a reader of a tail
+        it has just read or stored, and dropping a tail drops its readers.
+        """
+        tails, readers = self._tails, self._readers
+        dropped = 0
+        for x in rows:
+            dropped += len(tails[x])
+            tails[x] = {}
+            for v, followers in readers[x].items():
+                stale += [(y, v) for y in followers]
+            readers[x] = {}
+        while stale:
+            x, v = stale.pop()
+            if tails[x].pop(v, None) is not None:
+                dropped += 1
+                followers = readers[x].pop(v, None)
+                if followers:
+                    stale += [(y, v) for y in followers]
+        self._tails_dropped += dropped
 
     def check_heaps_against_journal(self):
         """Heap minima must equal brute-force minima over the journaled keys."""
@@ -131,16 +186,46 @@ class ApspState:
                 if top != (None if want is None else (want[1], want[0])):
                     raise AssertionError((v, j, top, want))
 
+    def check_tails_against_recursion(self):
+        """Every cached tail must equal the witness-chain recursion from scratch."""
+
+        def fresh(x, v):
+            tail = self._keys.get((x, v), inf)
+            if tail == inf:
+                for j in range(self.assignment.priority_of(x) + 1, self.k):
+                    top = self.witness(x, j)
+                    if top is not None:
+                        tail = min(tail, top[1] + fresh(top[0], v))
+            return tail
+
+        for x, row in self._tails.items():
+            for v, tail in row.items():
+                want = fresh(x, v)
+                if tail != want:
+                    raise AssertionError("cached tail %r is %s, recursion gives %s"
+                                         % ((x, v), tail, want))
+
     # -- updates ----------------------------------------------------------------
 
     def process_update(self, event):
-        """Advance the graph, the balls, and the witness heaps by one change."""
-        # Cleared before anything moves, so an update that raises leaves no
-        # tail computed against the old balls.
-        self._tails.clear()
+        """Advance the graph, the balls, and the witness heaps by one change.
+
+        A rejected update raises ``UpdateError`` before anything moves, so the
+        tail table stays.  Any failure after the graph changed drops the whole
+        table, so no tail survives that was computed against a half-applied
+        update.
+        """
         record = self.graph.apply_update(event)
-        changes = self.balls.process_update(record)
-        self._ingest(changes.events)
+        try:
+            changes = self.balls.process_update(record)
+            self._ingest(changes.events)
+        except BaseException:
+            for row in self._tails.values():
+                self._tails_dropped += len(row)
+                row.clear()
+            for row in self._readers.values():
+                row.clear()
+            raise
 
     # -- queries ----------------------------------------------------------------
 
@@ -149,6 +234,8 @@ class ApspState:
 
         ``last_query_expansions`` counts the tails this call computed: at
         most k^k, and 0 when every tail it needed was already in the table.
+        Tails stay cached across updates; each update drops only those whose
+        journal entry, witness tops or recursed-into tails it changed.
         A cheaper witness chain can appear as balls and witnesses change, so
         the answer is clamped to the largest one returned before for the
         pair.  The clamped value stays sound and within the stretch bound
@@ -163,10 +250,13 @@ class ApspState:
                 if not self.graph.has_node(x):
                     raise ParamConfigError("node %r is not in the graph" % (x,))
             prev = 0
-        self.last_query_expansions = 0
-        tail = self._tails.get(key)
+        tail = self._tails[u].get(v)
         if tail is None:
+            computed = self._tails_computed
             tail = self._tail(u, v)
+            self.last_query_expansions = self._tails_computed - computed
+        else:
+            self.last_query_expansions = 0
         answer = prev if prev > tail else tail
         self._answers[key] = answer
         return answer
@@ -174,17 +264,18 @@ class ApspState:
     def _tail(self, x, v):
         """Best estimate from x to v along x's ball or a witness chain; the
         caller has found no table entry for (x, v)."""
-        self.last_query_expansions += 1
-        tail = self.balls.estimate(x, v)
+        self._tails_computed += 1
+        tail = self._keys.get((x, v), inf)
         if tail == inf:
             for j in range(self.assignment.priority_of(x) + 1, self.k):
                 top = self.witness(x, j)
                 if top is not None:
                     owner, leg = top
-                    rest = self._tails.get((owner, v))
+                    rest = self._tails[owner].get(v)
                     if rest is None:
                         rest = self._tail(owner, v)
+                    self._readers[owner].setdefault(v, set()).add(x)
                     if leg + rest < tail:
                         tail = leg + rest
-        self._tails[(x, v)] = tail
+        self._tails[x][v] = tail
         return tail

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil, inf, isqrt
 
 from .apsp import ApspState
 from .es_tree import EsTree
@@ -79,15 +79,15 @@ class Schedule:
 
 
 def _unrank_pair(index, n):
-    """The index-th pair (u, v) with u < v in lexicographic order."""
-    u = 0
-    remaining = index
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        u += 1
-        row -= 1
-    return u, u + 1 + remaining
+    """The index-th pair (u, v) with u < v in lexicographic order.
+
+    Counted from the last pair, row ``n - 2 - r`` holds ``r + 1`` pairs, so
+    the last ``r (r + 1) / 2`` pairs fill rows ``n - 1 - r`` and up; invert
+    that triangular number with one integer square root.
+    """
+    back = n * (n - 1) // 2 - 1 - index
+    r = (isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - r, n - 1 - (back - r * (r + 1) // 2)
 
 
 def _edge_topology(n, m, model, rng):
@@ -394,7 +394,7 @@ def collect_work_counters(mode, structure):
     if mode == "sssp":
         return _full_range_work(structure)
     return {
-        "apsp_heap_pairs": len(structure._keys),
+        "apsp_heap_pairs": structure.stats()["heap_pairs"],
         "ball_rebuilds": sum(structure.balls.rebuild_counts.values()),
     }
 

@@ -5,11 +5,18 @@ against a brute-force minimum recomputed from the live ball memberships
 (an independent replay of the same journal the heaps consume).
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
@@ -165,10 +172,11 @@ def test_ingest_mechanics_on_synthetic_journal():
     assert state.witness(5, 0) == (1, 4)  # ties break toward the smaller id
 
 
-def test_update_with_no_ball_changes_leaves_heaps_alone():
+def test_update_with_no_ball_changes_leaves_heaps_alone(monkeypatch):
     g = DynamicGraph(6, 4)
     g.add_edge(0, 1, 2)
-    g.add_edge(1, 2, 3)
+    g.add_edge(1, 2, 2)
+    g.add_edge(0, 2, 4)  # ties the path through 1
     g.add_edge(3, 4, 1)
     g.add_edge(4, 5, 1)
     g.add_edge(3, 5, 1)
@@ -189,6 +197,21 @@ def test_update_with_no_ball_changes_leaves_heaps_alone():
         for (o, m), est in before_keys.items()
         if o in (0, 1, 2) and m in (0, 1, 2)
     )
+    # Deleting the tied edge moves no ball, so every cached tail survives it.
+    pairs = [(a, b) for a in g.node_ids() for b in g.node_ids()]
+    for a, b in pairs:
+        state.query(a, b)
+    batches = []
+    ball_update = state.balls.process_update
+    monkeypatch.setattr(state.balls, "process_update",
+                        lambda record: batches.append(ball_update(record)) or batches[-1])
+    state.process_update(UpdateEvent("delete", 0, 2))
+    assert batches[0].events == ()
+    computed = state.stats()["tails_computed"]
+    for a, b in pairs:
+        state.query(a, b)
+        assert state.last_query_expansions == 0
+    assert state.stats()["tails_computed"] == computed
 
 
 def test_queries_are_read_only():
@@ -331,7 +354,7 @@ def test_pair_answers_never_decrease_through_full_drain(seed):
 
 @pytest.mark.parametrize("k, seed", [(2, 1), (2, 2), (3, 3)])
 def test_shared_tails_equal_a_fresh_recomputation(k, seed):
-    # Tails are shared by every query between two updates; each answer must
+    # Tails are shared by queries and kept across updates; each answer must
     # still be exactly what a fresh walk of the witness chains gives, clamped
     # to the pair's previous answer, in any query order.
     n, m, w_max = 20, 40, 8
@@ -371,3 +394,187 @@ def test_shared_tails_equal_a_fresh_recomputation(k, seed):
             state.process_update(UpdateEvent("delete", a, b))
         sweep()
         step += 1
+
+
+# -- tails kept across updates ---------------------------------------------------
+
+
+def sweep_against_reference(state, pairs, last):
+    """Query every pair; each answer is the fresh recursion clamped to the last."""
+    for u, v in pairs:
+        want = max(reference_tail(state, u, v), last.get((u, v), 0))
+        assert state.query(u, v) == want, (u, v)
+        last[(u, v)] = want
+
+
+def test_rejected_update_keeps_tails_and_a_fault_drops_them(monkeypatch):
+    n, w_max = 20, 8
+    g = random_graph(n, 40, w_max, seed=71)
+    state = ApspState(g, 2, Fraction(1, 2), seed=4, c=0.3, debug=True)
+    rng = random.Random(4)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    last = {}
+    sweep_against_reference(state, pairs, last)
+    before = {x: dict(row) for x, row in state._tails.items()}
+    absent = next((a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b))
+    a, b, w = next(iter(g.edges()))
+    for bad in (UpdateEvent("delete", *absent), UpdateEvent("increase", a, b, w),
+                UpdateEvent("increase", a, b, w_max + 1)):
+        with pytest.raises(UpdateError):
+            state.process_update(bad)
+        assert state._tails == before
+    ball_update = state.balls.process_update
+
+    def fail_once(record):
+        monkeypatch.setattr(state.balls, "process_update", ball_update)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(state.balls, "process_update", fail_once)
+    stats = state.stats()
+    with pytest.raises(RuntimeError, match="injected"):
+        state.process_update(UpdateEvent("delete", a, b))
+    assert not any(state._tails.values()) and not any(state._readers.values())
+    assert state.stats()["tails_cached"] == 0
+    assert state.stats()["tails_dropped"] == stats["tails_dropped"] + stats["tails_cached"]
+    sweep_against_reference(state, pairs, last)
+    for _ in range(5):
+        u, v, _ = rng.choice(list(g.edges()))
+        state.process_update(UpdateEvent("delete", u, v))
+        sweep_against_reference(state, pairs, last)
+
+
+AUDIT_PLANT = """
+from fractions import Fraction
+from decrsp.apsp import ApspState
+from decrsp.graph import DynamicGraph, UpdateEvent
+g = DynamicGraph(6, 4)
+for u, v, w in [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1), (3, 5, 1)]:
+    g.add_edge(u, v, w)
+state = ApspState(g, 2, Fraction(1, 2), seed=6, debug=True)
+state.query(0, 2)
+state._tails[0][2] += 1  # stale: no update below touches the 0-1-2 side
+try:
+    state.process_update(UpdateEvent("delete", 3, 4))
+except AssertionError as exc:
+    print("audit:", exc)
+"""
+
+
+def test_debug_audit_catches_a_stale_tail_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", AUDIT_PLANT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["audit: cached tail (0, 2) is 5, recursion gives 4"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
+    g = random_graph(16, 32, 8, seed=80 + seed)
+    state = ApspState(g, 2, Fraction(1, 2), seed=seed, c=0.3)
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    prev = state.stats()
+    assert set(prev) == {"heap_pairs", "tails_cached", "tails_computed", "tails_dropped"}
+    assert prev["heap_pairs"] == len(state._keys)
+    while True:
+        for u, v in pairs:
+            state.query(u, v)
+        stats = state.stats()
+        assert set(stats) == set(prev)
+        assert stats["tails_cached"] == len(pairs)
+        for counter in ("tails_computed", "tails_dropped"):
+            assert stats[counter] >= prev[counter]
+        assert stats["tails_computed"] - stats["tails_dropped"] == stats["tails_cached"]
+        prev = stats
+        live = list(g.edges())
+        if not live:
+            break
+        a, b, _ = rng.choice(live)
+        state.process_update(UpdateEvent("delete", a, b))
+
+
+class ApspMachine(RuleBasedStateMachine):
+    """Deletes, increases, rejected updates and shuffled query sweeps on a
+    small graph; after every step each answer is the fresh witness-chain
+    recursion clamped to the pair's previous answer, sound and in bound."""
+
+    EPS = Fraction(1, 2)
+
+    @initialize(k=st.sampled_from([2, 3]), n=st.integers(8, 12), w_max=st.integers(1, 16),
+                seed=st.integers(0, 1000))
+    def build(self, k, n, w_max, seed):
+        rng = random.Random(seed)
+        self.graph = random_graph(n, rng.randint(n, 2 * n), w_max, seed=seed)
+        self.state = ApspState(self.graph, k, self.EPS, seed=seed, c=0.4, debug=True)
+        self.bound = (2 + self.EPS) ** k - 1
+        self.pairs = [(u, v) for u in range(n) for v in range(n)]
+        self.rng = rng
+        self.last = {}
+
+    def pick(self, index, weight_below=None):
+        edges = [e for e in self.graph.edges() if weight_below is None or e[2] < weight_below]
+        return edges[index % len(edges)] if edges else None
+
+    @rule(index=st.integers(0, 10**6))
+    def delete(self, index):
+        edge = self.pick(index)
+        if edge is not None:
+            self.state.process_update(UpdateEvent("delete", edge[0], edge[1]))
+
+    @rule(index=st.integers(0, 10**6), bump=st.integers(1, 15))
+    def increase(self, index, bump):
+        edge = self.pick(index, self.graph.max_weight)
+        if edge is not None:
+            u, v, w = edge
+            new = min(w + bump, self.graph.max_weight)
+            self.state.process_update(UpdateEvent("increase", u, v, new))
+
+    @rule(index=st.integers(0, 10**6), kind=st.sampled_from(["absent", "same", "over"]))
+    def rejected(self, index, kind):
+        n = self.graph.n
+        if kind == "absent":
+            missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if not self.graph.has_edge(a, b)]
+            bad = UpdateEvent("delete", *missing[index % len(missing)])
+        else:
+            edge = self.pick(index)
+            if edge is None:
+                return
+            u, v, w = edge
+            bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
+        tails = {x: dict(row) for x, row in self.state._tails.items()}
+        with pytest.raises(UpdateError):
+            self.state.process_update(bad)
+        assert self.state._tails == tails
+
+    @rule(shuffle=st.randoms(use_true_random=False))
+    def sweep(self, shuffle):
+        # The invariant has just answered every pair, so all tails are cached.
+        pairs = list(self.pairs)
+        shuffle.shuffle(pairs)
+        for u, v in pairs:
+            assert self.state.query(u, v) == self.last[(u, v)]
+            assert self.state.last_query_expansions == 0
+
+    @invariant()
+    def answers_match_the_recursion(self):
+        self.rng.shuffle(self.pairs)
+        dist = {u: dijkstra_bounded(self.graph, u, inf) for u in self.graph.node_ids()}
+        for u, v in self.pairs:
+            want = max(reference_tail(self.state, u, v), self.last.get((u, v), 0))
+            est = self.state.query(u, v)
+            assert est == want, (u, v)
+            assert self.state.last_query_expansions <= self.state.k ** self.state.k
+            d = dist[u].get(v, inf)
+            assert est >= d
+            assert est == d == inf or est <= self.bound * d
+            self.last[(u, v)] = est
+
+
+ApspMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=15, derandomize=True, deadline=None
+)
+test_apsp_state_machine = ApspMachine.TestCase

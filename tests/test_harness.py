@@ -17,6 +17,7 @@ from decrsp.graph import DynamicGraph, QueryProbe, UpdateEvent, load_graph, pars
 from decrsp.harness import (
     RunConfig,
     ScheduleError,
+    _unrank_pair,
     generate_instance,
     run_with_oracle,
     static_hopset_check,
@@ -112,6 +113,37 @@ def test_erdos_renyi_increase_schedules_are_pinned(seed, n, m, w_max, digest):
     sched = generate_instance(n, m, w_max, "erdos-renyi", 1.0, seed, increase_rate=0.3)
     text = sched.dump_graph() + sched.dump_updates()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, w_max, digest",
+    [
+        (7, 24, 48, 8, "f0b3440197b64b40c7be6fd05bef1b1dd0a22d5b3d2c726172880fac6b0c3a3c"),
+        (41, 24, 48, 8, "9b986273f26d93fc02a9a5da6fb3b49b5187f4337a8be50c5ffb7b8422d0b5d9"),
+        (1, 100, 400, 1024, "c60d801096fc4ba6a40bdbf1897f0e010b164a43acd797ac29a9974b6e5ee592"),
+        (11, 100, 400, 1024, "32ebc6f04e24da4ea166a97be067340c4ed4dec7672dfdec79e19ae9e064c39f"),
+        (5, 3000, 12000, 8, "2f46a5d73ae3608494d8e6c94df8cfecd77451b0c58519068b2a3ccef2f77505"),
+    ],
+)
+def test_erdos_renyi_pair_lists_are_pinned(seed, n, m, w_max, digest):
+    # The digests were taken from the row-walking pair unranking.
+    sched = generate_instance(n, m, w_max, "erdos-renyi", 1.0, seed)
+    text = "".join("%d %d\n" % (u, v) for u, v, _ in sched.build_graph().edges())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pair_unranking_matches_the_row_walk():
+    def row_walk(index, n):
+        u, row = 0, n - 1
+        while index >= row:
+            index -= row
+            u += 1
+            row -= 1
+        return u, u + 1 + index
+
+    for n in range(2, 40):
+        for index in range(n * (n - 1) // 2):
+            assert _unrank_pair(index, n) == row_walk(index, n)
 
 
 def test_power_law_generation_needs_no_quadratic_pool():
