@@ -13,14 +13,15 @@ and otherwise the best witness-leg-plus-tail sum over the cheapest witness
 of each higher priority class.  Priorities strictly increase along the
 recursion, so one query computes at most k^k fresh tails.  The state keeps a
 ``(x, v) -> tail`` table that queries share, and a query whose tails are all
-cached computes none.  A tail reads the journal entry ``(x, v)``, the witness
-tops of ``x`` above its priority, and the tails it recursed into; all three
-change only when the ball journal is ingested, so an update drops exactly the
-tails whose journal entry it rewrote, the tails of every node whose top above
-its priority moved, and, through a reverse index, every cached tail that read
-a dropped one.  The returned estimate never underestimates and stays within
-a ((2 + eps)^k - 1) stretch factor.  Every internal component runs at eps/7,
-which absorbs the error compounding of the witness chain.
+cached computes none.  A tail reads the journal entry ``(x, v)`` and, when
+there is none, the witness tops of ``x`` above its priority and their tails
+toward ``v``; all of these change only when the ball journal is ingested, so
+an update drops exactly the tails whose journal entry it rewrote, the tails
+of every node whose top above its priority moved, and, through a reverse
+index, every cached tail that read a dropped one.  The returned estimate
+never underestimates and stays within a ((2 + eps)^k - 1) stretch factor.
+Every internal component runs at eps/7, which absorbs the error compounding
+of the witness chain.
 """
 
 from __future__ import annotations
@@ -75,8 +76,12 @@ class ApspState:
         # x -> {v: tail from x toward v}, one row per node so that a node's
         # whole row can be dropped at once.
         self._tails = {v: {} for v in graph.node_ids()}
-        # owner -> {v: {x}}: the cached tails (x, v) that read tail (owner, v).
-        self._readers = {v: {} for v in graph.node_ids()}
+        # x -> the witness tops that x's cached tails without a journal entry
+        # read: every such tail reads all of them, and they cannot move
+        # without dropping x's row, so one tuple per row names them.
+        # owner -> {x} is its inverse: x's tail toward v read (owner, v).
+        self._reads = {v: () for v in graph.node_ids()}
+        self._readers = {v: set() for v in graph.node_ids()}
         self._tails_computed = 0
         self._tails_dropped = 0
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
@@ -151,24 +156,25 @@ class ApspState:
         """Drop the tails named in ``stale``, the whole row of every node in
         ``rows`` and, transitively, the readers of every dropped tail.
 
-        Only a cached tail has readers: ``_tail`` registers a reader of a tail
-        it has just read or stored, and dropping a tail drops its readers.
+        The readers of a tail (x, v) are the cached tails (y, v) without a
+        journal entry whose node y has x among its witness tops.  A dropped
+        row leaves the reader sets of its tops, so a row recomputed through
+        other witnesses is not dropped again for its old ones.
         """
-        tails, readers = self._tails, self._readers
+        tails, keys, readers, reads = self._tails, self._keys, self._readers, self._reads
         dropped = 0
         for x in rows:
             dropped += len(tails[x])
             tails[x] = {}
-            for v, followers in readers[x].items():
-                stale += [(y, v) for y in followers]
-            readers[x] = {}
+            for owner in reads[x]:
+                readers[owner].discard(x)
+            reads[x] = ()
+            stale += [(y, v) for y in readers[x] for v in tails[y] if (y, v) not in keys]
         while stale:
             x, v = stale.pop()
             if tails[x].pop(v, None) is not None:
                 dropped += 1
-                followers = readers[x].pop(v, None)
-                if followers:
-                    stale += [(y, v) for y in followers]
+                stale += [(y, v) for y in readers[x] if v in tails[y] and (y, v) not in keys]
         self._tails_dropped += dropped
 
     def check_heaps_against_journal(self):
@@ -187,7 +193,9 @@ class ApspState:
                     raise AssertionError((v, j, top, want))
 
     def check_tails_against_recursion(self):
-        """Every cached tail must equal the witness-chain recursion from scratch."""
+        """Every cached tail must equal the witness-chain recursion from scratch,
+        and the reader index must name exactly the witness tops that the
+        cached tails read."""
 
         def fresh(x, v):
             tail = self._keys.get((x, v), inf)
@@ -198,12 +206,25 @@ class ApspState:
                         tail = min(tail, top[1] + fresh(top[0], v))
             return tail
 
+        readers = {x: set() for x in self._tails}
         for x, row in self._tails.items():
             for v, tail in row.items():
                 want = fresh(x, v)
                 if tail != want:
                     raise AssertionError("cached tail %r is %s, recursion gives %s"
                                          % ((x, v), tail, want))
+            tops = [self.witness(x, j) for j in range(self.assignment.priority_of(x) + 1, self.k)]
+            tops = tuple(top[0] for top in tops if top is not None)
+            # A row may keep its tops registered after its last reading tail
+            # left one by one; it must name them while such a tail is cached.
+            reading = tops and any((x, v) not in self._keys for v in row)
+            if self._reads[x] not in ((), tops) or (reading and not self._reads[x]):
+                raise AssertionError("row %r names witness tops %r, its tails read %r"
+                                     % (x, self._reads[x], tops))
+            for owner in self._reads[x]:
+                readers[owner].add(x)
+        if readers != self._readers:
+            raise AssertionError("reader sets are not the inverse of the rows' witness tops")
 
     # -- updates ----------------------------------------------------------------
 
@@ -223,8 +244,9 @@ class ApspState:
             for row in self._tails.values():
                 self._tails_dropped += len(row)
                 row.clear()
-            for row in self._readers.values():
-                row.clear()
+            for x in self._reads:
+                self._reads[x] = ()
+                self._readers[x].clear()
             raise
 
     # -- queries ----------------------------------------------------------------
@@ -267,6 +289,7 @@ class ApspState:
         self._tails_computed += 1
         tail = self._keys.get((x, v), inf)
         if tail == inf:
+            owners = []
             for j in range(self.assignment.priority_of(x) + 1, self.k):
                 top = self.witness(x, j)
                 if top is not None:
@@ -274,8 +297,12 @@ class ApspState:
                     rest = self._tails[owner].get(v)
                     if rest is None:
                         rest = self._tail(owner, v)
-                    self._readers[owner].setdefault(v, set()).add(x)
+                    owners.append(owner)
                     if leg + rest < tail:
                         tail = leg + rest
+            if owners and not self._reads[x]:
+                self._reads[x] = tuple(owners)
+                for owner in owners:
+                    self._readers[owner].add(x)
         self._tails[x][v] = tail
         return tail

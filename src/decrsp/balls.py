@@ -208,7 +208,9 @@ class BallSystem:
         """
         self._radius[u] = new_radius
         self.rebuild_counts[u] += 1
-        scope = frozenset(dijkstra_bounded(self.view, u, new_radius))
+        # Weights are ints, so floor(radius) bounds the same scope in ints.
+        bound = new_radius if new_radius == inf else math.floor(new_radius)
+        scope = frozenset(dijkstra_bounded(self.view, u, bound))
         owners = self._owners
         for v in self._scope.get(u, ()):
             owners[v].discard(u)

@@ -7,7 +7,8 @@ effective weight between two endpoints is then automatically the minimum
 over live parallel keys).  Any edge heavier than the admission cap is left
 out.  Every admitted weight is divided by the rounding grain ``phi`` and
 rounded up to an integer, and a monotone single-source tree runs on the
-result; distance estimates are tree levels multiplied back by ``phi``.
+result; distance estimates are tree levels multiplied back by ``phi``, or
+kept as ints over ``phi``'s denominator (levels times its numerator).
 
 The parameter block precomputes the coupled series of radii ``r_i``, reach
 bounds ``s_i``, weight budgets ``w_i`` and additive-error terms ``gamma_i``
@@ -79,9 +80,14 @@ class ParamSeries:
     gamma: tuple  # per-priority additive error terms, gamma[p-1] = beta
     gamma_total: Fraction  # gamma[0] + 2*eps*delta
 
+    def __post_init__(self):
+        # phi's numerator and denominator as plain ints, read per weight.
+        object.__setattr__(self, "_phi_num", self.phi.numerator)
+        object.__setattr__(self, "_phi_den", self.phi.denominator)
+
     def round_weight(self, weight):
         """Scaled integer weight: smallest k with k*phi >= weight."""
-        return -(-weight * self.phi.denominator // self.phi.numerator)
+        return -(-weight * self._phi_den // self._phi_num)
 
     def hop_budget(self, dist, i):
         """Hop allowance for a node of priority i at the given distance.
@@ -276,6 +282,11 @@ class ShortcutGraph:
         level = self.tree.level_of(node)
         return inf if level == inf else level * self.params.phi
 
+    def scaled_query(self, node):
+        """The estimate as an int over ``params.phi.denominator``: the tree
+        level times the grain's numerator (inf stays inf)."""
+        return self.tree.level_of(node) * self.params._phi_num
+
     # -- internal edge traffic --------------------------------------------------
 
     def _tree_insert(self, key, u, v, weight):
@@ -333,7 +344,8 @@ def shortcut_process_update(sg, record, ball_changes):
     Tree traffic goes in one batch: shortcut insertions first, then the
     base-graph deletion/increase, then shortcut weight increases and
     removals.  Returns the sorted list of (node, estimate) pairs whose
-    estimate changed (estimate may be inf).
+    estimate changed, each estimate an int over ``params.phi.denominator``
+    as ``sg.scaled_query`` gives it (inf stays inf).
     """
     params = sg.params
     tree = sg.tree
@@ -380,5 +392,5 @@ def shortcut_process_update(sg, record, ball_changes):
     if sg.debug:
         sg.check_sandwich()
         sg.check_shortcut_mirror()
-    phi = params.phi
-    return [(node, inf if lev == inf else lev * phi) for node, lev in changes]
+    num = params._phi_num
+    return [(node, lev * num) for node, lev in changes]

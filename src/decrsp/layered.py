@@ -79,6 +79,60 @@ def layer_scales(range_bound, q):
     return scales
 
 
+class StackPlan:
+    """What a layer stack derives from its node count, range and eps alone.
+
+    Holds the priority and layer counts, the mode, and in layered mode the
+    layer scales, eps' and one shortcut ``ParamSeries``, whose identity
+    checks run when the plan is made.  The bands of a ``FullRangeSssp``
+    share the node count, range and eps, so one plan serves all of them.
+    ``denominator`` is the common denominator of a stack's integer
+    estimates: 1 in exact mode, that of the shortcut grain phi otherwise.
+    """
+
+    def __init__(self, n, range_bound, eps, p=None, q=None):
+        eps = Fraction(eps)
+        if not (0 < eps <= 1):
+            raise ParamConfigError("need 0 < eps <= 1, got %s" % (eps,))
+        self.range_bound = Fraction(range_bound)
+        if self.range_bound < n:
+            raise ParamConfigError(
+                "range %s must be at least the node count %d" % (range_bound, n)
+            )
+        if p is None or q is None:
+            default_p, default_q = default_layer_counts(n, eps)
+            p = default_p if p is None else p
+            q = default_q if q is None else q
+        self.p, self.q = p, q
+        self.denominator = 1
+        if q < 3:
+            self.mode = "exact"
+            return
+        if q > 3:
+            raise ParamConfigError(
+                "layer count q=%d unsupported: q < 3 runs exact trees, q = 3 one "
+                "shortcut layer" % (q,)
+            )
+        if p < 2:
+            raise ParamConfigError("layered mode needs priority count p >= 2, got %d" % (p,))
+        self.mode = "layered"
+        self.eps_prime = eps / 2
+        self.scales = tuple(layer_scales(self.range_bound, 3))
+        (_, ball_depth), (delta, depth) = self.scales
+        root_bound = integer_root_ceil(n, p)
+        if root_bound * delta > ball_depth:
+            raise ParamConfigError(
+                "scale ladder too tight at layer 1: %d * %d > %d"
+                % (root_bound, delta, ball_depth)
+            )
+        # The largest weight the shortcut layer's tree will hold: its weight
+        # cap, rounded by its grain eps' * delta / (p + 1).
+        self.heaviest = (depth + root_bound * delta) * (p + 1) / (self.eps_prime * delta)
+        self.params = derive_params(1, 0, 2, 1, self.eps_prime, p, delta, depth, n,
+                                    enforce_bound=False)
+        self.denominator = self.params.phi.denominator
+
+
 class LayerAssembly:
     """The shortcut layer of a two-layer stack over ``view``.
 
@@ -88,23 +142,26 @@ class LayerAssembly:
     ``depth``.  The estimate is the per-node minimum of ``lower`` and the
     shortcut graph.
 
-    Satisfies the ball-system contract: ``query(node)`` plus
-    ``process_update(record) -> [(node, new_estimate)]`` with estimates
-    that never underestimate and never decrease.
+    Estimates are ints over ``denominator``, the denominator of the shortcut
+    grain phi = A / B: a lower-tree level d is held as d * B and a shortcut
+    level l as l * A, so the minimum compares ints.  ``query(node)`` and
+    ``process_update(record) -> [(node, new_estimate)]`` report these ints
+    (or inf); they never underestimate and never decrease.
     """
 
-    def __init__(self, view, root, depth, *, p, c, eps_prime, scales, seed, debug):
-        (_, ball_depth), (delta, _) = scales
+    def __init__(self, view, root, plan, *, c, seed, debug):
+        (_, ball_depth), (_, depth) = plan.scales
+        self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
-        self.assignment = sample_priorities(view, p, c, seed)
+        self.assignment = sample_priorities(view, plan.p, c, seed)
         self.balls = BallSystem(view, self.assignment, EsTree, alpha=1, beta=0,
                                 depth=ball_depth, bucket_eps=1)
-        self.params = derive_params(1, 0, 2, 1, eps_prime, p, delta, depth,
-                                    view.node_count(), enforce_bound=False)
+        self.params = plan.params
         self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=debug)
-        self._est = {
-            v: min(self.lower.query(v), self.sg.query(v)) for v in view.node_ids()
-        }
+        self._est = {v: self._estimate(v) for v in view.node_ids()}
+
+    def _estimate(self, node):
+        return min(self.lower.query(node) * self.denominator, self.sg.scaled_query(node))
 
     def query(self, node):
         return self._est.get(node, inf)
@@ -118,7 +175,7 @@ class LayerAssembly:
             touched.add(node)
         out = []
         for node in sorted(touched):
-            value = min(self.lower.query(node), self.sg.query(node))
+            value = self._estimate(node)
             old = self._est[node]
             if value != old:
                 if value < old:
@@ -133,7 +190,9 @@ class LayerStack:
 
     q < 3 runs one exact tree over the whole range (``mode == "exact"``);
     q = 3 runs an exact tree under one ``LayerAssembly`` (``mode ==
-    "layered"``).  Any larger q is a ``ParamConfigError``.
+    "layered"``).  Any larger q is a ``ParamConfigError``.  ``top`` keeps
+    its estimates as ints over ``plan.denominator``; ``query`` and
+    ``process_update`` report them as rationals.
     """
 
     def __init__(
@@ -149,60 +208,44 @@ class LayerStack:
         seed=0,
         debug=False,
     ):
-        n = view.node_count()
-        eps = Fraction(eps)
-        if not (0 < eps <= 1):
-            raise ParamConfigError("need 0 < eps <= 1, got %s" % (eps,))
-        if Fraction(range_bound) < n:
-            raise ParamConfigError(
-                "range %s must be at least the node count %d" % (range_bound, n)
-            )
+        plan = StackPlan(view.node_count(), range_bound, eps, p, q)
+        self._start(view, source, plan, c, seed, debug)
+
+    @classmethod
+    def planned(cls, view, source, plan, *, c, seed, debug):
+        """A stack on a ``StackPlan`` made for ``view``'s node count."""
+        stack = cls.__new__(cls)
+        stack._start(view, source, plan, c, seed, debug)
+        return stack
+
+    def _start(self, view, source, plan, c, seed, debug):
         self.view = view
         self.source = source
-        self.range_bound = Fraction(range_bound)
-        self.eps = eps
-        default_p, default_q = default_layer_counts(n, eps)
-        self.p = default_p if p is None else p
-        self.q = default_q if q is None else q
-        if self.q < 3:
-            self.mode = "exact"
-            self.top = EsTree(view, source, math.ceil(self.range_bound))
+        self.plan = plan
+        self.range_bound = plan.range_bound
+        self.mode = plan.mode
+        if plan.mode == "exact":
+            self.top = EsTree(view, source, math.ceil(plan.range_bound))
             return
-        if self.q > 3:
-            raise ParamConfigError(
-                "layer count q=%d unsupported: q < 3 runs exact trees, q = 3 one "
-                "shortcut layer" % (self.q,)
-            )
-        if self.p < 2:
-            raise ParamConfigError(
-                "layered mode needs priority count p >= 2, got %d" % (self.p,)
-            )
-        self.mode = "layered"
-        self.eps_prime = eps / 2
-        self.scales = tuple(layer_scales(self.range_bound, 3))
-        (_, ball_depth), (delta, depth) = self.scales
-        root_bound = integer_root_ceil(n, self.p)
-        if root_bound * delta > ball_depth:
-            raise ParamConfigError(
-                "scale ladder too tight at layer 1: %d * %d > %d"
-                % (root_bound, delta, ball_depth)
-            )
-        # The largest weight any tree will hold: the shortcut layer's weight
-        # cap, rounded by its grain eps' * delta / (p + 1).
-        heaviest = (depth + root_bound * delta) * (self.p + 1) / (self.eps_prime * delta)
-        if max(view.max_weight, heaviest) > sys.float_info.max:
+        if max(view.max_weight, plan.heaviest) > sys.float_info.max:
             # A tree adds weights to inf, which is defined only in float range.
             raise ParamConfigError("eps too small for a layered stack: tree weights "
                                    "pass the float range")
-        self.top = LayerAssembly(view, source, depth, p=self.p, c=c,
-                                 eps_prime=self.eps_prime, scales=self.scales,
-                                 seed=seed * 1_000_003 + 1, debug=debug)
+        self.eps_prime = plan.eps_prime
+        self.scales = plan.scales
+        self.top = LayerAssembly(view, source, plan, c=c, seed=seed * 1_000_003 + 1,
+                                 debug=debug)
+
+    def _rational(self, value):
+        den = self.plan.denominator
+        return value if den == 1 or value == inf else Fraction(value, den)
 
     def query(self, node):
-        return self.top.query(node)
+        return self._rational(self.top.query(node))
 
     def process_update(self, record):
-        return self.top.process_update(record)
+        return [(node, self._rational(value))
+                for node, value in self.top.process_update(record)]
 
 
 class ScaledMirror(AdjacencyGraph):
@@ -272,15 +315,18 @@ class FullRangeSssp:
     replaced by one exact band over ``view`` itself, which has no mirror
     (``mirrors[0] is None``) and covers true distances up to 4 * 2^i* for
     the last such band i*.  When the overrides select layered stacks, every
-    band keeps its mirror.
+    band keeps its mirror.  Every band's stack runs on one ``StackPlan``
+    (two in exact mode: the exact band's range differs), so the layer
+    counts, scales and shortcut parameters are derived once per instance.
 
     The grains phi_i = (A/B) * 2^i, with A/B = (eps/3)/n in lowest terms,
-    share the denominator B, so a scaled band's estimate ``level`` has heap
-    key ``level * (A << i)`` and the exact band's estimate ``d`` has key
-    ``d * B``: integers whenever the stacks are exact trees (a layered
-    stack's estimate may itself be a Fraction).  Each node's heap holds
-    exactly one ``(key, band, answer)`` entry per band, the answer being
-    ``Fraction(key, B)``, or the plain ``int`` for the exact band.  Entries
+    share the denominator B, and every stack keeps its estimates as ints
+    over the plan's denominator D (1 for exact trees).  So a scaled band's
+    integer estimate ``s`` has heap key ``s * (A << i)`` and the exact
+    band's estimate ``d`` has key ``d * B``, all ints over B * D.  Each
+    node's heap holds exactly one ``(key, band, answer)`` entry per band,
+    the answer being ``Fraction(key, B * D)``, built once per push, or the
+    plain ``int`` for the exact band.  Entries
     are not updated when their band moves: a stored key only ever lags
     below the live one, so after an update it suffices to replace the top
     of each touched node's heap with its live entry until the top's key is
@@ -303,43 +349,45 @@ class FullRangeSssp:
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
         grain = self.eps_inner / n
-        unit, self._denom = grain.numerator, grain.denominator
+        unit, grain_den = grain.numerator, grain.denominator
         band_count = max(1, (n * view.max_weight).bit_length())
+        # Every scaled band has this node count, range and eps: one plan.
+        plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
         fine = 0  # bands with phi_i <= 1, replaced by the exact band
-        if (default_layer_counts(n, self.eps_inner)[1] if q is None else q) < 3:
-            while fine < band_count and unit << fine <= self._denom:
+        if plan.mode == "exact":
+            while fine < band_count and unit << fine <= grain_den:
                 fine += 1
-        stack_args = dict(p=p, q=q, c=c, debug=debug)
+        stack_args = dict(c=c, debug=debug)
         self.mirrors = []
         self.stacks = []
-        self._units = []  # per band: the multiplier from estimate to heap key
+        self._units = []  # per band: the multiplier from integer estimate to heap key
         if fine:
-            exact = LayerStack(view, source, 4 << (fine - 1), self.eps_inner,
-                               seed=seed * 1_000_003, **stack_args)
+            exact_plan = StackPlan(n, 4 << (fine - 1), self.eps_inner, plan.p, plan.q)
+            exact = LayerStack.planned(view, source, exact_plan, seed=seed * 1_000_003,
+                                       **stack_args)
             self.mirrors.append(None)
             self.stacks.append(exact)
-            self._units.append(self._denom)
+            self._units.append(grain_den)
         for i in range(fine, band_count):
-            mirror = ScaledMirror(view, Fraction(unit << i, self._denom))
-            stack = LayerStack(mirror, source, self.range_bound, self.eps_inner,
-                               seed=seed * 1_000_003 + i, **stack_args)
+            mirror = ScaledMirror(view, Fraction(unit << i, grain_den))
+            stack = LayerStack.planned(mirror, source, plan, seed=seed * 1_000_003 + i,
+                                       **stack_args)
             self.mirrors.append(mirror)
             self.stacks.append(stack)
             self._units.append(unit << i)
+        self._denom = grain_den * plan.denominator
+        self._tops = [stack.top for stack in self.stacks]
         self.debug = debug
         self.heap_reads = 0
         self._heaps = {}
         for v in view.node_ids():
-            entries = [self._entry(b, s.query(v)) for b, s in enumerate(self.stacks)]
+            entries = [self._entry(b, top.query(v)) for b, top in enumerate(self._tops)]
             heapq.heapify(entries)
             self._heaps[v] = entries
 
-    def _key(self, band, estimate):
-        return inf if estimate == inf else estimate * self._units[band]
-
     def _entry(self, band, estimate):
-        """Heap entry ``(key, band, answer)`` for one band estimate."""
-        key = self._key(band, estimate)
+        """Heap entry ``(key, band, answer)`` for one band's integer estimate."""
+        key = estimate * self._units[band]
         if key == inf or self.mirrors[band] is None:
             return (key, band, estimate)
         return (key, band, Fraction(key, self._denom))
@@ -359,23 +407,24 @@ class FullRangeSssp:
         if record is None:
             return []
         touched = set()
-        for mirror, stack in zip(self.mirrors, self.stacks):
+        for mirror, top in zip(self.mirrors, self._tops):
             band_record = record if mirror is None else mirror.translate(record)
             if band_record is not None:
-                touched.update(node for node, _ in stack.process_update(band_record))
+                touched.update(node for node, _ in top.process_update(band_record))
         out = []
+        tops, units = self._tops, self._units
         for node in sorted(touched):
             heap = self._heaps[node]
             before = heap[0][2]
             while True:
                 key, band, _ = heap[0]
-                estimate = self.stacks[band].query(node)
-                if key >= self._key(band, estimate):
+                estimate = tops[band].query(node)
+                if key >= estimate * units[band]:
                     break
                 heapq.heapreplace(heap, self._entry(band, estimate))
             top = heap[0]
             if self.debug:
-                fresh = min(self._key(b, s.query(node)) for b, s in enumerate(self.stacks))
+                fresh = min(t.query(node) * u for t, u in zip(tops, units))
                 if top[0] != fresh:
                     raise AssertionError(
                         "band heap top %s at node %r is not the least band key %s"

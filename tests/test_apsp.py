@@ -496,6 +496,32 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
         state.process_update(UpdateEvent("delete", a, b))
 
 
+def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
+    # k = 3: only a priority-1 row has readers, the priority-0 tails whose
+    # witness chain goes through it.  Deleting edge 1-4 moves the priority-2
+    # top of such a node; its readers must go with its row.
+    g = random_graph(8, 10, 4, seed=17)
+    state = ApspState(g, 3, Fraction(1, 2), seed=17, c=0.4, debug=True)
+    for u in range(8):
+        for v in range(8):
+            state.query(u, v)
+    read_rows = []
+    drop_tails = state._drop_tails
+
+    def spy(stale, rows):
+        read_rows.extend(x for x in rows if state.assignment.priority_of(x) == 1
+                         and any((y, v) not in state._keys
+                                 for y in state._readers[x] for v in state._tails[y]))
+        drop_tails(stale, rows)
+
+    monkeypatch.setattr(state, "_drop_tails", spy)
+    state.process_update(UpdateEvent("delete", 1, 4))  # debug audits every tail
+    assert read_rows
+    for x, row in state._tails.items():
+        for v, tail in row.items():
+            assert tail == reference_tail(state, x, v), (x, v)
+
+
 class ApspMachine(RuleBasedStateMachine):
     """Deletes, increases, rejected updates and shuffled query sweeps on a
     small graph; after every step each answer is the fresh witness-chain

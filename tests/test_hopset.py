@@ -457,11 +457,13 @@ def test_full_deletion_battery_forty_nodes():
             u, v, _ = rng.choice(live)
             reported = dict(drive(graph, balls, sg, UpdateEvent("delete", u, v)))
             check_estimate_bounds(graph, params, sg, 0)
-            # reported changes are exactly the estimate deltas
+            # reported changes are exactly the estimate deltas, as ints
+            # over the grain's denominator
             for node in graph.node_ids():
                 est = sg.query(node)
                 if est != prev_est[node]:
-                    assert reported[node] == est, (node, est)
+                    assert reported[node] == est * params.phi.denominator, (node, est)
+                    assert reported[node] == sg.scaled_query(node)
                     prev_est[node] = est
                 else:
                     assert node not in reported

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decrsp import hopset, layered
 from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
 from decrsp.hopset import integer_root_ceil
 from decrsp.layered import (
@@ -261,6 +262,45 @@ def test_single_edge_graph_query_is_exact():
         assert full.query(1) == w
 
 
+def test_layered_bands_share_one_parameter_plan(monkeypatch):
+    calls = {"derive_params": 0, "layer_scales": 0}
+
+    def counted(name):
+        original = getattr(layered, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(layered, name, wrapper)
+
+    counted("derive_params")
+    counted("layer_scales")
+    g = random_graph(24, 48, 32, seed=5)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=1)
+    assert len(full.stacks) == 10  # (24 * 32).bit_length()
+    assert calls == {"derive_params": 1, "layer_scales": 1}
+    params = full.stacks[0].top.params
+    assert all(s.top.params is params and s.top.sg.params is params for s in full.stacks)
+    # eps' = 1/12, delta = 9 and p = 4 give the grain 3/20 on every band.
+    assert params.phi == Fraction(3, 20) and full.stacks[0].scales == ((1, 70), (9, 576))
+
+
+def test_a_failing_parameter_identity_raises_at_build(monkeypatch):
+    identity = hopset._identity
+
+    def gamma_fails(holds, what):
+        identity(holds and not what.startswith("gamma[p-1]"), what)
+
+    monkeypatch.setattr(hopset, "_identity", gamma_fails)
+    g = random_graph(16, 32, 4, seed=3)
+    with pytest.raises(AssertionError, match=r"parameter identity fails: gamma\[p-1\]"):
+        FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3)
+    with pytest.raises(AssertionError, match="parameter identity fails"):
+        LayerStack(g, 0, 64, Fraction(1, 2), p=4, q=3)
+    FullRangeSssp(g, 0, Fraction(1, 2))  # exact trees derive no parameters
+
+
 def test_band_count_matches_distance_range():
     # Under the p/q overrides every band keeps its own scaled mirror: one
     # band per bit of n*W.
@@ -454,8 +494,9 @@ def test_full_range_rebuild_reproduces_identical_stream():
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
-    """Each node's heap keeps exactly one entry per band, every reported
-    value is the least band answer, and unreported nodes keep their answer."""
+    """Each node's heap keeps exactly one entry per band keyed by an int (or
+    inf), every reported value is the least band answer, and unreported
+    nodes keep their answer."""
     w_max = 8
     g = random_graph(18, 36, w_max, seed=seed)
     full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
@@ -473,6 +514,9 @@ def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
             event = UpdateEvent("delete", u, v)
         out = full.apply_event(event)
         assert all(len(full._heaps[x]) == bands for x in g.node_ids())
+        # Keys are ints over one common denominator in both modes.
+        assert all(type(key) is int or key == inf
+                   for x in g.node_ids() for key, _, _ in full._heaps[x])
         reported = dict(out)
         for x in g.node_ids():
             answers = [
