@@ -32,6 +32,12 @@ def _load_schedule(graph_path, updates_path):
     if updates_path:
         with open(updates_path) as fh:
             items = tuple(parse_update_stream(fh))
+    for item in items:
+        # Rejected here, not in FullRangeSssp.query: that is one heap read.
+        if isinstance(item, QueryProbe) and not (graph.has_node(item.u)
+                                                 and graph.has_node(item.v)):
+            raise GraphFormatError("query probe (%d, %d) outside [0, %d)"
+                                   % (item.u, item.v, graph.node_count()))
     edges = tuple(graph.edges())
     return Schedule(
         n=graph.node_count(),

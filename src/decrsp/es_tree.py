@@ -26,6 +26,12 @@ from .graph import dijkstra_bounded
 
 
 class EsTree:
+    # A band of FullRangeSssp is an EsTree or a LayerAssembly, told apart by
+    # ``mode``.  benchmarks/tracing.py reads ``s.mode`` for every ``s`` in
+    # ``full.stacks`` to count exact bands; the benchmark directory stays
+    # fixed across library changes, so this attribute and its values stay.
+    mode = "exact"
+
     def __init__(self, view, root, depth):
         self.view = view
         self.root = root

@@ -350,13 +350,10 @@ class ArtificialSourceView:
 
     def neighbors(self, u):
         if u == self.source_id:
-            for a in self.attach:
-                yield (a, 0)
-            return
-        for v, w in self.parent.neighbors(u):
-            yield (v, w)
+            return [(a, 0) for a in self.attach]
         if u in self._attach_set:
-            yield (self.source_id, 0)
+            return [*self.parent.neighbors(u), (self.source_id, 0)]
+        return self.parent.neighbors(u)
 
     def edges(self):
         for e in self.parent.edges():

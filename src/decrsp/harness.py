@@ -403,12 +403,11 @@ def _full_range_work(full):
     """Edge scans of each band's exact tree, heap traffic of its monotone tree."""
     es_work = 0
     monotone_work = 0
-    for stack in full.stacks:
-        layer = stack.top
-        if not isinstance(layer, EsTree):
-            monotone_work += layer.sg.tree.work_counter
-            layer = layer.lower
-        es_work += layer.work_counter
+    for band in full.stacks:
+        if not isinstance(band, EsTree):
+            monotone_work += band.sg.tree.work_counter
+            band = band.lower
+        es_work += band.work_counter
     return {
         "es_edge_scans": es_work,
         "monotone_heap_ops": monotone_work,

@@ -1,32 +1,32 @@
 """Layered range-restricted SSSP and the full-range scaled assembly.
 
-Range-restricted part: a two-layer stack over a range parameter R.  Layer 0
-is an exact tree bounded at D_0 = ceil(R^(2/3)).  Layer 1 runs a ball system
-whose set-distance watchers are exact trees bounded at D_0, feeds the ball
-journal into a shortcut graph at distance scale delta = ceil(R^(1/3)) that
-covers the whole range ceil(R), and keeps a running per-node minimum with
-layer 0.  The shortcut layer multiplies the stretch by at most 1 + 2*eps',
-and eps' = eps / 2 keeps it within 1 + eps.
+Range-restricted part, over a range parameter R: q < 3 runs an exact
+``EsTree`` bounded at ceil(R).  q = 3 runs a ``LayerAssembly``: an exact
+tree bounded at D_0 = ceil(R^(2/3)) and a ball system whose set-distance
+watchers are exact trees bounded at D_0, whose journal feeds a shortcut
+graph at scale delta = ceil(R^(1/3)) covering the whole range ceil(R); the
+estimate is the per-node minimum of the two.  The shortcut layer multiplies
+the stretch by at most 1 + 2*eps', and eps' = eps / 2 keeps it within 1 + eps.
 
 Full-range part: distance bands [2^i, 2^(i+1)] up to n*W.  Band i rounds
 weights up to multiples of the grain phi_i = (eps/3) * 2^i / n and runs its
-own layer stack with range R = 4n/(eps/3) on that scaled mirror, so it covers
-true distances up to 4 * 2^i.  A band with phi_i <= 1 is finer than the
-integer weights; when the stacks run exact trees, all such bands give way to
-one exact band: a stack over the base view itself, bounded at 4 * 2^i* for
+own tree or assembly with range R = 4n/(eps/3) on that scaled mirror, so it
+covers true distances up to 4 * 2^i.  A band with phi_i <= 1 is finer than
+the integer weights; when the bands run exact trees, all such bands give way
+to one exact band: a tree over the base view itself, bounded at 4 * 2^i* for
 the last such band i*, which answers exactly inside that range.  A query
 reads one per-node min-heap holding one entry per band.  Band estimates only
 grow, so a stored entry is a lower bound on its band's live value; an update
 re-keys a touched node's top from the live value until the top is current,
 and a query is a single heap read.
 
-The layer count q selects the stack: q < 3 is a single exact tree over the
-whole range (correct, slower), q = 3 the shortcut layer above.  The default
-formula gives q < 3 at any realistic desk scale, and the p/q overrides exist
-so the shortcut layer can be exercised on small graphs anyway.  q >= 4 is
-rejected: more shortcut layers would need set-distance watchers on
-zero-weight source edges, which the monotone tree does not take, and inner
-instances on scopes too small to sample.
+The layer count q selects the band structure: q < 3 is a single exact tree
+over the whole range (correct, slower), q = 3 the shortcut layer above.  The
+default formula gives q < 3 at any realistic desk scale, and the p/q
+overrides exist so the shortcut layer can be exercised on small graphs
+anyway.  q >= 4 is rejected: more shortcut layers would need set-distance
+watchers on zero-weight source edges, which the monotone tree does not
+take, and inner instances on scopes too small to sample.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_pr
 from .sampling import sample_priorities
 
 
-def default_layer_counts(n, eps, a=4):
+LAYER_COUNT_A = 4  # the constant a in default_layer_counts' formula
+
+
+def default_layer_counts(n, eps):
     """Priority count p and layer count q from the asymptotic formulas.
 
     p = floor(sqrt(log n) / sqrt(log(8 a^3 log n / eps))), q = floor(sqrt(p)).
@@ -55,7 +58,8 @@ def default_layer_counts(n, eps, a=4):
     log_n = math.log2(n)
     eps = Fraction(eps)
     # log2(eps) from its numerator and denominator: float(eps) may underflow.
-    denom = math.log2(8 * a**3 * log_n) - math.log2(eps.numerator) + math.log2(eps.denominator)
+    denom = (math.log2(8 * LAYER_COUNT_A**3 * log_n)
+             - math.log2(eps.numerator) + math.log2(eps.denominator))
     if denom <= 0:
         return 0, 0
     p = int(math.sqrt(log_n) / math.sqrt(denom))
@@ -68,7 +72,7 @@ def layer_scales(range_bound, q):
 
     delta_k is the smallest integer whose q-th power reaches R^k and
     depth_k the smallest reaching R^(k+2); the top depth is exactly the
-    rounded-up range, so the stack covers it completely.
+    rounded-up range, so the top layer covers it completely.
     """
     R = Fraction(range_bound)
     scales = []
@@ -80,14 +84,14 @@ def layer_scales(range_bound, q):
 
 
 class StackPlan:
-    """What a layer stack derives from its node count, range and eps alone.
+    """What a band derives from its node count, range and eps alone.
 
     Holds the priority and layer counts, the mode, and in layered mode the
     layer scales, eps' and one shortcut ``ParamSeries``, whose identity
-    checks run when the plan is made.  The bands of a ``FullRangeSssp``
-    share the node count, range and eps, so one plan serves all of them.
-    ``denominator`` is the common denominator of a stack's integer
-    estimates: 1 in exact mode, that of the shortcut grain phi otherwise.
+    checks run when the plan is made.  The scaled bands of a
+    ``FullRangeSssp`` share the node count, range and eps, so one plan
+    serves all of them.  ``denominator`` is the common denominator of a
+    band's integer estimates: 1 in exact mode, that of phi otherwise.
     """
 
     def __init__(self, n, range_bound, eps, p=None, q=None):
@@ -134,13 +138,13 @@ class StackPlan:
 
 
 class LayerAssembly:
-    """The shortcut layer of a two-layer stack over ``view``.
+    """The shortcut layer of a two-layer band over ``view`` (q = 3).
 
     ``lower`` is the exact ``EsTree`` bounded at min(depth, D_0).  The ball
     system's set-distance watchers are exact trees bounded at D_0, with ball
     quality alpha = 1.  The shortcut graph runs at scale delta and covers
     ``depth``.  The estimate is the per-node minimum of ``lower`` and the
-    shortcut graph.
+    shortcut graph.  The sampler's seed is derived from the band ``seed``.
 
     Estimates are ints over ``denominator``, the denominator of the shortcut
     grain phi = A / B: a lower-tree level d is held as d * B and a shortcut
@@ -149,15 +153,21 @@ class LayerAssembly:
     (or inf); they never underestimate and never decrease.
     """
 
+    # Read by benchmarks/tracing.py, as EsTree.mode is (see there).
+    mode = "layered"
+
     def __init__(self, view, root, plan, *, c, seed, debug):
+        if max(view.max_weight, plan.heaviest) > sys.float_info.max:
+            # A tree adds weights to inf, which is defined only in float range.
+            raise ParamConfigError("eps too small for a layered stack: tree weights "
+                                   "pass the float range")
         (_, ball_depth), (_, depth) = plan.scales
         self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
-        self.assignment = sample_priorities(view, plan.p, c, seed)
+        self.assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
         self.balls = BallSystem(view, self.assignment, EsTree, alpha=1, beta=0,
                                 depth=ball_depth, bucket_eps=1)
-        self.params = plan.params
-        self.sg = ShortcutGraph(view, self.balls, self.params, root, debug=debug)
+        self.sg = ShortcutGraph(view, self.balls, plan.params, root, debug=debug)
         self._est = {v: self._estimate(v) for v in view.node_ids()}
 
     def _estimate(self, node):
@@ -183,69 +193,6 @@ class LayerAssembly:
                 self._est[node] = value
                 out.append((node, value))
         return out
-
-
-class LayerStack:
-    """Range-restricted SSSP front end.
-
-    q < 3 runs one exact tree over the whole range (``mode == "exact"``);
-    q = 3 runs an exact tree under one ``LayerAssembly`` (``mode ==
-    "layered"``).  Any larger q is a ``ParamConfigError``.  ``top`` keeps
-    its estimates as ints over ``plan.denominator``; ``query`` and
-    ``process_update`` report them as rationals.
-    """
-
-    def __init__(
-        self,
-        view,
-        source,
-        range_bound,
-        eps,
-        *,
-        p=None,
-        q=None,
-        c=2.0,
-        seed=0,
-        debug=False,
-    ):
-        plan = StackPlan(view.node_count(), range_bound, eps, p, q)
-        self._start(view, source, plan, c, seed, debug)
-
-    @classmethod
-    def planned(cls, view, source, plan, *, c, seed, debug):
-        """A stack on a ``StackPlan`` made for ``view``'s node count."""
-        stack = cls.__new__(cls)
-        stack._start(view, source, plan, c, seed, debug)
-        return stack
-
-    def _start(self, view, source, plan, c, seed, debug):
-        self.view = view
-        self.source = source
-        self.plan = plan
-        self.range_bound = plan.range_bound
-        self.mode = plan.mode
-        if plan.mode == "exact":
-            self.top = EsTree(view, source, math.ceil(plan.range_bound))
-            return
-        if max(view.max_weight, plan.heaviest) > sys.float_info.max:
-            # A tree adds weights to inf, which is defined only in float range.
-            raise ParamConfigError("eps too small for a layered stack: tree weights "
-                                   "pass the float range")
-        self.eps_prime = plan.eps_prime
-        self.scales = plan.scales
-        self.top = LayerAssembly(view, source, plan, c=c, seed=seed * 1_000_003 + 1,
-                                 debug=debug)
-
-    def _rational(self, value):
-        den = self.plan.denominator
-        return value if den == 1 or value == inf else Fraction(value, den)
-
-    def query(self, node):
-        return self._rational(self.top.query(node))
-
-    def process_update(self, record):
-        return [(node, self._rational(value))
-                for node, value in self.top.process_update(record)]
 
 
 class ScaledMirror(AdjacencyGraph):
@@ -307,20 +254,20 @@ class ScaledMirror(AdjacencyGraph):
 class FullRangeSssp:
     """Single-source (1+eps)-approximate distances over the full range.
 
-    One scaled mirror per distance band, each under its own layer stack at
-    a third of the requested error (two rounding/stack factors compose to
-    at most 1 + eps), and per-node min-heaps over the per-band estimates
-    so that a query is exactly one heap read.  When the stacks run exact
-    trees (q < 3 after the p/q overrides), the bands with phi_i <= 1 are
-    replaced by one exact band over ``view`` itself, which has no mirror
-    (``mirrors[0] is None``) and covers true distances up to 4 * 2^i* for
-    the last such band i*.  When the overrides select layered stacks, every
-    band keeps its mirror.  Every band's stack runs on one ``StackPlan``
-    (two in exact mode: the exact band's range differs), so the layer
-    counts, scales and shortcut parameters are derived once per instance.
+    One scaled mirror per distance band at a third of the requested error
+    (two rounding/band factors compose to at most 1 + eps), each read by
+    the band's own structure in ``stacks``: an exact ``EsTree`` (q < 3
+    after the p/q overrides) or a ``LayerAssembly`` (q = 3).  Per-node
+    min-heaps over the per-band estimates make a query exactly one heap
+    read.  With exact trees, the bands with phi_i <= 1 are replaced by one
+    exact band over ``view`` itself, which has no mirror (``mirrors[0] is
+    None``) and covers true distances up to 4 * 2^i* for the last such
+    band i*.  With layered bands, every band keeps its mirror.  The scaled
+    bands share one ``StackPlan``, so the layer counts, scales and shortcut
+    parameters are derived once per instance.
 
     The grains phi_i = (A/B) * 2^i, with A/B = (eps/3)/n in lowest terms,
-    share the denominator B, and every stack keeps its estimates as ints
+    share the denominator B, and every band keeps its estimates as ints
     over the plan's denominator D (1 for exact trees).  So a scaled band's
     integer estimate ``s`` has heap key ``s * (A << i)`` and the exact
     band's estimate ``d`` has key ``d * B``, all ints over B * D.  Each
@@ -352,36 +299,34 @@ class FullRangeSssp:
         unit, grain_den = grain.numerator, grain.denominator
         band_count = max(1, (n * view.max_weight).bit_length())
         # Every scaled band has this node count, range and eps: one plan.
-        plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
+        self.plan = plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
         fine = 0  # bands with phi_i <= 1, replaced by the exact band
         if plan.mode == "exact":
             while fine < band_count and unit << fine <= grain_den:
                 fine += 1
-        stack_args = dict(c=c, debug=debug)
         self.mirrors = []
-        self.stacks = []
+        self.stacks = []  # per band: its EsTree or LayerAssembly
         self._units = []  # per band: the multiplier from integer estimate to heap key
         if fine:
-            exact_plan = StackPlan(n, 4 << (fine - 1), self.eps_inner, plan.p, plan.q)
-            exact = LayerStack.planned(view, source, exact_plan, seed=seed * 1_000_003,
-                                       **stack_args)
             self.mirrors.append(None)
-            self.stacks.append(exact)
+            self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
             self._units.append(grain_den)
         for i in range(fine, band_count):
             mirror = ScaledMirror(view, Fraction(unit << i, grain_den))
-            stack = LayerStack.planned(mirror, source, plan, seed=seed * 1_000_003 + i,
-                                       **stack_args)
+            if plan.mode == "exact":
+                band = EsTree(mirror, source, math.ceil(plan.range_bound))
+            else:
+                band = LayerAssembly(mirror, source, plan, c=c, seed=seed * 1_000_003 + i,
+                                     debug=debug)
             self.mirrors.append(mirror)
-            self.stacks.append(stack)
+            self.stacks.append(band)
             self._units.append(unit << i)
         self._denom = grain_den * plan.denominator
-        self._tops = [stack.top for stack in self.stacks]
         self.debug = debug
         self.heap_reads = 0
         self._heaps = {}
         for v in view.node_ids():
-            entries = [self._entry(b, top.query(v)) for b, top in enumerate(self._tops)]
+            entries = [self._entry(b, band.query(v)) for b, band in enumerate(self.stacks)]
             heapq.heapify(entries)
             self._heaps[v] = entries
 
@@ -407,24 +352,24 @@ class FullRangeSssp:
         if record is None:
             return []
         touched = set()
-        for mirror, top in zip(self.mirrors, self._tops):
+        for mirror, structure in zip(self.mirrors, self.stacks):
             band_record = record if mirror is None else mirror.translate(record)
             if band_record is not None:
-                touched.update(node for node, _ in top.process_update(band_record))
+                touched.update(node for node, _ in structure.process_update(band_record))
         out = []
-        tops, units = self._tops, self._units
+        stacks, units = self.stacks, self._units
         for node in sorted(touched):
             heap = self._heaps[node]
             before = heap[0][2]
             while True:
                 key, band, _ = heap[0]
-                estimate = tops[band].query(node)
+                estimate = stacks[band].query(node)
                 if key >= estimate * units[band]:
                     break
                 heapq.heapreplace(heap, self._entry(band, estimate))
             top = heap[0]
             if self.debug:
-                fresh = min(t.query(node) * u for t, u in zip(tops, units))
+                fresh = min(s.query(node) * u for s, u in zip(stacks, units))
                 if top[0] != fresh:
                     raise AssertionError(
                         "band heap top %s at node %r is not the least band key %s"

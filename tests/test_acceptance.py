@@ -19,7 +19,7 @@ from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, UpdateEvent
 from decrsp.harness import RunConfig, generate_instance, run_with_oracle, static_hopset_check
 from decrsp.hopset import derive_params
-from decrsp.layered import FullRangeSssp, LayerStack
+from decrsp.layered import FullRangeSssp, LayerAssembly, StackPlan
 from decrsp.oracle import dijkstra
 from decrsp.sampling import sample_priorities
 
@@ -75,11 +75,10 @@ def test_criterion_2_monotone_observation_suite_under_ball_joins():
         # stretch only from insertions, pinned levels under persistent
         # stretches, parent inequality, residual consistency, exactness floor)
         # after every batch; any violation raises immediately.
-        stack = LayerStack(graph, 0, 4 * n, Fraction(1, 2),
-                           p=4, q=3, c=0.3, seed=seed, debug=True)
+        plan = StackPlan(n, 4 * n, Fraction(1, 2), p=4, q=3)
+        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed, debug=True)
         for record in drain(graph, seed):
-            stack.process_update(record)
-        assembly = stack.top
+            assembly.process_update(record)
         assert isinstance(assembly.lower, EsTree)
         if assembly.sg.tree._ever_inserted:
             inserted += 1
@@ -275,11 +274,11 @@ def test_criterion_8_work_model_regression():
     for seed in range(3):
         n = 24 + 4 * seed
         graph = random_graph(n, 2 * n, 4, seed=seed + 300)
-        stack = LayerStack(graph, 0, 4 * n, Fraction(1, 2),
-                           p=4, q=3, c=0.3, seed=seed)
+        plan = StackPlan(n, 4 * n, Fraction(1, 2), p=4, q=3)
+        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed, debug=False)
         for record in drain(graph, seed):
-            stack.process_update(record)
-        sg = stack.top.sg
+            assembly.process_update(record)
+        sg = assembly.sg
         budget = sg.edges_ever * sg.tree.cap + sg.update_ops
         ratio = (sg.tree.work_counter + sg.tree.edge_scans) / budget
         assert ratio <= MONOTONE_WORK_CONSTANT, (

@@ -581,7 +581,7 @@ def test_radius_follows_the_live_watcher_after_every_update(mode, seed):
     else:
         full = FullRangeSssp(graph, 0, Fraction(1, 2), p=4, q=3, seed=seed)
         step = full.apply_event
-        systems = [s.top.balls for s in full.stacks if isinstance(s.top, LayerAssembly)]
+        systems = [s.balls for s in full.stacks if isinstance(s, LayerAssembly)]
     assert systems
     events = [item for item in sched.items if isinstance(item, UpdateEvent)]
     checked = 0
@@ -632,7 +632,7 @@ def test_routing_index_and_snapshots_track_every_update(mode, seed):
     else:
         full = FullRangeSssp(graph, 0, Fraction(1, 2), p=4, q=3, seed=seed)
         step = full.apply_event
-        systems = [s.top.balls for s in full.stacks if isinstance(s.top, LayerAssembly)]
+        systems = [s.balls for s in full.stacks if isinstance(s, LayerAssembly)]
     assert systems
     live = sum(assert_routing_state(system) for system in systems)
     rebuilds = sum(sum(system.rebuild_counts.values()) for system in systems)

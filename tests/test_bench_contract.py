@@ -55,7 +55,17 @@ def drive_small_structures():
         [state.query(0, x) for x in g.node_ids()]
 
 
-def test_traced_run_reads_every_counter_and_restores_the_library():
+def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
+    # Record every FullRangeSssp the drive builds, the ones inside ApspState
+    # included, so the band counters can be checked against them.
+    built = []
+    init = FullRangeSssp.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FullRangeSssp, "__init__", recording_init)
     tracing = load_tracing()
     originals = {}
     for span, module_name, path in tracing.TARGETS:
@@ -74,6 +84,10 @@ def test_traced_run_reads_every_counter_and_restores_the_library():
     for counter in ("layered.bands", "es_tree.edge_scans", "monotone_tree.heap_ops",
                     "hopset.update_ops"):
         assert c[counter] > 0, counter
+    bands = [band for full in built for band in full.stacks]
+    exact = sum(band.mode == "exact" for band in bands)
+    assert c["layered.bands"] == len(bands)
+    assert c["layered.exact_bands"] == exact and 0 < exact < len(bands)
     for span, (original, sites) in originals.items():
         for owner, attr in sites:
             assert vars(owner)[attr] is original, span

@@ -349,6 +349,11 @@ def test_cli_bench_mode_reports_work_counters_and_time(instance_files):
 CLI_REJECTIONS = {
     "sssp": (["sssp", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
     "check": (["check", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
+    # probe.txt holds the one line "Q 0 9".
+    "sssp-probe-9": (["sssp", "--updates", "probe.txt"], 1,
+                     "decrsp: error: query probe (0, 9) outside [0, 4)"),
+    "check-probe-9": (["check", "--updates", "probe.txt"], 1,
+                      "decrsp: error: query probe (0, 9) outside [0, 4)"),
     "epsilon-abc": (["sssp", "--epsilon", "abc"], 2,
                     "decrsp: error: argument --epsilon: invalid fraction value: 'abc'"),
     "oracle-stride-0": (["check", "--oracle-stride", "0"], 2,
@@ -374,7 +379,7 @@ CLI_REJECTIONS = {
                      "decrsp: error: argument --source: invalid int value: '1.5'"),
     "source-bool": (["sssp", "--source", "True"], 2,
                     "decrsp: error: argument --source: invalid int value: 'True'"),
-    # File paths are relative to an empty working directory.
+    # File paths are relative to a working directory holding only probe.txt.
     "graph-missing": (["sssp", "--graph", "nope.txt"], 1,
                       "decrsp: error: nope.txt: No such file or directory"),
     "updates-missing": (["sssp", "--updates", "nope.txt"], 1,
@@ -395,6 +400,7 @@ def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
     gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
     work = tmp_path / "work"
     work.mkdir()
+    (work / "probe.txt").write_text("Q 0 9\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

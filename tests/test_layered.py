@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decrsp import hopset, layered
+from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
 from decrsp.hopset import integer_root_ceil
 from decrsp.layered import (
     FullRangeSssp,
-    LayerStack,
+    LayerAssembly,
     ScaledMirror,
+    StackPlan,
     default_layer_counts,
     layer_scales,
 )
@@ -30,6 +32,14 @@ from test_graph_core import random_graph
 
 def exact_distances(view, source):
     return dijkstra_bounded(view, source, inf)
+
+
+def band_answer(band, node):
+    """A band's estimate in its own graph's units: the integer it reports
+    divided by its denominator (1 for an exact tree)."""
+    value = band.query(node)
+    den = band.denominator if band.mode == "layered" else 1
+    return value if value == inf else Fraction(value, den)
 
 
 def delete_all_edges(graph, rng):
@@ -99,13 +109,13 @@ def test_fraction_root_ceil_is_tight(num, den, q):
 def test_layered_mode_requires_two_priorities():
     g = random_graph(12, 20, 4, seed=1)
     with pytest.raises(ParamConfigError, match="p >= 2"):
-        LayerStack(g, 0, 50, Fraction(1, 2), q=3, p=1)
+        StackPlan(g.node_count(), 50, Fraction(1, 2), q=3, p=1)
 
 
 def test_range_must_cover_node_count():
     g = random_graph(12, 20, 4, seed=1)
     with pytest.raises(ParamConfigError, match="node count"):
-        LayerStack(g, 0, 11, Fraction(1, 2))
+        StackPlan(g.node_count(), 11, Fraction(1, 2))
 
 
 def test_scale_ladder_guard_rejects_tight_configs():
@@ -114,14 +124,14 @@ def test_scale_ladder_guard_rejects_tight_configs():
     # (18^3=5832 < 6400 <= 19^3=6859): 25 > 19.
     g = random_graph(18, 36, 4, seed=7)
     with pytest.raises(ParamConfigError, match="too tight"):
-        LayerStack(g, 0, 80, Fraction(1, 2), p=2, q=3)
+        StackPlan(g.node_count(), 80, Fraction(1, 2), p=2, q=3)
 
 
 def test_more_than_one_shortcut_layer_is_a_config_error():
     g = random_graph(24, 48, 8, seed=1)
     for q in (4, 5):
         with pytest.raises(ParamConfigError, match="q=%d unsupported" % q):
-            LayerStack(g, 0, 96, Fraction(1, 2), p=3, q=q)
+            StackPlan(g.node_count(), 96, Fraction(1, 2), p=3, q=q)
         with pytest.raises(ParamConfigError, match="q=%d unsupported" % q):
             FullRangeSssp(g, 0, Fraction(1, 2), p=3, q=q)
 
@@ -129,7 +139,7 @@ def test_more_than_one_shortcut_layer_is_a_config_error():
 def test_eps_validation():
     g = random_graph(12, 20, 4, seed=1)
     with pytest.raises(ParamConfigError, match="eps"):
-        LayerStack(g, 0, 50, Fraction(3, 2))
+        StackPlan(g.node_count(), 50, Fraction(3, 2))
     with pytest.raises(ParamConfigError, match="eps"):
         FullRangeSssp(g, 0, 0)
 
@@ -139,79 +149,82 @@ def test_eps_validation():
 
 def test_fallback_mode_is_exact_under_deletions():
     g = random_graph(20, 40, 4, seed=3)
-    stack = LayerStack(g, 0, 60, Fraction(1, 2))  # defaults: q=0
-    assert stack.mode == "exact"
+    plan = StackPlan(g.node_count(), 60, Fraction(1, 2))  # defaults: q=0
+    assert plan.mode == "exact" and plan.denominator == 1
+    tree = EsTree(g, 0, ceil(plan.range_bound))
+    assert tree.mode == "exact"
     rng = random.Random(5)
     for rec in delete_all_edges(g, rng):
-        stack.process_update(rec)
+        tree.process_update(rec)
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
-            assert stack.query(v) == (d if d <= 60 else inf)
+            assert tree.query(v) == (d if d <= 60 else inf)
 
 
 # -- layered mode against the oracle ------------------------------------------
 
 
-def build_small_stack(seed, *, debug=False):
+def build_small_assembly(seed, *, debug=False):
     g = random_graph(18, 36, 4, seed=7)
-    stack = LayerStack(g, 0, 80, Fraction(1, 2), p=4, q=3, seed=seed, debug=debug)
-    return g, stack
+    plan = StackPlan(g.node_count(), 80, Fraction(1, 2), p=4, q=3)
+    assembly = LayerAssembly(g, 0, plan, c=2.0, seed=seed, debug=debug)
+    return g, plan, assembly
 
 
 def test_layered_frozen_configuration():
-    g, stack = build_small_stack(seed=1)
-    assert stack.mode == "layered"
+    g, plan, assembly = build_small_assembly(seed=1)
+    assert plan.mode == assembly.mode == "layered"
     # 18^3=5832 < 80^2=6400 <= 19^3=6859 and 4^3=64 < 80 <= 5^3=125.
-    assert stack.scales == ((1, 19), (5, 80))
-    assert stack.eps_prime == Fraction(1, 4)
+    assert plan.scales == ((1, 19), (5, 80))
+    assert plan.eps_prime == Fraction(1, 4)
 
 
 def test_layered_stack_tracks_oracle_through_full_deletion():
-    g, stack = build_small_stack(seed=1, debug=True)
+    g, _, assembly = build_small_assembly(seed=1, debug=True)
     eps = Fraction(1, 2)
     rng = random.Random(3)
     steps = 0
     for rec in delete_all_edges(g, rng):
-        stack.process_update(rec)
+        assembly.process_update(rec)
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
-            est = stack.query(v)
+            est = band_answer(assembly, v)
             assert est >= d
             if d <= 80:
                 assert est <= (1 + eps) * d
         steps += 1
     assert steps == 36
-    assert all(stack.query(v) == inf for v in g.node_ids() if v != 0)
-    assert stack.query(0) == 0
+    assert all(assembly.query(v) == inf for v in g.node_ids() if v != 0)
+    assert assembly.query(0) == 0
 
 
 def test_layer_zero_gives_exact_values_at_short_range():
     # The composite estimate is a min over layers, layer 0 is exact to its
     # depth, and no layer ever underestimates: short distances are exact.
-    g, stack = build_small_stack(seed=2)
-    base_depth = stack.scales[0][1]
+    g, plan, assembly = build_small_assembly(seed=2)
+    base_depth = plan.scales[0][1]
     rng = random.Random(11)
     for step, rec in enumerate(delete_all_edges(g, rng)):
-        stack.process_update(rec)
+        assembly.process_update(rec)
         if step >= 12:
             break
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
             if d <= base_depth:
-                assert stack.query(v) == d
+                assert band_answer(assembly, v) == d
 
 
 def test_stack_emissions_match_estimate_changes():
-    g, stack = build_small_stack(seed=3)
-    snapshot = {v: stack.query(v) for v in g.node_ids()}
+    g, _, assembly = build_small_assembly(seed=3)
+    snapshot = {v: assembly.query(v) for v in g.node_ids()}
     rng = random.Random(17)
     for rec in delete_all_edges(g, rng):
-        out = stack.process_update(rec)
+        out = assembly.process_update(rec)
         assert out == sorted(out)
-        fresh = {v: stack.query(v) for v in g.node_ids()}
+        fresh = {v: assembly.query(v) for v in g.node_ids()}
         expected = [(v, fresh[v]) for v in sorted(fresh) if fresh[v] != snapshot[v]]
         assert out == expected
         for v, value in out:
@@ -280,10 +293,10 @@ def test_layered_bands_share_one_parameter_plan(monkeypatch):
     full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=1)
     assert len(full.stacks) == 10  # (24 * 32).bit_length()
     assert calls == {"derive_params": 1, "layer_scales": 1}
-    params = full.stacks[0].top.params
-    assert all(s.top.params is params and s.top.sg.params is params for s in full.stacks)
+    params = full.plan.params
+    assert all(s.sg.params is params for s in full.stacks)
     # eps' = 1/12, delta = 9 and p = 4 give the grain 3/20 on every band.
-    assert params.phi == Fraction(3, 20) and full.stacks[0].scales == ((1, 70), (9, 576))
+    assert params.phi == Fraction(3, 20) and full.plan.scales == ((1, 70), (9, 576))
 
 
 def test_a_failing_parameter_identity_raises_at_build(monkeypatch):
@@ -297,7 +310,7 @@ def test_a_failing_parameter_identity_raises_at_build(monkeypatch):
     with pytest.raises(AssertionError, match=r"parameter identity fails: gamma\[p-1\]"):
         FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3)
     with pytest.raises(AssertionError, match="parameter identity fails"):
-        LayerStack(g, 0, 64, Fraction(1, 2), p=4, q=3)
+        StackPlan(g.node_count(), 64, Fraction(1, 2), p=4, q=3)
     FullRangeSssp(g, 0, Fraction(1, 2))  # exact trees derive no parameters
 
 
@@ -350,7 +363,7 @@ def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed
     grains = [eps / 3 * 2**i / n for i in range(bands)]
     i_star = max(i for i, phi in enumerate(grains) if phi <= 1)
     assert full.mirrors[0] is None and full.stacks[0].mode == "exact"
-    assert full.stacks[0].range_bound == 4 << i_star
+    assert full.stacks[0].depth == 4 << i_star
     assert [mirror.phi for mirror in full.mirrors[1:]] == grains[i_star + 1:]
     assert all(stack.mode == "exact" for stack in full.stacks)
     rng = random.Random(seed)
@@ -373,8 +386,8 @@ def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed
             assert full.heap_reads == before + 1
             # The heap top is the least band answer.
             answers = [
-                stack.query(x) * (1 if mirror is None else mirror.phi)
-                for stack, mirror in zip(full.stacks, full.mirrors)
+                band_answer(band, x) * (1 if mirror is None else mirror.phi)
+                for band, mirror in zip(full.stacks, full.mirrors)
             ]
             assert est == min(answers)
             if d <= 4 << i_star:
@@ -428,9 +441,9 @@ def test_full_range_query_is_one_heap_read():
     # brute-force the same minima over the per-band estimates
     for v, got in zip(g.node_ids(), values):
         bands = [
-            stack.query(v) * mirror.phi
-            for stack, mirror in zip(full.stacks, full.mirrors)
-            if stack.query(v) != inf
+            band_answer(band, v) * mirror.phi
+            for band, mirror in zip(full.stacks, full.mirrors)
+            if band.query(v) != inf
         ]
         want = min(bands) if bands else inf
         assert got == want
@@ -520,8 +533,8 @@ def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
         reported = dict(out)
         for x in g.node_ids():
             answers = [
-                stack.query(x) * (1 if mirror is None else mirror.phi)
-                for stack, mirror in zip(full.stacks, full.mirrors)
+                band_answer(band, x) * (1 if mirror is None else mirror.phi)
+                for band, mirror in zip(full.stacks, full.mirrors)
             ]
             if x in reported:
                 assert reported[x] == min(answers) != snapshot[x]
