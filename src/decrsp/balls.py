@@ -99,10 +99,11 @@ class BallSystem:
                 % (MAX_BUCKETS, span)
             )
         self._growth = 1 + self.eps
-        # Bucket j reaches (1+eps)^j; both tables grow on demand, one entry
-        # past the largest bucket any node has reached.
-        self._powers = [Fraction(1)]
-        self._radii = [self._radius_of(self._powers[0])]
+        # Bucket j reaches (1+eps)^j, kept as a (numerator, denominator) pair
+        # so the bucket walk compares in integers; both tables grow on demand,
+        # one entry past the largest bucket any node has reached.
+        self._powers = [(1, 1)]
+        self._radii = [self._radius_of(Fraction(1))]
         # Membership is val <= threshold = num / den, decided in integers,
         # or finiteness alone when the depth is unbounded.
         self._unbounded = depth == inf
@@ -149,16 +150,21 @@ class BallSystem:
         val = self._watched_value(u)
         if val == inf:
             return self.depth
-        if val <= 1:
+        # val = num / den is an int or a Fraction; cross-multiplied, so no
+        # Fraction is built (an int has denominator 1).
+        num, den = val.numerator, val.denominator
+        if num <= den:
             return 0
-        x = val - 1
+        x_num = num - den  # val - 1 = x_num / den
         powers = self._powers
         j = self._bucket.get(u, 0)
         while True:
             if j + 1 == len(powers):
-                powers.append(powers[j] * self._growth)
-                self._radii.append(self._radius_of(powers[j + 1]))
-            if powers[j + 1] > x:
+                power = Fraction(*powers[j]) * self._growth
+                powers.append((power.numerator, power.denominator))
+                self._radii.append(self._radius_of(power))
+            p_num, p_den = powers[j + 1]
+            if p_num * den > x_num * p_den:
                 break
             j += 1
         self._bucket[u] = j

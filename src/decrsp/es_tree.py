@@ -5,16 +5,23 @@ watchers run it on distance-to-set views, whose virtual source edges weigh
 0): each node stores its exact distance ("level") from the root while it is
 at most the depth bound, and infinity otherwise.  Under deletions and weight
 increases levels never decrease, so repair work amortizes against total
-level movement; ``work_counter`` counts edge scans and is bounded by
-O(m * depth) overall.
+level movement; ``work_counter`` counts adjacency reads (edge scans) made
+during repair and is bounded by O(m * depth) overall.
 
-A node is re-examined only when the edge to its current parent degrades or
-its parent's level rises; other incident edges cannot change its minimum.
-Every parent pointer has its inverse in ``children`` (parent -> set of
-children), built with the tree and kept in step by ``_set_parent`` during
-repair, so a node whose level rises hands its children to the repair heap
-without scanning its neighbours.  The heap
-pops by ``(level, node)``, so the order children are pushed in is immaterial.
+The tree keeps no parent pointers: a build is one bounded Dijkstra, and the
+levels alone say which nodes lean on which.  An edge (x, y) is *tight* for x
+when ``level(x) == level(y) + w``.  A changed edge can only matter to an
+endpoint for which it was tight before the change (read with the record's
+old weight), so only those endpoints become pending; a change on any other
+edge costs no scan at all.  Each popped node gets one adjacency scan, which
+yields both its new level (the minimum over its neighbours) and its tight
+dependents (neighbours ``t`` with ``level(t) == old level + w``).  If its
+level rose, those dependents are pushed, each at most once while queued.
+The heap pops by ``(level, node)``, so the order of pushes is immaterial.
+Levels still climb round by round: a cut-off region rises one repair step at
+a time up to the depth bound, where it is cut to infinity.  The two-phase
+repair that ``MonotoneEsTree.end_batch`` runs would lift it in one pass; it
+is the open half of the two-phase repair item in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -39,44 +46,9 @@ class EsTree:
         # repair loop terminates on disconnection even with an infinite depth.
         finite_cap = max(0, view.node_count() - 1) * view.max_weight
         self.depth = min(depth, finite_cap)
-        self.level = {}  # node -> exact distance; absent means above depth / cut off
-        self.parent = {}  # node -> parent node id (root maps to None)
-        self.children = {}  # node -> set of nodes whose parent it is
+        # node -> exact distance; absent means above depth / cut off
+        self.level = dijkstra_bounded(view, root, self.depth)
         self.work_counter = 0
-        self._rebuild()
-
-    def _rebuild(self):
-        self.level = dijkstra_bounded(self.view, self.root, self.depth)
-        self.parent = parent = {self.root: None}
-        self.children = children = {}
-        for x in self.level:
-            if x == self.root:
-                continue
-            lx = self.level[x]
-            best_p = None
-            for y, w in self.view.neighbors(x):
-                self.work_counter += 1
-                ly = self.level.get(y, inf)
-                if ly + w == lx and (best_p is None or y < best_p):
-                    best_p = y
-            if best_p is None:
-                raise AssertionError("no parent on a shortest path to %r" % (x,))
-            parent[x] = best_p
-            children.setdefault(best_p, set()).add(x)
-
-    def _set_parent(self, x, p):
-        """Point ``x`` at parent ``p`` (``None`` detaches it), keeping
-        ``children`` the exact inverse of ``parent``."""
-        old = self.parent.get(x)
-        if old == p:
-            return
-        if old is not None:
-            self.children[old].discard(x)
-        if p is None:
-            del self.parent[x]
-        else:
-            self.parent[x] = p
-            self.children.setdefault(p, set()).add(x)
 
     # -- reads --------------------------------------------------------------
 
@@ -89,58 +61,57 @@ class EsTree:
     def process_update(self, rec):
         """Repair after one graph change; returns [(node, new_level)] sorted.
 
-        Only changes touching this view matter, and only if the degraded edge
-        currently carries a parent pointer.
+        Only changes touching this view matter, and only if the changed edge
+        was tight for one of its endpoints before the change.
         """
         rec = self.view.filter_record(rec)
         if rec is None:
             return []
-        dirty = []
-        for x, y in ((rec.u, rec.v), (rec.v, rec.u)):
-            if self.parent.get(x) == y:
-                dirty.append(x)
-        if not dirty:
+        level = self.level
+        u, v, w = rec.u, rec.v, rec.old_weight
+        lu = level.get(u, inf)
+        lv = level.get(v, inf)
+        # Both endpoints can be tight only on a zero-weight edge.
+        tight_u = lu == lv + w and lu != inf and u != self.root
+        tight_v = lv == lu + w and lv != inf and v != self.root
+        if not (tight_u or tight_v):
             return []
-        heap = [(self.level.get(x, inf), x) for x in dirty]
-        heapq.heapify(heap)
-        pre = {}
+        heap = []
+        if tight_u:
+            heap.append((lu, u))
+        if tight_v:
+            heap.append((lv, v))
+        heap.sort()
+        queued = {x for _, x in heap}
+        neighbors = self.view.neighbors
+        depth = self.depth
+        raised = set()
         while heap:
-            _, x = heapq.heappop(heap)
-            if x == self.root:
-                continue
-            cur = self.level.get(x, inf)
+            cur, x = heapq.heappop(heap)
+            queued.discard(x)
+            nbrs = neighbors(x)
+            self.work_counter += len(nbrs)
             best = inf
-            best_p = None
-            for y, w in self.view.neighbors(x):
-                self.work_counter += 1
-                cand = self.level.get(y, inf) + w
-                if cand < best or (cand == best and best_p is not None and y < best_p):
-                    best = cand
-                    best_p = y
-            if best > self.depth:
-                best = inf
+            dependents = []
+            for y, w in nbrs:
+                ly = level.get(y, inf)
+                if ly + w < best:
+                    best = ly + w
+                if ly - w == cur:
+                    dependents.append(y)
             if best <= cur:
-                # Weight increases can leave the minimum where it was (another
-                # route ties); reattach the parent pointer and stop.
+                # Another route still gives the old level (weight increases
+                # can leave the minimum where it was); nothing moves.
                 if best != cur:
                     raise AssertionError("level regression at node %r" % (x,))
-                if cur != inf:
-                    self._set_parent(x, best_p)
                 continue
-            if x not in pre:
-                pre[x] = cur
-            kids = list(self.children.get(x, ()))
-            if best is inf:
-                self.level.pop(x, None)
-                self._set_parent(x, None)
+            raised.add(x)
+            if best > depth:
+                del level[x]
             else:
-                self.level[x] = best
-                self._set_parent(x, best_p)
-            for t in kids:
-                heapq.heappush(heap, (self.level.get(t, inf), t))
-        return [
-            (x, self.level.get(x, inf))
-            for x in sorted(pre)
-            if self.level.get(x, inf) != pre[x]
-        ]
-
+                level[x] = best
+            for t in dependents:
+                if t not in queued:
+                    queued.add(t)
+                    heapq.heappush(heap, (level[t], t))
+        return [(x, level.get(x, inf)) for x in sorted(raised)]

@@ -90,6 +90,29 @@ def test_radius_bucket_power_is_maximal(val, eps_num, eps_den):
     assert power <= val - 1 < power * (1 + eps)
 
 
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 3), Fraction(2, 7)])
+def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
+    # Watched values at, just below and just above 1 + (1+eps)^j, as ints and
+    # Fractions, in rising order as a watcher reports them.
+    graph = path_graph(6, w=4, max_weight=16)
+    system = BallSystem(graph, manual_assignment(6, 2, [{5}]), EsTree,
+                        alpha=Fraction(3, 2), beta=1, depth=40, bucket_eps=eps)
+    values = [Fraction(1, 2), 1, 2]
+    power = Fraction(1)
+    while power < 60:
+        for delta in (-Fraction(1, 97), 0, Fraction(1, 97)):
+            values.append(power + 1 + delta)
+        values += [power.numerator // power.denominator + 1,
+                   -(-power.numerator // power.denominator) + 1]
+        power *= 1 + eps
+    for val in sorted(values) + [inf]:
+        system._watched_value = lambda u, val=val: val
+        want = radius_from_watched(val, eps, system.alpha, system.beta, system.depth)
+        assert system._current_radius(0) == want  # from the last value's bucket
+        system._bucket.pop(0, None)
+        assert system._current_radius(0) == want  # from bucket 0
+
+
 @given(
     a_num=st.integers(min_value=1, max_value=6),
     b_num=st.integers(min_value=1, max_value=6),

@@ -1,13 +1,25 @@
 """Exact depth-bounded tree: exactness per update, change lists, work bound."""
 
 import random
+from fractions import Fraction
 from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from decrsp.es_tree import EsTree
-from decrsp.graph import ArtificialSourceView, DynamicGraph, InducedSnapshot, UpdateEvent
+from decrsp.graph import (
+    ArtificialSourceView,
+    DynamicGraph,
+    GraphFormatError,
+    InducedSnapshot,
+    UpdateError,
+    UpdateEvent,
+    dijkstra_bounded,
+)
+from decrsp.layered import FullRangeSssp
 from decrsp.oracle import dijkstra
 
 from test_graph_core import graph_from_edges, random_graph
@@ -17,6 +29,20 @@ def levels_against_oracle(tree, view, root, depth):
     want = {v: d for v, d in dijkstra(view, root).items() if d <= depth}
     got = {v: tree.query(v) for v in view.node_ids() if tree.query(v) != inf}
     assert got == want
+
+
+def assert_levels_supported(t):
+    """Every finite non-root level is its neighbours' minimum route, and every
+    node at inf has no neighbour route within the depth bound."""
+    assert t.level[t.root] == 0
+    for x in t.view.node_ids():
+        if x == t.root:
+            continue
+        best = min((t.query(y) + w for y, w in t.view.neighbors(x)), default=inf)
+        if t.query(x) == inf:
+            assert best > t.depth, x
+        else:
+            assert t.query(x) == best, x
 
 
 def drain(g, tree, events, depth, check_every=1):
@@ -34,11 +60,11 @@ def test_build_matches_bounded_dijkstra():
     g = graph_from_edges(6, 9, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 4, 2), (0, 5, 7)])
     t = EsTree(g, 0, 4)
     assert {v: t.query(v) for v in range(6)} == {0: 0, 1: 2, 2: 4, 3: inf, 4: inf, 5: inf}
-    assert t.parent[2] == 1 and t.parent[0] is None
+    assert_levels_supported(t)
 
 
 def test_nontree_edge_delete_is_noop():
-    # Both endpoints keep their parents; the change list must be empty.
+    # The edge was tight for neither endpoint; the change list must be empty.
     g = graph_from_edges(4, 9, [(0, 1, 1), (0, 2, 1), (1, 2, 5), (2, 3, 1)])
     t = EsTree(g, 0, inf)
     rec = g.apply_update(UpdateEvent("delete", 1, 2))
@@ -53,16 +79,33 @@ def test_tree_edge_delete_reroutes():
     rec = g.apply_update(UpdateEvent("delete", 1, 2))
     changes = t.process_update(rec)
     assert changes == [(2, 5), (3, 6)]
-    assert t.parent[2] == 0
+    assert_levels_supported(t)
 
 
 def test_increase_with_tying_alternative_keeps_level():
     g = graph_from_edges(3, 9, [(0, 1, 2), (0, 2, 4), (1, 2, 2)])
     t = EsTree(g, 0, inf)
-    assert t.query(2) == 4 and t.parent[2] == 0  # smallest-id tie-break
+    assert t.query(2) == 4
     rec = g.apply_update(UpdateEvent("increase", 0, 2, 5))
     assert t.process_update(rec) == []  # the route through node 1 still gives 4
-    assert t.query(2) == 4 and t.parent[2] == 1
+    assert t.query(2) == 4
+    # Edge 0-2 was tight for node 2 only, and its one scan found the tie.
+    assert t.work_counter == len(g.neighbors(2))
+    assert_levels_supported(t)
+
+
+def test_change_on_a_non_tight_edge_scans_nothing():
+    # 1-2 (weight 5) is tight for neither endpoint; 3-4 leads past the depth
+    # bound, so node 4 is at inf and the edge carries neither level.
+    g = graph_from_edges(5, 9, [(0, 1, 1), (0, 2, 1), (1, 2, 5), (2, 3, 4), (3, 4, 1)])
+    t = EsTree(g, 0, 5)
+    before = dict(t.level)
+    for ev in (UpdateEvent("increase", 1, 2, 7), UpdateEvent("delete", 1, 2),
+               UpdateEvent("delete", 3, 4)):
+        assert t.process_update(g.apply_update(ev)) == []
+        assert t.work_counter == 0
+    assert t.level == before
+    assert_levels_supported(t)
 
 
 def test_depth_cutoff_emits_infinity():
@@ -71,7 +114,8 @@ def test_depth_cutoff_emits_infinity():
     rec = g.apply_update(UpdateEvent("increase", 0, 1, 4))
     changes = t.process_update(rec)
     assert changes == [(1, 4), (2, inf)]
-    assert t.query(2) == inf and 2 not in t.parent
+    assert t.query(2) == inf and 2 not in t.level
+    assert_levels_supported(t)
 
 
 def test_update_on_deep_region_is_cheap():
@@ -147,15 +191,7 @@ def test_work_counter_bound():
     assert t.work_counter <= 3 * m * depth
 
 
-def assert_children_invert_parent(t):
-    inverse = {}
-    for x, p in t.parent.items():
-        if p is not None:
-            inverse.setdefault(p, set()).add(x)
-    assert {p: kids for p, kids in t.children.items() if kids} == inverse
-
-
-def test_children_stay_inverse_of_parent_through_full_drain():
+def test_levels_stay_supported_through_full_drain():
     for seed in range(5):
         rng = random.Random(500 + seed)
         g = random_graph(24, 70, 6, seed=40 + seed)
@@ -165,7 +201,7 @@ def test_children_stay_inverse_of_parent_through_full_drain():
             EsTree(art, art.source_id, inf),
         ]
         for t in trees:
-            assert_children_invert_parent(t)
+            assert_levels_supported(t)
         while g.edge_count:
             u, v, w = rng.choice(list(g.edges()))
             if w < 6 and rng.random() < 0.3:
@@ -175,5 +211,111 @@ def test_children_stay_inverse_of_parent_through_full_drain():
             rec = g.apply_update(ev)
             for t in trees:
                 t.process_update(rec)
-                assert_children_invert_parent(t)
+                assert_levels_supported(t)
                 levels_against_oracle(t, t.view, t.root, t.depth)
+
+
+class EsMachine(RuleBasedStateMachine):
+    """Deletes, increases, rejected updates and queries on a small graph,
+    driving exact trees on the graph and on a distance-to-set view beside a
+    default-path ``FullRangeSssp``.  After every step each tree (the bands'
+    trees on their mirrors included) holds the from-scratch bounded Dijkstra
+    levels and reported exactly the levels that moved; the full-range
+    answers never fall, stay within 1 + eps and cost one heap read each."""
+
+    @initialize(n=st.integers(3, 12), w_max=st.integers(1, 16), depth=st.sampled_from([3, 8, inf]),
+                eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+                seed=st.integers(0, 1000))
+    def build(self, n, w_max, depth, eps, seed):
+        rng = random.Random(seed)
+        self.graph = random_graph(n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)), w_max, seed)
+        source = rng.randrange(n)
+        art = ArtificialSourceView(self.graph, attach=rng.sample(range(n), 2))
+        self.trees = [EsTree(self.graph, source, depth), EsTree(art, art.source_id, inf)]
+        self.full = FullRangeSssp(self.graph, source, eps)
+        self.queries = 0
+        self.levels = [dict(t.level) for t in self.all_trees()]
+        self.answers = self.read_answers()
+
+    def all_trees(self):
+        return self.trees + self.full.stacks
+
+    def read_answers(self):
+        self.queries += self.graph.n
+        return {v: self.full.query(v) for v in self.graph.node_ids()}
+
+    def pick(self, index, weight_below=None):
+        edges = [e for e in self.graph.edges() if weight_below is None or e[2] < weight_below]
+        return edges[index % len(edges)] if edges else None
+
+    def apply(self, event):
+        rec = self.graph.apply_update(event)
+        for t, before in zip(self.trees, self.levels):
+            changes = t.process_update(rec)
+            moved = sorted(v for v in set(before) | set(t.level)
+                           if before.get(v, inf) != t.query(v))
+            assert changes == [(v, t.query(v)) for v in moved]
+        changes = self.full.process_update(rec)
+        answers = self.read_answers()
+        assert changes == [(v, answers[v]) for v in sorted(answers)
+                           if answers[v] != self.answers[v]]
+
+    @rule(index=st.integers(0, 10**6))
+    def delete(self, index):
+        edge = self.pick(index)
+        if edge is not None:
+            self.apply(UpdateEvent("delete", edge[0], edge[1]))
+
+    @rule(index=st.integers(0, 10**6), bump=st.integers(1, 15))
+    def increase(self, index, bump):
+        edge = self.pick(index, self.graph.max_weight)
+        if edge is not None:
+            u, v, w = edge
+            self.apply(UpdateEvent("increase", u, v, min(w + bump, self.graph.max_weight)))
+
+    @rule(index=st.integers(0, 10**6),
+          kind=st.sampled_from(["absent", "same", "over", "node"]))
+    def rejected(self, index, kind):
+        n = self.graph.n
+        missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                   if not self.graph.has_edge(a, b)]
+        edge = self.pick(index)
+        if kind == "absent" and missing:
+            bad = UpdateEvent("delete", *missing[index % len(missing)])
+        elif kind == "node" or edge is None:
+            bad = UpdateEvent("delete", [0, Fraction(1, 2), "0", True][index % 4], 0)
+        else:
+            u, v, w = edge
+            bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
+        with pytest.raises((UpdateError, GraphFormatError)):
+            self.full.apply_event(bad)
+        assert self.read_answers() == self.answers
+
+    @rule(index=st.integers(0, 10**6))
+    def query(self, index):
+        v = index % self.graph.n
+        self.queries += 1
+        assert self.full.query(v) == self.answers[v]
+
+    @invariant()
+    def levels_are_exact_and_answers_in_bound(self):
+        levels = [dict(t.level) for t in self.all_trees()]
+        for t, now, before in zip(self.all_trees(), levels, self.levels):
+            assert now == dijkstra_bounded(t.view, t.root, t.depth)
+            assert all(now.get(v, inf) >= lvl for v, lvl in before.items())
+        self.levels = levels
+        answers = self.read_answers()
+        assert self.full.heap_reads == self.queries
+        dist = dijkstra_bounded(self.graph, self.full.source, inf)
+        bound = 1 + self.full.eps
+        for v, est in answers.items():
+            assert est >= self.answers[v]
+            d = dist.get(v, inf)
+            assert est == d == inf or d <= est <= bound * d
+        self.answers = answers
+
+
+EsMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=20, derandomize=True, deadline=None
+)
+test_es_state_machine = EsMachine.TestCase
