@@ -18,7 +18,9 @@ depth is unbounded); the test runs in integers.
 An update touches only the balls it can change.  A ``member -> owners`` index,
 kept in step by every scope rebuild, routes a change on edge (x, y) to the
 owners whose scope holds both x and y, in sorted order; each of them applies
-the change to its snapshot once, then feeds it to its inner instance.
+the change to its snapshot once, then feeds it to its inner instance.  So an
+inner instance only ever sees changes on edges of its own snapshot, and no
+view needs to filter records.
 
 Estimates reported for a pair (u, v) never decrease: rebuilds may produce
 smaller raw values (larger scope, fresh instance), and those are clamped away
@@ -70,9 +72,6 @@ class BallChangeSet:
 
     def __bool__(self):
         return bool(self.events)
-
-
-EMPTY_CHANGESET = BallChangeSet(())
 
 
 class BallSystem:
@@ -271,9 +270,6 @@ class BallSystem:
         scope holds both endpoints: each one's snapshot takes the change
         first, then the instance itself.
         """
-        rec = self.view.filter_record(rec)
-        if rec is None:
-            return EMPTY_CHANGESET
         events = []
         watched = set()
         for i in sorted(self._set_inst):

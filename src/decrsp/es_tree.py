@@ -61,12 +61,9 @@ class EsTree:
     def process_update(self, rec):
         """Repair after one graph change; returns [(node, new_level)] sorted.
 
-        Only changes touching this view matter, and only if the changed edge
-        was tight for one of its endpoints before the change.
+        The changed edge matters only if it was tight for one of its
+        endpoints before the change.
         """
-        rec = self.view.filter_record(rec)
-        if rec is None:
-            return []
         level = self.level
         u, v, w = rec.u, rec.v, rec.old_weight
         lu = level.get(u, inf)

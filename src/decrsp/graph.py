@@ -5,7 +5,13 @@ update-driven structures in this package consume ``ChangeRecord`` objects
 produced by :meth:`DynamicGraph.apply_update`; the graph is mutated first,
 then the records are forwarded to whatever trees/balls/stacks are listening.
 
-Two kinds of subgraph are provided:
+The structures read a graph only through ``node_ids``, ``node_count``,
+``has_node``, ``neighbors``, ``edges`` and ``weight`` (the last only on
+adjacency graphs, by the shortcut graph's debug check).
+:class:`AdjacencyGraph` implements them over one node set and a symmetric
+adjacency map, and its ``apply_record`` is the one edge write behind
+``DynamicGraph.apply_update``, the scaled mirrors of :mod:`decrsp.layered`
+and the ball snapshots below.  Beside the graph there are two views:
 
 * :class:`InducedSnapshot` copies a graph's edges among a node subset.  It
   does not follow the parent by itself; its owner applies each parent
@@ -15,14 +21,9 @@ Two kinds of subgraph are provided:
   a single-source structure).  It holds no edge data of its own, so parent
   mutations show through immediately.
 
-Both support the same read protocol as ``DynamicGraph`` (``node_ids``,
-``neighbors``, ``edges``, ``weight``, ``filter_record``), which is all the
-shortest-path code needs.
-
-:class:`AdjacencyGraph` implements the edge reads of that protocol over a
-symmetric adjacency map; ``DynamicGraph``, ``InducedSnapshot`` and the scaled
-mirrors of :mod:`decrsp.layered` extend it with their own node sets and
-mutations.
+A view filters no records: a change reaches only the structures whose view
+holds its edge.  Routing lives in :class:`~decrsp.balls.BallSystem`, which
+hands a change to an inner instance only when its scope holds both ends.
 """
 
 from __future__ import annotations
@@ -73,15 +74,26 @@ class ChangeRecord:
 
 
 class AdjacencyGraph:
-    """Read protocol over a symmetric ``node -> {neighbor: weight}`` map.
+    """Read protocol over a node set and a symmetric ``node -> {neighbor: weight}`` map.
 
-    Subclasses own the node set (``node_ids``, ``node_count``, ``has_node``)
-    and every mutation; both sides of an edge are always stored.
+    Both sides of an edge are always stored, and ``apply_record`` is the one
+    way an edge changes after construction.
     """
 
-    def __init__(self, max_weight):
+    def __init__(self, max_weight, nodes):
         self.max_weight = max_weight
+        self.node_set = frozenset(nodes)
+        self._ids = tuple(sorted(self.node_set))
         self._adj = {}  # node -> {neighbor: weight}; absent node means isolated
+
+    def node_ids(self):
+        return self._ids
+
+    def node_count(self):
+        return len(self._ids)
+
+    def has_node(self, u):
+        return u in self.node_set
 
     def has_edge(self, u, v):
         return v in self._adj.get(u, ())
@@ -103,8 +115,13 @@ class AdjacencyGraph:
                 if u < v:
                     yield (u, v, w)
 
-    def filter_record(self, rec):
-        return rec
+    def apply_record(self, rec):
+        """Write one change record's edge: delete it or set its new weight."""
+        u, v = rec.u, rec.v
+        if rec.kind == "delete":
+            del self._adj[u][v], self._adj[v][u]
+        else:
+            self._adj[u][v] = self._adj[v][u] = rec.new_weight
 
 
 class DynamicGraph(AdjacencyGraph):
@@ -115,7 +132,7 @@ class DynamicGraph(AdjacencyGraph):
             raise GraphFormatError(
                 "need n >= 0 and max_weight >= 1, got n=%r max_weight=%r" % (n, max_weight)
             )
-        super().__init__(max_weight)
+        super().__init__(max_weight, range(n))
         self.n = n
         self.edge_count = 0
 
@@ -141,14 +158,6 @@ class DynamicGraph(AdjacencyGraph):
         if not self.has_node(u):
             raise GraphFormatError("node id %r outside [0, %d)" % (u, self.n))
 
-    # -- node set -----------------------------------------------------------
-
-    def node_ids(self):
-        return range(self.n)
-
-    def node_count(self):
-        return self.n
-
     def has_node(self, u):
         return type(u) is int and 0 <= u < self.n  # not bool: True == 1
 
@@ -163,11 +172,9 @@ class DynamicGraph(AdjacencyGraph):
             raise UpdateError("edge (%d, %d) not present" % (u, v))
         old = self._adj[u][v]
         if event.kind == "delete":
-            del self._adj[u][v]
-            del self._adj[v][u]
+            rec = ChangeRecord("delete", u, v, old, None)
             self.edge_count -= 1
-            return ChangeRecord("delete", u, v, old, None)
-        if event.kind == "increase":
+        elif event.kind == "increase":
             w = event.new_weight
             if not isinstance(w, int) or w <= old:
                 raise UpdateError(
@@ -179,10 +186,11 @@ class DynamicGraph(AdjacencyGraph):
                     "increase on (%d, %d) to %d exceeds weight bound %d"
                     % (u, v, w, self.max_weight)
                 )
-            self._adj[u][v] = w
-            self._adj[v][u] = w
-            return ChangeRecord("increase", u, v, old, w)
-        raise UpdateError("unknown update kind %r" % (event.kind,))
+            rec = ChangeRecord("increase", u, v, old, w)
+        else:
+            raise UpdateError("unknown update kind %r" % (event.kind,))
+        self.apply_record(rec)
+        return rec
 
 
 # -- file formats ----------------------------------------------------------
@@ -263,42 +271,18 @@ class InducedSnapshot(AdjacencyGraph):
     """A copy of a parent view's edges among a fixed node subset.
 
     Each row lists the parent's neighbours in the parent's order, so a scan
-    sees the same sequence a live filter over the parent would.  After
-    construction the copy changes only through ``apply_record``: its owner
-    passes in each parent change whose endpoints both lie in the subset.
+    sees them in the same sequence as on the parent.  After construction
+    the copy changes only through ``apply_record``: its owner passes in each
+    parent change whose endpoints both lie in the subset.
     """
 
     def __init__(self, parent, nodes):
-        super().__init__(parent.max_weight)
-        self.node_set = frozenset(nodes)
-        self._ids = tuple(sorted(self.node_set))
+        super().__init__(parent.max_weight, nodes)
         inside = self.node_set
         for u in self._ids:
             row = {v: w for v, w in parent.neighbors(u) if v in inside}
             if row:
                 self._adj[u] = row
-
-    def node_ids(self):
-        return self._ids
-
-    def node_count(self):
-        return len(self._ids)
-
-    def has_node(self, u):
-        return u in self.node_set
-
-    def filter_record(self, rec):
-        if rec.u in self.node_set and rec.v in self.node_set:
-            return rec
-        return None
-
-    def apply_record(self, rec):
-        """Mirror one parent change on an edge inside the subset."""
-        u, v = rec.u, rec.v
-        if rec.kind == "delete":
-            del self._adj[u][v], self._adj[v][u]
-        else:
-            self._adj[u][v] = self._adj[v][u] = rec.new_weight
 
 
 class ArtificialSourceView:
@@ -334,20 +318,6 @@ class ArtificialSourceView:
     def has_node(self, u):
         return u == self.source_id or self.parent.has_node(u)
 
-    def has_edge(self, u, v):
-        if u == self.source_id:
-            return v in self._attach_set
-        if v == self.source_id:
-            return u in self._attach_set
-        return self.parent.has_edge(u, v)
-
-    def weight(self, u, v):
-        if u == self.source_id or v == self.source_id:
-            if not self.has_edge(u, v):
-                raise KeyError((u, v))
-            return 0
-        return self.parent.weight(u, v)
-
     def neighbors(self, u):
         if u == self.source_id:
             return [(a, 0) for a in self.attach]
@@ -361,32 +331,24 @@ class ArtificialSourceView:
         for a in self.attach:
             yield (a, self.source_id, 0)
 
-    def filter_record(self, rec):
-        return self.parent.filter_record(rec)
-
 
 # -- bounded Dijkstra --------------------------------------------------------
 
 
 def dijkstra_bounded(view, source, bound):
-    """Exact distances from ``source`` (node id, or ("set", nodes) for a virtual
+    """Exact distances from node ``source`` up to and including ``bound``.
 
-    zero-weight source over a node set) up to and including ``bound``.
     Returns {node: distance} containing only nodes whose distance is <= bound.
     Nodes are never enqueued with a tentative distance above the bound, so the
-    cost is proportional to the explored region only.
+    cost is proportional to the explored region only.  Distance to a node set
+    is distance from the virtual source of an :class:`ArtificialSourceView`.
     """
+    if not view.has_node(source):
+        raise ParamConfigError("source %r outside view" % (source,))
     dist = {}
-    heap = []
-    if isinstance(source, tuple) and len(source) == 2 and source[0] == "set":
-        for s in sorted(set(source[1])):
-            heapq.heappush(heap, (0, s))
-    else:
-        if not view.has_node(source):
-            raise ParamConfigError("source %r outside view" % (source,))
-        heapq.heappush(heap, (0, source))
     if bound < 0:
         return dist
+    heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if u in dist:

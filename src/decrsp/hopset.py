@@ -364,15 +364,13 @@ def shortcut_process_update(sg, record, ball_changes):
         if ev.estimate <= params.weight_cap:
             sg._tree_insert(("F", ev.owner, ev.member, gen), ev.owner, ev.member, ev.estimate)
 
-    rec = sg.view.filter_record(record) if record is not None else None
-    if rec is not None:
-        pair = (rec.u, rec.v) if rec.u < rec.v else (rec.v, rec.u)
-        key = ("G",) + pair
-        if tree.has_edge(key, pair[0]):
-            if rec.kind == "delete":
-                sg._tree_delete(key, pair[0])
-            else:
-                sg._tree_reweight(key, pair[0], rec.new_weight)
+    pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
+    key = ("G",) + pair
+    if tree.has_edge(key, pair[0]):
+        if record.kind == "delete":
+            sg._tree_delete(key, pair[0])
+        else:
+            sg._tree_reweight(key, pair[0], record.new_weight)
 
     for ev in increases:
         pair = (ev.owner, ev.member)

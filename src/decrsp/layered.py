@@ -209,22 +209,11 @@ class ScaledMirror(AdjacencyGraph):
         self.phi = Fraction(phi)
         self._num = self.phi.numerator
         self._den = self.phi.denominator
-        super().__init__(self.scale(view.max_weight))
-        self._nodes = sorted(view.node_ids())
-        self._node_set = frozenset(self._nodes)
+        super().__init__(self.scale(view.max_weight), view.node_ids())
         for u, v, w in view.edges():
             w = self.scale(w)
             self._adj.setdefault(u, {})[v] = w
             self._adj.setdefault(v, {})[u] = w
-
-    def node_ids(self):
-        return iter(self._nodes)
-
-    def node_count(self):
-        return len(self._nodes)
-
-    def has_node(self, u):
-        return u in self._node_set
 
     def scale(self, weight):
         """ceil(weight / phi) for an integer weight, in integer arithmetic."""
@@ -239,16 +228,15 @@ class ScaledMirror(AdjacencyGraph):
         u, v = record.u, record.v
         old = self._adj[u][v]
         new = None
-        if record.kind == "delete":
-            del self._adj[u][v], self._adj[v][u]
-        else:
+        if record.kind != "delete":
             new = self.scale(record.new_weight)
             if new == old:
                 return None
             if new < old:
                 raise AssertionError("mirror weight must strictly increase")
-            self._adj[u][v] = self._adj[v][u] = new
-        return ChangeRecord(record.kind, u, v, old, new)
+        scaled = ChangeRecord(record.kind, u, v, old, new)
+        self.apply_record(scaled)
+        return scaled
 
 
 class FullRangeSssp:
@@ -339,8 +327,14 @@ class FullRangeSssp:
 
     def query(self, node):
         """Current estimate; exactly one heap read."""
+        # Counted before the read, so a hit runs no extra store; a miss
+        # takes the count back.
         self.heap_reads += 1
-        return self._heaps[node][0][2]
+        try:
+            return self._heaps[node][0][2]
+        except KeyError:
+            self.heap_reads -= 1
+            raise ParamConfigError("node %r is not in the graph" % (node,)) from None
 
     def apply_event(self, event):
         """Apply an update to the owned base graph and digest it."""
@@ -348,9 +342,6 @@ class FullRangeSssp:
 
     def process_update(self, record):
         """Digest one already-applied change; returns sorted changed (node, value)."""
-        record = self.view.filter_record(record)
-        if record is None:
-            return []
         touched = set()
         for mirror, structure in zip(self.mirrors, self.stacks):
             band_record = record if mirror is None else mirror.translate(record)

@@ -16,14 +16,21 @@ from hypothesis import strategies as st
 
 from decrsp.apsp import ApspState
 from decrsp.balls import (
-    EMPTY_CHANGESET,
+    BallChangeSet,
     BallEvent,
     BallSystem,
     radius_from_watched,
     witness_reach,
 )
 from decrsp.es_tree import EsTree
-from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.graph import (
+    ArtificialSourceView,
+    DynamicGraph,
+    InducedSnapshot,
+    ParamConfigError,
+    UpdateEvent,
+    dijkstra_bounded,
+)
 from decrsp.harness import generate_instance
 from decrsp.layered import FullRangeSssp, LayerAssembly
 from decrsp.sampling import PriorityAssignment, sample_priorities
@@ -136,7 +143,10 @@ def test_witness_reach_matches_recurrence(a_num, b_num, x, l):
 def exact_level_distance(graph, nodes):
     if not nodes:
         return {}
-    return dijkstra_bounded(graph, ("set", nodes), inf)
+    view = ArtificialSourceView(graph, nodes)
+    dist = dijkstra_bounded(view, view.source_id, inf)
+    del dist[view.source_id]
+    return dist
 
 
 def brute_force_state(graph, assignment, alpha, beta, depth, eps):
@@ -307,7 +317,7 @@ def test_update_without_bucket_or_estimate_change_is_empty():
     # Deleting (1,2) changes no distance to 0 and no level inside any scope
     # that contains both endpoints.
     changes = apply(graph, system, UpdateEvent("delete", 1, 2))
-    assert changes == EMPTY_CHANGESET
+    assert changes == BallChangeSet(())
     assert not changes and changes.events == ()
 
 
@@ -665,3 +675,35 @@ def test_routing_index_and_snapshots_track_every_update(mode, seed):
     # Scopes were rebuilt along the way, and snapshots were checked.
     assert live > 0
     assert sum(sum(system.rebuild_counts.values()) for system in systems) > rebuilds
+
+
+@pytest.mark.parametrize("mode", ["balls", "apsp"])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_snapshots_receive_only_records_on_their_own_edges(monkeypatch, mode, seed):
+    # No view filters records: the owners index alone must keep every change
+    # that reaches a snapshot (and the inner instance fed right after it) on
+    # an edge of that snapshot.
+    write = InducedSnapshot.apply_record
+    seen = []
+
+    def checked_write(snapshot, rec):
+        assert rec.u in snapshot.node_set and rec.v in snapshot.node_set, rec
+        assert snapshot.has_edge(rec.u, rec.v), rec
+        seen.append(rec)
+        write(snapshot, rec)
+
+    monkeypatch.setattr(InducedSnapshot, "apply_record", checked_write)
+    sched = generate_instance(24, 48, 8, "erdos-renyi", 1.0, seed=seed, increase_rate=0.3)
+    graph = sched.build_graph()
+    if mode == "apsp":
+        step = ApspState(graph, 2, Fraction(1, 2), seed, c=0.25).process_update
+    else:
+        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed), EsTree,
+                            alpha=1, beta=0, depth=8, bucket_eps=1)
+
+        def step(event):
+            system.process_update(graph.apply_update(event))
+
+    for event in sched.updates():
+        step(event)
+    assert graph.edge_count == 0 and seen

@@ -173,7 +173,8 @@ def test_works_on_views():
     art = ArtificialSourceView(g, attach=[2, 9, 13])
     t2 = EsTree(art, art.source_id, inf)
     levels_against_oracle(t2, art, art.source_id, inf)
-    # Updates outside the induced view are no-ops for its tree.
+    # A node outside the view sits at inf, so no edge is tight for it and a
+    # change on its edges costs the view's tree nothing.
     rec = g.apply_update(UpdateEvent("delete", 13, [v for v, _ in g.neighbors(13)][0]))
     assert t.process_update(rec) == []
 

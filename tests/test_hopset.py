@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decrsp.balls import (
-    EMPTY_CHANGESET,
     BallChangeSet,
     BallEvent,
     BallSystem,
@@ -311,7 +310,7 @@ def test_deletion_without_distance_change_reports_nothing():
     ps = small_params(8)
     sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0, debug=True)
     rec = graph.apply_update(UpdateEvent("delete", 0, 2))
-    assert shortcut_process_update(sg, rec, EMPTY_CHANGESET) == []
+    assert shortcut_process_update(sg, rec, BallChangeSet(())) == []
 
 
 def test_estimate_increase_below_grain_is_absorbed():
@@ -366,7 +365,7 @@ def test_base_increase_absorption_and_cap_escape():
     key = ("G", 0, 1)
     assert tree_weight(sg, key) == 3
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 37))
-    out = shortcut_process_update(sg, rec, EMPTY_CHANGESET)
+    out = shortcut_process_update(sg, rec, BallChangeSet(()))
     assert not admitted(sg, key)
     assert out == [(1, inf)]
 

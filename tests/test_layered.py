@@ -13,10 +13,18 @@ from math import ceil, inf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from decrsp import hopset, layered
 from decrsp.es_tree import EsTree
-from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
+from decrsp.graph import (
+    DynamicGraph,
+    GraphFormatError,
+    ParamConfigError,
+    UpdateError,
+    UpdateEvent,
+    dijkstra_bounded,
+)
 from decrsp.hopset import integer_root_ceil
 from decrsp.layered import (
     FullRangeSssp,
@@ -405,6 +413,16 @@ def test_source_outside_view_is_a_config_error():
         FullRangeSssp(g, 9, Fraction(1, 2))
 
 
+def test_query_of_an_unknown_node_is_a_config_error():
+    g = random_graph(4, 4, 4, seed=1)
+    full = FullRangeSssp(g, 0, Fraction(1, 2))
+    with pytest.raises(ParamConfigError, match="node 9"):
+        full.query(9)
+    assert full.heap_reads == 0  # a failed lookup reads no heap
+    assert full.query(1) == dijkstra_bounded(g, 0, inf)[1]
+    assert full.heap_reads == 1
+
+
 def test_full_range_tracks_oracle_with_mixed_updates():
     n, w_max = 30, 4
     g = random_graph(n, 60, w_max, seed=11)
@@ -540,3 +558,98 @@ def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
                 assert reported[x] == min(answers) != snapshot[x]
             assert full.query(x) == reported.get(x, snapshot[x])
             snapshot[x] = full.query(x)
+
+
+class LayeredMachine(RuleBasedStateMachine):
+    """Deletes, increases, rejected updates and queries on a small graph,
+    driving a ``FullRangeSssp`` whose every band is a ``LayerAssembly``.
+    After every step the answers stay between the true distance and 1 + eps
+    times it, never fall and cost one heap read each; every band's lower
+    tree holds the from-scratch bounded Dijkstra levels on its mirror, and
+    every mirror holds exactly the current graph's edges, scaled."""
+
+    @initialize(n=st.integers(8, 12), w_max=st.integers(1, 16), p=st.sampled_from([2, 3]),
+                eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+                seed=st.integers(0, 1000))
+    def build(self, n, w_max, p, eps, seed):
+        rng = random.Random(seed)
+        self.graph = random_graph(n, rng.randint(n - 1, 2 * n), w_max, seed)
+        self.full = FullRangeSssp(self.graph, rng.randrange(n), eps, p=p, q=3, seed=seed,
+                                  debug=True)
+        assert all(band.mode == "layered" for band in self.full.stacks)
+        self.queries = 0
+        self.answers = self.read_answers()
+
+    def read_answers(self):
+        self.queries += self.graph.n
+        return {v: self.full.query(v) for v in self.graph.node_ids()}
+
+    def pick(self, index, weight_below=None):
+        edges = [e for e in self.graph.edges() if weight_below is None or e[2] < weight_below]
+        return edges[index % len(edges)] if edges else None
+
+    def apply(self, event):
+        changes = self.full.apply_event(event)
+        answers = self.read_answers()
+        assert changes == [(v, answers[v]) for v in sorted(answers)
+                           if answers[v] != self.answers[v]]
+
+    @rule(index=st.integers(0, 10**6))
+    def delete(self, index):
+        edge = self.pick(index)
+        if edge is not None:
+            self.apply(UpdateEvent("delete", edge[0], edge[1]))
+
+    @rule(index=st.integers(0, 10**6), bump=st.integers(1, 15))
+    def increase(self, index, bump):
+        edge = self.pick(index, self.graph.max_weight)
+        if edge is not None:
+            u, v, w = edge
+            self.apply(UpdateEvent("increase", u, v, min(w + bump, self.graph.max_weight)))
+
+    @rule(index=st.integers(0, 10**6),
+          kind=st.sampled_from(["absent", "same", "over", "node"]))
+    def rejected(self, index, kind):
+        n = self.graph.n
+        missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                   if not self.graph.has_edge(a, b)]
+        edge = self.pick(index)
+        if kind == "absent" and missing:
+            bad = UpdateEvent("delete", *missing[index % len(missing)])
+        elif kind == "node" or edge is None:
+            bad = UpdateEvent("delete", [0, Fraction(1, 2), "0", True][index % 4], 0)
+        else:
+            u, v, w = edge
+            bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
+        with pytest.raises((UpdateError, GraphFormatError)):
+            self.full.apply_event(bad)
+        assert self.read_answers() == self.answers
+
+    @rule(index=st.integers(0, 10**6))
+    def query(self, index):
+        v = index % self.graph.n
+        self.queries += 1
+        assert self.full.query(v) == self.answers[v]
+
+    @invariant()
+    def bands_are_exact_and_answers_in_bound(self):
+        live = sorted(self.graph.edges())
+        for mirror, band in zip(self.full.mirrors, self.full.stacks):
+            assert sorted(mirror.edges()) == [(u, v, mirror.scale(w)) for u, v, w in live]
+            lower = band.lower
+            assert lower.level == dijkstra_bounded(mirror, lower.root, lower.depth)
+        answers = self.read_answers()
+        assert self.full.heap_reads == self.queries
+        dist = dijkstra_bounded(self.graph, self.full.source, inf)
+        bound = 1 + self.full.eps
+        for v, est in answers.items():
+            assert est >= self.answers[v]
+            d = dist.get(v, inf)
+            assert est == d == inf or d <= est <= bound * d
+        self.answers = answers
+
+
+LayeredMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=20, derandomize=True, deadline=None
+)
+test_layered_state_machine = LayeredMachine.TestCase
