@@ -11,12 +11,16 @@ the stretch by at most 1 + 2*eps', and eps' = eps / 2 keeps it within 1 + eps.
 Full-range part: distance bands [2^i, 2^(i+1)] up to n*W.  Band i rounds
 weights up to multiples of the grain phi_i = (eps/3) * 2^i / n and runs its
 own tree or assembly with range R = 4n/(eps/3) on that scaled mirror, so it
-covers true distances up to 4 * 2^i.  A band with phi_i <= 1 is finer than
-the integer weights; when the bands run exact trees, all such bands give way
-to one exact band: a tree over the base view itself, bounded at 4 * 2^i* for
-the last such band i*, which answers exactly inside that range.  A query
-reads one per-node min-heap holding one entry per band.  Band estimates only
-grow, so a stored entry is a lower bound on its band's live value; an update
+covers true distances up to 4 * 2^i.  Exact trees are built for every band,
+and a band with phi_i <= 1 is finer than the integer weights: all such bands
+give way to one exact band, a tree over the base view itself bounded at
+4 * 2^i* for the last such band i*, which answers exactly inside that range.
+Assemblies are built only for the run of bands that some node needs, behind
+an exact tree on the top band's mirror that tells unreachable nodes from
+nodes beyond the run; ``FullRangeSssp`` gives the rule and why it keeps the
+bound.  A query reads one per-node min-heap holding one entry per built
+band.  Band estimates only grow, so a stored entry is a lower bound on its
+band's live value (or the floor a late band was seeded at); an update
 re-keys a touched node's top from the live value until the top is current,
 and a query is a single heap read.
 
@@ -39,7 +43,7 @@ from math import inf
 
 from .balls import BallSystem
 from .es_tree import EsTree
-from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError
+from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError, dijkstra_bounded
 from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_process_update
 from .sampling import sample_priorities
 
@@ -244,28 +248,72 @@ class FullRangeSssp:
 
     One scaled mirror per distance band at a third of the requested error
     (two rounding/band factors compose to at most 1 + eps), each read by
-    the band's own structure in ``stacks``: an exact ``EsTree`` (q < 3
-    after the p/q overrides) or a ``LayerAssembly`` (q = 3).  Per-node
-    min-heaps over the per-band estimates make a query exactly one heap
-    read.  With exact trees, the bands with phi_i <= 1 are replaced by one
-    exact band over ``view`` itself, which has no mirror (``mirrors[0] is
-    None``) and covers true distances up to 4 * 2^i* for the last such
-    band i*.  With layered bands, every band keeps its mirror.  The scaled
+    the band's own structure in ``stacks``.  Per-node min-heaps over the
+    per-band estimates make a query exactly one heap read.  The scaled
     bands share one ``StackPlan``, so the layer counts, scales and shortcut
     parameters are derived once per instance.
 
+    With exact trees (q < 3 after the p/q overrides) every band is built: an
+    ``EsTree`` per band, except that the bands with phi_i <= 1 are replaced
+    by one exact band over ``view`` itself, which has no mirror
+    (``mirrors[0] is None``) and covers true distances up to 4 * 2^i* for
+    the last such band i*.
+
+    With layered bands (q = 3) only the bands that some answer needs are
+    built.  ``stacks[0]`` is the sentinel: an exact ``EsTree`` bounded at
+    ceil(R) on the top band T's mirror, which is what exact trees run there.
+    ``stacks[1 + i]`` is band i's ``LayerAssembly``, for the run i = 0..J.
+    A band *holds* a node while its estimate is at most its range R on its
+    mirror (4 * 2^i in true distance); the sentinel holds every node it has
+    finite.  The run starts at the smallest J at which every node the
+    sentinel holds is held by some band of the run, and J never passes
+    T - 1.  When an update leaves a node held by the sentinel alone, bands
+    J + 1, J + 2, ... are built from the current graph until one holds it,
+    inside that update, before its heaps are re-keyed.
+
+    Why that keeps the bound, for a node at true distance d >= 1 (the
+    source answers 0 in every band; an unreachable node is at inf in all):
+
+    * No band estimate is below d: a mirror rounds weights up, and neither
+      an exact tree nor an assembly underestimates on its mirror.
+    * A band i that holds the node with 2^i <= d is within 1 + eps of d.
+      Its estimate is at most R, so the node's mirror distance is too.
+      Rounding adds at most phi_i per edge, n * phi_i = (eps/3) * 2^i <=
+      (eps/3) * d on a path, and on mirror distances up to R the assembly's
+      stretch is 1 + 2 eps' = 1 + eps/3 (the sentinel's is 1); the two
+      factors compose to at most 1 + eps.  Band i holds every node with d
+      in [2^i, 2 * 2^i): its mirror distance is below (2 + eps/3) * 2^i /
+      phi_i, and its estimate below (1 + eps/3) * (2 + eps/3) * 2^i / phi_i
+      < 4 * 2^i / phi_i = R.
+    * So take r = floor(log2 d) <= T, as d <= n * W < 2^(T+1).  If r <= J,
+      band r is built and holds the node.  If r = T, the sentinel does.
+      Otherwise the sentinel holds the node (by the previous bullet, with
+      T for i), so a band j <= J < r of the run holds it, and 2^j <= d.
+      Any other band only offers another upper bound, so the least one is
+      within the bound.
+    * A band built late pushes each node's entry at the larger of its fresh
+      key and the node's current heap top, which at that point is still the
+      node's previous answer a; from then on the entry stands for the
+      larger of its band's live key and that floor.  As distances only
+      grow, a <= (1 + eps) * d_before <= (1 + eps) * d, so the floor
+      changes neither bullet above: every entry is at least d, and the
+      holding band's entry is within the bound.  The answer, the least
+      entry, never falls below a.
+
     The grains phi_i = (A/B) * 2^i, with A/B = (eps/3)/n in lowest terms,
     share the denominator B, and every band keeps its estimates as ints
-    over the plan's denominator D (1 for exact trees).  So a scaled band's
-    integer estimate ``s`` has heap key ``s * (A << i)`` and the exact
-    band's estimate ``d`` has key ``d * B``, all ints over B * D.  Each
-    node's heap holds exactly one ``(key, band, answer)`` entry per band,
-    the answer being ``Fraction(key, B * D)``, built once per push, or the
-    plain ``int`` for the exact band.  Entries
-    are not updated when their band moves: a stored key only ever lags
-    below the live one, so after an update it suffices to replace the top
-    of each touched node's heap with its live entry until the top's key is
-    live.  Ties go to the lower band.
+    over its own denominator: 1 for an exact tree, the plan's D for an
+    assembly.  So a scaled band's integer estimate ``s`` has heap key
+    ``s * (A << i) * D / (its denominator)`` and the exact band's estimate
+    ``d`` has key ``d * B``, all ints over B * D.  Each node's heap holds
+    exactly one ``(key, band, answer)`` entry per built band, ``band`` being
+    its index in ``stacks``, the answer being ``Fraction(key, B * D)``,
+    built once per push, or the plain ``int`` for the exact band.  Entries
+    are not updated when their band moves: a stored key lags below the
+    live one, or sits at the floor it was seeded at, so after an update it
+    suffices to replace the top of each touched node's heap with its live
+    entry until the top's key is at least its band's live key.  Ties go to
+    the lower index.
 
     Works on any read-protocol view; updates arrive as already-applied
     change records, so instances can also serve as the distance contract
@@ -284,39 +332,67 @@ class FullRangeSssp:
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
         grain = self.eps_inner / n
-        unit, grain_den = grain.numerator, grain.denominator
-        band_count = max(1, (n * view.max_weight).bit_length())
+        self._unit, self._grain_den = unit, grain_den = grain.numerator, grain.denominator
+        self._band_count = band_count = max(1, (n * view.max_weight).bit_length())
         # Every scaled band has this node count, range and eps: one plan.
         self.plan = plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
-        fine = 0  # bands with phi_i <= 1, replaced by the exact band
-        if plan.mode == "exact":
-            while fine < band_count and unit << fine <= grain_den:
-                fine += 1
+        self._c, self._seed, self.debug = c, seed, debug
+        self._denom = grain_den * plan.denominator
+        # A band holds a node while its integer estimate is at most this.
+        self._reach = math.floor(self.range_bound * plan.denominator)
         self.mirrors = []
         self.stacks = []  # per band: its EsTree or LayerAssembly
         self._units = []  # per band: the multiplier from integer estimate to heap key
-        if fine:
-            self.mirrors.append(None)
-            self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
-            self._units.append(grain_den)
-        for i in range(fine, band_count):
-            mirror = ScaledMirror(view, Fraction(unit << i, grain_den))
-            if plan.mode == "exact":
-                band = EsTree(mirror, source, math.ceil(plan.range_bound))
-            else:
-                band = LayerAssembly(mirror, source, plan, c=c, seed=seed * 1_000_003 + i,
-                                     debug=debug)
-            self.mirrors.append(mirror)
-            self.stacks.append(band)
-            self._units.append(unit << i)
-        self._denom = grain_den * plan.denominator
-        self.debug = debug
+        self._floors = []  # per band: node -> the key its entry was seeded at
+        self._late_builds = 0
         self.heap_reads = 0
         self._heaps = {}
+        if plan.mode == "exact":
+            fine = 0  # bands with phi_i <= 1, replaced by the exact band
+            while fine < band_count and unit << fine <= grain_den:
+                fine += 1
+            if fine:
+                self.mirrors.append(None)
+                self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
+                self._units.append(grain_den)
+                self._floors.append({})
+            for i in range(fine, band_count):
+                self._add_band(i)
+        else:
+            sentinel = self._add_band(band_count - 1)
+            self._grow(v for v in view.node_ids() if sentinel.query(v) != inf)
         for v in view.node_ids():
             entries = [self._entry(b, band.query(v)) for b, band in enumerate(self.stacks)]
             heapq.heapify(entries)
             self._heaps[v] = entries
+
+    def _add_band(self, i, layered=False):
+        """Build band i on a new mirror of the current view and append it."""
+        mirror = ScaledMirror(self.view, Fraction(self._unit << i, self._grain_den))
+        if layered:
+            band = LayerAssembly(mirror, self.source, self.plan, c=self._c,
+                                 seed=self._seed * 1_000_003 + i, debug=self.debug)
+            unit = self._unit << i
+        else:
+            band = EsTree(mirror, self.source, math.ceil(self.plan.range_bound))
+            unit = (self._unit << i) * self.plan.denominator
+        self.mirrors.append(mirror)
+        self.stacks.append(band)
+        self._units.append(unit)
+        self._floors.append({})
+        return band
+
+    def _grow(self, nodes):
+        """Extend the run of layered bands until each of ``nodes`` that the
+        sentinel holds is held by one of them, or the run reaches the band
+        below the top."""
+        sentinel, reach = self.stacks[0], self._reach
+        bands = self.stacks[:0:-1]  # the run, highest first
+        needy = [v for v in nodes if sentinel.query(v) != inf
+                 and all(band.query(v) > reach for band in bands)]
+        while needy and len(self.stacks) < self._band_count:
+            band = self._add_band(len(self.stacks) - 1, layered=True)
+            needy = [v for v in needy if band.query(v) > reach]
 
     def _entry(self, band, estimate):
         """Heap entry ``(key, band, answer)`` for one band's integer estimate."""
@@ -326,15 +402,35 @@ class FullRangeSssp:
         return (key, band, Fraction(key, self._denom))
 
     def query(self, node):
-        """Current estimate; exactly one heap read."""
+        """Current estimate; exactly one heap read.
+
+        Ids are looked up as dict keys, so ``True`` and ``1.0`` read node
+        1's answer; an id that is not a node, or not hashable, is a
+        ``ParamConfigError``.
+        """
         # Counted before the read, so a hit runs no extra store; a miss
         # takes the count back.
         self.heap_reads += 1
         try:
             return self._heaps[node][0][2]
-        except KeyError:
+        except (KeyError, TypeError):
             self.heap_reads -= 1
             raise ParamConfigError("node %r is not in the graph" % (node,)) from None
+
+    def stats(self):
+        """Lifetime counters; none of them ever decreases.
+
+        ``band_count`` is the number of distance bands over the range,
+        ``bands_built`` the structures in ``stacks`` (the exact band and the
+        sentinel included), ``bands_built_late`` those of them built inside
+        an update, and ``heap_reads`` the queries answered.
+        """
+        return {
+            "band_count": self._band_count,
+            "bands_built": len(self.stacks),
+            "bands_built_late": self._late_builds,
+            "heap_reads": self.heap_reads,
+        }
 
     def apply_event(self, event):
         """Apply an update to the owned base graph and digest it."""
@@ -347,6 +443,8 @@ class FullRangeSssp:
             band_record = record if mirror is None else mirror.translate(record)
             if band_record is not None:
                 touched.update(node for node, _ in structure.process_update(band_record))
+        if touched and self.plan.mode == "layered":
+            self._seed_late_bands(touched)
         out = []
         stacks, units = self.stacks, self._units
         for node in sorted(touched):
@@ -360,7 +458,8 @@ class FullRangeSssp:
                 heapq.heapreplace(heap, self._entry(band, estimate))
             top = heap[0]
             if self.debug:
-                fresh = min(s.query(node) * u for s, u in zip(stacks, units))
+                fresh = min(max(s.query(node) * u, f.get(node, 0))
+                            for s, u, f in zip(stacks, units, self._floors))
                 if top[0] != fresh:
                     raise AssertionError(
                         "band heap top %s at node %r is not the least band key %s"
@@ -368,4 +467,32 @@ class FullRangeSssp:
                     )
             if top[2] != before:
                 out.append((node, top[2]))
+        if self.debug:
+            self.check_answers()
         return out
+
+    def _seed_late_bands(self, touched):
+        """Build the bands the touched nodes need and push one entry per node
+        for each, at no less than the node's current answer."""
+        first = len(self.stacks)
+        self._grow(touched)
+        self._late_builds += len(self.stacks) - first
+        for b in range(first, len(self.stacks)):
+            band, floors = self.stacks[b], self._floors[b]
+            for v, heap in self._heaps.items():
+                entry = self._entry(b, band.query(v))
+                top = heap[0]
+                if entry[0] < top[0]:
+                    entry = (top[0], b, top[2])
+                    floors[v] = top[0]
+                heapq.heappush(heap, entry)
+
+    def check_answers(self):
+        """Every answer lies in [d, (1 + eps) * d] for the true distance d."""
+        dist = dijkstra_bounded(self.view, self.source, inf)
+        bound = 1 + self.eps
+        for v, heap in self._heaps.items():
+            d, answer = dist.get(v, inf), heap[0][2]
+            if not d <= answer <= bound * d:
+                raise AssertionError("answer %s at node %r outside [%s, %s * %s]"
+                                     % (answer, v, d, bound, d))

@@ -41,9 +41,10 @@ def test_every_trace_target_resolves_to_a_patch_site():
 
 
 def drive_small_structures():
-    """A few updates and queries through every traced layer."""
+    """A few updates and queries through every traced layer.  On this graph
+    the layered instance builds a band inside its first update."""
     for options in ({}, {"p": 4, "q": 3}):
-        g = random_graph(16, 32, 4, seed=3)
+        g = random_graph(16, 32, 4, seed=4)
         full = FullRangeSssp(g, 0, Fraction(1, 2), seed=1, **options)
         for u, v, _ in list(g.edges())[:6]:
             full.apply_event(UpdateEvent("delete", u, v))
@@ -57,13 +58,15 @@ def drive_small_structures():
 
 def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
     # Record every FullRangeSssp the drive builds, the ones inside ApspState
-    # included, so the band counters can be checked against them.
+    # included, so the band counters can be checked against them.  The
+    # tracer counts bands when an instance is built, so the modes are taken
+    # there too; bands built later are checked below.
     built = []
     init = FullRangeSssp.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(self)
+        built.append((self, [band.mode for band in self.stacks]))
 
     monkeypatch.setattr(FullRangeSssp, "__init__", recording_init)
     tracing = load_tracing()
@@ -84,10 +87,13 @@ def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
     for counter in ("layered.bands", "es_tree.edge_scans", "monotone_tree.heap_ops",
                     "hopset.update_ops"):
         assert c[counter] > 0, counter
-    bands = [band for full in built for band in full.stacks]
-    exact = sum(band.mode == "exact" for band in bands)
-    assert c["layered.bands"] == len(bands)
-    assert c["layered.exact_bands"] == exact and 0 < exact < len(bands)
+    modes = [mode for _, at_init in built for mode in at_init]
+    exact = modes.count("exact")
+    assert c["layered.bands"] == len(modes)
+    assert c["layered.exact_bands"] == exact and 0 < exact < len(modes)
+    # benchmarks/tracing.py reads ``mode`` on every band, late ones included.
+    assert any(full.stats()["bands_built_late"] for full, _ in built)
+    assert all(band.mode in {"exact", "layered"} for full, _ in built for band in full.stacks)
     for span, (original, sites) in originals.items():
         for owner, attr in sites:
             assert vars(owner)[attr] is original, span

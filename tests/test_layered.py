@@ -7,6 +7,7 @@ update.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import ceil, inf
 
@@ -48,6 +49,18 @@ def band_answer(band, node):
     value = band.query(node)
     den = band.denominator if band.mode == "layered" else 1
     return value if value == inf else Fraction(value, den)
+
+
+def least_band_answer(full, node):
+    """The least answer over the built bands, each raised to the floor its
+    heap entry was seeded at, if any."""
+    best = inf
+    for band, mirror, floors in zip(full.stacks, full.mirrors, full._floors):
+        answer = band_answer(band, node) * (1 if mirror is None else mirror.phi)
+        if node in floors:
+            answer = max(answer, Fraction(floors[node], full._denom))
+        best = min(best, answer)
+    return best
 
 
 def delete_all_edges(graph, rng):
@@ -299,10 +312,15 @@ def test_layered_bands_share_one_parameter_plan(monkeypatch):
     counted("layer_scales")
     g = random_graph(24, 48, 32, seed=5)
     full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=1)
-    assert len(full.stacks) == 10  # (24 * 32).bit_length()
+    assert full.stats()["band_count"] == 10  # (24 * 32).bit_length()
+    for rec in delete_all_edges(g, random.Random(1)):
+        full.process_update(rec)
+    # Bands built inside an update take the same plan.
+    assert full.stats()["bands_built_late"] > 0
     assert calls == {"derive_params": 1, "layer_scales": 1}
     params = full.plan.params
-    assert all(s.sg.params is params for s in full.stacks)
+    assert full.stacks[0].mode == "exact"
+    assert all(s.sg.params is params for s in full.stacks[1:])
     # eps' = 1/12, delta = 9 and p = 4 give the grain 3/20 on every band.
     assert params.phi == Fraction(3, 20) and full.plan.scales == ((1, 70), (9, 576))
 
@@ -323,17 +341,23 @@ def test_a_failing_parameter_identity_raises_at_build(monkeypatch):
 
 
 def test_band_count_matches_distance_range():
-    # Under the p/q overrides every band keeps its own scaled mirror: one
-    # band per bit of n*W.
+    # Under the p/q overrides there is one band per bit of n*W, and each
+    # built band keeps its own scaled mirror: the sentinel on the top
+    # band's, then the run of assemblies from band 0 up.
     g = DynamicGraph(2, 4)
     g.add_edge(0, 1, 4)
     layered = FullRangeSssp(g, 0, Fraction(1, 2), p=2, q=3)
-    assert len(layered.stacks) == 4  # (2*4).bit_length()
+    assert layered.stats()["band_count"] == 4  # (2*4).bit_length()
     assert all(m is not None for m in layered.mirrors)
     g2 = random_graph(30, 40, 4, seed=2)
     layered = FullRangeSssp(g2, 0, Fraction(1, 2), p=4, q=3)
-    assert len(layered.stacks) == 7  # 120.bit_length()
-    assert {s.mode for s in layered.stacks} == {"layered"}
+    assert layered.stats()["band_count"] == 7  # 120.bit_length()
+    built = len(layered.stacks)
+    assert 2 <= built < 7
+    assert [s.mode for s in layered.stacks] == ["exact"] + ["layered"] * (built - 1)
+    grain = Fraction(1, 6) / 30
+    assert [m.phi for m in layered.mirrors] == [grain * 2**6] + [
+        grain * 2**i for i in range(built - 1)]
     # Default mode: phi_i = 2^i / (6n), so 2^i <= 12 (n=2) and 2^i <= 180
     # (n=30) hold for every band, and all of them collapse into one exact band.
     assert len(FullRangeSssp(g, 0, Fraction(1, 2)).stacks) == 1
@@ -416,11 +440,14 @@ def test_source_outside_view_is_a_config_error():
 def test_query_of_an_unknown_node_is_a_config_error():
     g = random_graph(4, 4, 4, seed=1)
     full = FullRangeSssp(g, 0, Fraction(1, 2))
-    with pytest.raises(ParamConfigError, match="node 9"):
-        full.query(9)
+    for bad in (9, [1], {}):  # absent, then unhashable
+        with pytest.raises(ParamConfigError, match="node %s" % re.escape(repr(bad))):
+            full.query(bad)
     assert full.heap_reads == 0  # a failed lookup reads no heap
     assert full.query(1) == dijkstra_bounded(g, 0, inf)[1]
     assert full.heap_reads == 1
+    # Ids are dict keys: True and 1.0 read node 1.
+    assert full.query(True) == full.query(1.0) == full.query(1)
 
 
 def test_full_range_tracks_oracle_with_mixed_updates():
@@ -525,13 +552,12 @@ def test_full_range_rebuild_reproduces_identical_stream():
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
-    """Each node's heap keeps exactly one entry per band keyed by an int (or
-    inf), every reported value is the least band answer, and unreported
-    nodes keep their answer."""
+    """Each node's heap keeps exactly one entry per built band keyed by an int
+    (or inf), every reported value is the least band answer (a late band's
+    raised to its seeded floor), and unreported nodes keep their answer."""
     w_max = 8
     g = random_graph(18, 36, w_max, seed=seed)
     full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
-    bands = len(full.stacks)
     rng = random.Random(seed)
     snapshot = {v: full.query(v) for v in g.node_ids()}
     while True:
@@ -544,29 +570,29 @@ def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
         else:
             event = UpdateEvent("delete", u, v)
         out = full.apply_event(event)
-        assert all(len(full._heaps[x]) == bands for x in g.node_ids())
+        assert all(len(full._heaps[x]) == len(full.stacks) for x in g.node_ids())
         # Keys are ints over one common denominator in both modes.
         assert all(type(key) is int or key == inf
                    for x in g.node_ids() for key, _, _ in full._heaps[x])
         reported = dict(out)
         for x in g.node_ids():
-            answers = [
-                band_answer(band, x) * (1 if mirror is None else mirror.phi)
-                for band, mirror in zip(full.stacks, full.mirrors)
-            ]
             if x in reported:
-                assert reported[x] == min(answers) != snapshot[x]
+                assert reported[x] == least_band_answer(full, x) != snapshot[x]
             assert full.query(x) == reported.get(x, snapshot[x])
             snapshot[x] = full.query(x)
 
 
 class LayeredMachine(RuleBasedStateMachine):
     """Deletes, increases, rejected updates and queries on a small graph,
-    driving a ``FullRangeSssp`` whose every band is a ``LayerAssembly``.
-    After every step the answers stay between the true distance and 1 + eps
-    times it, never fall and cost one heap read each; every band's lower
-    tree holds the from-scratch bounded Dijkstra levels on its mirror, and
-    every mirror holds exactly the current graph's edges, scaled."""
+    driving a layered ``FullRangeSssp``: a sentinel tree and a run of
+    ``LayerAssembly`` bands that grows inside updates.  After every step the
+    answers stay between the true distance and 1 + eps times it, never fall
+    and cost one heap read each; the sentinel and every built band's lower
+    tree hold the from-scratch bounded Dijkstra levels on their mirrors, and
+    every built mirror holds exactly the current graph's edges, scaled.
+    ``late_examples`` counts the examples in which a band was built late."""
+
+    late_examples = 0
 
     @initialize(n=st.integers(8, 12), w_max=st.integers(1, 16), p=st.sampled_from([2, 3]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -576,7 +602,8 @@ class LayeredMachine(RuleBasedStateMachine):
         self.graph = random_graph(n, rng.randint(n - 1, 2 * n), w_max, seed)
         self.full = FullRangeSssp(self.graph, rng.randrange(n), eps, p=p, q=3, seed=seed,
                                   debug=True)
-        assert all(band.mode == "layered" for band in self.full.stacks)
+        modes = [band.mode for band in self.full.stacks]
+        assert modes == ["exact"] + ["layered"] * (len(modes) - 1)
         self.queries = 0
         self.answers = self.read_answers()
 
@@ -636,8 +663,8 @@ class LayeredMachine(RuleBasedStateMachine):
         live = sorted(self.graph.edges())
         for mirror, band in zip(self.full.mirrors, self.full.stacks):
             assert sorted(mirror.edges()) == [(u, v, mirror.scale(w)) for u, v, w in live]
-            lower = band.lower
-            assert lower.level == dijkstra_bounded(mirror, lower.root, lower.depth)
+            tree = band if band.mode == "exact" else band.lower
+            assert tree.level == dijkstra_bounded(mirror, tree.root, tree.depth)
         answers = self.read_answers()
         assert self.full.heap_reads == self.queries
         dist = dijkstra_bounded(self.graph, self.full.source, inf)
@@ -648,8 +675,62 @@ class LayeredMachine(RuleBasedStateMachine):
             assert est == d == inf or d <= est <= bound * d
         self.answers = answers
 
+    def teardown(self):
+        if self.full.stats()["bands_built_late"]:
+            LayeredMachine.late_examples += 1
 
-LayeredMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=20, derandomize=True, deadline=None
-)
-test_layered_state_machine = LayeredMachine.TestCase
+
+class test_layered_state_machine(LayeredMachine.TestCase):  # named as the suite knows it
+    settings = settings(max_examples=40, stateful_step_count=20, derandomize=True,
+                        deadline=None)
+
+    def runTest(self):
+        LayeredMachine.late_examples = 0
+        super().runTest()
+        assert LayeredMachine.late_examples > 0, "no example built a band late"
+
+
+def test_layered_drain_builds_bands_late_under_debug_checks():
+    """A full drain at n = 48 under ``debug=True``: every update checks the
+    band-heap tops and every answer against Dijkstra, and the run of bands
+    grows inside updates."""
+    g = random_graph(48, 96, 16, seed=21)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=3, debug=True)
+    built = full.stats()["bands_built"]
+    assert built < full.stats()["band_count"]
+    for rec in delete_all_edges(g, random.Random(21)):
+        full.process_update(rec)
+    stats = full.stats()
+    assert stats["bands_built_late"] >= 1
+    assert stats["bands_built"] == built + stats["bands_built_late"] == len(full.stacks)
+    assert stats["bands_built"] <= stats["band_count"]
+
+
+@pytest.mark.parametrize("options", [{}, {"p": 4, "q": 3}], ids=["exact", "layered"])
+def test_stats_keys_are_fixed_and_counters_never_decrease(options):
+    keys = None
+    for seed in (1, 2, 3):
+        w_max = 32
+        g = random_graph(24, 48, w_max, seed=seed)
+        full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
+        rng = random.Random(seed)
+        last = full.stats()
+        keys = keys or set(last)
+        while True:
+            live = list(g.edges())
+            if not live:
+                break
+            u, v, w = rng.choice(live)
+            if w < w_max and rng.random() < 0.3:
+                event = UpdateEvent("increase", u, v, rng.randint(w + 1, w_max))
+            else:
+                event = UpdateEvent("delete", u, v)
+            full.apply_event(event)
+            full.query(rng.randrange(24))
+            stats = full.stats()
+            assert set(stats) == keys
+            assert all(stats[k] >= last[k] for k in keys)
+            last = stats
+        assert last["heap_reads"] > 0
+        assert last["bands_built"] == len(full.stacks)
+    assert keys == {"band_count", "bands_built", "bands_built_late", "heap_reads"}
