@@ -22,6 +22,13 @@ index, every cached tail that read a dropped one.  The returned estimate
 never underestimates and stays within a ((2 + eps)^k - 1) stretch factor.
 Every internal component runs at eps/7, which absorbs the error compounding
 of the witness chain.
+
+Each answered pair sits in exactly one of two per-node rows.  While the tail
+``(u, v)`` is cached, ``_served[u][v]`` holds the answer, and a query returns
+it with one row read.  When the tail is dropped, the answer moves to
+``_held[u][v]``, where it is the floor that the pair's next answer is
+clamped to: a cheaper witness chain can appear as balls change, and the
+answers handed out must never decrease.
 """
 
 from __future__ import annotations
@@ -72,7 +79,10 @@ class ApspState:
             bucket_eps=self.eps_run,
         )
         self._keys = {}  # (owner, member) -> journaled estimate
-        self._answers = {}  # (u, v) -> largest answer returned so far
+        # u -> {v: answer}: served while the tail (u, v) is cached, held as
+        # the clamp floor of the pair's next answer once it is dropped.
+        self._served = {v: {} for v in graph.node_ids()}
+        self._held = {v: {} for v in graph.node_ids()}
         # x -> {v: tail from x toward v}, one row per node so that a node's
         # whole row can be dropped at once.
         self._tails = {v: {} for v in graph.node_ids()}
@@ -93,8 +103,10 @@ class ApspState:
                 heapq.heappush(self._heaps[member][j], (est, owner))
 
     def stats(self):
-        """Journal and tail-table sizes, plus two counters that never decrease."""
+        """Journal, tail-table and served-row sizes, plus two counters that
+        never decrease."""
         return {
+            "answers_served": sum(map(len, self._served.values())),
             "heap_pairs": len(self._keys),
             "tails_cached": sum(map(len, self._tails.values())),
             "tails_computed": self._tails_computed,
@@ -151,10 +163,12 @@ class ApspState:
         if self.debug:
             self.check_heaps_against_journal()
             self.check_tails_against_recursion()
+            self.check_answer_rows()
 
     def _drop_tails(self, stale, rows):
         """Drop the tails named in ``stale``, the whole row of every node in
-        ``rows`` and, transitively, the readers of every dropped tail.
+        ``rows`` and, transitively, the readers of every dropped tail.  The
+        served answer of every dropped tail becomes its pair's held floor.
 
         The readers of a tail (x, v) are the cached tails (y, v) without a
         journal entry whose node y has x among its witness tops.  A dropped
@@ -162,10 +176,14 @@ class ApspState:
         other witnesses is not dropped again for its old ones.
         """
         tails, keys, readers, reads = self._tails, self._keys, self._readers, self._reads
+        served, held = self._served, self._held
         dropped = 0
         for x in rows:
             dropped += len(tails[x])
             tails[x] = {}
+            if served[x]:
+                held[x].update(served[x])
+                served[x] = {}
             for owner in reads[x]:
                 readers[owner].discard(x)
             reads[x] = ()
@@ -174,7 +192,11 @@ class ApspState:
             x, v = stale.pop()
             if tails[x].pop(v, None) is not None:
                 dropped += 1
-                stale += [(y, v) for y in readers[x] if v in tails[y] and (y, v) not in keys]
+                answer = served[x].pop(v, None)
+                if answer is not None:
+                    held[x][v] = answer
+                if readers[x]:  # only nodes that are some row's witness top have readers
+                    stale += [(y, v) for y in readers[x] if v in tails[y] and (y, v) not in keys]
         self._tails_dropped += dropped
 
     def check_heaps_against_journal(self):
@@ -226,15 +248,31 @@ class ApspState:
         if readers != self._readers:
             raise AssertionError("reader sets are not the inverse of the rows' witness tops")
 
+    def check_answer_rows(self):
+        """Every served answer must have its tail cached and be at least that
+        tail, and no pair may be both served and held."""
+        for u, row in self._served.items():
+            tails, held = self._tails[u], self._held[u]
+            for v, answer in row.items():
+                tail = tails.get(v)
+                if tail is None:
+                    raise AssertionError("served answer %r has no cached tail" % ((u, v),))
+                if answer < tail:
+                    raise AssertionError("served answer %r is %s, below its tail %s"
+                                         % ((u, v), answer, tail))
+                if v in held:
+                    raise AssertionError("pair %r is both served and held" % ((u, v),))
+
     # -- updates ----------------------------------------------------------------
 
     def process_update(self, event):
         """Advance the graph, the balls, and the witness heaps by one change.
 
         A rejected update raises ``UpdateError`` before anything moves, so the
-        tail table stays.  Any failure after the graph changed drops the whole
-        table, so no tail survives that was computed against a half-applied
-        update.
+        tail table and the answer rows stay.  Any failure after the graph
+        changed drops the whole tail table and every served answer becomes a
+        held floor, so no tail survives that was computed against a
+        half-applied update, and no pair's answer can decrease.
         """
         record = self.graph.apply_update(event)
         try:
@@ -243,6 +281,9 @@ class ApspState:
         except BaseException:
             for row in self._tails.values():
                 self._tails_dropped += len(row)
+                row.clear()
+            for x, row in self._served.items():
+                self._held[x].update(row)
                 row.clear()
             for x in self._reads:
                 self._reads[x] = ()
@@ -261,17 +302,26 @@ class ApspState:
         A cheaper witness chain can appear as balls and witnesses change, so
         the answer is clamped to the largest one returned before for the
         pair.  The clamped value stays sound and within the stretch bound
-        because distances only grow.
+        because distances only grow.  While the pair's tail stays cached its
+        answer cannot change, so it is served from the pair's row as is.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1
             raise ParamConfigError("node ids must be ints, got %r and %r" % (u, v))
-        key = (u, v)
-        prev = self._answers.get(key)
-        if prev is None:  # a pair with an answer had its nodes checked then
-            for x in key:
-                if not self.graph.has_node(x):
-                    raise ParamConfigError("node %r is not in the graph" % (x,))
-            prev = 0
+        try:
+            answer = self._served[u][v]
+        except KeyError:
+            pass  # answered outside the handler, so its errors are not chained
+        else:
+            self.last_query_expansions = 0
+            return answer
+        return self._answer(u, v)
+
+    def _answer(self, u, v):
+        """Answer a pair that is not served: its tail, computed unless the
+        table has it, clamped to the pair's held floor; then serve it."""
+        for x in (u, v):
+            if not self.graph.has_node(x):
+                raise ParamConfigError("node %r is not in the graph" % (x,))
         tail = self._tails[u].get(v)
         if tail is None:
             computed = self._tails_computed
@@ -279,8 +329,9 @@ class ApspState:
             self.last_query_expansions = self._tails_computed - computed
         else:
             self.last_query_expansions = 0
-        answer = prev if prev > tail else tail
-        self._answers[key] = answer
+        floor = self._held[u].pop(v, 0)
+        answer = floor if floor > tail else tail
+        self._served[u][v] = answer
         return answer
 
     def _tail(self, x, v):

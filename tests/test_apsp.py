@@ -415,14 +415,24 @@ def test_rejected_update_keeps_tails_and_a_fault_drops_them(monkeypatch):
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     last = {}
     sweep_against_reference(state, pairs, last)
-    before = {x: dict(row) for x, row in state._tails.items()}
+    # One update first, so that the rejections below also see held floors.
+    a, b, _ = next(iter(g.edges()))
+    state.process_update(UpdateEvent("delete", a, b))
+    sweep_against_reference(state, pairs[: len(pairs) // 2], last)
+    assert any(state._held.values()) and any(state._served.values())
+
+    def rows():
+        return [{x: dict(row) for x, row in table.items()}
+                for table in (state._tails, state._served, state._held)]
+
+    before = rows()
     absent = next((a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b))
     a, b, w = next(iter(g.edges()))
     for bad in (UpdateEvent("delete", *absent), UpdateEvent("increase", a, b, w),
                 UpdateEvent("increase", a, b, w_max + 1)):
         with pytest.raises(UpdateError):
             state.process_update(bad)
-        assert state._tails == before
+        assert rows() == before
     ball_update = state.balls.process_update
 
     def fail_once(record):
@@ -436,11 +446,45 @@ def test_rejected_update_keeps_tails_and_a_fault_drops_them(monkeypatch):
     assert not any(state._tails.values()) and not any(state._readers.values())
     assert state.stats()["tails_cached"] == 0
     assert state.stats()["tails_dropped"] == stats["tails_dropped"] + stats["tails_cached"]
+    # Every answer handed out before the fault is now a held floor.
+    assert not any(state._served.values())
+    assert {(u, v): est for u, row in state._held.items() for v, est in row.items()} == last
     sweep_against_reference(state, pairs, last)
     for _ in range(5):
         u, v, _ = rng.choice(list(g.edges()))
         state.process_update(UpdateEvent("delete", u, v))
         sweep_against_reference(state, pairs, last)
+
+
+def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
+    # Query pairs until one's witness chain caches the tail of a pair that
+    # has not been asked yet.  That pair's first query computes nothing and
+    # returns the cached tail; a delete that drops the tail holds the answer
+    # as the floor of the next one.
+    g = random_graph(20, 40, 8, seed=73)
+    state = ApspState(g, 2, Fraction(1, 2), seed=5, c=0.3, debug=True)
+    asked = set()
+    for u, v in [(u, v) for u in g.node_ids() for v in g.node_ids()]:
+        state.query(u, v)
+        asked.add((u, v))
+        cached = [(x, v) for x in g.node_ids() if v in state._tails[x] and (x, v) not in asked]
+        if cached:
+            break
+    x, v = cached[0]
+    assert v not in state._served[x] and v not in state._held[x]
+    tail = state._tails[x][v]
+    assert tail == reference_tail(state, x, v)
+    assert state.query(x, v) == tail
+    assert state.last_query_expansions == 0
+    assert state._served[x][v] == tail
+    rng = random.Random(73)
+    while v in state._tails[x]:
+        a, b, _ = rng.choice(list(g.edges()))
+        state.process_update(UpdateEvent("delete", a, b))
+    assert v not in state._served[x] and state._held[x][v] == tail
+    answer = state.query(x, v)
+    assert answer == max(tail, reference_tail(state, x, v))
+    assert v not in state._held[x] and state._served[x][v] == answer
 
 
 AUDIT_PLANT = """
@@ -452,7 +496,7 @@ for u, v, w in [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1), (3, 5, 1)]:
     g.add_edge(u, v, w)
 state = ApspState(g, 2, Fraction(1, 2), seed=6, debug=True)
 state.query(0, 2)
-state._tails[0][2] += 1  # stale: no update below touches the 0-1-2 side
+%s  # no update below touches the 0-1-2 side
 try:
     state.process_update(UpdateEvent("delete", 3, 4))
 except AssertionError as exc:
@@ -460,14 +504,25 @@ except AssertionError as exc:
 """
 
 
-def test_debug_audit_catches_a_stale_tail_under_optimize():
+def run_audit_plant(plant):
+    """Standard output lines of AUDIT_PLANT with ``plant`` run under ``python -O``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-O", "-c", AUDIT_PLANT], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", AUDIT_PLANT % plant], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["audit: cached tail (0, 2) is 5, recursion gives 4"]
+    return done.stdout.splitlines()
+
+
+def test_debug_audit_catches_a_stale_tail_under_optimize():
+    assert run_audit_plant("state._tails[0][2] += 1") == [
+        "audit: cached tail (0, 2) is 5, recursion gives 4"]
+
+
+def test_debug_audit_catches_a_served_answer_without_its_tail_under_optimize():
+    assert run_audit_plant("del state._tails[0][2]") == [
+        "audit: served answer (0, 2) has no cached tail"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -477,13 +532,15 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
     rng = random.Random(seed)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     prev = state.stats()
-    assert set(prev) == {"heap_pairs", "tails_cached", "tails_computed", "tails_dropped"}
+    assert set(prev) == {"answers_served", "heap_pairs", "tails_cached", "tails_computed",
+                         "tails_dropped"}
     assert prev["heap_pairs"] == len(state._keys)
     while True:
         for u, v in pairs:
             state.query(u, v)
         stats = state.stats()
         assert set(stats) == set(prev)
+        assert stats["answers_served"] == len(pairs) <= stats["tails_cached"]
         assert stats["tails_cached"] == len(pairs)
         for counter in ("tails_computed", "tails_dropped"):
             assert stats[counter] >= prev[counter]
