@@ -33,7 +33,7 @@ def _load_schedule(graph_path, updates_path):
         with open(updates_path) as fh:
             items = tuple(parse_update_stream(fh))
     for item in items:
-        # Rejected here, not in FullRangeSssp.query: that is one heap read.
+        # Rejected here, not in FullRangeSssp.query: that is one dict read.
         if isinstance(item, QueryProbe) and not (graph.has_node(item.u)
                                                  and graph.has_node(item.v)):
             raise GraphFormatError("query probe (%d, %d) outside [0, %d)"
@@ -121,6 +121,14 @@ def positive_int(text):
     return value
 
 
+def positive_float(text):
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails both comparisons
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="decrsp",
@@ -137,7 +145,7 @@ def build_parser():
     parser.add_argument("--p", type=int, default=None, help="priority levels override")
     parser.add_argument("--q", type=int, default=None,
                         help="layer count override: q < 3 exact trees, q = 3 one shortcut layer")
-    parser.add_argument("--c", type=float, default=2.0, help="sampling density")
+    parser.add_argument("--c", type=positive_float, default=2.0, help="sampling density")
     parser.add_argument("--oracle-check", action="store_true")
     parser.add_argument("--oracle-stride", type=positive_int, default=1)
     parser.add_argument("--report", help="write the key=value report here")

@@ -18,11 +18,9 @@ give way to one exact band, a tree over the base view itself bounded at
 Assemblies are built only for the run of bands that some node needs, behind
 an exact tree on the top band's mirror that tells unreachable nodes from
 nodes beyond the run; ``FullRangeSssp`` gives the rule and why it keeps the
-bound.  A query reads one per-node min-heap holding one entry per built
-band.  Band estimates only grow, so a stored entry is a lower bound on its
-band's live value (or the floor a late band was seeded at); an update
-re-keys a touched node's top from the live value until the top is current,
-and a query is a single heap read.
+bound.  Each node keeps one answer: an update raises a touched node's answer
+to its least band estimate when that is higher, and otherwise leaves it, so
+answers never fall and a query is a single dict read.
 
 The layer count q selects the band structure: q < 3 is a single exact tree
 over the whole range (correct, slower), q = 3 the shortcut layer above.  The
@@ -35,7 +33,6 @@ take, and inner instances on scopes too small to sample.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from fractions import Fraction
@@ -43,12 +40,13 @@ from math import inf
 
 from .balls import BallSystem
 from .es_tree import EsTree
-from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError, dijkstra_bounded
+from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError, UpdateError, dijkstra_bounded
 from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_process_update
 from .sampling import sample_priorities
 
 
 LAYER_COUNT_A = 4  # the constant a in default_layer_counts' formula
+POISONED = "structure poisoned: an earlier update failed after the graph changed"
 
 
 def default_layer_counts(n, eps):
@@ -248,10 +246,10 @@ class FullRangeSssp:
 
     One scaled mirror per distance band at a third of the requested error
     (two rounding/band factors compose to at most 1 + eps), each read by
-    the band's own structure in ``stacks``.  Per-node min-heaps over the
-    per-band estimates make a query exactly one heap read.  The scaled
-    bands share one ``StackPlan``, so the layer counts, scales and shortcut
-    parameters are derived once per instance.
+    the band's own structure in ``stacks``.  Each node keeps one answer, so
+    a query is exactly one dict read.  The scaled bands share one
+    ``StackPlan``, so the layer counts, scales and shortcut parameters are
+    derived once per instance.
 
     With exact trees (q < 3 after the p/q overrides) every band is built: an
     ``EsTree`` per band, except that the bands with phi_i <= 1 are replaced
@@ -269,7 +267,7 @@ class FullRangeSssp:
     sentinel holds is held by some band of the run, and J never passes
     T - 1.  When an update leaves a node held by the sentinel alone, bands
     J + 1, J + 2, ... are built from the current graph until one holds it,
-    inside that update, before its heaps are re-keyed.
+    inside that update, before any answer moves.
 
     Why that keeps the bound, for a node at true distance d >= 1 (the
     source answers 0 in every band; an unreachable node is at inf in all):
@@ -291,29 +289,30 @@ class FullRangeSssp:
       T for i), so a band j <= J < r of the run holds it, and 2^j <= d.
       Any other band only offers another upper bound, so the least one is
       within the bound.
-    * A band built late pushes each node's entry at the larger of its fresh
-      key and the node's current heap top, which at that point is still the
-      node's previous answer a; from then on the entry stands for the
-      larger of its band's live key and that floor.  As distances only
-      grow, a <= (1 + eps) * d_before <= (1 + eps) * d, so the floor
-      changes neither bullet above: every entry is at least d, and the
-      holding band's entry is within the bound.  The answer, the least
-      entry, never falls below a.
+
+    An update sets each touched node's answer to the larger of its previous
+    answer and its least band estimate, so no answer ever falls, and the
+    clamp keeps the bound (as in ``ApspState``):
+
+    * every band estimate is at least d;
+    * as distances only grow, the previous answer is at most
+      (1 + eps) * d_before <= (1 + eps) * d;
+    * the least band estimate is at most (1 + eps) * d, by the bullets above.
 
     The grains phi_i = (A/B) * 2^i, with A/B = (eps/3)/n in lowest terms,
     share the denominator B, and every band keeps its estimates as ints
     over its own denominator: 1 for an exact tree, the plan's D for an
-    assembly.  So a scaled band's integer estimate ``s`` has heap key
+    assembly.  So a scaled band's integer estimate ``s`` has key
     ``s * (A << i) * D / (its denominator)`` and the exact band's estimate
-    ``d`` has key ``d * B``, all ints over B * D.  Each node's heap holds
-    exactly one ``(key, band, answer)`` entry per built band, ``band`` being
-    its index in ``stacks``, the answer being ``Fraction(key, B * D)``,
-    built once per push, or the plain ``int`` for the exact band.  Entries
-    are not updated when their band moves: a stored key lags below the
-    live one, or sits at the floor it was seeded at, so after an update it
-    suffices to replace the top of each touched node's heap with its live
-    entry until the top's key is at least its band's live key.  Ties go to
-    the lower index.
+    ``d`` has key ``d * B``, all ints over B * D.  ``_keys`` holds each
+    node's answer as such a key, and ``_answers`` holds the answer itself:
+    ``Fraction(key, B * D)``, built once per change, or the plain ``int`` of
+    the exact band.  Ties between bands go to the lower index in ``stacks``.
+
+    A failure inside ``process_update`` comes after the graph changed and
+    leaves the bands half applied, so it poisons the instance: every later
+    query and update raises ``UpdateError``.  A rejected event raises in the
+    graph before anything moves, and poisons nothing.
 
     Works on any read-protocol view; updates arrive as already-applied
     change records, so instances can also serve as the distance contract
@@ -342,11 +341,9 @@ class FullRangeSssp:
         self._reach = math.floor(self.range_bound * plan.denominator)
         self.mirrors = []
         self.stacks = []  # per band: its EsTree or LayerAssembly
-        self._units = []  # per band: the multiplier from integer estimate to heap key
-        self._floors = []  # per band: node -> the key its entry was seeded at
-        self._late_builds = 0
+        self._units = []  # per band: the multiplier from integer estimate to key
         self.heap_reads = 0
-        self._heaps = {}
+        self._poisoned = False
         if plan.mode == "exact":
             fine = 0  # bands with phi_i <= 1, replaced by the exact band
             while fine < band_count and unit << fine <= grain_den:
@@ -355,16 +352,17 @@ class FullRangeSssp:
                 self.mirrors.append(None)
                 self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
                 self._units.append(grain_den)
-                self._floors.append({})
             for i in range(fine, band_count):
                 self._add_band(i)
         else:
             sentinel = self._add_band(band_count - 1)
             self._grow(v for v in view.node_ids() if sentinel.query(v) != inf)
-        for v in view.node_ids():
-            entries = [self._entry(b, band.query(v)) for b, band in enumerate(self.stacks)]
-            heapq.heapify(entries)
-            self._heaps[v] = entries
+        self._bands_at_build = len(self.stacks)
+        # Keys are never negative, so each node's first settle takes its least key.
+        self._keys = dict.fromkeys(view.node_ids(), -1)
+        self._answers = {}
+        for v in self._keys:
+            self._settle(v)
 
     def _add_band(self, i, layered=False):
         """Build band i on a new mirror of the current view and append it."""
@@ -379,7 +377,6 @@ class FullRangeSssp:
         self.mirrors.append(mirror)
         self.stacks.append(band)
         self._units.append(unit)
-        self._floors.append({})
         return band
 
     def _grow(self, nodes):
@@ -394,27 +391,42 @@ class FullRangeSssp:
             band = self._add_band(len(self.stacks) - 1, layered=True)
             needy = [v for v in needy if band.query(v) > reach]
 
-    def _entry(self, band, estimate):
-        """Heap entry ``(key, band, answer)`` for one band's integer estimate."""
-        key = estimate * self._units[band]
-        if key == inf or self.mirrors[band] is None:
-            return (key, band, estimate)
-        return (key, band, Fraction(key, self._denom))
+    def _settle(self, node):
+        """Raise ``node``'s answer to its least band estimate (ties go to the
+        lower band) if that is higher; returns whether the answer rose."""
+        stacks, units = self.stacks, self._units
+        least, holder, estimate = inf, 0, inf
+        for b in range(len(stacks)):
+            value = stacks[b].query(node)
+            key = value * units[b]
+            if key < least:
+                least, holder, estimate = key, b, value
+        if least <= self._keys[node]:
+            return False
+        self._keys[node] = least
+        if least != inf and self.mirrors[holder] is not None:
+            estimate = Fraction(least, self._denom)
+        self._answers[node] = estimate
+        return True
 
     def query(self, node):
-        """Current estimate; exactly one heap read.
+        """Current estimate; exactly one dict read.
 
-        Ids are looked up as dict keys, so ``True`` and ``1.0`` read node
-        1's answer; an id that is not a node, or not hashable, is a
-        ``ParamConfigError``.
+        ``heap_reads`` counts the queries answered; the benchmark reads it
+        under that name.  Ids are looked up as dict keys, so ``True`` and ``1.0`` read
+        node 1's answer; an id that is not a node, or not hashable, is a
+        ``ParamConfigError``, and every query of a poisoned instance is an
+        ``UpdateError``.
         """
         # Counted before the read, so a hit runs no extra store; a miss
         # takes the count back.
         self.heap_reads += 1
         try:
-            return self._heaps[node][0][2]
+            return self._answers[node]
         except (KeyError, TypeError):
             self.heap_reads -= 1
+            if self._poisoned:
+                raise UpdateError(POISONED) from None
             raise ParamConfigError("node %r is not in the graph" % (node,)) from None
 
     def stats(self):
@@ -423,76 +435,50 @@ class FullRangeSssp:
         ``band_count`` is the number of distance bands over the range,
         ``bands_built`` the structures in ``stacks`` (the exact band and the
         sentinel included), ``bands_built_late`` those of them built inside
-        an update, and ``heap_reads`` the queries answered.
+        an update, and ``heap_reads`` the queries answered (the benchmark
+        reads it under that name).
         """
         return {
             "band_count": self._band_count,
             "bands_built": len(self.stacks),
-            "bands_built_late": self._late_builds,
+            "bands_built_late": len(self.stacks) - self._bands_at_build,
             "heap_reads": self.heap_reads,
         }
 
     def apply_event(self, event):
         """Apply an update to the owned base graph and digest it."""
+        if self._poisoned:
+            raise UpdateError(POISONED)  # before the graph changes
         return self.process_update(self.view.apply_update(event))
 
     def process_update(self, record):
         """Digest one already-applied change; returns sorted changed (node, value)."""
-        touched = set()
-        for mirror, structure in zip(self.mirrors, self.stacks):
-            band_record = record if mirror is None else mirror.translate(record)
-            if band_record is not None:
-                touched.update(node for node, _ in structure.process_update(band_record))
-        if touched and self.plan.mode == "layered":
-            self._seed_late_bands(touched)
-        out = []
-        stacks, units = self.stacks, self._units
-        for node in sorted(touched):
-            heap = self._heaps[node]
-            before = heap[0][2]
-            while True:
-                key, band, _ = heap[0]
-                estimate = stacks[band].query(node)
-                if key >= estimate * units[band]:
-                    break
-                heapq.heapreplace(heap, self._entry(band, estimate))
-            top = heap[0]
+        if self._poisoned:
+            raise UpdateError(POISONED)
+        try:
+            touched = set()
+            for mirror, structure in zip(self.mirrors, self.stacks):
+                band_record = record if mirror is None else mirror.translate(record)
+                if band_record is not None:
+                    touched.update(node for node, _ in structure.process_update(band_record))
+            if touched and self.plan.mode == "layered":
+                self._grow(touched)
+            answers = self._answers
+            out = [(node, answers[node]) for node in sorted(touched) if self._settle(node)]
             if self.debug:
-                fresh = min(max(s.query(node) * u, f.get(node, 0))
-                            for s, u, f in zip(stacks, units, self._floors))
-                if top[0] != fresh:
-                    raise AssertionError(
-                        "band heap top %s at node %r is not the least band key %s"
-                        % (top[0], node, fresh)
-                    )
-            if top[2] != before:
-                out.append((node, top[2]))
-        if self.debug:
-            self.check_answers()
+                self.check_answers()
+        except BaseException:
+            self._poisoned = True
+            self._answers.clear()
+            raise
         return out
-
-    def _seed_late_bands(self, touched):
-        """Build the bands the touched nodes need and push one entry per node
-        for each, at no less than the node's current answer."""
-        first = len(self.stacks)
-        self._grow(touched)
-        self._late_builds += len(self.stacks) - first
-        for b in range(first, len(self.stacks)):
-            band, floors = self.stacks[b], self._floors[b]
-            for v, heap in self._heaps.items():
-                entry = self._entry(b, band.query(v))
-                top = heap[0]
-                if entry[0] < top[0]:
-                    entry = (top[0], b, top[2])
-                    floors[v] = top[0]
-                heapq.heappush(heap, entry)
 
     def check_answers(self):
         """Every answer lies in [d, (1 + eps) * d] for the true distance d."""
         dist = dijkstra_bounded(self.view, self.source, inf)
         bound = 1 + self.eps
-        for v, heap in self._heaps.items():
-            d, answer = dist.get(v, inf), heap[0][2]
+        for v, answer in self._answers.items():
+            d = dist.get(v, inf)
             if not d <= answer <= bound * d:
                 raise AssertionError("answer %s at node %r outside [%s, %s * %s]"
                                      % (answer, v, d, bound, d))

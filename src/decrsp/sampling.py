@@ -40,7 +40,9 @@ def max_priority_levels(n):
 
 
 def sample_priorities(view, p, c, seed):
-    """Draw the frozen priority assignment for ``view``."""
+    """Draw the frozen priority assignment for ``view``; needs 0 < c < inf."""
+    if not 0 < c < math.inf:  # nan fails both comparisons
+        raise ParamConfigError("sampling constant c=%r must be positive and finite" % (c,))
     nodes = list(view.node_ids())
     n = len(nodes)
     if not (isinstance(p, int) and 2 <= p <= max(2, max_priority_levels(n))):

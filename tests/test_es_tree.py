@@ -222,7 +222,7 @@ class EsMachine(RuleBasedStateMachine):
     default-path ``FullRangeSssp``.  After every step each tree (the bands'
     trees on their mirrors included) holds the from-scratch bounded Dijkstra
     levels and reported exactly the levels that moved; the full-range
-    answers never fall, stay within 1 + eps and cost one heap read each."""
+    answers never fall, stay within 1 + eps and cost one read each."""
 
     @initialize(n=st.integers(3, 12), w_max=st.integers(1, 16), depth=st.sampled_from([3, 8, inf]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),

@@ -38,6 +38,15 @@ FROZEN = [
         "85a770c42ff57679cf8fdbb8c3898bed4d48bb492f49629deb697e4fc6038ec8",
         "317/315",
     ),
+    # Layered bands on a graph large enough that the clamp to the previous
+    # answer binds: an update leaves some node's least band answer below
+    # its answer, and an answer that followed it would fall.
+    (
+        (48, 96, 16, 9),
+        RunConfig(mode="sssp", p=4, q=3, c=0.3, seed=3, oracle_stride=4),
+        "5c56d1425c9c4a3c344c47f2426468f8934e8b4cb885718ae9ca69016ab9ae68",
+        "4433/4428",
+    ),
     (
         (24, 48, 8, 8),
         RunConfig(mode="apsp", k=2, c=0.3, seed=4, oracle_stride=4),
@@ -61,7 +70,7 @@ def _schedule(n, m, w_max, seed):
 @pytest.mark.parametrize(
     "shape, config, emissions, stretch",
     FROZEN,
-    ids=["es", "sssp-default", "sssp-p4q3", "apsp", "apsp-k3"],
+    ids=["es", "sssp-default", "sssp-p4q3", "sssp-p4q3-late", "apsp", "apsp-k3"],
 )
 def test_emissions_and_stretch_are_frozen(shape, config, emissions, stretch):
     report = run_with_oracle(_schedule(*shape), config)

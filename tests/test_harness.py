@@ -375,6 +375,14 @@ CLI_REJECTIONS = {
     "check-p3q5": (["check", "--p", "3", "--q", "5"], 1,
                    "decrsp: error: layer count q=5 unsupported: q < 3 runs exact trees, "
                    "q = 3 one shortcut layer"),
+    "c-0": (["sssp", "--c", "0", "--p", "2", "--q", "3"], 2,
+            "decrsp: error: argument --c: invalid positive_float value: '0'"),
+    "c-negative": (["sssp", "--c", "-1", "--p", "2", "--q", "3"], 2,
+                   "decrsp: error: argument --c: invalid positive_float value: '-1'"),
+    "c-nan": (["sssp", "--c", "nan", "--p", "2", "--q", "3"], 2,
+              "decrsp: error: argument --c: invalid positive_float value: 'nan'"),
+    "c-inf": (["sssp", "--c", "inf", "--p", "2", "--q", "3"], 2,
+              "decrsp: error: argument --c: invalid positive_float value: 'inf'"),
     "source-float": (["sssp", "--source", "1.5"], 2,
                      "decrsp: error: argument --source: invalid int value: '1.5'"),
     "source-bool": (["sssp", "--source", "True"], 2,

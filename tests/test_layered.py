@@ -52,15 +52,9 @@ def band_answer(band, node):
 
 
 def least_band_answer(full, node):
-    """The least answer over the built bands, each raised to the floor its
-    heap entry was seeded at, if any."""
-    best = inf
-    for band, mirror, floors in zip(full.stacks, full.mirrors, full._floors):
-        answer = band_answer(band, node) * (1 if mirror is None else mirror.phi)
-        if node in floors:
-            answer = max(answer, Fraction(floors[node], full._denom))
-        best = min(best, answer)
-    return best
+    """The least answer over the built bands, in true distance."""
+    return min(band_answer(band, node) * (1 if mirror is None else mirror.phi)
+               for band, mirror in zip(full.stacks, full.mirrors))
 
 
 def delete_all_edges(graph, rng):
@@ -450,6 +444,45 @@ def test_query_of_an_unknown_node_is_a_config_error():
     assert full.query(True) == full.query(1.0) == full.query(1)
 
 
+@pytest.mark.parametrize("options", [{}, {"p": 4, "q": 3}], ids=["exact", "layered"])
+def test_a_failure_inside_an_update_poisons_the_instance(options, monkeypatch):
+    """A rejected event poisons nothing.  A band that raises after the graph
+    changed leaves the instance half applied: from then on every query and
+    every update raises ``UpdateError``, and the graph is left alone."""
+    g = random_graph(24, 48, 32, seed=4)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), seed=4, **options)
+    answers = {v: full.query(v) for v in g.node_ids()}
+    missing = next((u, v) for u in range(24) for v in range(u + 1, 24) if not g.has_edge(u, v))
+    with pytest.raises(UpdateError):
+        full.apply_event(UpdateEvent("delete", *missing))
+    assert {v: full.query(v) for v in g.node_ids()} == answers
+    band = full.stacks[-1]
+    original, failed = band.process_update, []
+
+    def fail_once(record):
+        if not failed:
+            failed.append(record)
+            raise RuntimeError("injected band fault")
+        return original(record)
+
+    monkeypatch.setattr(band, "process_update", fail_once)
+    (u, v, _), (x, y, _) = sorted(g.edges())[:2]
+    with pytest.raises(RuntimeError, match="injected band fault"):
+        full.apply_event(UpdateEvent("delete", u, v))
+    reads = full.heap_reads
+    for node in g.node_ids():
+        with pytest.raises(UpdateError, match="poisoned"):
+            full.query(node)
+    assert full.heap_reads == reads
+    edges = sorted(g.edges())
+    with pytest.raises(UpdateError, match="poisoned"):
+        full.apply_event(UpdateEvent("delete", x, y))
+    assert sorted(g.edges()) == edges
+    with pytest.raises(UpdateError, match="poisoned"):
+        full.process_update(g.apply_update(UpdateEvent("delete", x, y)))
+    assert len(failed) == 1
+
+
 def test_full_range_tracks_oracle_with_mixed_updates():
     n, w_max = 30, 4
     g = random_graph(n, 60, w_max, seed=11)
@@ -551,10 +584,10 @@ def test_full_range_rebuild_reproduces_identical_stream():
     ids=["default", "p4q3", "debug"],
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
-    """Each node's heap keeps exactly one entry per built band keyed by an int
-    (or inf), every reported value is the least band answer (a late band's
-    raised to its seeded floor), and unreported nodes keep their answer."""
+def test_answers_are_clamped_least_band_answers_through_a_drain(options, seed):
+    """Every reported answer is the larger of the node's previous answer and
+    its least band answer, and differs from the previous one; unreported
+    nodes keep their answer, and every stored key is an int (or inf)."""
     w_max = 8
     g = random_graph(18, 36, w_max, seed=seed)
     full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
@@ -570,14 +603,12 @@ def test_band_heaps_hold_one_entry_per_band_through_a_drain(options, seed):
         else:
             event = UpdateEvent("delete", u, v)
         out = full.apply_event(event)
-        assert all(len(full._heaps[x]) == len(full.stacks) for x in g.node_ids())
         # Keys are ints over one common denominator in both modes.
-        assert all(type(key) is int or key == inf
-                   for x in g.node_ids() for key, _, _ in full._heaps[x])
+        assert all(type(key) is int or key == inf for key in full._keys.values())
         reported = dict(out)
         for x in g.node_ids():
             if x in reported:
-                assert reported[x] == least_band_answer(full, x) != snapshot[x]
+                assert reported[x] == max(snapshot[x], least_band_answer(full, x)) != snapshot[x]
             assert full.query(x) == reported.get(x, snapshot[x])
             snapshot[x] = full.query(x)
 
@@ -587,7 +618,8 @@ class LayeredMachine(RuleBasedStateMachine):
     driving a layered ``FullRangeSssp``: a sentinel tree and a run of
     ``LayerAssembly`` bands that grows inside updates.  After every step the
     answers stay between the true distance and 1 + eps times it, never fall
-    and cost one heap read each; the sentinel and every built band's lower
+    and cost one read each, and each answer is the larger of the previous
+    one and the least band answer; the sentinel and every built band's lower
     tree hold the from-scratch bounded Dijkstra levels on their mirrors, and
     every built mirror holds exactly the current graph's edges, scaled.
     ``late_examples`` counts the examples in which a band was built late."""
@@ -670,7 +702,7 @@ class LayeredMachine(RuleBasedStateMachine):
         dist = dijkstra_bounded(self.graph, self.full.source, inf)
         bound = 1 + self.full.eps
         for v, est in answers.items():
-            assert est >= self.answers[v]
+            assert est == max(self.answers[v], least_band_answer(self.full, v))
             d = dist.get(v, inf)
             assert est == d == inf or d <= est <= bound * d
         self.answers = answers
@@ -691,15 +723,23 @@ class test_layered_state_machine(LayeredMachine.TestCase):  # named as the suite
 
 
 def test_layered_drain_builds_bands_late_under_debug_checks():
-    """A full drain at n = 48 under ``debug=True``: every update checks the
-    band-heap tops and every answer against Dijkstra, and the run of bands
-    grows inside updates."""
+    """A full drain at n = 48 under ``debug=True``: every update checks every
+    answer against Dijkstra, the run of bands grows inside updates, no
+    answer falls, and the clamp to the previous answer binds: some update
+    leaves a node's least band answer below its answer."""
     g = random_graph(48, 96, 16, seed=21)
     full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=3, debug=True)
     built = full.stats()["bands_built"]
     assert built < full.stats()["band_count"]
+    answers = {v: full.query(v) for v in g.node_ids()}
+    clamped = 0
     for rec in delete_all_edges(g, random.Random(21)):
         full.process_update(rec)
+        for v, before in answers.items():
+            answers[v] = full.query(v)
+            assert answers[v] >= before
+            clamped += least_band_answer(full, v) < answers[v]
+    assert clamped > 0
     stats = full.stats()
     assert stats["bands_built_late"] >= 1
     assert stats["bands_built"] == built + stats["bands_built_late"] == len(full.stacks)

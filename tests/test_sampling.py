@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from decrsp.graph import ParamConfigError
 from decrsp.oracle import dijkstra
 from decrsp.sampling import max_priority_levels, sample_priorities
 
@@ -58,6 +59,13 @@ def test_p_bounds_enforced():
         sample_priorities(g, 6, 2.0, seed=0)  # log2(40) ~ 5.3
     assert max_priority_levels(40) == 5
     sample_priorities(g, 5, 2.0, seed=0)  # boundary value is accepted
+
+
+@pytest.mark.parametrize("c", [0, -1, math.nan, math.inf])
+def test_sampling_constant_must_be_positive_and_finite(c):
+    g = random_graph(40, 60, 4, seed=2)
+    with pytest.raises(ParamConfigError, match="sampling constant"):
+        sample_priorities(g, 2, c, seed=0)
 
 
 def test_sampled_edge_count_within_binomial_window():
