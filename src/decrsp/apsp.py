@@ -29,6 +29,10 @@ it with one row read.  When the tail is dropped, the answer moves to
 ``_held[u][v]``, where it is the floor that the pair's next answer is
 clamped to: a cheaper witness chain can appear as balls change, and the
 answers handed out must never decrease.
+
+A failure inside an update after the graph changed leaves the balls half
+applied, so it poisons the state, as in ``FullRangeSssp``: the served rows
+are emptied, and every later query and update raises ``UpdateError``.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from fractions import Fraction
 from math import inf
 
 from .balls import LEAVE, BallSystem
-from .graph import ParamConfigError
-from .layered import FullRangeSssp
+from .graph import ParamConfigError, UpdateError
+from .layered import POISONED, FullRangeSssp
 from .sampling import sample_priorities
 
 
@@ -94,6 +98,7 @@ class ApspState:
         self._readers = {v: set() for v in graph.node_ids()}
         self._tails_computed = 0
         self._tails_dropped = 0
+        self._poisoned = False
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
         self.last_query_expansions = 0
         for owner, table in self.balls.initial_membership().items():
@@ -103,10 +108,12 @@ class ApspState:
                 heapq.heappush(self._heaps[member][j], (est, owner))
 
     def stats(self):
-        """Journal, tail-table and served-row sizes, plus two counters that
-        never decrease."""
+        """Journal, tail-table and served-row sizes, plus three counters that
+        never decrease: the balls' scope rebuilds and the tails computed and
+        dropped."""
         return {
             "answers_served": sum(map(len, self._served.values())),
+            "ball_rebuilds": sum(self.balls.rebuild_counts.values()),
             "heap_pairs": len(self._keys),
             "tails_cached": sum(map(len, self._tails.values())),
             "tails_computed": self._tails_computed,
@@ -268,26 +275,21 @@ class ApspState:
     def process_update(self, event):
         """Advance the graph, the balls, and the witness heaps by one change.
 
-        A rejected update raises ``UpdateError`` before anything moves, so the
-        tail table and the answer rows stay.  Any failure after the graph
-        changed drops the whole tail table and every served answer becomes a
-        held floor, so no tail survives that was computed against a
-        half-applied update, and no pair's answer can decrease.
+        A rejected update raises ``UpdateError`` before anything moves, and
+        poisons nothing.  Any failure after the graph changed poisons the
+        state; from then on this raises ``UpdateError`` before the graph
+        changes.
         """
+        if self._poisoned:
+            raise UpdateError(POISONED)
         record = self.graph.apply_update(event)
         try:
             changes = self.balls.process_update(record)
             self._ingest(changes.events)
         except BaseException:
-            for row in self._tails.values():
-                self._tails_dropped += len(row)
+            self._poisoned = True
+            for row in self._served.values():
                 row.clear()
-            for x, row in self._served.items():
-                self._held[x].update(row)
-                row.clear()
-            for x in self._reads:
-                self._reads[x] = ()
-                self._readers[x].clear()
             raise
 
     # -- queries ----------------------------------------------------------------
@@ -304,6 +306,7 @@ class ApspState:
         pair.  The clamped value stays sound and within the stretch bound
         because distances only grow.  While the pair's tail stays cached its
         answer cannot change, so it is served from the pair's row as is.
+        A poisoned state serves nothing: every query raises ``UpdateError``.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1
             raise ParamConfigError("node ids must be ints, got %r and %r" % (u, v))
@@ -319,6 +322,8 @@ class ApspState:
     def _answer(self, u, v):
         """Answer a pair that is not served: its tail, computed unless the
         table has it, clamped to the pair's held floor; then serve it."""
+        if self._poisoned:
+            raise UpdateError(POISONED)
         for x in (u, v):
             if not self.graph.has_node(x):
                 raise ParamConfigError("node %r is not in the graph" % (x,))

@@ -12,8 +12,8 @@ node's *scope* ``R(u)`` (all nodes within the radius, found by bounded
 Dijkstra on the current graph) is frozen anew, copied into an
 :class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
 started on that snapshot.  The ball ``B(u)`` consists of the scope members
-whose clamped estimate stays under ``alpha * depth + beta`` (finiteness, when
-depth is unbounded); the test runs in integers.
+whose clamped estimate stays under ``alpha * depth + beta``; the test runs in
+integers.
 
 An update touches only the balls it can change.  A ``member -> owners`` index,
 kept in step by every scope rebuild, routes a change on edge (x, y) to the
@@ -82,7 +82,7 @@ class BallSystem:
         self.factory = contract_factory
         self.alpha = Fraction(alpha)
         self.beta = Fraction(beta)
-        self.depth = depth  # int | Fraction | inf
+        self.depth = depth  # int | Fraction
         self.eps = Fraction(bucket_eps)
         if not 0 < self.eps <= 1:
             raise ParamConfigError("bucket growth eps must lie in (0, 1], got %s" % (self.eps,))
@@ -90,6 +90,8 @@ class BallSystem:
             raise ParamConfigError(
                 "need alpha >= 1 and beta >= 0, got alpha=%s beta=%s" % (self.alpha, self.beta)
             )
+        if not abs(depth) < inf:  # nan too
+            raise ParamConfigError("ball depth must be finite, got %s" % (depth,))
         span = view.node_count() * view.max_weight
         growth_log = math.log1p(float(self.eps))  # 0.0 once eps underflows
         if span > 1 and (growth_log == 0 or math.log(span) / growth_log > MAX_BUCKETS):
@@ -103,13 +105,10 @@ class BallSystem:
         # one entry past the largest bucket any node has reached.
         self._powers = [(1, 1)]
         self._radii = [self._radius_of(Fraction(1))]
-        # Membership is val <= threshold = num / den, decided in integers,
-        # or finiteness alone when the depth is unbounded.
-        self._unbounded = depth == inf
-        self.threshold = inf if self._unbounded else self.alpha * depth + self.beta
-        if not self._unbounded:
-            bound = Fraction(self.threshold)
-            self._thr_num, self._thr_den = bound.numerator, bound.denominator
+        # Membership is val <= threshold = num / den, decided in integers.
+        self.threshold = self.alpha * depth + self.beta
+        bound = Fraction(self.threshold)
+        self._thr_num, self._thr_den = bound.numerator, bound.denominator
         self._nodes = sorted(view.node_ids())
         p = assignment.p
         # Distance-to-set watchers for levels 1 .. p-1; an empty level has none.
@@ -201,7 +200,7 @@ class BallSystem:
         if isinstance(val, float):  # inf; finite estimates are int or Fraction
             return val != inf and val <= self.threshold
         # Cross-multiplied, so no Fraction is built (an int has denominator 1).
-        return self._unbounded or val.numerator * self._thr_den <= self._thr_num * val.denominator
+        return val.numerator * self._thr_den <= self._thr_num * val.denominator
 
     # -- scope (re)construction -------------------------------------------------
 
@@ -214,8 +213,7 @@ class BallSystem:
         self._radius[u] = new_radius
         self.rebuild_counts[u] += 1
         # Weights are ints, so floor(radius) bounds the same scope in ints.
-        bound = new_radius if new_radius == inf else math.floor(new_radius)
-        scope = frozenset(dijkstra_bounded(self.view, u, bound))
+        scope = frozenset(dijkstra_bounded(self.view, u, math.floor(new_radius)))
         owners = self._owners
         for v in self._scope.get(u, ()):
             owners[v].discard(u)
@@ -339,8 +337,6 @@ class BallSystem:
 
     def max_rebuilds_allowed(self):
         """Radius increases per node: one per bucket crossing plus slack."""
-        if self.depth == inf:
-            return inf
         count, power = 0, Fraction(1)
         while power < self.depth:
             power *= self._growth

@@ -391,28 +391,14 @@ def collect_work_counters(mode, structure):
     """Event-count totals per structural component (no timers)."""
     if mode == "es":
         return {"es_edge_scans": structure.work_counter}
+    stats = structure.stats()
     if mode == "sssp":
-        return _full_range_work(structure)
-    return {
-        "apsp_heap_pairs": structure.stats()["heap_pairs"],
-        "ball_rebuilds": sum(structure.balls.rebuild_counts.values()),
-    }
-
-
-def _full_range_work(full):
-    """Edge scans of each band's exact tree, heap traffic of its monotone tree."""
-    es_work = 0
-    monotone_work = 0
-    for band in full.stacks:
-        if not isinstance(band, EsTree):
-            monotone_work += band.sg.tree.work_counter
-            band = band.lower
-        es_work += band.work_counter
-    return {
-        "es_edge_scans": es_work,
-        "monotone_heap_ops": monotone_work,
-        "query_heap_reads": full.heap_reads,
-    }
+        return {
+            "es_edge_scans": stats["es_edge_scans"],
+            "monotone_heap_ops": stats["monotone_heap_ops"],
+            "query_heap_reads": stats["heap_reads"],
+        }
+    return {"apsp_heap_pairs": stats["heap_pairs"], "ball_rebuilds": stats["ball_rebuilds"]}
 
 
 # -- static shortcut-edge verification ------------------------------------------

@@ -435,14 +435,21 @@ class FullRangeSssp:
         ``band_count`` is the number of distance bands over the range,
         ``bands_built`` the structures in ``stacks`` (the exact band and the
         sentinel included), ``bands_built_late`` those of them built inside
-        an update, and ``heap_reads`` the queries answered (the benchmark
-        reads it under that name).
+        an update, ``heap_reads`` the queries answered (the benchmark reads
+        it under that name), ``es_edge_scans`` the edge scans of every
+        band's exact tree and ``monotone_heap_ops`` the heap operations of
+        every assembly's shortcut tree.
         """
+        assemblies = [band for band in self.stacks if band.mode == "layered"]
+        trees = [band for band in self.stacks if band.mode == "exact"]
+        trees += [band.lower for band in assemblies]
         return {
             "band_count": self._band_count,
             "bands_built": len(self.stacks),
             "bands_built_late": len(self.stacks) - self._bands_at_build,
             "heap_reads": self.heap_reads,
+            "es_edge_scans": sum(tree.work_counter for tree in trees),
+            "monotone_heap_ops": sum(band.sg.tree.work_counter for band in assemblies),
         }
 
     def apply_event(self, event):

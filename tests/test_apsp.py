@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
@@ -27,8 +33,15 @@ from decrsp.graph import (
     UpdateEvent,
     dijkstra_bounded,
 )
+from decrsp.harness import generate_instance
 
-from test_graph_core import random_graph
+from test_graph_core import (
+    InjectedFault,
+    assert_poisoned,
+    fault_in,
+    random_graph,
+    refuse_while_poisoned,
+)
 
 
 def check_all_pairs(state, graph, bound):
@@ -407,11 +420,10 @@ def sweep_against_reference(state, pairs, last):
         last[(u, v)] = want
 
 
-def test_rejected_update_keeps_tails_and_a_fault_drops_them(monkeypatch):
+def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
     n, w_max = 20, 8
     g = random_graph(n, 40, w_max, seed=71)
     state = ApspState(g, 2, Fraction(1, 2), seed=4, c=0.3, debug=True)
-    rng = random.Random(4)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     last = {}
     sweep_against_reference(state, pairs, last)
@@ -433,27 +445,38 @@ def test_rejected_update_keeps_tails_and_a_fault_drops_them(monkeypatch):
         with pytest.raises(UpdateError):
             state.process_update(bad)
         assert rows() == before
-    ball_update = state.balls.process_update
-
-    def fail_once(record):
-        monkeypatch.setattr(state.balls, "process_update", ball_update)
-        raise RuntimeError("injected")
-
-    monkeypatch.setattr(state.balls, "process_update", fail_once)
-    stats = state.stats()
-    with pytest.raises(RuntimeError, match="injected"):
+    # The second fold of the next delete raises: the first has already moved
+    # a ball, so the state is half applied.
+    with fault_in(state.balls, "_fold_inner", at=2), pytest.raises(InjectedFault):
         state.process_update(UpdateEvent("delete", a, b))
-    assert not any(state._tails.values()) and not any(state._readers.values())
-    assert state.stats()["tails_cached"] == 0
-    assert state.stats()["tails_dropped"] == stats["tails_dropped"] + stats["tails_cached"]
-    # Every answer handed out before the fault is now a held floor.
-    assert not any(state._served.values())
-    assert {(u, v): est for u, row in state._held.items() for v, est in row.items()} == last
-    sweep_against_reference(state, pairs, last)
-    for _ in range(5):
-        u, v, _ = rng.choice(list(g.edges()))
-        state.process_update(UpdateEvent("delete", u, v))
-        sweep_against_reference(state, pairs, last)
+    assert_state_poisoned(state, g)
+
+
+def assert_state_poisoned(state, graph):
+    """Every pair query and every update raises ``UpdateError``, the graph
+    stays as it is, and ``stats()`` still answers."""
+    pairs = [(u, v) for u in graph.node_ids() for v in graph.node_ids()]
+    assert_poisoned(graph, state.process_update, state.query, pairs)
+    assert state.stats()["answers_served"] == 0
+
+
+def test_a_fault_on_the_benchmark_shape_poisons_the_state():
+    # The apsp-sweep shape, every pair answered after each update; the second
+    # fold of update 10 raises.  Nothing is served after that, and every later
+    # update of the schedule is refused with the graph unchanged.
+    schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    updates = list(schedule.updates())
+    for event in updates[:9]:
+        state.process_update(event)
+        [state.query(u, v) for u, v in pairs]
+    with fault_in(state.balls, "_fold_inner", at=2), pytest.raises(InjectedFault):
+        state.process_update(updates[9])
+    assert_state_poisoned(state, g)
+    for event in updates[10:]:
+        refuse_while_poisoned(state.process_update, g, event)
 
 
 def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
@@ -532,8 +555,8 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
     rng = random.Random(seed)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     prev = state.stats()
-    assert set(prev) == {"answers_served", "heap_pairs", "tails_cached", "tails_computed",
-                         "tails_dropped"}
+    assert set(prev) == {"answers_served", "ball_rebuilds", "heap_pairs", "tails_cached",
+                         "tails_computed", "tails_dropped"}
     assert prev["heap_pairs"] == len(state._keys)
     while True:
         for u, v in pairs:
@@ -542,7 +565,8 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
         assert set(stats) == set(prev)
         assert stats["answers_served"] == len(pairs) <= stats["tails_cached"]
         assert stats["tails_cached"] == len(pairs)
-        for counter in ("tails_computed", "tails_dropped"):
+        assert stats["ball_rebuilds"] == sum(state.balls.rebuild_counts.values())
+        for counter in ("ball_rebuilds", "tails_computed", "tails_dropped"):
             assert stats[counter] >= prev[counter]
         assert stats["tails_computed"] - stats["tails_dropped"] == stats["tails_cached"]
         prev = stats
@@ -580,9 +604,11 @@ def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
 
 
 class ApspMachine(RuleBasedStateMachine):
-    """Deletes, increases, rejected updates and shuffled query sweeps on a
-    small graph; after every step each answer is the fresh witness-chain
-    recursion clamped to the pair's previous answer, sound and in bound."""
+    """Deletes, increases, rejected updates, shuffled query sweeps and
+    injected faults on a small graph.  Until a fault fires, after every step
+    each answer is the fresh witness-chain recursion clamped to the pair's
+    previous answer, sound and in bound; once one has fired, every query and
+    update raises ``UpdateError`` and the graph stays as it is."""
 
     EPS = Fraction(1, 2)
 
@@ -596,16 +622,25 @@ class ApspMachine(RuleBasedStateMachine):
         self.pairs = [(u, v) for u in range(n) for v in range(n)]
         self.rng = rng
         self.last = {}
+        self.updates = 0
+        self.poisoned = False
 
     def pick(self, index, weight_below=None):
         edges = [e for e in self.graph.edges() if weight_below is None or e[2] < weight_below]
         return edges[index % len(edges)] if edges else None
 
+    def apply(self, event):
+        if self.poisoned:
+            refuse_while_poisoned(self.state.process_update, self.graph, event)
+            return
+        self.state.process_update(event)
+        self.updates += 1
+
     @rule(index=st.integers(0, 10**6))
     def delete(self, index):
         edge = self.pick(index)
         if edge is not None:
-            self.state.process_update(UpdateEvent("delete", edge[0], edge[1]))
+            self.apply(UpdateEvent("delete", edge[0], edge[1]))
 
     @rule(index=st.integers(0, 10**6), bump=st.integers(1, 15))
     def increase(self, index, bump):
@@ -613,7 +648,7 @@ class ApspMachine(RuleBasedStateMachine):
         if edge is not None:
             u, v, w = edge
             new = min(w + bump, self.graph.max_weight)
-            self.state.process_update(UpdateEvent("increase", u, v, new))
+            self.apply(UpdateEvent("increase", u, v, new))
 
     @rule(index=st.integers(0, 10**6), kind=st.sampled_from(["absent", "same", "over"]))
     def rejected(self, index, kind):
@@ -633,9 +668,40 @@ class ApspMachine(RuleBasedStateMachine):
             self.state.process_update(bad)
         assert self.state._tails == tails
 
+    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
+    @rule(index=st.integers(0, 10**6),
+          site=st.sampled_from(["balls", "fold", "watcher", "inner"]))
+    def fault(self, index, site):
+        """A delete in which one structure inside the state raises once: the
+        ball system on entry, its second fold of an inner change, the top
+        band of a set watcher, or that of the inner instance of a ball whose
+        scope holds the edge.  The state is poisoned if it raised."""
+        edge = self.pick(index)
+        if edge is None:
+            return
+        a, b, _ = edge
+        balls = self.state.balls
+        owner, name, at = balls, "process_update", 1
+        if site == "fold":
+            name, at = "_fold_inner", 2
+        elif site == "watcher" and balls._set_inst:
+            owner = balls._set_inst[min(balls._set_inst)].stacks[-1]
+        elif site == "inner":
+            holders = sorted(balls._owners[a] & balls._owners[b])
+            if holders:
+                owner = balls._inner[holders[index % len(holders)]].stacks[-1]
+        with fault_in(owner, name, at) as calls:
+            try:
+                self.state.process_update(UpdateEvent("delete", a, b))
+            except InjectedFault:
+                self.poisoned = True
+        assert self.poisoned == (len(calls) >= at)
+
     @rule(shuffle=st.randoms(use_true_random=False))
     def sweep(self, shuffle):
         # The invariant has just answered every pair, so all tails are cached.
+        if self.poisoned:
+            return
         pairs = list(self.pairs)
         shuffle.shuffle(pairs)
         for u, v in pairs:
@@ -644,6 +710,9 @@ class ApspMachine(RuleBasedStateMachine):
 
     @invariant()
     def answers_match_the_recursion(self):
+        if self.poisoned:
+            assert_state_poisoned(self.state, self.graph)
+            return
         self.rng.shuffle(self.pairs)
         dist = {u: dijkstra_bounded(self.graph, u, inf) for u in self.graph.node_ids()}
         for u, v in self.pairs:

@@ -191,7 +191,7 @@ def test_init_matches_static_definition_ten_nodes():
 @pytest.mark.parametrize(
     "bad",
     [dict(bucket_eps=0), dict(bucket_eps=Fraction(3, 2)), dict(alpha=Fraction(1, 2)),
-     dict(beta=-1)],
+     dict(beta=-1), dict(depth=inf), dict(depth=float("nan"))],
 )
 def test_parameter_checks_raise_typed_errors(bad):
     graph = path_graph(4)

@@ -7,7 +7,13 @@ from math import inf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
@@ -22,7 +28,14 @@ from decrsp.graph import (
 from decrsp.layered import FullRangeSssp
 from decrsp.oracle import dijkstra
 
-from test_graph_core import graph_from_edges, random_graph
+from test_graph_core import (
+    InjectedFault,
+    assert_poisoned,
+    fault_in,
+    graph_from_edges,
+    random_graph,
+    refuse_while_poisoned,
+)
 
 
 def levels_against_oracle(tree, view, root, depth):
@@ -217,12 +230,14 @@ def test_levels_stay_supported_through_full_drain():
 
 
 class EsMachine(RuleBasedStateMachine):
-    """Deletes, increases, rejected updates and queries on a small graph,
-    driving exact trees on the graph and on a distance-to-set view beside a
-    default-path ``FullRangeSssp``.  After every step each tree (the bands'
-    trees on their mirrors included) holds the from-scratch bounded Dijkstra
-    levels and reported exactly the levels that moved; the full-range
-    answers never fall, stay within 1 + eps and cost one read each."""
+    """Deletes, increases, rejected updates, queries and an injected fault on
+    a small graph, driving exact trees on the graph and on a distance-to-set
+    view beside a default-path ``FullRangeSssp``.  After every step each tree
+    (the bands' trees on their mirrors included) holds the from-scratch
+    bounded Dijkstra levels and reported exactly the levels that moved; until
+    the fault, the full-range answers never fall, stay within 1 + eps and
+    cost one read each, and after it every query and update of the
+    full-range instance raises ``UpdateError`` and the graph stays as it is."""
 
     @initialize(n=st.integers(3, 12), w_max=st.integers(1, 16), depth=st.sampled_from([3, 8, inf]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -235,6 +250,8 @@ class EsMachine(RuleBasedStateMachine):
         self.trees = [EsTree(self.graph, source, depth), EsTree(art, art.source_id, inf)]
         self.full = FullRangeSssp(self.graph, source, eps)
         self.queries = 0
+        self.updates = 0
+        self.poisoned = False
         self.levels = [dict(t.level) for t in self.all_trees()]
         self.answers = self.read_answers()
 
@@ -250,6 +267,9 @@ class EsMachine(RuleBasedStateMachine):
         return edges[index % len(edges)] if edges else None
 
     def apply(self, event):
+        if self.poisoned:
+            refuse_while_poisoned(self.full.apply_event, self.graph, event)
+            return
         rec = self.graph.apply_update(event)
         for t, before in zip(self.trees, self.levels):
             changes = t.process_update(rec)
@@ -257,6 +277,7 @@ class EsMachine(RuleBasedStateMachine):
                            if before.get(v, inf) != t.query(v))
             assert changes == [(v, t.query(v)) for v in moved]
         changes = self.full.process_update(rec)
+        self.updates += 1
         answers = self.read_answers()
         assert changes == [(v, answers[v]) for v in sorted(answers)
                            if answers[v] != self.answers[v]]
@@ -290,21 +311,47 @@ class EsMachine(RuleBasedStateMachine):
             bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
         with pytest.raises((UpdateError, GraphFormatError)):
             self.full.apply_event(bad)
-        assert self.read_answers() == self.answers
+        if not self.poisoned:
+            assert self.read_answers() == self.answers
+
+    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
+    @rule(index=st.integers(0, 10**6), band=st.integers(0, 10**6))
+    def fault(self, index, band):
+        """A delete in which one band of the full-range instance raises; every
+        band takes a delete, so the fault always fires."""
+        edge = self.pick(index)
+        if edge is None:
+            return
+        stacks = self.full.stacks
+        with fault_in(stacks[band % len(stacks)], "process_update"), \
+                pytest.raises(InjectedFault):
+            self.apply(UpdateEvent("delete", edge[0], edge[1]))
+        self.poisoned = True
 
     @rule(index=st.integers(0, 10**6))
     def query(self, index):
         v = index % self.graph.n
+        if self.poisoned:
+            with pytest.raises(UpdateError, match="poisoned"):
+                self.full.query(v)
+            return
         self.queries += 1
         assert self.full.query(v) == self.answers[v]
 
     @invariant()
     def levels_are_exact_and_answers_in_bound(self):
-        levels = [dict(t.level) for t in self.all_trees()]
-        for t, now, before in zip(self.all_trees(), levels, self.levels):
+        # A poisoned instance's bands are half applied; the two trees are not.
+        trees = self.trees if self.poisoned else self.all_trees()
+        levels = [dict(t.level) for t in trees]
+        for t, now, before in zip(trees, levels, self.levels):
             assert now == dijkstra_bounded(t.view, t.root, t.depth)
             assert all(now.get(v, inf) >= lvl for v, lvl in before.items())
         self.levels = levels
+        if self.poisoned:
+            nodes = [(v,) for v in self.graph.node_ids()]
+            assert_poisoned(self.graph, self.full.apply_event, self.full.query, nodes)
+            assert self.full.heap_reads == self.queries
+            return
         answers = self.read_answers()
         assert self.full.heap_reads == self.queries
         dist = dijkstra_bounded(self.graph, self.full.source, inf)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -43,6 +44,52 @@ def random_graph(n, m, w_max, seed):
     rng = random.Random(seed)
     pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
     return graph_from_edges(n, w_max, [(u, v, rng.randint(1, w_max)) for u, v in pairs])
+
+
+class InjectedFault(Exception):
+    """Raised by a method that ``fault_in`` armed."""
+
+
+@contextmanager
+def fault_in(owner, name, at=1):
+    """Make the method ``owner.name`` raise ``InjectedFault`` on its
+    ``at``-th call inside the block; yields the list of calls' arguments."""
+    method, calls = getattr(owner, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == at:
+            raise InjectedFault(name)
+        return method(*args)
+
+    setattr(owner, name, failing)
+    try:
+        yield calls
+    finally:
+        delattr(owner, name)
+
+
+def refuse_while_poisoned(update, graph, event):
+    """``update(event)`` raises the poisoned ``UpdateError`` and leaves the
+    graph as it is."""
+    edges = sorted(graph.edges())
+    with pytest.raises(UpdateError, match="poisoned"):
+        update(event)
+    assert sorted(graph.edges()) == edges
+
+
+def assert_poisoned(graph, update, query, queries):
+    """``query(*args)`` raises the poisoned ``UpdateError`` for every ``args``
+    in ``queries``, and so does ``update`` on the deletion of a live edge and
+    on that of a missing one, leaving the graph as it is."""
+    for args in queries:
+        with pytest.raises(UpdateError, match="poisoned"):
+            query(*args)
+    n = graph.n
+    live = [(a, b) for a, b, _ in graph.edges()][:1]
+    missing = [(a, b) for a in range(n) for b in range(a + 1, n) if not graph.has_edge(a, b)]
+    for a, b in live + missing[:1]:
+        refuse_while_poisoned(update, graph, UpdateEvent("delete", a, b))
 
 
 # -- parsing -----------------------------------------------------------------

@@ -14,7 +14,13 @@ from math import ceil, inf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from decrsp import hopset, layered
 from decrsp.es_tree import EsTree
@@ -36,7 +42,13 @@ from decrsp.layered import (
     layer_scales,
 )
 
-from test_graph_core import random_graph
+from test_graph_core import (
+    InjectedFault,
+    assert_poisoned,
+    fault_in,
+    random_graph,
+    refuse_while_poisoned,
+)
 
 
 def exact_distances(view, source):
@@ -614,15 +626,17 @@ def test_answers_are_clamped_least_band_answers_through_a_drain(options, seed):
 
 
 class LayeredMachine(RuleBasedStateMachine):
-    """Deletes, increases, rejected updates and queries on a small graph,
-    driving a layered ``FullRangeSssp``: a sentinel tree and a run of
-    ``LayerAssembly`` bands that grows inside updates.  After every step the
-    answers stay between the true distance and 1 + eps times it, never fall
-    and cost one read each, and each answer is the larger of the previous
-    one and the least band answer; the sentinel and every built band's lower
-    tree hold the from-scratch bounded Dijkstra levels on their mirrors, and
-    every built mirror holds exactly the current graph's edges, scaled.
-    ``late_examples`` counts the examples in which a band was built late."""
+    """Deletes, increases, rejected updates, queries and an injected fault on
+    a small graph, driving a layered ``FullRangeSssp``: a sentinel tree and
+    a run of ``LayerAssembly`` bands that grows inside updates.  Until the
+    fault, after every step the answers stay between the true distance and
+    1 + eps times it, never fall and cost one read each, and each answer is
+    the larger of the previous one and the least band answer; the sentinel
+    and every built band's lower tree hold the from-scratch bounded Dijkstra
+    levels on their mirrors, and every built mirror holds exactly the
+    current graph's edges, scaled.  After it, every query and update raises
+    ``UpdateError`` and the graph stays as it is.  ``late_examples`` counts
+    the examples in which a band was built late."""
 
     late_examples = 0
 
@@ -637,6 +651,9 @@ class LayeredMachine(RuleBasedStateMachine):
         modes = [band.mode for band in self.full.stacks]
         assert modes == ["exact"] + ["layered"] * (len(modes) - 1)
         self.queries = 0
+        self.updates = 0
+        self.forced = 0  # bands built by ``build_band_late``
+        self.poisoned = False
         self.answers = self.read_answers()
 
     def read_answers(self):
@@ -648,7 +665,11 @@ class LayeredMachine(RuleBasedStateMachine):
         return edges[index % len(edges)] if edges else None
 
     def apply(self, event):
+        if self.poisoned:
+            refuse_while_poisoned(self.full.apply_event, self.graph, event)
+            return
         changes = self.full.apply_event(event)
+        self.updates += 1
         answers = self.read_answers()
         assert changes == [(v, answers[v]) for v in sorted(answers)
                            if answers[v] != self.answers[v]]
@@ -682,16 +703,54 @@ class LayeredMachine(RuleBasedStateMachine):
             bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
         with pytest.raises((UpdateError, GraphFormatError)):
             self.full.apply_event(bad)
-        assert self.read_answers() == self.answers
+        if not self.poisoned:
+            assert self.read_answers() == self.answers
+
+    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
+    @rule(index=st.integers(0, 10**6), band=st.integers(0, 10**6))
+    def fault(self, index, band):
+        """A delete in which one band, the sentinel or an assembly, raises;
+        every band takes a delete, so the fault always fires."""
+        edge = self.pick(index)
+        if edge is None:
+            return
+        stacks = self.full.stacks
+        with fault_in(stacks[band % len(stacks)], "process_update"), \
+                pytest.raises(InjectedFault):
+            self.apply(UpdateEvent("delete", edge[0], edge[1]))
+        self.poisoned = True
+
+    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
+    @rule()
+    def build_band_late(self):
+        """Build the next band above the run now, as an update does for a
+        node that only the sentinel holds, and settle every node against it,
+        as an update that touched them all would.  The fresh band may
+        undercut an answer of the older bands; the clamp keeps every answer."""
+        full = self.full
+        if len(full.stacks) == full.stats()["band_count"]:
+            return
+        full._add_band(len(full.stacks) - 1, layered=True)
+        self.forced += 1
+        assert not any([full._settle(v) for v in self.graph.node_ids()])
 
     @rule(index=st.integers(0, 10**6))
     def query(self, index):
         v = index % self.graph.n
+        if self.poisoned:
+            with pytest.raises(UpdateError, match="poisoned"):
+                self.full.query(v)
+            return
         self.queries += 1
         assert self.full.query(v) == self.answers[v]
 
     @invariant()
     def bands_are_exact_and_answers_in_bound(self):
+        if self.poisoned:
+            nodes = [(v,) for v in self.graph.node_ids()]
+            assert_poisoned(self.graph, self.full.apply_event, self.full.query, nodes)
+            assert self.full.heap_reads == self.queries
+            return
         live = sorted(self.graph.edges())
         for mirror, band in zip(self.full.mirrors, self.full.stacks):
             assert sorted(mirror.edges()) == [(u, v, mirror.scale(w)) for u, v, w in live]
@@ -708,7 +767,7 @@ class LayeredMachine(RuleBasedStateMachine):
         self.answers = answers
 
     def teardown(self):
-        if self.full.stats()["bands_built_late"]:
+        if self.full.stats()["bands_built_late"] > self.forced:
             LayeredMachine.late_examples += 1
 
 
@@ -773,4 +832,7 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(options):
             last = stats
         assert last["heap_reads"] > 0
         assert last["bands_built"] == len(full.stacks)
-    assert keys == {"band_count", "bands_built", "bands_built_late", "heap_reads"}
+        assert last["es_edge_scans"] > 0
+        assert (last["monotone_heap_ops"] > 0) == (full.plan.mode == "layered")
+    assert keys == {"band_count", "bands_built", "bands_built_late", "heap_reads",
+                    "es_edge_scans", "monotone_heap_ops"}
