@@ -31,8 +31,9 @@ clamped to: a cheaper witness chain can appear as balls change, and the
 answers handed out must never decrease.
 
 A failure inside an update after the graph changed leaves the balls half
-applied, so it poisons the state, as in ``FullRangeSssp``: the served rows
-are emptied, and every later query and update raises ``UpdateError``.
+applied, so it poisons the state, as in ``FullRangeSssp``: every later query
+and update raises ``UpdateError``.  Nothing can be served again, so the ball
+system and every table are dropped at the fault.
 """
 
 from __future__ import annotations
@@ -110,10 +111,13 @@ class ApspState:
     def stats(self):
         """Journal, tail-table and served-row sizes, plus three counters that
         never decrease: the balls' scope rebuilds and the tails computed and
-        dropped."""
+        dropped.  A poisoned state reads 0 for every size and keeps the
+        counters it had at the fault."""
+        balls = self.balls
         return {
             "answers_served": sum(map(len, self._served.values())),
-            "ball_rebuilds": sum(self.balls.rebuild_counts.values()),
+            "ball_rebuilds": (self._ball_rebuilds if balls is None
+                              else sum(balls.rebuild_counts.values())),
             "heap_pairs": len(self._keys),
             "tails_cached": sum(map(len, self._tails.values())),
             "tails_computed": self._tails_computed,
@@ -287,10 +291,16 @@ class ApspState:
             changes = self.balls.process_update(record)
             self._ingest(changes.events)
         except BaseException:
-            self._poisoned = True
-            for row in self._served.values():
-                row.clear()
+            self._poison()
             raise
+
+    def _poison(self):
+        """Refuse every later query and update, and free what served them."""
+        self._poisoned = True
+        self._ball_rebuilds = self.stats()["ball_rebuilds"]
+        self.balls = None
+        self._keys, self._heaps, self._tails, self._served, self._held = {}, {}, {}, {}, {}
+        self._reads, self._readers = {}, {}
 
     # -- queries ----------------------------------------------------------------
 

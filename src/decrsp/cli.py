@@ -53,16 +53,31 @@ def _fmt(value):
     return "inf" if value == float("inf") else str(value)
 
 
+def _event_line(event):
+    """An update event as its update-file line."""
+    if event.kind == "delete":
+        return "D %d %d" % (event.u, event.v)
+    return "I %d %d %d" % (event.u, event.v, event.new_weight)
+
+
 def _stream_run(schedule, args, out):
-    """Replay updates, printing one answer line per query probe."""
+    """Replay updates, printing one answer line per query probe.
+
+    An update the graph rejects raises its own ``UpdateError``.  Any other
+    exception inside an update is raised again as an ``UpdateError`` that
+    names the update, from the original exception.
+    """
     graph = schedule.build_graph()
     eps = args.epsilon
     if args.mode == "sssp":
         structure = FullRangeSssp(
             graph, args.source, eps, p=args.p, q=args.q, c=args.c, seed=args.seed
         )
+        apply = structure.apply_event
     else:
         structure = ApspState(graph, args.k, eps, args.seed, c=args.c)
+        apply = structure.process_update
+    updates = 0
     for item in schedule.items:
         if isinstance(item, QueryProbe):
             if args.mode == "sssp":
@@ -73,10 +88,15 @@ def _stream_run(schedule, args, out):
             else:
                 answer = structure.query(item.u, item.v)
             out.write("Q %d %d %s\n" % (item.u, item.v, _fmt(answer)))
-        elif args.mode == "sssp":
-            structure.apply_event(item)
-        else:
-            structure.process_update(item)
+            continue
+        updates += 1
+        try:
+            apply(item)
+        except UpdateError:
+            raise
+        except Exception as exc:
+            raise UpdateError("update %d (%s) failed: %s: %s" % (
+                updates, _event_line(item), type(exc).__name__, exc)) from exc
     if args.mode == "sssp":
         for v in sorted(graph.node_ids()):
             out.write("est %d %s\n" % (v, _fmt(structure.query(v))))

@@ -56,6 +56,11 @@ class EsTree:
         """Current exact distance from the root, inf above the depth bound."""
         return self.level.get(node, inf)
 
+    def holds_only_root(self):
+        """Whether every level but the root's is inf; as levels never fall,
+        the tree then stays so."""
+        return len(self.level) == 1
+
     # -- updates ------------------------------------------------------------
 
     def process_update(self, rec):

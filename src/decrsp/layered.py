@@ -17,10 +17,14 @@ give way to one exact band, a tree over the base view itself bounded at
 4 * 2^i* for the last such band i*, which answers exactly inside that range.
 Assemblies are built only for the run of bands that some node needs, behind
 an exact tree on the top band's mirror that tells unreachable nodes from
-nodes beyond the run; ``FullRangeSssp`` gives the rule and why it keeps the
-bound.  Each node keeps one answer: an update raises a touched node's answer
-to its least band estimate when that is higher, and otherwise leaves it, so
-answers never fall and a query is a single dict read.
+nodes beyond the run.  In both modes a band below the top one is retired
+once it holds the source alone, so the run is a sliding window: built on
+demand above, retired below.  Its levels never fall, so such a band can
+never again give a node its least estimate.  ``FullRangeSssp`` gives both
+rules and why they keep the bound and move no answer.  Each node keeps one
+answer: an update raises a touched node's answer to its least band estimate
+when that is higher, and otherwise leaves it, so answers never fall and a
+query is a single dict read.
 
 The layer count q selects the band structure: q < 3 is a single exact tree
 over the whole range (correct, slower), q = 3 the shortcut layer above.  The
@@ -178,6 +182,11 @@ class LayerAssembly:
     def query(self, node):
         return self._est.get(node, inf)
 
+    def holds_only_root(self):
+        """Whether every estimate but the root's is inf: both trees hold the
+        root alone.  Their levels never fall, so it then stays so."""
+        return self.lower.holds_only_root() and len(self.sg.tree.level) == 1
+
     def process_update(self, record):
         touched = set()
         for node, _ in self.lower.process_update(record):
@@ -260,14 +269,15 @@ class FullRangeSssp:
     With layered bands (q = 3) only the bands that some answer needs are
     built.  ``stacks[0]`` is the sentinel: an exact ``EsTree`` bounded at
     ceil(R) on the top band T's mirror, which is what exact trees run there.
-    ``stacks[1 + i]`` is band i's ``LayerAssembly``, for the run i = 0..J.
-    A band *holds* a node while its estimate is at most its range R on its
-    mirror (4 * 2^i in true distance); the sentinel holds every node it has
-    finite.  The run starts at the smallest J at which every node the
-    sentinel holds is held by some band of the run, and J never passes
-    T - 1.  When an update leaves a node held by the sentinel alone, bands
-    J + 1, J + 2, ... are built from the current graph until one holds it,
-    inside that update, before any answer moves.
+    The rest of ``stacks`` holds, in order, the ``LayerAssembly`` of each
+    band i of the run 0..J that has not been retired (see below).  A band
+    *holds* a node while its estimate is at most its range R on its mirror
+    (4 * 2^i in true distance); the sentinel holds every node it has finite.
+    The run starts at the smallest J at which every node the sentinel holds
+    is held by some band of the run, and J never passes T - 1.  When an
+    update leaves a node held by the sentinel alone, bands J + 1, J + 2, ...
+    (``_next_band`` is the next) are built from the current graph until one
+    holds it, inside that update, before any answer moves.
 
     Why that keeps the bound, for a node at true distance d >= 1 (the
     source answers 0 in every band; an unreachable node is at inf in all):
@@ -284,11 +294,35 @@ class FullRangeSssp:
       phi_i, and its estimate below (1 + eps/3) * (2 + eps/3) * 2^i / phi_i
       < 4 * 2^i / phi_i = R.
     * So take r = floor(log2 d) <= T, as d <= n * W < 2^(T+1).  If r <= J,
-      band r is built and holds the node.  If r = T, the sentinel does.
-      Otherwise the sentinel holds the node (by the previous bullet, with
-      T for i), so a band j <= J < r of the run holds it, and 2^j <= d.
-      Any other band only offers another upper bound, so the least one is
-      within the bound.
+      band r was built and holds the node, so it is still in ``stacks``:
+      a retired band is at inf for every node but the source.  If r = T,
+      the sentinel holds the node.  Otherwise the sentinel holds it (by the
+      previous bullet, with T for i), so a band j <= J < r of the run holds
+      it, and 2^j <= d.  Any other band only offers another upper bound, so
+      the least one is within the bound.
+
+    After a band has processed an update's record, it is *retired* if it
+    holds the source alone, that is, if every estimate but the source's is
+    inf (``holds_only_root``).  Its entries leave ``stacks``, ``mirrors``
+    and ``_units``, and the other bands keep their order.  The band that
+    covers the top scale is never retired, so ``stacks`` is never empty:
+    the sentinel in layered mode, the last band in exact mode.  Retiring
+    moves no answer:
+
+    * ``EsTree`` levels never fall under deletions and weight increases,
+      nor do ``MonotoneEsTree`` levels, and a shortcut insertion leaves
+      levels alone.  So a band at inf for every node but the source stays
+      so under every later update, had it been kept.
+    * Its key for any other node is then inf for good.  That is never less
+      than another band's key, so it is never a node's least key, and a
+      least key of inf gives the answer inf whichever band it came from.
+    * The source's key is 0 in every band.  Its answer is set at build and
+      never rises, so it is never settled again.
+    * Inside an update ``_grow`` reads the run only for touched nodes, and
+      the source is never touched: its estimate is 0 in every band for good.
+
+    So every node's least key is the same with the band as without it, and
+    so is every answer, every change an update reports and the run's growth.
 
     An update sets each touched node's answer to the larger of its previous
     answer and its least band estimate, so no answer ever falls, and the
@@ -342,6 +376,10 @@ class FullRangeSssp:
         self.mirrors = []
         self.stacks = []  # per band: its EsTree or LayerAssembly
         self._units = []  # per band: the multiplier from integer estimate to key
+        self._next_band = 0  # layered mode: the band the run grows by next
+        self._built = self._retired = 0
+        # The work the retired bands did, so that stats() never decreases.
+        self._retired_scans = self._retired_heap_ops = 0
         self.heap_reads = 0
         self._poisoned = False
         if plan.mode == "exact":
@@ -352,12 +390,14 @@ class FullRangeSssp:
                 self.mirrors.append(None)
                 self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
                 self._units.append(grain_den)
+                self._built += 1
             for i in range(fine, band_count):
                 self._add_band(i)
+            self._top = self.stacks[-1]  # the band over the top scale: never retired
         else:
-            sentinel = self._add_band(band_count - 1)
+            self._top = sentinel = self._add_band(band_count - 1)
             self._grow(v for v in view.node_ids() if sentinel.query(v) != inf)
-        self._bands_at_build = len(self.stacks)
+        self._bands_at_build = self._built
         # Keys are never negative, so each node's first settle takes its least key.
         self._keys = dict.fromkeys(view.node_ids(), -1)
         self._answers = {}
@@ -371,12 +411,14 @@ class FullRangeSssp:
             band = LayerAssembly(mirror, self.source, self.plan, c=self._c,
                                  seed=self._seed * 1_000_003 + i, debug=self.debug)
             unit = self._unit << i
+            self._next_band = i + 1
         else:
             band = EsTree(mirror, self.source, math.ceil(self.plan.range_bound))
             unit = (self._unit << i) * self.plan.denominator
         self.mirrors.append(mirror)
         self.stacks.append(band)
         self._units.append(unit)
+        self._built += 1
         return band
 
     def _grow(self, nodes):
@@ -387,8 +429,8 @@ class FullRangeSssp:
         bands = self.stacks[:0:-1]  # the run, highest first
         needy = [v for v in nodes if sentinel.query(v) != inf
                  and all(band.query(v) > reach for band in bands)]
-        while needy and len(self.stacks) < self._band_count:
-            band = self._add_band(len(self.stacks) - 1, layered=True)
+        while needy and self._next_band < self._band_count - 1:
+            band = self._add_band(self._next_band, layered=True)
             needy = [v for v in needy if band.query(v) > reach]
 
     def _settle(self, node):
@@ -433,24 +475,49 @@ class FullRangeSssp:
         """Lifetime counters; none of them ever decreases.
 
         ``band_count`` is the number of distance bands over the range,
-        ``bands_built`` the structures in ``stacks`` (the exact band and the
-        sentinel included), ``bands_built_late`` those of them built inside
-        an update, ``heap_reads`` the queries answered (the benchmark reads
-        it under that name), ``es_edge_scans`` the edge scans of every
-        band's exact tree and ``monotone_heap_ops`` the heap operations of
-        every assembly's shortcut tree.
+        ``bands_built`` the structures ever put in ``stacks`` (the exact
+        band and the sentinel included), ``bands_built_late`` those of them
+        built inside an update, ``bands_retired`` those of them retired, so
+        that ``stacks`` holds ``bands_built - bands_retired`` bands.
+        ``heap_reads`` is the queries answered (the benchmark reads it under
+        that name), ``es_edge_scans`` the edge scans of every band's exact
+        tree and ``monotone_heap_ops`` the heap operations of every
+        assembly's shortcut tree, retired bands included.
         """
-        assemblies = [band for band in self.stacks if band.mode == "layered"]
-        trees = [band for band in self.stacks if band.mode == "exact"]
-        trees += [band.lower for band in assemblies]
+        scans, heap_ops = self._work(self.stacks)
         return {
             "band_count": self._band_count,
-            "bands_built": len(self.stacks),
-            "bands_built_late": len(self.stacks) - self._bands_at_build,
+            "bands_built": self._built,
+            "bands_built_late": self._built - self._bands_at_build,
+            "bands_retired": self._retired,
             "heap_reads": self.heap_reads,
-            "es_edge_scans": sum(tree.work_counter for tree in trees),
-            "monotone_heap_ops": sum(band.sg.tree.work_counter for band in assemblies),
+            "es_edge_scans": scans + self._retired_scans,
+            "monotone_heap_ops": heap_ops + self._retired_heap_ops,
         }
+
+    @staticmethod
+    def _work(bands):
+        """The edge scans of the bands' exact trees and the heap operations
+        of their shortcut trees, summed."""
+        scans = heap_ops = 0
+        for band in bands:
+            if band.mode == "exact":
+                scans += band.work_counter
+            else:
+                scans += band.lower.work_counter
+                heap_ops += band.sg.tree.work_counter
+        return scans, heap_ops
+
+    def _retire(self, dead):
+        """Drop the bands ``dead`` from ``stacks``, with their entries in
+        ``mirrors`` and ``_units``; the others keep their order."""
+        scans, heap_ops = self._work(dead)
+        self._retired_scans += scans
+        self._retired_heap_ops += heap_ops
+        self._retired += len(dead)
+        for band in dead:
+            b = self.stacks.index(band)
+            del self.stacks[b], self.mirrors[b], self._units[b]
 
     def apply_event(self, event):
         """Apply an update to the owned base graph and digest it."""
@@ -464,10 +531,15 @@ class FullRangeSssp:
             raise UpdateError(POISONED)
         try:
             touched = set()
+            top, dead = self._top, []  # dead: bands left holding the source alone
             for mirror, structure in zip(self.mirrors, self.stacks):
                 band_record = record if mirror is None else mirror.translate(record)
                 if band_record is not None:
                     touched.update(node for node, _ in structure.process_update(band_record))
+                    if structure is not top and structure.holds_only_root():
+                        dead.append(structure)
+            if dead:
+                self._retire(dead)
             if touched and self.plan.mode == "layered":
                 self._grow(touched)
             answers = self._answers

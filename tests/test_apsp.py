@@ -447,17 +447,29 @@ def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
         assert rows() == before
     # The second fold of the next delete raises: the first has already moved
     # a ball, so the state is half applied.
+    counters = state.stats()
     with fault_in(state.balls, "_fold_inner", at=2), pytest.raises(InjectedFault):
         state.process_update(UpdateEvent("delete", a, b))
-    assert_state_poisoned(state, g)
+    assert_state_poisoned(state, g, counters)
 
 
-def assert_state_poisoned(state, graph):
-    """Every pair query and every update raises ``UpdateError``, the graph
-    stays as it is, and ``stats()`` still answers."""
+def assert_state_poisoned(state, graph, before):
+    """Every pair query and every update raises ``UpdateError`` and the graph
+    stays as it is.  The ball system and every table are gone; ``stats()``
+    still answers, with 0 for every size and, for every counter, the value
+    it had at the fault, at least that of ``before``, the ``stats()`` read
+    before the failed update."""
+    at_fault = state.stats()
     pairs = [(u, v) for u in graph.node_ids() for v in graph.node_ids()]
     assert_poisoned(graph, state.process_update, state.query, pairs)
-    assert state.stats()["answers_served"] == 0
+    assert state.balls is None
+    assert not any((state._keys, state._heaps, state._tails, state._served, state._held,
+                    state._reads, state._readers))
+    stats = state.stats()
+    assert stats == at_fault
+    assert stats["answers_served"] == stats["heap_pairs"] == stats["tails_cached"] == 0
+    for counter in ("ball_rebuilds", "tails_computed", "tails_dropped"):
+        assert stats[counter] >= before[counter]
 
 
 def test_a_fault_on_the_benchmark_shape_poisons_the_state():
@@ -472,9 +484,11 @@ def test_a_fault_on_the_benchmark_shape_poisons_the_state():
     for event in updates[:9]:
         state.process_update(event)
         [state.query(u, v) for u, v in pairs]
+    counters = state.stats()
+    assert counters["tails_computed"] > 0
     with fault_in(state.balls, "_fold_inner", at=2), pytest.raises(InjectedFault):
         state.process_update(updates[9])
-    assert_state_poisoned(state, g)
+    assert_state_poisoned(state, g, counters)
     for event in updates[10:]:
         refuse_while_poisoned(state.process_update, g, event)
 
@@ -690,6 +704,7 @@ class ApspMachine(RuleBasedStateMachine):
             holders = sorted(balls._owners[a] & balls._owners[b])
             if holders:
                 owner = balls._inner[holders[index % len(holders)]].stacks[-1]
+        self.counters = self.state.stats()
         with fault_in(owner, name, at) as calls:
             try:
                 self.state.process_update(UpdateEvent("delete", a, b))
@@ -711,7 +726,7 @@ class ApspMachine(RuleBasedStateMachine):
     @invariant()
     def answers_match_the_recursion(self):
         if self.poisoned:
-            assert_state_poisoned(self.state, self.graph)
+            assert_state_poisoned(self.state, self.graph, self.counters)
             return
         self.rng.shuffle(self.pairs)
         dist = {u: dijkstra_bounded(self.graph, u, inf) for u in self.graph.node_ids()}

@@ -31,6 +31,7 @@ from decrsp.oracle import dijkstra
 from test_graph_core import (
     InjectedFault,
     assert_poisoned,
+    assert_retired_bands_hold_the_source_alone,
     fault_in,
     graph_from_edges,
     random_graph,
@@ -237,7 +238,9 @@ class EsMachine(RuleBasedStateMachine):
     bounded Dijkstra levels and reported exactly the levels that moved; until
     the fault, the full-range answers never fall, stay within 1 + eps and
     cost one read each, and after it every query and update of the
-    full-range instance raises ``UpdateError`` and the graph stays as it is."""
+    full-range instance raises ``UpdateError`` and the graph stays as it is.
+    A band leaves the full-range instance only once it holds the source
+    alone."""
 
     @initialize(n=st.integers(3, 12), w_max=st.integers(1, 16), depth=st.sampled_from([3, 8, inf]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -252,7 +255,8 @@ class EsMachine(RuleBasedStateMachine):
         self.queries = 0
         self.updates = 0
         self.poisoned = False
-        self.levels = [dict(t.level) for t in self.all_trees()]
+        self.levels = {t: dict(t.level) for t in self.all_trees()}
+        self.bands = list(self.full.stacks)
         self.answers = self.read_answers()
 
     def all_trees(self):
@@ -271,7 +275,8 @@ class EsMachine(RuleBasedStateMachine):
             refuse_while_poisoned(self.full.apply_event, self.graph, event)
             return
         rec = self.graph.apply_update(event)
-        for t, before in zip(self.trees, self.levels):
+        for t in self.trees:
+            before = self.levels[t]
             changes = t.process_update(rec)
             moved = sorted(v for v in set(before) | set(t.level)
                            if before.get(v, inf) != t.query(v))
@@ -342,16 +347,18 @@ class EsMachine(RuleBasedStateMachine):
     def levels_are_exact_and_answers_in_bound(self):
         # A poisoned instance's bands are half applied; the two trees are not.
         trees = self.trees if self.poisoned else self.all_trees()
-        levels = [dict(t.level) for t in trees]
-        for t, now, before in zip(trees, levels, self.levels):
+        levels = {t: dict(t.level) for t in trees}
+        for t, now in levels.items():
             assert now == dijkstra_bounded(t.view, t.root, t.depth)
-            assert all(now.get(v, inf) >= lvl for v, lvl in before.items())
+            assert all(now.get(v, inf) >= lvl for v, lvl in self.levels.get(t, {}).items())
         self.levels = levels
         if self.poisoned:
             nodes = [(v,) for v in self.graph.node_ids()]
             assert_poisoned(self.graph, self.full.apply_event, self.full.query, nodes)
             assert self.full.heap_reads == self.queries
             return
+        assert_retired_bands_hold_the_source_alone(self.full, self.bands)
+        self.bands = list(self.full.stacks)
         answers = self.read_answers()
         assert self.full.heap_reads == self.queries
         dist = dijkstra_bounded(self.graph, self.full.source, inf)

@@ -78,6 +78,18 @@ def refuse_while_poisoned(update, graph, event):
     assert sorted(graph.edges()) == edges
 
 
+def assert_retired_bands_hold_the_source_alone(full, before):
+    """Every band of ``before`` that has left ``full.stacks`` is at inf for
+    every node but the source, and the live bands are those built and not
+    retired.  A band that has left takes no further update, so what it holds
+    now is what it held when it left."""
+    stats = full.stats()
+    assert stats["bands_built"] - stats["bands_retired"] == len(full.stacks)
+    for band in before:
+        if all(band is not live for live in full.stacks):
+            assert [v for v in full.view.node_ids() if band.query(v) != inf] == [full.source]
+
+
 def assert_poisoned(graph, update, query, queries):
     """``query(*args)`` raises the poisoned ``UpdateError`` for every ``args``
     in ``queries``, and so does ``update`` on the deletion of a live edge and

@@ -12,8 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from decrsp.cli import main
-from decrsp.graph import DynamicGraph, QueryProbe, UpdateEvent, load_graph, parse_update_stream
+from decrsp.cli import _load_schedule, _stream_run, build_parser, main
+from decrsp.es_tree import EsTree
+from decrsp.graph import (
+    DynamicGraph,
+    QueryProbe,
+    UpdateError,
+    UpdateEvent,
+    load_graph,
+    parse_update_stream,
+)
 from decrsp.harness import (
     RunConfig,
     ScheduleError,
@@ -458,3 +466,35 @@ def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):
         rc = main([mode, "--graph", str(gp), "--updates", str(up)], out=io.StringIO())
         assert rc == 1
         assert capsys.readouterr().err == "decrsp: error: edge (0, 2) not present\n"
+
+
+@pytest.mark.parametrize("mode", ["sssp", "apsp"])
+def test_cli_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypatch, mode):
+    # A band's exact tree raises once, inside the second update and after
+    # the graph changed.  The run ends in one error line naming that update
+    # and exit 1, never a traceback; the error is an UpdateError raised from
+    # the band's exception.
+    gp = tmp_path / "g.txt"
+    up = tmp_path / "u.txt"
+    gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    up.write_text("Q 0 3\nI 0 1 4\nD 1 2\nQ 0 3\n")
+    original, failed = EsTree.process_update, []
+
+    def fail_once(tree, record):
+        if record.kind == "delete" and not failed:
+            failed.append(record)
+            raise RuntimeError("injected band fault")
+        return original(tree, record)
+
+    monkeypatch.setattr(EsTree, "process_update", fail_once)
+    argv = [mode, "--graph", str(gp), "--updates", str(up)]
+    out = io.StringIO()
+    assert main(argv, out=out) == 1
+    assert out.getvalue() == "Q 0 3 10\n"
+    assert capsys.readouterr().err == (
+        "decrsp: error: update 2 (D 1 2) failed: RuntimeError: injected band fault\n")
+    failed.clear()
+    args = build_parser().parse_args(argv)
+    with pytest.raises(UpdateError, match="update 2") as info:
+        _stream_run(_load_schedule(args.graph, args.updates), args, io.StringIO())
+    assert type(info.value.__cause__) is RuntimeError

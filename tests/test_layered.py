@@ -45,6 +45,7 @@ from decrsp.layered import (
 from test_graph_core import (
     InjectedFault,
     assert_poisoned,
+    assert_retired_bands_hold_the_source_alone,
     fault_in,
     random_graph,
     refuse_while_poisoned,
@@ -634,7 +635,9 @@ class LayeredMachine(RuleBasedStateMachine):
     the larger of the previous one and the least band answer; the sentinel
     and every built band's lower tree hold the from-scratch bounded Dijkstra
     levels on their mirrors, and every built mirror holds exactly the
-    current graph's edges, scaled.  After it, every query and update raises
+    current graph's edges, scaled; the run stays in band order below
+    ``_next_band``, and a band leaves it only once it holds the source
+    alone.  After it, every query and update raises
     ``UpdateError`` and the graph stays as it is.  ``late_examples`` counts
     the examples in which a band was built late."""
 
@@ -654,6 +657,7 @@ class LayeredMachine(RuleBasedStateMachine):
         self.updates = 0
         self.forced = 0  # bands built by ``build_band_late``
         self.poisoned = False
+        self.bands = list(self.full.stacks)
         self.answers = self.read_answers()
 
     def read_answers(self):
@@ -728,9 +732,9 @@ class LayeredMachine(RuleBasedStateMachine):
         as an update that touched them all would.  The fresh band may
         undercut an answer of the older bands; the clamp keeps every answer."""
         full = self.full
-        if len(full.stacks) == full.stats()["band_count"]:
+        if full._next_band == full.stats()["band_count"] - 1:
             return
-        full._add_band(len(full.stacks) - 1, layered=True)
+        full._add_band(full._next_band, layered=True)
         self.forced += 1
         assert not any([full._settle(v) for v in self.graph.node_ids()])
 
@@ -751,6 +755,10 @@ class LayeredMachine(RuleBasedStateMachine):
             assert_poisoned(self.graph, self.full.apply_event, self.full.query, nodes)
             assert self.full.heap_reads == self.queries
             return
+        assert_retired_bands_hold_the_source_alone(self.full, self.bands)
+        self.bands = list(self.full.stacks)
+        indices = run_band_indices(self.full)
+        assert indices == sorted(set(indices)) and all(i < self.full._next_band for i in indices)
         live = sorted(self.graph.edges())
         for mirror, band in zip(self.full.mirrors, self.full.stacks):
             assert sorted(mirror.edges()) == [(u, v, mirror.scale(w)) for u, v, w in live]
@@ -801,8 +809,59 @@ def test_layered_drain_builds_bands_late_under_debug_checks():
     assert clamped > 0
     stats = full.stats()
     assert stats["bands_built_late"] >= 1
-    assert stats["bands_built"] == built + stats["bands_built_late"] == len(full.stacks)
+    assert stats["bands_built"] == built + stats["bands_built_late"]
+    assert stats["bands_built"] - stats["bands_retired"] == len(full.stacks)
     assert stats["bands_built"] <= stats["band_count"]
+
+
+def run_band_indices(full):
+    """The band index of each ``LayerAssembly`` in a layered instance's
+    ``stacks``, read from its mirror's grain against the sentinel's."""
+    top = full.stats()["band_count"] - 1
+    return [top + 1 - (full.mirrors[0].phi / mirror.phi).numerator.bit_length()
+            for mirror in full.mirrors[1:]]
+
+
+def test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late():
+    """A full drain at n = 24 that retires bands and then builds bands late,
+    with no hypothesis draw behind it.  Beside it runs a twin instance that
+    never retires a band: after every update both report the same changes
+    and answers, and the work counters agree, as a retired band would have
+    done no more work.  The run stays in band order, and each band built
+    late is the next one above it, however many bands below were retired.
+    The bands built late are retired in turn, and at the end only the
+    sentinel is left."""
+    g, twin_graph = random_graph(24, 48, 32, seed=5), random_graph(24, 48, 32, seed=5)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=5, debug=True)
+    twin = FullRangeSssp(twin_graph, 0, Fraction(1, 2), p=4, q=3, seed=5)
+    twin._retire = lambda dead: None
+    grew, retired, late = [], [], []
+    for step, rec in enumerate(delete_all_edges(g, random.Random(5))):
+        before = full.stats()
+        bands, next_band = list(full.stacks), full._next_band
+        out = full.process_update(rec)
+        assert out == twin.apply_event(UpdateEvent("delete", rec.u, rec.v))
+        after = full.stats()
+        indices = run_band_indices(full)
+        assert indices == sorted(set(indices))
+        fresh = [i for i, band in zip(indices, full.stacks[1:])
+                 if all(band is not b for b in bands)]
+        assert fresh == list(range(next_band, full._next_band))
+        if fresh:
+            grew.append(step)
+            late += [band for band in full.stacks if all(band is not b for b in bands)]
+        if after["bands_retired"] > before["bands_retired"]:
+            retired.append(step)
+        assert_retired_bands_hold_the_source_alone(full, bands)
+        assert {v: full.query(v) for v in g.node_ids()} == {
+            v: twin.query(v) for v in g.node_ids()}
+        for key in ("es_edge_scans", "monotone_heap_ops"):
+            assert after[key] == twin.stats()[key]
+    assert grew == [11, 19] and retired[0] < grew[0] < retired[-1]
+    assert late and all(band is not live for band in late for live in full.stacks)
+    stats = full.stats()
+    assert stats["bands_built"] - stats["bands_retired"] == len(full.stacks) == 1
+    assert full.stacks[0].mode == "exact"
 
 
 @pytest.mark.parametrize("options", [{}, {"p": 4, "q": 3}], ids=["exact", "layered"])
@@ -831,8 +890,10 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(options):
             assert all(stats[k] >= last[k] for k in keys)
             last = stats
         assert last["heap_reads"] > 0
-        assert last["bands_built"] == len(full.stacks)
+        assert last["bands_built"] - last["bands_retired"] == len(full.stacks)
         assert last["es_edge_scans"] > 0
         assert (last["monotone_heap_ops"] > 0) == (full.plan.mode == "layered")
-    assert keys == {"band_count", "bands_built", "bands_built_late", "heap_reads",
-                    "es_edge_scans", "monotone_heap_ops"}
+        # A full drain leaves every band but the top one holding the source alone.
+        assert last["bands_retired"] > 0 or full.plan.mode != "layered"
+    assert keys == {"band_count", "bands_built", "bands_built_late", "bands_retired",
+                    "heap_reads", "es_edge_scans", "monotone_heap_ops"}
