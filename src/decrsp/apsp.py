@@ -1,11 +1,14 @@
 """All-pairs approximate distances under deletions and weight increases.
 
-A priority-sampled ball system, driven by the full-range single-source
-contract, stores a distance estimate for every (owner, member) pair whose
-ball relation holds.  On top of that, every node ``v`` keeps one min-heap
-per priority class ``j`` holding the owners of priority ``j`` whose ball
-contains ``v``, keyed by the journaled estimate; the heap minimum is the
-cheapest priority-j witness reachable from ``v``.
+A priority-sampled ball system stores a distance estimate for every
+(owner, member) pair whose ball relation holds.  Each set watcher and ball
+scope runs a single-source contract: a bare exact ``EsTree`` when every
+distance band of its view is finer than the integer weights
+(``exact_band_depth``), a ``FullRangeSssp`` otherwise.  On top of that,
+every node ``v`` keeps one min-heap per priority class ``j`` holding the
+owners of priority ``j`` whose ball contains ``v``, keyed by the journaled
+estimate; the heap minimum is the cheapest priority-j witness reachable
+from ``v``.
 
 A pair query walks the priority ladder: the tail of a node ``x`` toward the
 target ``v`` is its journaled ball estimate when ``v`` sits in ``x``'s ball,
@@ -20,8 +23,6 @@ an update drops exactly the tails whose journal entry it rewrote, the tails
 of every node whose top above its priority moved, and, through a reverse
 index, every cached tail that read a dropped one.  The returned estimate
 never underestimates and stays within a ((2 + eps)^k - 1) stretch factor.
-Every internal component runs at eps/7, which absorbs the error compounding
-of the witness chain.
 
 Each answered pair sits in exactly one of two per-node rows.  While the tail
 ``(u, v)`` is cached, ``_served[u][v]`` holds the answer, and a query returns
@@ -45,7 +46,8 @@ from math import inf
 
 from .balls import LEAVE, BallSystem
 from .graph import ParamConfigError, UpdateError
-from .layered import POISONED, FullRangeSssp
+from .es_tree import EsTree
+from .layered import POISONED, FullRangeSssp, exact_band_depth
 from .sampling import sample_priorities
 
 
@@ -70,8 +72,14 @@ class ApspState:
 
         # The factory lives in ``self.balls``; capturing ``self`` would make
         # every state a reference cycle that only the cyclic GC reclaims.
+        # Every contract draws a seed, so a FullRangeSssp gets the same seed
+        # whichever contracts before it were bare trees.
         def factory(view, root, depth):
-            return FullRangeSssp(view, root, eps_run, seed=next(counter))
+            seed = next(counter)
+            exact = exact_band_depth(view.node_count(), view.max_weight, eps_run)
+            if exact is None:
+                return FullRangeSssp(view, root, eps_run, seed=seed)
+            return EsTree(view, root, exact)
 
         horizon = graph.node_count() * graph.max_weight
         self.balls = BallSystem(
@@ -279,11 +287,8 @@ class ApspState:
     def process_update(self, event):
         """Advance the graph, the balls, and the witness heaps by one change.
 
-        A rejected update raises ``UpdateError`` before anything moves, and
-        poisons nothing.  Any failure after the graph changed poisons the
-        state; from then on this raises ``UpdateError`` before the graph
-        changes.
-        """
+        A rejected update raises ``UpdateError`` and poisons nothing; a
+        poisoned state raises it before the graph changes."""
         if self._poisoned:
             raise UpdateError(POISONED)
         record = self.graph.apply_update(event)
@@ -307,15 +312,10 @@ class ApspState:
     def query(self, u, v):
         """Approximate distance between u and v; inf when no witness chain.
 
-        ``last_query_expansions`` counts the tails this call computed: at
-        most k^k, and 0 when every tail it needed was already in the table.
-        Tails stay cached across updates; each update drops only those whose
-        journal entry, witness tops or recursed-into tails it changed.
-        A cheaper witness chain can appear as balls and witnesses change, so
-        the answer is clamped to the largest one returned before for the
-        pair.  The clamped value stays sound and within the stretch bound
-        because distances only grow.  While the pair's tail stays cached its
-        answer cannot change, so it is served from the pair's row as is.
+        The pair's tail, clamped to the largest answer returned before for
+        the pair (see the module docstring); the clamp stays sound and in
+        bound because distances only grow.  ``last_query_expansions`` counts
+        the tails this call computed: at most k^k, 0 when all were cached.
         A poisoned state serves nothing: every query raises ``UpdateError``.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1

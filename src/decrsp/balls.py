@@ -30,7 +30,8 @@ graphs can replay them deterministically.
 
 The contract factory must return objects exposing ``query(node)`` and
 ``process_update(record) -> [(node, new_estimate)]`` whose estimates never
-underestimate true distances in the supplied view and never decrease.
+underestimate true distances in the supplied view and never decrease, such
+as an ``EsTree`` or a ``FullRangeSssp`` (``ApspState`` picks one per view).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .apsp import ApspState
 from .graph import GraphFormatError, ParamConfigError, QueryProbe, UpdateError
 from .graph import load_graph, parse_update_stream
-from .harness import RunConfig, Schedule, run_with_oracle
+from .harness import RunConfig, Schedule, failed_update, run_with_oracle
 from .layered import FullRangeSssp
 
 
@@ -51,13 +51,6 @@ def _load_schedule(graph_path, updates_path):
 
 def _fmt(value):
     return "inf" if value == float("inf") else str(value)
-
-
-def _event_line(event):
-    """An update event as its update-file line."""
-    if event.kind == "delete":
-        return "D %d %d" % (event.u, event.v)
-    return "I %d %d %d" % (event.u, event.v, event.new_weight)
 
 
 def _stream_run(schedule, args, out):
@@ -95,8 +88,7 @@ def _stream_run(schedule, args, out):
         except UpdateError:
             raise
         except Exception as exc:
-            raise UpdateError("update %d (%s) failed: %s: %s" % (
-                updates, _event_line(item), type(exc).__name__, exc)) from exc
+            raise failed_update(updates, item, exc) from exc
     if args.mode == "sssp":
         for v in sorted(graph.node_ids()):
             out.write("est %d %s\n" % (v, _fmt(structure.query(v))))

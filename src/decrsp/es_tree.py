@@ -33,10 +33,10 @@ from .graph import dijkstra_bounded
 
 
 class EsTree:
-    # A band of FullRangeSssp is an EsTree or a LayerAssembly, told apart by
-    # ``mode``.  benchmarks/tracing.py reads ``s.mode`` for every ``s`` in
-    # ``full.stacks`` to count exact bands; the benchmark directory stays
-    # fixed across library changes, so this attribute and its values stay.
+    # benchmarks/tracing.py counts exact bands by reading ``mode`` on every
+    # band in ``FullRangeSssp.stacks`` (an EsTree or a LayerAssembly), so the
+    # attribute and its values stay.  An all-pairs contract whose bands are
+    # all finer than the weights is a bare EsTree, in no ``stacks``.
     mode = "exact"
 
     def __init__(self, view, root, depth):

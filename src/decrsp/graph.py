@@ -240,6 +240,15 @@ def load_graph(stream):
     return graph
 
 
+def update_line(item):
+    """An update event or query probe as the line ``parse_update_stream`` reads."""
+    if isinstance(item, QueryProbe):
+        return "Q %d %d" % (item.u, item.v)
+    if item.kind == "delete":
+        return "D %d %d" % (item.u, item.v)
+    return "I %d %d %d" % (item.u, item.v, item.new_weight)
+
+
 def parse_update_stream(stream):
     """Parse update lines: ``D u v``, ``I u v w``, and query probes ``Q u v``."""
     out = []

@@ -7,13 +7,8 @@ structures (exact tree, full-range single-source, all-pairs) and, at a
 configurable stride, recomputes exact distances with two independent
 shortest-path implementations, recording stretch, underestimates, and any
 invariant failure into a ValidationReport whose rendering is byte-stable
-under a fixed seed.
-
-``static_hopset_check`` is the one-shot verification oracle for the
-shortcut-edge idea itself: it builds distance-weighted ball edges over a
-frozen priority sampling, runs hop-limited Bellman-Ford on the augmented
-graph, and asserts the hop/weight trade-off pair by pair.  It lives here,
-in the validation path, not in the maintained-structure path.
+under a fixed seed.  ``static_hopset_check`` verifies the shortcut-edge
+trade-off itself on a static graph: it is validation, not maintenance.
 """
 
 from __future__ import annotations
@@ -28,7 +23,8 @@ from math import ceil, inf, isqrt
 
 from .apsp import ApspState
 from .es_tree import EsTree
-from .graph import DynamicGraph, QueryProbe, UpdateEvent, dijkstra_bounded
+from .graph import (DynamicGraph, QueryProbe, UpdateError, UpdateEvent, dijkstra_bounded,
+                    update_line)
 from .layered import FullRangeSssp
 from .oracle import cross_checked_distances
 from .sampling import sample_priorities
@@ -67,15 +63,7 @@ class Schedule:
         return "\n".join(lines) + "\n"
 
     def dump_updates(self):
-        lines = []
-        for item in self.items:
-            if isinstance(item, QueryProbe):
-                lines.append("Q %d %d" % (item.u, item.v))
-            elif item.kind == "delete":
-                lines.append("D %d %d" % (item.u, item.v))
-            else:
-                lines.append("I %d %d %d" % (item.u, item.v, item.new_weight))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(update_line(item) + "\n" for item in self.items)
 
 
 def _unrank_pair(index, n):
@@ -235,12 +223,20 @@ def _fraction_str(x):
     return str(Fraction(x))
 
 
+def failed_update(index, event, exc):
+    """The ``UpdateError`` naming update ``index``, ``event``, that raised ``exc``."""
+    return UpdateError("update %d (%s) failed: %s: %s"
+                       % (index, update_line(event), type(exc).__name__, exc))
+
+
 def run_with_oracle(schedule, config):
     """Replay a schedule through the configured structure with exact checks.
 
     Every oracle step recomputes distances with two independent exact
     implementations (which must agree), then records the worst stretch and
-    every underestimate with its update index and witness pair.
+    every underestimate with its update index and witness pair.  Inside an
+    update an ``AssertionError`` is an invariant failure that ends the
+    replay, and any other exception but ``UpdateError`` a ``failed_update``.
     """
     graph = schedule.build_graph()
     eps = Fraction(config.eps)
@@ -251,21 +247,11 @@ def run_with_oracle(schedule, config):
         structure = EsTree(graph, config.source, inf)
         bound = Fraction(1)
     elif config.mode == "sssp":
-        structure = FullRangeSssp(
-            graph,
-            config.source,
-            eps,
-            p=config.p,
-            q=config.q,
-            c=config.c,
-            seed=config.seed,
-            debug=config.debug,
-        )
+        structure = FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q,
+                                  c=config.c, seed=config.seed, debug=config.debug)
         bound = 1 + eps
     elif config.mode == "apsp":
-        structure = ApspState(
-            graph, config.k, eps, config.seed, c=config.c, debug=config.debug
-        )
+        structure = ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug)
         bound = (2 + eps) ** config.k - 1
     else:
         raise ValueError("unknown mode %r" % (config.mode,))
@@ -354,6 +340,10 @@ def run_with_oracle(schedule, config):
         except AssertionError as exc:
             invariant_failures.append("index=%d assert=%s" % (update_index, exc))
             break
+        except UpdateError:
+            raise
+        except Exception as exc:
+            raise failed_update(update_index, item, exc) from exc
         for node, value in changed:
             digest.update(("U %d %d %s\n" % (update_index, node, _fraction_str(value))).encode())
         if config.oracle_check and update_index % config.oracle_stride == 0:

@@ -1,38 +1,14 @@
 """Layered range-restricted SSSP and the full-range scaled assembly.
 
-Range-restricted part, over a range parameter R: q < 3 runs an exact
-``EsTree`` bounded at ceil(R).  q = 3 runs a ``LayerAssembly``: an exact
-tree bounded at D_0 = ceil(R^(2/3)) and a ball system whose set-distance
-watchers are exact trees bounded at D_0, whose journal feeds a shortcut
-graph at scale delta = ceil(R^(1/3)) covering the whole range ceil(R); the
-estimate is the per-node minimum of the two.  The shortcut layer multiplies
-the stretch by at most 1 + 2*eps', and eps' = eps / 2 keeps it within 1 + eps.
-
-Full-range part: distance bands [2^i, 2^(i+1)] up to n*W.  Band i rounds
-weights up to multiples of the grain phi_i = (eps/3) * 2^i / n and runs its
-own tree or assembly with range R = 4n/(eps/3) on that scaled mirror, so it
-covers true distances up to 4 * 2^i.  Exact trees are built for every band,
-and a band with phi_i <= 1 is finer than the integer weights: all such bands
-give way to one exact band, a tree over the base view itself bounded at
-4 * 2^i* for the last such band i*, which answers exactly inside that range.
-Assemblies are built only for the run of bands that some node needs, behind
-an exact tree on the top band's mirror that tells unreachable nodes from
-nodes beyond the run.  In both modes a band below the top one is retired
-once it holds the source alone, so the run is a sliding window: built on
-demand above, retired below.  Its levels never fall, so such a band can
-never again give a node its least estimate.  ``FullRangeSssp`` gives both
-rules and why they keep the bound and move no answer.  Each node keeps one
-answer: an update raises a touched node's answer to its least band estimate
-when that is higher, and otherwise leaves it, so answers never fall and a
-query is a single dict read.
-
-The layer count q selects the band structure: q < 3 is a single exact tree
-over the whole range (correct, slower), q = 3 the shortcut layer above.  The
-default formula gives q < 3 at any realistic desk scale, and the p/q
-overrides exist so the shortcut layer can be exercised on small graphs
-anyway.  q >= 4 is rejected: more shortcut layers would need set-distance
+A band over a range R is an exact ``EsTree`` bounded at ceil(R) when the
+layer count q < 3 (the default at any desk scale), and a ``LayerAssembly``
+(one shortcut layer) when q = 3, which the p/q overrides reach on small
+graphs.  q >= 4 is rejected: more shortcut layers would need set-distance
 watchers on zero-weight source edges, which the monotone tree does not
-take, and inner instances on scopes too small to sample.
+take, and inner instances on scopes too small to sample.  ``FullRangeSssp``
+runs one band per distance scale on a rounded, scaled mirror and keeps one
+answer per node; its docstring states the band rules and why they keep the
+bound and move no answer.
 """
 
 from __future__ import annotations
@@ -146,11 +122,14 @@ class StackPlan:
 class LayerAssembly:
     """The shortcut layer of a two-layer band over ``view`` (q = 3).
 
-    ``lower`` is the exact ``EsTree`` bounded at min(depth, D_0).  The ball
-    system's set-distance watchers are exact trees bounded at D_0, with ball
-    quality alpha = 1.  The shortcut graph runs at scale delta and covers
-    ``depth``.  The estimate is the per-node minimum of ``lower`` and the
-    shortcut graph.  The sampler's seed is derived from the band ``seed``.
+    From ``plan.scales``: D_0 = ceil(R^(2/3)), delta = ceil(R^(1/3)) and
+    depth = ceil(R).  ``lower`` is the exact ``EsTree`` bounded at
+    min(depth, D_0).  The ball system's set-distance watchers are
+    exact trees bounded at D_0, with ball quality alpha = 1.  Its journal
+    feeds a shortcut graph at scale delta that covers ``depth``.  The
+    estimate is the per-node minimum of ``lower`` and the shortcut graph, so
+    the stretch is at most 1 + 2 eps', and eps' = eps / 2 keeps it within
+    1 + eps.  The sampler's seed is derived from the band ``seed``.
 
     Estimates are ints over ``denominator``, the denominator of the shortcut
     grain phi = A / B: a lower-tree level d is held as d * B and a shortcut
@@ -250,21 +229,44 @@ class ScaledMirror(AdjacencyGraph):
         return scaled
 
 
+def band_layout(n, max_weight, eps):
+    """``(grain, bands, fine)`` of a ``FullRangeSssp`` at ``eps`` on ``n``
+    nodes with weights up to ``max_weight``: the grain A/B = (eps/3)/n, the
+    band count, and how many bands have phi_i = (A/B) * 2^i <= 1."""
+    grain = Fraction(eps) / 3 / n
+    bands = max(1, (n * max_weight).bit_length())
+    # 2^i <= B/A exactly when 2^i <= B // A, that is, i < (B // A).bit_length().
+    return grain, bands, min(bands, (grain.denominator // grain.numerator).bit_length())
+
+
+def exact_band_depth(n, max_weight, eps):
+    """The depth of the one ``EsTree`` that a default ``FullRangeSssp`` (same
+    arguments as ``band_layout``) would be, answering its levels, when its
+    plan is exact and every band is fine; None otherwise."""
+    _, bands, fine = band_layout(n, max_weight, eps)
+    if fine < bands or default_layer_counts(n, Fraction(eps) / 3)[1] >= 3:
+        return None
+    return 4 << (fine - 1)
+
+
 class FullRangeSssp:
     """Single-source (1+eps)-approximate distances over the full range.
 
-    One scaled mirror per distance band at a third of the requested error
-    (two rounding/band factors compose to at most 1 + eps), each read by
-    the band's own structure in ``stacks``.  Each node keeps one answer, so
-    a query is exactly one dict read.  The scaled bands share one
-    ``StackPlan``, so the layer counts, scales and shortcut parameters are
-    derived once per instance.
+    Band i covers the distance scale [2^i, 2^(i+1)], for i = 0..T with
+    2^(T+1) > n * W.  It rounds weights up to multiples of the grain phi_i =
+    (eps/3) * 2^i / n on its own scaled mirror, and runs its own tree or
+    assembly there with range R = 4n/(eps/3), so it covers true distances up
+    to 4 * 2^i.  Each band's structure is read directly in ``stacks``.
+    Each node keeps one answer, so a query is exactly one dict read.  The
+    scaled bands share one ``StackPlan``, so the layer counts, scales and
+    shortcut parameters are derived once per instance.
 
     With exact trees (q < 3 after the p/q overrides) every band is built: an
-    ``EsTree`` per band, except that the bands with phi_i <= 1 are replaced
-    by one exact band over ``view`` itself, which has no mirror
-    (``mirrors[0] is None``) and covers true distances up to 4 * 2^i* for
-    the last such band i*.
+    ``EsTree`` per band, except that the bands with phi_i <= 1 are finer
+    than the integer weights, with nothing to round.  They give way to one
+    exact band over ``view`` itself, with no mirror (``mirrors[0] is None``),
+    covering true distances up to 4 * 2^i* for the last such band i*.  When
+    every band is that fine, it is the whole instance (``exact_band_depth``).
 
     With layered bands (q = 3) only the bands that some answer needs are
     built.  ``stacks[0]`` is the sentinel: an exact ``EsTree`` bounded at
@@ -345,8 +347,9 @@ class FullRangeSssp:
 
     A failure inside ``process_update`` comes after the graph changed and
     leaves the bands half applied, so it poisons the instance: every later
-    query and update raises ``UpdateError``.  A rejected event raises in the
-    graph before anything moves, and poisons nothing.
+    query and update raises ``UpdateError``.  Nothing can be served again,
+    so the bands, mirrors and keys are dropped at the fault.  A rejected
+    event raises in the graph before anything moves, and poisons nothing.
 
     Works on any read-protocol view; updates arrive as already-applied
     change records, so instances can also serve as the distance contract
@@ -364,13 +367,12 @@ class FullRangeSssp:
         self.eps_inner = self.eps / 3
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
-        grain = self.eps_inner / n
-        self._unit, self._grain_den = unit, grain_den = grain.numerator, grain.denominator
-        self._band_count = band_count = max(1, (n * view.max_weight).bit_length())
+        grain, self._band_count, fine = band_layout(n, view.max_weight, self.eps)
+        self._unit, self._grain_den = grain.numerator, grain.denominator
         # Every scaled band has this node count, range and eps: one plan.
         self.plan = plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
         self._c, self._seed, self.debug = c, seed, debug
-        self._denom = grain_den * plan.denominator
+        self._denom = grain.denominator * plan.denominator
         # A band holds a node while its integer estimate is at most this.
         self._reach = math.floor(self.range_bound * plan.denominator)
         self.mirrors = []
@@ -383,19 +385,16 @@ class FullRangeSssp:
         self.heap_reads = 0
         self._poisoned = False
         if plan.mode == "exact":
-            fine = 0  # bands with phi_i <= 1, replaced by the exact band
-            while fine < band_count and unit << fine <= grain_den:
-                fine += 1
-            if fine:
+            if fine:  # the bands with phi_i <= 1 give way to the exact band
                 self.mirrors.append(None)
                 self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
-                self._units.append(grain_den)
+                self._units.append(grain.denominator)
                 self._built += 1
-            for i in range(fine, band_count):
+            for i in range(fine, self._band_count):
                 self._add_band(i)
             self._top = self.stacks[-1]  # the band over the top scale: never retired
         else:
-            self._top = sentinel = self._add_band(band_count - 1)
+            self._top = sentinel = self._add_band(self._band_count - 1)
             self._grow(v for v in view.node_ids() if sentinel.query(v) != inf)
         self._bands_at_build = self._built
         # Keys are never negative, so each node's first settle takes its least key.
@@ -452,11 +451,10 @@ class FullRangeSssp:
         return True
 
     def query(self, node):
-        """Current estimate; exactly one dict read.
+        """Current estimate; exactly one dict read, counted in ``heap_reads``.
 
-        ``heap_reads`` counts the queries answered; the benchmark reads it
-        under that name.  Ids are looked up as dict keys, so ``True`` and ``1.0`` read
-        node 1's answer; an id that is not a node, or not hashable, is a
+        Ids are looked up as dict keys, so ``True`` and ``1.0`` read node 1's
+        answer; an id that is not a node, or not hashable, is a
         ``ParamConfigError``, and every query of a poisoned instance is an
         ``UpdateError``.
         """
@@ -478,7 +476,8 @@ class FullRangeSssp:
         ``bands_built`` the structures ever put in ``stacks`` (the exact
         band and the sentinel included), ``bands_built_late`` those of them
         built inside an update, ``bands_retired`` those of them retired, so
-        that ``stacks`` holds ``bands_built - bands_retired`` bands.
+        that ``stacks`` holds ``bands_built - bands_retired`` bands until a
+        fault poisons the instance and empties it.
         ``heap_reads`` is the queries answered (the benchmark reads it under
         that name), ``es_edge_scans`` the edge scans of every band's exact
         tree and ``monotone_heap_ops`` the heap operations of every
@@ -509,8 +508,7 @@ class FullRangeSssp:
         return scans, heap_ops
 
     def _retire(self, dead):
-        """Drop the bands ``dead`` from ``stacks``, with their entries in
-        ``mirrors`` and ``_units``; the others keep their order."""
+        """Retire the bands ``dead`` (see the class docstring)."""
         scans, heap_ops = self._work(dead)
         self._retired_scans += scans
         self._retired_heap_ops += heap_ops
@@ -547,10 +545,18 @@ class FullRangeSssp:
             if self.debug:
                 self.check_answers()
         except BaseException:
-            self._poisoned = True
-            self._answers.clear()
+            self._poison()
             raise
         return out
+
+    def _poison(self):
+        """Refuse every later query and update, and free what served them;
+        the bands' work stays in ``stats()``."""
+        work = self.stats()
+        self._retired_scans = work["es_edge_scans"]
+        self._retired_heap_ops = work["monotone_heap_ops"]
+        self.stacks, self.mirrors, self._units, self._keys, self._answers = [], [], [], {}, {}
+        self._top, self._poisoned = None, True
 
     def check_answers(self):
         """Every answer lies in [d, (1 + eps) * d] for the true distance d."""

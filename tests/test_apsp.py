@@ -5,6 +5,7 @@ against a brute-force minimum recomputed from the live ball memberships
 (an independent replay of the same journal the heaps consume).
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -24,8 +25,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+import decrsp.apsp
 from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
+from decrsp.es_tree import EsTree
 from decrsp.graph import (
     DynamicGraph,
     ParamConfigError,
@@ -34,6 +37,7 @@ from decrsp.graph import (
     dijkstra_bounded,
 )
 from decrsp.harness import generate_instance
+from decrsp.layered import FullRangeSssp
 
 from test_graph_core import (
     InjectedFault,
@@ -493,6 +497,144 @@ def test_a_fault_on_the_benchmark_shape_poisons_the_state():
         refuse_while_poisoned(state.process_update, g, event)
 
 
+def contract_tree(contract):
+    """The exact tree inside an all-pairs contract: the contract itself when
+    it is a bare ``EsTree``, the top band of a ``FullRangeSssp`` otherwise."""
+    return contract.stacks[-1] if isinstance(contract, FullRangeSssp) else contract
+
+
+def bench_shape_state(w_max):
+    """The apsp-sweep shape (n = 24, 48 edges, k = 2, c = 0.25) with weights
+    up to ``w_max``, after nine updates, each followed by a pair sweep."""
+    schedule = generate_instance(24, 48, w_max, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
+    updates = list(schedule.updates())
+    for event in updates[:9]:
+        state.process_update(event)
+        [state.query(u, v) for u in g.node_ids() for v in g.node_ids()]
+    return g, state, updates[9:]
+
+
+@pytest.mark.parametrize("w_max", [8, 128])
+def test_a_fault_in_a_set_watcher_tree_poisons_the_state(w_max):
+    # The lowest set watcher's exact tree raises on the next delete.  Its
+    # view is the whole graph, so every record reaches it.
+    g, state, updates = bench_shape_state(w_max)
+    watchers = state.balls._set_inst
+    contract = watchers[min(watchers)]
+    assert isinstance(contract, EsTree if w_max == 8 else FullRangeSssp)
+    counters = state.stats()
+    a, b, _ = sorted(g.edges())[0]
+    with fault_in(contract_tree(contract), "process_update") as calls, \
+            pytest.raises(InjectedFault):
+        state.process_update(UpdateEvent("delete", a, b))
+    assert len(calls) == 1
+    assert_state_poisoned(state, g, counters)
+    for event in updates:
+        refuse_while_poisoned(state.process_update, g, event)
+
+
+@pytest.mark.parametrize("w_max", [8, 128])
+def test_a_fault_in_a_ball_inner_tree_poisons_the_state(w_max):
+    # Delete edges in order, arming the inner tree of the first ball whose
+    # scope holds the edge.  The tree is not called when that ball's scope
+    # is rebuilt in the same update; the first delete that calls it raises.
+    g, state, _ = bench_shape_state(w_max)
+    balls = state.balls
+    for a, b, _ in sorted(g.edges()):
+        holders = sorted(balls._owners[a] & balls._owners[b])
+        if not holders:
+            continue
+        contract = balls._inner[holders[0]]
+        assert isinstance(contract, EsTree if w_max == 8 else FullRangeSssp)
+        counters = state.stats()
+        with fault_in(contract_tree(contract), "process_update") as calls:
+            try:
+                state.process_update(UpdateEvent("delete", a, b))
+            except InjectedFault:
+                break
+        assert not calls
+    assert len(calls) == 1
+    assert_state_poisoned(state, g, counters)
+
+
+# -- the contract factory -------------------------------------------------------
+
+
+def all_contracts(state):
+    balls = state.balls
+    return list(balls._set_inst.values()) + [c for c in balls._inner.values() if c is not None]
+
+
+@pytest.mark.parametrize("w_max, kinds", [(8, {EsTree}), (64, {EsTree, FullRangeSssp}),
+                                          (128, {FullRangeSssp})])
+def test_a_contract_is_a_bare_tree_exactly_when_every_band_is_fine(w_max, kinds):
+    # On the bench shape (W = 8) every contract is a bare EsTree; at W = 128
+    # every one is a FullRangeSssp, since each view has a band coarser than
+    # the weights; at W = 64 it depends on the view's node count.  A bare
+    # tree is exactly what a FullRangeSssp on the same view would hold: one
+    # exact band with no mirror, at the same depth and with the same levels.
+    schedule = generate_instance(24, 48, w_max, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    state = ApspState(schedule.build_graph(), 2, Fraction(1, 2), 7001, c=0.25)
+    contracts = all_contracts(state)
+    assert {type(c) for c in contracts} == kinds
+    for contract in contracts:
+        root = contract.root if isinstance(contract, EsTree) else contract.source
+        full = FullRangeSssp(contract.view, root, state.eps_run)
+        assert isinstance(contract, EsTree) == (full.mirrors == [None])
+        if isinstance(contract, EsTree):
+            assert contract.depth == full.stacks[0].depth
+            assert contract.level == full.stacks[0].level
+
+
+def test_every_contract_draws_one_seed_in_build_order(monkeypatch):
+    # The factory draws a seed for every contract, a bare tree included, so
+    # each FullRangeSssp gets the seed of its place in the build order, as
+    # when every contract was one.  W = 64 mixes both kinds.
+    built = []
+
+    class RecordingTree(EsTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(None)
+
+    class RecordingFull(FullRangeSssp):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(kwargs["seed"])
+
+    monkeypatch.setattr(decrsp.apsp, "EsTree", RecordingTree)
+    monkeypatch.setattr(decrsp.apsp, "FullRangeSssp", RecordingFull)
+    schedule = generate_instance(24, 48, 64, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    state = ApspState(schedule.build_graph(), 2, Fraction(1, 2), 7001, c=0.25)
+    for event in schedule.updates():
+        state.process_update(event)
+    assert None in built and sum(seed is not None for seed in built) > 1
+    assert len(built) > len(all_contracts(state))  # scopes rebuilt in updates too
+    for index, seed in enumerate(built):
+        assert seed in (None, 7001 * 1_000_003 + 1 + index)
+
+
+def test_pair_answers_on_a_wide_weight_range_are_unchanged():
+    # W = 128: every contract is a FullRangeSssp.  The digest of a pair
+    # sweep after each update was recorded when every contract was built as
+    # a FullRangeSssp, before bare trees existed.
+    schedule = generate_instance(16, 32, 128, "erdos-renyi", 1.0, 5, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 5, c=0.25)
+    assert {type(c) for c in all_contracts(state)} == {FullRangeSssp}
+    digest = hashlib.sha256()
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    for event in (None,) + tuple(schedule.updates()):
+        if event is not None:
+            state.process_update(event)
+        for u, v in pairs:
+            digest.update(("%d %d %s\n" % (u, v, state.query(u, v))).encode())
+    assert digest.hexdigest() == (
+        "8024729a14c779430d9c2981932f58b0922ac0392e8d6437837016f5b02a6504")
+
+
 def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
     # Query pairs until one's witness chain caches the tail of a pair that
     # has not been asked yet.  That pair's first query computes nothing and
@@ -687,9 +829,10 @@ class ApspMachine(RuleBasedStateMachine):
           site=st.sampled_from(["balls", "fold", "watcher", "inner"]))
     def fault(self, index, site):
         """A delete in which one structure inside the state raises once: the
-        ball system on entry, its second fold of an inner change, the top
-        band of a set watcher, or that of the inner instance of a ball whose
-        scope holds the edge.  The state is poisoned if it raised."""
+        ball system on entry, its second fold of an inner change, the exact
+        tree of a set watcher, or that of the inner instance of a ball whose
+        scope holds the edge (``contract_tree``).  The state is poisoned if
+        it raised."""
         edge = self.pick(index)
         if edge is None:
             return
@@ -699,11 +842,11 @@ class ApspMachine(RuleBasedStateMachine):
         if site == "fold":
             name, at = "_fold_inner", 2
         elif site == "watcher" and balls._set_inst:
-            owner = balls._set_inst[min(balls._set_inst)].stacks[-1]
+            owner = contract_tree(balls._set_inst[min(balls._set_inst)])
         elif site == "inner":
             holders = sorted(balls._owners[a] & balls._owners[b])
             if holders:
-                owner = balls._inner[holders[index % len(holders)]].stacks[-1]
+                owner = contract_tree(balls._inner[holders[index % len(holders)]])
         self.counters = self.state.stats()
         with fault_in(owner, name, at) as calls:
             try:

@@ -468,6 +468,48 @@ def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):
         assert capsys.readouterr().err == "decrsp: error: edge (0, 2) not present\n"
 
 
+def fail_first_delete(monkeypatch):
+    """Make every band's exact tree raise once, on the first delete record
+    it gets, after the graph changed."""
+    original, failed = EsTree.process_update, []
+
+    def fail_once(tree, record):
+        if record.kind == "delete" and not failed:
+            failed.append(record)
+            raise RuntimeError("injected band fault")
+        return original(tree, record)
+
+    monkeypatch.setattr(EsTree, "process_update", fail_once)
+    return failed
+
+
+@pytest.mark.parametrize("argv", [["check"], ["bench"], ["sssp", "--oracle-check"],
+                                  ["apsp", "--oracle-check"]],
+                         ids=["check", "bench", "sssp-oracle-check", "apsp-oracle-check"])
+def test_oracle_replay_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # The same fault under the oracle replay: no report, one error line
+    # naming the update, exit 1; run_with_oracle raises the UpdateError from
+    # the band's exception.
+    gp = tmp_path / "g.txt"
+    up = tmp_path / "u.txt"
+    gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    up.write_text("Q 0 3\nI 0 1 4\nD 1 2\nQ 0 3\n")
+    failed = fail_first_delete(monkeypatch)
+    argv = argv + ["--graph", str(gp), "--updates", str(up)]
+    out = io.StringIO()
+    assert main(argv, out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "decrsp: error: update 2 (D 1 2) failed: RuntimeError: injected band fault\n")
+    failed.clear()
+    mode = "apsp" if argv[0] == "apsp" else "sssp"
+    config = RunConfig(mode=mode, oracle_check=argv[0] != "bench")
+    with pytest.raises(UpdateError, match="update 2") as info:
+        run_with_oracle(_load_schedule(str(gp), str(up)), config)
+    assert type(info.value.__cause__) is RuntimeError
+
+
 @pytest.mark.parametrize("mode", ["sssp", "apsp"])
 def test_cli_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypatch, mode):
     # A band's exact tree raises once, inside the second update and after
@@ -478,15 +520,7 @@ def test_cli_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypa
     up = tmp_path / "u.txt"
     gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
     up.write_text("Q 0 3\nI 0 1 4\nD 1 2\nQ 0 3\n")
-    original, failed = EsTree.process_update, []
-
-    def fail_once(tree, record):
-        if record.kind == "delete" and not failed:
-            failed.append(record)
-            raise RuntimeError("injected band fault")
-        return original(tree, record)
-
-    monkeypatch.setattr(EsTree, "process_update", fail_once)
+    failed = fail_first_delete(monkeypatch)
     argv = [mode, "--graph", str(gp), "--updates", str(up)]
     out = io.StringIO()
     assert main(argv, out=out) == 1

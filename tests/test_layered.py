@@ -38,7 +38,9 @@ from decrsp.layered import (
     LayerAssembly,
     ScaledMirror,
     StackPlan,
+    band_layout,
     default_layer_counts,
+    exact_band_depth,
     layer_scales,
 )
 
@@ -390,6 +392,21 @@ def test_integer_scale_matches_fraction_ceiling(n, i, eps, w):
     assert -(-w * grain.denominator // (grain.numerator << i)) == ceil(Fraction(w) / phi)
 
 
+def test_band_layout_counts_the_fine_bands():
+    # The fine bands are those with phi_i = (eps/3) * 2^i / n <= 1, counted
+    # here one grain at a time.  The exact band is the whole instance when
+    # they are all of the bands; the default plan is exact at these n.
+    for n in range(1, 40):
+        for w_max in (1, 2, 7, 42, 43, 64, 100, 1024):
+            for eps in (Fraction(1, 14), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
+                grain, bands, fine = band_layout(n, w_max, eps)
+                grains = [eps / 3 * 2**i / n for i in range(bands)]
+                assert grain == grains[0] and bands == max(1, (n * w_max).bit_length())
+                assert fine == sum(phi <= 1 for phi in grains)
+                depth = exact_band_depth(n, w_max, eps)
+                assert depth == (4 << (bands - 1) if fine == bands else None)
+
+
 @pytest.mark.parametrize(
     "n, m, w_max, eps, seed",
     [(20, 40, 1024, Fraction(1, 2), 3), (21, 50, 512, Fraction(2, 3), 4),
@@ -480,8 +497,16 @@ def test_a_failure_inside_an_update_poisons_the_instance(options, monkeypatch):
 
     monkeypatch.setattr(band, "process_update", fail_once)
     (u, v, _), (x, y, _) = sorted(g.edges())[:2]
+    before = full.stats()
     with pytest.raises(RuntimeError, match="injected band fault"):
         full.apply_event(UpdateEvent("delete", u, v))
+    # Nothing can be served again, so the bands are gone; their work stays
+    # in stats(), which no refused call below moves.
+    assert not any((full.stacks, full.mirrors, full._units, full._keys, full._answers))
+    at_fault = full.stats()
+    assert at_fault.keys() == before.keys()
+    assert all(at_fault[key] >= before[key] for key in before)
+    assert at_fault["es_edge_scans"] > 0
     reads = full.heap_reads
     for node in g.node_ids():
         with pytest.raises(UpdateError, match="poisoned"):
@@ -494,6 +519,7 @@ def test_a_failure_inside_an_update_poisons_the_instance(options, monkeypatch):
     with pytest.raises(UpdateError, match="poisoned"):
         full.process_update(g.apply_update(UpdateEvent("delete", x, y)))
     assert len(failed) == 1
+    assert full.stats() == at_fault
 
 
 def test_full_range_tracks_oracle_with_mixed_updates():
