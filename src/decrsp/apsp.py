@@ -23,6 +23,8 @@ an update drops exactly the tails whose journal entry it rewrote, the tails
 of every node whose top above its priority moved, and, through a reverse
 index, every cached tail that read a dropped one.  The returned estimate
 never underestimates and stays within a ((2 + eps)^k - 1) stretch factor.
+Every internal component runs at eps/7, which absorbs the error compounding
+of the witness chain.
 
 Each answered pair sits in exactly one of two per-node rows.  While the tail
 ``(u, v)`` is cached, ``_served[u][v]`` holds the answer, and a query returns
@@ -287,8 +289,11 @@ class ApspState:
     def process_update(self, event):
         """Advance the graph, the balls, and the witness heaps by one change.
 
-        A rejected update raises ``UpdateError`` and poisons nothing; a
-        poisoned state raises it before the graph changes."""
+        A rejected update raises ``UpdateError`` before anything moves, and
+        poisons nothing.  Any failure after the graph changed poisons the
+        state; from then on this raises ``UpdateError`` before the graph
+        changes.
+        """
         if self._poisoned:
             raise UpdateError(POISONED)
         record = self.graph.apply_update(event)
@@ -312,10 +317,15 @@ class ApspState:
     def query(self, u, v):
         """Approximate distance between u and v; inf when no witness chain.
 
-        The pair's tail, clamped to the largest answer returned before for
-        the pair (see the module docstring); the clamp stays sound and in
-        bound because distances only grow.  ``last_query_expansions`` counts
-        the tails this call computed: at most k^k, 0 when all were cached.
+        ``last_query_expansions`` counts the tails this call computed: at
+        most k^k, and 0 when every tail it needed was already in the table.
+        Tails stay cached across updates; each update drops only those whose
+        journal entry, witness tops or recursed-into tails it changed.
+        A cheaper witness chain can appear as balls and witnesses change, so
+        the answer is clamped to the largest one returned before for the
+        pair.  The clamped value stays sound and within the stretch bound
+        because distances only grow.  While the pair's tail stays cached its
+        answer cannot change, so it is served from the pair's row as is.
         A poisoned state serves nothing: every query raises ``UpdateError``.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1

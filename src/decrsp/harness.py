@@ -7,8 +7,13 @@ structures (exact tree, full-range single-source, all-pairs) and, at a
 configurable stride, recomputes exact distances with two independent
 shortest-path implementations, recording stretch, underestimates, and any
 invariant failure into a ValidationReport whose rendering is byte-stable
-under a fixed seed.  ``static_hopset_check`` verifies the shortcut-edge
-trade-off itself on a static graph: it is validation, not maintenance.
+under a fixed seed.
+
+``static_hopset_check`` is the one-shot verification oracle for the
+shortcut-edge idea itself: it builds distance-weighted ball edges over a
+frozen priority sampling, runs hop-limited Bellman-Ford on the augmented
+graph, and asserts the hop/weight trade-off pair by pair.  It lives here,
+in the validation path, not in the maintained-structure path.
 """
 
 from __future__ import annotations
@@ -247,11 +252,21 @@ def run_with_oracle(schedule, config):
         structure = EsTree(graph, config.source, inf)
         bound = Fraction(1)
     elif config.mode == "sssp":
-        structure = FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q,
-                                  c=config.c, seed=config.seed, debug=config.debug)
+        structure = FullRangeSssp(
+            graph,
+            config.source,
+            eps,
+            p=config.p,
+            q=config.q,
+            c=config.c,
+            seed=config.seed,
+            debug=config.debug,
+        )
         bound = 1 + eps
     elif config.mode == "apsp":
-        structure = ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug)
+        structure = ApspState(
+            graph, config.k, eps, config.seed, c=config.c, debug=config.debug
+        )
         bound = (2 + eps) ** config.k - 1
     else:
         raise ValueError("unknown mode %r" % (config.mode,))

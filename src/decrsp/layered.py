@@ -65,6 +65,17 @@ def layer_scales(range_bound, q):
     return scales
 
 
+def layer_counts(n, eps, p=None, q=None):
+    """``(p, q, mode)``: the counts given, ``default_layer_counts`` for those
+    left out, and the band mode they select: "exact" trees when q < 3,
+    "layered" (one shortcut layer) otherwise."""
+    if p is None or q is None:
+        default_p, default_q = default_layer_counts(n, eps)
+        p = default_p if p is None else p
+        q = default_q if q is None else q
+    return p, q, "exact" if q < 3 else "layered"
+
+
 class StackPlan:
     """What a band derives from its node count, range and eps alone.
 
@@ -85,14 +96,9 @@ class StackPlan:
             raise ParamConfigError(
                 "range %s must be at least the node count %d" % (range_bound, n)
             )
-        if p is None or q is None:
-            default_p, default_q = default_layer_counts(n, eps)
-            p = default_p if p is None else p
-            q = default_q if q is None else q
-        self.p, self.q = p, q
+        self.p, self.q, self.mode = p, q, mode = layer_counts(n, eps, p, q)
         self.denominator = 1
-        if q < 3:
-            self.mode = "exact"
+        if mode == "exact":
             return
         if q > 3:
             raise ParamConfigError(
@@ -101,7 +107,6 @@ class StackPlan:
             )
         if p < 2:
             raise ParamConfigError("layered mode needs priority count p >= 2, got %d" % (p,))
-        self.mode = "layered"
         self.eps_prime = eps / 2
         self.scales = tuple(layer_scales(self.range_bound, 3))
         (_, ball_depth), (delta, depth) = self.scales
@@ -230,23 +235,25 @@ class ScaledMirror(AdjacencyGraph):
 
 
 def band_layout(n, max_weight, eps):
-    """``(grain, bands, fine)`` of a ``FullRangeSssp`` at ``eps`` on ``n``
-    nodes with weights up to ``max_weight``: the grain A/B = (eps/3)/n, the
-    band count, and how many bands have phi_i = (A/B) * 2^i <= 1."""
+    """``(grain, bands, fine, depth)`` of a ``FullRangeSssp`` at ``eps`` on
+    ``n`` nodes with weights up to ``max_weight``: the grain A/B = (eps/3)/n,
+    the band count, how many bands have phi_i = (A/B) * 2^i <= 1, and the
+    depth 4 * 2^i* of the exact band that replaces them (None if none)."""
     grain = Fraction(eps) / 3 / n
     bands = max(1, (n * max_weight).bit_length())
     # 2^i <= B/A exactly when 2^i <= B // A, that is, i < (B // A).bit_length().
-    return grain, bands, min(bands, (grain.denominator // grain.numerator).bit_length())
+    fine = min(bands, (grain.denominator // grain.numerator).bit_length())
+    return grain, bands, fine, 4 << (fine - 1) if fine else None
 
 
 def exact_band_depth(n, max_weight, eps):
     """The depth of the one ``EsTree`` that a default ``FullRangeSssp`` (same
     arguments as ``band_layout``) would be, answering its levels, when its
     plan is exact and every band is fine; None otherwise."""
-    _, bands, fine = band_layout(n, max_weight, eps)
-    if fine < bands or default_layer_counts(n, Fraction(eps) / 3)[1] >= 3:
+    _, bands, fine, depth = band_layout(n, max_weight, eps)
+    if fine < bands or layer_counts(n, Fraction(eps) / 3)[2] != "exact":
         return None
-    return 4 << (fine - 1)
+    return depth
 
 
 class FullRangeSssp:
@@ -367,7 +374,7 @@ class FullRangeSssp:
         self.eps_inner = self.eps / 3
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
-        grain, self._band_count, fine = band_layout(n, view.max_weight, self.eps)
+        grain, self._band_count, fine, depth = band_layout(n, view.max_weight, self.eps)
         self._unit, self._grain_den = grain.numerator, grain.denominator
         # Every scaled band has this node count, range and eps: one plan.
         self.plan = plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
@@ -387,7 +394,7 @@ class FullRangeSssp:
         if plan.mode == "exact":
             if fine:  # the bands with phi_i <= 1 give way to the exact band
                 self.mirrors.append(None)
-                self.stacks.append(EsTree(view, source, 4 << (fine - 1)))
+                self.stacks.append(EsTree(view, source, depth))
                 self._units.append(grain.denominator)
                 self._built += 1
             for i in range(fine, self._band_count):

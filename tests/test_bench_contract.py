@@ -42,18 +42,21 @@ def test_every_trace_target_resolves_to_a_patch_site():
 
 def drive_small_structures():
     """A few updates and queries through every traced layer.  On this graph
-    the layered instance builds a band inside its first update."""
+    the layered instance builds a band inside its first update.  The
+    all-pairs contracts are bare exact trees at W = 4 and ``FullRangeSssp``
+    instances at W = 128."""
     for options in ({}, {"p": 4, "q": 3}):
         g = random_graph(16, 32, 4, seed=4)
         full = FullRangeSssp(g, 0, Fraction(1, 2), seed=1, **options)
         for u, v, _ in list(g.edges())[:6]:
             full.apply_event(UpdateEvent("delete", u, v))
             [full.query(x) for x in g.node_ids()]
-    g = random_graph(12, 24, 4, seed=4)
-    state = ApspState(g, 2, Fraction(1, 2), seed=2, c=0.25)
-    for u, v, _ in list(g.edges())[:4]:
-        state.process_update(UpdateEvent("delete", u, v))
-        [state.query(0, x) for x in g.node_ids()]
+    for w_max in (4, 128):
+        g = random_graph(12, 24, w_max, seed=4)
+        state = ApspState(g, 2, Fraction(1, 2), seed=2, c=0.25)
+        for u, v, _ in list(g.edges())[:4]:
+            state.process_update(UpdateEvent("delete", u, v))
+            [state.query(0, x) for x in g.node_ids()]
 
 
 def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
@@ -84,6 +87,9 @@ def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
     calls = tracer.analyse()[0]
     c = tracer.counters
     assert c["layered.heap_reads"] == calls["layered.query"] > 0
+    # The all-pairs contracts (built at eps/7) are queried through the tracer too.
+    assert c["layered.heap_reads"] == sum(full.heap_reads for full, _ in built)
+    assert sum(full.heap_reads for full, _ in built if full.eps == Fraction(1, 14)) > 0
     for counter in ("layered.bands", "es_tree.edge_scans", "monotone_tree.heap_ops",
                     "hopset.update_ops"):
         assert c[counter] > 0, counter

@@ -399,10 +399,11 @@ def test_band_layout_counts_the_fine_bands():
     for n in range(1, 40):
         for w_max in (1, 2, 7, 42, 43, 64, 100, 1024):
             for eps in (Fraction(1, 14), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
-                grain, bands, fine = band_layout(n, w_max, eps)
+                grain, bands, fine, depth = band_layout(n, w_max, eps)
                 grains = [eps / 3 * 2**i / n for i in range(bands)]
                 assert grain == grains[0] and bands == max(1, (n * w_max).bit_length())
                 assert fine == sum(phi <= 1 for phi in grains)
+                assert depth == (4 * 2 ** (fine - 1) if fine else None)
                 depth = exact_band_depth(n, w_max, eps)
                 assert depth == (4 << (bands - 1) if fine == bands else None)
 
