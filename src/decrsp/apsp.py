@@ -14,24 +14,28 @@ A pair query walks the priority ladder: the tail of a node ``x`` toward the
 target ``v`` is its journaled ball estimate when ``v`` sits in ``x``'s ball,
 and otherwise the best witness-leg-plus-tail sum over the cheapest witness
 of each higher priority class.  Priorities strictly increase along the
-recursion, so one query computes at most k^k fresh tails.  The state keeps a
-``(x, v) -> tail`` table that queries share, and a query whose tails are all
-cached computes none.  A tail reads the journal entry ``(x, v)`` and, when
-there is none, the witness tops of ``x`` above its priority and their tails
-toward ``v``; all of these change only when the ball journal is ingested, so
-an update drops exactly the tails whose journal entry it rewrote, the tails
-of every node whose top above its priority moved, and, through a reverse
-index, every cached tail that read a dropped one.  The returned estimate
-never underestimates and stays within a ((2 + eps)^k - 1) stretch factor.
-Every internal component runs at eps/7, which absorbs the error compounding
-of the witness chain.
+recursion, so one query computes at most k^k fresh tails.  A pair with a
+journal entry reads it as its tail.  The other tails, the witness-chain
+ones, go into an ``(x, v) -> tail`` table that queries share, so a query
+whose tails are all journaled or cached computes none.  A chain tail reads
+the witness tops of ``x`` above its priority and their tails toward ``v``;
+all of these change only when the ball journal is ingested.  A node one
+class below the top reads only top-level witnesses, whose tails are their
+journal entries, so an update recomputes its chain tails in place as leg
+plus entry.  A deeper chain tail (k >= 3) is dropped when its node's tops
+move or, through a reverse index, when a tail it read changed.  The
+returned estimate never underestimates and stays within a ((2 + eps)^k - 1)
+stretch factor.  Every internal component runs at eps/7, which absorbs the
+error compounding of the witness chain.
 
-Each answered pair sits in exactly one of two per-node rows.  While the tail
-``(u, v)`` is cached, ``_served[u][v]`` holds the answer, and a query returns
-it with one row read.  When the tail is dropped, the answer moves to
-``_held[u][v]``, where it is the floor that the pair's next answer is
-clamped to: a cheaper witness chain can appear as balls change, and the
-answers handed out must never decrease.
+Each answered pair sits in exactly one of two per-node rows.  While its tail
+is unchanged, ``_served[u][v]`` holds the answer, and a query returns it with
+one row read.  When an update rewrites the pair's journal entry, or drops or
+changes its chain tail, the answer moves to ``_held[u][v]``, where it is the
+floor that the pair's next answer is clamped to: a cheaper witness chain can
+appear as balls change, and the answers handed out must never decrease.  No
+answer is raised at update time, so a pair's answer is always the largest
+of its tails at the queries that asked for it.
 
 A failure inside an update after the graph changed leaves the balls half
 applied, so it poisons the state, as in ``FullRangeSssp``: every later query
@@ -94,23 +98,29 @@ class ApspState:
             bucket_eps=self.eps_run,
         )
         self._keys = {}  # (owner, member) -> journaled estimate
-        # u -> {v: answer}: served while the tail (u, v) is cached, held as
-        # the clamp floor of the pair's next answer once it is dropped.
+        # u -> {v: answer}: served while the tail (u, v) is unchanged, held
+        # as the clamp floor of the pair's next answer once it changed.
         self._served = {v: {} for v in graph.node_ids()}
         self._held = {v: {} for v in graph.node_ids()}
-        # x -> {v: tail from x toward v}, one row per node so that a node's
-        # whole row can be dropped at once.
+        # x -> {v: witness-chain tail from x toward v}, for pairs without a
+        # journal entry; one row per node so that a node's whole row can be
+        # dropped or recomputed at once.
         self._tails = {v: {} for v in graph.node_ids()}
-        # x -> the witness tops that x's cached tails without a journal entry
-        # read: every such tail reads all of them, and they cannot move
-        # without dropping x's row, so one tuple per row names them.
+        # x -> the witness tops that x's cached tails read: every such tail
+        # reads all of them, and they cannot move without handling x's row,
+        # so one tuple per row names them.
         # owner -> {x} is its inverse: x's tail toward v read (owner, v).
         self._reads = {v: () for v in graph.node_ids()}
         self._readers = {v: set() for v in graph.node_ids()}
         self._tails_computed = 0
         self._tails_dropped = 0
+        self._tails_refreshed = 0
         self._poisoned = False
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
+        # One class below the top, every witness top sits at priority k - 1,
+        # so a chain tail is a leg plus a top-level journal entry.
+        self._below_top = frozenset(v for v in graph.node_ids()
+                                    if self.assignment.priority_of(v) == k - 2)
         self.last_query_expansions = 0
         for owner, table in self.balls.initial_membership().items():
             j = self.assignment.priority_of(owner)
@@ -119,10 +129,12 @@ class ApspState:
                 heapq.heappush(self._heaps[member][j], (est, owner))
 
     def stats(self):
-        """Journal, tail-table and served-row sizes, plus three counters that
-        never decrease: the balls' scope rebuilds and the tails computed and
-        dropped.  A poisoned state reads 0 for every size and keeps the
-        counters it had at the fault."""
+        """Journal, tail-table and served-row sizes, plus four counters that
+        never decrease: the balls' scope rebuilds and the tails computed,
+        dropped and recomputed in place at update time.  ``tails_cached``
+        counts witness-chain tails only, since a pair with a journal entry
+        reads that as its tail.  A poisoned state reads 0 for every size and
+        keeps the counters it had at the fault."""
         balls = self.balls
         return {
             "answers_served": sum(map(len, self._served.values())),
@@ -132,6 +144,7 @@ class ApspState:
             "tails_cached": sum(map(len, self._tails.values())),
             "tails_computed": self._tails_computed,
             "tails_dropped": self._tails_dropped,
+            "tails_refreshed": self._tails_refreshed,
         }
 
     # -- witness heaps --------------------------------------------------------
@@ -157,11 +170,12 @@ class ApspState:
         return owner, est
 
     def _ingest(self, events):
-        """Apply a journal batch to the keys and heaps, then drop every cached
-        tail that read a journal entry or a witness top the batch changed."""
+        """Apply a journal batch to the keys and heaps, then recompute or drop
+        every cached tail that read a journal entry or a witness top the batch
+        changed."""
         priority_of = self.assignment.priority_of
         tops = {}  # (member, j) -> heap top before this batch
-        stale = []  # (x, v) of tails whose journal entry changed
+        stale = []  # (owner, member) pairs whose journal entry changed
         for event in events:
             owner, member = event.owner, event.member
             j = priority_of(owner)
@@ -187,38 +201,70 @@ class ApspState:
             self.check_answer_rows()
 
     def _drop_tails(self, stale, rows):
-        """Drop the tails named in ``stale``, the whole row of every node in
-        ``rows`` and, transitively, the readers of every dropped tail.  The
-        served answer of every dropped tail becomes its pair's held floor.
+        """Bring the tail table up to date with an ingested journal batch:
+        ``stale`` names the pairs whose journal entry it rewrote, ``rows`` the
+        nodes whose witness top above their priority moved.
 
-        The readers of a tail (x, v) are the cached tails (y, v) without a
-        journal entry whose node y has x among its witness tops.  A dropped
-        row leaves the reader sets of its tops, so a row recomputed through
-        other witnesses is not dropped again for its old ones.
+        A rewritten pair loses its cached chain tail, if it had one.  A moved
+        row leaves the reader sets of its old tops.  One class below the top,
+        where its tops all sit at priority k - 1, it is recomputed in place:
+        each tail becomes the new top's leg plus that top's entry toward v.
+        A deeper moved row is dropped whole.  Then, transitively, come the
+        readers of every tail that changed or went: the cached tails (y, v)
+        whose node y has that tail's node among its witness tops.  A reader
+        one class below the top is recomputed in place unless its row just
+        was, a deeper one is dropped.  The served answer of every pair whose
+        tail changed becomes its pair's held floor.
         """
         tails, keys, readers, reads = self._tails, self._keys, self._readers, self._reads
-        served, held = self._served, self._held
-        dropped = 0
+        served, held, heaps, below_top = self._served, self._held, self._heaps, self._below_top
+        top = self.k - 1
+        dropped = sum(tails[x].pop(v, None) is not None for x, v in stale)
+        refreshed = 0
+        changed = stale  # (x, v) whose tail changed or went
         for x in rows:
-            dropped += len(tails[x])
-            tails[x] = {}
-            if served[x]:
-                held[x].update(served[x])
-                served[x] = {}
+            row = tails[x]
             for owner in reads[x]:
                 readers[owner].discard(x)
             reads[x] = ()
-            stale += [(y, v) for y in readers[x] for v in tails[y] if (y, v) not in keys]
-        while stale:
-            x, v = stale.pop()
-            if tails[x].pop(v, None) is not None:
-                dropped += 1
-                answer = served[x].pop(v, None)
-                if answer is not None:
-                    held[x][v] = answer
-                if readers[x]:  # only nodes that are some row's witness top have readers
-                    stale += [(y, v) for y in readers[x] if v in tails[y] and (y, v) not in keys]
+            if x not in below_top:
+                dropped += len(row)
+                tails[x] = {}
+                changed += [(x, v) for v in row]
+                continue
+            heap = heaps[x][top]
+            leg, owner = heap[0] if heap else (inf, None)
+            if heap and row:
+                reads[x] = (owner,)
+                readers[owner].add(x)
+            refreshed += len(row)
+            for v, tail in row.items():
+                new = leg + keys.get((owner, v), inf)
+                if new != tail:
+                    row[v] = new
+                    changed.append((x, v))
+        while changed:
+            x, v = changed.pop()
+            answer = served[x].pop(v, None)
+            if answer is not None:
+                held[x][v] = answer
+            for y in readers[x]:
+                row = tails[y]
+                tail = row.get(v)
+                if tail is None or y in rows:
+                    continue
+                if y in below_top:  # x is y's top-level witness
+                    refreshed += 1
+                    new = heaps[y][top][0][0] + keys.get((x, v), inf)
+                    if new == tail:
+                        continue
+                    row[v] = new
+                else:
+                    del row[v]
+                    dropped += 1
+                changed.append((y, v))
         self._tails_dropped += dropped
+        self._tails_refreshed += refreshed
 
     def check_heaps_against_journal(self):
         """Heap minima must equal brute-force minima over the journaled keys."""
@@ -236,9 +282,9 @@ class ApspState:
                     raise AssertionError((v, j, top, want))
 
     def check_tails_against_recursion(self):
-        """Every cached tail must equal the witness-chain recursion from scratch,
-        and the reader index must name exactly the witness tops that the
-        cached tails read."""
+        """Every cached tail must belong to a pair without a journal entry and
+        equal the witness-chain recursion from scratch, and the reader index
+        must name exactly the witness tops that the cached tails read."""
 
         def fresh(x, v):
             tail = self._keys.get((x, v), inf)
@@ -252,16 +298,17 @@ class ApspState:
         readers = {x: set() for x in self._tails}
         for x, row in self._tails.items():
             for v, tail in row.items():
+                if (x, v) in self._keys:
+                    raise AssertionError("cached tail %r has a journal entry" % ((x, v),))
                 want = fresh(x, v)
                 if tail != want:
                     raise AssertionError("cached tail %r is %s, recursion gives %s"
                                          % ((x, v), tail, want))
             tops = [self.witness(x, j) for j in range(self.assignment.priority_of(x) + 1, self.k)]
             tops = tuple(top[0] for top in tops if top is not None)
-            # A row may keep its tops registered after its last reading tail
-            # left one by one; it must name them while such a tail is cached.
-            reading = tops and any((x, v) not in self._keys for v in row)
-            if self._reads[x] not in ((), tops) or (reading and not self._reads[x]):
+            # A row may keep its tops registered after its last tail left one
+            # by one; it must name them while a tail is cached.
+            if self._reads[x] not in ((), tops) or (tops and row and not self._reads[x]):
                 raise AssertionError("row %r names witness tops %r, its tails read %r"
                                      % (x, self._reads[x], tops))
             for owner in self._reads[x]:
@@ -270,12 +317,12 @@ class ApspState:
             raise AssertionError("reader sets are not the inverse of the rows' witness tops")
 
     def check_answer_rows(self):
-        """Every served answer must have its tail cached and be at least that
-        tail, and no pair may be both served and held."""
+        """Every served answer must have its tail journaled or cached and be at
+        least that tail, and no pair may be both served and held."""
         for u, row in self._served.items():
             tails, held = self._tails[u], self._held[u]
             for v, answer in row.items():
-                tail = tails.get(v)
+                tail = self._keys.get((u, v), tails.get(v))
                 if tail is None:
                     raise AssertionError("served answer %r has no cached tail" % ((u, v),))
                 if answer < tail:
@@ -318,14 +365,16 @@ class ApspState:
         """Approximate distance between u and v; inf when no witness chain.
 
         ``last_query_expansions`` counts the tails this call computed: at
-        most k^k, and 0 when every tail it needed was already in the table.
-        Tails stay cached across updates; each update drops only those whose
-        journal entry, witness tops or recursed-into tails it changed.
-        A cheaper witness chain can appear as balls and witnesses change, so
-        the answer is clamped to the largest one returned before for the
-        pair.  The clamped value stays sound and within the stretch bound
-        because distances only grow.  While the pair's tail stays cached its
-        answer cannot change, so it is served from the pair's row as is.
+        most k^k, and 0 when every tail it needed was journaled or cached.
+        Chain tails stay cached across updates; each update recomputes or
+        drops only those whose journal entry, witness tops or recursed-into
+        tails it changed, so a pair whose tail changed computes nothing
+        unless its tail was dropped.  A cheaper witness chain can appear as
+        balls and witnesses change, so the answer is clamped to the largest
+        one returned before for the pair.  The clamped value stays sound and
+        within the stretch bound because distances only grow.  While the
+        pair's tail is unchanged its answer cannot change, so it is served
+        from the pair's row as is.
         A poisoned state serves nothing: every query raises ``UpdateError``.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1
@@ -340,14 +389,18 @@ class ApspState:
         return self._answer(u, v)
 
     def _answer(self, u, v):
-        """Answer a pair that is not served: its tail, computed unless the
-        table has it, clamped to the pair's held floor; then serve it."""
+        """Answer a pair that is not served: its journal entry or chain tail,
+        computed unless the table has it, clamped to the pair's held floor;
+        then serve it."""
         if self._poisoned:
             raise UpdateError(POISONED)
+        tails = self._tails
         for x in (u, v):
-            if not self.graph.has_node(x):
+            if x not in tails:
                 raise ParamConfigError("node %r is not in the graph" % (x,))
-        tail = self._tails[u].get(v)
+        tail = self._keys.get((u, v))
+        if tail is None:
+            tail = tails[u].get(v)
         if tail is None:
             computed = self._tails_computed
             tail = self._tail(u, v)
@@ -360,25 +413,29 @@ class ApspState:
         return answer
 
     def _tail(self, x, v):
-        """Best estimate from x to v along x's ball or a witness chain; the
-        caller has found no table entry for (x, v)."""
+        """Best witness-leg-plus-tail sum from x toward v, a pair without a
+        journal entry; the caller has found no table entry for (x, v)."""
         self._tails_computed += 1
-        tail = self._keys.get((x, v), inf)
-        if tail == inf:
-            owners = []
-            for j in range(self.assignment.priority_of(x) + 1, self.k):
-                top = self.witness(x, j)
-                if top is not None:
-                    owner, leg = top
-                    rest = self._tails[owner].get(v)
+        keys, tails, heaps = self._keys, self._tails, self._heaps[x]
+        tail = inf
+        owners = []
+        for j in range(self.assignment.priority_of(x) + 1, self.k):
+            heap = heaps[j]
+            if heap:
+                leg, owner = heap[0]
+                if keys.get((owner, x)) != leg:
+                    raise AssertionError("stale witness heap top")
+                rest = keys.get((owner, v))
+                if rest is None:
+                    rest = tails[owner].get(v)
                     if rest is None:
                         rest = self._tail(owner, v)
-                    owners.append(owner)
-                    if leg + rest < tail:
-                        tail = leg + rest
-            if owners and not self._reads[x]:
-                self._reads[x] = tuple(owners)
-                for owner in owners:
-                    self._readers[owner].add(x)
-        self._tails[x][v] = tail
+                owners.append(owner)
+                if leg + rest < tail:
+                    tail = leg + rest
+        if owners and not self._reads[x]:
+            self._reads[x] = tuple(owners)
+            for owner in owners:
+                self._readers[owner].add(x)
+        tails[x][v] = tail
         return tail

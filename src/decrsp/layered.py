@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 from .balls import BallSystem
@@ -246,10 +247,12 @@ def band_layout(n, max_weight, eps):
     return grain, bands, fine, 4 << (fine - 1) if fine else None
 
 
+@lru_cache(maxsize=1024)
 def exact_band_depth(n, max_weight, eps):
     """The depth of the one ``EsTree`` that a default ``FullRangeSssp`` (same
     arguments as ``band_layout``) would be, answering its levels, when its
-    plan is exact and every band is fine; None otherwise."""
+    plan is exact and every band is fine; None otherwise.  Memoised, as the
+    all-pairs factory asks it once per contract build."""
     _, bands, fine, depth = band_layout(n, max_weight, eps)
     if fine < bands or layer_counts(n, Fraction(eps) / 3)[2] != "exact":
         return None

@@ -1,0 +1,190 @@
+"""A catalogue of mutants that the test suite must kill, and its runner.
+
+Each mutant rewrites exact snippets of one file, in the library or in a test
+helper, and names the tests that must each fail once it is applied.  Run
+
+    python tests/mutants.py [NAME ...]
+
+to apply every mutant (or the named ones) to a fresh copy of the repository
+in a temporary directory, run its tests there and list the survivors: the
+mutants with a named test that still passes.  The exit status is 1 if any
+survive.  Every mutant costs a pytest process, so the runner is not part of
+the tier-1 suite; pytest does not collect this file.  ``tests/test_mutants.py`` checks in tier-1 that
+every old snippet occurs exactly once in the current source, so a refactor
+has to carry the catalogue along.
+
+A survivor is a gap in the tests: mend it with a new or sharper test, never
+by editing the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    edits: tuple  # (old, new) snippet pairs, each old snippet unique in the file
+    tests: tuple  # pytest node ids, each of which must fail
+    why: str
+
+
+MUTANTS = (
+    # -- the fail-stop and contract rules -----------------------------------------
+    Mutant(
+        "oracle-replay-does-not-wrap",
+        "src/decrsp/harness.py",
+        (("        except Exception as exc:\n"
+          "            raise failed_update(update_index, item, exc) from exc\n",
+          "        except Exception:\n"
+          "            raise\n"),),
+        tuple("tests/test_harness.py::test_oracle_replay_fault_inside_an_update_is_one_error_line[%s]"
+              % mode for mode in ("check", "bench", "sssp-oracle-check", "apsp-oracle-check")),
+        "run_with_oracle lets a fault inside an update escape as a traceback",
+    ),
+    Mutant(
+        "poisoned-full-range-keeps-bands",
+        "src/decrsp/layered.py",
+        (("        self.stacks, self.mirrors, self._units, self._keys, self._answers = [], [], [], {}, {}\n",
+          "        self._units, self._keys, self._answers = [], {}, {}\n"),),
+        ("tests/test_layered.py::test_a_failure_inside_an_update_poisons_the_instance[exact]",
+         "tests/test_layered.py::test_a_failure_inside_an_update_poisons_the_instance[layered]"),
+        "a poisoned FullRangeSssp keeps its bands and mirrors",
+    ),
+    Mutant(
+        "seed-drawn-only-for-full-range",
+        "src/decrsp/apsp.py",
+        (("            seed = next(counter)\n"
+          "            exact = exact_band_depth(view.node_count(), view.max_weight, eps_run)\n"
+          "            if exact is None:\n"
+          "                return FullRangeSssp(view, root, eps_run, seed=seed)\n",
+          "            exact = exact_band_depth(view.node_count(), view.max_weight, eps_run)\n"
+          "            if exact is None:\n"
+          "                return FullRangeSssp(view, root, eps_run, seed=next(counter))\n"),),
+        ("tests/test_apsp.py::test_every_contract_draws_one_seed_in_build_order",),
+        "the all-pairs factory draws a seed only for a FullRangeSssp",
+    ),
+    Mutant(
+        "contract-tree-reads-stacks",
+        "tests/test_apsp.py",
+        (("    return contract.stacks[-1] if isinstance(contract, FullRangeSssp) else contract\n",
+          "    return contract.stacks[-1]\n"),),
+        ("tests/test_apsp.py::test_a_fault_in_a_set_watcher_tree_poisons_the_state[8]",
+         "tests/test_apsp.py::test_a_fault_in_a_ball_inner_tree_poisons_the_state[8]"),
+        "the test helper reads .stacks[-1] of a bare EsTree",
+    ),
+    # -- the all-pairs tail table -------------------------------------------------
+    Mutant(
+        "refresh-at-any-priority",
+        "src/decrsp/apsp.py",
+        (("            if x not in below_top:\n",
+          "            if False:\n"),
+         ("                if y in below_top:  # x is y's top-level witness\n",
+          "                if True:\n")),
+        ("tests/test_apsp.py::test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3",
+         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[3-3]"),
+        "chain tails are recomputed as leg plus entry at every priority, not only "
+        "one class below the top",
+    ),
+    Mutant(
+        "refreshed-tail-keeps-served-answer",
+        "src/decrsp/apsp.py",
+        (("            answer = served[x].pop(v, None)\n",
+          "            answer = served[x].pop(v, None) if v not in tails[x] else None\n"),),
+        ("tests/test_apsp.py::test_a_moved_top_recomputes_its_row_in_place_at_k2",
+         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[2-1]"),
+        "a tail recomputed in place leaves its pair's old answer served",
+    ),
+    Mutant(
+        "served-answer-raised-at-update",
+        "src/decrsp/apsp.py",
+        (("            answer = served[x].pop(v, None)\n"
+          "            if answer is not None:\n"
+          "                held[x][v] = answer\n",
+          "            answer = served[x].get(v)\n"
+          "            tail = keys.get((x, v), tails[x].get(v))\n"
+          "            if answer is not None and tail is not None:\n"
+          "                served[x][v] = max(answer, tail)\n"
+          "            elif answer is not None:\n"
+          "                held[x][v] = served[x].pop(v)\n"),),
+        ("tests/test_apsp.py::test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged",),
+        "a changed tail raises its pair's served answer at update time instead of "
+        "holding it, clamping to tails no query saw",
+    ),
+    Mutant(
+        "row-refresh-reads-old-top-leg",
+        "src/decrsp/apsp.py",
+        (("            reads[x] = ()\n"
+          "            if x not in below_top:\n",
+          "            old = reads[x]\n"
+          "            reads[x] = ()\n"
+          "            if x not in below_top:\n"),
+         ("            leg, owner = heap[0] if heap else (inf, None)\n",
+          "            leg, owner = heap[0] if heap else (inf, None)\n"
+          "            if old and heap:\n"
+          "                leg = keys.get((old[0], x), inf)\n")),
+        ("tests/test_apsp.py::test_a_moved_top_recomputes_its_row_in_place_at_k2",),
+        "a moved row is recomputed with its old witness top's leg",
+    ),
+)
+
+
+def mutated_text(mutant, root=ROOT):
+    """The mutant's file under ``root`` with every edit applied; raises
+    ``ValueError`` unless each old snippet occurs exactly once."""
+    text = (root / mutant.path).read_text()
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            raise ValueError("%s: snippet occurs %d times in %s:\n%s"
+                             % (mutant.name, text.count(old), mutant.path, old))
+        text = text.replace(old, new)
+    return text
+
+
+def surviving_tests(mutant):
+    """The tests of ``mutant`` that pass on a mutated copy of the repository."""
+    with tempfile.TemporaryDirectory(prefix="decrsp-mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests", "benchmarks"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / mutant.path).write_text(mutated_text(mutant, copy))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
+    return [test for test in mutant.tests if test not in failed]
+
+
+def main(names):
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    survivors = 0
+    for mutant in chosen:
+        alive = surviving_tests(mutant)
+        survivors += bool(alive)
+        if alive:
+            print("%-36s SURVIVED (%s): %s" % (mutant.name, mutant.why, " ".join(alive)))
+        else:
+            print("%-36s killed" % mutant.name)
+    print("%d of %d mutants survived" % (survivors, len(chosen)))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -472,7 +472,7 @@ def assert_state_poisoned(state, graph, before):
     stats = state.stats()
     assert stats == at_fault
     assert stats["answers_served"] == stats["heap_pairs"] == stats["tails_cached"] == 0
-    for counter in ("ball_rebuilds", "tails_computed", "tails_dropped"):
+    for counter in ("ball_rebuilds", "tails_computed", "tails_dropped", "tails_refreshed"):
         assert stats[counter] >= before[counter]
 
 
@@ -636,20 +636,23 @@ def test_pair_answers_on_a_wide_weight_range_are_unchanged():
 
 
 def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
-    # Query pairs until one's witness chain caches the tail of a pair that
-    # has not been asked yet.  That pair's first query computes nothing and
-    # returns the cached tail; a delete that drops the tail holds the answer
-    # as the floor of the next one.
+    # k = 3: a priority-0 query caches the chain tails of the mid-level
+    # witnesses it recurses into.  Query pairs until one caches the chain
+    # tail of a mid-level pair that has not been asked yet.  That pair's
+    # first query computes nothing and returns the cached tail; an update
+    # that changes the tail holds the answer as the floor of the next one.
     g = random_graph(20, 40, 8, seed=73)
-    state = ApspState(g, 2, Fraction(1, 2), seed=5, c=0.3, debug=True)
+    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3, debug=True)
     asked = set()
     for u, v in [(u, v) for u in g.node_ids() for v in g.node_ids()]:
         state.query(u, v)
         asked.add((u, v))
-        cached = [(x, v) for x in g.node_ids() if v in state._tails[x] and (x, v) not in asked]
+        cached = [(x, v) for x in g.node_ids() if v in state._tails[x] and (x, v) not in asked
+                  and state.assignment.priority_of(x) == 1 and state._tails[x][v] != inf]
         if cached:
             break
     x, v = cached[0]
+    assert (x, v) not in state._keys
     assert v not in state._served[x] and v not in state._held[x]
     tail = state._tails[x][v]
     assert tail == reference_tail(state, x, v)
@@ -657,13 +660,117 @@ def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
     assert state.last_query_expansions == 0
     assert state._served[x][v] == tail
     rng = random.Random(73)
-    while v in state._tails[x]:
+    while v in state._served[x]:
         a, b, _ = rng.choice(list(g.edges()))
         state.process_update(UpdateEvent("delete", a, b))
-    assert v not in state._served[x] and state._held[x][v] == tail
+    assert state._held[x][v] == tail
+    known = v in state._tails[x] or (x, v) in state._keys  # recomputed in place, or in a ball
     answer = state.query(x, v)
     assert answer == max(tail, reference_tail(state, x, v))
+    assert (state.last_query_expansions == 0) == known
     assert v not in state._held[x] and state._served[x][v] == answer
+
+
+def test_a_raised_ball_entry_is_answered_without_computing():
+    # The bench shape, every pair served before each update.  A pair whose
+    # journal entry an update raises reads the new entry as its tail: its
+    # next query computes nothing and returns max(floor, entry), the floor
+    # being the answer it had.
+    schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25, debug=True)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    checked = 0
+    for event in list(schedule.updates())[:20]:
+        answers = {(u, v): state.query(u, v) for u, v in pairs}
+        keys = dict(state._keys)
+        state.process_update(event)
+        raised = [p for p in pairs if p in keys and state._keys.get(p, 0) > keys[p]]
+        for u, v in raised:
+            assert v not in state._served[u] and state._held[u][v] == answers[(u, v)]
+            computed = state.stats()["tails_computed"]
+            assert state.query(u, v) == max(answers[(u, v)], state.balls.estimate(u, v))
+            assert state.last_query_expansions == 0
+            assert state.stats()["tails_computed"] == computed
+        checked += len(raised)
+    assert checked > 0
+
+
+def moved_rows_of_each_update(state, monkeypatch):
+    """Record, for each update, the cached rows of the nodes whose witness
+    top moved, as they were before ``_drop_tails`` handled them."""
+    moved = []
+    drop_tails = state._drop_tails
+
+    def spy(stale, rows):
+        moved.append({x: dict(state._tails[x]) for x in rows if state._tails[x]})
+        drop_tails(stale, rows)
+
+    monkeypatch.setattr(state, "_drop_tails", spy)
+    return moved
+
+
+def test_a_moved_top_recomputes_its_row_in_place_at_k2(monkeypatch):
+    # k = 2: every chain tail is a leg plus a top-level journal entry.  When
+    # a node's witness top moves, its whole row stays cached (less the pairs
+    # that gained a journal entry), equal to the recursion from scratch.
+    schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25, debug=True)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    moved = moved_rows_of_each_update(state, monkeypatch)
+    kept = 0
+    for event in list(schedule.updates())[:20]:
+        [state.query(u, v) for u, v in pairs]
+        refreshed = state.stats()["tails_refreshed"]
+        state.process_update(event)
+        rows = [(x, v) for x, row in moved[-1].items() for v in row if (x, v) not in state._keys]
+        for x, v in rows:
+            assert state._tails[x][v] == reference_tail(state, x, v), (x, v)
+        assert state.stats()["tails_refreshed"] - refreshed >= len(rows)
+        kept += len(rows)
+    assert kept > 0
+
+
+def test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3(monkeypatch):
+    # k = 3: a priority-0 node reads a mid-level witness, whose tail is a
+    # chain itself, so its row is dropped whole when one of its tops moves.
+    g = random_graph(20, 40, 8, seed=73)
+    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3, debug=True)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    moved = moved_rows_of_each_update(state, monkeypatch)
+    rng = random.Random(73)
+    dropped_rows = 0
+    for _ in range(20):
+        [state.query(u, v) for u, v in pairs]
+        a, b, _ = rng.choice(list(g.edges()))
+        state.process_update(UpdateEvent("delete", a, b))
+        for x in moved[-1]:
+            if state.assignment.priority_of(x) == 0:
+                assert state._tails[x] == {}, x
+                dropped_rows += 1
+    assert dropped_rows > 0
+
+
+def test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged():
+    # After each update of a drain, a seeded tenth of the pairs is asked, a
+    # fresh draw each time, so a pair's tail often changes several times
+    # between two of its queries.  The digest was recorded when every changed
+    # tail was dropped and computed again at its pair's next query; raising a
+    # served answer at update time, to a tail no query saw, changes it.
+    schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7002, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), 7002, c=0.25)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    rng = random.Random(7002)
+    digest = hashlib.sha256()
+    for event in (None,) + tuple(schedule.updates()):
+        if event is not None:
+            state.process_update(event)
+        for u, v in rng.sample(pairs, len(pairs) // 10):
+            digest.update(("%d %d %s\n" % (u, v, state.query(u, v))).encode())
+    assert digest.hexdigest() == (
+        "3aa163e8244ca90b3ae0c0ebc49c853878aa693e290504499bd10902d386c059")
 
 
 AUDIT_PLANT = """
@@ -673,8 +780,9 @@ from decrsp.graph import DynamicGraph, UpdateEvent
 g = DynamicGraph(6, 4)
 for u, v, w in [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1), (3, 5, 1)]:
     g.add_edge(u, v, w)
-state = ApspState(g, 2, Fraction(1, 2), seed=6, debug=True)
+state = ApspState(g, 2, Fraction(1, 2), seed=7, c=0.3, debug=True)
 state.query(0, 2)
+print("chain pair:", (0, 2) not in state._keys and 2 in state._tails[0])
 %s  # no update below touches the 0-1-2 side
 try:
     state.process_update(UpdateEvent("delete", 3, 4))
@@ -694,14 +802,18 @@ def run_audit_plant(plant):
     return done.stdout.splitlines()
 
 
+# Node 0 sits at priority 0 and 2 lies outside its ball, so (0, 2) is a
+# witness-chain pair: its tail is cached in the tail table.
+
+
 def test_debug_audit_catches_a_stale_tail_under_optimize():
     assert run_audit_plant("state._tails[0][2] += 1") == [
-        "audit: cached tail (0, 2) is 5, recursion gives 4"]
+        "chain pair: True", "audit: cached tail (0, 2) is 5, recursion gives 4"]
 
 
 def test_debug_audit_catches_a_served_answer_without_its_tail_under_optimize():
     assert run_audit_plant("del state._tails[0][2]") == [
-        "audit: served answer (0, 2) has no cached tail"]
+        "chain pair: True", "audit: served answer (0, 2) has no cached tail"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -712,17 +824,19 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     prev = state.stats()
     assert set(prev) == {"answers_served", "ball_rebuilds", "heap_pairs", "tails_cached",
-                         "tails_computed", "tails_dropped"}
+                         "tails_computed", "tails_dropped", "tails_refreshed"}
     assert prev["heap_pairs"] == len(state._keys)
     while True:
         for u, v in pairs:
             state.query(u, v)
         stats = state.stats()
         assert set(stats) == set(prev)
-        assert stats["answers_served"] == len(pairs) <= stats["tails_cached"]
-        assert stats["tails_cached"] == len(pairs)
+        # Only witness-chain tails are cached: a pair with a journal entry
+        # reads that as its tail.
+        assert stats["answers_served"] == len(pairs)
+        assert stats["tails_cached"] == sum((u, v) not in state._keys for u, v in pairs)
         assert stats["ball_rebuilds"] == sum(state.balls.rebuild_counts.values())
-        for counter in ("ball_rebuilds", "tails_computed", "tails_dropped"):
+        for counter in ("ball_rebuilds", "tails_computed", "tails_dropped", "tails_refreshed"):
             assert stats[counter] >= prev[counter]
         assert stats["tails_computed"] - stats["tails_dropped"] == stats["tails_cached"]
         prev = stats
@@ -736,7 +850,8 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
 def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
     # k = 3: only a priority-1 row has readers, the priority-0 tails whose
     # witness chain goes through it.  Deleting edge 1-4 moves the priority-2
-    # top of such a node; its readers must go with its row.
+    # top of such a node; its row is recomputed in place, and the readers of
+    # every tail that changed must go.
     g = random_graph(8, 10, 4, seed=17)
     state = ApspState(g, 3, Fraction(1, 2), seed=17, c=0.4, debug=True)
     for u in range(8):
