@@ -93,7 +93,6 @@ class ApspState:
             self.assignment,
             factory,
             alpha=1 + self.eps_run,
-            beta=0,
             depth=horizon,
             bucket_eps=self.eps_run,
         )

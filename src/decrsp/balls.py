@@ -12,7 +12,7 @@ node's *scope* ``R(u)`` (all nodes within the radius, found by bounded
 Dijkstra on the current graph) is frozen anew, copied into an
 :class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
 started on that snapshot.  The ball ``B(u)`` consists of the scope members
-whose clamped estimate stays under ``alpha * depth + beta``; the test runs in
+whose clamped estimate stays under ``alpha * depth``; the test runs in
 integers.
 
 An update touches only the balls it can change.  A ``member -> owners`` index,
@@ -71,25 +71,21 @@ class BallEvent:
 class BallChangeSet:
     events: tuple
 
-    def __bool__(self):
-        return bool(self.events)
-
 
 class BallSystem:
-    def __init__(self, view, assignment, contract_factory, *, alpha, beta, depth,
+    def __init__(self, view, assignment, contract_factory, *, alpha, depth,
                  bucket_eps):
         self.view = view
         self.assign = assignment
         self.factory = contract_factory
         self.alpha = Fraction(alpha)
-        self.beta = Fraction(beta)
         self.depth = depth  # int | Fraction
         self.eps = Fraction(bucket_eps)
         if not 0 < self.eps <= 1:
             raise ParamConfigError("bucket growth eps must lie in (0, 1], got %s" % (self.eps,))
-        if self.alpha < 1 or self.beta < 0:
+        if self.alpha < 1:
             raise ParamConfigError(
-                "need alpha >= 1 and beta >= 0, got alpha=%s beta=%s" % (self.alpha, self.beta)
+                "need alpha >= 1, got alpha=%s" % (self.alpha,)
             )
         if not abs(depth) < inf:  # nan too
             raise ParamConfigError("ball depth must be finite, got %s" % (depth,))
@@ -107,7 +103,7 @@ class BallSystem:
         self._powers = [(1, 1)]
         self._radii = [self._radius_of(Fraction(1))]
         # Membership is val <= threshold = num / den, decided in integers.
-        self.threshold = self.alpha * depth + self.beta
+        self.threshold = self.alpha * depth
         bound = Fraction(self.threshold)
         self._thr_num, self._thr_den = bound.numerator, bound.denominator
         self._nodes = sorted(view.node_ids())
@@ -170,10 +166,7 @@ class BallSystem:
         return self._radii[j]
 
     def _radius_of(self, power):
-        r = (power - self.beta) / self.alpha
-        if r < 0:
-            r = 0
-        return min(r, self.depth)
+        return min(power / self.alpha, self.depth)
 
     def radius(self, u):
         return self._radius[u]
@@ -303,77 +296,3 @@ class BallSystem:
         else:
             self._members[u].discard(v)
             events.append(BallEvent(LEAVE, u, v))
-
-    # -- structural witness (test support; needs true distances) -----------------
-
-    def structural_witness(self, u, v, dist_fn):
-        """Classify the pair: ("in_ball",...), ("witness", node, priority), or
-        ("none",...).  ``dist_fn(x, y)`` must return true current distances."""
-        if v in self._members[u]:
-            return ("in_ball", None, None)
-        i = self.assign.priority_of(u)
-        a = self._growth * self.alpha
-        b = self._growth * self.beta + 1
-        x = dist_fn(u, v)
-        for v2 in self._nodes:
-            j = self.assign.priority_of(v2)
-            if j <= i or u not in self._members[v2]:
-                continue
-            if dist_fn(u, v2) <= witness_reach(a, b, x, j - i):
-                return ("witness", v2, j)
-        return ("none", None, None)
-
-    def witness_proviso_holds(self, u, v, dist_fn):
-        """True when the structural property is required to hold for (u, v)."""
-        x = dist_fn(u, v)
-        if x == inf:
-            return False
-        i = self.assign.priority_of(u)
-        chain = self.assign.p - 1 - i
-        if chain == 0:
-            return x <= self.depth
-        a = self._growth * self.alpha
-        b = self._growth * self.beta + 1
-        return witness_reach(a, b, x, chain) <= self.depth
-
-    def max_rebuilds_allowed(self):
-        """Radius increases per node: one per bucket crossing plus slack."""
-        count, power = 0, Fraction(1)
-        while power < self.depth:
-            power *= self._growth
-            count += 1
-        return count + 2
-
-
-def radius_from_watched(val, eps, alpha, beta, depth):
-    """Pure form of the search radius for a watched set-distance estimate:
-
-    min(((1+eps)^floor(log_{1+eps}(val-1)) - beta) / alpha, depth), with the
-    conventions val <= 1 -> 0 and val = inf -> depth, floored at zero.
-    """
-    if val == inf:
-        return depth
-    if val <= 1:
-        return 0
-    growth = 1 + Fraction(eps)
-    x = val - 1
-    power = Fraction(1)
-    while power * growth <= x:
-        power *= growth
-    r = (power - Fraction(beta)) / Fraction(alpha)
-    if r < 0:
-        r = 0
-    return min(r, depth)
-
-
-def witness_reach(a, b, x, l):
-    """Distance within which a higher-priority witness must exist, per chain
-
-    length l >= 1: a * (a+1)^(l-1) * x + ((a+1)^l - 1) * b / a."""
-    if l < 1:
-        raise AssertionError("chain length l=%r must be >= 1" % (l,))
-    if x == inf:
-        return inf
-    grow = (a + 1) ** (l - 1)
-    return a * grow * x + (grow * (a + 1) - 1) * b / a
-

@@ -105,9 +105,6 @@ class AdjacencyGraph:
         """Iterate (neighbor, weight) pairs.  Snapshot before mutating."""
         return self._adj.get(u, {}).items()
 
-    def degree(self, u):
-        return len(self._adj.get(u, ()))
-
     def edges(self):
         """Yield (u, v, w) with u < v, deterministically."""
         for u in sorted(self._adj):

@@ -194,9 +194,6 @@ class RunConfig:
     oracle_stride: int = 1
     debug: bool = False
     measure_time: bool = False
-    # (update_index, node, forged_value): replaces the reported estimate for
-    # one node at one oracle step, to prove the harness catches lies.
-    fault_injection: tuple | None = None
 
 
 @dataclass
@@ -288,9 +285,6 @@ def run_with_oracle(schedule, config):
         oracle_checks += 1
         dist = cross_checked_distances(graph, config.source)
         reported = estimates_for_oracle()
-        fault = config.fault_injection
-        if fault is not None and fault[0] == update_index:
-            reported[fault[1]] = fault[2]
         for v in graph.node_ids():
             d = dist.get(v, inf)
             est = reported[v]

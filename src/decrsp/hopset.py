@@ -68,7 +68,6 @@ class ParamSeries:
     p: int
     delta: int
     depth: int
-    n: int
     admissible: bool  # whether the priority-count bound held
     phi: Fraction  # rounding grain eps*delta/(p+1)
     root_bound: int  # smallest integer x with x**p >= n
@@ -104,31 +103,20 @@ class ParamSeries:
         return (self.p + 1) * blocks + self.p + 1 - i
 
 
-def max_admissible_priority_count(a, eps, n):
-    """Largest p >= 2 satisfying the balancing bound, or None."""
-    base = 4 * Fraction(a) ** 3 / Fraction(eps)
-    if base**4 > n:
-        return None
-    p = 2
-    while base ** ((p + 1) * (p + 1)) <= n:
-        p += 1
-    return p
-
-
 def _identity(holds, what):
     """An explicit check that also runs under ``python -O``."""
     if not holds:
         raise AssertionError("parameter identity fails: " + what)
 
 
-def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=True):
+def derive_params(alpha, beta, a, b, eps, p, delta, depth, n):
     """Build the exact parameter series and assert its identities.
 
     Preconditions: 1 <= alpha <= a, 0 <= beta <= b, 0 < eps <= 1,
-    b <= delta <= depth, p >= 2 an integer, and (unless ``enforce_bound``
-    is off) the priority-count bound (4a^3/eps)^(p^2) <= n.  With the
-    bound off, the level cap is raised to cover plain base-graph paths of
-    weight up to ``depth`` so that estimates stay finite without the
+    b <= delta <= depth and p >= 2 an integer.  The priority-count bound
+    (4a^3/eps)^(p^2) <= n is recorded in ``admissible`` and never enforced.
+    When it fails, the level cap is raised to cover plain base-graph paths
+    of weight up to ``depth`` so that estimates stay finite without the
     shortcut-density guarantee.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
@@ -150,15 +138,6 @@ def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=T
 
     base = 4 * a**3 / eps
     admissible = base ** (p * p) <= n
-    if enforce_bound and not admissible:
-        best = max_admissible_priority_count(a, eps, n)
-        if best is None:
-            hint = "no p >= 2 is admissible for n=%d" % (n,)
-        else:
-            hint = "maximum admissible p is %d" % (best,)
-        raise ParamConfigError(
-            "priority count p=%d violates (4a^3/eps)^(p^2) <= n; %s" % (p, hint)
-        )
 
     coef = alpha + 1 + eps
     r, s, w = [], [], []
@@ -217,7 +196,6 @@ def derive_params(alpha, beta, a, b, eps, p, delta, depth, n, *, enforce_bound=T
         p=p,
         delta=delta,
         depth=depth,
-        n=n,
         admissible=admissible,
         phi=phi,
         root_bound=root_bound,

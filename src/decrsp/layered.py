@@ -50,18 +50,18 @@ def default_layer_counts(n, eps):
     return p, q
 
 
-def layer_scales(range_bound, q):
-    """Per-layer (delta_k, depth_k) for k = 0..q-2.
+def layer_scales(range_bound):
+    """Per-layer (delta_k, depth_k) for k = 0, 1 of a q = 3 band.
 
-    delta_k is the smallest integer whose q-th power reaches R^k and
-    depth_k the smallest reaching R^(k+2); the top depth is exactly the
-    rounded-up range, so the top layer covers it completely.
+    delta_k is the smallest integer whose cube reaches R^k and depth_k the
+    smallest reaching R^(k+2); the top depth is exactly the rounded-up
+    range, so the top layer covers it completely.
     """
     R = Fraction(range_bound)
     scales = []
-    for k in range(q - 1):
-        delta = integer_root_ceil(R**k, q)
-        depth = integer_root_ceil(R ** (k + 2), q)
+    for k in range(2):
+        delta = integer_root_ceil(R**k, 3)
+        depth = integer_root_ceil(R ** (k + 2), 3)
         scales.append((delta, depth))
     return scales
 
@@ -109,7 +109,7 @@ class StackPlan:
         if p < 2:
             raise ParamConfigError("layered mode needs priority count p >= 2, got %d" % (p,))
         self.eps_prime = eps / 2
-        self.scales = tuple(layer_scales(self.range_bound, 3))
+        self.scales = tuple(layer_scales(self.range_bound))
         (_, ball_depth), (delta, depth) = self.scales
         root_bound = integer_root_ceil(n, p)
         if root_bound * delta > ball_depth:
@@ -120,8 +120,7 @@ class StackPlan:
         # The largest weight the shortcut layer's tree will hold: its weight
         # cap, rounded by its grain eps' * delta / (p + 1).
         self.heaviest = (depth + root_bound * delta) * (p + 1) / (self.eps_prime * delta)
-        self.params = derive_params(1, 0, 2, 1, self.eps_prime, p, delta, depth, n,
-                                    enforce_bound=False)
+        self.params = derive_params(1, 0, 2, 1, self.eps_prime, p, delta, depth, n)
         self.denominator = self.params.phi.denominator
 
 
@@ -156,7 +155,7 @@ class LayerAssembly:
         self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
         self.assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
-        self.balls = BallSystem(view, self.assignment, EsTree, alpha=1, beta=0,
+        self.balls = BallSystem(view, self.assignment, EsTree, alpha=1,
                                 depth=ball_depth, bucket_eps=1)
         self.sg = ShortcutGraph(view, self.balls, plan.params, root, debug=debug)
         self._est = {v: self._estimate(v) for v in view.node_ids()}

@@ -27,8 +27,6 @@ class PriorityAssignment:
     level_sets: tuple  # frozensets A_0 .. A_p (indexable by level)
     sampled_edges: tuple  # tuple of edge tuples for levels 1 .. p-1
     priority: dict = field(compare=False)
-    seed: int = 0
-    c: float = 2.0
 
     def priority_of(self, node):
         return self.priority.get(node, 0)
@@ -74,7 +72,5 @@ def sample_priorities(view, p, c, seed):
         level_sets=tuple(level_sets),
         sampled_edges=tuple(sampled),
         priority=priority,
-        seed=seed,
-        c=c,
     )
 

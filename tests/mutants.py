@@ -83,6 +83,77 @@ MUTANTS = (
          "tests/test_apsp.py::test_a_fault_in_a_ball_inner_tree_poisons_the_state[8]"),
         "the test helper reads .stacks[-1] of a bare EsTree",
     ),
+    Mutant(
+        "poisoned-apsp-keeps-balls",
+        "src/decrsp/apsp.py",
+        (("        self.balls = None\n", ""),),
+        ("tests/test_apsp.py::test_rejected_update_keeps_tails_and_a_fault_poisons_the_state",
+         "tests/test_apsp.py::test_a_fault_on_the_benchmark_shape_poisons_the_state",
+         "tests/test_apsp.py::test_a_fault_in_a_ball_inner_tree_poisons_the_state[8]"),
+        "a poisoned ApspState keeps its ball system",
+    ),
+    Mutant(
+        "cli-does-not-wrap",
+        "src/decrsp/cli.py",
+        (("        except Exception as exc:\n"
+          "            raise failed_update(updates, item, exc) from exc\n",
+          "        except Exception:\n"
+          "            raise\n"),),
+        ("tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[sssp]",
+         "tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[apsp]"),
+        "decrsp sssp and decrsp apsp let a fault inside an update escape as a traceback",
+    ),
+    # -- distance bands: retirement, growth and the clamp -----------------------
+    Mutant(
+        "top-band-retired",
+        "src/decrsp/layered.py",
+        (("                    if structure is not top and structure.holds_only_root():\n",
+          "                    if structure.holds_only_root():\n"),),
+        ("tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks",
+         "tests/test_layered.py::test_default_mode_has_one_exact_band_below_unit_grain[20-40-1024-eps0-3]"),
+        "the band over the top scale is retired like any other, so stacks can empty",
+    ),
+    Mutant(
+        "assembly-retired-on-lower-tree",
+        "src/decrsp/layered.py",
+        (("        return self.lower.holds_only_root() and len(self.sg.tree.level) == 1\n",
+          "        return self.lower.holds_only_root()\n"),),
+        ("tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late",
+         "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]"),
+        "an assembly is retired once its lower tree holds the root alone, though its "
+        "shortcut tree still answers",
+    ),
+    Mutant(
+        "retired-work-not-in-stats",
+        "src/decrsp/layered.py",
+        (("        self._retired_scans += scans\n"
+          "        self._retired_heap_ops += heap_ops\n", ""),),
+        ("tests/test_layered.py::test_stats_keys_are_fixed_and_counters_never_decrease[exact]",
+         "tests/test_layered.py::test_stats_keys_are_fixed_and_counters_never_decrease[layered]",
+         "tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late"),
+        "the work of retired bands drops out of stats(), so its counters fall",
+    ),
+    Mutant(
+        "grow-on-stack-length",
+        "src/decrsp/layered.py",
+        (("        while needy and self._next_band < self._band_count - 1:\n"
+          "            band = self._add_band(self._next_band, layered=True)\n",
+          "        while needy and len(self.stacks) - 1 < self._band_count - 1:\n"
+          "            band = self._add_band(len(self.stacks) - 1, layered=True)\n"),),
+        ("tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late",
+         "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]"),
+        "_grow picks the next band from len(stacks), which retirement shrinks",
+    ),
+    Mutant(
+        "settle-without-clamp",
+        "src/decrsp/layered.py",
+        (("        if least <= self._keys[node]:\n",
+          "        if least == self._keys[node]:\n"),),
+        ("tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks"),
+        "_settle sets a node's answer to its least band key even when that is lower",
+    ),
     # -- the all-pairs tail table -------------------------------------------------
     Mutant(
         "refresh-at-any-priority",

@@ -147,8 +147,8 @@ def test_criterion_4_ball_properties_exhaustive_at_n60():
         n, m = 60, 120
         graph = random_graph(n, m, 4, seed=seed)
         system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed * 3 + 1), EsTree,
-                            alpha=1, beta=0, depth=depth, bucket_eps=0.4)
-        checker = InvariantChecker(graph, system, 1, 0, depth)
+                            alpha=1, depth=depth, bucket_eps=0.4)
+        checker = InvariantChecker(graph, system, 1, depth)
         checker.check()  # exhaustive: sandwich, containment, witnesses, rebuilds
         rng = random.Random(seed + 40)
         for _ in range(22):

@@ -15,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decrsp.apsp import ApspState
-from decrsp.balls import (
-    BallChangeSet,
-    BallEvent,
-    BallSystem,
-    radius_from_watched,
-    witness_reach,
-)
+from decrsp.balls import BallChangeSet, BallEvent, BallSystem
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
     ArtificialSourceView,
@@ -35,6 +29,13 @@ from decrsp.harness import generate_instance
 from decrsp.layered import FullRangeSssp, LayerAssembly
 from decrsp.sampling import PriorityAssignment, sample_priorities
 
+from ball_oracles import (
+    max_rebuilds_allowed,
+    radius_from_watched,
+    structural_witness,
+    witness_proviso_holds,
+    witness_reach,
+)
 from test_graph_core import graph_from_edges, random_graph
 
 
@@ -71,17 +72,15 @@ def dist_fn(graph):
 
 
 def test_radius_formula_frozen_examples():
-    # eps=1, alpha=1, beta=0, watched 17, depth 100: floor(log2 16) = 4 -> 16.
-    assert radius_from_watched(17, 1, 1, 0, 100) == 16
+    # eps=1, alpha=1, watched 17, depth 100: floor(log2 16) = 4 -> 16.
+    assert radius_from_watched(17, 1, 1, 100) == 16
     # Watched value infinite (top priority / unreachable set) -> full depth.
-    assert radius_from_watched(inf, 1, 1, 0, 100) == 100
-    # eps=1, alpha=2, beta=1, watched 10, depth 3: min((8-1)/2, 3) = 3.
-    assert radius_from_watched(10, 1, 2, 1, 3) == 3
+    assert radius_from_watched(inf, 1, 1, 100) == 100
+    # eps=1, alpha=2, watched 10, depth 3: min(8/2, 3) = 3.
+    assert radius_from_watched(10, 1, 2, 3) == 3
     # Watched at most 1: log undefined, radius pinned to zero.
-    assert radius_from_watched(1, 1, 1, 0, 100) == 0
-    assert radius_from_watched(Fraction(1, 2), 1, 1, 0, 100) == 0
-    # Negative numerator (beta above the power) floors at zero.
-    assert radius_from_watched(2, 1, 1, 5, 100) == 0
+    assert radius_from_watched(1, 1, 1, 100) == 0
+    assert radius_from_watched(Fraction(1, 2), 1, 1, 100) == 0
 
 
 @given(
@@ -92,8 +91,8 @@ def test_radius_formula_frozen_examples():
 @settings(max_examples=120, deadline=None)
 def test_radius_bucket_power_is_maximal(val, eps_num, eps_den):
     eps = Fraction(eps_num, eps_den)
-    r = radius_from_watched(val, eps, 1, 0, inf)
-    power = r  # alpha=1, beta=0, no depth cap: radius IS the bucket power
+    r = radius_from_watched(val, eps, 1, inf)
+    power = r  # alpha=1, no depth cap: radius IS the bucket power
     assert power <= val - 1 < power * (1 + eps)
 
 
@@ -103,7 +102,7 @@ def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
     # Fractions, in rising order as a watcher reports them.
     graph = path_graph(6, w=4, max_weight=16)
     system = BallSystem(graph, manual_assignment(6, 2, [{5}]), EsTree,
-                        alpha=Fraction(3, 2), beta=1, depth=40, bucket_eps=eps)
+                        alpha=Fraction(3, 2), depth=40, bucket_eps=eps)
     values = [Fraction(1, 2), 1, 2]
     power = Fraction(1)
     while power < 60:
@@ -114,7 +113,7 @@ def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
         power *= 1 + eps
     for val in sorted(values) + [inf]:
         system._watched_value = lambda u, val=val: val
-        want = radius_from_watched(val, eps, system.alpha, system.beta, system.depth)
+        want = radius_from_watched(val, eps, system.alpha, system.depth)
         assert system._current_radius(0) == want  # from the last value's bucket
         system._bucket.pop(0, None)
         assert system._current_radius(0) == want  # from bucket 0
@@ -149,12 +148,12 @@ def exact_level_distance(graph, nodes):
     return dist
 
 
-def brute_force_state(graph, assignment, alpha, beta, depth, eps):
+def brute_force_state(graph, assignment, alpha, depth, eps):
     """Evaluate radii, scopes, and balls directly from the definitions,
 
     assuming an exact inner contract (estimates = true distances)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    threshold = inf if depth == inf else alpha * depth + beta
+    alpha = Fraction(alpha)
+    threshold = inf if depth == inf else alpha * depth
     per_level = {
         i: exact_level_distance(graph, assignment.level_sets[i])
         for i in range(1, assignment.p)
@@ -163,7 +162,7 @@ def brute_force_state(graph, assignment, alpha, beta, depth, eps):
     for u in sorted(graph.node_ids()):
         i = assignment.priority_of(u)
         watched = inf if i + 1 >= assignment.p else per_level[i + 1].get(u, inf)
-        r = radius_from_watched(watched, eps, alpha, beta, depth)
+        r = radius_from_watched(watched, eps, alpha, depth)
         scope = dict(dijkstra_bounded(graph, u, r))
         members = {
             v: d for v, d in scope.items()
@@ -176,9 +175,9 @@ def brute_force_state(graph, assignment, alpha, beta, depth, eps):
 def test_init_matches_static_definition_ten_nodes():
     graph = random_graph(10, 16, 4, seed=7)
     assignment = manual_assignment(10, 3, [{0, 3, 8}, {8}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=9,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=9,
                         bucket_eps=1)
-    expected = brute_force_state(graph, assignment, 1, 0, 9, 1)
+    expected = brute_force_state(graph, assignment, 1, 9, 1)
     for u in graph.node_ids():
         r, scope, members = expected[u]
         assert system.radius(u) == r
@@ -191,12 +190,12 @@ def test_init_matches_static_definition_ten_nodes():
 @pytest.mark.parametrize(
     "bad",
     [dict(bucket_eps=0), dict(bucket_eps=Fraction(3, 2)), dict(alpha=Fraction(1, 2)),
-     dict(beta=-1), dict(depth=inf), dict(depth=float("nan"))],
+     dict(depth=inf), dict(depth=float("nan"))],
 )
 def test_parameter_checks_raise_typed_errors(bad):
     graph = path_graph(4)
     assignment = manual_assignment(4, 2, [{3}])
-    params = dict(alpha=1, beta=0, depth=5, bucket_eps=1) | bad
+    params = dict(alpha=1, depth=5, bucket_eps=1) | bad
     with pytest.raises(ParamConfigError):
         BallSystem(graph, assignment, EsTree, **params)
 
@@ -207,13 +206,13 @@ def test_tiny_bucket_eps_is_rejected():
     assignment = manual_assignment(4, 2, [{3}])
     for eps in (Fraction(1, 10**4), Fraction(1, 10**400)):
         with pytest.raises(ParamConfigError, match="4096 buckets"):
-            BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=5, bucket_eps=eps)
+            BallSystem(graph, assignment, EsTree, alpha=1, depth=5, bucket_eps=eps)
 
 
 def test_top_priority_scope_covers_depth():
     graph = path_graph(8)
     assignment = manual_assignment(8, 2, [{7}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=5,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=5,
                         bucket_eps=1)
     # Priority p-1 watches the empty set: radius equals the depth bound and the
     # scope holds every node within that distance.
@@ -227,7 +226,7 @@ def test_top_priority_scope_covers_depth():
 def test_isolated_node_is_singleton():
     graph = graph_from_edges(4, 1, [(0, 1, 1)])  # 2 and 3 isolated
     assignment = manual_assignment(4, 2, [{1}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=3,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=3,
                         bucket_eps=1)
     for u in (2, 3):
         assert system.radius(u) == 3  # watched value inf -> full depth
@@ -249,7 +248,7 @@ def test_bucket_crossing_rebuild_on_path():
     # Path 0-..-7, unit weights, A_1 = {7}: watched(u) = dist(u, 7) = 7-u.
     graph = path_graph(8, max_weight=3)
     assignment = manual_assignment(8, 2, [{7}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=100,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=100,
                         bucket_eps=1)
     assert [system.radius(u) for u in range(8)] == [4, 4, 4, 2, 2, 1, 0, 100]
     assert system.members(0) == {0, 1, 2, 3, 4}
@@ -284,7 +283,7 @@ def test_bucket_crossing_rebuild_on_path():
         0: 1, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 0,
     }
     # Post-state agrees with the static definitions evaluated from scratch.
-    expected = brute_force_state(graph, assignment, 1, 0, 100, 1)
+    expected = brute_force_state(graph, assignment, 1, 100, 1)
     for u in graph.node_ids():
         members, est = system.membership(u)
         assert members == set(expected[u][2])
@@ -293,7 +292,7 @@ def test_bucket_crossing_rebuild_on_path():
 def test_disconnection_inside_scope_emits_leaves():
     graph = path_graph(3, max_weight=1)
     assignment = manual_assignment(3, 2, [set()])  # empty A_1: all watched = inf
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=5,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=5,
                         bucket_eps=1)
     assert all(system.members(u) == {0, 1, 2} for u in range(3))
     changes = apply(graph, system, UpdateEvent("delete", 1, 2))
@@ -312,13 +311,13 @@ def test_update_without_bucket_or_estimate_change_is_empty():
         5, 1, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1)]
     )
     assignment = manual_assignment(5, 2, [{0}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=4,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=4,
                         bucket_eps=1)
     # Deleting (1,2) changes no distance to 0 and no level inside any scope
     # that contains both endpoints.
     changes = apply(graph, system, UpdateEvent("delete", 1, 2))
     assert changes == BallChangeSet(())
-    assert not changes and changes.events == ()
+    assert changes.events == ()
 
 
 class InflatingEsTree:
@@ -354,7 +353,7 @@ def test_rebuild_clamps_estimates_against_history():
             return InflatingEsTree(view, source, depth, Fraction(5, 4))
         return EsTree(view, source, depth)
 
-    system = BallSystem(graph, assignment, factory, alpha=Fraction(5, 4), beta=0,
+    system = BallSystem(graph, assignment, factory, alpha=Fraction(5, 4),
                         depth=10, bucket_eps=1)
     assert system.radius(0) == Fraction(8, 5)
     assert system.members(0) == {0, 1}
@@ -412,11 +411,11 @@ class InvariantChecker:
     tests below show both literal at-any-time forms genuinely fail.
     """
 
-    def __init__(self, graph, system, alpha, beta, depth):
+    def __init__(self, graph, system, alpha, depth):
         self.graph = graph
         self.system = system
         self.assignment = system.assign
-        self.alpha, self.beta = Fraction(alpha), Fraction(beta)
+        self.alpha = Fraction(alpha)
         self.depth = depth
         self.seen_rebuilds = dict(system.rebuild_counts)
         # Exact ball at the last scope construction (init counts as one).
@@ -449,7 +448,7 @@ class InvariantChecker:
             watched_sys = system._watched_value(u)
             assert watched_sys >= watched_true  # A1 through the watcher contract
             assert system.radius(u) == radius_from_watched(
-                watched_sys, system.eps, self.alpha, self.beta, self.depth
+                watched_sys, system.eps, self.alpha, self.depth
             )
             if system.rebuild_counts[u] != self.seen_rebuilds[u]:
                 # Scope was reconstructed this update: it must sit inside the
@@ -466,34 +465,34 @@ class InvariantChecker:
                 assert dist <= est[v]  # estimates never underestimate
                 assert est[v] <= system.threshold
                 if dist <= r:
-                    assert est[v] <= self.alpha * dist + self.beta
-            assert system.rebuild_counts[u] <= system.max_rebuilds_allowed()
+                    assert est[v] <= self.alpha * dist
+            assert system.rebuild_counts[u] <= max_rebuilds_allowed(system)
         # B2: whenever the chain bound fits under the depth, a witness exists.
         for u in sorted(graph.node_ids()):
             for v in sorted(graph.node_ids()):
-                if u == v or not system.witness_proviso_holds(u, v, d):
+                if u == v or not witness_proviso_holds(system, u, v, d):
                     continue
-                kind, _, j = system.structural_witness(u, v, d)
+                kind, _, j = structural_witness(system, u, v, d)
                 assert kind in ("in_ball", "witness")
                 if kind == "witness":
                     assert j > assignment.priority_of(u)
 
 
-@pytest.mark.parametrize("declared", [(1, 0, None), (Fraction(5, 4), 2, Fraction(5, 4))])
+@pytest.mark.parametrize("declared", [(1, None), (Fraction(5, 4), Fraction(5, 4))])
 @pytest.mark.parametrize("seed", [3, 11, 27])
 def test_properties_hold_after_every_update(declared, seed):
-    alpha, beta, inflate = declared
+    alpha, inflate = declared
     n, m = 24, 44
     graph = random_graph(n, m, 4, seed=seed)
     system = BallSystem(
         graph, sample_priorities(graph, 3, 2.0, seed * 5 + 1),
         (lambda view, source, depth: InflatingEsTree(view, source, depth, inflate))
         if inflate else EsTree,
-        alpha=alpha, beta=beta, depth=8, bucket_eps=1,
+        alpha=alpha, depth=8, bucket_eps=1,
     )
     snapshot = system.initial_membership()
     changesets = []
-    checker = InvariantChecker(graph, system, alpha, beta, 8)
+    checker = InvariantChecker(graph, system, alpha, 8)
     checker.check()
     import random as _random
 
@@ -536,7 +535,7 @@ def test_containment_holds_at_construction_time_not_pointwise():
     # constructed, and that is what the checker asserts.
     graph = graph_from_edges(4, 5, [(0, 1, 4), (0, 2, 4), (1, 2, 2), (0, 3, 5)])
     assignment = manual_assignment(4, 2, [{3}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=8,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=8,
                         bucket_eps=1)
     assert system.radius(0) == 4
     assert system.members(0) == {0, 1, 2}
@@ -556,7 +555,7 @@ def test_containment_holds_at_construction_time_not_pointwise():
 
 def test_estimate_upper_bound_limited_to_current_radius():
     # A member whose current shortest path exits the frozen scope can carry an
-    # estimate above alpha*dist+beta; the sandwich upper bound is only
+    # estimate above alpha*dist; the sandwich upper bound is only
     # guaranteed while dist(u,v) <= r(u), where the whole current path
     # provably lies inside the scope.
     graph = graph_from_edges(
@@ -564,7 +563,7 @@ def test_estimate_upper_bound_limited_to_current_radius():
         [(0, 1, 4), (0, 2, 4), (1, 2, 2), (0, 3, 5), (0, 4, 5), (1, 4, 1)],
     )
     assignment = manual_assignment(5, 2, [{3}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=9,
+    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=9,
                         bucket_eps=1)
     assert system.radius(0) == 4
     assert system.scope(0) == frozenset({0, 1, 2})  # node 4 sits at distance 5
@@ -575,7 +574,7 @@ def test_estimate_upper_bound_limited_to_current_radius():
     assert d(0, 1) == 6  # via the outside detour 0-4-1
     assert 1 in system.members(0)
     assert system.estimate(0, 1) == 8  # shortest path inside the frozen scope
-    assert system.estimate(0, 1) > d(0, 1)  # above alpha*dist+beta, as allowed
+    assert system.estimate(0, 1) > d(0, 1)  # above alpha*dist, as allowed
     assert d(0, 1) > system.radius(0)  # the guarantee's precondition fails
     # Within the radius the sandwich holds (exact contract: est == dist).
     assert d(0, 2) == 4 <= system.radius(0)
@@ -590,14 +589,14 @@ def test_witness_search_is_exercised_nontrivially():
     # higher-priority witness (not just in-ball membership).
     graph = random_graph(12, 22, 3, seed=5)
     system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 17), EsTree,
-                        alpha=1, beta=0, depth=6, bucket_eps=1)
+                        alpha=1, depth=6, bucket_eps=1)
     d = dist_fn(graph)
     kinds = set()
     for u in graph.node_ids():
         for v in graph.node_ids():
-            if u == v or not system.witness_proviso_holds(u, v, d):
+            if u == v or not witness_proviso_holds(system, u, v, d):
                 continue
-            kinds.add(system.structural_witness(u, v, d)[0])
+            kinds.add(structural_witness(system, u, v, d)[0])
     assert "none" not in kinds
     assert "witness" in kinds or "in_ball" in kinds
 
@@ -625,7 +624,7 @@ def test_radius_follows_the_live_watcher_after_every_update(mode, seed):
                 watcher = system._set_inst.get(system.assign.priority_of(u) + 1)
                 watched = inf if watcher is None else watcher.query(u)
                 expected = radius_from_watched(watched, system.eps, system.alpha,
-                                               system.beta, system.depth)
+                                               system.depth)
                 assert system.radius(u) == expected, (u, watched)
                 checked += watched != inf
     assert checked > 0
@@ -699,7 +698,7 @@ def test_snapshots_receive_only_records_on_their_own_edges(monkeypatch, mode, se
         step = ApspState(graph, 2, Fraction(1, 2), seed, c=0.25).process_update
     else:
         system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed), EsTree,
-                            alpha=1, beta=0, depth=8, bucket_eps=1)
+                            alpha=1, depth=8, bucket_eps=1)
 
         def step(event):
             system.process_update(graph.apply_update(event))

@@ -30,6 +30,7 @@ from decrsp.harness import (
     run_with_oracle,
     static_hopset_check,
 )
+from decrsp.layered import FullRangeSssp
 
 
 def path_graph(n, w=1):
@@ -80,7 +81,7 @@ def test_every_generated_event_is_valid_at_its_position():
 def test_grid_and_power_law_topologies():
     grid = generate_instance(12, 0, 3, "grid", 0.0, seed=2)
     g = grid.build_graph()
-    assert all(g.degree(v) <= 4 for v in g.node_ids())
+    assert all(len(g.neighbors(v)) <= 4 for v in g.node_ids())
     assert g.has_edge(0, 1) and g.has_edge(0, 3)  # 3-wide truncated grid
 
     pl = generate_instance(20, 30, 3, "power-law", 0.0, seed=2)
@@ -226,11 +227,23 @@ def test_oracle_stride_controls_check_count():
     assert report.get("oracle_checks") == 1 + updates // 4
 
 
-def test_forged_low_estimate_is_reported_at_the_right_index():
+def test_forged_low_estimate_is_reported_at_the_right_index(monkeypatch):
     sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, seed=3)
-    report = run_with_oracle(
-        sched, RunConfig(mode="sssp", seed=1, fault_injection=(2, 5, 0))
-    )
+    done = []  # one entry per update the structure has digested
+    apply_event, query = FullRangeSssp.apply_event, FullRangeSssp.query
+
+    def counted_apply_event(self, event):
+        changed = apply_event(self, event)
+        done.append(event)
+        return changed
+
+    def forged_query(self, node):
+        # Node 5 reads 0, below its true distance, after update 2 only.
+        return 0 if node == 5 and len(done) == 2 else query(self, node)
+
+    monkeypatch.setattr(FullRangeSssp, "apply_event", counted_apply_event)
+    monkeypatch.setattr(FullRangeSssp, "query", forged_query)
+    report = run_with_oracle(sched, RunConfig(mode="sssp", seed=1))
     assert report.get("underestimate_violations") == 1
     entry = report.get("underestimate")
     assert entry.startswith("index=2 node=5 est=0")

@@ -30,7 +30,6 @@ from decrsp.hopset import (
     ShortcutGraph,
     derive_params,
     integer_root_ceil,
-    max_admissible_priority_count,
     shortcut_process_update,
 )
 from decrsp.sampling import sample_priorities
@@ -65,7 +64,7 @@ def test_series_matches_reach_and_weight_recurrences():
     # 2*delta+1, the first weight budget equals it, and the next radius is
     # three times that.
     for delta in (1, 3, 8):
-        ps = derive_params(1, 0, 2, 1, 1, 2, delta, 2 * delta, 10**12, enforce_bound=False)
+        ps = derive_params(1, 0, 2, 1, 1, 2, delta, 2 * delta, 10**12)
         assert ps.s[0] == 2 * delta + 1
         assert ps.w[0] == 2 * delta + 1
         assert ps.r[1] == 3 * (2 * delta + 1)
@@ -77,13 +76,6 @@ def test_rounding_grain_example():
     ps = derive_params(1, 0, 1, 1, 1, 3, 8, 8, 4**9)
     assert ps.admissible
     assert ps.phi == 2
-
-
-def test_priority_bound_error_names_maximum():
-    with pytest.raises(ParamConfigError, match="maximum admissible p is 2"):
-        derive_params(1, 0, 1, 1, 1, 3, 2, 4, 256)
-    with pytest.raises(ParamConfigError, match="no p >= 2 is admissible"):
-        derive_params(1, 0, 1, 1, 1, 2, 2, 4, 100)
 
 
 def test_precondition_errors():
@@ -99,13 +91,6 @@ def test_precondition_errors():
         derive_params(1, 0, 1, 1, 1, 2, 4, 2, 256)
     with pytest.raises(ParamConfigError, match="integer"):
         derive_params(1, 0, 1, 1, 1, 1, 2, 4, 256)
-
-
-def test_max_admissible_priority_count():
-    assert max_admissible_priority_count(1, 1, 255) is None
-    assert max_admissible_priority_count(1, 1, 256) == 2
-    assert max_admissible_priority_count(1, 1, 4**9 - 1) == 2
-    assert max_admissible_priority_count(1, 1, 4**9) == 3
 
 
 def test_identity_sweep_200_draws():
@@ -177,11 +162,11 @@ def test_integer_root_ceil_is_tight_beyond_float_range(value, p):
 
 
 GUARDS_UNDER_OPTIMIZE = """
-from decrsp.balls import witness_reach
+from ball_oracles import witness_reach
 from decrsp.harness import static_hopset_check
 from decrsp.hopset import derive_params, integer_root_ceil
 from decrsp.graph import DynamicGraph
-params = derive_params(1, 0, 2, 1, 1, 2, 2, 10, 8, enforce_bound=False)
+params = derive_params(1, 0, 2, 1, 1, 2, 2, 10, 8)
 for call in (lambda: witness_reach(2, 1, 5, 0), lambda: integer_root_ceil(5, 0),
              lambda: params.hop_budget(3, 2),
              lambda: static_hopset_check(DynamicGraph(3), 1, 1, 1, seed=0)):
@@ -195,9 +180,10 @@ for call in (lambda: witness_reach(2, 1, 5, 0), lambda: integer_root_ceil(5, 0),
 def test_internal_guards_hold_under_optimize():
     # Under -O a bare assert vanishes: witness_reach(2, 1, 5, 0) returned
     # 3.33 and integer_root_ceil(5, 0) never returned.
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", GUARDS_UNDER_OPTIMIZE], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -218,12 +204,12 @@ def test_internal_guards_hold_under_optimize():
 )
 def test_hop_budget_stays_within_rounding_allowance(dist, i, delta, eps):
     """hop_budget(d, i) * phi never exceeds eps*d + 2*eps*delta."""
-    ps = derive_params(1, 0, 1, 1, eps, 3, delta, delta + 5, 10**30, enforce_bound=False)
+    ps = derive_params(1, 0, 1, 1, eps, 3, delta, delta + 5, 10**30)
     assert ps.hop_budget(dist, i) * ps.phi <= eps * dist + 2 * eps * delta
 
 
 def test_round_weight_sandwich_property():
-    ps = derive_params(1, 0, 1, 1, Fraction(1, 3), 2, 5, 9, 10**9, enforce_bound=False)
+    ps = derive_params(1, 0, 1, 1, Fraction(1, 3), 2, 5, 9, 10**9)
     for num in range(1, 120):
         w = Fraction(num, 7)
         k = ps.round_weight(w)
@@ -266,8 +252,8 @@ def path_graph(n, weight=1, w_max=8):
     return graph_from_edges(n, max(weight, w_max), [(i, i + 1, weight) for i in range(n - 1)])
 
 
-def small_params(depth, *, delta=2, p=2, eps=1, enforce=True, n=256):
-    return derive_params(1, 0, 1, 1, eps, p, delta, depth, n, enforce_bound=enforce)
+def small_params(depth, *, delta=2, p=2, eps=1, n=256):
+    return derive_params(1, 0, 1, 1, eps, p, delta, depth, n)
 
 
 def admitted(sg, key):
@@ -391,10 +377,10 @@ def test_check_sandwich_reads_the_tree_weights():
 def build_pipeline(graph, *, p, delta, depth, seed, eps=1, root=0):
     assignment = sample_priorities(graph, p, 2.0, seed)
     balls = BallSystem(
-        graph, assignment, EsTree, alpha=1, beta=0, depth=depth, bucket_eps=1
+        graph, assignment, EsTree, alpha=1, depth=depth, bucket_eps=1
     )
     params = derive_params(
-        1, 0, 2, 1, eps, p, delta, depth, graph.node_count(), enforce_bound=False
+        1, 0, 2, 1, eps, p, delta, depth, graph.node_count()
     )
     sg = ShortcutGraph(graph, balls, params, root, debug=True)
     return balls, params, sg
@@ -482,8 +468,8 @@ def test_priority_refined_bound_on_frozen_seed():
     """Per-priority allowance: est <= (alpha+eps)*d + gamma_i + h(d, i)*phi."""
     graph = random_graph(30, 70, 6, seed=13)
     assignment = sample_priorities(graph, 2, 2.0, 13)
-    balls = BallSystem(graph, assignment, EsTree, alpha=1, beta=0, depth=30, bucket_eps=1)
-    params = derive_params(1, 0, 2, 1, 1, 2, 3, 30, 30, enforce_bound=False)
+    balls = BallSystem(graph, assignment, EsTree, alpha=1, depth=30, bucket_eps=1)
+    params = derive_params(1, 0, 2, 1, 1, 2, 3, 30, 30)
     sg = ShortcutGraph(graph, balls, params, 0, debug=True)
     rng = random.Random(170)
     for _ in range(40):

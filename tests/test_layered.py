@@ -106,15 +106,15 @@ def test_layered_stack_rejects_eps_whose_weights_pass_the_float_range():
 def test_layer_scales_frozen_values():
     # q=3 over R=2400: delta_1 from 13^3=2197 < 2400 <= 14^3=2744 and
     # depth_0 from 179^3 < 2400^2 <= 180^3; the top depth equals R itself.
-    assert layer_scales(2400, 3) == [(1, 180), (14, 2400)]
+    assert layer_scales(2400) == [(1, 180), (14, 2400)]
     # R=960: 9^3=729 < 960 <= 10^3=1000 and 97^3=912_673 < 960^2=921_600
     # <= 98^3=941_192.
-    assert layer_scales(960, 3) == [(1, 98), (10, 960)]
+    assert layer_scales(960) == [(1, 98), (10, 960)]
 
 
 def test_top_layer_depth_is_ceiling_of_range():
     for rng_bound in (Fraction(2400), Fraction(961, 2), Fraction(100, 3)):
-        scales = layer_scales(rng_bound, 3)
+        scales = layer_scales(rng_bound)
         assert scales[-1][1] == ceil(rng_bound)
 
 
@@ -125,7 +125,7 @@ def test_top_layer_depth_is_ceiling_of_range():
     q=st.integers(min_value=1, max_value=5),
 )
 def test_fraction_root_ceil_is_tight(num, den, q):
-    # layer_scales takes q-th roots of rational ranges through integer_root_ceil.
+    # layer_scales takes cube roots of rational ranges through integer_root_ceil.
     value = Fraction(num, den)
     x = integer_root_ceil(value, q)
     assert x >= 1 and x**q >= value
