@@ -124,13 +124,11 @@ class BallSystem:
         self._inner = {}
         self._est = {}  # node -> {member: clamped estimate}; doubles as history
         self._members = {}
-        self.ever_members = {}  # node -> every member the ball has ever held
         self.rebuild_counts = {}
         for u in self._nodes:
             self.rebuild_counts[u] = 0
             self._est[u] = {}
             self._members[u] = set()
-            self.ever_members[u] = set()
             self._build_scope(u, self._current_radius(u), record=None)
             self.rebuild_counts[u] = 0  # the initial build is not an increase
 
@@ -250,7 +248,6 @@ class BallSystem:
             for v in sorted(raised & new_members):
                 record.append(BallEvent(EST, u, v, history[v]))
         self._members[u] = new_members
-        self.ever_members[u] |= new_members
 
     # -- updates -----------------------------------------------------------------
 

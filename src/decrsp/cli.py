@@ -154,9 +154,11 @@ def build_parser():
     parser.add_argument("--source", type=int, default=0)
     parser.add_argument("--k", type=int, default=2, help="priority levels for apsp")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--p", type=int, default=None, help="priority levels override")
+    parser.add_argument("--p", type=int, default=None,
+                        help="priority count of a layered band (needed with --q 3)")
     parser.add_argument("--q", type=int, default=None,
-                        help="layer count override: q < 3 exact trees, q = 3 one shortcut layer")
+                        help="layer count: 3 runs one shortcut layer, 4 and up are rejected, "
+                        "any other value or none runs exact trees")
     parser.add_argument("--c", type=positive_float, default=2.0, help="sampling density")
     parser.add_argument("--oracle-check", action="store_true")
     parser.add_argument("--oracle-stride", type=positive_int, default=1)

@@ -213,11 +213,12 @@ class ShortcutGraph:
     """Base edges plus ball shortcuts, scaled, under a monotone tree.
 
     Parallel edges are kept under distinct keys: base edges as
-    ``("G", u, v)`` with u < v, shortcut edges as ``("F", owner, member,
-    generation)``.  The generation counter makes re-joins (a member that
-    left an owner's ball and later rejoined) produce fresh keys, since the
-    tree treats each key as one edge lifetime.  Every key names one endpoint
-    as ``key[1]``.  The tree owns the admitted keys and their rounded
+    ``("G", u, v)`` with u < v, shortcut edges as ``("F", owner, member)``.
+    A LEAVE, or an increase past the weight cap, deletes the key from the
+    tree, so a member that rejoins later reuses it for a new lifetime; the
+    ball system never journals a JOIN and a LEAVE of one pair in one batch,
+    and the tree refuses a key that is still present.  Every key names one
+    endpoint as ``key[1]``.  The tree owns the admitted keys and their rounded
     weights: a key is admitted exactly while ``tree.has_edge(key, key[1])``.
 
     ``edges_ever`` counts keys ever admitted to the tree and
@@ -232,10 +233,8 @@ class ShortcutGraph:
         self.root = root
         self.debug = debug
         self._f_weight = {}  # (owner, member) -> live shortcut weight
-        self._f_gen = {}  # (owner, member) -> generation of current/last key
         self.edges_ever = 0
         self.update_ops = 0
-        self.increase_counts = {}  # tree key -> number of weight increases
 
         edges = []
         for u, v, weight in view.edges():
@@ -247,10 +246,9 @@ class ShortcutGraph:
                 if member == owner:
                     continue
                 self._f_weight[(owner, member)] = estimate
-                self._f_gen[(owner, member)] = 0
                 if estimate <= params.weight_cap:
                     rounded = params.round_weight(estimate)
-                    edges.append((("F", owner, member, 0), owner, member, rounded))
+                    edges.append((("F", owner, member), owner, member, rounded))
         self.edges_ever = len(edges)
         self.tree = MonotoneEsTree(root, params.level_cap, edges, debug=debug)
 
@@ -285,7 +283,6 @@ class ShortcutGraph:
         if rounded > self.tree.adj[u][key][1]:
             self.tree.increase_edge(key, u, rounded)
             self.update_ops += 1
-            self.increase_counts[key] = self.increase_counts.get(key, 0) + 1
 
     # -- debug checks -------------------------------------------------------------
 
@@ -335,12 +332,9 @@ def shortcut_process_update(sg, record, ball_changes):
             by_kind[ev.kind].append(ev)
 
     for ev in joins:
-        pair = (ev.owner, ev.member)
-        gen = sg._f_gen.get(pair, -1) + 1
-        sg._f_gen[pair] = gen
-        sg._f_weight[pair] = ev.estimate
+        sg._f_weight[(ev.owner, ev.member)] = ev.estimate
         if ev.estimate <= params.weight_cap:
-            sg._tree_insert(("F", ev.owner, ev.member, gen), ev.owner, ev.member, ev.estimate)
+            sg._tree_insert(("F", ev.owner, ev.member), ev.owner, ev.member, ev.estimate)
 
     pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
     key = ("G",) + pair
@@ -351,18 +345,16 @@ def shortcut_process_update(sg, record, ball_changes):
             sg._tree_reweight(key, pair[0], record.new_weight)
 
     for ev in increases:
-        pair = (ev.owner, ev.member)
-        sg._f_weight[pair] = ev.estimate
-        key = ("F", ev.owner, ev.member, sg._f_gen[pair])
-        if tree.has_edge(key, pair[0]):
-            sg._tree_reweight(key, pair[0], ev.estimate)
+        sg._f_weight[(ev.owner, ev.member)] = ev.estimate
+        key = ("F", ev.owner, ev.member)
+        if tree.has_edge(key, ev.owner):
+            sg._tree_reweight(key, ev.owner, ev.estimate)
 
     for ev in leaves:
-        pair = (ev.owner, ev.member)
-        del sg._f_weight[pair]
-        key = ("F", ev.owner, ev.member, sg._f_gen[pair])
-        if tree.has_edge(key, pair[0]):
-            sg._tree_delete(key, pair[0])
+        del sg._f_weight[(ev.owner, ev.member)]
+        key = ("F", ev.owner, ev.member)
+        if tree.has_edge(key, ev.owner):
+            sg._tree_delete(key, ev.owner)
 
     changes = tree.end_batch()
     if sg.debug:

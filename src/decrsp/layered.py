@@ -1,14 +1,14 @@
 """Layered range-restricted SSSP and the full-range scaled assembly.
 
-A band over a range R is an exact ``EsTree`` bounded at ceil(R) when the
-layer count q < 3 (the default at any desk scale), and a ``LayerAssembly``
-(one shortcut layer) when q = 3, which the p/q overrides reach on small
-graphs.  q >= 4 is rejected: more shortcut layers would need set-distance
-watchers on zero-weight source edges, which the monotone tree does not
-take, and inner instances on scopes too small to sample.  ``FullRangeSssp``
-runs one band per distance scale on a rounded, scaled mirror and keeps one
-answer per node; its docstring states the band rules and why they keep the
-bound and move no answer.
+A band over a range R is an exact ``EsTree`` bounded at ceil(R) by
+default, and a ``LayerAssembly`` (one shortcut layer) when the layer count
+q = 3 is given with a priority count p >= 2; ``StackPlan`` says why exact
+trees are the default.  q >= 4 is rejected: more shortcut layers would need
+set-distance watchers on zero-weight source edges, which the monotone tree
+does not take, and inner instances on scopes too small to sample.
+``FullRangeSssp`` runs one band per distance scale on a rounded, scaled
+mirror and keeps one answer per node; its docstring states the band rules
+and why they keep the bound and move no answer.
 """
 
 from __future__ import annotations
@@ -26,28 +26,7 @@ from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_pr
 from .sampling import sample_priorities
 
 
-LAYER_COUNT_A = 4  # the constant a in default_layer_counts' formula
 POISONED = "structure poisoned: an earlier update failed after the graph changed"
-
-
-def default_layer_counts(n, eps):
-    """Priority count p and layer count q from the asymptotic formulas.
-
-    p = floor(sqrt(log n) / sqrt(log(8 a^3 log n / eps))), q = floor(sqrt(p)).
-    Returns (p, q); q < 3 at any desk scale, which triggers the fallback.
-    """
-    if n < 4:
-        return 0, 0
-    log_n = math.log2(n)
-    eps = Fraction(eps)
-    # log2(eps) from its numerator and denominator: float(eps) may underflow.
-    denom = (math.log2(8 * LAYER_COUNT_A**3 * log_n)
-             - math.log2(eps.numerator) + math.log2(eps.denominator))
-    if denom <= 0:
-        return 0, 0
-    p = int(math.sqrt(log_n) / math.sqrt(denom))
-    q = int(math.sqrt(p)) if p >= 0 else 0
-    return p, q
 
 
 def layer_scales(range_bound):
@@ -66,26 +45,23 @@ def layer_scales(range_bound):
     return scales
 
 
-def layer_counts(n, eps, p=None, q=None):
-    """``(p, q, mode)``: the counts given, ``default_layer_counts`` for those
-    left out, and the band mode they select: "exact" trees when q < 3,
-    "layered" (one shortcut layer) otherwise."""
-    if p is None or q is None:
-        default_p, default_q = default_layer_counts(n, eps)
-        p = default_p if p is None else p
-        q = default_q if q is None else q
-    return p, q, "exact" if q < 3 else "layered"
-
-
 class StackPlan:
     """What a band derives from its node count, range and eps alone.
 
-    Holds the priority and layer counts, the mode, and in layered mode the
-    layer scales, eps' and one shortcut ``ParamSeries``, whose identity
-    checks run when the plan is made.  The scaled bands of a
-    ``FullRangeSssp`` share the node count, range and eps, so one plan
-    serves all of them.  ``denominator`` is the common denominator of a
-    band's integer estimates: 1 in exact mode, that of phi otherwise.
+    Holds the priority count p as given, the mode that the layer count q
+    selects, and in layered mode the layer scales, eps' and one shortcut
+    ``ParamSeries``, whose identity checks run when the plan is made.  The
+    scaled bands of a ``FullRangeSssp`` share the node count, range and eps,
+    so one plan serves all of them.  ``denominator`` is the common
+    denominator of a band's integer estimates: 1 in exact mode, that of phi
+    otherwise.
+
+    q = 3 selects one shortcut layer and needs p >= 2; q >= 4 is rejected;
+    any other q, None included, selects exact trees.  The paper's counts,
+    p = floor(sqrt(log n) / sqrt(log(8 a^3 log n / eps))) with a = 4 and
+    q = floor(sqrt(p)), reach q = 3 only once log2 n passes 1591 at eps = 1
+    (1678 at eps = 1/2), so at any size a graph can have they select exact
+    trees: that is why the default is exact, not a formula of n and eps.
     """
 
     def __init__(self, n, range_bound, eps, p=None, q=None):
@@ -97,17 +73,18 @@ class StackPlan:
             raise ParamConfigError(
                 "range %s must be at least the node count %d" % (range_bound, n)
             )
-        self.p, self.q, self.mode = p, q, mode = layer_counts(n, eps, p, q)
-        self.denominator = 1
-        if mode == "exact":
-            return
-        if q > 3:
+        if q is not None and q > 3:
             raise ParamConfigError(
                 "layer count q=%d unsupported: q < 3 runs exact trees, q = 3 one "
                 "shortcut layer" % (q,)
             )
-        if p < 2:
-            raise ParamConfigError("layered mode needs priority count p >= 2, got %d" % (p,))
+        self.p = p
+        self.mode = "layered" if q == 3 else "exact"
+        self.denominator = 1
+        if self.mode == "exact":
+            return
+        if p is None or p < 2:
+            raise ParamConfigError("layered mode needs priority count p >= 2, got %s" % (p,))
         self.eps_prime = eps / 2
         self.scales = tuple(layer_scales(self.range_bound))
         (_, ball_depth), (delta, depth) = self.scales
@@ -154,8 +131,8 @@ class LayerAssembly:
         (_, ball_depth), (_, depth) = plan.scales
         self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
-        self.assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
-        self.balls = BallSystem(view, self.assignment, EsTree, alpha=1,
+        assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
+        self.balls = BallSystem(view, assignment, EsTree, alpha=1,
                                 depth=ball_depth, bucket_eps=1)
         self.sg = ShortcutGraph(view, self.balls, plan.params, root, debug=debug)
         self._est = {v: self._estimate(v) for v in view.node_ids()}
@@ -249,13 +226,11 @@ def band_layout(n, max_weight, eps):
 @lru_cache(maxsize=1024)
 def exact_band_depth(n, max_weight, eps):
     """The depth of the one ``EsTree`` that a default ``FullRangeSssp`` (same
-    arguments as ``band_layout``) would be, answering its levels, when its
-    plan is exact and every band is fine; None otherwise.  Memoised, as the
-    all-pairs factory asks it once per contract build."""
+    arguments as ``band_layout``) would be, answering its levels, when every
+    band is fine; None otherwise.  Memoised, as the all-pairs factory asks
+    it once per contract build."""
     _, bands, fine, depth = band_layout(n, max_weight, eps)
-    if fine < bands or layer_counts(n, Fraction(eps) / 3)[2] != "exact":
-        return None
-    return depth
+    return depth if fine == bands else None
 
 
 class FullRangeSssp:
@@ -267,10 +242,10 @@ class FullRangeSssp:
     assembly there with range R = 4n/(eps/3), so it covers true distances up
     to 4 * 2^i.  Each band's structure is read directly in ``stacks``.
     Each node keeps one answer, so a query is exactly one dict read.  The
-    scaled bands share one ``StackPlan``, so the layer counts, scales and
-    shortcut parameters are derived once per instance.
+    scaled bands share one ``StackPlan``, so the layer scales and shortcut
+    parameters are derived once per instance.
 
-    With exact trees (q < 3 after the p/q overrides) every band is built: an
+    With exact trees (any q but 3, the default) every band is built: an
     ``EsTree`` per band, except that the bands with phi_i <= 1 are finer
     than the integer weights, with nothing to round.  They give way to one
     exact band over ``view`` itself, with no mirror (``mirrors[0] is None``),

@@ -151,8 +151,31 @@ MUTANTS = (
         (("        if least <= self._keys[node]:\n",
           "        if least == self._keys[node]:\n"),),
         ("tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]",
-         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks"),
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks",
+         "tests/test_layered.py::test_layered_state_machine::runTest"),
         "_settle sets a node's answer to its least band key even when that is lower",
+    ),
+    # -- the band mode and the shortcut keys --------------------------------------
+    Mutant(
+        "mode-layered-at-q2",
+        "src/decrsp/layered.py",
+        (("        self.mode = \"layered\" if q == 3 else \"exact\"\n",
+          "        self.mode = \"layered\" if q in (2, 3) else \"exact\"\n"),),
+        ("tests/test_layered.py::test_every_layer_count_but_three_builds_exact_bands_only[2]",),
+        "q = 2 selects a shortcut layer instead of exact trees",
+    ),
+    Mutant(
+        "leave-keeps-tree-key",
+        "src/decrsp/hopset.py",
+        (("        if tree.has_edge(key, ev.owner):\n"
+          "            sg._tree_delete(key, ev.owner)\n",
+          "        if False:\n"
+          "            sg._tree_delete(key, ev.owner)\n"),),
+        ("tests/test_hopset.py::test_rejoin_uses_fresh_generation_key",
+         "tests/test_hopset.py::test_full_deletion_battery_forty_nodes",
+         "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3]"),
+        "a LEAVE keeps the pair's shortcut key in the tree, so it still routes and a "
+        "rejoin reuses a live key",
     ),
     # -- the all-pairs tail table -------------------------------------------------
     Mutant(

@@ -457,7 +457,6 @@ class InvariantChecker:
                 self.ball_at_construction[u] = self.exact_ball(u, d)
                 assert set(system.scope(u)) <= self.ball_at_construction[u]
             members, est = system.membership(u)
-            assert members <= system.ever_members[u]
             assert members <= self.ball_at_construction[u]
             r = system.radius(u)
             for v in members:

@@ -390,6 +390,8 @@ CLI_REJECTIONS = {
     "p2q3-epsilon-tiny": (["sssp", "--epsilon", "1e-400", "--p", "2", "--q", "3"], 1,
                           "decrsp: error: eps too small for a layered stack: tree weights "
                           "pass the float range"),
+    "check-q3": (["check", "--q", "3"], 1,
+                 "decrsp: error: layered mode needs priority count p >= 2, got None"),
     "p3q4": (["sssp", "--p", "3", "--q", "4"], 1,
              "decrsp: error: layer count q=4 unsupported: q < 3 runs exact trees, "
              "q = 3 one shortcut layer"),

@@ -32,6 +32,7 @@ from decrsp.hopset import (
     integer_root_ceil,
     shortcut_process_update,
 )
+from decrsp.monotone_tree import DuplicateEdgeError
 from decrsp.sampling import sample_priorities
 
 from test_graph_core import graph_from_edges, random_graph
@@ -287,7 +288,7 @@ def test_weight_cap_excludes_heavy_edges():
     sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
     assert admitted(sg, ("G", 0, 1))
     assert not admitted(sg, ("G", 1, 2))
-    assert not admitted(sg, ("F", 0, 2, 0))
+    assert not admitted(sg, ("F", 0, 2))
     assert sg.query(2) == inf
 
 
@@ -304,7 +305,7 @@ def test_estimate_increase_below_grain_is_absorbed():
     ps = small_params(8)  # phi = 2/3
     balls = StubBalls({0: {0: 0, 2: 3}, 1: {1: 0}, 2: {2: 0}})
     sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
-    key = ("F", 0, 2, 0)
+    key = ("F", 0, 2)
     assert tree_weight(sg, key) == 5  # ceil(3 / (2/3))
     ops_before = sg.update_ops
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
@@ -318,6 +319,8 @@ def test_estimate_increase_below_grain_is_absorbed():
 
 
 def test_rejoin_uses_fresh_generation_key():
+    """A LEAVE deletes the pair's key, so a later JOIN starts a new lifetime
+    under the same key; a JOIN while the key is present is refused."""
     graph = path_graph(4)
     ps = small_params(8)  # phi = 2/3
     balls = StubBalls({u: {u: 0} for u in range(4)})
@@ -329,19 +332,23 @@ def test_rejoin_uses_fresh_generation_key():
     rec = graph.apply_update(UpdateEvent("increase", 2, 3, 2))
     out = shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 4)]))
     assert out == []
-    assert tree_weight(sg, ("F", 0, 3, 0)) == 6
+    assert tree_weight(sg, ("F", 0, 3)) == 6
     assert sg.query(3) == 4
 
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("leave", 0, 3)]))
-    assert not admitted(sg, ("F", 0, 3, 0))
+    assert not admitted(sg, ("F", 0, 3))
     assert sg.query(3) == Fraction(16, 3)  # level 8 via the base path
 
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 2))
     shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 6)]))
-    assert tree_weight(sg, ("F", 0, 3, 1)) == 9
+    assert tree_weight(sg, ("F", 0, 3)) == 9
     assert sg.query(3) == 6
     assert sg.edges_ever == base_edges + 2
+
+    rec = graph.apply_update(UpdateEvent("increase", 2, 3, 3))
+    with pytest.raises(DuplicateEdgeError):
+        shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 7)]))
 
 
 def test_base_increase_absorption_and_cap_escape():
@@ -432,6 +439,21 @@ def test_full_deletion_battery_forty_nodes():
     for seed in (3, 11):
         graph = random_graph(40, 90, 8, seed=seed)
         balls, params, sg = build_pipeline(graph, p=2, delta=4, depth=40, seed=seed)
+        # Weight increases per tree key since its last insertion: a
+        # shortcut key that left and rejoined starts a new lifetime.
+        increases, counts = {}, []
+        insert_edge, increase_edge = sg.tree.insert_edge, sg.tree.increase_edge
+
+        def counted_insert(key, u, v, w):
+            increases[key] = 0
+            insert_edge(key, u, v, w)
+
+        def counted_increase(key, u, w):
+            increases[key] = increases.get(key, 0) + 1
+            counts.append(increases[key])
+            increase_edge(key, u, w)
+
+        sg.tree.insert_edge, sg.tree.increase_edge = counted_insert, counted_increase
         rng = random.Random(seed * 7 + 1)
         prev_est = {v: sg.query(v) for v in graph.node_ids()}
         check_estimate_bounds(graph, params, sg, 0)
@@ -457,8 +479,7 @@ def test_full_deletion_battery_forty_nodes():
             assert sg.query(node) == (0 if node == 0 else inf)
         # journal reconciliation: every tree operation is accounted for
         cap_rounded = params.round_weight(params.weight_cap)
-        for key, count in sg.increase_counts.items():
-            assert count <= cap_rounded
+        assert max(counts, default=0) <= cap_rounded
         assert sg.tree.work_counter + sg.tree.edge_scans <= 8 * (
             sg.edges_ever * params.level_cap + sg.update_ops
         )

@@ -39,7 +39,6 @@ from decrsp.layered import (
     ScaledMirror,
     StackPlan,
     band_layout,
-    default_layer_counts,
     exact_band_depth,
     layer_scales,
 )
@@ -85,18 +84,6 @@ def delete_all_edges(graph, rng):
 # -- layer counts and scales --------------------------------------------------
 
 
-def test_default_layer_counts_collapse_at_desk_scale():
-    # 179^3 = 5_735_339 < 2400^2 = 5_760_000 <= 180^3 = 5_832_000 and the
-    # float formulas give p=1,q=1 at a million nodes: every realistic size
-    # lands in the exact-fallback regime.
-    assert default_layer_counts(10**6, Fraction(1, 2)) == (1, 1)
-    assert default_layer_counts(100, Fraction(1, 2)) == (0, 0)
-    assert default_layer_counts(3, Fraction(1, 2)) == (0, 0)
-    # log2(eps) comes from its numerator and denominator, so an eps below
-    # the float range still gives counts instead of dividing by zero.
-    assert default_layer_counts(100, Fraction(1, 10**400)) == (0, 0)
-
-
 def test_layered_stack_rejects_eps_whose_weights_pass_the_float_range():
     g = random_graph(6, 8, 7, seed=1)
     with pytest.raises(ParamConfigError, match="float range"):
@@ -138,8 +125,13 @@ def test_fraction_root_ceil_is_tight(num, den, q):
 
 def test_layered_mode_requires_two_priorities():
     g = random_graph(12, 20, 4, seed=1)
-    with pytest.raises(ParamConfigError, match="p >= 2"):
+    with pytest.raises(ParamConfigError, match="p >= 2, got 1"):
         StackPlan(g.node_count(), 50, Fraction(1, 2), q=3, p=1)
+    # q = 3 without p is a typed error, also through FullRangeSssp.
+    with pytest.raises(ParamConfigError, match="p >= 2, got None"):
+        StackPlan(g.node_count(), 50, Fraction(1, 2), q=3)
+    with pytest.raises(ParamConfigError, match="p >= 2, got None"):
+        FullRangeSssp(g, 0, Fraction(1, 2), q=3)
 
 
 def test_range_must_cover_node_count():
@@ -179,7 +171,7 @@ def test_eps_validation():
 
 def test_fallback_mode_is_exact_under_deletions():
     g = random_graph(20, 40, 4, seed=3)
-    plan = StackPlan(g.node_count(), 60, Fraction(1, 2))  # defaults: q=0
+    plan = StackPlan(g.node_count(), 60, Fraction(1, 2))  # no q: exact
     assert plan.mode == "exact" and plan.denominator == 1
     tree = EsTree(g, 0, ceil(plan.range_bound))
     assert tree.mode == "exact"
@@ -190,6 +182,26 @@ def test_fallback_mode_is_exact_under_deletions():
         for v in g.node_ids():
             d = dist.get(v, inf)
             assert tree.query(v) == (d if d <= 60 else inf)
+
+
+@pytest.mark.parametrize("q", [None, 0, 1, 2])
+def test_every_layer_count_but_three_builds_exact_bands_only(q):
+    # Exact bands whether or not p is given, with the answers of the
+    # default instance through a full drain.
+    g, twin = random_graph(16, 32, 64, seed=4), random_graph(16, 32, 64, seed=4)
+    default = FullRangeSssp(twin, 0, Fraction(1, 2))
+    for p in (None, 4):
+        plan = StackPlan(g.node_count(), 60, Fraction(1, 2), p=p, q=q)
+        assert plan.mode == "exact" and plan.denominator == 1
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=q)
+    assert full.plan.mode == "exact"
+    assert all(band.mode == "exact" for band in full.stacks)
+    assert len(full.stacks) > 1
+    rng = random.Random(4)
+    for rec in delete_all_edges(g, rng):
+        twin_rec = twin.apply_update(UpdateEvent("delete", rec.u, rec.v))
+        assert full.process_update(rec) == default.process_update(twin_rec)
+    assert full.stats() == default.stats()
 
 
 # -- layered mode against the oracle ------------------------------------------
@@ -666,9 +678,15 @@ class LayeredMachine(RuleBasedStateMachine):
     ``_next_band``, and a band leaves it only once it holds the source
     alone.  After it, every query and update raises
     ``UpdateError`` and the graph stays as it is.  ``late_examples`` counts
-    the examples in which a band was built late."""
+    the examples in which an update built a band late, ``clamp_examples``
+    those in which a band built late undercut an answer, so that the clamp
+    kept it.  A fresh band undercuts where its exact lower tree reaches a
+    node that the run reaches only through rounded shortcuts, most often
+    before deletions have spread the distances, so ``build_band_late``
+    may fire from the first step."""
 
     late_examples = 0
+    clamp_examples = 0
 
     @initialize(n=st.integers(8, 12), w_max=st.integers(1, 16), p=st.sampled_from([2, 3]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -683,6 +701,7 @@ class LayeredMachine(RuleBasedStateMachine):
         self.queries = 0
         self.updates = 0
         self.forced = 0  # bands built by ``build_band_late``
+        self.clamped = False  # whether some answer lay above its least band answer
         self.poisoned = False
         self.bands = list(self.full.stacks)
         self.answers = self.read_answers()
@@ -751,7 +770,7 @@ class LayeredMachine(RuleBasedStateMachine):
             self.apply(UpdateEvent("delete", edge[0], edge[1]))
         self.poisoned = True
 
-    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
+    @precondition(lambda self: not self.poisoned)
     @rule()
     def build_band_late(self):
         """Build the next band above the run now, as an update does for a
@@ -796,7 +815,9 @@ class LayeredMachine(RuleBasedStateMachine):
         dist = dijkstra_bounded(self.graph, self.full.source, inf)
         bound = 1 + self.full.eps
         for v, est in answers.items():
-            assert est == max(self.answers[v], least_band_answer(self.full, v))
+            least = least_band_answer(self.full, v)
+            assert est == max(self.answers[v], least)
+            self.clamped |= est > least
             d = dist.get(v, inf)
             assert est == d == inf or d <= est <= bound * d
         self.answers = answers
@@ -804,6 +825,7 @@ class LayeredMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.full.stats()["bands_built_late"] > self.forced:
             LayeredMachine.late_examples += 1
+        LayeredMachine.clamp_examples += self.clamped
 
 
 class test_layered_state_machine(LayeredMachine.TestCase):  # named as the suite knows it
@@ -811,9 +833,10 @@ class test_layered_state_machine(LayeredMachine.TestCase):  # named as the suite
                         deadline=None)
 
     def runTest(self):
-        LayeredMachine.late_examples = 0
+        LayeredMachine.late_examples = LayeredMachine.clamp_examples = 0
         super().runTest()
         assert LayeredMachine.late_examples > 0, "no example built a band late"
+        assert LayeredMachine.clamp_examples > 0, "no example reached a binding clamp"
 
 
 def test_layered_drain_builds_bands_late_under_debug_checks():

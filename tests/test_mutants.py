@@ -18,5 +18,9 @@ def test_every_mutant_applies_once_and_names_tests_that_exist():
         assert mutated_text(mutant) != text
         assert mutant.tests, mutant.name
         for test in mutant.tests:
-            path, name = re.fullmatch(r"([\w/]+\.py)::(\w+)(\[[\w-]+\])?", test).group(1, 2)
-            assert "\ndef %s(" % name in (ROOT / path).read_text(), (mutant.name, test)
+            # A test function, or the runTest of a state machine's TestCase class.
+            path, name = re.fullmatch(r"([\w/]+\.py)::(\w+)(::runTest|\[[\w-]+\])?",
+                                      test).group(1, 2)
+            source = (ROOT / path).read_text()
+            assert "\ndef %s(" % name in source or "\nclass %s(" % name in source, \
+                (mutant.name, test)
