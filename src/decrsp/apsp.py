@@ -79,13 +79,14 @@ class ApspState:
         # The factory lives in ``self.balls``; capturing ``self`` would make
         # every state a reference cycle that only the cyclic GC reclaims.
         # Every contract draws a seed, so a FullRangeSssp gets the same seed
-        # whichever contracts before it were bare trees.
-        def factory(view, root, depth):
+        # whichever contracts before it were bare trees.  A bare tree takes
+        # a ball's scope search as its levels.
+        def factory(view, root, depth, levels):
             seed = next(counter)
             exact = exact_band_depth(view.node_count(), view.max_weight, eps_run)
             if exact is None:
                 return FullRangeSssp(view, root, eps_run, seed=seed)
-            return EsTree(view, root, exact)
+            return EsTree(view, root, exact, levels)
 
         horizon = graph.node_count() * graph.max_weight
         self.balls = BallSystem(

@@ -7,13 +7,15 @@ read through ``query`` and never copied, and after an update only the nodes
 the watchers report as changed get their radius recomputed, in sorted order.
 The watched value is bucketed on a (1 + eps) scale, at most ``MAX_BUCKETS``
 buckets over n*W; the bucket determines a search radius ``r(u)``, read from a
-per-system table of bucket powers and radii.  Whenever the radius grows, the
-node's *scope* ``R(u)`` (all nodes within the radius, found by bounded
-Dijkstra on the current graph) is frozen anew, copied into an
+table of bucket powers and radii that every system with the same bucket eps,
+alpha and depth shares.  Whenever the radius grows, the node's *scope*
+``R(u)`` (all nodes within the radius, found by bounded Dijkstra on the
+current graph) is frozen anew, copied into an
 :class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
-started on that snapshot.  The ball ``B(u)`` consists of the scope members
-whose clamped estimate stays under ``alpha * depth``; the test runs in
-integers.
+started on that snapshot, seeded from the scope search: a shortest path to a
+scope node runs inside the scope, so the search's distances are exact on the
+snapshot.  The ball ``B(u)`` consists of the scope members whose clamped
+estimate stays under ``alpha * depth``; the test runs in integers.
 
 An update touches only the balls it can change.  A ``member -> owners`` index,
 kept in step by every scope rebuild, routes a change on edge (x, y) to the
@@ -28,10 +30,14 @@ against the running maximum.  All membership changes are journaled as JOIN /
 LEAVE / EST events, sorted by (owner, member, kind), so downstream shortcut
 graphs can replay them deterministically.
 
-The contract factory must return objects exposing ``query(node)`` and
+The contract factory is called as ``factory(view, root, depth, levels)``
+and must return objects exposing ``query(node)`` and
 ``process_update(record) -> [(node, new_estimate)]`` whose estimates never
 underestimate true distances in the supplied view and never decrease, such
 as an ``EsTree`` or a ``FullRangeSssp`` (``ApspState`` picks one per view).
+``levels`` is None for a set watcher; for a ball it is the scope search,
+``{node: exact distance from root}`` over every node of the snapshot, which
+an exact tree may take as its levels instead of searching again.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 from .graph import ArtificialSourceView, InducedSnapshot, ParamConfigError, dijkstra_bounded
@@ -48,6 +55,17 @@ JOIN, LEAVE, EST = "join", "leave", "est"
 # step one bucket at a time, so a tiny bucket eps is rejected up front.
 MAX_BUCKETS = 4096
 _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
+
+
+@lru_cache(maxsize=64, typed=True)
+def _bucket_table(eps, alpha, depth):
+    """The bucket table of every ball system at these parameters, shared:
+    bucket j reaches (1+eps)^j, kept as a (numerator, denominator) pair so
+    the bucket walk compares in integers, beside its radius min(power /
+    alpha, depth).  Both lists grow in step on demand, one entry past the
+    largest bucket any node has reached; every entry is a pure function of
+    the key, so a system may extend the lists another one reads."""
+    return [(1, 1)], [min(1 / alpha, depth)]
 
 
 @dataclass(frozen=True)
@@ -97,11 +115,7 @@ class BallSystem:
                 % (MAX_BUCKETS, span)
             )
         self._growth = 1 + self.eps
-        # Bucket j reaches (1+eps)^j, kept as a (numerator, denominator) pair
-        # so the bucket walk compares in integers; both tables grow on demand,
-        # one entry past the largest bucket any node has reached.
-        self._powers = [(1, 1)]
-        self._radii = [self._radius_of(Fraction(1))]
+        self._powers, self._radii = _bucket_table(self.eps, self.alpha, depth)
         # Membership is val <= threshold = num / den, decided in integers.
         self.threshold = self.alpha * depth
         bound = Fraction(self.threshold)
@@ -114,7 +128,7 @@ class BallSystem:
             members = assignment.level_sets[i]
             if members:
                 art = ArtificialSourceView(view, members)
-                self._set_inst[i] = contract_factory(art, art.source_id, depth)
+                self._set_inst[i] = contract_factory(art, art.source_id, depth, None)
         # Per-node ball state.
         self._bucket = {}  # node -> bucket index j reached so far
         self._radius = {}
@@ -197,7 +211,8 @@ class BallSystem:
     # -- scope (re)construction -------------------------------------------------
 
     def _build_scope(self, u, new_radius, record):
-        """Freeze a new scope for u and start a fresh inner instance.
+        """Freeze a new scope for u and start a fresh inner instance, seeded
+        from the scope search.
 
         Emits JOIN / LEAVE / EST diffs against the previous ball into
         ``record`` (a list) when given.
@@ -205,7 +220,8 @@ class BallSystem:
         self._radius[u] = new_radius
         self.rebuild_counts[u] += 1
         # Weights are ints, so floor(radius) bounds the same scope in ints.
-        scope = frozenset(dijkstra_bounded(self.view, u, math.floor(new_radius)))
+        dist = dijkstra_bounded(self.view, u, math.floor(new_radius))
+        scope = frozenset(dist)
         owners = self._owners
         for v in self._scope.get(u, ()):
             owners[v].discard(u)
@@ -215,7 +231,7 @@ class BallSystem:
         snapshot = inner = None
         if len(scope) > 1:
             snapshot = InducedSnapshot(self.view, scope)
-            inner = self.factory(snapshot, u, self.depth)
+            inner = self.factory(snapshot, u, self.depth, dist)
         self._snapshot[u] = snapshot
         self._inner[u] = inner
         history = self._est[u]

@@ -8,12 +8,15 @@ increases levels never decrease, so repair work amortizes against total
 level movement; ``work_counter`` counts adjacency reads (edge scans) made
 during repair and is bounded by O(m * depth) overall.
 
-The tree keeps no parent pointers: a build is one bounded Dijkstra, and the
-levels alone say which nodes lean on which.  An edge (x, y) is *tight* for x
-when ``level(x) == level(y) + w``.  A changed edge can only matter to an
-endpoint for which it was tight before the change (read with the record's
-old weight), so only those endpoints become pending; a change on any other
-edge costs no scan at all.  Each popped node gets one adjacency scan, which
+The tree keeps no parent pointers: the levels alone say which nodes lean on
+which.  A build is one bounded Dijkstra, or none when the caller passes
+``levels`` holding the exact distance of every node within the depth bound:
+a ball passes its scope search, which is exact on the snapshot induced on
+its scope.  An edge (x, y) is *tight* for x when
+``level(x) == level(y) + w``.  A changed edge can only matter to an endpoint
+for which it was tight before the change (read with the record's old
+weight), so only those endpoints become pending; a change on any other edge
+costs no scan at all.  Each popped node gets one adjacency scan, which
 yields both its new level (the minimum over its neighbours) and its tight
 dependents (neighbours ``t`` with ``level(t) == old level + w``).  If its
 level rose, those dependents are pushed, each at most once while queued.
@@ -39,7 +42,7 @@ class EsTree:
     # all finer than the weights is a bare EsTree, in no ``stacks``.
     mode = "exact"
 
-    def __init__(self, view, root, depth):
+    def __init__(self, view, root, depth, levels=None):
         self.view = view
         self.root = root
         # No finite distance can exceed (node count - 1) * max weight, so the
@@ -47,7 +50,10 @@ class EsTree:
         finite_cap = max(0, view.node_count() - 1) * view.max_weight
         self.depth = min(depth, finite_cap)
         # node -> exact distance; absent means above depth / cut off
-        self.level = dijkstra_bounded(view, root, self.depth)
+        if levels is None:
+            self.level = dijkstra_bounded(view, root, self.depth)
+        else:
+            self.level = {v: d for v, d in levels.items() if d <= self.depth}
         self.work_counter = 0
 
     # -- reads --------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import inf
 
 
 class GraphFormatError(ValueError):
@@ -345,15 +346,17 @@ def dijkstra_bounded(view, source, bound):
     """Exact distances from node ``source`` up to and including ``bound``.
 
     Returns {node: distance} containing only nodes whose distance is <= bound.
-    Nodes are never enqueued with a tentative distance above the bound, so the
-    cost is proportional to the explored region only.  Distance to a node set
-    is distance from the virtual source of an :class:`ArtificialSourceView`.
+    A node is enqueued only when its tentative distance improves and stays
+    within the bound, so the cost is proportional to the explored region
+    only.  Distance to a node set is distance from the virtual source of an
+    :class:`ArtificialSourceView`.
     """
     if not view.has_node(source):
         raise ParamConfigError("source %r outside view" % (source,))
     dist = {}
     if bound < 0:
         return dist
+    tentative = {source: 0}  # settled nodes keep their distance, so never improve
     heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -361,9 +364,8 @@ def dijkstra_bounded(view, source, bound):
             continue
         dist[u] = d
         for v, w in view.neighbors(u):
-            if v in dist:
-                continue
             nd = d + w
-            if nd <= bound:
+            if nd <= bound and nd < tentative.get(v, inf):
+                tentative[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist

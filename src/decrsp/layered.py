@@ -170,7 +170,8 @@ class LayerAssembly:
 class ScaledMirror(AdjacencyGraph):
     """A rounded, scaled copy of a graph view for one distance band.
 
-    Every weight is ``ceil(w / phi)``.  The mirror keeps the view's node ids
+    Every weight is ``ceil(w / phi)``, and each row lists the view's
+    neighbours in the view's order.  The mirror keeps the view's node ids
     (subgraph views keep their original labels) and allows zero weights (the
     virtual attachment edges of a distance-to-set view scale to zero).  It
     changes only through ``translate``, so its edges are only ever deleted
@@ -182,10 +183,12 @@ class ScaledMirror(AdjacencyGraph):
         self._num = self.phi.numerator
         self._den = self.phi.denominator
         super().__init__(self.scale(view.max_weight), view.node_ids())
-        for u, v, w in view.edges():
-            w = self.scale(w)
-            self._adj.setdefault(u, {})[v] = w
-            self._adj.setdefault(v, {})[u] = w
+        num, den = self._num, self._den
+        for u in self._ids:
+            # ``scale`` inlined: a build makes no method call per edge.
+            row = {v: -(-w * den // num) for v, w in view.neighbors(u)}
+            if row:
+                self._adj[u] = row
 
     def scale(self, weight):
         """ceil(weight / phi) for an integer weight, in integer arithmetic."""

@@ -177,6 +177,45 @@ MUTANTS = (
         "a LEAVE keeps the pair's shortcut key in the tree, so it still routes and a "
         "rejoin reuses a live key",
     ),
+    # -- ball builds: the seeded inner trees and the shared bucket tables --------
+    Mutant(
+        "seeded-tree-from-a-shorter-search",
+        "src/decrsp/balls.py",
+        (("            inner = self.factory(snapshot, u, self.depth, dist)\n",
+          "            inner = self.factory(snapshot, u, self.depth,\n"
+          "                                 dijkstra_bounded(self.view, u, math.floor(new_radius) - 1))\n"),),
+        ("tests/test_balls.py::test_properties_hold_after_every_update[3-declared0]",
+         "tests/test_balls.py::test_properties_hold_after_every_update[11-declared1]",
+         "tests/test_apsp.py::test_apsp_state_machine::runTest"),
+        "a ball's inner tree is seeded from a search bounded one below the scope "
+        "radius, so the scope's outermost nodes start at inf",
+    ),
+    Mutant(
+        "bucket-table-keyed-without-alpha",
+        "src/decrsp/balls.py",
+        (("@lru_cache(maxsize=64, typed=True)\n"
+          "def _bucket_table(eps, alpha, depth):\n",
+          "def _bucket_table(eps, alpha, depth, _tables={}):\n"
+          "    if (eps, depth) not in _tables:\n"
+          "        _tables[eps, depth] = _fresh_table(eps, alpha, depth)\n"
+          "    return _tables[eps, depth]\n\n\n"
+          "def _fresh_table(eps, alpha, depth):\n"),),
+        ("tests/test_balls.py::test_systems_built_in_turn_share_no_wrong_bucket_table[alpha]",),
+        "ball systems that differ only in alpha share one bucket table",
+    ),
+    Mutant(
+        "bucket-table-keyed-without-depth",
+        "src/decrsp/balls.py",
+        (("@lru_cache(maxsize=64, typed=True)\n"
+          "def _bucket_table(eps, alpha, depth):\n",
+          "def _bucket_table(eps, alpha, depth, _tables={}):\n"
+          "    if (eps, alpha) not in _tables:\n"
+          "        _tables[eps, alpha] = _fresh_table(eps, alpha, depth)\n"
+          "    return _tables[eps, alpha]\n\n\n"
+          "def _fresh_table(eps, alpha, depth):\n"),),
+        ("tests/test_balls.py::test_systems_built_in_turn_share_no_wrong_bucket_table[depth]",),
+        "ball systems that differ only in depth share one bucket table",
+    ),
     # -- the all-pairs tail table -------------------------------------------------
     Mutant(
         "refresh-at-any-priority",
@@ -256,7 +295,8 @@ def surviving_tests(mutant):
         (copy / mutant.path).write_text(mutated_text(mutant, copy))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True)
     failed = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
     return [test for test in mutant.tests if test not in failed]

@@ -15,7 +15,7 @@ from math import inf
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import note, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -878,10 +878,20 @@ class ApspMachine(RuleBasedStateMachine):
     """Deletes, increases, rejected updates, shuffled query sweeps and
     injected faults on a small graph.  Until a fault fires, after every step
     each answer is the fresh witness-chain recursion clamped to the pair's
-    previous answer, sound and in bound; once one has fired, every query and
-    update raises ``UpdateError`` and the graph stays as it is."""
+    previous answer, sound and in bound, and each ball's inner exact tree,
+    seeded from its scope search, holds the bounded Dijkstra levels on its
+    snapshot; once one has fired, every query and update raises
+    ``UpdateError`` and the graph stays as it is.  ``fault`` injects at
+    ``site``; ``runTest`` runs the same derandomized examples once per site.
+    ``rebuild_examples`` counts the examples in which an update rebuilt a
+    ball scope, and ``poisoned_sites`` those in which each site poisoned the
+    state, so that ``runTest`` fails if the draws stop reaching them."""
 
     EPS = Fraction(1, 2)
+    SITES = ("balls", "fold", "watcher", "inner")
+    site = SITES[0]
+    rebuild_examples = 0
+    poisoned_sites = {}
 
     @initialize(k=st.sampled_from([2, 3]), n=st.integers(8, 12), w_max=st.integers(1, 16),
                 seed=st.integers(0, 1000))
@@ -895,6 +905,8 @@ class ApspMachine(RuleBasedStateMachine):
         self.last = {}
         self.updates = 0
         self.poisoned = False
+        self.rebuilt = False  # whether an update rebuilt a ball scope
+        self.poisoned_at = None  # the fault site that poisoned the state
 
     def pick(self, index, weight_below=None):
         edges = [e for e in self.graph.edges() if weight_below is None or e[2] < weight_below]
@@ -904,7 +916,9 @@ class ApspMachine(RuleBasedStateMachine):
         if self.poisoned:
             refuse_while_poisoned(self.state.process_update, self.graph, event)
             return
+        rebuilds = self.state.stats()["ball_rebuilds"]
         self.state.process_update(event)
+        self.rebuilt |= self.state.stats()["ball_rebuilds"] > rebuilds
         self.updates += 1
 
     @rule(index=st.integers(0, 10**6))
@@ -939,20 +953,21 @@ class ApspMachine(RuleBasedStateMachine):
             self.state.process_update(bad)
         assert self.state._tails == tails
 
-    @precondition(lambda self: self.updates >= 6 and not self.poisoned)
-    @rule(index=st.integers(0, 10**6),
-          site=st.sampled_from(["balls", "fold", "watcher", "inner"]))
-    def fault(self, index, site):
-        """A delete in which one structure inside the state raises once: the
-        ball system on entry, its second fold of an inner change, the exact
-        tree of a set watcher, or that of the inner instance of a ball whose
+    @precondition(lambda self: self.updates >= 3 and not self.poisoned)
+    @rule(index=st.integers(0, 10**6))
+    def fault(self, index):
+        """A delete in which the structure at ``site`` raises once: the ball
+        system on entry, its second fold of an inner change, the exact tree
+        of a set watcher, or that of the inner instance of a ball whose
         scope holds the edge (``contract_tree``).  The state is poisoned if
         it raised."""
-        edge = self.pick(index)
-        if edge is None:
+        balls, site = self.state.balls, self.site
+        edges = list(self.graph.edges())
+        if site == "inner":  # an edge that some ball's scope holds
+            edges = [e for e in edges if balls._owners[e[0]] & balls._owners[e[1]]]
+        if not edges:
             return
-        a, b, _ = edge
-        balls = self.state.balls
+        a, b, _ = edges[index % len(edges)]
         owner, name, at = balls, "process_update", 1
         if site == "fold":
             name, at = "_fold_inner", 2
@@ -960,14 +975,17 @@ class ApspMachine(RuleBasedStateMachine):
             owner = contract_tree(balls._set_inst[min(balls._set_inst)])
         elif site == "inner":
             holders = sorted(balls._owners[a] & balls._owners[b])
-            if holders:
-                owner = contract_tree(balls._inner[holders[index % len(holders)]])
+            owner = contract_tree(balls._inner[holders[index % len(holders)]])
+        if owner is balls and name == "process_update":
+            site = "balls"  # a watcher site with no set watcher
+        note("fault site: %s" % site)
         self.counters = self.state.stats()
         with fault_in(owner, name, at) as calls:
             try:
                 self.state.process_update(UpdateEvent("delete", a, b))
             except InjectedFault:
                 self.poisoned = True
+                self.poisoned_at = site
         assert self.poisoned == (len(calls) >= at)
 
     @rule(shuffle=st.randoms(use_true_random=False))
@@ -997,9 +1015,30 @@ class ApspMachine(RuleBasedStateMachine):
             assert est >= d
             assert est == d == inf or est <= self.bound * d
             self.last[(u, v)] = est
+        balls = self.state.balls
+        for owner, inner in balls._inner.items():
+            if isinstance(inner, EsTree):
+                assert inner.level == dijkstra_bounded(balls._snapshot[owner], owner, inner.depth)
+
+    def teardown(self):
+        ApspMachine.rebuild_examples += self.rebuilt
+        if self.poisoned_at is not None:
+            ApspMachine.poisoned_sites[self.poisoned_at] += 1
 
 
-ApspMachine.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=15, derandomize=True, deadline=None
-)
-test_apsp_state_machine = ApspMachine.TestCase
+class test_apsp_state_machine(ApspMachine.TestCase):  # named as the suite knows it
+    settings = settings(max_examples=30, stateful_step_count=15, derandomize=True,
+                        deadline=None)
+
+    def runTest(self):
+        ApspMachine.rebuild_examples = 0
+        ApspMachine.poisoned_sites = dict.fromkeys(ApspMachine.SITES, 0)
+        try:
+            for site in ApspMachine.SITES:
+                ApspMachine.site = site
+                super().runTest()
+        finally:
+            ApspMachine.site = ApspMachine.SITES[0]
+        assert ApspMachine.rebuild_examples > 0, "no update rebuilt a ball scope"
+        for site, count in ApspMachine.poisoned_sites.items():
+            assert count > 0, "no fault at the %s site poisoned the state" % site

@@ -7,6 +7,10 @@ recomputes true distances, exact balls, and witness bounds from scratch with
 Dijkstra after every change.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
 
@@ -117,6 +121,63 @@ def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
         assert system._current_radius(0) == want  # from the last value's bucket
         system._bucket.pop(0, None)
         assert system._current_radius(0) == want  # from bucket 0
+
+
+def radius_trace(alpha, depth, bucket_eps):
+    """Every node's radius after the build and after each of ten deletions,
+    as strings, for a ball system at these parameters (given as strings).
+    The set watchers report three times their exact levels, beyond alpha,
+    so that a watched value can reach a bucket whose power the depth caps."""
+
+    def factory(view, root, depth, levels):
+        return InflatingEsTree(view, root, depth, levels, 3 if levels is None else 1)
+
+    graph = random_graph(16, 30, 4, seed=41)
+    system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 41), factory,
+                        alpha=Fraction(alpha), depth=int(depth),
+                        bucket_eps=Fraction(bucket_eps))
+    edges = sorted(graph.edges())
+    trace = [[str(system.radius(u)) for u in graph.node_ids()]]
+    for u, v, _ in edges[::3]:
+        system.process_update(graph.apply_update(UpdateEvent("delete", u, v)))
+        trace.append([str(system.radius(u)) for u in graph.node_ids()])
+    return trace
+
+
+TRACE_BASE = ("1", "8", "1")  # alpha, depth, bucket eps
+TRACE_VARIANTS = {"alpha": ("3/2", "8", "1"), "depth": ("1", "5", "1"),
+                  "bucket_eps": ("1", "8", "1/2")}
+
+
+@pytest.fixture(scope="module")
+def radius_traces_alone():
+    """``radius_trace`` of the base parameters and of each variant, each
+    computed in a fresh process, so that no bucket table is shared."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(tests), "src"), tests]))
+    code = ("import json, sys; from test_balls import radius_trace; "
+            "print(json.dumps(radius_trace(*sys.argv[1:])))")
+    params = [TRACE_BASE, *TRACE_VARIANTS.values()]
+    runs = [subprocess.Popen([sys.executable, "-c", code, *p], cwd=tests, env=env,
+                             stdout=subprocess.PIPE, text=True) for p in params]
+    out = {}
+    for p, run in zip(params, runs):
+        stdout, _ = run.communicate(timeout=120)
+        assert run.returncode == 0, p
+        out[p] = json.loads(stdout)
+    return out
+
+
+@pytest.mark.parametrize("variant", TRACE_VARIANTS.values(), ids=TRACE_VARIANTS.keys())
+def test_systems_built_in_turn_share_no_wrong_bucket_table(radius_traces_alone, variant):
+    # Systems with equal (bucket eps, alpha, depth) share one bucket table;
+    # two that differ in one of them must each see the radii of its own.
+    first = radius_trace(*TRACE_BASE)
+    second = radius_trace(*variant)
+    assert first == radius_traces_alone[TRACE_BASE]
+    assert second == radius_traces_alone[variant]
+    assert first != second
 
 
 @given(
@@ -326,8 +387,8 @@ class InflatingEsTree:
     Satisfies the contract for any declared slack covering the factor; lets
     tests force a later rebuild to report *smaller* raw values."""
 
-    def __init__(self, view, source, depth, factor):
-        self._tree = EsTree(view, source, depth)
+    def __init__(self, view, source, depth, levels, factor):
+        self._tree = EsTree(view, source, depth, levels)
         self._factor = Fraction(factor)
 
     def _scale(self, val):
@@ -345,13 +406,13 @@ def test_rebuild_clamps_estimates_against_history():
     assignment = manual_assignment(4, 2, [{3}])
     seen_zero = []
 
-    def factory(view, source, depth):
+    def factory(view, source, depth, levels):
         # First instance rooted at node 0 inflates by 5/4; everything else
         # (watchers, other balls, the rebuild of ball 0) reports exactly.
         if source == 0 and not seen_zero:
             seen_zero.append(True)
-            return InflatingEsTree(view, source, depth, Fraction(5, 4))
-        return EsTree(view, source, depth)
+            return InflatingEsTree(view, source, depth, levels, Fraction(5, 4))
+        return EsTree(view, source, depth, levels)
 
     system = BallSystem(graph, assignment, factory, alpha=Fraction(5, 4),
                         depth=10, bucket_eps=1)
@@ -402,6 +463,9 @@ def replay_journal(snapshot, changesets):
 
 class InvariantChecker:
     """Re-derives every checkable ball property from scratch after an update.
+
+    Each ball's inner exact tree, seeded from its scope search at the last
+    rebuild, must hold the bounded Dijkstra levels on its snapshot.
 
     Containment and the estimate upper bound are frozen-scope properties: a
     scope is a snapshot, so they are asserted against the exact ball at the
@@ -456,6 +520,10 @@ class InvariantChecker:
                 self.seen_rebuilds[u] = system.rebuild_counts[u]
                 self.ball_at_construction[u] = self.exact_ball(u, d)
                 assert set(system.scope(u)) <= self.ball_at_construction[u]
+            inner = system._inner[u]
+            if inner is not None:
+                tree = getattr(inner, "_tree", inner)  # an InflatingEsTree's exact tree
+                assert tree.level == dijkstra_bounded(system._snapshot[u], u, tree.depth)
             members, est = system.membership(u)
             assert members <= self.ball_at_construction[u]
             r = system.radius(u)
@@ -485,7 +553,8 @@ def test_properties_hold_after_every_update(declared, seed):
     graph = random_graph(n, m, 4, seed=seed)
     system = BallSystem(
         graph, sample_priorities(graph, 3, 2.0, seed * 5 + 1),
-        (lambda view, source, depth: InflatingEsTree(view, source, depth, inflate))
+        (lambda view, source, depth, levels: InflatingEsTree(view, source, depth, levels,
+                                                             inflate))
         if inflate else EsTree,
         alpha=alpha, depth=8, bucket_eps=1,
     )

@@ -240,7 +240,13 @@ class EsMachine(RuleBasedStateMachine):
     cost one read each, and after it every query and update of the
     full-range instance raises ``UpdateError`` and the graph stays as it is.
     A band leaves the full-range instance only once it holds the source
-    alone."""
+    alone.  ``cut_examples`` counts the examples in which a repair cut a node
+    to inf, ``poisoned_examples`` those in which the fault poisoned the
+    instance, so that ``runTest`` fails if a derandomized draw stops
+    reaching them."""
+
+    cut_examples = 0
+    poisoned_examples = 0
 
     @initialize(n=st.integers(3, 12), w_max=st.integers(1, 16), depth=st.sampled_from([3, 8, inf]),
                 eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -255,6 +261,7 @@ class EsMachine(RuleBasedStateMachine):
         self.queries = 0
         self.updates = 0
         self.poisoned = False
+        self.cut = False  # whether a repair cut a node to inf
         self.levels = {t: dict(t.level) for t in self.all_trees()}
         self.bands = list(self.full.stacks)
         self.answers = self.read_answers()
@@ -281,6 +288,7 @@ class EsMachine(RuleBasedStateMachine):
             moved = sorted(v for v in set(before) | set(t.level)
                            if before.get(v, inf) != t.query(v))
             assert changes == [(v, t.query(v)) for v in moved]
+            self.cut |= any(level == inf for _, level in changes)
         changes = self.full.process_update(rec)
         self.updates += 1
         answers = self.read_answers()
@@ -369,8 +377,17 @@ class EsMachine(RuleBasedStateMachine):
             assert est == d == inf or d <= est <= bound * d
         self.answers = answers
 
+    def teardown(self):
+        EsMachine.cut_examples += self.cut
+        EsMachine.poisoned_examples += self.poisoned
 
-EsMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=20, derandomize=True, deadline=None
-)
-test_es_state_machine = EsMachine.TestCase
+
+class test_es_state_machine(EsMachine.TestCase):  # named as the suite knows it
+    settings = settings(max_examples=60, stateful_step_count=20, derandomize=True,
+                        deadline=None)
+
+    def runTest(self):
+        EsMachine.cut_examples = EsMachine.poisoned_examples = 0
+        super().runTest()
+        assert EsMachine.cut_examples > 0, "no repair cut a node to inf"
+        assert EsMachine.poisoned_examples > 0, "no fault poisoned the instance"
