@@ -7,10 +7,9 @@ read through ``query`` and never copied, and after an update only the nodes
 the watchers report as changed get their radius recomputed, in sorted order.
 The watched value is bucketed on a (1 + eps) scale, at most ``MAX_BUCKETS``
 buckets over n*W; the bucket determines a search radius ``r(u)``, read from a
-table of bucket powers and radii that every system with the same bucket eps,
-alpha and depth shares.  Whenever the radius grows, the node's *scope*
-``R(u)`` (all nodes within the radius, found by bounded Dijkstra on the
-current graph) is frozen anew, copied into an
+per-system table of bucket powers and radii.  Whenever the radius grows, the
+node's *scope* ``R(u)`` (all nodes within the radius, found by bounded
+Dijkstra on the current graph) is frozen anew, copied into an
 :class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
 started on that snapshot, seeded from the scope search: a shortest path to a
 scope node runs inside the scope, so the search's distances are exact on the
@@ -45,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import inf
 
 from .graph import ArtificialSourceView, InducedSnapshot, ParamConfigError, dijkstra_bounded
@@ -55,17 +53,6 @@ JOIN, LEAVE, EST = "join", "leave", "est"
 # step one bucket at a time, so a tiny bucket eps is rejected up front.
 MAX_BUCKETS = 4096
 _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
-
-
-@lru_cache(maxsize=64, typed=True)
-def _bucket_table(eps, alpha, depth):
-    """The bucket table of every ball system at these parameters, shared:
-    bucket j reaches (1+eps)^j, kept as a (numerator, denominator) pair so
-    the bucket walk compares in integers, beside its radius min(power /
-    alpha, depth).  Both lists grow in step on demand, one entry past the
-    largest bucket any node has reached; every entry is a pure function of
-    the key, so a system may extend the lists another one reads."""
-    return [(1, 1)], [min(1 / alpha, depth)]
 
 
 @dataclass(frozen=True)
@@ -114,8 +101,15 @@ class BallSystem:
                 "bucket eps too small: more than %d buckets to cover n*W=%d"
                 % (MAX_BUCKETS, span)
             )
-        self._growth = 1 + self.eps
-        self._powers, self._radii = _bucket_table(self.eps, self.alpha, depth)
+        self._growth = (1 + self.eps).as_integer_ratio()
+        # Bucket j reaches (1+eps)^j, kept as a (numerator, denominator) pair
+        # so the bucket walk compares in integers; as 1 + eps is in lowest terms,
+        # so are its powers, and each pair is the last one times its ratio.
+        # The powers grow on demand, one entry past the largest bucket any
+        # node has reached; a bucket's radius is computed when a node first
+        # lands in it.
+        self._powers = [(1, 1)]
+        self._radii = {}
         # Membership is val <= threshold = num / den, decided in integers.
         self.threshold = self.alpha * depth
         bound = Fraction(self.threshold)
@@ -167,18 +161,17 @@ class BallSystem:
         j = self._bucket.get(u, 0)
         while True:
             if j + 1 == len(powers):
-                power = Fraction(*powers[j]) * self._growth
-                powers.append((power.numerator, power.denominator))
-                self._radii.append(self._radius_of(power))
+                (p_num, p_den), (g_num, g_den) = powers[j], self._growth
+                powers.append((p_num * g_num, p_den * g_den))
             p_num, p_den = powers[j + 1]
             if p_num * den > x_num * p_den:
                 break
             j += 1
         self._bucket[u] = j
-        return self._radii[j]
-
-    def _radius_of(self, power):
-        return min(power / self.alpha, self.depth)
+        radius = self._radii.get(j)
+        if radius is None:
+            radius = self._radii[j] = min(Fraction(*powers[j]) / self.alpha, self.depth)
+        return radius
 
     def radius(self, u):
         return self._radius[u]

@@ -183,10 +183,8 @@ class ScaledMirror(AdjacencyGraph):
         self._num = self.phi.numerator
         self._den = self.phi.denominator
         super().__init__(self.scale(view.max_weight), view.node_ids())
-        num, den = self._num, self._den
         for u in self._ids:
-            # ``scale`` inlined: a build makes no method call per edge.
-            row = {v: -(-w * den // num) for v, w in view.neighbors(u)}
+            row = {v: self.scale(w) for v, w in view.neighbors(u)}
             if row:
                 self._adj[u] = row
 

@@ -177,7 +177,7 @@ MUTANTS = (
         "a LEAVE keeps the pair's shortcut key in the tree, so it still routes and a "
         "rejoin reuses a live key",
     ),
-    # -- ball builds: the seeded inner trees and the shared bucket tables --------
+    # -- ball builds: the seeded inner trees and the bucket table ----------------
     Mutant(
         "seeded-tree-from-a-shorter-search",
         "src/decrsp/balls.py",
@@ -191,30 +191,22 @@ MUTANTS = (
         "radius, so the scope's outermost nodes start at inf",
     ),
     Mutant(
-        "bucket-table-keyed-without-alpha",
+        "bucket-radius-from-the-next-power",
         "src/decrsp/balls.py",
-        (("@lru_cache(maxsize=64, typed=True)\n"
-          "def _bucket_table(eps, alpha, depth):\n",
-          "def _bucket_table(eps, alpha, depth, _tables={}):\n"
-          "    if (eps, depth) not in _tables:\n"
-          "        _tables[eps, depth] = _fresh_table(eps, alpha, depth)\n"
-          "    return _tables[eps, depth]\n\n\n"
-          "def _fresh_table(eps, alpha, depth):\n"),),
-        ("tests/test_balls.py::test_systems_built_in_turn_share_no_wrong_bucket_table[alpha]",),
-        "ball systems that differ only in alpha share one bucket table",
+        (("            radius = self._radii[j] = min(Fraction(*powers[j]) / self.alpha, self.depth)\n",
+          "            radius = self._radii[j] = min(Fraction(*powers[j + 1]) / self.alpha, self.depth)\n"),),
+        ("tests/test_balls.py::test_current_radius_matches_the_pure_formula_at_bucket_boundaries[eps0]",
+         "tests/test_balls.py::test_current_radius_matches_the_pure_formula_at_bucket_boundaries[eps1]"),
+        "a bucket's radius is read from the power of the bucket above it",
     ),
     Mutant(
-        "bucket-table-keyed-without-depth",
-        "src/decrsp/balls.py",
-        (("@lru_cache(maxsize=64, typed=True)\n"
-          "def _bucket_table(eps, alpha, depth):\n",
-          "def _bucket_table(eps, alpha, depth, _tables={}):\n"
-          "    if (eps, alpha) not in _tables:\n"
-          "        _tables[eps, alpha] = _fresh_table(eps, alpha, depth)\n"
-          "    return _tables[eps, alpha]\n\n\n"
-          "def _fresh_table(eps, alpha, depth):\n"),),
-        ("tests/test_balls.py::test_systems_built_in_turn_share_no_wrong_bucket_table[depth]",),
-        "ball systems that differ only in depth share one bucket table",
+        "dijkstra-keeps-first-distance",
+        "src/decrsp/graph.py",
+        (("            if nd <= bound and nd < tentative.get(v, inf):\n",
+          "            if nd <= bound and v not in tentative:\n"),),
+        ("tests/test_graph_core.py::test_dijkstra_bounded_matches_oracle",),
+        "bounded Dijkstra enqueues a node only at the first distance it finds, "
+        "not when a later one improves on it",
     ),
     # -- the all-pairs tail table -------------------------------------------------
     Mutant(

@@ -7,10 +7,6 @@ recomputes true distances, exact balls, and witness bounds from scratch with
 Dijkstra after every change.
 """
 
-import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import inf
 
@@ -121,63 +117,6 @@ def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
         assert system._current_radius(0) == want  # from the last value's bucket
         system._bucket.pop(0, None)
         assert system._current_radius(0) == want  # from bucket 0
-
-
-def radius_trace(alpha, depth, bucket_eps):
-    """Every node's radius after the build and after each of ten deletions,
-    as strings, for a ball system at these parameters (given as strings).
-    The set watchers report three times their exact levels, beyond alpha,
-    so that a watched value can reach a bucket whose power the depth caps."""
-
-    def factory(view, root, depth, levels):
-        return InflatingEsTree(view, root, depth, levels, 3 if levels is None else 1)
-
-    graph = random_graph(16, 30, 4, seed=41)
-    system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 41), factory,
-                        alpha=Fraction(alpha), depth=int(depth),
-                        bucket_eps=Fraction(bucket_eps))
-    edges = sorted(graph.edges())
-    trace = [[str(system.radius(u)) for u in graph.node_ids()]]
-    for u, v, _ in edges[::3]:
-        system.process_update(graph.apply_update(UpdateEvent("delete", u, v)))
-        trace.append([str(system.radius(u)) for u in graph.node_ids()])
-    return trace
-
-
-TRACE_BASE = ("1", "8", "1")  # alpha, depth, bucket eps
-TRACE_VARIANTS = {"alpha": ("3/2", "8", "1"), "depth": ("1", "5", "1"),
-                  "bucket_eps": ("1", "8", "1/2")}
-
-
-@pytest.fixture(scope="module")
-def radius_traces_alone():
-    """``radius_trace`` of the base parameters and of each variant, each
-    computed in a fresh process, so that no bucket table is shared."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(os.path.dirname(tests), "src"), tests]))
-    code = ("import json, sys; from test_balls import radius_trace; "
-            "print(json.dumps(radius_trace(*sys.argv[1:])))")
-    params = [TRACE_BASE, *TRACE_VARIANTS.values()]
-    runs = [subprocess.Popen([sys.executable, "-c", code, *p], cwd=tests, env=env,
-                             stdout=subprocess.PIPE, text=True) for p in params]
-    out = {}
-    for p, run in zip(params, runs):
-        stdout, _ = run.communicate(timeout=120)
-        assert run.returncode == 0, p
-        out[p] = json.loads(stdout)
-    return out
-
-
-@pytest.mark.parametrize("variant", TRACE_VARIANTS.values(), ids=TRACE_VARIANTS.keys())
-def test_systems_built_in_turn_share_no_wrong_bucket_table(radius_traces_alone, variant):
-    # Systems with equal (bucket eps, alpha, depth) share one bucket table;
-    # two that differ in one of them must each see the radii of its own.
-    first = radius_trace(*TRACE_BASE)
-    second = radius_trace(*variant)
-    assert first == radius_traces_alone[TRACE_BASE]
-    assert second == radius_traces_alone[variant]
-    assert first != second
 
 
 @given(
