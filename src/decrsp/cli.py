@@ -25,13 +25,22 @@ from .harness import RunConfig, Schedule, failed_update, run_with_oracle
 from .layered import FullRangeSssp
 
 
+def _utf8_lines(path):
+    """The lines of file ``path`` read as UTF-8, whatever the locale; a byte
+    that does not decode is a ``GraphFormatError`` naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:  # surrogateescape kept byte b as U+DC00 + b
+                raise GraphFormatError("%s: line %d: byte 0x%02x is not UTF-8"
+                                       % (path, lineno, ord(line[exc.start]) - 0xDC00)) from None
+            yield line
+
+
 def _load_schedule(graph_path, updates_path):
-    with open(graph_path) as fh:
-        graph = load_graph(fh)
-    items = ()
-    if updates_path:
-        with open(updates_path) as fh:
-            items = tuple(parse_update_stream(fh))
+    graph = load_graph(_utf8_lines(graph_path))
+    items = tuple(parse_update_stream(_utf8_lines(updates_path))) if updates_path else ()
     for item in items:
         # Rejected here, not in FullRangeSssp.query: that is one dict read.
         if isinstance(item, QueryProbe) and not (graph.has_node(item.u)

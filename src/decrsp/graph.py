@@ -6,8 +6,9 @@ produced by :meth:`DynamicGraph.apply_update`; the graph is mutated first,
 then the records are forwarded to whatever trees/balls/stacks are listening.
 
 The structures read a graph only through ``node_ids``, ``node_count``,
-``has_node``, ``neighbors``, ``edges`` and ``weight`` (the last only on
-adjacency graphs, by the shortcut graph's debug check).
+``has_node`` and ``neighbors``, and on adjacency graphs alone also through
+``edges`` (priority sampling, shortcut-graph builds, the harness) and
+``weight`` (the shortcut graph's debug check).
 :class:`AdjacencyGraph` implements them over one node set and a symmetric
 adjacency map, and its ``apply_record`` is the one edge write behind
 ``DynamicGraph.apply_update``, the scaled mirrors of :mod:`decrsp.layered`
@@ -331,12 +332,6 @@ class ArtificialSourceView:
         if u in self._attach_set:
             return [*self.parent.neighbors(u), (self.source_id, 0)]
         return self.parent.neighbors(u)
-
-    def edges(self):
-        for e in self.parent.edges():
-            yield e
-        for a in self.attach:
-            yield (a, self.source_id, 0)
 
 
 # -- bounded Dijkstra --------------------------------------------------------

@@ -263,27 +263,6 @@ class ShortcutGraph:
         level times the grain's numerator (inf stays inf)."""
         return self.tree.level_of(node) * self.params._phi_num
 
-    # -- internal edge traffic --------------------------------------------------
-
-    def _tree_insert(self, key, u, v, weight):
-        self.tree.insert_edge(key, u, v, self.params.round_weight(weight))
-        self.edges_ever += 1
-        self.update_ops += 1
-
-    def _tree_delete(self, key, u):
-        self.tree.delete_edge(key, u)
-        self.update_ops += 1
-
-    def _tree_reweight(self, key, u, weight):
-        """Feed a raw-weight change; rounding may absorb it entirely."""
-        if weight > self.params.weight_cap:
-            self._tree_delete(key, u)
-            return
-        rounded = self.params.round_weight(weight)
-        if rounded > self.tree.adj[u][key][1]:
-            self.tree.increase_edge(key, u, rounded)
-            self.update_ops += 1
-
     # -- debug checks -------------------------------------------------------------
 
     def check_sandwich(self):
@@ -316,45 +295,45 @@ class ShortcutGraph:
 def shortcut_process_update(sg, record, ball_changes):
     """Feed one base-graph change plus its ball fallout; report new estimates.
 
-    Tree traffic goes in one batch: shortcut insertions first, then the
-    base-graph deletion/increase, then shortcut weight increases and
-    removals.  Returns the sorted list of (node, estimate) pairs whose
-    estimate changed, each estimate an int over ``params.phi.denominator``
-    as ``sg.scaled_query`` gives it (inf stays inf).
+    Tree traffic goes in one batch and one pass: the base-graph deletion or
+    increase, then the ball events in journal order.  The order is free: a
+    batch holds at most one event per (owner, member), so each tree operation
+    is on its own key, and the tree moves no level before ``end_batch``,
+    which then sees the same edges and the same pending endpoints in any
+    order.  Returns the sorted list of (node, estimate) pairs whose estimate
+    changed, each estimate an int over ``params.phi.denominator`` as
+    ``sg.scaled_query`` gives it (inf stays inf).
     """
-    params = sg.params
-    tree = sg.tree
+    params, tree, f_weight = sg.params, sg.tree, sg._f_weight
+    cap = params.weight_cap
     tree.begin_batch()
-    joins, increases, leaves = [], [], []
-    by_kind = {JOIN: joins, EST: increases, LEAVE: leaves}
-    for ev in ball_changes.events:
-        if ev.member != ev.owner:
-            by_kind[ev.kind].append(ev)
-
-    for ev in joins:
-        sg._f_weight[(ev.owner, ev.member)] = ev.estimate
-        if ev.estimate <= params.weight_cap:
-            sg._tree_insert(("F", ev.owner, ev.member), ev.owner, ev.member, ev.estimate)
-
     pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
-    key = ("G",) + pair
-    if tree.has_edge(key, pair[0]):
-        if record.kind == "delete":
-            sg._tree_delete(key, pair[0])
-        else:
-            sg._tree_reweight(key, pair[0], record.new_weight)
-
-    for ev in increases:
-        sg._f_weight[(ev.owner, ev.member)] = ev.estimate
-        key = ("F", ev.owner, ev.member)
-        if tree.has_edge(key, ev.owner):
-            sg._tree_reweight(key, ev.owner, ev.estimate)
-
-    for ev in leaves:
-        del sg._f_weight[(ev.owner, ev.member)]
-        key = ("F", ev.owner, ev.member)
-        if tree.has_edge(key, ev.owner):
-            sg._tree_delete(key, ev.owner)
+    # A base deletion is a LEAVE of its key, a base increase an EST.
+    traffic = [(LEAVE if record.kind == "delete" else EST, ("G",) + pair, record.new_weight)]
+    traffic += [(ev.kind, ("F", ev.owner, ev.member), ev.estimate)
+                for ev in ball_changes.events if ev.member != ev.owner]
+    for kind, key, weight in traffic:
+        u = key[1]
+        if key[0] == "F":
+            if kind == LEAVE:
+                del f_weight[key[1:]]
+            else:
+                f_weight[key[1:]] = weight
+        if kind == JOIN:
+            if weight <= cap:
+                tree.insert_edge(key, u, key[2], params.round_weight(weight))
+                sg.edges_ever += 1
+                sg.update_ops += 1
+        elif tree.has_edge(key, u):
+            if kind == LEAVE or weight > cap:
+                tree.delete_edge(key, u)
+                sg.update_ops += 1
+            else:
+                # Rounding may absorb an increase entirely.
+                rounded = params.round_weight(weight)
+                if rounded > tree.adj[u][key][1]:
+                    tree.increase_edge(key, u, rounded)
+                    sg.update_ops += 1
 
     changes = tree.end_batch()
     if sg.debug:

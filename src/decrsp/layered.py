@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import inf
 
 from .balls import BallSystem
@@ -51,10 +50,12 @@ class StackPlan:
     Holds the priority count p as given, the mode that the layer count q
     selects, and in layered mode the layer scales, eps' and one shortcut
     ``ParamSeries``, whose identity checks run when the plan is made.  The
-    scaled bands of a ``FullRangeSssp`` share the node count, range and eps,
-    so one plan serves all of them.  ``denominator`` is the common
-    denominator of a band's integer estimates: 1 in exact mode, that of phi
-    otherwise.
+    scale-ladder check and ``heaviest`` (the shortcut tree's largest weight,
+    which must stay in float range) read the series' root bound, weight cap
+    and grain instead of deriving them again.  The scaled bands of a
+    ``FullRangeSssp`` share the node count, range and eps, so one plan serves
+    all of them.  ``denominator`` is the common denominator of a band's
+    integer estimates: 1 in exact mode, that of phi otherwise.
 
     q = 3 selects one shortcut layer and needs p >= 2; q >= 4 is rejected;
     any other q, None included, selects exact trees.  The paper's counts,
@@ -88,17 +89,16 @@ class StackPlan:
         self.eps_prime = eps / 2
         self.scales = tuple(layer_scales(self.range_bound))
         (_, ball_depth), (delta, depth) = self.scales
-        root_bound = integer_root_ceil(n, p)
-        if root_bound * delta > ball_depth:
+        self.params = params = derive_params(1, 0, 2, 1, self.eps_prime, p, delta, depth, n)
+        if params.root_bound * delta > ball_depth:
             raise ParamConfigError(
                 "scale ladder too tight at layer 1: %d * %d > %d"
-                % (root_bound, delta, ball_depth)
+                % (params.root_bound, delta, ball_depth)
             )
         # The largest weight the shortcut layer's tree will hold: its weight
-        # cap, rounded by its grain eps' * delta / (p + 1).
-        self.heaviest = (depth + root_bound * delta) * (p + 1) / (self.eps_prime * delta)
-        self.params = derive_params(1, 0, 2, 1, self.eps_prime, p, delta, depth, n)
-        self.denominator = self.params.phi.denominator
+        # cap, rounded by its grain.
+        self.heaviest = params.weight_cap / params.phi
+        self.denominator = params.phi.denominator
 
 
 class LayerAssembly:
@@ -212,26 +212,32 @@ class ScaledMirror(AdjacencyGraph):
         return scaled
 
 
+def _band_counts(n, max_weight, eps):
+    """The band count of ``band_layout`` and how many bands are fine."""
+    bands = max(1, (n * max_weight).bit_length())
+    # phi_i = (eps/3) * 2^i / n <= 1 exactly when 2^i <= floor(3n / eps),
+    # that is, when i < floor(3n / eps).bit_length().
+    return bands, min(bands, (3 * n * eps.denominator // eps.numerator).bit_length())
+
+
 def band_layout(n, max_weight, eps):
     """``(grain, bands, fine, depth)`` of a ``FullRangeSssp`` at ``eps`` on
     ``n`` nodes with weights up to ``max_weight``: the grain A/B = (eps/3)/n,
     the band count, how many bands have phi_i = (A/B) * 2^i <= 1, and the
     depth 4 * 2^i* of the exact band that replaces them (None if none)."""
-    grain = Fraction(eps) / 3 / n
-    bands = max(1, (n * max_weight).bit_length())
-    # 2^i <= B/A exactly when 2^i <= B // A, that is, i < (B // A).bit_length().
-    fine = min(bands, (grain.denominator // grain.numerator).bit_length())
-    return grain, bands, fine, 4 << (fine - 1) if fine else None
+    eps = Fraction(eps)
+    bands, fine = _band_counts(n, max_weight, eps)
+    return eps / 3 / n, bands, fine, 4 << (fine - 1) if fine else None
 
 
-@lru_cache(maxsize=1024)
 def exact_band_depth(n, max_weight, eps):
     """The depth of the one ``EsTree`` that a default ``FullRangeSssp`` (same
-    arguments as ``band_layout``) would be, answering its levels, when every
-    band is fine; None otherwise.  Memoised, as the all-pairs factory asks
-    it once per contract build."""
-    _, bands, fine, depth = band_layout(n, max_weight, eps)
-    return depth if fine == bands else None
+    arguments as ``band_layout``, with ``eps`` a ``Fraction``) would be,
+    answering its levels, when every band is fine; None otherwise.  It counts
+    in integers and keeps no memo: the all-pairs factory asks it once per
+    contract build, and the count costs about what a cache lookup would."""
+    bands, fine = _band_counts(n, max_weight, eps)
+    return 4 << (bands - 1) if fine == bands else None
 
 
 class FullRangeSssp:

@@ -167,15 +167,41 @@ MUTANTS = (
     Mutant(
         "leave-keeps-tree-key",
         "src/decrsp/hopset.py",
-        (("        if tree.has_edge(key, ev.owner):\n"
-          "            sg._tree_delete(key, ev.owner)\n",
-          "        if False:\n"
-          "            sg._tree_delete(key, ev.owner)\n"),),
+        (("        elif tree.has_edge(key, u):\n",
+          "        elif (kind, key[0]) != (LEAVE, \"F\") and tree.has_edge(key, u):\n"),),
         ("tests/test_hopset.py::test_rejoin_uses_fresh_generation_key",
          "tests/test_hopset.py::test_full_deletion_battery_forty_nodes",
          "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3]"),
         "a LEAVE keeps the pair's shortcut key in the tree, so it still routes and a "
         "rejoin reuses a live key",
+    ),
+    Mutant(
+        "journal-skips-est-reweights",
+        "src/decrsp/hopset.py",
+        (("        elif tree.has_edge(key, u):\n",
+          "        elif (kind, key[0]) != (EST, \"F\") and tree.has_edge(key, u):\n"),),
+        ("tests/test_hopset.py::test_full_deletion_battery_forty_nodes",),
+        "an EST event updates the journal copy of a shortcut's weight but never "
+        "raises or drops its tree key",
+    ),
+    Mutant(
+        "heaviest-weight-times-grain",
+        "src/decrsp/layered.py",
+        (("        self.heaviest = params.weight_cap / params.phi\n",
+          "        self.heaviest = params.weight_cap * params.phi\n"),),
+        ("tests/test_layered.py::test_layered_stack_rejects_eps_whose_shortcut_weights_alone_pass_the_float_range",),
+        "the float-range guard scales the weight cap by the grain instead of "
+        "dividing by it, so a tiny eps passes it",
+    ),
+    Mutant(
+        "band-count-without-factor-three",
+        "src/decrsp/layered.py",
+        (("    return bands, min(bands, (3 * n * eps.denominator // eps.numerator).bit_length())\n",
+          "    return bands, min(bands, (n * eps.denominator // eps.numerator).bit_length())\n"),),
+        ("tests/test_layered.py::test_band_layout_counts_the_fine_bands",
+         "tests/test_apsp.py::test_a_contract_is_a_bare_tree_exactly_when_every_band_is_fine[64-kinds1]"),
+        "the fine-band count reads phi_i as eps * 2^i / n, so one or two fine bands "
+        "count as coarse",
     ),
     # -- ball builds: the seeded inner trees and the bucket table ----------------
     Mutant(

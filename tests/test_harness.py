@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -25,6 +26,7 @@ from decrsp.graph import (
 from decrsp.harness import (
     RunConfig,
     ScheduleError,
+    _bounded_hop_distances,
     _unrank_pair,
     generate_instance,
     run_with_oracle,
@@ -280,10 +282,26 @@ def test_path_with_shortcut_edges_satisfies_the_trade_off():
 
 
 def test_forced_empty_shortcut_set_reproduces_exact_hop_counts():
-    report = static_hopset_check(path_graph(20), 3, 4, Fraction(1, 2), seed=0,
-                                 force_empty=True)
-    assert report["shortcut_edges"] == 0
-    assert report["finite_pairs"] == 20 * 19
+    # With no shortcut edges, the first round of the hop-limited DP in which
+    # a node turns finite is its breadth-first hop count, for every pair.
+    graph = path_graph(20)
+    directed = [arc for u, v, w in graph.edges() for arc in ((u, v, w), (v, u, w))]
+    finite_pairs = 0
+    for source in graph.node_ids():
+        hops = {source: 0}
+        frontier = deque([source])
+        while frontier:
+            x = frontier.popleft()
+            for y, _ in graph.neighbors(x):
+                if y not in hops:
+                    hops[y] = hops[x] + 1
+                    frontier.append(y)
+        table = _bounded_hop_distances(20, directed, source, max(hops.values()))
+        for v, exact in hops.items():
+            first = next(h for h, row in enumerate(table) if row[v] != inf)
+            assert first == exact, (source, v)
+            finite_pairs += v != source
+    assert finite_pairs == 20 * 19
 
 
 def test_covered_band_is_populated_when_distances_dominate_the_additive_term():
@@ -447,6 +465,33 @@ def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
         assert lines[0].startswith("usage: decrsp") and lines[-1] == message
     else:
         assert lines == [message]
+
+
+# file -> (its bytes, the error line); the other file stays valid.
+UNDECODABLE = {
+    "graph": (b"3 2 5\n0 1 2\n1 2 \xff3\n", "decrsp: error: g.txt: line 3: byte 0xff is not UTF-8"),
+    "updates": (b"D 0 1\nQ 0 \xfe2\n", "decrsp: error: u.txt: line 2: byte 0xfe is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("run", ["plain", "optimized", "c-locale"])
+@pytest.mark.parametrize("bad", list(UNDECODABLE))
+def test_cli_undecodable_byte_is_one_error_line(tmp_path, bad, run):
+    # Both files are read as UTF-8 whatever the locale, and a byte that does
+    # not decode names its file and line, also under -O and the C locale.
+    data, message = UNDECODABLE[bad]
+    (tmp_path / "g.txt").write_bytes(data if bad == "graph" else b"3 2 5\n0 1 2\n1 2 3\n")
+    (tmp_path / "u.txt").write_bytes(data if bad == "updates" else b"D 0 1\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if run == "c-locale":
+        env.update(LC_ALL="C", PYTHONUTF8="0")
+    cmd = [sys.executable] + (["-O"] if run == "optimized" else [])
+    cmd += ["-m", "decrsp.cli", "check", "--graph", "g.txt", "--updates", "u.txt"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60,
+                          cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])

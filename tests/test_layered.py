@@ -8,6 +8,7 @@ update.
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import ceil, inf
 
@@ -23,6 +24,7 @@ from hypothesis.stateful import (
 )
 
 from decrsp import hopset, layered
+from decrsp.balls import BallChangeSet
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
     DynamicGraph,
@@ -88,6 +90,17 @@ def test_layered_stack_rejects_eps_whose_weights_pass_the_float_range():
     g = random_graph(6, 8, 7, seed=1)
     with pytest.raises(ParamConfigError, match="float range"):
         FullRangeSssp(g, 0, Fraction(1, 10**400), p=2, q=3)
+
+
+def test_layered_stack_rejects_eps_whose_shortcut_weights_alone_pass_the_float_range():
+    # At eps = 1e-200 every mirror weight, at most W / phi_0 = 3nW / eps, is
+    # in float range, but the shortcut tree's heaviest weight, its weight
+    # cap over its grain, is not; building on would overflow in an update.
+    g = random_graph(6, 8, 7, seed=1)
+    eps = Fraction(1, 10**200)
+    assert 3 * 6 * 7 / eps < sys.float_info.max
+    with pytest.raises(ParamConfigError, match="float range"):
+        FullRangeSssp(g, 0, eps, p=2, q=3)
 
 
 def test_layer_scales_frozen_values():
@@ -273,6 +286,34 @@ def test_stack_emissions_match_estimate_changes():
             assert value > snapshot[v]
         snapshot = fresh
 
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_shortcut_batches_give_the_same_levels_in_reverse_journal_order(seed, monkeypatch):
+    # shortcut_process_update feeds a batch's ball events to the tree in
+    # journal order; a twin fed every batch in reverse must report the same
+    # changes and hold the same shortcut-tree levels after every update.
+    g, _, assembly = build_small_assembly(seed, debug=True)
+    twin_graph, _, twin = build_small_assembly(seed, debug=True)
+    feed, mixed = layered.shortcut_process_update, []
+
+    def reversed_for_twin(sg, record, ball_changes):
+        if sg is twin.sg:
+            events = ball_changes.events
+            mixed.append(len({ev.kind for ev in events}) > 1)
+            ball_changes = BallChangeSet(events[::-1])
+        return feed(sg, record, ball_changes)
+
+    monkeypatch.setattr(layered, "shortcut_process_update", reversed_for_twin)
+    rng = random.Random(seed)
+    while g.edge_count:
+        u, v, w = rng.choice(list(g.edges()))
+        event = UpdateEvent("delete", u, v)
+        if w < g.max_weight and rng.random() < 0.3:
+            event = UpdateEvent("increase", u, v, rng.randint(w + 1, g.max_weight))
+        out = assembly.process_update(g.apply_update(event))
+        assert twin.process_update(twin_graph.apply_update(event)) == out
+        assert twin.sg.tree.level == assembly.sg.tree.level
+    assert sum(mixed) > 0  # some batch held events of more than one kind
 
 # -- scaled mirrors -----------------------------------------------------------
 
