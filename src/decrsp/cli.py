@@ -5,11 +5,15 @@ Modes:
          stream, answering interleaved ``Q u v`` probes from the source row
   apsp   maintain approximate all-pairs distances, answering ``Q u v`` probes
   check  replay the stream under the exact oracle and emit a validation report
-  bench  replay without oracle checks and report work counters and wall time
 
 Graph files: header ``n m W`` then one ``u v w`` line per edge.
 Update files: lines ``D u v`` (delete), ``I u v w`` (weight increase),
-``Q u v`` (query probe).  Reports are line-oriented ``key=value``.
+``Q u v`` (query probe).  Both are read as UTF-8, less a leading
+byte-order mark, through the one line reader of :mod:`decrsp.graph`; the
+README's CLI section states their grammar.  Reports are line-oriented
+``key=value``.  Every step of a run (building the structure, applying an
+update, answering a probe, formatting the answer) is the one in
+:mod:`decrsp.harness`.
 """
 
 from __future__ import annotations
@@ -18,17 +22,17 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .apsp import ApspState
 from .graph import GraphFormatError, ParamConfigError, QueryProbe, UpdateError
 from .graph import load_graph, parse_update_stream
-from .harness import RunConfig, Schedule, failed_update, run_with_oracle
-from .layered import FullRangeSssp
+from .harness import RunConfig, Schedule, answer_line, apply_update, build_structure
+from .harness import failed_update, fraction_str, probe_estimate, run_with_oracle
 
 
 def _utf8_lines(path):
-    """The lines of file ``path`` read as UTF-8, whatever the locale; a byte
-    that does not decode is a ``GraphFormatError`` naming the file and line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    """The lines of file ``path`` read as UTF-8, whatever the locale, less a
+    leading byte-order mark; a byte that does not decode is a
+    ``GraphFormatError`` naming the file and line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
@@ -58,11 +62,7 @@ def _load_schedule(graph_path, updates_path):
     )
 
 
-def _fmt(value):
-    return "inf" if value == float("inf") else str(value)
-
-
-def _stream_run(schedule, args, out):
+def _stream_run(schedule, config, out):
     """Replay updates, printing one answer line per query probe.
 
     An update the graph rejects raises its own ``UpdateError``.  Any other
@@ -70,60 +70,26 @@ def _stream_run(schedule, args, out):
     names the update, from the original exception.
     """
     graph = schedule.build_graph()
-    eps = args.epsilon
-    if args.mode == "sssp":
-        structure = FullRangeSssp(
-            graph, args.source, eps, p=args.p, q=args.q, c=args.c, seed=args.seed
-        )
-        apply = structure.apply_event
-    else:
-        structure = ApspState(graph, args.k, eps, args.seed, c=args.c)
-        apply = structure.process_update
+    structure, _ = build_structure(graph, config)
     updates = 0
     for item in schedule.items:
         if isinstance(item, QueryProbe):
-            if args.mode == "sssp":
-                if item.u != args.source:
-                    out.write("Q %d %d unsupported-source\n" % (item.u, item.v))
-                    continue
-                answer = structure.query(item.v)
+            answer = probe_estimate(structure, config, item)
+            if answer is None:
+                out.write("Q %d %d unsupported-source\n" % (item.u, item.v))
             else:
-                answer = structure.query(item.u, item.v)
-            out.write("Q %d %d %s\n" % (item.u, item.v, _fmt(answer)))
+                out.write(answer_line(item, answer))
             continue
         updates += 1
         try:
-            apply(item)
+            apply_update(structure, config, graph, item)
         except UpdateError:
             raise
         except Exception as exc:
             raise failed_update(updates, item, exc) from exc
-    if args.mode == "sssp":
+    if config.mode == "sssp":
         for v in sorted(graph.node_ids()):
-            out.write("est %d %s\n" % (v, _fmt(structure.query(v))))
-
-
-def _report_run(schedule, args, out):
-    config = RunConfig(
-        mode="apsp" if args.mode == "apsp" else "sssp",
-        source=args.source,
-        eps=args.epsilon,
-        k=args.k,
-        p=args.p,
-        q=args.q,
-        c=args.c,
-        seed=args.seed,
-        oracle_check=(args.mode == "check") or args.oracle_check,
-        oracle_stride=args.oracle_stride,
-        measure_time=(args.mode == "bench"),
-    )
-    report = run_with_oracle(schedule, config)
-    if args.report:
-        report.write_to(args.report)
-    out.write(report.render())
-    return int(report.get("underestimate_violations")) or int(
-        report.get("invariant_failures")
-    )
+            out.write("est %d %s\n" % (v, fraction_str(structure.query(v))))
 
 
 def fraction(text):
@@ -156,7 +122,7 @@ def build_parser():
         description="decremental approximate shortest paths under edge "
         "deletions and weight increases",
     )
-    parser.add_argument("mode", choices=("sssp", "apsp", "bench", "check"))
+    parser.add_argument("mode", choices=("sssp", "apsp", "check"))
     parser.add_argument("--graph", required=True, help="graph file (n m W header)")
     parser.add_argument("--updates", help="update stream file (D/I/Q lines)")
     parser.add_argument("--epsilon", type=fraction, default="1/2", help="approximation slack")
@@ -194,13 +160,19 @@ def main(argv=None, out=None):
 
 def _run(args, out):
     schedule = _load_schedule(args.graph, args.updates)
-    if args.mode in ("check", "bench"):
-        return _report_run(schedule, args, out)
-    if args.oracle_check:
-        status = _report_run(schedule, args, out)
-        if status:
+    config = RunConfig(mode="apsp" if args.mode == "apsp" else "sssp", source=args.source,
+                       eps=args.epsilon, k=args.k, p=args.p, q=args.q, c=args.c, seed=args.seed,
+                       oracle_check=args.mode == "check" or args.oracle_check,
+                       oracle_stride=args.oracle_stride)
+    if config.oracle_check:
+        report = run_with_oracle(schedule, config)
+        if args.report:
+            report.write_to(args.report)
+        out.write(report.render())
+        status = report.get("underestimate_violations") or report.get("invariant_failures")
+        if status or args.mode == "check":
             return status
-    _stream_run(schedule, args, out)
+    _stream_run(schedule, config, out)
     return 0
 
 

@@ -30,6 +30,7 @@ hands a change to an inner instance only when its scope holds both ends.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from math import inf
 
@@ -195,6 +196,27 @@ class DynamicGraph(AdjacencyGraph):
 # -- file formats ----------------------------------------------------------
 
 
+def _lines(stream):
+    """Yield ``(lineno, text, fields)`` for each line of ``stream`` that holds a field.
+
+    Both file formats share this grammar: ``#`` starts a comment, fields are
+    separated by spaces and tabs only, and ``text`` is the line without its
+    comment and without the spaces, tabs and line end around it.
+    """
+    for lineno, raw in enumerate(stream, start=1):
+        text = raw.split("#", 1)[0].strip(" \t\r\n")
+        if text:
+            yield lineno, text, re.split("[ \t]+", text)
+
+
+def _integers(fields):
+    """The ints that ``fields`` spell; ``ValueError`` unless each is ASCII ``-?[0-9]+``
+    (``int()`` alone would also read ``+3``, ``1_0`` and non-ASCII digits)."""
+    if not all(re.fullmatch("-?[0-9]+", f) for f in fields):
+        raise ValueError
+    return [int(f) for f in fields]
+
+
 def load_graph(stream):
     """Parse the text graph format: header ``n m W``, then ``u v w`` lines.
 
@@ -204,16 +226,12 @@ def load_graph(stream):
     header = None
     graph = None
     seen = 0
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in _lines(stream):
         if header is None:
             if len(parts) != 3:
                 raise GraphFormatError("line %d: header must be 'n m W'" % lineno)
             try:
-                n, m, w_max = (int(p) for p in parts)
+                n, m, w_max = _integers(parts)
             except ValueError:
                 raise GraphFormatError("line %d: non-integer header field" % lineno)
             if n < 0 or m < 0 or w_max < 1:
@@ -224,7 +242,7 @@ def load_graph(stream):
         if len(parts) != 3:
             raise GraphFormatError("line %d: edge must be 'u v w'" % lineno)
         try:
-            u, v, w = (int(p) for p in parts)
+            u, v, w = _integers(parts)
         except ValueError:
             raise GraphFormatError("line %d: non-integer edge field" % lineno)
         try:
@@ -251,24 +269,18 @@ def update_line(item):
 def parse_update_stream(stream):
     """Parse update lines: ``D u v``, ``I u v w``, and query probes ``Q u v``."""
     out = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, text, parts in _lines(stream):
         try:
             if parts[0] == "D" and len(parts) == 3:
-                out.append(UpdateEvent("delete", int(parts[1]), int(parts[2])))
+                out.append(UpdateEvent("delete", *_integers(parts[1:])))
             elif parts[0] == "I" and len(parts) == 4:
-                out.append(
-                    UpdateEvent("increase", int(parts[1]), int(parts[2]), int(parts[3]))
-                )
+                out.append(UpdateEvent("increase", *_integers(parts[1:])))
             elif parts[0] == "Q" and len(parts) == 3:
-                out.append(QueryProbe(int(parts[1]), int(parts[2])))
+                out.append(QueryProbe(*_integers(parts[1:])))
             else:
                 raise ValueError
         except ValueError:
-            raise GraphFormatError("line %d: malformed update %r" % (lineno, line.strip()))
+            raise GraphFormatError("line %d: malformed update %r" % (lineno, text))
     return out
 
 

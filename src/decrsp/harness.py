@@ -7,7 +7,9 @@ structures (exact tree, full-range single-source, all-pairs) and, at a
 configurable stride, recomputes exact distances with two independent
 shortest-path implementations, recording stretch, underestimates, and any
 invariant failure into a ValidationReport whose rendering is byte-stable
-under a fixed seed.
+under a fixed seed.  Its steps (``build_structure``, ``apply_update``,
+``probe_estimate`` and ``answer_line``) are also the ones the CLI's
+``sssp`` and ``apsp`` modes replay a stream with.
 
 ``static_hopset_check`` is the one-shot verification oracle for the
 shortcut-edge idea itself: it builds distance-weighted ball edges over a
@@ -19,7 +21,6 @@ in the validation path, not in the maintained-structure path.
 from __future__ import annotations
 
 import hashlib
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,7 +192,6 @@ class RunConfig:
     oracle_check: bool = True
     oracle_stride: int = 1
     debug: bool = False
-    measure_time: bool = False
 
 
 @dataclass
@@ -217,7 +217,8 @@ class ValidationReport:
             fh.write(self.render())
 
 
-def _fraction_str(x):
+def fraction_str(x):
+    """``x`` as reports and answer lines print it: ``inf``, or exact, as in ``7/2``."""
     if x == inf:
         return "inf"
     return str(Fraction(x))
@@ -227,6 +228,44 @@ def failed_update(index, event, exc):
     """The ``UpdateError`` naming update ``index``, ``event``, that raised ``exc``."""
     return UpdateError("update %d (%s) failed: %s: %s"
                        % (index, update_line(event), type(exc).__name__, exc))
+
+
+def build_structure(graph, config):
+    """The structure that ``config`` names over ``graph``, and its stretch bound."""
+    eps = Fraction(config.eps)
+    if config.mode == "es":
+        return EsTree(graph, config.source, inf), Fraction(1)
+    if config.mode == "sssp":
+        return FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q, c=config.c,
+                             seed=config.seed, debug=config.debug), 1 + eps
+    if config.mode == "apsp":
+        return (ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug),
+                (2 + eps) ** config.k - 1)
+    raise ValueError("unknown mode %r" % (config.mode,))
+
+
+def apply_update(structure, config, graph, event):
+    """Feed update ``event`` to the structure over ``graph``; the ``(node, value)``
+    answers it moved (none for all-pairs)."""
+    if config.mode == "es":
+        return structure.process_update(graph.apply_update(event))
+    if config.mode == "sssp":
+        return structure.apply_event(event)
+    structure.process_update(event)
+    return ()
+
+
+def probe_estimate(structure, config, probe):
+    """The structure's answer to ``probe``; None when a single-source structure
+    is asked about a pair that does not start at its source."""
+    if config.mode == "apsp":
+        return structure.query(probe.u, probe.v)
+    return structure.query(probe.v) if probe.u == config.source else None
+
+
+def answer_line(probe, estimate):
+    """The ``Q u v estimate`` line of one probe answer."""
+    return "Q %d %d %s\n" % (probe.u, probe.v, fraction_str(estimate))
 
 
 def run_with_oracle(schedule, config):
@@ -239,32 +278,8 @@ def run_with_oracle(schedule, config):
     replay, and any other exception but ``UpdateError`` a ``failed_update``.
     """
     graph = schedule.build_graph()
-    eps = Fraction(config.eps)
-    started = time.monotonic() if config.measure_time else None
+    structure, bound = build_structure(graph, config)
     digest = hashlib.sha256()
-
-    if config.mode == "es":
-        structure = EsTree(graph, config.source, inf)
-        bound = Fraction(1)
-    elif config.mode == "sssp":
-        structure = FullRangeSssp(
-            graph,
-            config.source,
-            eps,
-            p=config.p,
-            q=config.q,
-            c=config.c,
-            seed=config.seed,
-            debug=config.debug,
-        )
-        bound = 1 + eps
-    elif config.mode == "apsp":
-        structure = ApspState(
-            graph, config.k, eps, config.seed, c=config.c, debug=config.debug
-        )
-        bound = (2 + eps) ** config.k - 1
-    else:
-        raise ValueError("unknown mode %r" % (config.mode,))
 
     max_stretch = Fraction(0)
     underestimates = []
@@ -288,7 +303,7 @@ def run_with_oracle(schedule, config):
             est = reported[v]
             if est < d:
                 underestimates.append("index=%d node=%d est=%s dist=%s"
-                                      % (update_index, v, _fraction_str(est), _fraction_str(d)))
+                                      % (update_index, v, fraction_str(est), fraction_str(d)))
                 continue
             if d == inf:
                 if est != inf:
@@ -300,30 +315,27 @@ def run_with_oracle(schedule, config):
                 stretch = Fraction(est) / d
                 if stretch > bound:
                     invariant_failures.append(
-                        "index=%d node=%d stretch=%s" % (update_index, v, _fraction_str(stretch))
+                        "index=%d node=%d stretch=%s" % (update_index, v, fraction_str(stretch))
                     )
                 max_stretch = max(max_stretch, stretch)
 
     def answer_probe(probe):
         nonlocal query_answers, max_stretch
         query_answers += 1
-        if config.mode == "apsp":
-            est = structure.query(probe.u, probe.v)
-        else:
-            if probe.u != config.source:
-                return  # single-source structure cannot answer this pair
-            est = structure.query(probe.v)
+        est = probe_estimate(structure, config, probe)
+        if est is None:
+            return
         d = cross_checked_distances(graph, probe.u).get(probe.v, inf)
-        digest.update(("Q %s %s %s\n" % (probe.u, probe.v, _fraction_str(est))).encode())
+        digest.update(answer_line(probe, est).encode())
         if est < d:
             underestimates.append(
                 "index=%d pair=%d,%d est=%s dist=%s"
-                % (update_index, probe.u, probe.v, _fraction_str(est), _fraction_str(d))
+                % (update_index, probe.u, probe.v, fraction_str(est), fraction_str(d))
             )
         elif d not in (0, inf) and Fraction(est) / d > bound:
             invariant_failures.append(
                 "index=%d pair=%d,%d stretch=%s"
-                % (update_index, probe.u, probe.v, _fraction_str(Fraction(est) / d))
+                % (update_index, probe.u, probe.v, fraction_str(Fraction(est) / d))
             )
 
     if config.oracle_check:
@@ -335,14 +347,7 @@ def run_with_oracle(schedule, config):
             continue
         update_index += 1
         try:
-            if config.mode == "es":
-                record = graph.apply_update(item)
-                changed = structure.process_update(record)
-            elif config.mode == "sssp":
-                changed = structure.apply_event(item)
-            else:
-                structure.process_update(item)
-                changed = ()
+            changed = apply_update(structure, config, graph, item)
         except AssertionError as exc:
             invariant_failures.append("index=%d assert=%s" % (update_index, exc))
             break
@@ -351,7 +356,7 @@ def run_with_oracle(schedule, config):
         except Exception as exc:
             raise failed_update(update_index, item, exc) from exc
         for node, value in changed:
-            digest.update(("U %d %d %s\n" % (update_index, node, _fraction_str(value))).encode())
+            digest.update(("U %d %d %s\n" % (update_index, node, fraction_str(value))).encode())
         if config.oracle_check and update_index % config.oracle_stride == 0:
             oracle_step()
 
@@ -363,12 +368,12 @@ def run_with_oracle(schedule, config):
     report.add("w_max", schedule.w_max)
     report.add("schedule_seed", schedule.seed)
     report.add("algorithm_seed", config.seed)
-    report.add("eps", _fraction_str(eps))
-    report.add("stretch_bound", _fraction_str(bound))
+    report.add("eps", fraction_str(config.eps))
+    report.add("stretch_bound", fraction_str(bound))
     report.add("updates_processed", update_index)
     report.add("oracle_checks", oracle_checks)
     report.add("query_answers", query_answers)
-    report.add("max_stretch", _fraction_str(max_stretch))
+    report.add("max_stretch", fraction_str(max_stretch))
     report.add("underestimate_violations", len(underestimates))
     for entry in underestimates:
         report.add("underestimate", entry)
@@ -378,8 +383,6 @@ def run_with_oracle(schedule, config):
     for key, value in sorted(collect_work_counters(config.mode, structure).items()):
         report.add("work_%s" % key, value)
     report.add("emissions_sha256", digest.hexdigest())
-    if config.measure_time:
-        report.add("wall_time_ms", int((time.monotonic() - started) * 1000))
     return report
 
 

@@ -49,7 +49,7 @@ MUTANTS = (
           "        except Exception:\n"
           "            raise\n"),),
         tuple("tests/test_harness.py::test_oracle_replay_fault_inside_an_update_is_one_error_line[%s]"
-              % mode for mode in ("check", "bench", "sssp-oracle-check", "apsp-oracle-check")),
+              % mode for mode in ("check", "sssp-oracle-check", "apsp-oracle-check")),
         "run_with_oracle lets a fault inside an update escape as a traceback",
     ),
     Mutant(
@@ -102,6 +102,39 @@ MUTANTS = (
         ("tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[sssp]",
          "tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[apsp]"),
         "decrsp sssp and decrsp apsp let a fault inside an update escape as a traceback",
+    ),
+    # -- the input grammar ----------------------------------------------------------
+    Mutant(
+        "reader-splits-at-any-whitespace",
+        "src/decrsp/graph.py",
+        (("            yield lineno, text, re.split(\"[ \\t]+\", text)\n",
+          "            yield lineno, text, text.split()\n"),),
+        ("tests/test_graph_core.py::test_fields_are_separated_by_spaces_and_tabs_only[no-break-space]",
+         "tests/test_graph_core.py::test_fields_are_separated_by_spaces_and_tabs_only[vertical-tab]",
+         "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[no-break-space-sssp]",
+         "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[no-break-space-update-check]"),
+        "the line reader splits fields at any Unicode whitespace, U+00A0 and \\v included",
+    ),
+    Mutant(
+        "integer-check-falls-back-to-int",
+        "src/decrsp/graph.py",
+        (("    if not all(re.fullmatch(\"-?[0-9]+\", f) for f in fields):\n"
+          "        raise ValueError\n", ""),),
+        ("tests/test_graph_core.py::test_an_integer_is_ascii_digits_after_an_optional_minus[arabic-indic-digit]",
+         "tests/test_graph_core.py::test_an_integer_is_ascii_digits_after_an_optional_minus[plus-sign]",
+         "tests/test_graph_core.py::test_an_integer_is_ascii_digits_after_an_optional_minus[digit-separator]",
+         "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[arabic-indic-digit-sssp]",
+         "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[plus-sign-check]",
+         "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[digit-separator-sssp]"),
+        "an integer field is whatever int() reads: +3, 1_0 and non-ASCII digits",
+    ),
+    Mutant(
+        "byte-order-mark-kept",
+        "src/decrsp/cli.py",
+        (("encoding=\"utf-8-sig\"", "encoding=\"utf-8\""),),
+        ("tests/test_input_boundary.py::test_cli_skips_a_leading_byte_order_mark[graph]",
+         "tests/test_input_boundary.py::test_cli_skips_a_leading_byte_order_mark[updates]"),
+        "a leading byte-order mark sticks to the first field of either file",
     ),
     # -- distance bands: retirement, growth and the clamp -----------------------
     Mutant(

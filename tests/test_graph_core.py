@@ -154,6 +154,44 @@ def test_parse_update_stream():
         parse_update_stream(io.StringIO("I 0 1\n"))
 
 
+def test_the_grammar_takes_tabs_crlf_and_a_minus_sign():
+    g = load_graph(io.StringIO("3\t2  5\r\n\t0 1\t2 \r\n\r\n1 2 3# note\r\n"))
+    assert list(g.edges()) == [(0, 1, 2), (1, 2, 3)]
+    assert parse_update_stream(io.StringIO("D\t0 1\r\n  I 0 1 -4 \r\n")) == [
+        UpdateEvent("delete", 0, 1), UpdateEvent("increase", 0, 1, -4)]
+
+
+# Integers that int() reads (as 3, 3, 10 and 3) but the grammar does not:
+# an integer is ASCII digits after an optional minus sign.
+OFF_GRAMMAR_INTEGERS = {"arabic-indic-digit": "\u0663", "plus-sign": "+3",
+                        "digit-separator": "1_0", "fullwidth-digit": "\uff13"}
+
+
+@pytest.mark.parametrize("token", list(OFF_GRAMMAR_INTEGERS.values()),
+                         ids=list(OFF_GRAMMAR_INTEGERS))
+def test_an_integer_is_ascii_digits_after_an_optional_minus(token):
+    with pytest.raises(GraphFormatError, match="^line 1: non-integer header field$"):
+        load_graph(io.StringIO("%s 0 5\n" % token))
+    with pytest.raises(GraphFormatError, match="^line 2: non-integer edge field$"):
+        load_graph(io.StringIO("12 1 12\n1 2 %s\n" % token))
+    with pytest.raises(GraphFormatError, match="^line 1: malformed update "):
+        parse_update_stream(io.StringIO("Q 0 %s\n" % token))
+
+
+# Whitespace that str.split() separates fields at, but the grammar does not.
+OFF_GRAMMAR_SEPARATORS = {"no-break-space": "\u00a0", "vertical-tab": "\v",
+                          "form-feed": "\f", "ideographic-space": "\u3000"}
+
+
+@pytest.mark.parametrize("sep", list(OFF_GRAMMAR_SEPARATORS.values()),
+                         ids=list(OFF_GRAMMAR_SEPARATORS))
+def test_fields_are_separated_by_spaces_and_tabs_only(sep):
+    with pytest.raises(GraphFormatError, match="^line 2: edge must be 'u v w'$"):
+        load_graph(io.StringIO("3 1 5\n0%s1 2\n" % sep))
+    with pytest.raises(GraphFormatError, match="^line 1: malformed update "):
+        parse_update_stream(io.StringIO("D 0%s1\n" % sep))
+
+
 # -- updates -----------------------------------------------------------------
 
 

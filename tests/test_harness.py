@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from decrsp.cli import _load_schedule, _stream_run, build_parser, main
+from decrsp.cli import _load_schedule, _stream_run, main
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
     DynamicGraph,
@@ -259,7 +259,6 @@ def test_reports_are_byte_identical_across_runs():
     second = run_with_oracle(sched, config).render()
     assert first == second
     assert first.encode() == second.encode()
-    assert "wall_time" not in first  # timing is opt-in so bytes stay stable
 
 
 # -- static shortcut-edge verification ------------------------------------------
@@ -372,17 +371,6 @@ def test_cli_check_mode_writes_a_deterministic_report(instance_files, tmp_path):
     assert "emissions_sha256=" in text
 
 
-def test_cli_bench_mode_reports_work_counters_and_time(instance_files):
-    gp, up, _ = instance_files
-    buf = io.StringIO()
-    rc = main(["bench", "--graph", gp, "--updates", up, "--seed", "1"], out=buf)
-    assert rc == 0
-    text = buf.getvalue()
-    assert "work_es_edge_scans=" in text
-    assert "work_monotone_heap_ops=" in text
-    assert "wall_time_ms=" in text
-
-
 # case id -> (arguments, exit code, last stderr line).  Exit 2 is argparse
 # rejecting an argument's type; exit 1 is a typed error from the library.
 CLI_REJECTIONS = {
@@ -428,13 +416,16 @@ CLI_REJECTIONS = {
                      "decrsp: error: argument --source: invalid int value: '1.5'"),
     "source-bool": (["sssp", "--source", "True"], 2,
                     "decrsp: error: argument --source: invalid int value: 'True'"),
+    # There is no bench mode: time a replay with benchmarks/run.py.
+    "bench": (["bench"], 2, "decrsp: error: argument mode: invalid choice: 'bench' "
+              "(choose from 'sssp', 'apsp', 'check')"),
     # File paths are relative to a working directory holding only probe.txt.
     "graph-missing": (["sssp", "--graph", "nope.txt"], 1,
                       "decrsp: error: nope.txt: No such file or directory"),
     "updates-missing": (["sssp", "--updates", "nope.txt"], 1,
                         "decrsp: error: nope.txt: No such file or directory"),
     "graph-directory": (["check", "--graph", "."], 1, "decrsp: error: .: Is a directory"),
-    "report-unwritable": (["bench", "--report", "no-dir/report.txt"], 1,
+    "report-unwritable": (["check", "--report", "no-dir/report.txt"], 1,
                           "decrsp: error: no-dir/report.txt: No such file or directory"),
 }
 
@@ -543,9 +534,9 @@ def fail_first_delete(monkeypatch):
     return failed
 
 
-@pytest.mark.parametrize("argv", [["check"], ["bench"], ["sssp", "--oracle-check"],
+@pytest.mark.parametrize("argv", [["check"], ["sssp", "--oracle-check"],
                                   ["apsp", "--oracle-check"]],
-                         ids=["check", "bench", "sssp-oracle-check", "apsp-oracle-check"])
+                         ids=["check", "sssp-oracle-check", "apsp-oracle-check"])
 def test_oracle_replay_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                                argv):
     # The same fault under the oracle replay: no report, one error line
@@ -564,9 +555,8 @@ def test_oracle_replay_fault_inside_an_update_is_one_error_line(tmp_path, capsys
         "decrsp: error: update 2 (D 1 2) failed: RuntimeError: injected band fault\n")
     failed.clear()
     mode = "apsp" if argv[0] == "apsp" else "sssp"
-    config = RunConfig(mode=mode, oracle_check=argv[0] != "bench")
     with pytest.raises(UpdateError, match="update 2") as info:
-        run_with_oracle(_load_schedule(str(gp), str(up)), config)
+        run_with_oracle(_load_schedule(str(gp), str(up)), RunConfig(mode=mode))
     assert type(info.value.__cause__) is RuntimeError
 
 
@@ -588,7 +578,6 @@ def test_cli_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == (
         "decrsp: error: update 2 (D 1 2) failed: RuntimeError: injected band fault\n")
     failed.clear()
-    args = build_parser().parse_args(argv)
     with pytest.raises(UpdateError, match="update 2") as info:
-        _stream_run(_load_schedule(args.graph, args.updates), args, io.StringIO())
+        _stream_run(_load_schedule(str(gp), str(up)), RunConfig(mode=mode), io.StringIO())
     assert type(info.value.__cause__) is RuntimeError
