@@ -11,21 +11,26 @@ Update files: lines ``D u v`` (delete), ``I u v w`` (weight increase),
 ``Q u v`` (query probe).  Both are read as UTF-8, less a leading
 byte-order mark, through the one line reader of :mod:`decrsp.graph`; the
 README's CLI section states their grammar.  Reports are line-oriented
-``key=value``.  Every step of a run (building the structure, applying an
-update, answering a probe, formatting the answer) is the one in
-:mod:`decrsp.harness`.
+``key=value``.
+
+Every mode builds its structure and replays the stream once, through
+:func:`decrsp.harness.run_with_oracle`.  ``sssp`` and ``apsp`` write each
+answer line to stdout as it is computed, so the lines before a failing
+update still appear.  With ``--oracle-check`` the answers are held until
+the report is printed, and follow it only when the report shows no failure:
+they are the answers the report checked.  ``check`` prints the report alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from fractions import Fraction
 
 from .graph import GraphFormatError, ParamConfigError, QueryProbe, UpdateError
 from .graph import load_graph, parse_update_stream
-from .harness import RunConfig, Schedule, answer_line, apply_update, build_structure
-from .harness import failed_update, fraction_str, probe_estimate, run_with_oracle
+from .harness import RunConfig, Schedule, run_with_oracle
 
 
 def _utf8_lines(path):
@@ -60,36 +65,6 @@ def _load_schedule(graph_path, updates_path):
         seed=0,
         model="file",
     )
-
-
-def _stream_run(schedule, config, out):
-    """Replay updates, printing one answer line per query probe.
-
-    An update the graph rejects raises its own ``UpdateError``.  Any other
-    exception inside an update is raised again as an ``UpdateError`` that
-    names the update, from the original exception.
-    """
-    graph = schedule.build_graph()
-    structure, _ = build_structure(graph, config)
-    updates = 0
-    for item in schedule.items:
-        if isinstance(item, QueryProbe):
-            answer = probe_estimate(structure, config, item)
-            if answer is None:
-                out.write("Q %d %d unsupported-source\n" % (item.u, item.v))
-            else:
-                out.write(answer_line(item, answer))
-            continue
-        updates += 1
-        try:
-            apply_update(structure, config, graph, item)
-        except UpdateError:
-            raise
-        except Exception as exc:
-            raise failed_update(updates, item, exc) from exc
-    if config.mode == "sssp":
-        for v in sorted(graph.node_ids()):
-            out.write("est %d %s\n" % (v, fraction_str(structure.query(v))))
 
 
 def fraction(text):
@@ -164,16 +139,18 @@ def _run(args, out):
                        eps=args.epsilon, k=args.k, p=args.p, q=args.q, c=args.c, seed=args.seed,
                        oracle_check=args.mode == "check" or args.oracle_check,
                        oracle_stride=args.oracle_stride)
-    if config.oracle_check:
-        report = run_with_oracle(schedule, config)
-        if args.report:
-            report.write_to(args.report)
-        out.write(report.render())
-        status = report.get("underestimate_violations") or report.get("invariant_failures")
-        if status or args.mode == "check":
-            return status
-    _stream_run(schedule, config, out)
-    return 0
+    if not config.oracle_check:
+        run_with_oracle(schedule, config, out)
+        return 0
+    answers = io.StringIO()
+    report = run_with_oracle(schedule, config, None if args.mode == "check" else answers)
+    if args.report:
+        report.write_to(args.report)
+    out.write(report.render())
+    status = report.get("underestimate_violations") or report.get("invariant_failures")
+    if not status:
+        out.write(answers.getvalue())
+    return status
 
 
 if __name__ == "__main__":

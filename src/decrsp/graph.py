@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from math import inf
 
 
+MAX_NODES = 2**20  # the largest node count a graph file's header may declare
+
+
 class GraphFormatError(ValueError):
     """Raised for malformed graph or update input."""
 
@@ -164,10 +167,14 @@ class DynamicGraph(AdjacencyGraph):
     # -- mutation ---------------------------------------------------------
 
     def apply_update(self, event):
-        """Apply one UpdateEvent; returns the ChangeRecord describing it."""
+        """Apply one UpdateEvent; returns the ChangeRecord describing it.
+
+        An event the graph cannot take (a node outside it, a missing edge, a
+        weight that does not rise or passes the bound) raises ``UpdateError``
+        and changes nothing."""
         u, v = event.u, event.v
-        self._check_node(u)
-        self._check_node(v)
+        if not (self.has_node(u) and self.has_node(v)):
+            raise UpdateError("node id %r outside [0, %d)" % (v if self.has_node(u) else u, self.n))
         if not self.has_edge(u, v):
             raise UpdateError("edge (%d, %d) not present" % (u, v))
         old = self._adj[u][v]
@@ -236,6 +243,9 @@ def load_graph(stream):
                 raise GraphFormatError("line %d: non-integer header field" % lineno)
             if n < 0 or m < 0 or w_max < 1:
                 raise GraphFormatError("line %d: invalid header values" % lineno)
+            if n > MAX_NODES:  # before DynamicGraph builds its node set
+                raise GraphFormatError("line %d: n=%d above the node cap %d"
+                                       % (lineno, n, MAX_NODES))
             header = (n, m, w_max)
             graph = DynamicGraph(n, w_max)
             continue

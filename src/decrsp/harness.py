@@ -2,14 +2,15 @@
 
 A Schedule couples a start graph with an ordered stream of updates and
 interleaved query probes, all derived deterministically from a seed.
-``run_with_oracle`` replays a schedule through one of the maintained
-structures (exact tree, full-range single-source, all-pairs) and, at a
-configurable stride, recomputes exact distances with two independent
-shortest-path implementations, recording stretch, underestimates, and any
-invariant failure into a ValidationReport whose rendering is byte-stable
-under a fixed seed.  Its steps (``build_structure``, ``apply_update``,
-``probe_estimate`` and ``answer_line``) are also the ones the CLI's
-``sssp`` and ``apsp`` modes replay a stream with.
+``run_with_oracle`` is the one replay of a schedule, for the library and for
+every CLI mode: it drives one of the maintained structures (exact tree,
+full-range single-source, all-pairs) through the stream once, writes each
+probe's answer line to an optional writer and, when the oracle is on, checks
+every probe answer and, at a configurable stride, the source row against
+exact distances from two independent shortest-path implementations.  It
+records stretch, underestimates, and any invariant failure into a
+ValidationReport whose rendering is byte-stable under a fixed seed; the
+answers written are the ones the report checked.
 
 ``static_hopset_check`` is the one-shot verification oracle for the
 shortcut-edge idea itself: it builds distance-weighted ball edges over a
@@ -224,61 +225,37 @@ def fraction_str(x):
     return str(Fraction(x))
 
 
-def failed_update(index, event, exc):
-    """The ``UpdateError`` naming update ``index``, ``event``, that raised ``exc``."""
-    return UpdateError("update %d (%s) failed: %s: %s"
-                       % (index, update_line(event), type(exc).__name__, exc))
+def run_with_oracle(schedule, config, out=None):
+    """Replay a schedule once through the configured structure.
 
-
-def build_structure(graph, config):
-    """The structure that ``config`` names over ``graph``, and its stretch bound."""
-    eps = Fraction(config.eps)
-    if config.mode == "es":
-        return EsTree(graph, config.source, inf), Fraction(1)
-    if config.mode == "sssp":
-        return FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q, c=config.c,
-                             seed=config.seed, debug=config.debug), 1 + eps
-    if config.mode == "apsp":
-        return (ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug),
-                (2 + eps) ** config.k - 1)
-    raise ValueError("unknown mode %r" % (config.mode,))
-
-
-def apply_update(structure, config, graph, event):
-    """Feed update ``event`` to the structure over ``graph``; the ``(node, value)``
-    answers it moved (none for all-pairs)."""
-    if config.mode == "es":
-        return structure.process_update(graph.apply_update(event))
-    if config.mode == "sssp":
-        return structure.apply_event(event)
-    structure.process_update(event)
-    return ()
-
-
-def probe_estimate(structure, config, probe):
-    """The structure's answer to ``probe``; None when a single-source structure
-    is asked about a pair that does not start at its source."""
-    if config.mode == "apsp":
-        return structure.query(probe.u, probe.v)
-    return structure.query(probe.v) if probe.u == config.source else None
-
-
-def answer_line(probe, estimate):
-    """The ``Q u v estimate`` line of one probe answer."""
-    return "Q %d %d %s\n" % (probe.u, probe.v, fraction_str(estimate))
-
-
-def run_with_oracle(schedule, config):
-    """Replay a schedule through the configured structure with exact checks.
-
-    Every oracle step recomputes distances with two independent exact
-    implementations (which must agree), then records the worst stretch and
-    every underestimate with its update index and witness pair.  Inside an
-    update an ``AssertionError`` is an invariant failure that ends the
-    replay, and any other exception but ``UpdateError`` a ``failed_update``.
+    Each probe's answer line (``Q u v estimate``, or ``Q u v
+    unsupported-source`` when a single-source structure is asked about a
+    pair that does not start at its source), and in sssp mode the final
+    ``est v estimate`` lines, go to ``out`` when one is given.  With
+    ``config.oracle_check`` set, every probe answer is checked against exact
+    distances, and every ``oracle_stride`` updates an oracle step recomputes
+    the source row with two independent exact implementations (which must
+    agree); the report records the worst stretch and every underestimate
+    with its update index and witness pair.  Inside an update an
+    ``AssertionError`` is then an invariant failure that ends the replay.
+    Any other exception but ``UpdateError``, and without the oracle an
+    ``AssertionError`` too, is raised again as an ``UpdateError`` naming the
+    update, from the original exception.
     """
     graph = schedule.build_graph()
-    structure, bound = build_structure(graph, config)
+    eps = Fraction(config.eps)
+    if config.mode == "es":
+        structure, bound = EsTree(graph, config.source, inf), Fraction(1)
+    elif config.mode == "sssp":
+        structure = FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q, c=config.c,
+                                  seed=config.seed, debug=config.debug)
+        bound = 1 + eps
+    elif config.mode == "apsp":
+        structure = ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug)
+        bound = (2 + eps) ** config.k - 1
+    else:
+        raise ValueError("unknown mode %r" % (config.mode,))
+    write = out.write if out is not None else lambda line: None
     digest = hashlib.sha256()
 
     max_stretch = Fraction(0)
@@ -319,14 +296,8 @@ def run_with_oracle(schedule, config):
                     )
                 max_stretch = max(max_stretch, stretch)
 
-    def answer_probe(probe):
-        nonlocal query_answers, max_stretch
-        query_answers += 1
-        est = probe_estimate(structure, config, probe)
-        if est is None:
-            return
+    def check_probe(probe, est):
         d = cross_checked_distances(graph, probe.u).get(probe.v, inf)
-        digest.update(answer_line(probe, est).encode())
         if est < d:
             underestimates.append(
                 "index=%d pair=%d,%d est=%s dist=%s"
@@ -343,18 +314,37 @@ def run_with_oracle(schedule, config):
 
     for item in schedule.items:
         if isinstance(item, QueryProbe):
-            answer_probe(item)
+            query_answers += 1
+            if config.mode == "apsp":
+                est = structure.query(item.u, item.v)
+            elif item.u == config.source:
+                est = structure.query(item.v)
+            else:
+                write("Q %d %d unsupported-source\n" % (item.u, item.v))
+                continue
+            line = "Q %d %d %s\n" % (item.u, item.v, fraction_str(est))
+            write(line)
+            digest.update(line.encode())
+            if config.oracle_check:
+                check_probe(item, est)
             continue
         update_index += 1
         try:
-            changed = apply_update(structure, config, graph, item)
-        except AssertionError as exc:
-            invariant_failures.append("index=%d assert=%s" % (update_index, exc))
-            break
+            if config.mode == "apsp":
+                structure.process_update(item)
+                changed = ()
+            elif config.mode == "sssp":
+                changed = structure.apply_event(item)
+            else:
+                changed = structure.process_update(graph.apply_update(item))
         except UpdateError:
             raise
         except Exception as exc:
-            raise failed_update(update_index, item, exc) from exc
+            if not (config.oracle_check and isinstance(exc, AssertionError)):
+                raise UpdateError("update %d (%s) failed: %s: %s" % (
+                    update_index, update_line(item), type(exc).__name__, exc)) from exc
+            invariant_failures.append("index=%d assert=%s" % (update_index, exc))
+            break
         for node, value in changed:
             digest.update(("U %d %d %s\n" % (update_index, node, fraction_str(value))).encode())
         if config.oracle_check and update_index % config.oracle_stride == 0:
@@ -383,6 +373,12 @@ def run_with_oracle(schedule, config):
     for key, value in sorted(collect_work_counters(config.mode, structure).items()):
         report.add("work_%s" % key, value)
     report.add("emissions_sha256", digest.hexdigest())
+    # Read after the report, so that its work counters leave these reads out.
+    # An assert that ended the replay poisoned the structure; a run with an
+    # invariant failure prints its report alone.
+    if out is not None and config.mode == "sssp" and not invariant_failures:
+        for v in graph.node_ids():
+            write("est %d %s\n" % (v, fraction_str(structure.query(v))))
     return report
 
 

@@ -44,13 +44,46 @@ MUTANTS = (
     Mutant(
         "oracle-replay-does-not-wrap",
         "src/decrsp/harness.py",
-        (("        except Exception as exc:\n"
-          "            raise failed_update(update_index, item, exc) from exc\n",
-          "        except Exception:\n"
-          "            raise\n"),),
+        (("                raise UpdateError(\"update %d (%s) failed: %s: %s\" % (\n"
+          "                    update_index, update_line(item), type(exc).__name__, exc)) from exc\n",
+          "                raise\n"),),
         tuple("tests/test_harness.py::test_oracle_replay_fault_inside_an_update_is_one_error_line[%s]"
-              % mode for mode in ("check", "sssp-oracle-check", "apsp-oracle-check")),
-        "run_with_oracle lets a fault inside an update escape as a traceback",
+              % mode for mode in ("check", "sssp-oracle-check", "apsp-oracle-check"))
+        + ("tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[sssp]",
+           "tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[apsp]"),
+        "the replay lets a fault inside an update escape as a traceback, in every mode",
+    ),
+    Mutant(
+        "cli-does-not-wrap",
+        "src/decrsp/harness.py",
+        (("            if not (config.oracle_check and isinstance(exc, AssertionError)):\n",
+          "            if not isinstance(exc, AssertionError):\n"),),
+        ("tests/test_harness.py::test_an_assertion_inside_an_update_fails_the_update_unless_the_"
+         "oracle_reports_it[sssp]",
+         "tests/test_harness.py::test_an_assertion_inside_an_update_fails_the_update_unless_the_"
+         "oracle_reports_it[apsp]"),
+        "decrsp sssp and decrsp apsp end the replay at an AssertionError inside an update "
+        "and exit 0, as if the oracle had reported it",
+    ),
+    Mutant(
+        "stream-answers-held-to-the-end",
+        "src/decrsp/cli.py",
+        (("        run_with_oracle(schedule, config, out)\n",
+          "        held = io.StringIO()\n"
+          "        run_with_oracle(schedule, config, held)\n"
+          "        out.write(held.getvalue())\n"),),
+        ("tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[sssp]",
+         "tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[apsp]"),
+        "decrsp sssp and decrsp apsp hold their answer lines until the replay ends, so a "
+        "failing update loses the answers before it",
+    ),
+    Mutant(
+        "oracle-skips-probe-checks",
+        "src/decrsp/harness.py",
+        (("            if config.oracle_check:\n"
+          "                check_probe(item, est)\n", ""),),
+        ("tests/test_harness.py::test_oracle_checks_every_probe_answer_off_the_source_row",),
+        "the oracle replay checks the source row at each step but no probe answer",
     ),
     Mutant(
         "poisoned-full-range-keeps-bands",
@@ -92,17 +125,6 @@ MUTANTS = (
          "tests/test_apsp.py::test_a_fault_in_a_ball_inner_tree_poisons_the_state[8]"),
         "a poisoned ApspState keeps its ball system",
     ),
-    Mutant(
-        "cli-does-not-wrap",
-        "src/decrsp/cli.py",
-        (("        except Exception as exc:\n"
-          "            raise failed_update(updates, item, exc) from exc\n",
-          "        except Exception:\n"
-          "            raise\n"),),
-        ("tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[sssp]",
-         "tests/test_harness.py::test_cli_fault_inside_an_update_is_one_error_line[apsp]"),
-        "decrsp sssp and decrsp apsp let a fault inside an update escape as a traceback",
-    ),
     # -- the input grammar ----------------------------------------------------------
     Mutant(
         "reader-splits-at-any-whitespace",
@@ -127,6 +149,29 @@ MUTANTS = (
          "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[plus-sign-check]",
          "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[digit-separator-sssp]"),
         "an integer field is whatever int() reads: +3, 1_0 and non-ASCII digits",
+    ),
+    Mutant(
+        "out-of-range-update-format-error",
+        "src/decrsp/graph.py",
+        (("            raise UpdateError(\"node id %r outside [0, %d)\"",
+          "            raise GraphFormatError(\"node id %r outside [0, %d)\""),),
+        ("tests/test_graph_core.py::test_an_update_naming_a_node_outside_the_graph_is_rejected_"
+         "and_poisons_nothing[v]",
+         "tests/test_harness.py::test_cli_source_outside_graph_is_one_error_line"
+         "[sssp-update-node-8-plain]",
+         "tests/test_harness.py::test_cli_source_outside_graph_is_one_error_line"
+         "[check-update-node-8-optimized]"),
+        "an update naming a node outside the graph is a GraphFormatError, which the replay "
+        "reports as a fault inside the update",
+    ),
+    Mutant(
+        "node-cap-off-by-one",
+        "src/decrsp/graph.py",
+        (("            if n > MAX_NODES:", "            if n > MAX_NODES + 1:"),),
+        ("tests/test_graph_core.py::test_a_header_above_the_node_cap_is_rejected_before_the_graph_"
+         "is_built[cap-plus-one]",
+         "tests/test_input_boundary.py::test_cli_headers_at_their_limits[cap-plus-one]"),
+        "a header one node over the cap is accepted and builds its node set",
     ),
     Mutant(
         "byte-order-mark-kept",

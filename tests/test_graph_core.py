@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decrsp.graph
 from decrsp.apsp import ApspState
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
+    MAX_NODES,
     ArtificialSourceView,
     DynamicGraph,
     GraphFormatError,
@@ -133,6 +135,19 @@ def test_load_graph_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("n", [2**20 + 1, 10**18], ids=["cap-plus-one", "ten-to-the-18"])
+def test_a_header_above_the_node_cap_is_rejected_before_the_graph_is_built(monkeypatch, n):
+    # The stub stands in for the node set that such a header would allocate.
+    def no_graph(n, max_weight):
+        raise AssertionError("DynamicGraph(%d) built" % n)
+
+    monkeypatch.setattr(decrsp.graph, "DynamicGraph", no_graph)
+    assert MAX_NODES == 2**20
+    with pytest.raises(GraphFormatError,
+                       match="^line 2: n=%d above the node cap 1048576$" % n):
+        load_graph(io.StringIO("# header\n%d 0 1\n" % n))
+
+
 def test_graph_constructor_rejects_bad_sizes():
     with pytest.raises(GraphFormatError, match="n >= 0"):
         DynamicGraph(-1, 4)
@@ -210,6 +225,28 @@ def test_apply_update_contract():
         g.apply_update(UpdateEvent("increase", 0, 1, 7))  # not strictly larger
     with pytest.raises(UpdateError):
         g.apply_update(UpdateEvent("increase", 0, 1, 99))  # above weight bound
+
+
+@pytest.mark.parametrize("event", [UpdateEvent("delete", 1, 8), UpdateEvent("increase", 9, 0, 3),
+                                   UpdateEvent("delete", -1, 2)], ids=["v", "u", "negative"])
+def test_an_update_naming_a_node_outside_the_graph_is_rejected_and_poisons_nothing(event):
+    bad = event.v if event.u == 1 else event.u
+    message = "^node id %d outside \\[0, 4\\)$" % bad
+    graph = graph_from_edges(4, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 5)])
+    with pytest.raises(UpdateError, match=message):
+        graph.apply_update(event)
+    assert list(graph.edges()) == [(0, 1, 2), (1, 2, 3), (2, 3, 5)]
+    sssp = FullRangeSssp(graph, 0, Fraction(1, 2))
+    with pytest.raises(UpdateError, match=message):
+        sssp.apply_event(event)
+    assert sssp.apply_event(UpdateEvent("delete", 1, 2)) == [(2, inf), (3, inf)]
+    assert sssp.query(1) == 2
+    apsp = ApspState(graph_from_edges(4, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 5)]), 2,
+                     Fraction(1, 2), 0)
+    with pytest.raises(UpdateError, match=message):
+        apsp.process_update(event)
+    apsp.process_update(UpdateEvent("delete", 0, 1))
+    assert (apsp.query(0, 1), apsp.query(1, 2)) == (inf, 3)
 
 
 def test_edge_multiset_replay():

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from decrsp.cli import _load_schedule, _stream_run, main
+from decrsp.apsp import ApspState
+from decrsp.cli import _load_schedule, main
 from decrsp.es_tree import EsTree
 from decrsp.graph import (
     DynamicGraph,
@@ -25,6 +26,7 @@ from decrsp.graph import (
 )
 from decrsp.harness import (
     RunConfig,
+    Schedule,
     ScheduleError,
     _bounded_hop_distances,
     _unrank_pair,
@@ -343,7 +345,6 @@ def test_cli_apsp_answers_match_a_direct_replay(instance_files):
     assert rc == 0
     answers = [ln for ln in buf.getvalue().splitlines() if ln.startswith("Q ")]
 
-    from decrsp.apsp import ApspState
     graph = sched.build_graph()
     state = ApspState(graph, 2, Fraction(1, 2), 1, c=0.3)
     expected = []
@@ -376,11 +377,17 @@ def test_cli_check_mode_writes_a_deterministic_report(instance_files, tmp_path):
 CLI_REJECTIONS = {
     "sssp": (["sssp", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
     "check": (["check", "--source", "9"], 1, "decrsp: error: source 9 is not in the graph"),
-    # probe.txt holds the one line "Q 0 9".
+    # probe.txt holds the one line "Q 0 9", update.txt the one line "D 1 8".
     "sssp-probe-9": (["sssp", "--updates", "probe.txt"], 1,
                      "decrsp: error: query probe (0, 9) outside [0, 4)"),
     "check-probe-9": (["check", "--updates", "probe.txt"], 1,
                       "decrsp: error: query probe (0, 9) outside [0, 4)"),
+    "sssp-update-node-8": (["sssp", "--updates", "update.txt"], 1,
+                           "decrsp: error: node id 8 outside [0, 4)"),
+    "apsp-update-node-8": (["apsp", "--updates", "update.txt"], 1,
+                           "decrsp: error: node id 8 outside [0, 4)"),
+    "check-update-node-8": (["check", "--updates", "update.txt"], 1,
+                            "decrsp: error: node id 8 outside [0, 4)"),
     "epsilon-abc": (["sssp", "--epsilon", "abc"], 2,
                     "decrsp: error: argument --epsilon: invalid fraction value: 'abc'"),
     "oracle-stride-0": (["check", "--oracle-stride", "0"], 2,
@@ -419,7 +426,7 @@ CLI_REJECTIONS = {
     # There is no bench mode: time a replay with benchmarks/run.py.
     "bench": (["bench"], 2, "decrsp: error: argument mode: invalid choice: 'bench' "
               "(choose from 'sssp', 'apsp', 'check')"),
-    # File paths are relative to a working directory holding only probe.txt.
+    # File paths are relative to a working directory holding only probe.txt and update.txt.
     "graph-missing": (["sssp", "--graph", "nope.txt"], 1,
                       "decrsp: error: nope.txt: No such file or directory"),
     "updates-missing": (["sssp", "--updates", "nope.txt"], 1,
@@ -441,6 +448,7 @@ def test_cli_source_outside_graph_is_one_error_line(tmp_path, case, optimize):
     work = tmp_path / "work"
     work.mkdir()
     (work / "probe.txt").write_text("Q 0 9\n")
+    (work / "update.txt").write_text("D 1 8\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -519,15 +527,15 @@ def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):
         assert capsys.readouterr().err == "decrsp: error: edge (0, 2) not present\n"
 
 
-def fail_first_delete(monkeypatch):
-    """Make every band's exact tree raise once, on the first delete record
-    it gets, after the graph changed."""
+def fail_first_delete(monkeypatch, error=RuntimeError("injected band fault")):
+    """Make every band's exact tree raise ``error`` once, on the first delete
+    record it gets, after the graph changed."""
     original, failed = EsTree.process_update, []
 
     def fail_once(tree, record):
         if record.kind == "delete" and not failed:
             failed.append(record)
-            raise RuntimeError("injected band fault")
+            raise error
         return original(tree, record)
 
     monkeypatch.setattr(EsTree, "process_update", fail_once)
@@ -579,5 +587,92 @@ def test_cli_fault_inside_an_update_is_one_error_line(tmp_path, capsys, monkeypa
         "decrsp: error: update 2 (D 1 2) failed: RuntimeError: injected band fault\n")
     failed.clear()
     with pytest.raises(UpdateError, match="update 2") as info:
-        _stream_run(_load_schedule(str(gp), str(up)), RunConfig(mode=mode), io.StringIO())
+        run_with_oracle(_load_schedule(str(gp), str(up)), RunConfig(mode=mode, oracle_check=False),
+                        io.StringIO())
     assert type(info.value.__cause__) is RuntimeError
+
+
+@pytest.mark.parametrize("argv", ["sssp", "apsp", "check", "sssp --oracle-check"],
+                         ids=["sssp", "apsp", "check", "sssp-oracle-check"])
+def test_an_assertion_inside_an_update_fails_the_update_unless_the_oracle_reports_it(
+        tmp_path, capsys, monkeypatch, argv):
+    # Without the oracle an AssertionError is a fault like any other; under
+    # it, an invariant failure that ends the replay, printed in the report
+    # alone: the poisoned structure is asked for no final estimate.
+    gp = tmp_path / "g.txt"
+    up = tmp_path / "u.txt"
+    gp.write_text("4 3 5\n0 1 2\n1 2 3\n2 3 5\n")
+    up.write_text("Q 0 3\nI 0 1 4\nD 1 2\nQ 0 3\n")
+    fail_first_delete(monkeypatch, AssertionError("injected band check"))
+    out = io.StringIO()
+    assert main(argv.split() + ["--graph", str(gp), "--updates", str(up)], out=out) == 1
+    err = capsys.readouterr().err
+    if argv in ("sssp", "apsp"):
+        assert out.getvalue() == "Q 0 3 10\n"
+        assert err == ("decrsp: error: update 2 (D 1 2) failed: AssertionError: "
+                       "injected band check\n")
+    else:
+        assert err == ""
+        report = out.getvalue()
+        assert "invariant_failure=index=2 assert=injected band check\n" in report
+        assert report.splitlines()[-1].startswith("emissions_sha256=")
+
+
+def apsp_motivation_run(tmp_path, argv):
+    """stdout of ``decrsp apsp --oracle-check`` on a shape where the oracle's
+    source-row reads raise later probe answers."""
+    sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, 5, increase_rate=0.3,
+                              query_rate=0.5)
+    gp, up = tmp_path / "g.txt", tmp_path / "u.txt"
+    gp.write_text(sched.dump_graph())
+    up.write_text(sched.dump_updates())
+    out = io.StringIO()
+    assert main(argv + ["--graph", str(gp), "--updates", str(up)], out=out) == 0
+    return out.getvalue()
+
+
+def test_cli_oracle_check_prints_the_answers_its_report_checked(tmp_path):
+    argv = ["apsp", "--oracle-check", "--k", "2", "--c", "0.3", "--oracle-stride", "1",
+            "--seed", "5"]
+    text = apsp_motivation_run(tmp_path, argv)
+    report, answers = text.split("\nQ ", 1)
+    answers = "Q " + answers
+    assert report.endswith("emissions_sha256=" + hashlib.sha256(answers.encode()).hexdigest())
+    assert "Q 0 10 12\n" in answers
+    plain = apsp_motivation_run(tmp_path, ["apsp", "--k", "2", "--c", "0.3", "--seed", "5"])
+    assert answers != plain  # the oracle's own reads raise some clamps
+
+
+@pytest.mark.parametrize("mode,cls", [("sssp", FullRangeSssp), ("apsp", ApspState)])
+def test_cli_oracle_check_builds_its_structure_once(instance_files, monkeypatch, mode, cls):
+    gp, up, _ = instance_files
+    built = []
+    init = cls.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    out = io.StringIO()
+    assert main([mode, "--oracle-check", "--c", "0.3", "--graph", gp, "--updates", up],
+                out=out) == 0
+    assert "\nQ " in out.getvalue()
+    assert built == [cls]
+
+
+def test_oracle_checks_every_probe_answer_off_the_source_row(monkeypatch):
+    # Oracle steps read the source row only, so these two forged answers
+    # are caught by the per-probe check alone.
+    sched = Schedule(n=4, w_max=5, edges=((0, 1, 2), (1, 2, 3), (2, 3, 5)),
+                     items=(QueryProbe(2, 3), UpdateEvent("increase", 0, 1, 4), QueryProbe(1, 3)),
+                     seed=0, model="hand")
+    query = ApspState.query
+    forged = {(2, 3): 0, (1, 3): 1000}
+    monkeypatch.setattr(ApspState, "query",
+                        lambda self, u, v: forged[u, v] if (u, v) in forged else query(self, u, v))
+    out = io.StringIO()
+    report = run_with_oracle(sched, RunConfig(mode="apsp"), out)
+    assert out.getvalue() == "Q 2 3 0\nQ 1 3 1000\n"
+    assert (report.get("underestimate"), report.get("invariant_failure")) == (
+        "index=0 pair=2,3 est=0 dist=5", "index=1 pair=1,3 stretch=125")

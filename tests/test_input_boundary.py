@@ -6,12 +6,17 @@ bytes, a run exits 0 with nothing on stderr, or 1 with exactly one
 """
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decrsp.graph
 from decrsp.cli import main
 from decrsp.harness import generate_instance
 
@@ -66,6 +71,65 @@ def test_cli_rejects_integers_and_separators_outside_the_grammar(tmp_path, case,
     graph, updates, message = REJECTED[case]
     assert run_cli(tmp_path, graph.encode(), updates.encode(), (mode,)) == (
         1, "", message + "\n")
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_cli_rejections_are_byte_identical_under_optimize_and_hash_seeds(tmp_path, case):
+    graph, updates, message = REJECTED[case]
+    (tmp_path / "g.txt").write_bytes(graph.encode())
+    (tmp_path / "u.txt").write_bytes(updates.encode())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = set()
+    for flags, seed in [([], "0"), ([], "1"), (["-O"], "0")]:
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "decrsp.cli", "sssp", "--graph", "g.txt",
+             "--updates", "u.txt"], env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+            timeout=60, cwd=tmp_path)
+        runs.add((done.returncode, done.stdout, done.stderr))
+    assert runs == {(1, b"", message.encode() + b"\n")}
+
+
+MB = 1 << 20
+PLAIN = (0, "Q 0 2 5\nQ 0 2 7\nQ 0 2 inf\nest 0 0\nest 1 4\nest 2 inf\n", "")
+# case id -> (graph text, update text, the run's (exit code, stdout, stderr)).
+LONG_LINES = {
+    "comment": ("#" + "x" * MB + "\n" + GRAPH, UPDATES, PLAIN),
+    "comment-in-updates": (GRAPH, "Q 0 2 # " + "y" * MB + "\n" + UPDATES[6:], PLAIN),
+    "blanks-between-fields": (GRAPH.replace("0 1 2", "0" + " \t" * (MB // 2) + "1 2"),
+                              UPDATES.replace("D 1 2", "D\t" + " " * MB + "1 2"), PLAIN),
+    # The grammar takes any number of digits; this many pass int()'s default
+    # limit on digits, so the field is read as no integer at all.
+    "digits": (GRAPH.replace("1 2 3", "1 2 " + "7" * MB), UPDATES,
+               (1, "", "decrsp: error: line 3: non-integer edge field\n")),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_LINES))
+def test_cli_megabyte_lines_end_in_an_answer_or_one_error_line(tmp_path, case):
+    graph, updates, expected = LONG_LINES[case]
+    assert run_cli(tmp_path, graph.encode(), updates.encode()) == expected
+
+
+# header -> the run's (exit code, stdout, stderr) over an empty update file.
+HEADERS = {
+    "0 0 1": (1, "", "decrsp: error: source 0 is not in the graph\n"),
+    "1 0 1": (0, "est 0 0\n", ""),
+    "1048577 0 1": (1, "", "decrsp: error: line 1: n=1048577 above the node cap 1048576\n"),
+}
+
+
+@pytest.mark.parametrize("header", list(HEADERS), ids=["no-nodes", "one-node", "cap-plus-one"])
+def test_cli_headers_at_their_limits(tmp_path, monkeypatch, header):
+    real = decrsp.graph.DynamicGraph
+
+    def small_graph(n, max_weight):  # a header over the cap must never get here
+        assert n <= 1, "DynamicGraph(%d) built" % n
+        return real(n, max_weight)
+
+    monkeypatch.setattr(decrsp.graph, "DynamicGraph", small_graph)
+    assert run_cli(tmp_path, header.encode() + b"\n", b"") == HEADERS[header]
 
 
 # Pieces the fuzzer writes into valid files: a BOM, NUL, line ends, integers
