@@ -65,12 +65,6 @@ class BallEvent:
     def sort_key(self):
         return (self.owner, self.member, _KIND_RANK[self.kind])
 
-    def line(self):
-        """Dump format: ``JOIN u v est`` / ``LEAVE u v`` / ``EST u v new_est``."""
-        if self.kind == LEAVE:
-            return "LEAVE %d %d" % (self.owner, self.member)
-        return "%s %d %d %s" % (self.kind.upper(), self.owner, self.member, self.estimate)
-
 
 @dataclass(frozen=True)
 class BallChangeSet:

@@ -19,6 +19,7 @@ answer line to stdout as it is computed, so the lines before a failing
 update still appear.  With ``--oracle-check`` the answers are held until
 the report is printed, and follow it only when the report shows no failure:
 they are the answers the report checked.  ``check`` prints the report alone.
+A report that shows a failure exits 1, whatever its count.
 """
 
 from __future__ import annotations
@@ -147,10 +148,10 @@ def _run(args, out):
     if args.report:
         report.write_to(args.report)
     out.write(report.render())
-    status = report.get("underestimate_violations") or report.get("invariant_failures")
-    if not status:
-        out.write(answers.getvalue())
-    return status
+    if report.get("underestimate_violations") or report.get("invariant_failures"):
+        return 1
+    out.write(answers.getvalue())
+    return 0
 
 
 if __name__ == "__main__":

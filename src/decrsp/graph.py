@@ -36,6 +36,9 @@ from math import inf
 
 
 MAX_NODES = 2**20  # the largest node count a graph file's header may declare
+# The most digits an integer field may hold: sys.int_info.str_digits_check_threshold,
+# the least limit PYTHONINTMAXSTRDIGITS takes, so int() reads every field alike.
+MAX_DIGITS = 640
 
 
 class GraphFormatError(ValueError):
@@ -208,12 +211,19 @@ def _lines(stream):
 
     Both file formats share this grammar: ``#`` starts a comment, fields are
     separated by spaces and tabs only, and ``text`` is the line without its
-    comment and without the spaces, tabs and line end around it.
+    comment and without the spaces, tabs and line end around it.  A field of
+    more than ``MAX_DIGITS`` digits is a ``GraphFormatError`` here, before any
+    ``int()`` reads it.
     """
     for lineno, raw in enumerate(stream, start=1):
         text = raw.split("#", 1)[0].strip(" \t\r\n")
         if text:
-            yield lineno, text, re.split("[ \t]+", text)
+            fields = re.split("[ \t]+", text)
+            for f in fields:
+                if len(f) > MAX_DIGITS and re.fullmatch("-?[0-9]{%d,}" % (MAX_DIGITS + 1), f):
+                    raise GraphFormatError("line %d: integer field above the digit cap %d"
+                                           % (lineno, MAX_DIGITS))
+            yield lineno, text, fields
 
 
 def _integers(fields):

@@ -3,8 +3,8 @@
 A Schedule couples a start graph with an ordered stream of updates and
 interleaved query probes, all derived deterministically from a seed.
 ``run_with_oracle`` is the one replay of a schedule, for the library and for
-every CLI mode: it drives one of the maintained structures (exact tree,
-full-range single-source, all-pairs) through the stream once, writes each
+every CLI mode: it drives one of the maintained structures (full-range
+single-source or all-pairs) through the stream once, writes each
 probe's answer line to an optional writer and, when the oracle is on, checks
 every probe answer and, at a configurable stride, the source row against
 exact distances from two independent shortest-path implementations.  It
@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import ceil, inf, isqrt
 
 from .apsp import ApspState
-from .es_tree import EsTree
 from .graph import DynamicGraph, QueryProbe, UpdateError, UpdateEvent, update_line
 from .layered import FullRangeSssp
 from .oracle import cross_checked_distances
@@ -83,41 +82,6 @@ def _unrank_pair(index, n):
     return n - 2 - r, n - 1 - (back - r * (r + 1) // 2)
 
 
-def _edge_topology(n, m, model, rng):
-    if model == "erdos-renyi":
-        total = n * (n - 1) // 2
-        if m > total:
-            raise ScheduleError("m=%d exceeds %d possible edges for n=%d" % (m, total, n))
-        picks = rng.sample(range(total), m)
-        return sorted(_unrank_pair(i, n) for i in picks)
-    if model == "path":
-        return [(i, i + 1) for i in range(n - 1)]
-    if model == "grid":
-        side = max(1, int(n**0.5))
-        pairs = []
-        for idx in range(n):
-            r, c = divmod(idx, side)
-            if c + 1 < side and idx + 1 < n:
-                pairs.append((idx, idx + 1))
-            if idx + side < n:
-                pairs.append((idx, idx + side))
-        return pairs
-    if model == "power-law":
-        if n < 3:
-            raise ScheduleError("power-law model needs n >= 3")
-        pairs = {(0, 1), (0, 2), (1, 2)}
-        stubs = [0, 1, 2, 0, 1, 2]  # degree-proportional attachment pool
-        for v in range(3, n):
-            t = stubs[rng.randrange(len(stubs))]
-            pairs.add((min(t, v), max(t, v)))
-            stubs += [t, v]
-        total = n * (n - 1) // 2
-        while len(pairs) < min(m, total):
-            pairs.add(_unrank_pair(rng.randrange(total), n))
-        return sorted(pairs)
-    raise ScheduleError("unknown model %r" % (model,))
-
-
 def generate_instance(
     n,
     m,
@@ -129,7 +93,9 @@ def generate_instance(
     increase_rate=0.0,
     query_rate=0.0,
 ):
-    """Deterministic schedule: topology, weights, then a shuffled deletion set.
+    """Deterministic schedule: ``m`` distinct node pairs drawn uniformly
+    (``model`` must be ``"erdos-renyi"``, the one topology), their weights,
+    then a shuffled deletion set.
 
     Weight increases and query probes are sprinkled in front of deletions at
     the given rates; every event is valid at its position by construction
@@ -139,8 +105,13 @@ def generate_instance(
 
     if not (0 <= deletion_fraction <= 1):
         raise ScheduleError("deletion fraction %r outside [0, 1]" % (deletion_fraction,))
+    if model != "erdos-renyi":
+        raise ScheduleError("unknown model %r" % (model,))
+    total = n * (n - 1) // 2
+    if m > total:
+        raise ScheduleError("m=%d exceeds %d possible edges for n=%d" % (m, total, n))
     rng = random.Random(seed)
-    pairs = _edge_topology(n, m, model, rng)
+    pairs = sorted(_unrank_pair(i, n) for i in rng.sample(range(total), m))
     edges = tuple((u, v, rng.randint(1, w_max)) for u, v in pairs)
     doomed = rng.sample(range(len(edges)), round(deletion_fraction * len(edges)))
     weight = [w for _, _, w in edges]
@@ -182,7 +153,7 @@ def generate_instance(
 
 @dataclass
 class RunConfig:
-    mode: str = "sssp"  # "es" | "sssp" | "apsp"
+    mode: str = "sssp"  # "sssp" (FullRangeSssp) | "apsp" (ApspState)
     source: int = 0
     eps: Fraction = Fraction(1, 2)
     k: int = 2
@@ -192,7 +163,6 @@ class RunConfig:
     seed: int = 0
     oracle_check: bool = True
     oracle_stride: int = 1
-    debug: bool = False
 
 
 @dataclass
@@ -235,8 +205,9 @@ def run_with_oracle(schedule, config, out=None):
     ``config.oracle_check`` set, every probe answer is checked against exact
     distances, and every ``oracle_stride`` updates an oracle step recomputes
     the source row with two independent exact implementations (which must
-    agree); the report records the worst stretch and every underestimate
-    with its update index and witness pair.  Inside an update an
+    agree).  One judge checks both: the report records every underestimate
+    and every stretch over the bound with its update index and its node or
+    pair, and the worst stretch of a source row.  Inside an update an
     ``AssertionError`` is then an invariant failure that ends the replay.
     Any other exception but ``UpdateError``, and without the oracle an
     ``AssertionError`` too, is raised again as an ``UpdateError`` naming the
@@ -244,15 +215,17 @@ def run_with_oracle(schedule, config, out=None):
     """
     graph = schedule.build_graph()
     eps = Fraction(config.eps)
-    if config.mode == "es":
-        structure, bound = EsTree(graph, config.source, inf), Fraction(1)
-    elif config.mode == "sssp":
+    if config.mode == "sssp":
         structure = FullRangeSssp(graph, config.source, eps, p=config.p, q=config.q, c=config.c,
-                                  seed=config.seed, debug=config.debug)
+                                  seed=config.seed)
         bound = 1 + eps
+
+        def answer(u, v):
+            return structure.query(v)
     elif config.mode == "apsp":
-        structure = ApspState(graph, config.k, eps, config.seed, c=config.c, debug=config.debug)
+        structure = ApspState(graph, config.k, eps, config.seed, c=config.c)
         bound = (2 + eps) ** config.k - 1
+        answer = structure.query
     else:
         raise ValueError("unknown mode %r" % (config.mode,))
     write = out.write if out is not None else lambda line: None
@@ -265,49 +238,29 @@ def run_with_oracle(schedule, config, out=None):
     update_index = 0
     query_answers = 0
 
-    def estimates_for_oracle():
-        if config.mode == "apsp":
-            return {v: structure.query(config.source, v) for v in graph.node_ids()}
-        return {v: structure.query(v) for v in graph.node_ids()}
+    def judge(subject, est, d):
+        """Record ``est`` against the exact distance ``d`` as an underestimate
+        or a stretch over the bound; return its stretch, 0 where ``d`` is 0,
+        inf or above ``est``."""
+        if est < d:
+            underestimates.append("index=%d %s est=%s dist=%s"
+                                  % (update_index, subject, fraction_str(est), fraction_str(d)))
+            return 0
+        if d in (0, inf):
+            return 0
+        stretch = Fraction(est) / d
+        if stretch > bound:
+            invariant_failures.append("index=%d %s stretch=%s"
+                                      % (update_index, subject, fraction_str(stretch)))
+        return stretch
 
     def oracle_step():
         nonlocal max_stretch, oracle_checks
         oracle_checks += 1
         dist = cross_checked_distances(graph, config.source)
-        reported = estimates_for_oracle()
         for v in graph.node_ids():
-            d = dist.get(v, inf)
-            est = reported[v]
-            if est < d:
-                underestimates.append("index=%d node=%d est=%s dist=%s"
-                                      % (update_index, v, fraction_str(est), fraction_str(d)))
-                continue
-            if d == inf:
-                if est != inf:
-                    invariant_failures.append(
-                        "index=%d node=%d finite_estimate_for_unreachable" % (update_index, v)
-                    )
-                continue
-            if d > 0:
-                stretch = Fraction(est) / d
-                if stretch > bound:
-                    invariant_failures.append(
-                        "index=%d node=%d stretch=%s" % (update_index, v, fraction_str(stretch))
-                    )
-                max_stretch = max(max_stretch, stretch)
-
-    def check_probe(probe, est):
-        d = cross_checked_distances(graph, probe.u).get(probe.v, inf)
-        if est < d:
-            underestimates.append(
-                "index=%d pair=%d,%d est=%s dist=%s"
-                % (update_index, probe.u, probe.v, fraction_str(est), fraction_str(d))
-            )
-        elif d not in (0, inf) and Fraction(est) / d > bound:
-            invariant_failures.append(
-                "index=%d pair=%d,%d stretch=%s"
-                % (update_index, probe.u, probe.v, fraction_str(Fraction(est) / d))
-            )
+            stretch = judge("node=%d" % v, answer(config.source, v), dist.get(v, inf))
+            max_stretch = max(max_stretch, stretch)
 
     if config.oracle_check:
         oracle_step()
@@ -315,28 +268,24 @@ def run_with_oracle(schedule, config, out=None):
     for item in schedule.items:
         if isinstance(item, QueryProbe):
             query_answers += 1
-            if config.mode == "apsp":
-                est = structure.query(item.u, item.v)
-            elif item.u == config.source:
-                est = structure.query(item.v)
-            else:
+            if config.mode == "sssp" and item.u != config.source:
                 write("Q %d %d unsupported-source\n" % (item.u, item.v))
                 continue
+            est = answer(item.u, item.v)
             line = "Q %d %d %s\n" % (item.u, item.v, fraction_str(est))
             write(line)
             digest.update(line.encode())
             if config.oracle_check:
-                check_probe(item, est)
+                judge("pair=%d,%d" % (item.u, item.v), est,
+                      cross_checked_distances(graph, item.u).get(item.v, inf))
             continue
         update_index += 1
         try:
             if config.mode == "apsp":
                 structure.process_update(item)
                 changed = ()
-            elif config.mode == "sssp":
-                changed = structure.apply_event(item)
             else:
-                changed = structure.process_update(graph.apply_update(item))
+                changed = structure.apply_event(item)
         except UpdateError:
             raise
         except Exception as exc:
@@ -384,8 +333,6 @@ def run_with_oracle(schedule, config, out=None):
 
 def collect_work_counters(mode, structure):
     """Event-count totals per structural component (no timers)."""
-    if mode == "es":
-        return {"es_edge_scans": structure.work_counter}
     stats = structure.stats()
     if mode == "sssp":
         return {

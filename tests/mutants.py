@@ -81,9 +81,35 @@ MUTANTS = (
         "oracle-skips-probe-checks",
         "src/decrsp/harness.py",
         (("            if config.oracle_check:\n"
-          "                check_probe(item, est)\n", ""),),
+          "                judge(\"pair=%d,%d\" % (item.u, item.v), est,\n"
+          "                      cross_checked_distances(graph, item.u).get(item.v, inf))\n", ""),),
         ("tests/test_harness.py::test_oracle_checks_every_probe_answer_off_the_source_row",),
         "the oracle replay checks the source row at each step but no probe answer",
+    ),
+    Mutant(
+        "source-rows-skip-stretch-check",
+        "src/decrsp/harness.py",
+        (("            stretch = judge(\"node=%d\" % v, answer(config.source, v), dist.get(v, inf))\n"
+          "            max_stretch = max(max_stretch, stretch)\n",
+          "            est, d = answer(config.source, v), dist.get(v, inf)\n"
+          "            if est < d:\n"
+          "                judge(\"node=%d\" % v, est, d)\n"),),
+        ("tests/test_harness.py::test_forged_over_stretched_source_row_estimate_is_reported_and_"
+         "sets_max_stretch",),
+        "an oracle step judges the source row for underestimates only: no stretch over "
+        "the bound is reported, and max_stretch stays 0",
+    ),
+    Mutant(
+        "failing-report-exits-with-its-count",
+        "src/decrsp/cli.py",
+        (("    if report.get(\"underestimate_violations\") or report.get(\"invariant_failures\"):\n"
+          "        return 1\n",
+          "    status = report.get(\"underestimate_violations\") or report.get(\"invariant_failures\")\n"
+          "    if status:\n"
+          "        return status\n"),),
+        ("tests/test_harness.py::test_a_failing_check_exits_1_whatever_its_failure_count",),
+        "a failing report exits with its failure count, which the shell takes mod 256, "
+        "so 256 underestimates exit 0",
     ),
     Mutant(
         "poisoned-full-range-keeps-bands",
@@ -129,8 +155,8 @@ MUTANTS = (
     Mutant(
         "reader-splits-at-any-whitespace",
         "src/decrsp/graph.py",
-        (("            yield lineno, text, re.split(\"[ \\t]+\", text)\n",
-          "            yield lineno, text, text.split()\n"),),
+        (("            fields = re.split(\"[ \\t]+\", text)\n",
+          "            fields = text.split()\n"),),
         ("tests/test_graph_core.py::test_fields_are_separated_by_spaces_and_tabs_only[no-break-space]",
          "tests/test_graph_core.py::test_fields_are_separated_by_spaces_and_tabs_only[vertical-tab]",
          "tests/test_input_boundary.py::test_cli_rejects_integers_and_separators_outside_the_grammar[no-break-space-sssp]",
@@ -163,6 +189,18 @@ MUTANTS = (
          "[check-update-node-8-optimized]"),
         "an update naming a node outside the graph is a GraphFormatError, which the replay "
         "reports as a fault inside the update",
+    ),
+    Mutant(
+        "digit-cap-off-by-one",
+        "src/decrsp/graph.py",
+        (("re.fullmatch(\"-?[0-9]{%d,}\" % (MAX_DIGITS + 1), f)",
+          "re.fullmatch(\"-?[0-9]{%d,}\" % (MAX_DIGITS + 2), f)"),),
+        ("tests/test_input_boundary.py::test_integer_fields_read_the_same_under_every_interpreter_"
+         "digit_limit[probe-641]",
+         "tests/test_input_boundary.py::test_integer_fields_read_the_same_under_every_interpreter_"
+         "digit_limit[weight-641]"),
+        "a field of one digit over the cap passes it, and int() reads it or not by the "
+        "interpreter's digit limit",
     ),
     Mutant(
         "node-cap-off-by-one",

@@ -376,12 +376,6 @@ def test_rebuild_clamps_estimates_against_history():
     )
 
 
-def test_event_line_format():
-    assert BallEvent("join", 2, 5, 7).line() == "JOIN 2 5 7"
-    assert BallEvent("leave", 2, 5).line() == "LEAVE 2 5"
-    assert BallEvent("est", 0, 1, Fraction(5, 4)).line() == "EST 0 1 5/4"
-
-
 # -- per-update oracle battery --------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exact depth-bounded tree: exactness per update, change lists, work bound."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import inf
@@ -21,10 +22,12 @@ from decrsp.graph import (
     DynamicGraph,
     GraphFormatError,
     InducedSnapshot,
+    QueryProbe,
     UpdateError,
     UpdateEvent,
     dijkstra_bounded,
 )
+from decrsp.harness import fraction_str, generate_instance
 from decrsp.layered import FullRangeSssp
 from decrsp.oracle import dijkstra
 
@@ -228,6 +231,29 @@ def test_levels_stay_supported_through_full_drain():
                 t.process_update(rec)
                 assert_levels_supported(t)
                 levels_against_oracle(t, t.view, t.root, t.depth)
+
+
+def test_change_stream_on_a_full_drain_is_frozen():
+    # Every level change and every source probe's answer of one unbounded
+    # tree through a seeded schedule, hashed as the harness hashes a
+    # replay's emissions.  A repair-loop change must leave the digest as it is.
+    sched = generate_instance(60, 200, 16, "erdos-renyi", 1.0, seed=5,
+                              increase_rate=0.3, query_rate=0.3)
+    g = sched.build_graph()
+    t = EsTree(g, 0, inf)
+    digest = hashlib.sha256()
+    index = 0
+    for item in sched.items:
+        if isinstance(item, QueryProbe):
+            if item.u == 0:
+                digest.update(("Q %d %d %s\n" % (item.u, item.v, fraction_str(t.query(item.v))))
+                              .encode())
+            continue
+        index += 1
+        for node, level in t.process_update(g.apply_update(item)):
+            digest.update(("U %d %d %s\n" % (index, node, fraction_str(level))).encode())
+    assert index == len(sched.updates()) and g.edge_count == 0
+    assert digest.hexdigest() == "9057efa592d1196f4278294ebfdf66d96e84dd369b545b1518f8bdac6caac311"
 
 
 class EsMachine(RuleBasedStateMachine):

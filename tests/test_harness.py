@@ -23,6 +23,7 @@ from decrsp.graph import (
     UpdateEvent,
     load_graph,
     parse_update_stream,
+    update_line,
 )
 from decrsp.harness import (
     RunConfig,
@@ -35,6 +36,7 @@ from decrsp.harness import (
     static_hopset_check,
 )
 from decrsp.layered import FullRangeSssp
+from decrsp.oracle import cross_checked_distances
 
 
 def path_graph(n, w=1):
@@ -64,13 +66,6 @@ def test_edgeless_request_yields_empty_schedule():
     assert sched.items == ()
 
 
-def test_full_deletion_of_path_emits_each_edge_once():
-    sched = generate_instance(4, 0, 1, "path", 1.0, seed=9)
-    deletions = [(e.u, e.v) for e in sched.updates() if e.kind == "delete"]
-    assert len(deletions) == 3
-    assert sorted(deletions) == [(0, 1), (1, 2), (2, 3)]
-
-
 def test_every_generated_event_is_valid_at_its_position():
     sched = generate_instance(16, 32, 6, "erdos-renyi", 1.0, seed=11,
                               increase_rate=0.5, query_rate=0.3)
@@ -80,34 +75,6 @@ def test_every_generated_event_is_valid_at_its_position():
     for event in updates:  # apply_update raises on any invalid event
         graph.apply_update(event)
     assert graph.edge_count == 0
-
-
-def test_grid_and_power_law_topologies():
-    grid = generate_instance(12, 0, 3, "grid", 0.0, seed=2)
-    g = grid.build_graph()
-    assert all(len(g.neighbors(v)) <= 4 for v in g.node_ids())
-    assert g.has_edge(0, 1) and g.has_edge(0, 3)  # 3-wide truncated grid
-
-    pl = generate_instance(20, 30, 3, "power-law", 0.0, seed=2)
-    h = pl.build_graph()
-    assert h.edge_count >= 20  # attachment alone yields n edges
-    from decrsp.oracle import dijkstra
-    assert len(dijkstra(h, 0)) == 20  # preferential attachment keeps it connected
-
-
-@pytest.mark.parametrize(
-    "seed, n, m, digest",
-    [
-        (1, 24, 48, "5928fcf6f625253c25db993434e14c71166b2bd8840e8fcc8b58500b275726f4"),
-        (7, 100, 300, "c306599a4a964641c1befbd03e613ef7f58b4b3590cf6596ce841ff3b802b2b3"),
-        (3, 500, 1500, "873802215b19fef3503b6fc5a763dc5fe1ba767d492cd1207d0bd556eb5d9e84"),
-    ],
-)
-def test_power_law_schedules_are_pinned(seed, n, m, digest):
-    sched = generate_instance(n, m, 8, "power-law", 1.0, seed,
-                              increase_rate=0.3, query_rate=0.2)
-    text = sched.dump_graph() + sched.dump_updates()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -159,21 +126,25 @@ def test_pair_unranking_matches_the_row_walk():
             assert _unrank_pair(index, n) == row_walk(index, n)
 
 
-def test_power_law_generation_needs_no_quadratic_pool():
+def test_generation_needs_no_quadratic_pool():
     # A pool of all n(n-1)/2 pair indices peaks near 37 MB at n = 1000.
-    generate_instance(20, 30, 8, "power-law", 1.0, seed=5)  # warm imports
+    generate_instance(20, 30, 8, "erdos-renyi", 1.0, seed=5)  # warm imports
     tracemalloc.start()
     try:
-        generate_instance(1000, 3000, 8, "power-law", 1.0, seed=5)
+        generate_instance(1000, 3000, 8, "erdos-renyi", 1.0, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
 
 
-def test_rejects_bad_model_and_fraction():
-    with pytest.raises(ScheduleError):
-        generate_instance(5, 4, 2, "small-world", 0.5, seed=0)
+@pytest.mark.parametrize("model", ["small-world", "path", "grid", "power-law"])
+def test_erdos_renyi_is_the_one_model(model):
+    with pytest.raises(ScheduleError, match="unknown model %r" % model):
+        generate_instance(5, 4, 2, model, 0.5, seed=0)
+
+
+def test_rejects_bad_fraction_and_edge_count():
     with pytest.raises(ScheduleError):
         generate_instance(5, 4, 2, "erdos-renyi", 1.5, seed=0)
     with pytest.raises(ScheduleError):
@@ -190,16 +161,6 @@ def test_dump_round_trips_through_the_file_formats():
 
 
 # -- oracle-validated runs -----------------------------------------------------
-
-
-def test_exact_tree_run_has_zero_stretch_everywhere():
-    sched = generate_instance(14, 28, 8, "erdos-renyi", 1.0, seed=5,
-                              increase_rate=0.2)
-    report = run_with_oracle(sched, RunConfig(mode="es"))
-    assert report.get("max_stretch") == "1"
-    assert report.get("underestimate_violations") == 0
-    assert report.get("invariant_failures") == 0
-    assert report.get("updates_processed") == len(sched.updates())
 
 
 def test_sssp_run_respects_the_stretch_bound():
@@ -227,12 +188,20 @@ def test_apsp_run_respects_the_stretch_bound():
 def test_oracle_stride_controls_check_count():
     sched = generate_instance(12, 20, 4, "erdos-renyi", 1.0, seed=3)
     updates = len(sched.updates())
-    report = run_with_oracle(sched, RunConfig(mode="es", oracle_stride=4))
+    report = run_with_oracle(sched, RunConfig(mode="sssp", oracle_stride=4))
     assert report.get("oracle_checks") == 1 + updates // 4
 
 
-def test_forged_low_estimate_is_reported_at_the_right_index(monkeypatch):
-    sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, seed=3)
+@pytest.mark.parametrize("mode", ["es", "bench", "SSSP"])
+def test_run_config_takes_the_sssp_and_apsp_modes_only(mode):
+    sched = generate_instance(6, 8, 4, "erdos-renyi", 1.0, seed=3)
+    with pytest.raises(ValueError, match="unknown mode %r" % mode):
+        run_with_oracle(sched, RunConfig(mode=mode))
+
+
+def forge_answer(monkeypatch, node, index, value):
+    """Make ``FullRangeSssp.query(node)`` read ``value`` after update
+    ``index`` only."""
     done = []  # one entry per update the structure has digested
     apply_event, query = FullRangeSssp.apply_event, FullRangeSssp.query
 
@@ -241,16 +210,36 @@ def test_forged_low_estimate_is_reported_at_the_right_index(monkeypatch):
         done.append(event)
         return changed
 
-    def forged_query(self, node):
-        # Node 5 reads 0, below its true distance, after update 2 only.
-        return 0 if node == 5 and len(done) == 2 else query(self, node)
+    def forged_query(self, v):
+        return value if v == node and len(done) == index else query(self, v)
 
     monkeypatch.setattr(FullRangeSssp, "apply_event", counted_apply_event)
     monkeypatch.setattr(FullRangeSssp, "query", forged_query)
+
+
+def test_forged_low_estimate_is_reported_at_the_right_index(monkeypatch):
+    sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, seed=3)
+    forge_answer(monkeypatch, 5, 2, 0)  # below node 5's true distance
     report = run_with_oracle(sched, RunConfig(mode="sssp", seed=1))
     assert report.get("underestimate_violations") == 1
     entry = report.get("underestimate")
     assert entry.startswith("index=2 node=5 est=0")
+
+
+def test_forged_over_stretched_source_row_estimate_is_reported_and_sets_max_stretch(monkeypatch):
+    # The schedule holds no probe, so only an oracle step's source row sees it.
+    sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, seed=3)
+    graph = sched.build_graph()
+    for event in sched.updates()[:2]:
+        graph.apply_update(event)
+    stretch = Fraction(100, cross_checked_distances(graph, 0)[5])
+    assert stretch > Fraction(3, 2)
+    forge_answer(monkeypatch, 5, 2, 100)
+    report = run_with_oracle(sched, RunConfig(mode="sssp", seed=1))
+    assert report.get("query_answers") == 0
+    assert (report.get("underestimate_violations"), report.get("invariant_failures")) == (0, 1)
+    assert report.get("invariant_failure") == "index=2 node=5 stretch=%s" % stretch
+    assert report.get("max_stretch") == str(stretch)
 
 
 def test_reports_are_byte_identical_across_runs():
@@ -370,6 +359,40 @@ def test_cli_check_mode_writes_a_deterministic_report(instance_files, tmp_path):
     text = r1.read_text()
     assert "underestimate_violations=0\n" in text
     assert "emissions_sha256=" in text
+
+
+# Run as a script: every answer but the source's reads 0, then decrsp's main.
+ZERO_ANSWERS = """
+import sys
+from decrsp.cli import main
+from decrsp.layered import FullRangeSssp
+query = FullRangeSssp.query
+FullRangeSssp.query = lambda self, v: query(self, v) if v == self.source else 0
+sys.exit(main())
+"""
+
+
+def test_a_failing_check_exits_1_whatever_its_failure_count(tmp_path, monkeypatch):
+    # 64 underestimates in each of 4 oracle steps: an exit status of 256 is
+    # 0 to the shell.
+    sched = generate_instance(65, 200, 8, "erdos-renyi", 1.0, seed=3)
+    gp, up = tmp_path / "g.txt", tmp_path / "u.txt"
+    gp.write_text(sched.dump_graph())
+    up.write_text("".join(update_line(event) + "\n" for event in sched.updates()[:3]))
+    argv = ["check", "--graph", str(gp), "--updates", str(up)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", ZERO_ANSWERS] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert "underestimate_violations=256\n" in done.stdout
+    query = FullRangeSssp.query
+    monkeypatch.setattr(FullRangeSssp, "query",
+                        lambda self, v: query(self, v) if v == self.source else 0)
+    out = io.StringIO()
+    assert main(argv, out=out) == 1
+    assert out.getvalue() == done.stdout
 
 
 # case id -> (arguments, exit code, last stderr line).  Exit 2 is argparse

@@ -99,10 +99,9 @@ LONG_LINES = {
     "comment-in-updates": (GRAPH, "Q 0 2 # " + "y" * MB + "\n" + UPDATES[6:], PLAIN),
     "blanks-between-fields": (GRAPH.replace("0 1 2", "0" + " \t" * (MB // 2) + "1 2"),
                               UPDATES.replace("D 1 2", "D\t" + " " * MB + "1 2"), PLAIN),
-    # The grammar takes any number of digits; this many pass int()'s default
-    # limit on digits, so the field is read as no integer at all.
+    # An integer field holds at most graph.MAX_DIGITS digits.
     "digits": (GRAPH.replace("1 2 3", "1 2 " + "7" * MB), UPDATES,
-               (1, "", "decrsp: error: line 3: non-integer edge field\n")),
+               (1, "", "decrsp: error: line 3: integer field above the digit cap 640\n")),
 }
 
 
@@ -110,6 +109,48 @@ LONG_LINES = {
 def test_cli_megabyte_lines_end_in_an_answer_or_one_error_line(tmp_path, case):
     graph, updates, expected = LONG_LINES[case]
     assert run_cli(tmp_path, graph.encode(), updates.encode()) == expected
+
+
+# case id -> (graph text, update text, the error line).  A field of 640
+# digits or fewer is read, then refused for what it says; one of more is
+# refused by the digit cap.
+DIGIT_CAP = {
+    "probe-640": (GRAPH, "Q 0 " + "7" * 640 + "\n",
+                  "query probe (0, %s) outside [0, 3)" % ("7" * 640)),
+    "probe-minus-640": (GRAPH, "Q 0 -" + "7" * 640 + "\n",
+                        "query probe (0, -%s) outside [0, 3)" % ("7" * 640)),
+    "probe-641": (GRAPH, "Q 0 " + "7" * 641 + "\n",
+                  "line 1: integer field above the digit cap 640"),
+    "probe-minus-641": (GRAPH, "Q 0 -" + "7" * 641 + "\n",
+                        "line 1: integer field above the digit cap 640"),
+    "weight-640": (GRAPH.replace("1 2 3", "1 2 " + "9" * 640), UPDATES,
+                   "line 3: weight %s outside [1, 5] on edge (1, 2)" % ("9" * 640)),
+    "weight-641": (GRAPH.replace("1 2 3", "1 2 " + "9" * 641), UPDATES,
+                   "line 3: integer field above the digit cap 640"),
+    "header-641": ("3 2 " + "5" * 641 + "\n0 1 2\n1 2 3\n", UPDATES,
+                   "line 1: integer field above the digit cap 640"),
+}
+
+
+@pytest.mark.parametrize("case", list(DIGIT_CAP))
+def test_integer_fields_read_the_same_under_every_interpreter_digit_limit(tmp_path, case):
+    # 640 is the least limit PYTHONINTMAXSTRDIGITS takes, 4300 the default,
+    # and 0 no limit at all.
+    graph, updates, message = DIGIT_CAP[case]
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "u.txt").write_text(updates)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    runs = set()
+    for limit in ("640", None, "0"):
+        done = subprocess.run(
+            [sys.executable, "-m", "decrsp.cli", "check", "--graph", "g.txt", "--updates",
+             "u.txt"], env=env if limit is None else dict(env, PYTHONINTMAXSTRDIGITS=limit),
+            capture_output=True, timeout=60, cwd=tmp_path)
+        runs.add((done.returncode, done.stdout, done.stderr))
+    assert runs == {(1, b"", b"decrsp: error: " + message.encode() + b"\n")}
 
 
 # header -> the run's (exit code, stdout, stderr) over an empty update file.
