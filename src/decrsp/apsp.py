@@ -5,10 +5,12 @@ A priority-sampled ball system stores a distance estimate for every
 scope runs a single-source contract: a bare exact ``EsTree`` when every
 distance band of its view is finer than the integer weights
 (``exact_band_depth``), a ``FullRangeSssp`` otherwise.  On top of that,
-every node ``v`` keeps one min-heap per priority class ``j`` holding the
-owners of priority ``j`` whose ball contains ``v``, keyed by the journaled
-estimate; the heap minimum is the cheapest priority-j witness reachable
-from ``v``.
+every node ``v`` keeps one min-heap per priority class ``j`` above its own
+priority, holding the owners of priority ``j`` whose ball contains ``v``,
+keyed by the journaled estimate; the heap minimum is the cheapest
+priority-j witness reachable from ``v``.  No tail reads a class at or below
+a node's priority, so those classes have no heap entries.  Each owner's
+reader set is the inverse of the heap tops: the nodes whose witness it is.
 
 A pair query walks the priority ladder: the tail of a node ``x`` toward the
 target ``v`` is its journaled ball estimate when ``v`` sits in ``x``'s ball,
@@ -23,7 +25,7 @@ all of these change only when the ball journal is ingested.  A node one
 class below the top reads only top-level witnesses, whose tails are their
 journal entries, so an update recomputes its chain tails in place as leg
 plus entry.  A deeper chain tail (k >= 3) is dropped when its node's tops
-move or, through a reverse index, when a tail it read changed.  The
+move or, through the reader sets, when a tail it read changed.  The
 returned estimate never underestimates and stays within a ((2 + eps)^k - 1)
 stretch factor.  Every internal component runs at eps/7, which absorbs the
 error compounding of the witness chain.
@@ -106,11 +108,8 @@ class ApspState:
         # journal entry; one row per node so that a node's whole row can be
         # dropped or recomputed at once.
         self._tails = {v: {} for v in graph.node_ids()}
-        # x -> the witness tops that x's cached tails read: every such tail
-        # reads all of them, and they cannot move without handling x's row,
-        # so one tuple per row names them.
-        # owner -> {x} is its inverse: x's tail toward v read (owner, v).
-        self._reads = {v: () for v in graph.node_ids()}
+        # owner -> the nodes x that have it as a witness top: every chain
+        # tail of x toward v reads (owner, v).
         self._readers = {v: set() for v in graph.node_ids()}
         self._tails_computed = 0
         self._tails_dropped = 0
@@ -122,11 +121,17 @@ class ApspState:
         self._below_top = frozenset(v for v in graph.node_ids()
                                     if self.assignment.priority_of(v) == k - 2)
         self.last_query_expansions = 0
+        priority_of = self.assignment.priority_of
         for owner, table in self.balls.initial_membership().items():
-            j = self.assignment.priority_of(owner)
+            j = priority_of(owner)
             for member, est in table.items():
                 self._keys[(owner, member)] = est
-                heapq.heappush(self._heaps[member][j], (est, owner))
+                if j > priority_of(member):
+                    heapq.heappush(self._heaps[member][j], (est, owner))
+        for v, heaps in self._heaps.items():
+            for heap in heaps:
+                if heap:
+                    self._readers[heap[0][1]].add(v)
 
     def stats(self):
         """Journal, tail-table and served-row sizes, plus four counters that
@@ -157,9 +162,10 @@ class ApspState:
     def witness(self, v, j):
         """Cheapest priority-j owner whose ball contains v: (owner, estimate).
 
-        Returns None when no such owner exists.  Ties in the estimate are
-        broken by the smaller owner id.  Heap tops are kept fresh at update
-        time, so this is read-only.
+        Returns None when no such owner exists, and for every class j at or
+        below v's own priority, which no tail reads.  Ties in the estimate
+        are broken by the smaller owner id.  Heap tops are kept fresh at
+        update time, so this is read-only.
         """
         heap = self._heaps[v][j]
         if not heap:
@@ -170,30 +176,39 @@ class ApspState:
         return owner, est
 
     def _ingest(self, events):
-        """Apply a journal batch to the keys and heaps, then recompute or drop
-        every cached tail that read a journal entry or a witness top the batch
-        changed."""
-        priority_of = self.assignment.priority_of
+        """Apply a journal batch to the keys, and to the heaps of the classes
+        above each member's priority; move every node whose witness top moved
+        from its old top's reader set to its new top's; then recompute or
+        drop every cached tail that read a journal entry or a witness top the
+        batch changed."""
+        priority_of, readers = self.assignment.priority_of, self._readers
         tops = {}  # (member, j) -> heap top before this batch
         stale = []  # (owner, member) pairs whose journal entry changed
         for event in events:
             owner, member = event.owner, event.member
-            j = priority_of(owner)
-            heap = self._heaps[member][j]
-            if (member, j) not in tops:
-                tops[(member, j)] = heap[0] if heap else None
             if event.kind == LEAVE:
                 self._keys.pop((owner, member), None)
             else:  # JOIN and EST both (re)key the pair
                 self._keys[(owner, member)] = event.estimate
-                heapq.heappush(heap, (event.estimate, owner))
             stale.append((owner, member))
-        rows = set()  # nodes with a witness top above their priority moved
+            j = priority_of(owner)
+            if j > priority_of(member):
+                heap = self._heaps[member][j]
+                if (member, j) not in tops:
+                    tops[(member, j)] = heap[0] if heap else None
+                if event.kind != LEAVE:
+                    heapq.heappush(heap, (event.estimate, owner))
+        rows = set()  # nodes whose witness top moved
         for (v, j), top in tops.items():
             self._clean(v, j)
             heap = self._heaps[v][j]
-            if j > priority_of(v) and (heap[0] if heap else None) != top:
+            new = heap[0] if heap else None
+            if new != top:
                 rows.add(v)
+                if top is not None:
+                    readers[top[1]].discard(v)
+                if new is not None:
+                    readers[new[1]].add(v)
         self._drop_tails(stale, rows)
         if self.debug:
             self.check_heaps_against_journal()
@@ -203,20 +218,21 @@ class ApspState:
     def _drop_tails(self, stale, rows):
         """Bring the tail table up to date with an ingested journal batch:
         ``stale`` names the pairs whose journal entry it rewrote, ``rows`` the
-        nodes whose witness top above their priority moved.
+        nodes whose witness top moved; the reader sets already name the new
+        tops.
 
         A rewritten pair loses its cached chain tail, if it had one.  A moved
-        row leaves the reader sets of its old tops.  One class below the top,
-        where its tops all sit at priority k - 1, it is recomputed in place:
-        each tail becomes the new top's leg plus that top's entry toward v.
-        A deeper moved row is dropped whole.  Then, transitively, come the
-        readers of every tail that changed or went: the cached tails (y, v)
-        whose node y has that tail's node among its witness tops.  A reader
-        one class below the top is recomputed in place unless its row just
-        was, a deeper one is dropped.  The served answer of every pair whose
-        tail changed becomes its pair's held floor.
+        row one class below the top, where its tops all sit at priority
+        k - 1, is recomputed in place: each tail becomes the new top's leg
+        plus that top's entry toward v.  A deeper moved row is dropped whole.
+        Then, transitively, come the readers of every tail that changed or
+        went: the cached tails (y, v) whose node y has that tail's node among
+        its witness tops.  A reader one class below the top is recomputed in
+        place unless its row just was, a deeper one is dropped.  The served
+        answer of every pair whose tail changed becomes its pair's held
+        floor.
         """
-        tails, keys, readers, reads = self._tails, self._keys, self._readers, self._reads
+        tails, keys, readers = self._tails, self._keys, self._readers
         served, held, heaps, below_top = self._served, self._held, self._heaps, self._below_top
         top = self.k - 1
         dropped = sum(tails[x].pop(v, None) is not None for x, v in stale)
@@ -224,9 +240,6 @@ class ApspState:
         changed = stale  # (x, v) whose tail changed or went
         for x in rows:
             row = tails[x]
-            for owner in reads[x]:
-                readers[owner].discard(x)
-            reads[x] = ()
             if x not in below_top:
                 dropped += len(row)
                 tails[x] = {}
@@ -234,9 +247,6 @@ class ApspState:
                 continue
             heap = heaps[x][top]
             leg, owner = heap[0] if heap else (inf, None)
-            if heap and row:
-                reads[x] = (owner,)
-                readers[owner].add(x)
             refreshed += len(row)
             for v, tail in row.items():
                 new = leg + keys.get((owner, v), inf)
@@ -267,24 +277,31 @@ class ApspState:
         self._tails_refreshed += refreshed
 
     def check_heaps_against_journal(self):
-        """Heap minima must equal brute-force minima over the journaled keys."""
+        """Heap minima must equal brute-force minima over the journaled keys
+        of the classes above each member's priority, and the reader sets must
+        be the inverse of the heap tops."""
+        priority_of = self.assignment.priority_of
         best = {}
         for (owner, member), est in self._keys.items():
-            j = self.assignment.priority_of(owner)
+            j = priority_of(owner)
             cur = best.get((member, j))
-            if cur is None or (est, owner) < cur:
+            if j > priority_of(member) and (cur is None or (est, owner) < cur):
                 best[(member, j)] = (est, owner)
+        readers = {v: set() for v in self._readers}
         for v in self.graph.node_ids():
             for j in range(self.k):
                 top = self.witness(v, j)
                 want = best.get((v, j))
                 if top != (None if want is None else (want[1], want[0])):
                     raise AssertionError((v, j, top, want))
+                if top is not None:
+                    readers[top[0]].add(v)
+        if readers != self._readers:
+            raise AssertionError("reader sets are not the inverse of the witness tops")
 
     def check_tails_against_recursion(self):
         """Every cached tail must belong to a pair without a journal entry and
-        equal the witness-chain recursion from scratch, and the reader index
-        must name exactly the witness tops that the cached tails read."""
+        equal the witness-chain recursion from scratch."""
 
         def fresh(x, v):
             tail = self._keys.get((x, v), inf)
@@ -295,7 +312,6 @@ class ApspState:
                         tail = min(tail, top[1] + fresh(top[0], v))
             return tail
 
-        readers = {x: set() for x in self._tails}
         for x, row in self._tails.items():
             for v, tail in row.items():
                 if (x, v) in self._keys:
@@ -304,17 +320,6 @@ class ApspState:
                 if tail != want:
                     raise AssertionError("cached tail %r is %s, recursion gives %s"
                                          % ((x, v), tail, want))
-            tops = [self.witness(x, j) for j in range(self.assignment.priority_of(x) + 1, self.k)]
-            tops = tuple(top[0] for top in tops if top is not None)
-            # A row may keep its tops registered after its last tail left one
-            # by one; it must name them while a tail is cached.
-            if self._reads[x] not in ((), tops) or (tops and row and not self._reads[x]):
-                raise AssertionError("row %r names witness tops %r, its tails read %r"
-                                     % (x, self._reads[x], tops))
-            for owner in self._reads[x]:
-                readers[owner].add(x)
-        if readers != self._readers:
-            raise AssertionError("reader sets are not the inverse of the rows' witness tops")
 
     def check_answer_rows(self):
         """Every served answer must have its tail journaled or cached and be at
@@ -357,7 +362,7 @@ class ApspState:
         self._ball_rebuilds = self.stats()["ball_rebuilds"]
         self.balls = None
         self._keys, self._heaps, self._tails, self._served, self._held = {}, {}, {}, {}, {}
-        self._reads, self._readers = {}, {}
+        self._readers = {}
 
     # -- queries ----------------------------------------------------------------
 
@@ -418,7 +423,6 @@ class ApspState:
         self._tails_computed += 1
         keys, tails, heaps = self._keys, self._tails, self._heaps[x]
         tail = inf
-        owners = []
         for j in range(self.assignment.priority_of(x) + 1, self.k):
             heap = heaps[j]
             if heap:
@@ -430,12 +434,7 @@ class ApspState:
                     rest = tails[owner].get(v)
                     if rest is None:
                         rest = self._tail(owner, v)
-                owners.append(owner)
                 if leg + rest < tail:
                     tail = leg + rest
-        if owners and not self._reads[x]:
-            self._reads[x] = tuple(owners)
-            for owner in owners:
-                self._readers[owner].add(x)
         tails[x][v] = tail
         return tail

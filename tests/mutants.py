@@ -389,19 +389,52 @@ MUTANTS = (
         "holding it, clamping to tails no query saw",
     ),
     Mutant(
-        "row-refresh-reads-old-top-leg",
+        "top-leg-change-keeps-row",
         "src/decrsp/apsp.py",
-        (("            reads[x] = ()\n"
-          "            if x not in below_top:\n",
-          "            old = reads[x]\n"
-          "            reads[x] = ()\n"
-          "            if x not in below_top:\n"),
-         ("            leg, owner = heap[0] if heap else (inf, None)\n",
-          "            leg, owner = heap[0] if heap else (inf, None)\n"
-          "            if old and heap:\n"
-          "                leg = keys.get((old[0], x), inf)\n")),
+        (("            if new != top:\n",
+          "            if (new and new[1]) != (top and top[1]):\n"),),
         ("tests/test_apsp.py::test_a_moved_top_recomputes_its_row_in_place_at_k2",),
-        "a moved row is recomputed with its old witness top's leg",
+        "a witness top that keeps its owner while its leg changes does not move its "
+        "node's row, so the row's tails keep the stale leg",
+    ),
+    # -- the witness heaps and their reader sets ------------------------------------
+    Mutant(
+        "heap-push-at-any-class",
+        "src/decrsp/apsp.py",
+        (("                if j > priority_of(member):\n"
+          "                    heapq.heappush(self._heaps[member][j], (est, owner))\n",
+          "                heapq.heappush(self._heaps[member][j], (est, owner))\n"),
+         ("            if j > priority_of(member):\n"
+          "                heap = self._heaps[member][j]\n",
+          "            if True:\n"
+          "                heap = self._heaps[member][j]\n")),
+        ("tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[2]",
+         "tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[3]",
+         "tests/test_apsp.py::test_witness_heaps_match_membership_minima_through_schedule"),
+        "a ball event is pushed into its member's heap of the owner's class also at or "
+        "below the member's own priority, where no tail reads it",
+    ),
+    Mutant(
+        "moved-top-keeps-old-reader",
+        "src/decrsp/apsp.py",
+        (("                if top is not None:\n"
+          "                    readers[top[1]].discard(v)\n", ""),),
+        ("tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[2]",
+         "tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[3]",
+         "tests/test_apsp.py::test_ingest_mechanics_on_synthetic_journal"),
+        "a node whose witness top moved stays in its old top's reader set",
+    ),
+    Mutant(
+        "new-top-not-a-reader",
+        "src/decrsp/apsp.py",
+        (("                if new is not None:\n"
+          "                    readers[new[1]].add(v)\n", ""),),
+        ("tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[2]",
+         "tests/test_apsp.py::test_witness_heaps_hold_only_classes_above_their_node[3]",
+         "tests/test_apsp.py::test_ingest_mechanics_on_synthetic_journal",
+         "tests/test_apsp.py::test_a_dropped_row_drops_the_tails_that_read_it"),
+        "a node whose witness top moved is not added to its new top's reader set, so "
+        "a change to that top's tails leaves the node's tails stale",
     ),
 )
 

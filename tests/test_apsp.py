@@ -70,17 +70,32 @@ def check_all_pairs(state, graph, bound):
 
 
 def brute_force_witnesses(state, graph):
-    """Minimum (estimate, owner) per (member, priority) from live memberships."""
+    """Minimum (estimate, owner) per (member, priority) from live memberships,
+    over the priorities above the member's own."""
+    priority_of = state.assignment.priority_of
     best = {}
     for owner in graph.node_ids():
-        j = state.assignment.priority_of(owner)
+        j = priority_of(owner)
         members, ests = state.balls.membership(owner)
         for member in members:
+            if j <= priority_of(member):
+                continue
             cur = best.get((member, j))
             cand = (ests[member], owner)
             if cur is None or cand < cur:
                 best[(member, j)] = cand
     return best
+
+
+def witness_top_readers(state):
+    """owner -> the nodes that have it as a witness top, read off ``witness``."""
+    readers = {x: set() for x in state.graph.node_ids()}
+    for v in state.graph.node_ids():
+        for j in range(state.k):
+            top = state.witness(v, j)
+            if top is not None:
+                readers[top[0]].add(v)
+    return readers
 
 
 def reference_tail(state, x, v):
@@ -162,7 +177,7 @@ def test_edgeless_graph_has_singleton_balls_and_no_witnesses():
     for v in g.node_ids():
         members, ests = state.balls.membership(v)
         assert members == {v} and ests == {v: 0}
-        assert state.witness(v, 0) == (v, 0)  # every priority is 0 here
+        assert state.witness(v, 0) is None  # every priority is 0 here
         assert state.witness(v, 1) is None
         for u in g.node_ids():
             assert state.query(u, v) == (0 if u == v else inf)
@@ -174,19 +189,27 @@ def test_edgeless_graph_has_singleton_balls_and_no_witnesses():
 def test_ingest_mechanics_on_synthetic_journal():
     # Heap behavior in isolation: estimates here are synthetic keys, not
     # distances, so only the (member, priority)->minimum bookkeeping is
-    # under test.  An edgeless graph pins every priority to 0.
+    # under test.  An edgeless graph pins every priority to 0; owners 1, 3,
+    # 7 and 9 are then forced to priority 1, above member 5, so their
+    # events reach 5's class-1 heap and none reaches its class-0 heap.
     g = DynamicGraph(10, 4)
     state = ApspState(g, 2, Fraction(1, 2), seed=4, debug=True)
+    state.assignment.priority.update(dict.fromkeys((1, 3, 7, 9), 1))
+    state._ingest([BallEvent("join", 9, 5, 1)])
+    assert state.witness(5, 1) == (9, 1) and state._readers[9] == {5}
     state._ingest([BallEvent("join", 3, 5, 4)])
-    assert state.witness(5, 0) == (5, 0)  # the self pair still wins
+    assert state.witness(5, 1) == (9, 1)  # the cheaper top still wins
     state._ingest([BallEvent("join", 7, 5, 2)])
-    assert state.witness(5, 0) == (5, 0)
-    state._ingest([BallEvent("leave", 5, 5)])
-    assert state.witness(5, 0) == (7, 2)  # removal recomputes the minimum
+    assert state.witness(5, 1) == (9, 1)
+    state._ingest([BallEvent("leave", 9, 5)])
+    assert state.witness(5, 1) == (7, 2)  # removal recomputes the minimum
+    assert state._readers[9] == set() and state._readers[7] == {5}
     state._ingest([BallEvent("est", 7, 5, 9)])
-    assert state.witness(5, 0) == (3, 4)  # key update demotes the old top
+    assert state.witness(5, 1) == (3, 4)  # key update demotes the old top
     state._ingest([BallEvent("join", 1, 5, 4)])
-    assert state.witness(5, 0) == (1, 4)  # ties break toward the smaller id
+    assert state.witness(5, 1) == (1, 4)  # ties break toward the smaller id
+    assert state._readers[1] == {5} and not state._readers[3] | state._readers[7]
+    assert state.witness(5, 0) is None and state._heaps[5][0] == []
 
 
 def test_update_with_no_ball_changes_leaves_heaps_alone(monkeypatch):
@@ -262,6 +285,35 @@ def test_witness_heaps_match_membership_minima_through_schedule():
                 want = best.get((v2, j))
                 got = state.witness(v2, j)
                 assert got == (None if want is None else (want[1], want[0]))
+
+
+def assert_heaps_only_above_their_node(state):
+    """No heap of a class at or below its node's priority holds an entry,
+    and the reader sets are the inverse of the witness tops."""
+    for v, heaps in state._heaps.items():
+        assert not any(heaps[: state.assignment.priority_of(v) + 1]), v
+    assert state._readers == witness_top_readers(state)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_witness_heaps_hold_only_classes_above_their_node(k):
+    if k == 2:  # the apsp-sweep shape
+        schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
+        g = schedule.build_graph()
+        state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
+        updates = list(schedule.updates())
+    else:
+        g = random_graph(20, 40, 8, seed=73)
+        state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3)
+        rng = random.Random(73)
+        edges = sorted((a, b) for a, b, _ in g.edges())
+        rng.shuffle(edges)
+        updates = [UpdateEvent("delete", a, b) for a, b in edges]
+    assert any(state._readers.values())
+    assert_heaps_only_above_their_node(state)
+    for event in updates:
+        state.process_update(event)
+        assert_heaps_only_above_their_node(state)
 
 
 # -- stretch batteries ----------------------------------------------------------
@@ -468,7 +520,7 @@ def assert_state_poisoned(state, graph, before):
     assert_poisoned(graph, state.process_update, state.query, pairs)
     assert state.balls is None
     assert not any((state._keys, state._heaps, state._tails, state._served, state._held,
-                    state._reads, state._readers))
+                    state._readers))
     stats = state.stats()
     assert stats == at_fault
     assert stats["answers_served"] == stats["heap_pairs"] == stats["tails_cached"] == 0
@@ -1004,6 +1056,7 @@ class ApspMachine(RuleBasedStateMachine):
         if self.poisoned:
             assert_state_poisoned(self.state, self.graph, self.counters)
             return
+        self.state.check_heaps_against_journal()  # also right after the build
         self.rng.shuffle(self.pairs)
         dist = {u: dijkstra_bounded(self.graph, u, inf) for u in self.graph.node_ids()}
         for u, v in self.pairs:
