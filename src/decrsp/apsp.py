@@ -62,7 +62,7 @@ from .sampling import sample_priorities
 class ApspState:
     """Ball system plus per-(node, priority) witness heaps."""
 
-    def __init__(self, graph, k, eps, seed, *, c=2.0, debug=False):
+    def __init__(self, graph, k, eps, seed, *, c=2.0):
         eps = Fraction(eps)
         if not (0 < eps <= 1):
             raise ParamConfigError("need 0 < eps <= 1, got %s" % (eps,))
@@ -73,7 +73,6 @@ class ApspState:
         # error; three compounding (1 + eps/7) factors per witness hop
         # stay within the advertised (2 + eps)^k - 1 stretch.
         self.eps_run = eps / 7
-        self.debug = debug
         self.assignment = sample_priorities(graph, k, c, seed)
         counter = itertools.count(seed * 1_000_003 + 1)
         eps_run = self.eps_run
@@ -210,10 +209,6 @@ class ApspState:
                 if new is not None:
                     readers[new[1]].add(v)
         self._drop_tails(stale, rows)
-        if self.debug:
-            self.check_heaps_against_journal()
-            self.check_tails_against_recursion()
-            self.check_answer_rows()
 
     def _drop_tails(self, stale, rows):
         """Bring the tail table up to date with an ingested journal batch:

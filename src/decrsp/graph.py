@@ -8,7 +8,7 @@ then the records are forwarded to whatever trees/balls/stacks are listening.
 The structures read a graph only through ``node_ids``, ``node_count``,
 ``has_node`` and ``neighbors``, and on adjacency graphs alone also through
 ``edges`` (priority sampling, shortcut-graph builds, the harness) and
-``weight`` (the shortcut graph's debug check).
+``weight`` (the shortcut graph's ``check_sandwich``).
 :class:`AdjacencyGraph` implements them over one node set and a symmetric
 adjacency map, and its ``apply_record`` is the one edge write behind
 ``DynamicGraph.apply_update``, the scaled mirrors of :mod:`decrsp.layered`

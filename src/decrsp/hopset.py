@@ -226,12 +226,11 @@ class ShortcutGraph:
     together they bound the tree's total work.
     """
 
-    def __init__(self, view, balls, params, root, *, debug=False):
+    def __init__(self, view, balls, params, root):
         self.view = view
         self.balls = balls
         self.params = params
         self.root = root
-        self.debug = debug
         self._f_weight = {}  # (owner, member) -> live shortcut weight
         self.edges_ever = 0
         self.update_ops = 0
@@ -250,7 +249,7 @@ class ShortcutGraph:
                     rounded = params.round_weight(estimate)
                     edges.append((("F", owner, member), owner, member, rounded))
         self.edges_ever = len(edges)
-        self.tree = MonotoneEsTree(root, params.level_cap, edges, debug=debug)
+        self.tree = MonotoneEsTree(root, params.level_cap, edges)
 
     # -- reads ----------------------------------------------------------------
 
@@ -263,7 +262,7 @@ class ShortcutGraph:
         level times the grain's numerator (inf stays inf)."""
         return self.tree.level_of(node) * self.params._phi_num
 
-    # -- debug checks -------------------------------------------------------------
+    # -- structure checks ---------------------------------------------------------
 
     def check_sandwich(self):
         """Every tree edge weight w satisfies w <= phi*scaled <= w + phi.
@@ -306,7 +305,6 @@ def shortcut_process_update(sg, record, ball_changes):
     """
     params, tree, f_weight = sg.params, sg.tree, sg._f_weight
     cap = params.weight_cap
-    tree.begin_batch()
     pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
     # A base deletion is a LEAVE of its key, a base increase an EST.
     traffic = [(LEAVE if record.kind == "delete" else EST, ("G",) + pair, record.new_weight)]
@@ -336,8 +334,5 @@ def shortcut_process_update(sg, record, ball_changes):
                     sg.update_ops += 1
 
     changes = tree.end_batch()
-    if sg.debug:
-        sg.check_sandwich()
-        sg.check_shortcut_mirror()
     num = params._phi_num
     return [(node, lev * num) for node, lev in changes]

@@ -28,6 +28,13 @@ from .sampling import sample_priorities
 POISONED = "structure poisoned: an earlier update failed after the graph changed"
 
 
+def check_float_range(weight, what):
+    """Reject a tree weight past the float range: a tree adds weights to
+    inf, which is defined only within it."""
+    if weight > sys.float_info.max:
+        raise ParamConfigError("%s pass the float range" % (what,))
+
+
 def layer_scales(range_bound):
     """Per-layer (delta_k, depth_k) for k = 0, 1 of a q = 3 band.
 
@@ -123,18 +130,16 @@ class LayerAssembly:
     # Read by benchmarks/tracing.py, as EsTree.mode is (see there).
     mode = "layered"
 
-    def __init__(self, view, root, plan, *, c, seed, debug):
-        if max(view.max_weight, plan.heaviest) > sys.float_info.max:
-            # A tree adds weights to inf, which is defined only in float range.
-            raise ParamConfigError("eps too small for a layered stack: tree weights "
-                                   "pass the float range")
+    def __init__(self, view, root, plan, *, c, seed):
+        check_float_range(max(view.max_weight, plan.heaviest),
+                          "eps too small for a layered stack: tree weights")
         (_, ball_depth), (_, depth) = plan.scales
         self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
         assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
         self.balls = BallSystem(view, assignment, EsTree, alpha=1,
                                 depth=ball_depth, bucket_eps=1)
-        self.sg = ShortcutGraph(view, self.balls, plan.params, root, debug=debug)
+        self.sg = ShortcutGraph(view, self.balls, plan.params, root)
         self._est = {v: self._estimate(v) for v in view.node_ids()}
 
     def _estimate(self, node):
@@ -347,7 +352,7 @@ class FullRangeSssp:
     inside a ball system.
     """
 
-    def __init__(self, view, source, eps, *, p=None, q=None, c=2.0, seed=0, debug=False):
+    def __init__(self, view, source, eps, *, p=None, q=None, c=2.0, seed=0):
         self.view = view
         self.source = source
         self.eps = Fraction(eps)
@@ -355,6 +360,7 @@ class FullRangeSssp:
             raise ParamConfigError("need 0 < eps <= 1, got %s" % (self.eps,))
         if not view.has_node(source):
             raise ParamConfigError("source %r is not in the graph" % (source,))
+        check_float_range(view.max_weight, "edge weights")
         self.eps_inner = self.eps / 3
         n = view.node_count()
         self.range_bound = 4 * n / self.eps_inner
@@ -362,7 +368,7 @@ class FullRangeSssp:
         self._unit, self._grain_den = grain.numerator, grain.denominator
         # Every scaled band has this node count, range and eps: one plan.
         self.plan = plan = StackPlan(n, self.range_bound, self.eps_inner, p, q)
-        self._c, self._seed, self.debug = c, seed, debug
+        self._c, self._seed = c, seed
         self._denom = grain.denominator * plan.denominator
         # A band holds a node while its integer estimate is at most this.
         self._reach = math.floor(self.range_bound * plan.denominator)
@@ -399,7 +405,7 @@ class FullRangeSssp:
         mirror = ScaledMirror(self.view, Fraction(self._unit << i, self._grain_den))
         if layered:
             band = LayerAssembly(mirror, self.source, self.plan, c=self._c,
-                                 seed=self._seed * 1_000_003 + i, debug=self.debug)
+                                 seed=self._seed * 1_000_003 + i)
             unit = self._unit << i
             self._next_band = i + 1
         else:
@@ -430,6 +436,8 @@ class FullRangeSssp:
         least, holder, estimate = inf, 0, inf
         for b in range(len(stacks)):
             value = stacks[b].query(node)
+            if value == inf:  # inf times a unit past the float range raises
+                continue
             key = value * units[b]
             if key < least:
                 least, holder, estimate = key, b, value
@@ -533,8 +541,6 @@ class FullRangeSssp:
                 self._grow(touched)
             answers = self._answers
             out = [(node, answers[node]) for node in sorted(touched) if self._settle(node)]
-            if self.debug:
-                self.check_answers()
         except BaseException:
             self._poison()
             raise

@@ -11,9 +11,9 @@ head level exceeds the level of its tail plus its weight is called
 and a node keeps its level frozen while one of its incident edges stays
 stretched.  Every weight is an integer >= 1.
 
-Batch protocol: ``begin_batch``; any number of edge operations;
-``end_batch`` repairs the levels and returns the sorted list of
-``(node, new_level)`` changes (new level may be ``inf`` once above the cap).
+Batch protocol: any number of edge operations, then ``end_batch``, which
+repairs the levels and returns the sorted list of ``(node, new_level)``
+changes (new level may be ``inf`` once above the cap).
 
 Between batches every finite node but the root is *supported*: some
 incident edge has ``level(other) + weight <= level(node)``.  The new levels
@@ -51,41 +51,16 @@ class DuplicateEdgeError(ValueError):
 
 
 class MonotoneEsTree:
-    def __init__(self, root, level_cap, edges=(), *, debug=False):
+    def __init__(self, root, level_cap, edges=()):
         self.root = root
         self.cap = level_cap
-        self.debug = debug
         self.adj = {root: {}}  # node -> {edge_key: (other, weight)}
-        self.level = {}  # node -> finite level; absent = inf
         self._pending = set()
         self.work_counter = 0
         self.edge_scans = 0
-        self._ever_inserted = False
-        # Debug bookkeeping for the batch-boundary structure checks.
-        self._prev_levels = {}
-        self._inserted_keys = set()
-        self._stretched_prev = set()  # directed: (edge key, head node)
-        self._ever_stretched = set()
-        for key, u, v, w in edges:
-            self._add_edge_raw(key, u, v, w)
-        self.level = dijkstra_bounded(self, self.root, self.cap)
-        if self.debug:
-            self._stretched_prev = self._stretched_set()
-            self._ever_stretched = set(self._stretched_prev)
-            self._prev_levels = dict(self.level)
-
-    # -- construction -------------------------------------------------------
-
-    def _add_edge_raw(self, key, u, v, w):
-        if u == v or not w >= 1:
-            raise AssertionError(
-                "edge %r needs distinct endpoints and weight >= 1, got %r-%r weight %r"
-                % (key, u, v, w)
-            )
-        if key in self.adj.get(u, ()):
-            raise DuplicateEdgeError("edge key %r already present" % (key,))
-        self.adj.setdefault(u, {})[key] = (v, w)
-        self.adj.setdefault(v, {})[key] = (u, w)
+        for edge in edges:
+            self.insert_edge(*edge)
+        self.level = dijkstra_bounded(self, self.root, self.cap)  # node -> finite level
 
     # -- reads ---------------------------------------------------------------
 
@@ -104,17 +79,17 @@ class MonotoneEsTree:
 
     # -- batch protocol --------------------------------------------------------
 
-    def begin_batch(self):
-        if self.debug:
-            self._prev_levels = dict(self.level)
-            self._inserted_keys = set()
-
     def insert_edge(self, key, u, v, w):
         """Record a new edge.  Levels are left untouched on purpose."""
-        self._add_edge_raw(key, u, v, w)
-        self._ever_inserted = True
-        if self.debug:
-            self._inserted_keys.add(key)
+        if u == v or not w >= 1:
+            raise AssertionError(
+                "edge %r needs distinct endpoints and weight >= 1, got %r-%r weight %r"
+                % (key, u, v, w)
+            )
+        if key in self.adj.get(u, ()):
+            raise DuplicateEdgeError("edge key %r already present" % (key,))
+        self.adj.setdefault(u, {})[key] = (v, w)
+        self.adj.setdefault(v, {})[key] = (u, w)
 
     def increase_edge(self, key, u, new_weight):
         """Raise the weight of the edge with this key (strictly)."""
@@ -131,25 +106,10 @@ class MonotoneEsTree:
         v, _ = self.adj[u][key]
         del self.adj[u][key]
         del self.adj[v][key]
-        if self.debug:
-            self._stretched_prev.discard((key, u))
-            self._stretched_prev.discard((key, v))
-            self._ever_stretched.discard((key, u))
-            self._ever_stretched.discard((key, v))
         self._pending.update((u, v))
 
     def end_batch(self):
-        changes = self._repair()
-        if self.debug:
-            self._check_invariants()
-            now = self._stretched_set()
-            self._stretched_prev = now
-            self._ever_stretched |= now
-        return changes
-
-    # -- two-phase repair ---------------------------------------------------------
-
-    def _repair(self):
+        """Repair the levels (the two phases above); returns the changes."""
         adj, level, cap = self.adj, self.level, self.cap
         pending, self._pending = self._pending, set()
         # Phase 1: decide, lowest old level first, which nodes lost support.
@@ -222,9 +182,9 @@ class MonotoneEsTree:
         changes.sort()
         return changes
 
-    # -- debug checks ---------------------------------------------------------------
+    # -- structure checks -----------------------------------------------------------
 
-    def _stretched_set(self):
+    def stretched_pairs(self):
         """Directed (edge key, head) pairs where the head level exceeds a
         usable route.  Routes above the cap do not count: once a node's best
         route passed the cap every incident route had, and routes only grow,
@@ -238,19 +198,25 @@ class MonotoneEsTree:
                     out.add((key, u))
         return out
 
-    def _check_invariants(self):
-        prev = self._prev_levels
-        now_stretched = self._stretched_set()
+    def check_invariants(self, before):
+        """Check the levels after a batch against ``before``, the caller's
+        record of the last batch boundary: its ``levels``, its ``stretched``
+        pairs whose edge is still present, the keys ``inserted`` since, the
+        pairs ``ever_stretched`` at an earlier boundary while their edge was
+        present, and whether any edge was ``ever_inserted``.  The tree keeps
+        no history of its own."""
+        prev = before.levels
+        now_stretched = self.stretched_pairs()
         # Levels never decrease.
         for u in set(prev) | set(self.level):
             if self.level.get(u, inf) < prev.get(u, inf):
                 raise AssertionError("level decreased at %r" % (u,))
         # New stretched edges exist only because of this batch's insertions.
-        for key, head in now_stretched - self._stretched_prev:
-            if key not in self._inserted_keys:
+        for key, head in now_stretched - before.stretched:
+            if key not in before.inserted:
                 raise AssertionError("edge %r became stretched without an insertion" % (key,))
         # An edge stretched at both boundaries pins its head's level.
-        for key, head in now_stretched & self._stretched_prev:
+        for key, head in now_stretched & before.stretched:
             if self.level.get(head, inf) != prev.get(head, inf):
                 raise AssertionError(
                     "level moved under a persistently stretched edge at %r" % (head,)
@@ -267,7 +233,7 @@ class MonotoneEsTree:
         # level consistent - provided the head was finite before the batch.
         for u in self.adj:
             for key, (v, w) in self.adj[u].items():
-                if (key, u) in self._ever_stretched or key in self._inserted_keys:
+                if (key, u) in before.ever_stretched or key in before.inserted:
                     continue
                 route = self.level.get(v, inf) + w
                 if (route <= self.cap and prev.get(u, inf) != inf
@@ -281,5 +247,5 @@ class MonotoneEsTree:
             if lv < exact.get(u, inf):
                 raise AssertionError("level below true distance at %r" % (u,))
         # Without insertions the tree is simply exact.
-        if not self._ever_inserted and self.level != exact:
+        if not before.ever_inserted and self.level != exact:
             raise AssertionError("insertion-free tree drifted from exact")

@@ -226,7 +226,7 @@ MUTANTS = (
         (("                    if structure is not top and structure.holds_only_root():\n",
           "                    if structure.holds_only_root():\n"),),
         ("tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late",
-         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_every_check",
          "tests/test_layered.py::test_default_mode_has_one_exact_band_below_unit_grain[20-40-1024-eps0-3]"),
         "the band over the top scale is retired like any other, so stacks can empty",
     ),
@@ -267,9 +267,44 @@ MUTANTS = (
         (("        if least <= self._keys[node]:\n",
           "        if least == self._keys[node]:\n"),),
         ("tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]",
-         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_debug_checks",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_every_check",
          "tests/test_layered.py::test_layered_state_machine::runTest"),
         "_settle sets a node's answer to its least band key even when that is lower",
+    ),
+    Mutant(
+        "settle-multiplies-inf",
+        "src/decrsp/layered.py",
+        (("            if value == inf:  # inf times a unit past the float range raises\n"
+          "                continue\n", ""),),
+        tuple("tests/test_input_boundary.py::test_cli_answers_or_rejects_huge_weights_and_tiny_eps[%s]"
+              % case for case in ("w-2p1023-sssp", "twelve-nodes-w-2p1022-check",
+                                  "eps-320-ones-sssp-oracle")),
+        "_settle multiplies a band's inf by its unit, which raises once the unit "
+        "passes the float range",
+    ),
+    # -- the monotone tree's two-phase repair ---------------------------------------
+    Mutant(
+        "tree-key-below-old-level",
+        "src/decrsp/monotone_tree.py",
+        (("                    key = max(affected[v], d + w)\n",
+          "                    key = d + w\n"),),
+        ("tests/test_monotone_tree.py::test_stretched_route_keeps_affected_node_at_old_level",),
+        "phase 2 keys an affected node by its route alone, so a stretched route "
+        "can lower its level below the old one",
+    ),
+    Mutant(
+        "tree-support-from-affected",
+        "src/decrsp/monotone_tree.py",
+        (("                if lv + w <= lu:\n"
+          "                    if v not in affected:\n"
+          "                        break\n",
+          "                if lv + w <= lu:\n"
+          "                    break\n"),),
+        ("tests/test_monotone_tree.py::test_scripted_mixed_sequence_matches_simulator",
+         "tests/test_acceptance.py::test_criterion_2_monotone_observation_suite_under_ball_joins",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_every_check"),
+        "phase 1 lets an affected neighbour support a node, so the node keeps "
+        "a level that no edge supports once that neighbour rises",
     ),
     # -- the band mode and the shortcut keys --------------------------------------
     Mutant(

@@ -23,6 +23,7 @@ from decrsp.layered import FullRangeSssp, LayerAssembly, StackPlan
 from decrsp.oracle import dijkstra
 from decrsp.sampling import sample_priorities
 
+from checks import StructureChecks
 from test_balls import InvariantChecker, apply as apply_ball_update
 from test_graph_core import random_graph
 
@@ -71,16 +72,18 @@ def test_criterion_2_monotone_observation_suite_under_ball_joins():
     for seed in range(20):
         n = 20 + seed
         graph = random_graph(n, 2 * n, 4, seed=seed + 300)
-        # debug=True re-checks the full observation suite (level monotonicity,
+        # The checks re-run the full observation suite (level monotonicity,
         # stretch only from insertions, pinned levels under persistent
         # stretches, parent inequality, residual consistency, exactness floor)
         # after every batch; any violation raises immediately.
         plan = StackPlan(n, 4 * n, Fraction(1, 2), p=4, q=3)
-        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed, debug=True)
+        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed)
+        checks = StructureChecks(assembly)
         for record in drain(graph, seed):
             assembly.process_update(record)
+            checks.check()
         assert isinstance(assembly.lower, EsTree)
-        if assembly.sg.tree._ever_inserted:
+        if checks.watchers[assembly.sg].ever_inserted:
             inserted += 1
         schedules += 1
     assert schedules == 20
@@ -275,7 +278,7 @@ def test_criterion_8_work_model_regression():
         n = 24 + 4 * seed
         graph = random_graph(n, 2 * n, 4, seed=seed + 300)
         plan = StackPlan(n, 4 * n, Fraction(1, 2), p=4, q=3)
-        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed, debug=False)
+        assembly = LayerAssembly(graph, 0, plan, c=0.3, seed=seed)
         for record in drain(graph, seed):
             assembly.process_update(record)
         sg = assembly.sg

@@ -39,6 +39,7 @@ from decrsp.graph import (
 from decrsp.harness import generate_instance
 from decrsp.layered import FullRangeSssp
 
+from checks import check_apsp
 from test_graph_core import (
     InjectedFault,
     assert_poisoned,
@@ -67,6 +68,12 @@ def check_all_pairs(state, graph, bound):
             else:
                 assert est == 0
     return worst
+
+
+def checked_update(state, event):
+    """``state.process_update(event)``, then every ``ApspState`` check."""
+    state.process_update(event)
+    check_apsp(state)
 
 
 def brute_force_witnesses(state, graph):
@@ -193,20 +200,25 @@ def test_ingest_mechanics_on_synthetic_journal():
     # 7 and 9 are then forced to priority 1, above member 5, so their
     # events reach 5's class-1 heap and none reaches its class-0 heap.
     g = DynamicGraph(10, 4)
-    state = ApspState(g, 2, Fraction(1, 2), seed=4, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), seed=4)
     state.assignment.priority.update(dict.fromkeys((1, 3, 7, 9), 1))
-    state._ingest([BallEvent("join", 9, 5, 1)])
+
+    def ingest(events):
+        state._ingest(events)
+        check_apsp(state)
+
+    ingest([BallEvent("join", 9, 5, 1)])
     assert state.witness(5, 1) == (9, 1) and state._readers[9] == {5}
-    state._ingest([BallEvent("join", 3, 5, 4)])
+    ingest([BallEvent("join", 3, 5, 4)])
     assert state.witness(5, 1) == (9, 1)  # the cheaper top still wins
-    state._ingest([BallEvent("join", 7, 5, 2)])
+    ingest([BallEvent("join", 7, 5, 2)])
     assert state.witness(5, 1) == (9, 1)
-    state._ingest([BallEvent("leave", 9, 5)])
+    ingest([BallEvent("leave", 9, 5)])
     assert state.witness(5, 1) == (7, 2)  # removal recomputes the minimum
     assert state._readers[9] == set() and state._readers[7] == {5}
-    state._ingest([BallEvent("est", 7, 5, 9)])
+    ingest([BallEvent("est", 7, 5, 9)])
     assert state.witness(5, 1) == (3, 4)  # key update demotes the old top
-    state._ingest([BallEvent("join", 1, 5, 4)])
+    ingest([BallEvent("join", 1, 5, 4)])
     assert state.witness(5, 1) == (1, 4)  # ties break toward the smaller id
     assert state._readers[1] == {5} and not state._readers[3] | state._readers[7]
     assert state.witness(5, 0) is None and state._heaps[5][0] == []
@@ -220,12 +232,12 @@ def test_update_with_no_ball_changes_leaves_heaps_alone(monkeypatch):
     g.add_edge(3, 4, 1)
     g.add_edge(4, 5, 1)
     g.add_edge(3, 5, 1)
-    state = ApspState(g, 2, Fraction(1, 2), seed=6, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), seed=6)
     before_keys = dict(state._keys)
     before_heaps = {v: [list(h) for h in hs] for v, hs in state._heaps.items()}
     # Deleting one edge of the 3-4-5 triangle changes no distance in it and
     # nothing at all on the 0-1-2 side.
-    state.process_update(UpdateEvent("delete", 3, 4))
+    checked_update(state, UpdateEvent("delete", 3, 4))
     dist = dijkstra_bounded(g, 3, inf)
     assert dist[4] == 2  # detour via 5
     # Estimates may legitimately rise on the triangle side; the other
@@ -245,7 +257,7 @@ def test_update_with_no_ball_changes_leaves_heaps_alone(monkeypatch):
     ball_update = state.balls.process_update
     monkeypatch.setattr(state.balls, "process_update",
                         lambda record: batches.append(ball_update(record)) or batches[-1])
-    state.process_update(UpdateEvent("delete", 0, 2))
+    checked_update(state, UpdateEvent("delete", 0, 2))
     assert batches[0].events == ()
     computed = state.stats()["tails_computed"]
     for a, b in pairs:
@@ -271,14 +283,14 @@ def test_queries_are_read_only():
 
 def test_witness_heaps_match_membership_minima_through_schedule():
     g = random_graph(20, 40, 4, seed=9)
-    state = ApspState(g, 2, Fraction(1, 2), seed=10, c=0.25, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), seed=10, c=0.25)
     rng = random.Random(3)
     while True:
         live = list(g.edges())
         if not live:
             break
         u, v, _ = rng.choice(live)
-        state.process_update(UpdateEvent("delete", u, v))
+        checked_update(state, UpdateEvent("delete", u, v))
         best = brute_force_witnesses(state, g)
         for v2 in g.node_ids():
             for j in range(state.k):
@@ -428,7 +440,7 @@ def test_shared_tails_equal_a_fresh_recomputation(k, seed):
     # to the pair's previous answer, in any query order.
     n, m, w_max = 20, 40, 8
     g = random_graph(n, m, w_max, seed=60 + seed)
-    state = ApspState(g, k, Fraction(1, 2), seed=seed, c=0.3, debug=True)
+    state = ApspState(g, k, Fraction(1, 2), seed=seed, c=0.3)
     rng = random.Random(seed)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     last = {}
@@ -458,9 +470,9 @@ def test_shared_tails_equal_a_fresh_recomputation(k, seed):
             sweep()
         a, b, w = rng.choice(live)
         if w < w_max and rng.random() < 0.3:
-            state.process_update(UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
+            checked_update(state, UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
         else:
-            state.process_update(UpdateEvent("delete", a, b))
+            checked_update(state, UpdateEvent("delete", a, b))
         sweep()
         step += 1
 
@@ -479,13 +491,13 @@ def sweep_against_reference(state, pairs, last):
 def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
     n, w_max = 20, 8
     g = random_graph(n, 40, w_max, seed=71)
-    state = ApspState(g, 2, Fraction(1, 2), seed=4, c=0.3, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), seed=4, c=0.3)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     last = {}
     sweep_against_reference(state, pairs, last)
     # One update first, so that the rejections below also see held floors.
     a, b, _ = next(iter(g.edges()))
-    state.process_update(UpdateEvent("delete", a, b))
+    checked_update(state, UpdateEvent("delete", a, b))
     sweep_against_reference(state, pairs[: len(pairs) // 2], last)
     assert any(state._held.values()) and any(state._served.values())
 
@@ -694,7 +706,7 @@ def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
     # first query computes nothing and returns the cached tail; an update
     # that changes the tail holds the answer as the floor of the next one.
     g = random_graph(20, 40, 8, seed=73)
-    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3, debug=True)
+    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3)
     asked = set()
     for u, v in [(u, v) for u in g.node_ids() for v in g.node_ids()]:
         state.query(u, v)
@@ -714,7 +726,7 @@ def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
     rng = random.Random(73)
     while v in state._served[x]:
         a, b, _ = rng.choice(list(g.edges()))
-        state.process_update(UpdateEvent("delete", a, b))
+        checked_update(state, UpdateEvent("delete", a, b))
     assert state._held[x][v] == tail
     known = v in state._tails[x] or (x, v) in state._keys  # recomputed in place, or in a ball
     answer = state.query(x, v)
@@ -730,13 +742,13 @@ def test_a_raised_ball_entry_is_answered_without_computing():
     # being the answer it had.
     schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
     g = schedule.build_graph()
-    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     checked = 0
     for event in list(schedule.updates())[:20]:
         answers = {(u, v): state.query(u, v) for u, v in pairs}
         keys = dict(state._keys)
-        state.process_update(event)
+        checked_update(state, event)
         raised = [p for p in pairs if p in keys and state._keys.get(p, 0) > keys[p]]
         for u, v in raised:
             assert v not in state._served[u] and state._held[u][v] == answers[(u, v)]
@@ -768,14 +780,14 @@ def test_a_moved_top_recomputes_its_row_in_place_at_k2(monkeypatch):
     # that gained a journal entry), equal to the recursion from scratch.
     schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
     g = schedule.build_graph()
-    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25, debug=True)
+    state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     moved = moved_rows_of_each_update(state, monkeypatch)
     kept = 0
     for event in list(schedule.updates())[:20]:
         [state.query(u, v) for u, v in pairs]
         refreshed = state.stats()["tails_refreshed"]
-        state.process_update(event)
+        checked_update(state, event)
         rows = [(x, v) for x, row in moved[-1].items() for v in row if (x, v) not in state._keys]
         for x, v in rows:
             assert state._tails[x][v] == reference_tail(state, x, v), (x, v)
@@ -788,7 +800,7 @@ def test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3(monkeypatc
     # k = 3: a priority-0 node reads a mid-level witness, whose tail is a
     # chain itself, so its row is dropped whole when one of its tops moves.
     g = random_graph(20, 40, 8, seed=73)
-    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3, debug=True)
+    state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     moved = moved_rows_of_each_update(state, monkeypatch)
     rng = random.Random(73)
@@ -796,7 +808,7 @@ def test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3(monkeypatc
     for _ in range(20):
         [state.query(u, v) for u, v in pairs]
         a, b, _ = rng.choice(list(g.edges()))
-        state.process_update(UpdateEvent("delete", a, b))
+        checked_update(state, UpdateEvent("delete", a, b))
         for x in moved[-1]:
             if state.assignment.priority_of(x) == 0:
                 assert state._tails[x] == {}, x
@@ -827,17 +839,19 @@ def test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged():
 
 AUDIT_PLANT = """
 from fractions import Fraction
+from checks import check_apsp
 from decrsp.apsp import ApspState
 from decrsp.graph import DynamicGraph, UpdateEvent
 g = DynamicGraph(6, 4)
 for u, v, w in [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1), (3, 5, 1)]:
     g.add_edge(u, v, w)
-state = ApspState(g, 2, Fraction(1, 2), seed=7, c=0.3, debug=True)
+state = ApspState(g, 2, Fraction(1, 2), seed=7, c=0.3)
 state.query(0, 2)
 print("chain pair:", (0, 2) not in state._keys and 2 in state._tails[0])
 %s  # no update below touches the 0-1-2 side
+state.process_update(UpdateEvent("delete", 3, 4))
 try:
-    state.process_update(UpdateEvent("delete", 3, 4))
+    check_apsp(state)
 except AssertionError as exc:
     print("audit:", exc)
 """
@@ -845,9 +859,10 @@ except AssertionError as exc:
 
 def run_audit_plant(plant):
     """Standard output lines of AUDIT_PLANT with ``plant`` run under ``python -O``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", AUDIT_PLANT % plant], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -858,12 +873,12 @@ def run_audit_plant(plant):
 # witness-chain pair: its tail is cached in the tail table.
 
 
-def test_debug_audit_catches_a_stale_tail_under_optimize():
+def test_apsp_checks_catch_a_stale_tail_under_optimize():
     assert run_audit_plant("state._tails[0][2] += 1") == [
         "chain pair: True", "audit: cached tail (0, 2) is 5, recursion gives 4"]
 
 
-def test_debug_audit_catches_a_served_answer_without_its_tail_under_optimize():
+def test_apsp_checks_catch_a_served_answer_without_its_tail_under_optimize():
     assert run_audit_plant("del state._tails[0][2]") == [
         "chain pair: True", "audit: served answer (0, 2) has no cached tail"]
 
@@ -905,7 +920,7 @@ def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
     # top of such a node; its row is recomputed in place, and the readers of
     # every tail that changed must go.
     g = random_graph(8, 10, 4, seed=17)
-    state = ApspState(g, 3, Fraction(1, 2), seed=17, c=0.4, debug=True)
+    state = ApspState(g, 3, Fraction(1, 2), seed=17, c=0.4)
     for u in range(8):
         for v in range(8):
             state.query(u, v)
@@ -919,7 +934,7 @@ def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
         drop_tails(stale, rows)
 
     monkeypatch.setattr(state, "_drop_tails", spy)
-    state.process_update(UpdateEvent("delete", 1, 4))  # debug audits every tail
+    checked_update(state, UpdateEvent("delete", 1, 4))  # the checks audit every tail
     assert read_rows
     for x, row in state._tails.items():
         for v, tail in row.items():
@@ -950,7 +965,7 @@ class ApspMachine(RuleBasedStateMachine):
     def build(self, k, n, w_max, seed):
         rng = random.Random(seed)
         self.graph = random_graph(n, rng.randint(n, 2 * n), w_max, seed=seed)
-        self.state = ApspState(self.graph, k, self.EPS, seed=seed, c=0.4, debug=True)
+        self.state = ApspState(self.graph, k, self.EPS, seed=seed, c=0.4)
         self.bound = (2 + self.EPS) ** k - 1
         self.pairs = [(u, v) for u in range(n) for v in range(n)]
         self.rng = rng
@@ -970,6 +985,7 @@ class ApspMachine(RuleBasedStateMachine):
             return
         rebuilds = self.state.stats()["ball_rebuilds"]
         self.state.process_update(event)
+        check_apsp(self.state)
         self.rebuilt |= self.state.stats()["ball_rebuilds"] > rebuilds
         self.updates += 1
 
@@ -1038,6 +1054,8 @@ class ApspMachine(RuleBasedStateMachine):
             except InjectedFault:
                 self.poisoned = True
                 self.poisoned_at = site
+            else:
+                check_apsp(self.state)
         assert self.poisoned == (len(calls) >= at)
 
     @rule(shuffle=st.randoms(use_true_random=False))

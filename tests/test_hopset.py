@@ -35,6 +35,7 @@ from decrsp.hopset import (
 from decrsp.monotone_tree import DuplicateEdgeError
 from decrsp.sampling import sample_priorities
 
+from checks import StructureChecks
 from test_graph_core import graph_from_edges, random_graph
 
 
@@ -257,6 +258,13 @@ def small_params(depth, *, delta=2, p=2, eps=1, n=256):
     return derive_params(1, 0, 1, 1, eps, p, delta, depth, n)
 
 
+def feed(checks, record, ball_changes):
+    """``shortcut_process_update`` on the checked shortcut graph, then its checks."""
+    out = shortcut_process_update(checks.structure, record, ball_changes)
+    checks.check()
+    return out
+
+
 def admitted(sg, key):
     """Whether the tree holds this key; every key names an endpoint as key[1]."""
     return sg.tree.has_edge(key, key[1])
@@ -270,7 +278,7 @@ def tree_weight(sg, key):
 def test_without_shortcuts_levels_equal_scaled_baseline():
     graph = path_graph(6)
     ps = small_params(8)
-    sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0, debug=True)
+    sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0)
     # unit weights round to ceil(1 / (2/3)) = 2, so levels step by 2
     assert [sg.tree.level_of(v) for v in range(6)] == [0, 2, 4, 6, 8, 10]
     for v in range(6):
@@ -285,7 +293,7 @@ def test_weight_cap_excludes_heavy_edges():
     ps = small_params(4)
     assert ps.weight_cap == 36
     balls = StubBalls({0: {0: 0, 2: 50}, 1: {1: 0}, 2: {2: 0}})
-    sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
+    sg = ShortcutGraph(graph, balls, ps, 0)
     assert admitted(sg, ("G", 0, 1))
     assert not admitted(sg, ("G", 1, 2))
     assert not admitted(sg, ("F", 0, 2))
@@ -295,22 +303,23 @@ def test_weight_cap_excludes_heavy_edges():
 def test_deletion_without_distance_change_reports_nothing():
     graph = graph_from_edges(3, 4, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
     ps = small_params(8)
-    sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0, debug=True)
+    checks = StructureChecks(ShortcutGraph(graph, singleton_balls(graph), ps, 0))
     rec = graph.apply_update(UpdateEvent("delete", 0, 2))
-    assert shortcut_process_update(sg, rec, BallChangeSet(())) == []
+    assert feed(checks, rec, BallChangeSet(())) == []
 
 
 def test_estimate_increase_below_grain_is_absorbed():
     graph = path_graph(3)
     ps = small_params(8)  # phi = 2/3
     balls = StubBalls({0: {0: 0, 2: 3}, 1: {1: 0}, 2: {2: 0}})
-    sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
+    checks = StructureChecks(ShortcutGraph(graph, balls, ps, 0))
+    sg = checks.structure
     key = ("F", 0, 2)
     assert tree_weight(sg, key) == 5  # ceil(3 / (2/3))
     ops_before = sg.update_ops
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
     changes = balls.changeset([BallEvent("est", 0, 2, Fraction(10, 3))])
-    out = shortcut_process_update(sg, rec, changes)
+    out = feed(checks, rec, changes)
     # ceil((10/3) / (2/3)) = 5: same scaled weight, so only the base edge
     # increase produced tree traffic
     assert tree_weight(sg, key) == 5
@@ -324,41 +333,43 @@ def test_rejoin_uses_fresh_generation_key():
     graph = path_graph(4)
     ps = small_params(8)  # phi = 2/3
     balls = StubBalls({u: {u: 0} for u in range(4)})
-    sg = ShortcutGraph(graph, balls, ps, 0, debug=True)
+    checks = StructureChecks(ShortcutGraph(graph, balls, ps, 0))
+    sg = checks.structure
     base_edges = sg.edges_ever
     assert sg.query(3) == 4  # level 6 (three unit edges, each scaled to 2)
 
     # join at the current true distance: the insert leaves levels alone
     rec = graph.apply_update(UpdateEvent("increase", 2, 3, 2))
-    out = shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 4)]))
+    out = feed(checks, rec, balls.changeset([BallEvent("join", 0, 3, 4)]))
     assert out == []
     assert tree_weight(sg, ("F", 0, 3)) == 6
     assert sg.query(3) == 4
 
     rec = graph.apply_update(UpdateEvent("increase", 1, 2, 2))
-    shortcut_process_update(sg, rec, balls.changeset([BallEvent("leave", 0, 3)]))
+    feed(checks, rec, balls.changeset([BallEvent("leave", 0, 3)]))
     assert not admitted(sg, ("F", 0, 3))
     assert sg.query(3) == Fraction(16, 3)  # level 8 via the base path
 
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 2))
-    shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 6)]))
+    feed(checks, rec, balls.changeset([BallEvent("join", 0, 3, 6)]))
     assert tree_weight(sg, ("F", 0, 3)) == 9
     assert sg.query(3) == 6
     assert sg.edges_ever == base_edges + 2
 
     rec = graph.apply_update(UpdateEvent("increase", 2, 3, 3))
     with pytest.raises(DuplicateEdgeError):
-        shortcut_process_update(sg, rec, balls.changeset([BallEvent("join", 0, 3, 7)]))
+        feed(checks, rec, balls.changeset([BallEvent("join", 0, 3, 7)]))
 
 
 def test_base_increase_absorption_and_cap_escape():
     graph = graph_from_edges(2, 64, [(0, 1, 2)])
     ps = small_params(4)  # phi=2/3, cap=36
-    sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0, debug=True)
+    checks = StructureChecks(ShortcutGraph(graph, singleton_balls(graph), ps, 0))
+    sg = checks.structure
     key = ("G", 0, 1)
     assert tree_weight(sg, key) == 3
     rec = graph.apply_update(UpdateEvent("increase", 0, 1, 37))
-    out = shortcut_process_update(sg, rec, BallChangeSet(()))
+    out = feed(checks, rec, BallChangeSet(()))
     assert not admitted(sg, key)
     assert out == [(1, inf)]
 
@@ -369,7 +380,6 @@ def test_check_sandwich_reads_the_tree_weights():
     sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0)
     sg.check_sandwich()
     key = ("G", 0, 1)
-    sg.tree.begin_batch()
     # ceil(1 / (2/3)) = 2; two grains more puts phi * 4 above 1 + phi.
     sg.tree.increase_edge(key, 0, tree_weight(sg, key) + 2)
     sg.tree.end_batch()
@@ -389,14 +399,13 @@ def build_pipeline(graph, *, p, delta, depth, seed, eps=1, root=0):
     params = derive_params(
         1, 0, 2, 1, eps, p, delta, depth, graph.node_count()
     )
-    sg = ShortcutGraph(graph, balls, params, root, debug=True)
-    return balls, params, sg
+    return balls, params, ShortcutGraph(graph, balls, params, root)
 
 
-def drive(graph, balls, sg, event):
+def drive(graph, balls, checks, event):
+    """Apply ``event`` and feed its ball fallout to the checked shortcut graph."""
     rec = graph.apply_update(event)
-    change_set = balls.process_update(rec)
-    return shortcut_process_update(sg, rec, change_set)
+    return feed(checks, rec, balls.process_update(rec))
 
 
 def exact_distances(graph, root):
@@ -422,6 +431,7 @@ def check_estimate_bounds(graph, params, sg, root):
 def test_fifteen_node_estimates_dominate_distances():
     graph = random_graph(15, 32, 8, seed=5)
     balls, params, sg = build_pipeline(graph, p=2, delta=2, depth=20, seed=5)
+    checks = StructureChecks(sg)
     rng = random.Random(99)
     check_estimate_bounds(graph, params, sg, 0)
     for _ in range(10):
@@ -430,7 +440,7 @@ def test_fifteen_node_estimates_dominate_distances():
             event = UpdateEvent("increase", u, v, rng.randint(w + 1, graph.max_weight))
         else:
             event = UpdateEvent("delete", u, v)
-        drive(graph, balls, sg, event)
+        drive(graph, balls, checks, event)
         check_estimate_bounds(graph, params, sg, 0)
 
 
@@ -439,6 +449,7 @@ def test_full_deletion_battery_forty_nodes():
     for seed in (3, 11):
         graph = random_graph(40, 90, 8, seed=seed)
         balls, params, sg = build_pipeline(graph, p=2, delta=4, depth=40, seed=seed)
+        checks = StructureChecks(sg)
         # Weight increases per tree key since its last insertion: a
         # shortcut key that left and rejoined starts a new lifetime.
         increases, counts = {}, []
@@ -462,7 +473,7 @@ def test_full_deletion_battery_forty_nodes():
             if not live:
                 break
             u, v, _ = rng.choice(live)
-            reported = dict(drive(graph, balls, sg, UpdateEvent("delete", u, v)))
+            reported = dict(drive(graph, balls, checks, UpdateEvent("delete", u, v)))
             check_estimate_bounds(graph, params, sg, 0)
             # reported changes are exactly the estimate deltas, as ints
             # over the grain's denominator
@@ -491,14 +502,15 @@ def test_priority_refined_bound_on_frozen_seed():
     assignment = sample_priorities(graph, 2, 2.0, 13)
     balls = BallSystem(graph, assignment, EsTree, alpha=1, depth=30, bucket_eps=1)
     params = derive_params(1, 0, 2, 1, 1, 2, 3, 30, 30)
-    sg = ShortcutGraph(graph, balls, params, 0, debug=True)
+    sg = ShortcutGraph(graph, balls, params, 0)
+    checks = StructureChecks(sg)
     rng = random.Random(170)
     for _ in range(40):
         live = list(graph.edges())
         if not live:
             break
         u, v, _ = rng.choice(live)
-        drive(graph, balls, sg, UpdateEvent("delete", u, v))
+        drive(graph, balls, checks, UpdateEvent("delete", u, v))
         dist = exact_distances(graph, 0)
         for node in graph.node_ids():
             d = dist.get(node, inf)

@@ -173,6 +173,59 @@ def test_cli_headers_at_their_limits(tmp_path, monkeypatch, header):
     assert run_cli(tmp_path, header.encode() + b"\n", b"") == HEADERS[header]
 
 
+# The range each mode takes, as the README's CLI section states it.  A weight
+# field of up to 640 digits and any --epsilon in (0, 1] are read; sssp and
+# check then reject weights past the float range, and apsp rejects a span n*W
+# that takes more than 4096 (1 + eps/7)-buckets.
+FLOAT_RANGE = "edge weights pass the float range"
+BUCKETS = "bucket eps too small"
+MODES = {"sssp": ("sssp",), "sssp-oracle": ("sssp", "--oracle-check"), "check": ("check",),
+         "apsp": ("apsp",), "apsp-oracle": ("apsp", "--oracle-check")}
+G4, U4 = "4 3 8\n0 1 8\n1 2 3\n2 3 5\n", "Q 0 3\nD 1 2\nQ 0 3\nI 2 3 8\n"
+TWELVE = generate_instance(12, 24, 2**1022, "erdos-renyi", 1.0, 6, increase_rate=0.3)
+
+
+def weight_case(w):
+    return "3 2 %d\n0 1 %d\n1 2 1\n" % (w, w), "Q 0 2\nD 1 2\nQ 0 2\n", "1/2"
+
+
+# case id -> (graph text, update text, --epsilon, the error of sssp and check,
+# the error of apsp); None is a run that reports no failure.
+RANGES = {
+    "w-1": weight_case(1) + (None, None),
+    "w-2p53": weight_case(2**53) + (None, None),
+    "w-2p1023": weight_case(2**1023) + (None, BUCKETS),
+    "w-2p1024": weight_case(2**1024) + (FLOAT_RANGE, BUCKETS),
+    "w-10p639": weight_case(10**639) + (FLOAT_RANGE, BUCKETS),
+    # Update 18 of this schedule is the first to cut a node off from the
+    # source: inf in every band, so also in those whose unit is past the
+    # float range.
+    "twelve-nodes-w-2p1022": (TWELVE.dump_graph(), TWELVE.dump_updates(), "1/2", None, BUCKETS),
+    "eps-1-7": (G4, U4, "1/7", None, None),
+    "eps-300-ones": (G4, U4, "1/" + "1" * 300, None, BUCKETS),
+    "eps-320-ones": (G4, U4, "1/" + "1" * 320, None, BUCKETS),
+    "eps-640-ones": (G4, U4, "1/" + "1" * 640, None, BUCKETS),
+    "eps-1-10p639": (G4, U4, "1/1" + "0" * 639, None, BUCKETS),
+    "eps-near-one": (G4, U4, "9" * 639 + "/1" + "0" * 639, None, None),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("case", list(RANGES))
+def test_cli_answers_or_rejects_huge_weights_and_tiny_eps(tmp_path, case, mode):
+    """A run inside the mode's range reports no failure; one outside it
+    prints one error line and exits 1."""
+    graph, updates, eps, sssp_error, apsp_error = RANGES[case]
+    code, out, err = run_cli(tmp_path, graph.encode(), updates.encode(),
+                             MODES[mode] + ("--epsilon", eps))
+    error = apsp_error if mode.startswith("apsp") else sssp_error
+    if error is None:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("decrsp: error: " + error) and err.count("\n") == 1, err
+
+
 # Pieces the fuzzer writes into valid files: a BOM, NUL, line ends, integers
 # and separators outside the grammar, a byte that is not UTF-8, and the
 # characters the grammar gives a meaning to.

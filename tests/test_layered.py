@@ -45,6 +45,7 @@ from decrsp.layered import (
     layer_scales,
 )
 
+from checks import StructureChecks
 from test_graph_core import (
     InjectedFault,
     assert_poisoned,
@@ -220,10 +221,10 @@ def test_every_layer_count_but_three_builds_exact_bands_only(q):
 # -- layered mode against the oracle ------------------------------------------
 
 
-def build_small_assembly(seed, *, debug=False):
+def build_small_assembly(seed):
     g = random_graph(18, 36, 4, seed=7)
     plan = StackPlan(g.node_count(), 80, Fraction(1, 2), p=4, q=3)
-    assembly = LayerAssembly(g, 0, plan, c=2.0, seed=seed, debug=debug)
+    assembly = LayerAssembly(g, 0, plan, c=2.0, seed=seed)
     return g, plan, assembly
 
 
@@ -236,12 +237,14 @@ def test_layered_frozen_configuration():
 
 
 def test_layered_stack_tracks_oracle_through_full_deletion():
-    g, _, assembly = build_small_assembly(seed=1, debug=True)
+    g, _, assembly = build_small_assembly(seed=1)
+    checks = StructureChecks(assembly)
     eps = Fraction(1, 2)
     rng = random.Random(3)
     steps = 0
     for rec in delete_all_edges(g, rng):
         assembly.process_update(rec)
+        checks.check()
         dist = exact_distances(g, 0)
         for v in g.node_ids():
             d = dist.get(v, inf)
@@ -292,8 +295,9 @@ def test_shortcut_batches_give_the_same_levels_in_reverse_journal_order(seed, mo
     # shortcut_process_update feeds a batch's ball events to the tree in
     # journal order; a twin fed every batch in reverse must report the same
     # changes and hold the same shortcut-tree levels after every update.
-    g, _, assembly = build_small_assembly(seed, debug=True)
-    twin_graph, _, twin = build_small_assembly(seed, debug=True)
+    g, _, assembly = build_small_assembly(seed)
+    twin_graph, _, twin = build_small_assembly(seed)
+    checks = [StructureChecks(assembly), StructureChecks(twin)]
     feed, mixed = layered.shortcut_process_update, []
 
     def reversed_for_twin(sg, record, ball_changes):
@@ -312,6 +316,8 @@ def test_shortcut_batches_give_the_same_levels_in_reverse_journal_order(seed, mo
             event = UpdateEvent("increase", u, v, rng.randint(w + 1, g.max_weight))
         out = assembly.process_update(g.apply_update(event))
         assert twin.process_update(twin_graph.apply_update(event)) == out
+        for check in checks:
+            check.check()
         assert twin.sg.tree.level == assembly.sg.tree.level
     assert sum(mixed) > 0  # some batch held events of more than one kind
 
@@ -468,7 +474,8 @@ def test_band_layout_counts_the_fine_bands():
 )
 def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed):
     g = random_graph(n, m, w_max, seed=seed)
-    full = FullRangeSssp(g, 0, eps, seed=1, debug=True)
+    full = FullRangeSssp(g, 0, eps, seed=1)
+    checks = StructureChecks(full)
     bands = (n * w_max).bit_length()
     grains = [eps / 3 * 2**i / n for i in range(bands)]
     i_star = max(i for i, phi in enumerate(grains) if phi <= 1)
@@ -488,6 +495,7 @@ def test_default_mode_has_one_exact_band_below_unit_grain(n, m, w_max, eps, seed
         else:
             event = UpdateEvent("delete", u, v)
         full.apply_event(event)
+        checks.check()
         dist = exact_distances(g, 0)
         for x in g.node_ids():
             d = dist.get(x, inf)
@@ -622,7 +630,8 @@ def test_full_range_query_is_one_heap_read():
 
 def test_full_range_emissions_and_monotonicity():
     g = random_graph(18, 30, 4, seed=4)
-    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=1, debug=True)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=1)
+    checks = StructureChecks(full)
     snapshot = {v: full.query(v) for v in g.node_ids()}
     rng = random.Random(6)
     while True:
@@ -631,6 +640,7 @@ def test_full_range_emissions_and_monotonicity():
             break
         u, v, _ = rng.choice(live)
         out = full.apply_event(UpdateEvent("delete", u, v))
+        checks.check()
         assert out == sorted(out)
         fresh = {v2: full.query(v2) for v2 in g.node_ids()}
         expected = [
@@ -672,15 +682,16 @@ def test_full_range_rebuild_reproduces_identical_stream():
 
 
 @pytest.mark.parametrize(
-    "options",
-    [{}, {"p": 4, "q": 3}, {"debug": True}],
-    ids=["default", "p4q3", "debug"],
+    "options, checked",
+    [({}, False), ({"p": 4, "q": 3}, False), ({}, True)],
+    ids=["default", "p4q3", "checked"],
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_answers_are_clamped_least_band_answers_through_a_drain(options, seed):
+def test_answers_are_clamped_least_band_answers_through_a_drain(options, checked, seed):
     """Every reported answer is the larger of the node's previous answer and
     its least band answer, and differs from the previous one; unreported
-    nodes keep their answer, and every stored key is an int (or inf)."""
+    nodes keep their answer, and every stored key is an int (or inf).  The
+    checked drain also runs ``check_answers`` after every update."""
     w_max = 8
     g = random_graph(18, 36, w_max, seed=seed)
     full = FullRangeSssp(g, 0, Fraction(1, 2), seed=seed, **options)
@@ -696,6 +707,8 @@ def test_answers_are_clamped_least_band_answers_through_a_drain(options, seed):
         else:
             event = UpdateEvent("delete", u, v)
         out = full.apply_event(event)
+        if checked:
+            full.check_answers()
         # Keys are ints over one common denominator in both modes.
         assert all(type(key) is int or key == inf for key in full._keys.values())
         reported = dict(out)
@@ -735,8 +748,8 @@ class LayeredMachine(RuleBasedStateMachine):
     def build(self, n, w_max, p, eps, seed):
         rng = random.Random(seed)
         self.graph = random_graph(n, rng.randint(n - 1, 2 * n), w_max, seed)
-        self.full = FullRangeSssp(self.graph, rng.randrange(n), eps, p=p, q=3, seed=seed,
-                                  debug=True)
+        self.full = FullRangeSssp(self.graph, rng.randrange(n), eps, p=p, q=3, seed=seed)
+        self.checks = StructureChecks(self.full)
         modes = [band.mode for band in self.full.stacks]
         assert modes == ["exact"] + ["layered"] * (len(modes) - 1)
         self.queries = 0
@@ -760,6 +773,7 @@ class LayeredMachine(RuleBasedStateMachine):
             refuse_while_poisoned(self.full.apply_event, self.graph, event)
             return
         changes = self.full.apply_event(event)
+        self.checks.check()
         self.updates += 1
         answers = self.read_answers()
         assert changes == [(v, answers[v]) for v in sorted(answers)
@@ -822,6 +836,7 @@ class LayeredMachine(RuleBasedStateMachine):
         if full._next_band == full.stats()["band_count"] - 1:
             return
         full._add_band(full._next_band, layered=True)
+        self.checks.watch_new()
         self.forced += 1
         assert not any([full._settle(v) for v in self.graph.node_ids()])
 
@@ -880,19 +895,22 @@ class test_layered_state_machine(LayeredMachine.TestCase):  # named as the suite
         assert LayeredMachine.clamp_examples > 0, "no example reached a binding clamp"
 
 
-def test_layered_drain_builds_bands_late_under_debug_checks():
-    """A full drain at n = 48 under ``debug=True``: every update checks every
-    answer against Dijkstra, the run of bands grows inside updates, no
-    answer falls, and the clamp to the previous answer binds: some update
-    leaves a node's least band answer below its answer."""
+def test_layered_drain_builds_bands_late_under_every_check():
+    """A full drain at n = 48 that runs every check after each update: every
+    shortcut tree, and every answer against Dijkstra.  The run of bands
+    grows inside updates, no answer falls, and the clamp to the previous
+    answer binds: some update leaves a node's least band answer below its
+    answer."""
     g = random_graph(48, 96, 16, seed=21)
-    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=3, debug=True)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=3)
+    checks = StructureChecks(full)
     built = full.stats()["bands_built"]
     assert built < full.stats()["band_count"]
     answers = {v: full.query(v) for v in g.node_ids()}
     clamped = 0
     for rec in delete_all_edges(g, random.Random(21)):
         full.process_update(rec)
+        checks.check()
         for v, before in answers.items():
             answers[v] = full.query(v)
             assert answers[v] >= before
@@ -923,7 +941,8 @@ def test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late():
     The bands built late are retired in turn, and at the end only the
     sentinel is left."""
     g, twin_graph = random_graph(24, 48, 32, seed=5), random_graph(24, 48, 32, seed=5)
-    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=5, debug=True)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), p=4, q=3, seed=5)
+    checks = StructureChecks(full)
     twin = FullRangeSssp(twin_graph, 0, Fraction(1, 2), p=4, q=3, seed=5)
     twin._retire = lambda dead: None
     grew, retired, late = [], [], []
@@ -931,6 +950,7 @@ def test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late():
         before = full.stats()
         bands, next_band = list(full.stacks), full._next_band
         out = full.process_update(rec)
+        checks.check()
         assert out == twin.apply_event(UpdateEvent("delete", rec.u, rec.v))
         after = full.stats()
         indices = run_band_indices(full)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from decrsp.monotone_tree import DuplicateEdgeError, MonotoneEsTree
 
+from checks import TreeWatcher
+
 import pytest
 
 
@@ -94,12 +96,12 @@ class NaiveMonotone:
 
 
 def play_and_compare(root, cap, edges, batches):
-    tree = MonotoneEsTree(root, cap, edges, debug=True)
+    tree = MonotoneEsTree(root, cap, edges)
+    watcher = TreeWatcher(tree)
     ref = NaiveMonotone(root, cap, edges)
     nodes = set(ref._nodes()) | {root}
     assert all(tree.level_of(x) == ref.level_of(x) for x in nodes)
     for ops in batches:
-        tree.begin_batch()
         for op in ops:
             if op[0] == "insert":
                 _, key, u, v, w = op
@@ -114,6 +116,7 @@ def play_and_compare(root, cap, edges, batches):
                 u = next(x for x in tree.adj if key in tree.adj[x])
                 tree.increase_edge(key, u, w)
         changes = tree.end_batch()
+        watcher.check()
         ref.apply_batch(ops)
         for x in sorted(nodes):
             assert tree.level_of(x) == ref.level_of(x), (
@@ -123,7 +126,7 @@ def play_and_compare(root, cap, edges, batches):
         for node, lvl in changes:
             assert tree.level_of(node) == lvl
         assert_fixpoint_holds(tree)
-    return tree
+    return watcher
 
 
 def assert_fixpoint_holds(tree):
@@ -138,64 +141,70 @@ def assert_fixpoint_holds(tree):
         assert any(tree.level_of(v) + w <= lu for v, w in tree.neighbors(u)), u
 
 
-def one_batch(tree, op, *args):
-    """Run one edge operation (``tree.<op>(*args)``) as its own batch."""
-    tree.begin_batch()
-    getattr(tree, op)(*args)
-    return tree.end_batch()
+def one_batch(watcher, op, *args):
+    """Run one edge operation (``tree.<op>(*args)``) as its own batch on the
+    watcher's tree, then check the tree."""
+    getattr(watcher.tree, op)(*args)
+    changes = watcher.tree.end_batch()
+    watcher.check()
+    return changes
+
+
+def watched(*args):
+    """A watcher of a new ``MonotoneEsTree(*args)``."""
+    return TreeWatcher(MonotoneEsTree(*args))
 
 
 PATH = [("e01", 0, 1, 2), ("e12", 1, 2, 3), ("e23", 2, 3, 4), ("e13", 1, 3, 9)]
 
 
 def test_initialize_is_capped_exact():
-    t = MonotoneEsTree(0, 6, PATH, debug=True)
+    t = MonotoneEsTree(0, 6, PATH)
     assert [t.level_of(x) for x in range(4)] == [0, 2, 5, inf]
-    t2 = MonotoneEsTree(0, 100, PATH, debug=True)
+    t2 = MonotoneEsTree(0, 100, PATH)
     assert [t2.level_of(x) for x in range(4)] == [0, 2, 5, 9]
 
 
 def test_insert_never_lowers_levels():
-    t = MonotoneEsTree(0, 100, PATH, debug=True)
-    assert t.level_of(3) == 9
+    w = watched(0, 100, PATH)
+    assert w.tree.level_of(3) == 9
     # A much better route appears; the level deliberately stays put.
-    changes = one_batch(t, "insert_edge", "short", 0, 3, 1)
+    changes = one_batch(w, "insert_edge", "short", 0, 3, 1)
     assert changes == []
-    assert t.level_of(3) == 9
-    assert ("short", 3) in t._stretched_set()
+    assert w.tree.level_of(3) == 9
+    assert ("short", 3) in w.tree.stretched_pairs()
 
 
 def test_insert_then_delete_roundtrip():
-    t = MonotoneEsTree(0, 100, PATH, debug=True)
-    before = {x: t.level_of(x) for x in range(4)}
-    one_batch(t, "insert_edge", "tmp", 0, 3, 1)
-    one_batch(t, "delete_edge", "tmp", 0)
-    assert {x: t.level_of(x) for x in range(4)} == before
+    w = watched(0, 100, PATH)
+    before = {x: w.tree.level_of(x) for x in range(4)}
+    one_batch(w, "insert_edge", "tmp", 0, 3, 1)
+    one_batch(w, "delete_edge", "tmp", 0)
+    assert {x: w.tree.level_of(x) for x in range(4)} == before
 
 
 def test_duplicate_key_rejected():
-    t = MonotoneEsTree(0, 100, PATH)
     with pytest.raises(DuplicateEdgeError):
-        one_batch(t, "insert_edge", "e01", 0, 1, 7)
+        one_batch(watched(0, 100, PATH), "insert_edge", "e01", 0, 1, 7)
 
 
 def test_increase_propagates_and_caps():
-    t = MonotoneEsTree(0, 8, PATH, debug=True)
-    assert [t.level_of(x) for x in range(4)] == [0, 2, 5, inf]
-    changes = one_batch(t, "increase_edge", "e01", 0, 4)
+    w = watched(0, 8, PATH)
+    assert [w.tree.level_of(x) for x in range(4)] == [0, 2, 5, inf]
+    changes = one_batch(w, "increase_edge", "e01", 0, 4)
     assert changes == [(1, 4), (2, 7)]
-    changes = one_batch(t, "increase_edge", "e01", 0, 5)
+    changes = one_batch(w, "increase_edge", "e01", 0, 5)
     # Node 2 would land at 8 via e12; node 3 stays cut off.
     assert changes == [(1, 5), (2, 8)]
-    changes = one_batch(t, "increase_edge", "e12", 1, 4)
+    changes = one_batch(w, "increase_edge", "e12", 1, 4)
     assert changes == [(2, inf)]
 
 
 def test_delete_cuts_component():
-    t = MonotoneEsTree(0, 100, PATH, debug=True)
-    changes = one_batch(t, "delete_edge", "e01", 0)
+    w = watched(0, 100, PATH)
+    changes = one_batch(w, "delete_edge", "e01", 0)
     assert changes == [(1, inf), (2, inf), (3, inf)]
-    assert t.level_of(0) == 0
+    assert w.tree.level_of(0) == 0
 
 
 def test_stretched_edge_pins_level_until_cured():
@@ -203,13 +212,13 @@ def test_stretched_edge_pins_level_until_cured():
     # it stays stretched the level is pinned; once the stretch is cured by a
     # weight increase the edge behaves normally.
     edges = [("a", 0, 1, 6)]
-    t = MonotoneEsTree(0, 100, edges, debug=True)
-    one_batch(t, "insert_edge", "b", 0, 1, 1)
-    assert t.level_of(1) == 6
-    one_batch(t, "increase_edge", "a", 0, 9)  # best route is now the inserted edge at 1 < 6
-    assert t.level_of(1) == 6  # monotone: nothing to raise
-    one_batch(t, "increase_edge", "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
-    assert t.level_of(1) == 7
+    w = watched(0, 100, edges)
+    one_batch(w, "insert_edge", "b", 0, 1, 1)
+    assert w.tree.level_of(1) == 6
+    one_batch(w, "increase_edge", "a", 0, 9)  # best route is now the inserted edge at 1 < 6
+    assert w.tree.level_of(1) == 6  # monotone: nothing to raise
+    one_batch(w, "increase_edge", "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
+    assert w.tree.level_of(1) == 7
 
 
 def test_stretched_route_keeps_affected_node_at_old_level():
@@ -224,10 +233,10 @@ def test_stretched_route_keeps_affected_node_at_old_level():
         [("delete", "e03")],
         [("increase", "e01", 5)],
     ]
-    tree = play_and_compare(0, 100, edges, batches)
-    assert [tree.level_of(x) for x in (1, 3, 4)] == [5, 10, 11]
-    one_batch(tree, "increase_edge", "e01", 0, 9)  # route 9 + 2 = 11 > 10
-    assert [tree.level_of(x) for x in (1, 3, 4)] == [9, 11, 12]
+    w = play_and_compare(0, 100, edges, batches)
+    assert [w.tree.level_of(x) for x in (1, 3, 4)] == [5, 10, 11]
+    one_batch(w, "increase_edge", "e01", 0, 9)  # route 9 + 2 = 11 > 10
+    assert [w.tree.level_of(x) for x in (1, 3, 4)] == [9, 11, 12]
 
 
 def test_cut_off_component_cost_is_independent_of_cap():
@@ -237,15 +246,16 @@ def test_cut_off_component_cost_is_independent_of_cap():
     cycle = [("c%d" % i, i, i % 6 + 1, 1 + i % 3) for i in range(1, 7)]
     outcomes = []
     for cap in (10**2, 10**6):
-        tree = MonotoneEsTree(0, cap, [("bridge", 0, 1, 1)] + cycle, debug=True)
-        before = tree.work_counter + tree.edge_scans
-        changes = one_batch(tree, "delete_edge", "bridge", 0)
-        outcomes.append((changes, tree.work_counter + tree.edge_scans - before))
+        w = watched(0, cap, [("bridge", 0, 1, 1)] + cycle)
+        before = w.tree.work_counter + w.tree.edge_scans
+        changes = one_batch(w, "delete_edge", "bridge", 0)
+        outcomes.append((changes, w.tree.work_counter + w.tree.edge_scans - before))
     assert outcomes[0][0] == [(x, inf) for x in range(1, 7)]
     assert outcomes[0] == outcomes[1]
 
 
 BAD_EDGE_OPS = """
+from checks import TreeWatcher
 from decrsp.monotone_tree import MonotoneEsTree
 tree = MonotoneEsTree(0, 10, [("a", 0, 1, 1)])
 for call in (lambda: tree.insert_edge("z", 1, 2, 0), lambda: tree.insert_edge("l", 1, 1, 3),
@@ -255,11 +265,10 @@ for call in (lambda: tree.insert_edge("z", 1, 2, 0), lambda: tree.insert_edge("l
         print("accepted")
     except AssertionError:
         print("rejected")
-forged = MonotoneEsTree(0, 10, [("b", 0, 1, 3)], debug=True)
-forged.begin_batch()
-forged.level[1] = 1  # below its true distance 3
+watcher = TreeWatcher(MonotoneEsTree(0, 10, [("b", 0, 1, 3)]))
+watcher.tree.level[1] = 1  # below its true distance 3
 try:
-    forged._check_invariants()
+    watcher.check()
     print("accepted")
 except AssertionError as exc:
     print(exc)
@@ -268,11 +277,12 @@ except AssertionError as exc:
 
 def test_edge_guards_hold_under_optimize():
     # Phase 1 needs weights >= 1; under -O a bare assert would let a
-    # weight-0 edge, a self-loop and a non-increase through, and the debug
-    # structure checks would pass a forged level.
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    # weight-0 edge, a self-loop and a non-increase through, and the
+    # tree's invariant check would pass a forged level.
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", BAD_EDGE_OPS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
