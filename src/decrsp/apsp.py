@@ -416,14 +416,12 @@ class ApspState:
         """Best witness-leg-plus-tail sum from x toward v, a pair without a
         journal entry; the caller has found no table entry for (x, v)."""
         self._tails_computed += 1
-        keys, tails, heaps = self._keys, self._tails, self._heaps[x]
+        keys, tails = self._keys, self._tails
         tail = inf
         for j in range(self.assignment.priority_of(x) + 1, self.k):
-            heap = heaps[j]
-            if heap:
-                leg, owner = heap[0]
-                if keys.get((owner, x)) != leg:
-                    raise AssertionError("stale witness heap top")
+            top = self.witness(x, j)
+            if top:
+                owner, leg = top
                 rest = keys.get((owner, v))
                 if rest is None:
                     rest = tails[owner].get(v)

@@ -7,12 +7,14 @@ then the records are forwarded to whatever trees/balls/stacks are listening.
 
 The structures read a graph only through ``node_ids``, ``node_count``,
 ``has_node`` and ``neighbors``, and on adjacency graphs alone also through
-``edges`` (priority sampling, shortcut-graph builds, the harness) and
-``weight`` (the shortcut graph's ``check_sandwich``).
-:class:`AdjacencyGraph` implements them over one node set and a symmetric
+``edges`` (priority sampling, the shortcut graph's build and checks, the
+harness).
+:class:`AdjacencyGraph` implements the edge reads over a symmetric
 adjacency map, and its ``apply_record`` is the one edge write behind
 ``DynamicGraph.apply_update``, the scaled mirrors of :mod:`decrsp.layered`
-and the ball snapshots below.  Beside the graph there are two views:
+and the ball snapshots below.  Each holds its nodes once: the graph's ids
+are ``range(n)``, a mirror reads them from its view, and a snapshot keeps
+its own subset.  Beside the graph there are two views:
 
 * :class:`InducedSnapshot` copies a graph's edges among a node subset.  It
   does not follow the parent by itself; its owner applies each parent
@@ -83,26 +85,17 @@ class ChangeRecord:
 
 
 class AdjacencyGraph:
-    """Read protocol over a node set and a symmetric ``node -> {neighbor: weight}`` map.
+    """Read protocol over a symmetric ``node -> {neighbor: weight}`` map.
 
     Both sides of an edge are always stored, and ``apply_record`` is the one
-    way an edge changes after construction.
+    way an edge changes after construction.  Each subclass holds its node
+    set its own way and answers ``node_ids`` (ascending), ``node_count`` and
+    ``has_node`` from it.
     """
 
-    def __init__(self, max_weight, nodes):
+    def __init__(self, max_weight):
         self.max_weight = max_weight
-        self.node_set = frozenset(nodes)
-        self._ids = tuple(sorted(self.node_set))
         self._adj = {}  # node -> {neighbor: weight}; absent node means isolated
-
-    def node_ids(self):
-        return self._ids
-
-    def node_count(self):
-        return len(self._ids)
-
-    def has_node(self, u):
-        return u in self.node_set
 
     def has_edge(self, u, v):
         return v in self._adj.get(u, ())
@@ -138,7 +131,7 @@ class DynamicGraph(AdjacencyGraph):
             raise GraphFormatError(
                 "need n >= 0 and max_weight >= 1, got n=%r max_weight=%r" % (n, max_weight)
             )
-        super().__init__(max_weight, range(n))
+        super().__init__(max_weight)
         self.n = n
         self.edge_count = 0
 
@@ -163,6 +156,12 @@ class DynamicGraph(AdjacencyGraph):
     def _check_node(self, u):
         if not self.has_node(u):
             raise GraphFormatError("node id %r outside [0, %d)" % (u, self.n))
+
+    def node_ids(self):
+        return range(self.n)
+
+    def node_count(self):
+        return self.n
 
     def has_node(self, u):
         return type(u) is int and 0 <= u < self.n  # not bool: True == 1
@@ -253,7 +252,7 @@ def load_graph(stream):
                 raise GraphFormatError("line %d: non-integer header field" % lineno)
             if n < 0 or m < 0 or w_max < 1:
                 raise GraphFormatError("line %d: invalid header values" % lineno)
-            if n > MAX_NODES:  # before DynamicGraph builds its node set
+            if n > MAX_NODES:  # before DynamicGraph is built: structures hold per-node state
                 raise GraphFormatError("line %d: n=%d above the node cap %d"
                                        % (lineno, n, MAX_NODES))
             header = (n, m, w_max)
@@ -317,12 +316,22 @@ class InducedSnapshot(AdjacencyGraph):
     """
 
     def __init__(self, parent, nodes):
-        super().__init__(parent.max_weight, nodes)
-        inside = self.node_set
+        super().__init__(parent.max_weight)
+        self.node_set = inside = frozenset(nodes)
+        self._ids = tuple(sorted(inside))
         for u in self._ids:
             row = {v: w for v, w in parent.neighbors(u) if v in inside}
             if row:
                 self._adj[u] = row
+
+    def node_ids(self):
+        return self._ids
+
+    def node_count(self):
+        return len(self._ids)
+
+    def has_node(self, u):
+        return u in self.node_set
 
 
 class ArtificialSourceView:
@@ -336,8 +345,7 @@ class ArtificialSourceView:
     def __init__(self, parent, attach):
         self.parent = parent
         self.attach = tuple(sorted(set(attach)))
-        parent_ids = list(parent.node_ids())
-        self.source_id = (max(parent_ids) + 1) if parent_ids else 0
+        self.source_id = max(parent.node_ids(), default=-1) + 1
         for a in self.attach:
             if not parent.has_node(a):
                 raise ParamConfigError("attachment %r outside parent view" % (a,))

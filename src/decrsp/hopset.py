@@ -231,23 +231,17 @@ class ShortcutGraph:
         self.balls = balls
         self.params = params
         self.root = root
-        self._f_weight = {}  # (owner, member) -> live shortcut weight
-        self.edges_ever = 0
         self.update_ops = 0
 
-        edges = []
-        for u, v, weight in view.edges():
-            pair = (u, v) if u < v else (v, u)
-            if weight <= params.weight_cap:
-                edges.append((("G",) + pair, pair[0], pair[1], params.round_weight(weight)))
+        cap, edges = params.weight_cap, []
+        for u, v, weight in view.edges():  # u < v
+            if weight <= cap:
+                edges.append((("G", u, v), u, v, params.round_weight(weight)))
         for owner, table in balls.initial_membership().items():
             for member, estimate in table.items():
-                if member == owner:
-                    continue
-                self._f_weight[(owner, member)] = estimate
-                if estimate <= params.weight_cap:
-                    rounded = params.round_weight(estimate)
-                    edges.append((("F", owner, member), owner, member, rounded))
+                if member != owner and estimate <= cap:
+                    edges.append((("F", owner, member), owner, member,
+                                  params.round_weight(estimate)))
         self.edges_ever = len(edges)
         self.tree = MonotoneEsTree(root, params.level_cap, edges)
 
@@ -264,31 +258,36 @@ class ShortcutGraph:
 
     # -- structure checks ---------------------------------------------------------
 
-    def check_sandwich(self):
-        """Every tree edge weight w satisfies w <= phi*scaled <= w + phi.
+    def _admitted_weights(self):
+        """The raw weight of every edge the tree must hold, by key: each edge
+        of the live view and each live shortcut (owner != member) of the
+        balls, kept when it is at most the weight cap."""
+        raw = {("G", u, v): weight for u, v, weight in self.view.edges()}
+        for owner, table in self.balls.initial_membership().items():
+            raw.update((("F", owner, v), est) for v, est in table.items() if v != owner)
+        return {key: weight for key, weight in raw.items() if weight <= self.params.weight_cap}
 
-        Walks the tree's own edges, each from both ends; base edges are read
-        from the live view, shortcuts from the journal.
+    def check_sandwich(self):
+        """Every tree edge is admitted, and its rounded weight w' satisfies
+        w <= phi*w' <= w + phi for the edge's raw weight w.
+
+        Walks the tree's own edges, each from both ends, against
+        ``_admitted_weights``.
         """
-        phi = self.params.phi
+        phi, admitted = self.params.phi, self._admitted_weights()
         for edges in self.tree.adj.values():
             for key, (_, rounded) in edges.items():
-                if key[0] == "G":
-                    raw = self.view.weight(key[1], key[2])
-                else:
-                    raw = self._f_weight[(key[1], key[2])]
-                if not (raw <= self.params.weight_cap and raw <= phi * rounded <= raw + phi):
+                raw = admitted.get(key)
+                if raw is None or not raw <= phi * rounded <= raw + phi:
                     raise AssertionError("tree edge %r weight %s outside the sandwich of %s"
                                          % (key, rounded, raw))
 
     def check_shortcut_mirror(self):
-        """Shortcut pairs coincide with live ball memberships."""
-        expected = set()
-        for owner in self.view.node_ids():
-            members, _ = self.balls.membership(owner)
-            expected |= {(owner, v) for v in members if v != owner}
-        if set(self._f_weight) != expected:
-            raise AssertionError("shortcut pairs differ from live ball memberships")
+        """The tree holds every admitted edge: each live base edge and live
+        shortcut under the weight cap."""
+        missing = [key for key in self._admitted_weights() if not self.tree.has_edge(key, key[1])]
+        if missing:
+            raise AssertionError("admitted edges missing from the tree: %r" % (missing,))
 
 
 def shortcut_process_update(sg, record, ball_changes):
@@ -303,7 +302,7 @@ def shortcut_process_update(sg, record, ball_changes):
     changed, each estimate an int over ``params.phi.denominator`` as
     ``sg.scaled_query`` gives it (inf stays inf).
     """
-    params, tree, f_weight = sg.params, sg.tree, sg._f_weight
+    params, tree = sg.params, sg.tree
     cap = params.weight_cap
     pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
     # A base deletion is a LEAVE of its key, a base increase an EST.
@@ -312,11 +311,6 @@ def shortcut_process_update(sg, record, ball_changes):
                 for ev in ball_changes.events if ev.member != ev.owner]
     for kind, key, weight in traffic:
         u = key[1]
-        if key[0] == "F":
-            if kind == LEAVE:
-                del f_weight[key[1:]]
-            else:
-                f_weight[key[1:]] = weight
         if kind == JOIN:
             if weight <= cap:
                 tree.insert_edge(key, u, key[2], params.round_weight(weight))

@@ -176,22 +176,33 @@ class ScaledMirror(AdjacencyGraph):
     """A rounded, scaled copy of a graph view for one distance band.
 
     Every weight is ``ceil(w / phi)``, and each row lists the view's
-    neighbours in the view's order.  The mirror keeps the view's node ids
-    (subgraph views keep their original labels) and allows zero weights (the
-    virtual attachment edges of a distance-to-set view scale to zero).  It
-    changes only through ``translate``, so its edges are only ever deleted
-    or re-weighted upward.
+    neighbours in the view's order.  The mirror answers ``node_ids``,
+    ``node_count`` and ``has_node`` from the view, whose node set never
+    changes, so it keeps the view's labels and holds no copy of its nodes.
+    It allows zero weights (the virtual attachment edges of a
+    distance-to-set view scale to zero).  It changes only through
+    ``translate``, so its edges are only ever deleted or re-weighted upward.
     """
 
     def __init__(self, view, phi):
+        self.view = view
         self.phi = Fraction(phi)
         self._num = self.phi.numerator
         self._den = self.phi.denominator
-        super().__init__(self.scale(view.max_weight), view.node_ids())
-        for u in self._ids:
+        super().__init__(self.scale(view.max_weight))
+        for u in view.node_ids():
             row = {v: self.scale(w) for v, w in view.neighbors(u)}
             if row:
                 self._adj[u] = row
+
+    def node_ids(self):
+        return self.view.node_ids()
+
+    def node_count(self):
+        return self.view.node_count()
+
+    def has_node(self, u):
+        return self.view.has_node(u)
 
     def scale(self, weight):
         """ceil(weight / phi) for an integer weight, in integer arithmetic."""
@@ -436,9 +447,10 @@ class FullRangeSssp:
         least, holder, estimate = inf, 0, inf
         for b in range(len(stacks)):
             value = stacks[b].query(node)
-            if value == inf:  # inf times a unit past the float range raises
+            try:
+                key = value * units[b]
+            except OverflowError:  # inf times a unit past the float range
                 continue
-            key = value * units[b]
             if key < least:
                 least, holder, estimate = key, b, value
         if least <= self._keys[node]:

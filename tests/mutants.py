@@ -209,7 +209,7 @@ MUTANTS = (
         ("tests/test_graph_core.py::test_a_header_above_the_node_cap_is_rejected_before_the_graph_"
          "is_built[cap-plus-one]",
          "tests/test_input_boundary.py::test_cli_headers_at_their_limits[cap-plus-one]"),
-        "a header one node over the cap is accepted and builds its node set",
+        "a header one node over the cap is accepted and builds its graph",
     ),
     Mutant(
         "byte-order-mark-kept",
@@ -274,8 +274,11 @@ MUTANTS = (
     Mutant(
         "settle-multiplies-inf",
         "src/decrsp/layered.py",
-        (("            if value == inf:  # inf times a unit past the float range raises\n"
-          "                continue\n", ""),),
+        (("            try:\n"
+          "                key = value * units[b]\n"
+          "            except OverflowError:  # inf times a unit past the float range\n"
+          "                continue\n",
+          "            key = value * units[b]\n"),),
         tuple("tests/test_input_boundary.py::test_cli_answers_or_rejects_huge_weights_and_tiny_eps[%s]"
               % case for case in ("w-2p1023-sssp", "twelve-nodes-w-2p1022-check",
                                   "eps-320-ones-sssp-oracle")),
@@ -332,8 +335,19 @@ MUTANTS = (
         (("        elif tree.has_edge(key, u):\n",
           "        elif (kind, key[0]) != (EST, \"F\") and tree.has_edge(key, u):\n"),),
         ("tests/test_hopset.py::test_full_deletion_battery_forty_nodes",),
-        "an EST event updates the journal copy of a shortcut's weight but never "
-        "raises or drops its tree key",
+        "an EST event never raises or drops its shortcut's tree key, so the tree "
+        "keeps a weight below the ball's estimate",
+    ),
+    Mutant(
+        "tree-misses-initial-shortcuts",
+        "src/decrsp/hopset.py",
+        (("                if member != owner and estimate <= cap:\n",
+          "                if owner < member and estimate <= cap:\n"),),
+        ("tests/test_hopset.py::test_full_deletion_battery_forty_nodes",
+         "tests/test_layered.py::test_layered_state_machine::runTest",
+         "tests/test_acceptance.py::test_criterion_2_monotone_observation_suite_under_ball_joins"),
+        "the build leaves every live shortcut with owner > member out of the tree, "
+        "so the tree holds fewer edges than G and F",
     ),
     Mutant(
         "heaviest-weight-times-grain",

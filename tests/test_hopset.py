@@ -387,6 +387,33 @@ def test_check_sandwich_reads_the_tree_weights():
         sg.check_sandwich()
 
 
+def run_checks(sg):
+    sg.check_sandwich()
+    sg.check_shortcut_mirror()
+
+
+def test_checks_catch_a_tree_that_lost_a_live_shortcut():
+    graph = path_graph(4)
+    ps = small_params(8)
+    sg = ShortcutGraph(graph, StubBalls({0: {0: 0, 3: 3}, 1: {1: 0}, 2: {2: 0}, 3: {3: 0}}),
+                       ps, 0)
+    run_checks(sg)
+    key = ("F", 0, 3)
+    assert admitted(sg, key)
+    sg.tree.delete_edge(key, 0)
+    sg.tree.end_batch()
+    with pytest.raises(AssertionError, match="missing from the tree"):
+        run_checks(sg)
+
+
+def test_checks_catch_a_base_key_the_view_no_longer_holds():
+    graph = path_graph(3)
+    sg = ShortcutGraph(graph, singleton_balls(graph), small_params(8), 0)
+    graph.apply_update(UpdateEvent("delete", 1, 2))  # the tree is never told
+    with pytest.raises(AssertionError, match=r"\('G', 1, 2\)"):
+        run_checks(sg)
+
+
 # ---------------------------------------------------------------------------
 # integration with the live ball layer
 
