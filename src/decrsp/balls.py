@@ -13,19 +13,24 @@ Dijkstra on the current graph) is frozen anew, copied into an
 :class:`~decrsp.graph.InducedSnapshot`, and a fresh contract instance is
 started on that snapshot, seeded from the scope search: a shortest path to a
 scope node runs inside the scope, so the search's distances are exact on the
-snapshot.  The ball ``B(u)`` consists of the scope members whose clamped
-estimate stays under ``alpha * depth``; the test runs in integers.
+snapshot.  The snapshot's node set is the scope; a scope of ``u`` alone has
+neither snapshot nor instance.  The ball ``B(u)`` consists of the scope
+members whose clamped estimate stays under ``alpha * depth``; the test runs
+in integers.  Each ball is one table ``{member: clamped estimate}``: a node
+that leaves takes its estimate with it, so the table is exactly the ball.
 
 An update touches only the balls it can change.  A ``member -> owners`` index,
 kept in step by every scope rebuild, routes a change on edge (x, y) to the
 owners whose scope holds both x and y, in sorted order; each of them applies
 the change to its snapshot once, then feeds it to its inner instance.  So an
 inner instance only ever sees changes on edges of its own snapshot, and no
-view needs to filter records.
+view needs to filter records.  The index holds only scopes of two or more
+nodes, as a lone scope never holds both ends of an edge.
 
-Estimates reported for a pair (u, v) never decrease: rebuilds may produce
-smaller raw values (larger scope, fresh instance), and those are clamped away
-against the running maximum.  All membership changes are journaled as JOIN /
+Estimates reported for a pair (u, v) never decrease while v stays in B(u):
+rebuilds may produce smaller raw values (larger scope, fresh instance), and
+those are clamped away against the table's entry.  A (re)join starts from
+its raw value.  All membership changes are journaled as JOIN /
 LEAVE / EST events, sorted by (owner, member, kind), so downstream shortcut
 graphs can replay them deterministically.
 
@@ -53,6 +58,7 @@ JOIN, LEAVE, EST = "join", "leave", "est"
 # step one bucket at a time, so a tiny bucket eps is rejected up front.
 MAX_BUCKETS = 4096
 _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
+_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,6 @@ class BallSystem:
         self.threshold = self.alpha * depth
         bound = Fraction(self.threshold)
         self._thr_num, self._thr_den = bound.numerator, bound.denominator
-        self._nodes = sorted(view.node_ids())
         p = assignment.p
         # Distance-to-set watchers for levels 1 .. p-1; an empty level has none.
         self._set_inst = {}
@@ -120,17 +125,17 @@ class BallSystem:
         # Per-node ball state.
         self._bucket = {}  # node -> bucket index j reached so far
         self._radius = {}
-        self._scope = {}
-        self._owners = {u: set() for u in self._nodes}  # member -> owners whose scope holds it
+        # member -> owners whose scope holds it, for scopes of two or more
+        # nodes only: a lone scope never holds both ends of an edge.
+        self._owners = {}
         self._snapshot = {}  # owner -> InducedSnapshot of its scope (None for a lone node)
         self._inner = {}
-        self._est = {}  # node -> {member: clamped estimate}; doubles as history
-        self._members = {}
+        # owner -> {member: clamped estimate}, the one record of the ball: it
+        # holds members only, so an estimate leaves with its member.
+        self._est = {}
         self.rebuild_counts = {}
-        for u in self._nodes:
+        for u in view.node_ids():  # ascending
             self.rebuild_counts[u] = 0
-            self._est[u] = {}
-            self._members[u] = set()
             self._build_scope(u, self._current_radius(u), record=None)
             self.rebuild_counts[u] = 0  # the initial build is not an increase
 
@@ -171,23 +176,20 @@ class BallSystem:
         return self._radius[u]
 
     def scope(self, u):
-        return self._scope[u]
+        snapshot = self._snapshot[u]
+        return frozenset((u,)) if snapshot is None else snapshot.node_set
 
     def members(self, u):
-        return self._members[u]
+        """u's ball as ``{member: clamped estimate}``; the live table, read only."""
+        return self._est[u]
 
     def estimate(self, u, v):
         """Current clamped estimate for v as seen from u (inf outside the ball)."""
-        if v in self._members[u]:
-            return self._est[u][v]
-        return inf
-
-    def membership(self, u):
-        return set(self._members[u]), {v: self._est[u][v] for v in self._members[u]}
+        return self._est[u].get(v, inf)
 
     def initial_membership(self):
         """Snapshot for journal replay: every ball's members with estimates."""
-        return {u: {v: self._est[u][v] for v in self._members[u]} for u in self._nodes}
+        return {u: dict(table) for u, table in self._est.items()}
 
     def _is_member_value(self, val):
         if isinstance(val, float):  # inf; finite estimates are int or Fraction
@@ -208,49 +210,38 @@ class BallSystem:
         self.rebuild_counts[u] += 1
         # Weights are ints, so floor(radius) bounds the same scope in ints.
         dist = dijkstra_bounded(self.view, u, math.floor(new_radius))
-        scope = frozenset(dist)
-        owners = self._owners
-        for v in self._scope.get(u, ()):
-            owners[v].discard(u)
-        for v in scope:
-            owners[v].add(u)
-        self._scope[u] = scope
         snapshot = inner = None
-        if len(scope) > 1:
-            snapshot = InducedSnapshot(self.view, scope)
+        if len(dist) > 1:
+            snapshot = InducedSnapshot(self.view, dist)
             inner = self.factory(snapshot, u, self.depth, dist)
+        old = self._snapshot.get(u)
+        old_scope = _EMPTY if old is None else old.node_set
+        new_scope = _EMPTY if snapshot is None else snapshot.node_set
+        owners = self._owners
+        for v in old_scope - new_scope:
+            owners[v].discard(u)
+            if not owners[v]:
+                del owners[v]
+        for v in new_scope - old_scope:
+            owners.setdefault(v, set()).add(u)
         self._snapshot[u] = snapshot
         self._inner[u] = inner
-        history = self._est[u]
-        old_members = self._members[u]
-        new_members = set()
-        raised = set()  # surviving members whose clamped estimate rose
-        for v in sorted(scope):
+        old_table, table = self._est.get(u, {}), {}
+        for v in sorted(dist):
             raw = 0 if v == u else inner.query(v)
-            if v in old_members:
-                # A surviving membership keeps its journaled monotonicity.
-                val = max(raw, history[v])
-                if val > history[v]:
-                    raised.add(v)
-            else:
-                # A (re)join starts a fresh lifetime: an estimate left over
-                # from an earlier stay (possibly inf after the old frozen
-                # scope lost its internal path) must not clamp it, or the
-                # node could never rejoin a grown ball.
-                val = raw
-            history[v] = val
+            # A surviving member keeps its journaled monotonicity; a (re)join
+            # starts a fresh lifetime from its raw value, so an estimate from
+            # an earlier stay (possibly inf after the old frozen scope lost
+            # its internal path) cannot keep it out of a grown ball.
+            last = old_table.get(v)
+            val = raw if last is None else max(raw, last)
             if self._is_member_value(val):
-                new_members.add(v)
-        # A member's history is its last journaled estimate, so EST events
-        # fire exactly on visible increases of surviving members.
+                table[v] = val
+                if record is not None and (last is None or val > last):
+                    record.append(BallEvent(JOIN if last is None else EST, u, v, val))
         if record is not None:
-            for v in sorted(old_members - new_members):
-                record.append(BallEvent(LEAVE, u, v))
-            for v in sorted(new_members - old_members):
-                record.append(BallEvent(JOIN, u, v, history[v]))
-            for v in sorted(raised & new_members):
-                record.append(BallEvent(EST, u, v, history[v]))
-        self._members[u] = new_members
+            record.extend(BallEvent(LEAVE, u, v) for v in old_table if v not in table)
+        self._est[u] = table
 
     # -- updates -----------------------------------------------------------------
 
@@ -273,7 +264,7 @@ class BallSystem:
                 self._build_scope(u, new_r, record=events)
                 rebuilt.add(u)
         owners = self._owners
-        for u in sorted(owners[rec.u] & owners[rec.v]):
+        for u in sorted(owners.get(rec.u, _EMPTY) & owners.get(rec.v, _EMPTY)):
             if u in rebuilt:
                 continue  # its fresh snapshot already holds the change
             self._snapshot[u].apply_record(rec)
@@ -283,16 +274,13 @@ class BallSystem:
         return BallChangeSet(tuple(events))
 
     def _fold_inner(self, u, v, new_val, events):
-        history = self._est[u]
-        old = history.get(v, 0)
-        val = max(new_val, old)
-        if val == old:
-            return
-        history[v] = val
-        if v not in self._members[u]:
-            return
-        if self._is_member_value(val):
-            events.append(BallEvent(EST, u, v, val))
+        table = self._est[u]
+        old = table.get(v)
+        if old is None or new_val <= old:
+            return  # not a member, or no visible increase
+        if self._is_member_value(new_val):
+            table[v] = new_val
+            events.append(BallEvent(EST, u, v, new_val))
         else:
-            self._members[u].discard(v)
+            del table[v]
             events.append(BallEvent(LEAVE, u, v))

@@ -8,7 +8,8 @@ then the records are forwarded to whatever trees/balls/stacks are listening.
 The structures read a graph only through ``node_ids``, ``node_count``,
 ``has_node`` and ``neighbors``, and on adjacency graphs alone also through
 ``edges`` (priority sampling, the shortcut graph's build and checks, the
-harness).
+harness).  A weight is read through those two; ``has_edge`` answers only
+whether an edge is there (the checks of ``DynamicGraph.apply_update``).
 :class:`AdjacencyGraph` implements the edge reads over a symmetric
 adjacency map, and its ``apply_record`` is the one edge write behind
 ``DynamicGraph.apply_update``, the scaled mirrors of :mod:`decrsp.layered`
@@ -99,9 +100,6 @@ class AdjacencyGraph:
 
     def has_edge(self, u, v):
         return v in self._adj.get(u, ())
-
-    def weight(self, u, v):
-        return self._adj[u][v]
 
     def neighbors(self, u):
         """Iterate (neighbor, weight) pairs.  Snapshot before mutating."""

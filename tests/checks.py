@@ -7,8 +7,12 @@ this module runs them:
 * ``TreeWatcher`` keeps the batch-boundary record that
   ``MonotoneEsTree.check_invariants`` reads;
 * ``StructureChecks`` runs every check of a ``FullRangeSssp``, a
-  ``LayerAssembly`` or a ``ShortcutGraph``, nested shortcut trees included;
-* ``check_apsp`` runs the three ``ApspState`` checks.
+  ``LayerAssembly`` or a ``ShortcutGraph``, nested shortcut trees and ball
+  systems included;
+* ``check_apsp`` runs the three ``ApspState`` checks and ``check_routing``
+  on its ball system;
+* ``check_routing`` checks a ``BallSystem``'s owners index, snapshots and
+  tables, which no public method exposes.
 """
 
 from decrsp.hopset import ShortcutGraph
@@ -64,7 +68,8 @@ class StructureChecks:
     """Every check of ``structure`` (a ``FullRangeSssp``, a ``LayerAssembly``
     or a ``ShortcutGraph``), run by ``check`` after each update: for each
     shortcut graph in it, its tree's invariants, then ``check_sandwich`` and
-    ``check_shortcut_mirror``; last, for a ``FullRangeSssp``,
+    ``check_shortcut_mirror``; then ``check_routing`` on each
+    ``LayerAssembly``'s ball system; last, for a ``FullRangeSssp``,
     ``check_answers``.  A band's shortcut tree is watched from the first
     boundary at which the band is in ``stacks``: a band built inside an
     update has processed no record of it, so that is where its history
@@ -76,12 +81,17 @@ class StructureChecks:
         self.watchers = {}
         self.watch_new()
 
-    def _graphs(self):
+    def _bands(self):
         s = self.structure
         if isinstance(s, ShortcutGraph):
-            return [s]
+            return []
         bands = s.stacks if isinstance(s, FullRangeSssp) else [s]
-        return [band.sg for band in bands if band.mode == "layered"]
+        return [band for band in bands if band.mode == "layered"]
+
+    def _graphs(self):
+        if isinstance(self.structure, ShortcutGraph):
+            return [self.structure]
+        return [band.sg for band in self._bands()]
 
     def watch_new(self):
         """Watch every shortcut graph not watched yet, and drop retired ones."""
@@ -94,6 +104,8 @@ class StructureChecks:
                 self.watchers[sg].check()
                 sg.check_sandwich()
                 sg.check_shortcut_mirror()
+        for band in self._bands():
+            check_routing(band.balls)
         if isinstance(self.structure, FullRangeSssp):
             self.structure.check_answers()
         self.watch_new()
@@ -101,7 +113,35 @@ class StructureChecks:
 
 def check_apsp(state):
     """The three ``ApspState`` checks: witness heaps and reader sets, cached
-    tails, answer rows."""
+    tails, answer rows; then ``check_routing`` on its ball system."""
     state.check_heaps_against_journal()
     state.check_tails_against_recursion()
     state.check_answer_rows()
+    check_routing(state.balls)
+
+
+def check_routing(balls):
+    """The owners index of ``balls`` inverts its scopes of two or more nodes,
+    and names no node that no such scope holds.  Each of those scopes has a
+    snapshot that is the current view induced on it, rows in the view's
+    neighbour order, and an inner instance; a lone ball has neither.  Each
+    ball's table holds only nodes of its scope.  Returns the number of
+    snapshots checked."""
+    view = balls.view
+    inverse = {}
+    live = 0
+    for u in view.node_ids():
+        scope, snapshot = balls.scope(u), balls._snapshot[u]
+        assert balls.members(u).keys() <= scope, u
+        if snapshot is None:
+            assert scope == {u} and balls._inner[u] is None, u
+            continue
+        live += 1
+        assert len(scope) > 1 and balls._inner[u] is not None, u
+        assert snapshot.max_weight == view.max_weight
+        for x in sorted(scope):
+            inverse.setdefault(x, set()).add(u)
+            want = [(y, w) for y, w in view.neighbors(x) if y in scope]
+            assert list(snapshot.neighbors(x)) == want, (u, x)
+    assert balls._owners == inverse
+    return live

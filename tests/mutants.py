@@ -391,6 +391,26 @@ MUTANTS = (
         "a bucket's radius is read from the power of the bucket above it",
     ),
     Mutant(
+        "fold-keeps-member-past-threshold",
+        "src/decrsp/balls.py",
+        (("            del table[v]\n            events.append(BallEvent(LEAVE, u, v))\n",
+          "            events.append(BallEvent(LEAVE, u, v))\n"),),
+        ("tests/test_balls.py::test_disconnection_inside_scope_emits_leaves",
+         "tests/test_balls.py::test_properties_hold_after_every_update[3-declared0]",
+         "tests/test_balls.py::test_properties_hold_after_every_update[11-declared1]"),
+        "a member whose folded estimate passes the threshold is journaled as leaving "
+        "but stays in its ball's table",
+    ),
+    Mutant(
+        "rebuild-lowers-surviving-estimate",
+        "src/decrsp/balls.py",
+        (("            val = raw if last is None else max(raw, last)\n",
+          "            val = raw\n"),),
+        ("tests/test_balls.py::test_rebuild_clamps_estimates_against_history",),
+        "a rebuild takes a surviving member's fresh raw estimate, which may lie "
+        "below its journaled one",
+    ),
+    Mutant(
         "dijkstra-keeps-first-distance",
         "src/decrsp/graph.py",
         (("            if nd <= bound and nd < tentative.get(v, inf):\n",

@@ -83,8 +83,8 @@ def brute_force_witnesses(state, graph):
     best = {}
     for owner in graph.node_ids():
         j = priority_of(owner)
-        members, ests = state.balls.membership(owner)
-        for member in members:
+        ests = state.balls.members(owner)
+        for member in ests:
             if j <= priority_of(member):
                 continue
             cur = best.get((member, j))
@@ -182,8 +182,7 @@ def test_edgeless_graph_has_singleton_balls_and_no_witnesses():
     g = DynamicGraph(10, 4)
     state = ApspState(g, 2, Fraction(1, 2), seed=4)
     for v in g.node_ids():
-        members, ests = state.balls.membership(v)
-        assert members == {v} and ests == {v: 0}
+        assert state.balls.members(v) == {v: 0}
         assert state.witness(v, 0) is None  # every priority is 0 here
         assert state.witness(v, 1) is None
         for u in g.node_ids():

@@ -231,10 +231,6 @@ class StubBalls:
     def initial_membership(self):
         return {u: dict(t) for u, t in self._members.items()}
 
-    def membership(self, u):
-        table = self._members.get(u, {})
-        return set(table), dict(table)
-
     def changeset(self, events):
         """Apply events to the stub state and return the change set."""
         for ev in events:
