@@ -30,14 +30,13 @@ returned estimate never underestimates and stays within a ((2 + eps)^k - 1)
 stretch factor.  Every internal component runs at eps/7, which absorbs the
 error compounding of the witness chain.
 
-Each answered pair sits in exactly one of two per-node rows.  While its tail
-is unchanged, ``_served[u][v]`` holds the answer, and a query returns it with
-one row read.  When an update rewrites the pair's journal entry, or drops or
-changes its chain tail, the answer moves to ``_held[u][v]``, where it is the
-floor that the pair's next answer is clamped to: a cheaper witness chain can
-appear as balls change, and the answers handed out must never decrease.  No
-answer is raised at update time, so a pair's answer is always the largest
-of its tails at the queries that asked for it.
+Once a pair has been answered, its answer stays in its node's row
+``_served[u][v]``, and every later query returns it with one row read.  An
+update that rewrites the pair's journal entry, or drops or changes its chain
+tail, raises the answer to the new tail if that is larger, after the tail
+table is up to date, computing a dropped tail again.  A cheaper witness chain
+can appear as balls change, and the answers handed out must never decrease,
+so a pair's answer is the largest of its tails since its first ask.
 
 A failure inside an update after the graph changed leaves the balls half
 applied, so it poisons the state, as in ``FullRangeSssp``: every later query
@@ -99,10 +98,8 @@ class ApspState:
             bucket_eps=self.eps_run,
         )
         self._keys = {}  # (owner, member) -> journaled estimate
-        # u -> {v: answer}: served while the tail (u, v) is unchanged, held
-        # as the clamp floor of the pair's next answer once it changed.
+        # u -> {v: answer}: the largest tail (u, v) since the pair's first ask.
         self._served = {v: {} for v in graph.node_ids()}
-        self._held = {v: {} for v in graph.node_ids()}
         # x -> {v: witness-chain tail from x toward v}, for pairs without a
         # journal entry; one row per node so that a node's whole row can be
         # dropped or recomputed at once.
@@ -113,6 +110,7 @@ class ApspState:
         self._tails_computed = 0
         self._tails_dropped = 0
         self._tails_refreshed = 0
+        self._queries_computed = 0
         self._poisoned = False
         self._heaps = {v: [[] for _ in range(k)] for v in graph.node_ids()}
         # One class below the top, every witness top sits at priority k - 1,
@@ -133,9 +131,10 @@ class ApspState:
                     self._readers[heap[0][1]].add(v)
 
     def stats(self):
-        """Journal, tail-table and served-row sizes, plus four counters that
-        never decrease: the balls' scope rebuilds and the tails computed,
-        dropped and recomputed in place at update time.  ``tails_cached``
+        """Journal, tail-table and served-row sizes, plus five counters that
+        never decrease: the balls' scope rebuilds, the tails computed (by a
+        query or an update), dropped and recomputed in place at update time,
+        and the queries that computed at least one tail.  ``tails_cached``
         counts witness-chain tails only, since a pair with a journal entry
         reads that as its tail.  A poisoned state reads 0 for every size and
         keeps the counters it had at the fault."""
@@ -145,6 +144,7 @@ class ApspState:
             "ball_rebuilds": (self._ball_rebuilds if balls is None
                               else sum(balls.rebuild_counts.values())),
             "heap_pairs": len(self._keys),
+            "queries_computed": self._queries_computed,
             "tails_cached": sum(map(len, self._tails.values())),
             "tails_computed": self._tails_computed,
             "tails_dropped": self._tails_dropped,
@@ -179,7 +179,7 @@ class ApspState:
         above each member's priority; move every node whose witness top moved
         from its old top's reader set to its new top's; then recompute or
         drop every cached tail that read a journal entry or a witness top the
-        batch changed."""
+        batch changed, and raise the answers of the pairs whose tail moved."""
         priority_of, readers = self.assignment.priority_of, self._readers
         tops = {}  # (member, j) -> heap top before this batch
         stale = []  # (owner, member) pairs whose journal entry changed
@@ -223,16 +223,21 @@ class ApspState:
         Then, transitively, come the readers of every tail that changed or
         went: the cached tails (y, v) whose node y has that tail's node among
         its witness tops.  A reader one class below the top is recomputed in
-        place unless its row just was, a deeper one is dropped.  The served
-        answer of every pair whose tail changed becomes its pair's held
-        floor.
+        place unless its row just was, a deeper one is dropped.
+
+        Only then, with every cached tail final, is the answer of each
+        answered pair whose journal entry or tail changed or went raised to
+        its new tail, if that is larger; a dropped tail is computed again
+        first.  Raising while the changes still spread could read a stale
+        tail at k >= 3.
         """
         tails, keys, readers = self._tails, self._keys, self._readers
-        served, held, heaps, below_top = self._served, self._held, self._heaps, self._below_top
+        served, heaps, below_top = self._served, self._heaps, self._below_top
         top = self.k - 1
         dropped = sum(tails[x].pop(v, None) is not None for x, v in stale)
         refreshed = 0
         changed = stale  # (x, v) whose tail changed or went
+        answered = []  # those of them already asked
         for x in rows:
             row = tails[x]
             if x not in below_top:
@@ -250,9 +255,8 @@ class ApspState:
                     changed.append((x, v))
         while changed:
             x, v = changed.pop()
-            answer = served[x].pop(v, None)
-            if answer is not None:
-                held[x][v] = answer
+            if v in served[x]:
+                answered.append((x, v))
             for y in readers[x]:
                 row = tails[y]
                 tail = row.get(v)
@@ -270,6 +274,10 @@ class ApspState:
                 changed.append((y, v))
         self._tails_dropped += dropped
         self._tails_refreshed += refreshed
+        for x, v in answered:
+            tail = self._tail(x, v)
+            if tail > served[x][v]:
+                served[x][v] = tail
 
     def check_heaps_against_journal(self):
         """Heap minima must equal brute-force minima over the journaled keys
@@ -318,9 +326,9 @@ class ApspState:
 
     def check_answer_rows(self):
         """Every served answer must have its tail journaled or cached and be at
-        least that tail, and no pair may be both served and held."""
+        least that tail: an update leaves no answered pair's tail dropped."""
         for u, row in self._served.items():
-            tails, held = self._tails[u], self._held[u]
+            tails = self._tails[u]
             for v, answer in row.items():
                 tail = self._keys.get((u, v), tails.get(v))
                 if tail is None:
@@ -328,8 +336,6 @@ class ApspState:
                 if answer < tail:
                     raise AssertionError("served answer %r is %s, below its tail %s"
                                          % ((u, v), answer, tail))
-                if v in held:
-                    raise AssertionError("pair %r is both served and held" % ((u, v),))
 
     # -- updates ----------------------------------------------------------------
 
@@ -356,7 +362,7 @@ class ApspState:
         self._poisoned = True
         self._ball_rebuilds = self.stats()["ball_rebuilds"]
         self.balls = None
-        self._keys, self._heaps, self._tails, self._served, self._held = {}, {}, {}, {}, {}
+        self._keys, self._heaps, self._tails, self._served = {}, {}, {}, {}
         self._readers = {}
 
     # -- queries ----------------------------------------------------------------
@@ -366,15 +372,12 @@ class ApspState:
 
         ``last_query_expansions`` counts the tails this call computed: at
         most k^k, and 0 when every tail it needed was journaled or cached.
-        Chain tails stay cached across updates; each update recomputes or
-        drops only those whose journal entry, witness tops or recursed-into
-        tails it changed, so a pair whose tail changed computes nothing
-        unless its tail was dropped.  A cheaper witness chain can appear as
-        balls and witnesses change, so the answer is clamped to the largest
-        one returned before for the pair.  The clamped value stays sound and
-        within the stretch bound because distances only grow.  While the
-        pair's tail is unchanged its answer cannot change, so it is served
-        from the pair's row as is.
+        Only a pair's first ask can compute: from then on its answer sits in
+        its row, and each update raises it to the pair's new tail wherever
+        it changed that tail, so a repeat query is one row read.  A cheaper
+        witness chain can appear as balls and witnesses change, so the
+        answer is the largest tail since the first ask.  It stays sound and
+        within the stretch bound because distances only grow.
         A poisoned state serves nothing: every query raises ``UpdateError``.
         """
         if type(u) is not int or type(v) is not int:  # bool too: True == 1
@@ -389,45 +392,36 @@ class ApspState:
         return self._answer(u, v)
 
     def _answer(self, u, v):
-        """Answer a pair that is not served: its journal entry or chain tail,
-        computed unless the table has it, clamped to the pair's held floor;
-        then serve it."""
+        """Answer a pair on its first ask with its tail, and serve it; a bad
+        id or a poisoned state raises instead."""
         if self._poisoned:
             raise UpdateError(POISONED)
-        tails = self._tails
         for x in (u, v):
-            if x not in tails:
+            if x not in self._tails:
                 raise ParamConfigError("node %r is not in the graph" % (x,))
-        tail = self._keys.get((u, v))
-        if tail is None:
-            tail = tails[u].get(v)
-        if tail is None:
-            computed = self._tails_computed
-            tail = self._tail(u, v)
-            self.last_query_expansions = self._tails_computed - computed
-        else:
-            self.last_query_expansions = 0
-        floor = self._held[u].pop(v, 0)
-        answer = floor if floor > tail else tail
-        self._served[u][v] = answer
+        computed = self._tails_computed
+        answer = self._served[u][v] = self._tail(u, v)
+        self.last_query_expansions = self._tails_computed - computed
+        if self.last_query_expansions:
+            self._queries_computed += 1
         return answer
 
     def _tail(self, x, v):
-        """Best witness-leg-plus-tail sum from x toward v, a pair without a
-        journal entry; the caller has found no table entry for (x, v)."""
-        self._tails_computed += 1
-        keys, tails = self._keys, self._tails
-        tail = inf
-        for j in range(self.assignment.priority_of(x) + 1, self.k):
-            top = self.witness(x, j)
-            if top:
-                owner, leg = top
-                rest = keys.get((owner, v))
-                if rest is None:
-                    rest = tails[owner].get(v)
-                    if rest is None:
-                        rest = self._tail(owner, v)
-                if leg + rest < tail:
-                    tail = leg + rest
-        tails[x][v] = tail
+        """Tail of x toward v: its journal entry, else its cached chain tail,
+        else the best witness-leg-plus-tail sum, computed and cached."""
+        tail = self._keys.get((x, v))
+        if tail is None:
+            row = self._tails[x]
+            tail = row.get(v)
+            if tail is None:
+                self._tails_computed += 1
+                tail = inf
+                for j in range(self.assignment.priority_of(x) + 1, self.k):
+                    top = self.witness(x, j)
+                    if top:
+                        owner, leg = top
+                        rest = leg + self._tail(owner, v)
+                        if rest < tail:
+                            tail = rest
+                row[v] = tail
         return tail

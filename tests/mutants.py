@@ -433,29 +433,45 @@ MUTANTS = (
         "one class below the top",
     ),
     Mutant(
-        "refreshed-tail-keeps-served-answer",
+        "raise-assigns-tail",
         "src/decrsp/apsp.py",
-        (("            answer = served[x].pop(v, None)\n",
-          "            answer = served[x].pop(v, None) if v not in tails[x] else None\n"),),
-        ("tests/test_apsp.py::test_a_moved_top_recomputes_its_row_in_place_at_k2",
-         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[2-1]"),
-        "a tail recomputed in place leaves its pair's old answer served",
+        (("            tail = self._tail(x, v)\n"
+          "            if tail > served[x][v]:\n"
+          "                served[x][v] = tail\n",
+          "            served[x][v] = self._tail(x, v)\n"),),
+        ("tests/test_apsp.py::test_answers_are_the_largest_tail_since_the_first_ask[2-8]",
+         "tests/test_apsp.py::test_answers_are_the_largest_tail_since_the_first_ask[3-8]",
+         "tests/test_apsp.py::test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged",
+         "tests/test_apsp.py::test_pair_answers_never_decrease_through_full_drain[1]"),
+        "an update sets an answered pair's answer to its new tail, which can lie "
+        "below the answer, instead of raising the answer to it",
     ),
     Mutant(
-        "served-answer-raised-at-update",
+        "raise-skips-dropped-tail",
         "src/decrsp/apsp.py",
-        (("            answer = served[x].pop(v, None)\n"
-          "            if answer is not None:\n"
-          "                held[x][v] = answer\n",
-          "            answer = served[x].get(v)\n"
-          "            tail = keys.get((x, v), tails[x].get(v))\n"
-          "            if answer is not None and tail is not None:\n"
-          "                served[x][v] = max(answer, tail)\n"
-          "            elif answer is not None:\n"
-          "                held[x][v] = served[x].pop(v)\n"),),
-        ("tests/test_apsp.py::test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged",),
-        "a changed tail raises its pair's served answer at update time instead of "
-        "holding it, clamping to tails no query saw",
+        (("            tail = self._tail(x, v)\n",
+          "            tail = keys.get((x, v), tails[x].get(v, 0))\n"),),
+        ("tests/test_apsp.py::test_answers_are_the_largest_tail_since_the_first_ask[2-8]",
+         "tests/test_apsp.py::test_no_repeat_query_computes_on_the_benchmark_shape[7001]",
+         "tests/test_apsp.py::test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3"),
+        "an update raises an answered pair only to a tail that is journaled or "
+        "cached, so a pair whose tail it dropped keeps its old answer",
+    ),
+    Mutant(
+        "raise-inside-propagation",
+        "src/decrsp/apsp.py",
+        (("            if v in served[x]:\n"
+          "                answered.append((x, v))\n",
+          "            if v in served[x]:\n"
+          "                served[x][v] = max(served[x][v], self._tail(x, v))\n"),
+         ("        for x, v in answered:\n"
+          "            tail = self._tail(x, v)\n"
+          "            if tail > served[x][v]:\n"
+          "                served[x][v] = tail\n", "")),
+        ("tests/test_apsp.py::test_answers_are_the_largest_tail_since_the_first_ask[3-128]",
+         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[3-3]"),
+        "an update raises each answered pair as its changed tail is popped, while "
+        "the change still spreads, so a tail it computes can read stale ones",
     ),
     Mutant(
         "top-leg-change-keeps-row",

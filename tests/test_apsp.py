@@ -479,12 +479,72 @@ def test_shared_tails_equal_a_fresh_recomputation(k, seed):
 # -- tails kept across updates ---------------------------------------------------
 
 
-def sweep_against_reference(state, pairs, last):
-    """Query every pair; each answer is the fresh recursion clamped to the last."""
+# The answer model: ``model`` maps each pair asked so far to the largest
+# reference tail seen since its first ask, read after every update.
+
+
+def raise_model(state, model):
+    """Right after an update: raise each answered pair's model answer to its
+    reference tail now, and check that the pair's row already holds it,
+    without asking the pair.  Returns the number of answers raised."""
+    raised = 0
+    for (u, v), answer in model.items():
+        want = max(answer, reference_tail(state, u, v))
+        raised += want > answer
+        model[(u, v)] = want
+        assert state._served[u][v] == want, (u, v)
+    return raised
+
+
+def sweep_against_reference(state, pairs, model):
+    """Ask ``pairs`` in turn: a pair asked before returns its model answer and
+    computes nothing, a fresh one returns its reference tail."""
     for u, v in pairs:
-        want = max(reference_tail(state, u, v), last.get((u, v), 0))
-        assert state.query(u, v) == want, (u, v)
-        last[(u, v)] = want
+        want = model.get((u, v))
+        if want is None:
+            want = model[(u, v)] = reference_tail(state, u, v)
+            assert state.query(u, v) == want, (u, v)
+            assert state.last_query_expansions <= state.k**state.k
+        else:
+            assert state.query(u, v) == want, (u, v)
+            assert state.last_query_expansions == 0
+
+
+def assert_model_in_bound(state, graph, model):
+    """Every model answer lies within [d, ((2 + eps)^k - 1) d]."""
+    bound = (2 + state.eps) ** state.k - 1
+    dist = {u: dijkstra_bounded(graph, u, inf) for u in graph.node_ids()}
+    for (u, v), answer in model.items():
+        d = dist[u].get(v, inf)
+        assert answer == d == inf or d <= answer <= bound * d, (u, v, d, answer)
+
+
+@pytest.mark.parametrize("k, w_max", [(2, 8), (2, 128), (3, 8), (3, 128)])
+def test_answers_are_the_largest_tail_since_the_first_ask(k, w_max):
+    # After each update a fresh seventh of the pairs is asked, so most pairs
+    # see several updates between two asks, and the tails of answered pairs
+    # change unseen.  Right after every update, each answered pair's answer
+    # must already be the largest reference tail since its first ask, and in
+    # bound.  W = 128 makes every contract a FullRangeSssp.
+    g = random_graph(20, 40, w_max, seed=90 + k)
+    state = ApspState(g, k, Fraction(1, 2), seed=k, c=0.3)
+    rng = random.Random(w_max + k)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    model = {}
+    raised = 0
+    while True:
+        sweep_against_reference(state, rng.sample(pairs, len(pairs) // 7), model)
+        live = list(g.edges())
+        if not live:
+            break
+        a, b, w = rng.choice(live)
+        if w < w_max and rng.random() < 0.3:
+            checked_update(state, UpdateEvent("increase", a, b, rng.randint(w + 1, w_max)))
+        else:
+            checked_update(state, UpdateEvent("delete", a, b))
+        raised += raise_model(state, model)
+        assert_model_in_bound(state, g, model)
+    assert raised > 0
 
 
 def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
@@ -492,17 +552,16 @@ def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
     g = random_graph(n, 40, w_max, seed=71)
     state = ApspState(g, 2, Fraction(1, 2), seed=4, c=0.3)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
-    last = {}
-    sweep_against_reference(state, pairs, last)
-    # One update first, so that the rejections below also see held floors.
+    model = {}
+    sweep_against_reference(state, pairs[: len(pairs) // 2], model)
+    # One update first, so that the rejections below also see raised answers.
     a, b, _ = next(iter(g.edges()))
     checked_update(state, UpdateEvent("delete", a, b))
-    sweep_against_reference(state, pairs[: len(pairs) // 2], last)
-    assert any(state._held.values()) and any(state._served.values())
+    assert raise_model(state, model) > 0
 
     def rows():
         return [{x: dict(row) for x, row in table.items()}
-                for table in (state._tails, state._served, state._held)]
+                for table in (state._tails, state._served)]
 
     before = rows()
     absent = next((a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b))
@@ -520,6 +579,10 @@ def test_rejected_update_keeps_tails_and_a_fault_poisons_the_state():
     assert_state_poisoned(state, g, counters)
 
 
+COUNTERS = ("ball_rebuilds", "queries_computed", "tails_computed", "tails_dropped",
+            "tails_refreshed")
+
+
 def assert_state_poisoned(state, graph, before):
     """Every pair query and every update raises ``UpdateError`` and the graph
     stays as it is.  The ball system and every table are gone; ``stats()``
@@ -530,12 +593,11 @@ def assert_state_poisoned(state, graph, before):
     pairs = [(u, v) for u in graph.node_ids() for v in graph.node_ids()]
     assert_poisoned(graph, state.process_update, state.query, pairs)
     assert state.balls is None
-    assert not any((state._keys, state._heaps, state._tails, state._served, state._held,
-                    state._readers))
+    assert not any((state._keys, state._heaps, state._tails, state._served, state._readers))
     stats = state.stats()
     assert stats == at_fault
     assert stats["answers_served"] == stats["heap_pairs"] == stats["tails_cached"] == 0
-    for counter in ("ball_rebuilds", "tails_computed", "tails_dropped", "tails_refreshed"):
+    for counter in COUNTERS:
         assert stats[counter] >= before[counter]
 
 
@@ -702,8 +764,8 @@ def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
     # k = 3: a priority-0 query caches the chain tails of the mid-level
     # witnesses it recurses into.  Query pairs until one caches the chain
     # tail of a mid-level pair that has not been asked yet.  That pair's
-    # first query computes nothing and returns the cached tail; an update
-    # that changes the tail holds the answer as the floor of the next one.
+    # first query computes nothing and returns the cached tail; the update
+    # that changes the tail raises the answer at once.
     g = random_graph(20, 40, 8, seed=73)
     state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3)
     asked = set()
@@ -716,29 +778,28 @@ def test_a_tail_cached_by_recursion_is_served_on_its_first_query():
             break
     x, v = cached[0]
     assert (x, v) not in state._keys
-    assert v not in state._served[x] and v not in state._held[x]
+    assert v not in state._served[x]
     tail = state._tails[x][v]
     assert tail == reference_tail(state, x, v)
     assert state.query(x, v) == tail
     assert state.last_query_expansions == 0
     assert state._served[x][v] == tail
     rng = random.Random(73)
-    while v in state._served[x]:
+    while reference_tail(state, x, v) == tail:
         a, b, _ = rng.choice(list(g.edges()))
         checked_update(state, UpdateEvent("delete", a, b))
-    assert state._held[x][v] == tail
-    known = v in state._tails[x] or (x, v) in state._keys  # recomputed in place, or in a ball
-    answer = state.query(x, v)
-    assert answer == max(tail, reference_tail(state, x, v))
-    assert (state.last_query_expansions == 0) == known
-    assert v not in state._held[x] and state._served[x][v] == answer
+    answer = max(tail, reference_tail(state, x, v))
+    assert state._served[x][v] == answer
+    computed = state.stats()["tails_computed"]
+    assert state.query(x, v) == answer
+    assert state.last_query_expansions == 0 and state.stats()["tails_computed"] == computed
 
 
 def test_a_raised_ball_entry_is_answered_without_computing():
     # The bench shape, every pair served before each update.  A pair whose
-    # journal entry an update raises reads the new entry as its tail: its
-    # next query computes nothing and returns max(floor, entry), the floor
-    # being the answer it had.
+    # journal entry an update raises has its answer raised to
+    # max(answer, entry) by the update itself: its next query reads that and
+    # computes nothing.
     schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
     g = schedule.build_graph()
     state = ApspState(g, 2, Fraction(1, 2), 7001, c=0.25)
@@ -750,9 +811,10 @@ def test_a_raised_ball_entry_is_answered_without_computing():
         checked_update(state, event)
         raised = [p for p in pairs if p in keys and state._keys.get(p, 0) > keys[p]]
         for u, v in raised:
-            assert v not in state._served[u] and state._held[u][v] == answers[(u, v)]
+            answer = max(answers[(u, v)], state.balls.estimate(u, v))
+            assert state._served[u][v] == answer
             computed = state.stats()["tails_computed"]
-            assert state.query(u, v) == max(answers[(u, v)], state.balls.estimate(u, v))
+            assert state.query(u, v) == answer
             assert state.last_query_expansions == 0
             assert state.stats()["tails_computed"] == computed
         checked += len(raised)
@@ -797,7 +859,9 @@ def test_a_moved_top_recomputes_its_row_in_place_at_k2(monkeypatch):
 
 def test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3(monkeypatch):
     # k = 3: a priority-0 node reads a mid-level witness, whose tail is a
-    # chain itself, so its row is dropped whole when one of its tops moves.
+    # chain itself, so its row is dropped whole when one of its tops moves,
+    # not recomputed in place.  Every pair is answered, so the update then
+    # computes each dropped tail again and raises its pair's answer to it.
     g = random_graph(20, 40, 8, seed=73)
     state = ApspState(g, 3, Fraction(1, 2), seed=1, c=0.3)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
@@ -805,35 +869,47 @@ def test_a_chain_tail_with_a_top_below_the_top_level_is_dropped_at_k3(monkeypatc
     rng = random.Random(73)
     dropped_rows = 0
     for _ in range(20):
-        [state.query(u, v) for u, v in pairs]
+        answers = {(u, v): state.query(u, v) for u, v in pairs}
+        before = state.stats()
         a, b, _ = rng.choice(list(g.edges()))
         checked_update(state, UpdateEvent("delete", a, b))
-        for x in moved[-1]:
-            if state.assignment.priority_of(x) == 0:
-                assert state._tails[x] == {}, x
-                dropped_rows += 1
+        after = state.stats()
+        rows = [(x, v) for x, row in moved[-1].items() if state.assignment.priority_of(x) == 0
+                for v in row]
+        assert after["tails_dropped"] - before["tails_dropped"] >= len(rows)
+        recomputed = [(x, v) for x, v in rows if (x, v) not in state._keys]
+        assert after["tails_computed"] - before["tails_computed"] >= len(recomputed)
+        for x, v in recomputed:
+            tail = reference_tail(state, x, v)
+            assert state._tails[x][v] == tail, (x, v)
+            assert state._served[x][v] == max(answers[(x, v)], tail), (x, v)
+        dropped_rows += bool(rows)
     assert dropped_rows > 0
 
 
 def test_sparse_pair_answers_on_the_benchmark_shape_are_unchanged():
     # After each update of a drain, a seeded tenth of the pairs is asked, a
     # fresh draw each time, so a pair's tail often changes several times
-    # between two of its queries.  The digest was recorded when every changed
-    # tail was dropped and computed again at its pair's next query; raising a
-    # served answer at update time, to a tail no query saw, changes it.
+    # between two of its queries.  Every answer is the largest tail since the
+    # pair's first ask, as the answer model says; the digest was recorded
+    # when each update raised the answers of the pairs whose tail it changed.
     schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, 7002, increase_rate=0.3)
     g = schedule.build_graph()
     state = ApspState(g, 2, Fraction(1, 2), 7002, c=0.25)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     rng = random.Random(7002)
     digest = hashlib.sha256()
+    model = {}
     for event in (None,) + tuple(schedule.updates()):
         if event is not None:
             state.process_update(event)
-        for u, v in rng.sample(pairs, len(pairs) // 10):
+            raise_model(state, model)
+        asked = rng.sample(pairs, len(pairs) // 10)
+        sweep_against_reference(state, asked, model)
+        for u, v in asked:
             digest.update(("%d %d %s\n" % (u, v, state.query(u, v))).encode())
     assert digest.hexdigest() == (
-        "3aa163e8244ca90b3ae0c0ebc49c853878aa693e290504499bd10902d386c059")
+        "a28101c580b627c44869267eb2e59e8b0c2f81f40b4b7fe748ffffe54bead23c")
 
 
 AUDIT_PLANT = """
@@ -889,8 +965,8 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
     rng = random.Random(seed)
     pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
     prev = state.stats()
-    assert set(prev) == {"answers_served", "ball_rebuilds", "heap_pairs", "tails_cached",
-                         "tails_computed", "tails_dropped", "tails_refreshed"}
+    assert set(prev) == {"answers_served", "ball_rebuilds", "heap_pairs", "queries_computed",
+                         "tails_cached", "tails_computed", "tails_dropped", "tails_refreshed"}
     assert prev["heap_pairs"] == len(state._keys)
     while True:
         for u, v in pairs:
@@ -902,15 +978,39 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(seed):
         assert stats["answers_served"] == len(pairs)
         assert stats["tails_cached"] == sum((u, v) not in state._keys for u, v in pairs)
         assert stats["ball_rebuilds"] == sum(state.balls.rebuild_counts.values())
-        for counter in ("ball_rebuilds", "tails_computed", "tails_dropped", "tails_refreshed"):
+        for counter in COUNTERS:
             assert stats[counter] >= prev[counter]
         assert stats["tails_computed"] - stats["tails_dropped"] == stats["tails_cached"]
+        assert stats["queries_computed"] <= stats["tails_computed"]
         prev = stats
         live = list(g.edges())
         if not live:
             break
         a, b, _ = rng.choice(live)
         state.process_update(UpdateEvent("delete", a, b))
+
+
+@pytest.mark.parametrize("seed", [7001, 7002, 7003])
+def test_no_repeat_query_computes_on_the_benchmark_shape(seed):
+    # The apsp-sweep shape, every pair asked after every update.  Only the
+    # first sweep computes; each update computes the tails it dropped, so
+    # every later query is one row read.
+    schedule = generate_instance(24, 48, 8, "erdos-renyi", 1.0, seed, increase_rate=0.3)
+    g = schedule.build_graph()
+    state = ApspState(g, 2, Fraction(1, 2), seed, c=0.25)
+    pairs = [(u, v) for u in g.node_ids() for v in g.node_ids()]
+    for u, v in pairs:
+        state.query(u, v)
+    first = state.stats()
+    assert first["queries_computed"] > 0
+    for event in schedule.updates():
+        state.process_update(event)
+        for u, v in pairs:
+            state.query(u, v)
+            assert state.last_query_expansions == 0
+    last = state.stats()
+    assert last["queries_computed"] == first["queries_computed"]
+    assert last["tails_computed"] > first["tails_computed"]
 
 
 def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
@@ -943,8 +1043,9 @@ def test_a_dropped_row_drops_the_tails_that_read_it(monkeypatch):
 class ApspMachine(RuleBasedStateMachine):
     """Deletes, increases, rejected updates, shuffled query sweeps and
     injected faults on a small graph.  Until a fault fires, after every step
-    each answer is the fresh witness-chain recursion clamped to the pair's
-    previous answer, sound and in bound, and each ball's inner exact tree,
+    each answered pair's answer is the largest witness-chain recursion from
+    scratch since its first ask, sound and in bound, a fresh seventh of the
+    pairs is asked, and each ball's inner exact tree,
     seeded from its scope search, holds the bounded Dijkstra levels on its
     snapshot; once one has fired, every query and update raises
     ``UpdateError`` and the graph stays as it is.  ``fault`` injects at
@@ -965,10 +1066,9 @@ class ApspMachine(RuleBasedStateMachine):
         rng = random.Random(seed)
         self.graph = random_graph(n, rng.randint(n, 2 * n), w_max, seed=seed)
         self.state = ApspState(self.graph, k, self.EPS, seed=seed, c=0.4)
-        self.bound = (2 + self.EPS) ** k - 1
         self.pairs = [(u, v) for u in range(n) for v in range(n)]
         self.rng = rng
-        self.last = {}
+        self.model = {}  # the answer model of ``raise_model``
         self.updates = 0
         self.poisoned = False
         self.rebuilt = False  # whether an update rebuilt a ball scope
@@ -1015,10 +1115,11 @@ class ApspMachine(RuleBasedStateMachine):
                 return
             u, v, w = edge
             bad = UpdateEvent("increase", u, v, w if kind == "same" else self.graph.max_weight + 1)
-        tails = {x: dict(row) for x, row in self.state._tails.items()}
+        rows = [{x: dict(row) for x, row in table.items()}
+                for table in (self.state._tails, self.state._served)]
         with pytest.raises(UpdateError):
             self.state.process_update(bad)
-        assert self.state._tails == tails
+        assert [self.state._tails, self.state._served] == rows
 
     @precondition(lambda self: self.updates >= 3 and not self.poisoned)
     @rule(index=st.integers(0, 10**6))
@@ -1059,32 +1160,23 @@ class ApspMachine(RuleBasedStateMachine):
 
     @rule(shuffle=st.randoms(use_true_random=False))
     def sweep(self, shuffle):
-        # The invariant has just answered every pair, so all tails are cached.
+        # Every pair in a shuffled order: an answered pair computes nothing.
         if self.poisoned:
             return
         pairs = list(self.pairs)
         shuffle.shuffle(pairs)
-        for u, v in pairs:
-            assert self.state.query(u, v) == self.last[(u, v)]
-            assert self.state.last_query_expansions == 0
+        sweep_against_reference(self.state, pairs, self.model)
 
     @invariant()
-    def answers_match_the_recursion(self):
+    def answers_match_the_model(self):
         if self.poisoned:
             assert_state_poisoned(self.state, self.graph, self.counters)
             return
         self.state.check_heaps_against_journal()  # also right after the build
-        self.rng.shuffle(self.pairs)
-        dist = {u: dijkstra_bounded(self.graph, u, inf) for u in self.graph.node_ids()}
-        for u, v in self.pairs:
-            want = max(reference_tail(self.state, u, v), self.last.get((u, v), 0))
-            est = self.state.query(u, v)
-            assert est == want, (u, v)
-            assert self.state.last_query_expansions <= self.state.k ** self.state.k
-            d = dist[u].get(v, inf)
-            assert est >= d
-            assert est == d == inf or est <= self.bound * d
-            self.last[(u, v)] = est
+        raise_model(self.state, self.model)
+        sweep_against_reference(self.state, self.rng.sample(self.pairs, len(self.pairs) // 7),
+                                self.model)
+        assert_model_in_bound(self.state, self.graph, self.model)
         balls = self.state.balls
         for owner, inner in balls._inner.items():
             if isinstance(inner, EsTree):
