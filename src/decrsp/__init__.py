@@ -5,8 +5,8 @@ edge deletions and weight increases.  Building blocks, bottom up:
 
 * :mod:`decrsp.graph` - dynamic graph, update records, views, bounded Dijkstra
 * :mod:`decrsp.oracle` - independent exact oracles for validation
-* :mod:`decrsp.es_tree` - exact single-source tree to a depth bound
-* :mod:`decrsp.monotone_tree` - insertion-tolerant tree with monotone levels
+* :mod:`decrsp.es_tree` - exact single-source tree to a depth bound (distance bands)
+* :mod:`decrsp.monotone_tree` - two-phase tree with monotone levels (balls, shortcuts)
 * :mod:`decrsp.sampling` - randomized edge-sampling node priorities
 * :mod:`decrsp.balls` - approximate balls with frozen scopes and a journal
 * :mod:`decrsp.hopset` - shortcut graph + scaled tree single-source estimates

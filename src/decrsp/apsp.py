@@ -2,9 +2,11 @@
 
 A priority-sampled ball system stores a distance estimate for every
 (owner, member) pair whose ball relation holds.  Each set watcher and ball
-scope runs a single-source contract: a bare exact ``EsTree`` when every
+scope runs a single-source contract: a bare ``MonotoneEsTree`` when every
 distance band of its view is finer than the integer weights
-(``exact_band_depth``), a ``FullRangeSssp`` otherwise.  On top of that,
+(``exact_band_depth``), a ``FullRangeSssp`` otherwise.  On a view that only
+loses edges the bare tree is exact, and its two-phase repair lifts a region
+that an update cuts off in one pass.  On top of that,
 every node ``v`` keeps one min-heap per priority class ``j`` above its own
 priority, holding the owners of priority ``j`` whose ball contains ``v``,
 keyed by the journaled estimate; the heap minimum is the cheapest
@@ -53,8 +55,8 @@ from math import inf
 
 from .balls import LEAVE, BallSystem
 from .graph import ParamConfigError, UpdateError
-from .es_tree import EsTree
 from .layered import POISONED, FullRangeSssp, exact_band_depth
+from .monotone_tree import MonotoneEsTree
 from .sampling import sample_priorities
 
 
@@ -86,7 +88,7 @@ class ApspState:
             exact = exact_band_depth(view.node_count(), view.max_weight, eps_run)
             if exact is None:
                 return FullRangeSssp(view, root, eps_run, seed=seed)
-            return EsTree(view, root, exact, levels)
+            return MonotoneEsTree(view, root, exact, levels)
 
         horizon = graph.node_count() * graph.max_weight
         self.balls = BallSystem(

@@ -38,8 +38,11 @@ The contract factory is called as ``factory(view, root, depth, levels)``
 and must return objects exposing ``query(node)`` and
 ``process_update(record) -> [(node, new_estimate)]`` whose estimates never
 underestimate true distances in the supplied view and never decrease, such
-as an ``EsTree`` or a ``FullRangeSssp`` (``ApspState`` picks one per view).
-``levels`` is None for a set watcher; for a ball it is the scope search,
+as a ``MonotoneEsTree`` (exact here, as its views only lose edges, and
+repaired in two phases) or a ``FullRangeSssp`` (``ApspState`` picks one per
+view).  A set watcher's view is an ``ArtificialSourceView``, whose virtual
+root edges are the only zero-weight edges a contract sees.  ``levels`` is
+None for a set watcher; for a ball it is the scope search,
 ``{node: exact distance from root}`` over every node of the snapshot, which
 an exact tree may take as its levels instead of searching again.
 """

@@ -1,30 +1,33 @@
 """Exact single-source shortest-path tree maintained to a depth bound.
 
-Classic Even-Shiloach scheme adapted to non-negative integer weights (ball
-watchers run it on distance-to-set views, whose virtual source edges weigh
-0): each node stores its exact distance ("level") from the root while it is
-at most the depth bound, and infinity otherwise.  Under deletions and weight
+Classic Even-Shiloach scheme adapted to non-negative integer weights (the
+bands of a ``FullRangeSssp`` set watcher run it on distance-to-set views,
+whose virtual source edges weigh 0): each node stores its exact distance
+("level") from the root while it is at most the depth bound, and infinity
+otherwise.  Under deletions and weight
 increases levels never decrease, so repair work amortizes against total
 level movement; ``work_counter`` counts adjacency reads (edge scans) made
 during repair and is bounded by O(m * depth) overall.
 
 The tree keeps no parent pointers: the levels alone say which nodes lean on
-which.  A build is one bounded Dijkstra, or none when the caller passes
-``levels`` holding the exact distance of every node within the depth bound:
-a ball passes its scope search, which is exact on the snapshot induced on
-its scope.  An edge (x, y) is *tight* for x when
-``level(x) == level(y) + w``.  A changed edge can only matter to an endpoint
-for which it was tight before the change (read with the record's old
-weight), so only those endpoints become pending; a change on any other edge
-costs no scan at all.  Each popped node gets one adjacency scan, which
-yields both its new level (the minimum over its neighbours) and its tight
-dependents (neighbours ``t`` with ``level(t) == old level + w``).  If its
-level rose, those dependents are pushed, each at most once while queued.
-The heap pops by ``(level, node)``, so the order of pushes is immaterial.
-Levels still climb round by round: a cut-off region rises one repair step at
-a time up to the depth bound, where it is cut to infinity.  The two-phase
-repair that ``MonotoneEsTree.end_batch`` runs would lift it in one pass; it
-is the open half of the two-phase repair item in ROADMAP.md.
+which.  A build is one bounded Dijkstra.  An edge (x, y) is *tight* for x when ``level(x) == level(y) + w``.  A changed
+edge can only matter to an endpoint for which it was tight before the change
+(read with the record's old weight), so only those endpoints become pending;
+a change on any other edge costs no scan at all.  Each popped node gets one
+adjacency scan, which yields both its new level (the minimum over its
+neighbours) and its tight dependents (neighbours ``t`` with
+``level(t) == old level + w``).  If its level rose, those dependents are
+pushed, each at most once while queued.  The heap pops by ``(level, node)``,
+so the order of pushes is immaterial.
+
+Levels climb round by round: a cut-off region rises one repair step at a
+time up to the depth bound, where it is cut to infinity.  This tree serves
+only ``FullRangeSssp``: its bands (the exact band, the tree on each scaled
+mirror band, the layered sentinel) and each ``LayerAssembly``'s ``lower``
+tree.  The ball contracts, every ball inner tree and set watcher, run a
+``MonotoneEsTree``, whose two-phase repair lifts a cut-off region in one
+pass.  Moving the bands onto that repair, and deleting this class, is the
+open half of the two-phase repair item in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from .graph import dijkstra_bounded
 class EsTree:
     # benchmarks/tracing.py counts exact bands by reading ``mode`` on every
     # band in ``FullRangeSssp.stacks`` (an EsTree or a LayerAssembly), so the
-    # attribute and its values stay.  An all-pairs contract whose bands are
-    # all finer than the weights is a bare EsTree, in no ``stacks``.
+    # attribute and its values stay.
     mode = "exact"
 
-    def __init__(self, view, root, depth, levels=None):
+    def __init__(self, view, root, depth):
         self.view = view
         self.root = root
         # No finite distance can exceed (node count - 1) * max weight, so the
@@ -50,10 +52,7 @@ class EsTree:
         finite_cap = max(0, view.node_count() - 1) * view.max_weight
         self.depth = min(depth, finite_cap)
         # node -> exact distance; absent means above depth / cut off
-        if levels is None:
-            self.level = dijkstra_bounded(view, root, self.depth)
-        else:
-            self.level = {v: d for v, d in levels.items() if d <= self.depth}
+        self.level = dijkstra_bounded(view, root, self.depth)
         self.work_counter = 0
 
     # -- reads --------------------------------------------------------------

@@ -209,21 +209,79 @@ def derive_params(alpha, beta, a, b, eps, p, delta, depth, n):
     )
 
 
+class DuplicateEdgeError(ValueError):
+    """Raised when inserting an edge key that is currently present."""
+
+
+class KeyedMultigraph:
+    """An undirected multigraph whose edges carry caller-chosen keys, so
+    parallel edges coexist; every weight is an integer >= 1.  It offers the
+    read protocol a ``MonotoneEsTree`` reads (``has_node``, ``neighbors``)
+    and changes by key.  ``delete_edge`` and ``increase_edge`` return the
+    edge's two endpoints, the nodes that the tree's next ``end_batch`` takes
+    as pending; ``insert_edge`` moves no level."""
+
+    def __init__(self, root, edges=()):
+        self.adj = {root: {}}  # node -> {edge_key: (other, weight)}
+        for edge in edges:
+            self.insert_edge(*edge)
+
+    def has_edge(self, key, u):
+        return key in self.adj.get(u, ())
+
+    def has_node(self, u):
+        return u in self.adj
+
+    def neighbors(self, u):
+        """Iterate (other, weight) over the edges at ``u``, parallel keys included."""
+        return self.adj[u].values()
+
+    def insert_edge(self, key, u, v, w):
+        """Record a new edge.  The tree's levels are left untouched on purpose."""
+        if u == v or not w >= 1:
+            raise AssertionError("edge %r needs distinct endpoints and weight >= 1, "
+                                 "got %r-%r weight %r" % (key, u, v, w))
+        if key in self.adj.get(u, ()):
+            raise DuplicateEdgeError("edge key %r already present" % (key,))
+        self.adj.setdefault(u, {})[key] = (v, w)
+        self.adj.setdefault(v, {})[key] = (u, w)
+
+    def increase_edge(self, key, u, new_weight):
+        """Raise the weight of the edge with this key (strictly)."""
+        v, w = self.adj[u][key]
+        if not new_weight > w:
+            raise AssertionError("weight of edge %r must strictly increase, got %r -> %r"
+                                 % (key, w, new_weight))
+        self.adj[u][key] = (v, new_weight)
+        self.adj[v][key] = (u, new_weight)
+        return u, v
+
+    def delete_edge(self, key, u):
+        v, _ = self.adj[u][key]
+        del self.adj[u][key]
+        del self.adj[v][key]
+        return u, v
+
+
 class ShortcutGraph:
-    """Base edges plus ball shortcuts, scaled, under a monotone tree.
+    """Base edges plus ball shortcuts, scaled, in a keyed multigraph under a
+    monotone tree.
 
     Parallel edges are kept under distinct keys: base edges as
     ``("G", u, v)`` with u < v, shortcut edges as ``("F", owner, member)``.
-    A LEAVE, or an increase past the weight cap, deletes the key from the
-    tree, so a member that rejoins later reuses it for a new lifetime; the
-    ball system never journals a JOIN and a LEAVE of one pair in one batch,
-    and the tree refuses a key that is still present.  Every key names one
-    endpoint as ``key[1]``.  The tree owns the admitted keys and their rounded
-    weights: a key is admitted exactly while ``tree.has_edge(key, key[1])``.
+    A LEAVE, or an increase past the weight cap, deletes the key, so a
+    member that rejoins later reuses it for a new lifetime; the ball system
+    never journals a JOIN and a LEAVE of one pair in one batch, and the
+    multigraph refuses a key that is still present.  Every key names one
+    endpoint as ``key[1]``.  The multigraph's keys are the admitted edges,
+    with their rounded weights: a key is admitted exactly while
+    ``multigraph.has_edge(key, key[1])``.  The tree reads the multigraph,
+    which holds no reference back, so a dropped instance is freed without
+    the cyclic collector.
 
-    ``edges_ever`` counts keys ever admitted to the tree and
-    ``update_ops`` counts tree operations (insert/increase/delete);
-    together they bound the tree's total work.
+    ``edges_ever`` counts keys ever admitted and ``update_ops`` counts edge
+    operations (insert/increase/delete); together they bound the tree's
+    total work.
     """
 
     def __init__(self, view, balls, params, root):
@@ -243,18 +301,19 @@ class ShortcutGraph:
                     edges.append((("F", owner, member), owner, member,
                                   params.round_weight(estimate)))
         self.edges_ever = len(edges)
-        self.tree = MonotoneEsTree(root, params.level_cap, edges)
+        self.multigraph = KeyedMultigraph(root, edges)
+        self.tree = MonotoneEsTree(self.multigraph, root, params.level_cap)
 
     # -- reads ----------------------------------------------------------------
 
     def query(self, node):
-        level = self.tree.level_of(node)
+        level = self.tree.query(node)
         return inf if level == inf else level * self.params.phi
 
     def scaled_query(self, node):
         """The estimate as an int over ``params.phi.denominator``: the tree
         level times the grain's numerator (inf stays inf)."""
-        return self.tree.level_of(node) * self.params._phi_num
+        return self.tree.query(node) * self.params._phi_num
 
     # -- structure checks ---------------------------------------------------------
 
@@ -271,11 +330,11 @@ class ShortcutGraph:
         """Every tree edge is admitted, and its rounded weight w' satisfies
         w <= phi*w' <= w + phi for the edge's raw weight w.
 
-        Walks the tree's own edges, each from both ends, against
+        Walks the multigraph's own edges, each from both ends, against
         ``_admitted_weights``.
         """
         phi, admitted = self.params.phi, self._admitted_weights()
-        for edges in self.tree.adj.values():
+        for edges in self.multigraph.adj.values():
             for key, (_, rounded) in edges.items():
                 raw = admitted.get(key)
                 if raw is None or not raw <= phi * rounded <= raw + phi:
@@ -283,9 +342,10 @@ class ShortcutGraph:
                                          % (key, rounded, raw))
 
     def check_shortcut_mirror(self):
-        """The tree holds every admitted edge: each live base edge and live
-        shortcut under the weight cap."""
-        missing = [key for key in self._admitted_weights() if not self.tree.has_edge(key, key[1])]
+        """The multigraph holds every admitted edge: each live base edge and
+        live shortcut under the weight cap."""
+        graph = self.multigraph
+        missing = [key for key in self._admitted_weights() if not graph.has_edge(key, key[1])]
         if missing:
             raise AssertionError("admitted edges missing from the tree: %r" % (missing,))
 
@@ -293,40 +353,42 @@ class ShortcutGraph:
 def shortcut_process_update(sg, record, ball_changes):
     """Feed one base-graph change plus its ball fallout; report new estimates.
 
-    Tree traffic goes in one batch and one pass: the base-graph deletion or
+    Edge traffic goes in one batch and one pass: the base-graph deletion or
     increase, then the ball events in journal order.  The order is free: a
-    batch holds at most one event per (owner, member), so each tree operation
-    is on its own key, and the tree moves no level before ``end_batch``,
-    which then sees the same edges and the same pending endpoints in any
-    order.  Returns the sorted list of (node, estimate) pairs whose estimate
-    changed, each estimate an int over ``params.phi.denominator`` as
-    ``sg.scaled_query`` gives it (inf stays inf).
+    batch holds at most one event per (owner, member), so each edge
+    operation is on its own key, and the tree moves no level before
+    ``end_batch``, which then sees the same edges and the same pending
+    endpoints in any order.  Returns the sorted list of (node, estimate)
+    pairs whose estimate changed, each estimate an int over
+    ``params.phi.denominator`` as ``sg.scaled_query`` gives it (inf stays
+    inf).
     """
-    params, tree = sg.params, sg.tree
+    params, graph = sg.params, sg.multigraph
     cap = params.weight_cap
     pair = (record.u, record.v) if record.u < record.v else (record.v, record.u)
     # A base deletion is a LEAVE of its key, a base increase an EST.
     traffic = [(LEAVE if record.kind == "delete" else EST, ("G",) + pair, record.new_weight)]
     traffic += [(ev.kind, ("F", ev.owner, ev.member), ev.estimate)
                 for ev in ball_changes.events if ev.member != ev.owner]
+    pending = set()
     for kind, key, weight in traffic:
         u = key[1]
         if kind == JOIN:
             if weight <= cap:
-                tree.insert_edge(key, u, key[2], params.round_weight(weight))
+                graph.insert_edge(key, u, key[2], params.round_weight(weight))
                 sg.edges_ever += 1
                 sg.update_ops += 1
-        elif tree.has_edge(key, u):
+        elif graph.has_edge(key, u):
             if kind == LEAVE or weight > cap:
-                tree.delete_edge(key, u)
+                pending.update(graph.delete_edge(key, u))
                 sg.update_ops += 1
             else:
                 # Rounding may absorb an increase entirely.
                 rounded = params.round_weight(weight)
-                if rounded > tree.adj[u][key][1]:
-                    tree.increase_edge(key, u, rounded)
+                if rounded > graph.adj[u][key][1]:
+                    pending.update(graph.increase_edge(key, u, rounded))
                     sg.update_ops += 1
 
-    changes = tree.end_batch()
+    changes = sg.tree.end_batch(pending)
     num = params._phi_num
     return [(node, lev * num) for node, lev in changes]

@@ -4,8 +4,9 @@ A band over a range R is an exact ``EsTree`` bounded at ceil(R) by
 default, and a ``LayerAssembly`` (one shortcut layer) when the layer count
 q = 3 is given with a priority count p >= 2; ``StackPlan`` says why exact
 trees are the default.  q >= 4 is rejected: more shortcut layers would need
-set-distance watchers on zero-weight source edges, which the monotone tree
-does not take, and inner instances on scopes too small to sample.
+set-distance watchers over a shortcut graph, on zero-weight source edges,
+which its keyed multigraph refuses, and inner instances on scopes too small
+to sample.
 ``FullRangeSssp`` runs one band per distance scale on a rounded, scaled
 mirror and keeps one answer per node; its docstring states the band rules
 and why they keep the bound and move no answer.
@@ -22,6 +23,7 @@ from .balls import BallSystem
 from .es_tree import EsTree
 from .graph import AdjacencyGraph, ChangeRecord, ParamConfigError, UpdateError, dijkstra_bounded
 from .hopset import ShortcutGraph, derive_params, integer_root_ceil, shortcut_process_update
+from .monotone_tree import MonotoneEsTree
 from .sampling import sample_priorities
 
 
@@ -113,9 +115,10 @@ class LayerAssembly:
 
     From ``plan.scales``: D_0 = ceil(R^(2/3)), delta = ceil(R^(1/3)) and
     depth = ceil(R).  ``lower`` is the exact ``EsTree`` bounded at
-    min(depth, D_0).  The ball system's set-distance watchers are
-    exact trees bounded at D_0, with ball quality alpha = 1.  Its journal
-    feeds a shortcut graph at scale delta that covers ``depth``.  The
+    min(depth, D_0).  The ball system's set-distance watchers and inner
+    trees are ``MonotoneEsTree``s capped at D_0, exact on views that only
+    lose edges and repaired in two phases, with ball quality alpha = 1.  Its
+    journal feeds a shortcut graph at scale delta that covers ``depth``.  The
     estimate is the per-node minimum of ``lower`` and the shortcut graph, so
     the stretch is at most 1 + 2 eps', and eps' = eps / 2 keeps it within
     1 + eps.  The sampler's seed is derived from the band ``seed``.
@@ -137,7 +140,7 @@ class LayerAssembly:
         self.denominator = plan.denominator
         self.lower = EsTree(view, root, min(depth, ball_depth))
         assignment = sample_priorities(view, plan.p, c, seed * 1_000_003 + 1)
-        self.balls = BallSystem(view, assignment, EsTree, alpha=1,
+        self.balls = BallSystem(view, assignment, MonotoneEsTree, alpha=1,
                                 depth=ball_depth, bucket_eps=1)
         self.sg = ShortcutGraph(view, self.balls, plan.params, root)
         self._est = {v: self._estimate(v) for v in view.node_ids()}

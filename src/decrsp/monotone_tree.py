@@ -1,31 +1,43 @@
-"""Single-source tree on a scaled multigraph whose levels never decrease.
+"""Single-source tree whose levels never decrease, repaired in two phases.
 
-The structure owns its edge set (a multigraph: parallel edges are identified
-by caller-chosen keys) and supports three operations between batch
-boundaries: ``insert_edge``, ``increase_edge``, ``delete_edge``.  Insertions
-only record the edge - levels are deliberately left alone even when the new
-edge offers a shorter route, which is what keeps levels monotone under the
-interleaved insert/delete traffic generated by ball changes.  An edge whose
-head level exceeds the level of its tail plus its weight is called
-*stretched*; stretched edges can only come into existence at insertion time,
-and a node keeps its level frozen while one of its incident edges stays
-stretched.  Every weight is an integer >= 1.
+The tree holds only its levels, its root and its cap.  It reads its edges
+through ``view``, any neighbour reader of the read protocol (``has_node``,
+and ``neighbors(u)`` yielding ``(other, weight)``): an ``InducedSnapshot``
+ball scope, an ``ArtificialSourceView`` set watcher, or the keyed multigraph
+of a ``ShortcutGraph``.  It is built as ``MonotoneEsTree(view, root, cap,
+levels=None)``, the ball-factory signature: one bounded Dijkstra, or none
+when a ball passes its scope search, exact on the scope, as ``levels``.
+Every weight is an integer >= 1, except the zero-weight edges at a set
+watcher's virtual root, which is never pending.
 
-Batch protocol: any number of edge operations, then ``end_batch``, which
-repairs the levels and returns the sorted list of ``(node, new_level)``
-changes (new level may be ``inf`` once above the cap).
+Two entry points share one repair:
 
-Between batches every finite node but the root is *supported*: some
+* ``process_update(record)``, the ball-contract entry, after the view took
+  the change: an endpoint is pending only if the changed edge supported it
+  at its old weight, so a change on any other edge scans nothing.  On a
+  view that only loses edges or sees weights rise the levels stay exact.
+* ``end_batch(pending)``, the shortcut graph's batch boundary, with both
+  endpoints of every edge deleted or increased since the last one.  Edges
+  inserted in between move no level, even when the new edge offers a
+  shorter route, which is what keeps levels monotone under the interleaved
+  insert/delete traffic of ball changes.  An edge whose head level exceeds
+  the level of its tail plus its weight is called *stretched*; stretched
+  edges can only come into existence at insertion time, and a node keeps
+  its level frozen while one of its incident edges stays stretched.
+
+Both return the sorted list of ``(node, new_level)`` changes (new level
+``inf`` once above the cap).
+
+Between repairs every finite node but the root is *supported*: some
 incident edge has ``level(other) + weight <= level(node)``.  The new levels
 are the least ones that keep this, never drop below the old ones, and turn
-into ``inf`` above the cap.  ``end_batch`` finds them in two phases, after
+into ``inf`` above the cap.  The repair finds them in two phases, after
 Ramalingam and Reps (J. Algorithms 21, 1996):
 
-1. The endpoints of deleted and increased edges are pending.  They are
-   popped in ``(old level, node)`` order.  A node stays put if an
-   unaffected neighbour still supports it (stretched edges count);
-   otherwise it is *affected*, and each neighbour it supported is queued.
-   Weights >= 1 make a supporter's level strictly lower, so every
+1. The pending nodes are popped in ``(old level, node)`` order.  A node
+   stays put if an unaffected neighbour still supports it (stretched edges
+   count); otherwise it is *affected*, and each neighbour it supported is
+   queued.  Weights >= 1 make a supporter's level strictly lower, so every
    supporter is decided before the nodes it supports.
 2. Each affected node is seeded from its unaffected neighbours, then one
    Dijkstra over the affected set settles them with the key
@@ -46,72 +58,47 @@ from math import inf
 from .graph import dijkstra_bounded
 
 
-class DuplicateEdgeError(ValueError):
-    """Raised when inserting an edge key that is currently present."""
-
-
 class MonotoneEsTree:
-    def __init__(self, root, level_cap, edges=()):
+    def __init__(self, view, root, cap, levels=None):
+        self.view = view
         self.root = root
-        self.cap = level_cap
-        self.adj = {root: {}}  # node -> {edge_key: (other, weight)}
-        self._pending = set()
+        self.cap = cap
+        # node -> finite level; absent means above the cap
+        if levels is None:
+            self.level = dijkstra_bounded(view, root, cap)
+        else:
+            self.level = {v: d for v, d in levels.items() if d <= cap}
         self.work_counter = 0
         self.edge_scans = 0
-        for edge in edges:
-            self.insert_edge(*edge)
-        self.level = dijkstra_bounded(self, self.root, self.cap)  # node -> finite level
 
-    # -- reads ---------------------------------------------------------------
-
-    def level_of(self, node):
+    def query(self, node):
+        """The node's level, inf above the cap."""
         return self.level.get(node, inf)
 
-    def has_edge(self, key, u):
-        return key in self.adj.get(u, ())
+    # -- repair ----------------------------------------------------------------
 
-    def has_node(self, u):
-        return u in self.adj
+    def process_update(self, record):
+        """Repair after one change the view already holds; returns the
+        changes.  Only an endpoint that the edge supported at its old weight
+        can lose support."""
+        level, w = self.level, record.old_weight
+        lu, lv = level.get(record.u, inf), level.get(record.v, inf)
+        pending = []
+        if lu != inf and lv + w <= lu:
+            pending.append(record.u)
+        if lv != inf and lu + w <= lv:
+            pending.append(record.v)
+        return self._repair(pending) if pending else []
 
-    def neighbors(self, u):
-        """Iterate (other, weight) over the edges at ``u``, parallel keys included."""
-        return self.adj[u].values()
+    def end_batch(self, pending):
+        """Repair after a batch of edge operations; ``pending`` holds both
+        endpoints of every edge deleted or increased.  Returns the changes."""
+        return self._repair(pending)
 
-    # -- batch protocol --------------------------------------------------------
-
-    def insert_edge(self, key, u, v, w):
-        """Record a new edge.  Levels are left untouched on purpose."""
-        if u == v or not w >= 1:
-            raise AssertionError(
-                "edge %r needs distinct endpoints and weight >= 1, got %r-%r weight %r"
-                % (key, u, v, w)
-            )
-        if key in self.adj.get(u, ()):
-            raise DuplicateEdgeError("edge key %r already present" % (key,))
-        self.adj.setdefault(u, {})[key] = (v, w)
-        self.adj.setdefault(v, {})[key] = (u, w)
-
-    def increase_edge(self, key, u, new_weight):
-        """Raise the weight of the edge with this key (strictly)."""
-        v, w = self.adj[u][key]
-        if not new_weight > w:
-            raise AssertionError(
-                "weight of edge %r must strictly increase, got %r -> %r" % (key, w, new_weight)
-            )
-        self.adj[u][key] = (v, new_weight)
-        self.adj[v][key] = (u, new_weight)
-        self._pending.update((u, v))
-
-    def delete_edge(self, key, u):
-        v, _ = self.adj[u][key]
-        del self.adj[u][key]
-        del self.adj[v][key]
-        self._pending.update((u, v))
-
-    def end_batch(self):
-        """Repair the levels (the two phases above); returns the changes."""
-        adj, level, cap = self.adj, self.level, self.cap
-        pending, self._pending = self._pending, set()
+    def _repair(self, pending):
+        """Repair the levels from the ``pending`` nodes (the two phases
+        above); returns the sorted changes."""
+        neighbors, level, cap = self.view.neighbors, self.level, self.cap
         # Phase 1: decide, lowest old level first, which nodes lost support.
         queue = [(level[u], u) for u in pending if u in level and u != self.root]
         heapq.heapify(queue)
@@ -122,7 +109,7 @@ class MonotoneEsTree:
             lu, u = heapq.heappop(queue)
             pops += 1
             supported = []  # neighbours this node may be supporting
-            for v, w in adj[u].values():
+            for v, w in neighbors(u):
                 scans += 1
                 lv = level.get(v, inf)
                 if lv + w <= lu:
@@ -144,7 +131,7 @@ class MonotoneEsTree:
         best = {}
         for u in affected:
             seed = inf
-            for v, w in adj[u].values():
+            for v, w in neighbors(u):
                 scans += 1
                 if v not in affected:
                     seed = min(seed, level.get(v, inf) + w)
@@ -160,7 +147,7 @@ class MonotoneEsTree:
             if u in settled:
                 continue
             settled[u] = d
-            for v, w in adj[u].values():
+            for v, w in neighbors(u):
                 scans += 1
                 if v in affected and v not in settled:
                     key = max(affected[v], d + w)
@@ -182,7 +169,7 @@ class MonotoneEsTree:
         changes.sort()
         return changes
 
-    # -- structure checks -----------------------------------------------------------
+    # -- structure checks, over a keyed view (a ``KeyedMultigraph``) -------------
 
     def stretched_pairs(self):
         """Directed (edge key, head) pairs where the head level exceeds a
@@ -190,9 +177,9 @@ class MonotoneEsTree:
         route passed the cap every incident route had, and routes only grow,
         so such edges can never offer the head anything again."""
         out = set()
-        for u in self.adj:
+        for u, row in self.view.adj.items():
             lu = self.level.get(u, inf)
-            for key, (v, w) in self.adj[u].items():
+            for key, (v, w) in row.items():
                 route = self.level.get(v, inf) + w
                 if route <= self.cap and lu > route:
                     out.add((key, u))
@@ -225,14 +212,14 @@ class MonotoneEsTree:
         # level(other) + weight <= level(node).  Phase 1 relies on it.
         for u, lu in self.level.items():
             if u != self.root and not any(
-                self.level.get(v, inf) + w <= lu for v, w in self.adj[u].values()
+                self.level.get(v, inf) + w <= lu for v, w in self.view.neighbors(u)
             ):
                 raise AssertionError("node %r has no supporting edge" % (u,))
         # Residual consistency: an edge that was never stretched since its
         # insertion, whose tail-route fits under the cap, keeps the head's
         # level consistent - provided the head was finite before the batch.
-        for u in self.adj:
-            for key, (v, w) in self.adj[u].items():
+        for u, row in self.view.adj.items():
+            for key, (v, w) in row.items():
                 if (key, u) in before.ever_stretched or key in before.inserted:
                     continue
                 route = self.level.get(v, inf) + w
@@ -242,7 +229,7 @@ class MonotoneEsTree:
                         "unstretched edge %r leaves node %r inconsistent" % (key, u)
                     )
         # Safety: levels never undercut true distances in the current multigraph.
-        exact = dijkstra_bounded(self, self.root, self.cap)
+        exact = dijkstra_bounded(self.view, self.root, self.cap)
         for u, lv in self.level.items():
             if lv < exact.get(u, inf):
                 raise AssertionError("level below true distance at %r" % (u,))

@@ -42,7 +42,7 @@ class TreeWatcher:
 
     def _edges(self):
         return {key: (frozenset((u, v)), w)
-                for u, row in self.tree.adj.items() for key, (v, w) in row.items()}
+                for u, row in self.tree.view.adj.items() for key, (v, w) in row.items()}
 
     def _mark(self):
         self.levels = dict(self.tree.level)

@@ -309,6 +309,31 @@ MUTANTS = (
         "phase 1 lets an affected neighbour support a node, so the node keeps "
         "a level that no edge supports once that neighbour rises",
     ),
+    Mutant(
+        "contract-support-strict",
+        "src/decrsp/monotone_tree.py",
+        (("        if lu != inf and lv + w <= lu:\n",
+          "        if lu != inf and lv + w < lu:\n"),
+         ("        if lv != inf and lu + w <= lv:\n",
+          "        if lv != inf and lu + w < lv:\n")),
+        tuple("tests/test_monotone_tree.py::test_contract_tree_on_a_view_is_exact_and_reports_"
+              "what_moved[%d]" % seed for seed in range(6))
+        + ("tests/test_monotone_tree.py::test_cut_off_region_in_a_ball_scope_costs_the_same_"
+           "under_any_cap",
+           "tests/test_apsp.py::test_apsp_state_machine::runTest"),
+        "a ball contract marks an endpoint only when the changed edge was strictly "
+        "shorter than its level needs, so a tight edge's loss repairs nothing",
+    ),
+    Mutant(
+        "contract-marks-one-endpoint",
+        "src/decrsp/monotone_tree.py",
+        (("        if lv != inf and lu + w <= lv:\n"
+          "            pending.append(record.v)\n", ""),),
+        tuple("tests/test_monotone_tree.py::test_contract_tree_on_a_view_is_exact_and_reports_"
+              "what_moved[%d]" % seed for seed in range(6)),
+        "a ball contract marks only the first endpoint of a changed edge, so the "
+        "second keeps a level that the edge alone supported",
+    ),
     # -- the band mode and the shortcut keys --------------------------------------
     Mutant(
         "mode-layered-at-q2",
@@ -321,8 +346,8 @@ MUTANTS = (
     Mutant(
         "leave-keeps-tree-key",
         "src/decrsp/hopset.py",
-        (("        elif tree.has_edge(key, u):\n",
-          "        elif (kind, key[0]) != (LEAVE, \"F\") and tree.has_edge(key, u):\n"),),
+        (("        elif graph.has_edge(key, u):\n",
+          "        elif (kind, key[0]) != (LEAVE, \"F\") and graph.has_edge(key, u):\n"),),
         ("tests/test_hopset.py::test_rejoin_uses_fresh_generation_key",
          "tests/test_hopset.py::test_full_deletion_battery_forty_nodes",
          "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3]"),
@@ -332,8 +357,8 @@ MUTANTS = (
     Mutant(
         "journal-skips-est-reweights",
         "src/decrsp/hopset.py",
-        (("        elif tree.has_edge(key, u):\n",
-          "        elif (kind, key[0]) != (EST, \"F\") and tree.has_edge(key, u):\n"),),
+        (("        elif graph.has_edge(key, u):\n",
+          "        elif (kind, key[0]) != (EST, \"F\") and graph.has_edge(key, u):\n"),),
         ("tests/test_hopset.py::test_full_deletion_battery_forty_nodes",),
         "an EST event never raises or drops its shortcut's tree key, so the tree "
         "keeps a weight below the ball's estimate",
@@ -469,7 +494,8 @@ MUTANTS = (
           "            if tail > served[x][v]:\n"
           "                served[x][v] = tail\n", "")),
         ("tests/test_apsp.py::test_answers_are_the_largest_tail_since_the_first_ask[3-128]",
-         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[3-3]"),
+         "tests/test_apsp.py::test_shared_tails_equal_a_fresh_recomputation[3-3]",
+         "tests/test_apsp.py::test_apsp_spread_machine::runTest"),
         "an update raises each answered pair as its changed tail is popped, while "
         "the change still spreads, so a tail it computes can read stale ones",
     ),

@@ -20,6 +20,7 @@ from decrsp.graph import DynamicGraph, UpdateEvent
 from decrsp.harness import RunConfig, generate_instance, run_with_oracle, static_hopset_check
 from decrsp.hopset import derive_params
 from decrsp.layered import FullRangeSssp, LayerAssembly, StackPlan
+from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.oracle import dijkstra
 from decrsp.sampling import sample_priorities
 
@@ -83,6 +84,10 @@ def test_criterion_2_monotone_observation_suite_under_ball_joins():
             assembly.process_update(record)
             checks.check()
         assert isinstance(assembly.lower, EsTree)
+        # Every ball inner tree and set watcher repairs in two phases.
+        balls = assembly.balls
+        contracts = [*balls._set_inst.values(), *filter(None, balls._inner.values())]
+        assert contracts and {type(c) for c in contracts} == {MonotoneEsTree}
         if checks.watchers[assembly.sg].ever_inserted:
             inserted += 1
         schedules += 1
@@ -149,7 +154,8 @@ def test_criterion_4_ball_properties_exhaustive_at_n60():
     for seed, depth in ((5, 24), (9, 30)):
         n, m = 60, 120
         graph = random_graph(n, m, 4, seed=seed)
-        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed * 3 + 1), EsTree,
+        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed * 3 + 1),
+                            MonotoneEsTree,
                             alpha=1, depth=depth, bucket_eps=0.4)
         checker = InvariantChecker(graph, system, 1, depth)
         checker.check()  # exhaustive: sandwich, containment, witnesses, rebuilds

@@ -28,7 +28,6 @@ from hypothesis.stateful import (
 import decrsp.apsp
 from decrsp.apsp import ApspState
 from decrsp.balls import BallEvent
-from decrsp.es_tree import EsTree
 from decrsp.graph import (
     DynamicGraph,
     ParamConfigError,
@@ -38,6 +37,7 @@ from decrsp.graph import (
 )
 from decrsp.harness import generate_instance
 from decrsp.layered import FullRangeSssp
+from decrsp.monotone_tree import MonotoneEsTree
 
 from checks import check_apsp
 from test_graph_core import (
@@ -624,7 +624,7 @@ def test_a_fault_on_the_benchmark_shape_poisons_the_state():
 
 def contract_tree(contract):
     """The exact tree inside an all-pairs contract: the contract itself when
-    it is a bare ``EsTree``, the top band of a ``FullRangeSssp`` otherwise."""
+    it is a bare ``MonotoneEsTree``, the top band of a ``FullRangeSssp`` otherwise."""
     return contract.stacks[-1] if isinstance(contract, FullRangeSssp) else contract
 
 
@@ -648,7 +648,7 @@ def test_a_fault_in_a_set_watcher_tree_poisons_the_state(w_max):
     g, state, updates = bench_shape_state(w_max)
     watchers = state.balls._set_inst
     contract = watchers[min(watchers)]
-    assert isinstance(contract, EsTree if w_max == 8 else FullRangeSssp)
+    assert isinstance(contract, MonotoneEsTree if w_max == 8 else FullRangeSssp)
     counters = state.stats()
     a, b, _ = sorted(g.edges())[0]
     with fault_in(contract_tree(contract), "process_update") as calls, \
@@ -672,7 +672,7 @@ def test_a_fault_in_a_ball_inner_tree_poisons_the_state(w_max):
         if not holders:
             continue
         contract = balls._inner[holders[0]]
-        assert isinstance(contract, EsTree if w_max == 8 else FullRangeSssp)
+        assert isinstance(contract, MonotoneEsTree if w_max == 8 else FullRangeSssp)
         counters = state.stats()
         with fault_in(contract_tree(contract), "process_update") as calls:
             try:
@@ -692,10 +692,10 @@ def all_contracts(state):
     return list(balls._set_inst.values()) + [c for c in balls._inner.values() if c is not None]
 
 
-@pytest.mark.parametrize("w_max, kinds", [(8, {EsTree}), (64, {EsTree, FullRangeSssp}),
+@pytest.mark.parametrize("w_max, kinds", [(8, {MonotoneEsTree}), (64, {MonotoneEsTree, FullRangeSssp}),
                                           (128, {FullRangeSssp})])
 def test_a_contract_is_a_bare_tree_exactly_when_every_band_is_fine(w_max, kinds):
-    # On the bench shape (W = 8) every contract is a bare EsTree; at W = 128
+    # On the bench shape (W = 8) every contract is a bare tree; at W = 128
     # every one is a FullRangeSssp, since each view has a band coarser than
     # the weights; at W = 64 it depends on the view's node count.  A bare
     # tree is exactly what a FullRangeSssp on the same view would hold: one
@@ -705,11 +705,14 @@ def test_a_contract_is_a_bare_tree_exactly_when_every_band_is_fine(w_max, kinds)
     contracts = all_contracts(state)
     assert {type(c) for c in contracts} == kinds
     for contract in contracts:
-        root = contract.root if isinstance(contract, EsTree) else contract.source
+        root = contract.root if isinstance(contract, MonotoneEsTree) else contract.source
         full = FullRangeSssp(contract.view, root, state.eps_run)
-        assert isinstance(contract, EsTree) == (full.mirrors == [None])
-        if isinstance(contract, EsTree):
-            assert contract.depth == full.stacks[0].depth
+        assert isinstance(contract, MonotoneEsTree) == (full.mirrors == [None])
+        if isinstance(contract, MonotoneEsTree):
+            # The band's MonotoneEsTree cuts its depth to the longest finite distance.
+            view = contract.view
+            assert min(contract.cap, (view.node_count() - 1) * view.max_weight) == \
+                full.stacks[0].depth
             assert contract.level == full.stacks[0].level
 
 
@@ -719,7 +722,7 @@ def test_every_contract_draws_one_seed_in_build_order(monkeypatch):
     # when every contract was one.  W = 64 mixes both kinds.
     built = []
 
-    class RecordingTree(EsTree):
+    class RecordingTree(MonotoneEsTree):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(None)
@@ -729,7 +732,7 @@ def test_every_contract_draws_one_seed_in_build_order(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(kwargs["seed"])
 
-    monkeypatch.setattr(decrsp.apsp, "EsTree", RecordingTree)
+    monkeypatch.setattr(decrsp.apsp, "MonotoneEsTree", RecordingTree)
     monkeypatch.setattr(decrsp.apsp, "FullRangeSssp", RecordingFull)
     schedule = generate_instance(24, 48, 64, "erdos-renyi", 1.0, 7001, increase_rate=0.3)
     state = ApspState(schedule.build_graph(), 2, Fraction(1, 2), 7001, c=0.25)
@@ -1179,8 +1182,8 @@ class ApspMachine(RuleBasedStateMachine):
         assert_model_in_bound(self.state, self.graph, self.model)
         balls = self.state.balls
         for owner, inner in balls._inner.items():
-            if isinstance(inner, EsTree):
-                assert inner.level == dijkstra_bounded(balls._snapshot[owner], owner, inner.depth)
+            if isinstance(inner, MonotoneEsTree):
+                assert inner.level == dijkstra_bounded(balls._snapshot[owner], owner, inner.cap)
 
     def teardown(self):
         ApspMachine.rebuild_examples += self.rebuilt
@@ -1204,3 +1207,85 @@ class test_apsp_state_machine(ApspMachine.TestCase):  # named as the suite knows
         assert ApspMachine.rebuild_examples > 0, "no update rebuilt a ball scope"
         for site, count in ApspMachine.poisoned_sites.items():
             assert count > 0, "no fault at the %s site poisoned the state" % site
+
+
+def tail_values(state):
+    """Every tail the state holds, journaled or cached, by pair."""
+    values = dict(state._keys)
+    values.update(((x, v), tail) for x, row in state._tails.items() for v, tail in row.items())
+    return values
+
+
+def spread_reads(state, before, after):
+    """The answered pairs (x, v) whose tail reads, through a witness top y of
+    x, a chain tail (y, v) that moved between the ``before`` and ``after``
+    tail tables of one update.  Raising such a pair while the update's
+    changes still spread could read (y, v) before it moved."""
+    out = []
+    for x, row in state._served.items():
+        tops = [state.witness(x, j) for j in range(state.assignment.priority_of(x) + 1, state.k)]
+        for v in row:
+            for y, _ in filter(None, tops):
+                pair = (y, v)
+                if pair not in state._keys and before.get(pair, after.get(pair)) != after.get(pair):
+                    out.append((x, v))
+                    break
+    return out
+
+
+class ApspSpreadMachine(RuleBasedStateMachine):
+    """Deletes and increases at k = 3 on 20 nodes, where witness chains are
+    three classes deep.  After every step a fresh seventh of the pairs is
+    asked, and right after every update each answered pair's answer must be
+    the largest witness-chain recursion since its first ask and every check
+    must hold.  ``spread_states`` counts the updates after which some
+    answered pair's tail reads a chain tail that the same update moved
+    (``spread_reads``), so that ``runTest`` fails if the draws stop
+    reaching one."""
+
+    spread_states = 0
+
+    @initialize(seed=st.integers(0, 1000), w_max=st.sampled_from([8, 128]))
+    def build(self, seed, w_max):
+        self.graph = random_graph(20, 40, w_max, seed=seed)
+        self.state = ApspState(self.graph, 3, Fraction(1, 2), seed=seed, c=0.3)
+        self.pairs = [(u, v) for u in range(20) for v in range(20)]
+        self.rng = random.Random(seed)
+        self.model = {}
+
+    def apply(self, event):
+        before = tail_values(self.state)
+        checked_update(self.state, event)
+        raise_model(self.state, self.model)
+        assert_model_in_bound(self.state, self.graph, self.model)
+        if spread_reads(self.state, before, tail_values(self.state)):
+            ApspSpreadMachine.spread_states += 1
+
+    @rule(index=st.integers(0, 10**6))
+    def delete(self, index):
+        edges = list(self.graph.edges())
+        if edges:
+            a, b, _ = edges[index % len(edges)]
+            self.apply(UpdateEvent("delete", a, b))
+
+    @rule(index=st.integers(0, 10**6), bump=st.integers(1, 127))
+    def increase(self, index, bump):
+        edges = [e for e in self.graph.edges() if e[2] < self.graph.max_weight]
+        if edges:
+            a, b, w = edges[index % len(edges)]
+            self.apply(UpdateEvent("increase", a, b, min(w + bump, self.graph.max_weight)))
+
+    @invariant()
+    def ask_a_seventh(self):
+        sweep_against_reference(self.state, self.rng.sample(self.pairs, len(self.pairs) // 7),
+                                self.model)
+
+
+class test_apsp_spread_machine(ApspSpreadMachine.TestCase):
+    settings = settings(max_examples=12, stateful_step_count=20, derandomize=True,
+                        deadline=None)
+
+    def runTest(self):
+        ApspSpreadMachine.spread_states = 0
+        super().runTest()
+        assert ApspSpreadMachine.spread_states > 0, "no update moved a tail that a raise reads"

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from decrsp.apsp import ApspState
 from decrsp.balls import BallChangeSet, BallEvent, BallSystem
-from decrsp.es_tree import EsTree
 from decrsp.graph import (
     ArtificialSourceView,
     DynamicGraph,
@@ -27,6 +26,7 @@ from decrsp.graph import (
 )
 from decrsp.harness import generate_instance
 from decrsp.layered import FullRangeSssp, LayerAssembly
+from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.sampling import PriorityAssignment, sample_priorities
 
 from ball_oracles import (
@@ -102,7 +102,7 @@ def test_current_radius_matches_the_pure_formula_at_bucket_boundaries(eps):
     # Watched values at, just below and just above 1 + (1+eps)^j, as ints and
     # Fractions, in rising order as a watcher reports them.
     graph = path_graph(6, w=4, max_weight=16)
-    system = BallSystem(graph, manual_assignment(6, 2, [{5}]), EsTree,
+    system = BallSystem(graph, manual_assignment(6, 2, [{5}]), MonotoneEsTree,
                         alpha=Fraction(3, 2), depth=40, bucket_eps=eps)
     values = [Fraction(1, 2), 1, 2]
     power = Fraction(1)
@@ -176,7 +176,7 @@ def brute_force_state(graph, assignment, alpha, depth, eps):
 def test_init_matches_static_definition_ten_nodes():
     graph = random_graph(10, 16, 4, seed=7)
     assignment = manual_assignment(10, 3, [{0, 3, 8}, {8}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=9,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=9,
                         bucket_eps=1)
     expected = brute_force_state(graph, assignment, 1, 9, 1)
     for u in graph.node_ids():
@@ -196,7 +196,7 @@ def test_parameter_checks_raise_typed_errors(bad):
     assignment = manual_assignment(4, 2, [{3}])
     params = dict(alpha=1, depth=5, bucket_eps=1) | bad
     with pytest.raises(ParamConfigError):
-        BallSystem(graph, assignment, EsTree, **params)
+        BallSystem(graph, assignment, MonotoneEsTree, **params)
 
 
 def test_tiny_bucket_eps_is_rejected():
@@ -205,13 +205,13 @@ def test_tiny_bucket_eps_is_rejected():
     assignment = manual_assignment(4, 2, [{3}])
     for eps in (Fraction(1, 10**4), Fraction(1, 10**400)):
         with pytest.raises(ParamConfigError, match="4096 buckets"):
-            BallSystem(graph, assignment, EsTree, alpha=1, depth=5, bucket_eps=eps)
+            BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=5, bucket_eps=eps)
 
 
 def test_top_priority_scope_covers_depth():
     graph = path_graph(8)
     assignment = manual_assignment(8, 2, [{7}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=5,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=5,
                         bucket_eps=1)
     # Priority p-1 watches the empty set: radius equals the depth bound and the
     # scope holds every node within that distance.
@@ -225,7 +225,7 @@ def test_top_priority_scope_covers_depth():
 def test_isolated_node_is_singleton():
     graph = graph_from_edges(4, 1, [(0, 1, 1)])  # 2 and 3 isolated
     assignment = manual_assignment(4, 2, [{1}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=3,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=3,
                         bucket_eps=1)
     for u in (2, 3):
         assert system.radius(u) == 3  # watched value inf -> full depth
@@ -245,7 +245,7 @@ def test_bucket_crossing_rebuild_on_path():
     # Path 0-..-7, unit weights, A_1 = {7}: watched(u) = dist(u, 7) = 7-u.
     graph = path_graph(8, max_weight=3)
     assignment = manual_assignment(8, 2, [{7}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=100,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=100,
                         bucket_eps=1)
     assert [system.radius(u) for u in range(8)] == [4, 4, 4, 2, 2, 1, 0, 100]
     assert system.members(0).keys() == {0, 1, 2, 3, 4}
@@ -288,7 +288,7 @@ def test_bucket_crossing_rebuild_on_path():
 def test_disconnection_inside_scope_emits_leaves():
     graph = path_graph(3, max_weight=1)
     assignment = manual_assignment(3, 2, [set()])  # empty A_1: all watched = inf
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=5,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=5,
                         bucket_eps=1)
     assert all(system.members(u).keys() == {0, 1, 2} for u in range(3))
     changes = apply(graph, system, UpdateEvent("delete", 1, 2))
@@ -307,7 +307,7 @@ def test_update_without_bucket_or_estimate_change_is_empty():
         5, 1, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1)]
     )
     assignment = manual_assignment(5, 2, [{0}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=4,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=4,
                         bucket_eps=1)
     # Deleting (1,2) changes no distance to 0 and no level inside any scope
     # that contains both endpoints.
@@ -316,14 +316,14 @@ def test_update_without_bucket_or_estimate_change_is_empty():
     assert changes.events == ()
 
 
-class InflatingEsTree:
+class InflatingTree:
     """Exact tree reporting estimates scaled by a fixed factor >= 1.
 
     Satisfies the contract for any declared slack covering the factor; lets
     tests force a later rebuild to report *smaller* raw values."""
 
     def __init__(self, view, source, depth, levels, factor):
-        self._tree = EsTree(view, source, depth, levels)
+        self._tree = MonotoneEsTree(view, source, depth, levels)
         self._factor = Fraction(factor)
 
     def _scale(self, val):
@@ -346,8 +346,8 @@ def test_rebuild_clamps_estimates_against_history():
         # (watchers, other balls, the rebuild of ball 0) reports exactly.
         if source == 0 and not seen_zero:
             seen_zero.append(True)
-            return InflatingEsTree(view, source, depth, levels, Fraction(5, 4))
-        return EsTree(view, source, depth, levels)
+            return InflatingTree(view, source, depth, levels, Fraction(5, 4))
+        return MonotoneEsTree(view, source, depth, levels)
 
     system = BallSystem(graph, assignment, factory, alpha=Fraction(5, 4),
                         depth=10, bucket_eps=1)
@@ -451,8 +451,8 @@ class InvariantChecker:
                 assert set(system.scope(u)) <= self.ball_at_construction[u]
             inner = system._inner[u]
             if inner is not None:
-                tree = getattr(inner, "_tree", inner)  # an InflatingEsTree's exact tree
-                assert tree.level == dijkstra_bounded(system._snapshot[u], u, tree.depth)
+                tree = getattr(inner, "_tree", inner)  # an InflatingTree's exact tree
+                assert tree.level == dijkstra_bounded(system._snapshot[u], u, tree.cap)
             est = system.members(u)
             assert est.keys() <= self.ball_at_construction[u]
             r = system.radius(u)
@@ -482,9 +482,9 @@ def test_properties_hold_after_every_update(declared, seed):
     graph = random_graph(n, m, 4, seed=seed)
     system = BallSystem(
         graph, sample_priorities(graph, 3, 2.0, seed * 5 + 1),
-        (lambda view, source, depth, levels: InflatingEsTree(view, source, depth, levels,
+        (lambda view, source, depth, levels: InflatingTree(view, source, depth, levels,
                                                              inflate))
-        if inflate else EsTree,
+        if inflate else MonotoneEsTree,
         alpha=alpha, depth=8, bucket_eps=1,
     )
     journal = system.initial_membership()
@@ -538,7 +538,7 @@ def test_containment_holds_at_construction_time_not_pointwise():
     # constructed, and that is what the checker asserts.
     graph = graph_from_edges(4, 5, [(0, 1, 4), (0, 2, 4), (1, 2, 2), (0, 3, 5)])
     assignment = manual_assignment(4, 2, [{3}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=8,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=8,
                         bucket_eps=1)
     assert system.radius(0) == 4
     assert system.members(0).keys() == {0, 1, 2}
@@ -566,7 +566,7 @@ def test_estimate_upper_bound_limited_to_current_radius():
         [(0, 1, 4), (0, 2, 4), (1, 2, 2), (0, 3, 5), (0, 4, 5), (1, 4, 1)],
     )
     assignment = manual_assignment(5, 2, [{3}])
-    system = BallSystem(graph, assignment, EsTree, alpha=1, depth=9,
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=9,
                         bucket_eps=1)
     assert system.radius(0) == 4
     assert system.scope(0) == frozenset({0, 1, 2})  # node 4 sits at distance 5
@@ -591,7 +591,7 @@ def test_witness_search_is_exercised_nontrivially():
     # Seeded 12-node instance where at least one pair resolves via an actual
     # higher-priority witness (not just in-ball membership).
     graph = random_graph(12, 22, 3, seed=5)
-    system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 17), EsTree,
+    system = BallSystem(graph, sample_priorities(graph, 3, 2.0, 17), MonotoneEsTree,
                         alpha=1, depth=6, bucket_eps=1)
     d = dist_fn(graph)
     kinds = set()
@@ -689,7 +689,7 @@ def test_snapshots_receive_only_records_on_their_own_edges(monkeypatch, mode, se
     if mode == "apsp":
         step = ApspState(graph, 2, Fraction(1, 2), seed, c=0.25).process_update
     else:
-        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed), EsTree,
+        system = BallSystem(graph, sample_priorities(graph, 3, 2.0, seed), MonotoneEsTree,
                             alpha=1, depth=8, bucket_eps=1)
 
         def step(event):

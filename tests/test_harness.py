@@ -36,6 +36,7 @@ from decrsp.harness import (
     static_hopset_check,
 )
 from decrsp.layered import FullRangeSssp
+from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.oracle import cross_checked_distances
 
 
@@ -551,17 +552,18 @@ def test_cli_update_on_missing_edge_is_one_error_line(tmp_path, capsys):
 
 
 def fail_first_delete(monkeypatch, error=RuntimeError("injected band fault")):
-    """Make every band's exact tree raise ``error`` once, on the first delete
-    record it gets, after the graph changed."""
-    original, failed = EsTree.process_update, []
+    """Make the exact trees, a band's ``EsTree`` and an all-pairs contract's
+    ``MonotoneEsTree``, raise ``error`` once, on the first delete record one
+    of them gets, after the graph changed."""
+    failed = []
+    for tree_class in (EsTree, MonotoneEsTree):
+        def fail_once(tree, record, original=tree_class.process_update):
+            if record.kind == "delete" and not failed:
+                failed.append(record)
+                raise error
+            return original(tree, record)
 
-    def fail_once(tree, record):
-        if record.kind == "delete" and not failed:
-            failed.append(record)
-            raise error
-        return original(tree, record)
-
-    monkeypatch.setattr(EsTree, "process_update", fail_once)
+        monkeypatch.setattr(tree_class, "process_update", fail_once)
     return failed
 
 

@@ -24,15 +24,15 @@ from decrsp.balls import (
     BallEvent,
     BallSystem,
 )
-from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, ParamConfigError, UpdateEvent, dijkstra_bounded
 from decrsp.hopset import (
+    DuplicateEdgeError,
     ShortcutGraph,
     derive_params,
     integer_root_ceil,
     shortcut_process_update,
 )
-from decrsp.monotone_tree import DuplicateEdgeError
+from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.sampling import sample_priorities
 
 from checks import StructureChecks
@@ -263,12 +263,12 @@ def feed(checks, record, ball_changes):
 
 def admitted(sg, key):
     """Whether the tree holds this key; every key names an endpoint as key[1]."""
-    return sg.tree.has_edge(key, key[1])
+    return sg.multigraph.has_edge(key, key[1])
 
 
 def tree_weight(sg, key):
     """The rounded weight the tree holds for this key."""
-    return sg.tree.adj[key[1]][key][1]
+    return sg.multigraph.adj[key[1]][key][1]
 
 
 def test_without_shortcuts_levels_equal_scaled_baseline():
@@ -276,7 +276,7 @@ def test_without_shortcuts_levels_equal_scaled_baseline():
     ps = small_params(8)
     sg = ShortcutGraph(graph, singleton_balls(graph), ps, 0)
     # unit weights round to ceil(1 / (2/3)) = 2, so levels step by 2
-    assert [sg.tree.level_of(v) for v in range(6)] == [0, 2, 4, 6, 8, 10]
+    assert [sg.tree.query(v) for v in range(6)] == [0, 2, 4, 6, 8, 10]
     for v in range(6):
         d = v  # path distances
         assert d <= sg.query(v) <= d + 5 * ps.phi
@@ -377,8 +377,7 @@ def test_check_sandwich_reads_the_tree_weights():
     sg.check_sandwich()
     key = ("G", 0, 1)
     # ceil(1 / (2/3)) = 2; two grains more puts phi * 4 above 1 + phi.
-    sg.tree.increase_edge(key, 0, tree_weight(sg, key) + 2)
-    sg.tree.end_batch()
+    sg.tree.end_batch(sg.multigraph.increase_edge(key, 0, tree_weight(sg, key) + 2))
     with pytest.raises(AssertionError, match="outside the sandwich"):
         sg.check_sandwich()
 
@@ -396,8 +395,7 @@ def test_checks_catch_a_tree_that_lost_a_live_shortcut():
     run_checks(sg)
     key = ("F", 0, 3)
     assert admitted(sg, key)
-    sg.tree.delete_edge(key, 0)
-    sg.tree.end_batch()
+    sg.tree.end_batch(sg.multigraph.delete_edge(key, 0))
     with pytest.raises(AssertionError, match="missing from the tree"):
         run_checks(sg)
 
@@ -417,7 +415,7 @@ def test_checks_catch_a_base_key_the_view_no_longer_holds():
 def build_pipeline(graph, *, p, delta, depth, seed, eps=1, root=0):
     assignment = sample_priorities(graph, p, 2.0, seed)
     balls = BallSystem(
-        graph, assignment, EsTree, alpha=1, depth=depth, bucket_eps=1
+        graph, assignment, MonotoneEsTree, alpha=1, depth=depth, bucket_eps=1
     )
     params = derive_params(
         1, 0, 2, 1, eps, p, delta, depth, graph.node_count()
@@ -476,7 +474,8 @@ def test_full_deletion_battery_forty_nodes():
         # Weight increases per tree key since its last insertion: a
         # shortcut key that left and rejoined starts a new lifetime.
         increases, counts = {}, []
-        insert_edge, increase_edge = sg.tree.insert_edge, sg.tree.increase_edge
+        keyed = sg.multigraph
+        insert_edge, increase_edge = keyed.insert_edge, keyed.increase_edge
 
         def counted_insert(key, u, v, w):
             increases[key] = 0
@@ -485,9 +484,9 @@ def test_full_deletion_battery_forty_nodes():
         def counted_increase(key, u, w):
             increases[key] = increases.get(key, 0) + 1
             counts.append(increases[key])
-            increase_edge(key, u, w)
+            return increase_edge(key, u, w)
 
-        sg.tree.insert_edge, sg.tree.increase_edge = counted_insert, counted_increase
+        keyed.insert_edge, keyed.increase_edge = counted_insert, counted_increase
         rng = random.Random(seed * 7 + 1)
         prev_est = {v: sg.query(v) for v in graph.node_ids()}
         check_estimate_bounds(graph, params, sg, 0)
@@ -523,7 +522,7 @@ def test_priority_refined_bound_on_frozen_seed():
     """Per-priority allowance: est <= (alpha+eps)*d + gamma_i + h(d, i)*phi."""
     graph = random_graph(30, 70, 6, seed=13)
     assignment = sample_priorities(graph, 2, 2.0, 13)
-    balls = BallSystem(graph, assignment, EsTree, alpha=1, depth=30, bucket_eps=1)
+    balls = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=30, bucket_eps=1)
     params = derive_params(1, 0, 2, 1, 1, 2, 3, 30, 30)
     sg = ShortcutGraph(graph, balls, params, 0)
     checks = StructureChecks(sg)

@@ -5,6 +5,10 @@ map and then chaotically raises levels (never lowering them) until stable,
 capping at the level bound.  The level-raising operator is monotone, so any
 fair iteration order reaches the same fixpoint the tree's two-phase repair
 reaches; agreement after every batch is therefore a real equivalence check.
+
+The last tests drive the tree as a ball contract, one change at a time
+through ``process_update``, on a ball scope's ``InducedSnapshot`` and on a
+set watcher's ``ArtificialSourceView``, against a bounded Dijkstra.
 """
 
 import os
@@ -17,9 +21,18 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrsp.monotone_tree import DuplicateEdgeError, MonotoneEsTree
+from decrsp.graph import (
+    ArtificialSourceView,
+    DynamicGraph,
+    InducedSnapshot,
+    UpdateEvent,
+    dijkstra_bounded,
+)
+from decrsp.hopset import DuplicateEdgeError, KeyedMultigraph
+from decrsp.monotone_tree import MonotoneEsTree
 
 from checks import TreeWatcher
+from test_graph_core import random_graph
 
 import pytest
 
@@ -91,40 +104,47 @@ class NaiveMonotone:
                         self.lev.pop(x, None)
                     changed = True
 
-    def level_of(self, x):
+    def query(self, x):
         return self.lev.get(x, inf)
 
 
+def tree_on(root, cap, edges):
+    """A ``MonotoneEsTree`` over a new ``KeyedMultigraph`` of ``edges``."""
+    return MonotoneEsTree(KeyedMultigraph(root, edges), root, cap)
+
+
 def play_and_compare(root, cap, edges, batches):
-    tree = MonotoneEsTree(root, cap, edges)
+    tree = tree_on(root, cap, edges)
+    graph = tree.view
     watcher = TreeWatcher(tree)
     ref = NaiveMonotone(root, cap, edges)
     nodes = set(ref._nodes()) | {root}
-    assert all(tree.level_of(x) == ref.level_of(x) for x in nodes)
+    assert all(tree.query(x) == ref.query(x) for x in nodes)
     for ops in batches:
+        pending = set()
         for op in ops:
             if op[0] == "insert":
                 _, key, u, v, w = op
-                tree.insert_edge(key, u, v, w)
+                graph.insert_edge(key, u, v, w)
                 nodes.update((u, v))
             elif op[0] == "delete":
                 _, key = op
-                u = next(x for x in tree.adj if key in tree.adj[x])
-                tree.delete_edge(key, u)
+                u = next(x for x in graph.adj if key in graph.adj[x])
+                pending.update(graph.delete_edge(key, u))
             elif op[0] == "increase":
                 _, key, w = op
-                u = next(x for x in tree.adj if key in tree.adj[x])
-                tree.increase_edge(key, u, w)
-        changes = tree.end_batch()
+                u = next(x for x in graph.adj if key in graph.adj[x])
+                pending.update(graph.increase_edge(key, u, w))
+        changes = tree.end_batch(pending)
         watcher.check()
         ref.apply_batch(ops)
         for x in sorted(nodes):
-            assert tree.level_of(x) == ref.level_of(x), (
+            assert tree.query(x) == ref.query(x), (
                 "node %r: tree %r vs ref %r after %r"
-                % (x, tree.level_of(x), ref.level_of(x), ops)
+                % (x, tree.query(x), ref.query(x), ops)
             )
         for node, lvl in changes:
-            assert tree.level_of(node) == lvl
+            assert tree.query(node) == lvl
         assert_fixpoint_holds(tree)
     return watcher
 
@@ -133,54 +153,54 @@ def assert_fixpoint_holds(tree):
     # The root sits at 0, and every other finite node hangs from a live edge
     # with level(other) + weight <= level(node): the invariant phase 1 of the
     # repair relies on.
-    assert tree.level_of(tree.root) == 0
-    for u in tree.adj:
-        lu = tree.level_of(u)
+    assert tree.query(tree.root) == 0
+    for u in tree.view.adj:
+        lu = tree.query(u)
         if u == tree.root or lu == inf:
             continue
-        assert any(tree.level_of(v) + w <= lu for v, w in tree.neighbors(u)), u
+        assert any(tree.query(v) + w <= lu for v, w in tree.view.neighbors(u)), u
 
 
 def one_batch(watcher, op, *args):
-    """Run one edge operation (``tree.<op>(*args)``) as its own batch on the
-    watcher's tree, then check the tree."""
-    getattr(watcher.tree, op)(*args)
-    changes = watcher.tree.end_batch()
+    """Run one edge operation (``graph.<op>(*args)``) on the graph under the
+    watcher's tree as its own batch, then check the tree."""
+    pending = getattr(watcher.tree.view, op)(*args) or ()
+    changes = watcher.tree.end_batch(pending)
     watcher.check()
     return changes
 
 
 def watched(*args):
-    """A watcher of a new ``MonotoneEsTree(*args)``."""
-    return TreeWatcher(MonotoneEsTree(*args))
+    """A watcher of a new ``tree_on(*args)``."""
+    return TreeWatcher(tree_on(*args))
 
 
 PATH = [("e01", 0, 1, 2), ("e12", 1, 2, 3), ("e23", 2, 3, 4), ("e13", 1, 3, 9)]
 
 
 def test_initialize_is_capped_exact():
-    t = MonotoneEsTree(0, 6, PATH)
-    assert [t.level_of(x) for x in range(4)] == [0, 2, 5, inf]
-    t2 = MonotoneEsTree(0, 100, PATH)
-    assert [t2.level_of(x) for x in range(4)] == [0, 2, 5, 9]
+    t = tree_on(0, 6, PATH)
+    assert [t.query(x) for x in range(4)] == [0, 2, 5, inf]
+    t2 = tree_on(0, 100, PATH)
+    assert [t2.query(x) for x in range(4)] == [0, 2, 5, 9]
 
 
 def test_insert_never_lowers_levels():
     w = watched(0, 100, PATH)
-    assert w.tree.level_of(3) == 9
+    assert w.tree.query(3) == 9
     # A much better route appears; the level deliberately stays put.
     changes = one_batch(w, "insert_edge", "short", 0, 3, 1)
     assert changes == []
-    assert w.tree.level_of(3) == 9
+    assert w.tree.query(3) == 9
     assert ("short", 3) in w.tree.stretched_pairs()
 
 
 def test_insert_then_delete_roundtrip():
     w = watched(0, 100, PATH)
-    before = {x: w.tree.level_of(x) for x in range(4)}
+    before = {x: w.tree.query(x) for x in range(4)}
     one_batch(w, "insert_edge", "tmp", 0, 3, 1)
     one_batch(w, "delete_edge", "tmp", 0)
-    assert {x: w.tree.level_of(x) for x in range(4)} == before
+    assert {x: w.tree.query(x) for x in range(4)} == before
 
 
 def test_duplicate_key_rejected():
@@ -190,7 +210,7 @@ def test_duplicate_key_rejected():
 
 def test_increase_propagates_and_caps():
     w = watched(0, 8, PATH)
-    assert [w.tree.level_of(x) for x in range(4)] == [0, 2, 5, inf]
+    assert [w.tree.query(x) for x in range(4)] == [0, 2, 5, inf]
     changes = one_batch(w, "increase_edge", "e01", 0, 4)
     assert changes == [(1, 4), (2, 7)]
     changes = one_batch(w, "increase_edge", "e01", 0, 5)
@@ -204,7 +224,7 @@ def test_delete_cuts_component():
     w = watched(0, 100, PATH)
     changes = one_batch(w, "delete_edge", "e01", 0)
     assert changes == [(1, inf), (2, inf), (3, inf)]
-    assert w.tree.level_of(0) == 0
+    assert w.tree.query(0) == 0
 
 
 def test_stretched_edge_pins_level_until_cured():
@@ -214,11 +234,11 @@ def test_stretched_edge_pins_level_until_cured():
     edges = [("a", 0, 1, 6)]
     w = watched(0, 100, edges)
     one_batch(w, "insert_edge", "b", 0, 1, 1)
-    assert w.tree.level_of(1) == 6
+    assert w.tree.query(1) == 6
     one_batch(w, "increase_edge", "a", 0, 9)  # best route is now the inserted edge at 1 < 6
-    assert w.tree.level_of(1) == 6  # monotone: nothing to raise
+    assert w.tree.query(1) == 6  # monotone: nothing to raise
     one_batch(w, "increase_edge", "b", 0, 7)  # stretch cured (7 > 6): now min(9, 7) = 7
-    assert w.tree.level_of(1) == 7
+    assert w.tree.query(1) == 7
 
 
 def test_stretched_route_keeps_affected_node_at_old_level():
@@ -234,9 +254,9 @@ def test_stretched_route_keeps_affected_node_at_old_level():
         [("increase", "e01", 5)],
     ]
     w = play_and_compare(0, 100, edges, batches)
-    assert [w.tree.level_of(x) for x in (1, 3, 4)] == [5, 10, 11]
+    assert [w.tree.query(x) for x in (1, 3, 4)] == [5, 10, 11]
     one_batch(w, "increase_edge", "e01", 0, 9)  # route 9 + 2 = 11 > 10
-    assert [w.tree.level_of(x) for x in (1, 3, 4)] == [9, 11, 12]
+    assert [w.tree.query(x) for x in (1, 3, 4)] == [9, 11, 12]
 
 
 def test_cut_off_component_cost_is_independent_of_cap():
@@ -256,16 +276,17 @@ def test_cut_off_component_cost_is_independent_of_cap():
 
 BAD_EDGE_OPS = """
 from checks import TreeWatcher
+from decrsp.hopset import KeyedMultigraph
 from decrsp.monotone_tree import MonotoneEsTree
-tree = MonotoneEsTree(0, 10, [("a", 0, 1, 1)])
-for call in (lambda: tree.insert_edge("z", 1, 2, 0), lambda: tree.insert_edge("l", 1, 1, 3),
-             lambda: tree.increase_edge("a", 0, 1)):
+graph = KeyedMultigraph(0, [("a", 0, 1, 1)])
+for call in (lambda: graph.insert_edge("z", 1, 2, 0), lambda: graph.insert_edge("l", 1, 1, 3),
+             lambda: graph.increase_edge("a", 0, 1)):
     try:
         call()
         print("accepted")
     except AssertionError:
         print("rejected")
-watcher = TreeWatcher(MonotoneEsTree(0, 10, [("b", 0, 1, 3)]))
+watcher = TreeWatcher(MonotoneEsTree(KeyedMultigraph(0, [("b", 0, 1, 3)]), 0, 10))
 watcher.tree.level[1] = 1  # below its true distance 3
 try:
     watcher.check()
@@ -389,3 +410,82 @@ def test_reused_keys_match_simulator():
                     ops.append(("delete", key))
             batches.append(ops)
         play_and_compare(0, rng.choice([8, 15, 30]), edges, batches)
+
+
+# -- the ball contract: one change at a time over a read-protocol view -----------
+
+
+def contract_trees(graph, rng):
+    """Trees built as the ball factories build them: one on a ball scope's
+    ``InducedSnapshot``, seeded with the scope search as its levels, and one
+    behind a set watcher's ``ArtificialSourceView``, whose virtual root edges
+    weigh 0."""
+    owner = rng.randrange(graph.n)
+    scope = dijkstra_bounded(graph, owner, rng.choice([6, 12, 24]))
+    art = ArtificialSourceView(graph, rng.sample(range(graph.n), 3))
+    return [MonotoneEsTree(InducedSnapshot(graph, scope), owner, rng.choice([8, 16, inf]), scope),
+            MonotoneEsTree(art, art.source_id, rng.choice([8, 16, inf]))]
+
+
+def supports(levels, x, y, weight):
+    """Whether the edge (x, y) at ``weight`` supported a finite x."""
+    return levels.get(x, inf) != inf and levels.get(y, inf) + weight <= levels[x]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contract_tree_on_a_view_is_exact_and_reports_what_moved(seed):
+    # A drain of the graph; each tree sees the changes its ball would feed
+    # it, after its view took them: a scope only those on its own edges.
+    # After each one its levels are the bounded Dijkstra levels of its view,
+    # its changes are exactly the nodes that moved, sorted, with inf for a
+    # node cut off, and a change on an edge that supported neither endpoint
+    # costs no heap operation and no edge scan.
+    rng = random.Random(seed)
+    graph = random_graph(20, 45, 6, seed=200 + seed)
+    trees = contract_trees(graph, rng)
+    quiet = cut = 0
+    while graph.edge_count:
+        u, v, w = rng.choice(list(graph.edges()))
+        if w < 6 and rng.random() < 0.3:
+            record = graph.apply_update(UpdateEvent("increase", u, v, rng.randint(w + 1, 6)))
+        else:
+            record = graph.apply_update(UpdateEvent("delete", u, v))
+        for tree in trees:
+            view = tree.view
+            if isinstance(view, InducedSnapshot):
+                if not {u, v} <= view.node_set:
+                    continue
+                view.apply_record(record)
+            old, spent = dict(tree.level), (tree.work_counter, tree.edge_scans)
+            changes = tree.process_update(record)
+            assert tree.level == dijkstra_bounded(view, tree.root, tree.cap)
+            assert changes == sorted((x, tree.query(x)) for x in old.keys() | tree.level.keys()
+                                     if tree.query(x) != old.get(x, inf))
+            cut += any(level == inf for _, level in changes)
+            if not (supports(old, u, v, w) or supports(old, v, u, w)):
+                quiet += 1
+                assert changes == [] and (tree.work_counter, tree.edge_scans) == spent
+    assert quiet > 0 and cut > 0
+
+
+def test_cut_off_region_in_a_ball_scope_costs_the_same_under_any_cap():
+    # The six-node cycle of the shortcut-tree test above hangs off the ball's
+    # owner by one bridge, all inside its scope.  Deleting the bridge sends
+    # the cycle to inf in one step; a repair that raised it round by round,
+    # up to a cap far below the longest finite distance the weight bound
+    # allows, would do work proportional to the cap.
+    outcomes = []
+    for cap in (10**2, 10**6):
+        graph = DynamicGraph(7, max_weight=10**7)
+        graph.add_edge(0, 1, 1)
+        for i in range(1, 7):
+            graph.add_edge(i, i % 6 + 1, 1 + i % 3)
+        scope = dijkstra_bounded(graph, 0, inf)
+        snapshot = InducedSnapshot(graph, scope)
+        tree = MonotoneEsTree(snapshot, 0, cap, scope)
+        record = graph.apply_update(UpdateEvent("delete", 0, 1))
+        snapshot.apply_record(record)
+        changes = tree.process_update(record)
+        outcomes.append((changes, tree.work_counter, tree.edge_scans))
+    assert outcomes[0][0] == [(x, inf) for x in range(1, 7)]
+    assert outcomes[0] == outcomes[1]
