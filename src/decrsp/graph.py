@@ -36,6 +36,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from math import inf
+from types import MappingProxyType
 
 
 MAX_NODES = 2**20  # the largest node count a graph file's header may declare
@@ -85,6 +86,9 @@ class ChangeRecord:
     new_weight: int | None  # None for deletions
 
 
+_NO_EDGES = MappingProxyType({})  # an isolated node's row, shared
+
+
 class AdjacencyGraph:
     """Read protocol over a symmetric ``node -> {neighbor: weight}`` map.
 
@@ -103,7 +107,7 @@ class AdjacencyGraph:
 
     def neighbors(self, u):
         """Iterate (neighbor, weight) pairs.  Snapshot before mutating."""
-        return self._adj.get(u, {}).items()
+        return self._adj.get(u, _NO_EDGES).items()
 
     def edges(self):
         """Yield (u, v, w) with u < v, deterministically."""

@@ -217,9 +217,10 @@ class KeyedMultigraph:
     """An undirected multigraph whose edges carry caller-chosen keys, so
     parallel edges coexist; every weight is an integer >= 1.  It offers the
     read protocol a ``MonotoneEsTree`` reads (``has_node``, ``neighbors``)
-    and changes by key.  ``delete_edge`` and ``increase_edge`` return the
-    edge's two endpoints, the nodes that the tree's next ``end_batch`` takes
-    as pending; ``insert_edge`` moves no level."""
+    and changes by key; no change moves a level.  Before it deletes or
+    raises an edge, its owner asks the tree for the edge's
+    ``supported_ends`` at the old weight, the nodes the tree's next
+    ``end_batch`` takes as pending."""
 
     def __init__(self, root, edges=()):
         self.adj = {root: {}}  # node -> {edge_key: (other, weight)}
@@ -254,13 +255,11 @@ class KeyedMultigraph:
                                  % (key, w, new_weight))
         self.adj[u][key] = (v, new_weight)
         self.adj[v][key] = (u, new_weight)
-        return u, v
 
     def delete_edge(self, key, u):
         v, _ = self.adj[u][key]
         del self.adj[u][key]
         del self.adj[v][key]
-        return u, v
 
 
 class ShortcutGraph:
@@ -358,8 +357,11 @@ def shortcut_process_update(sg, record, ball_changes):
     batch holds at most one event per (owner, member), so each edge
     operation is on its own key, and the tree moves no level before
     ``end_batch``, which then sees the same edges and the same pending
-    endpoints in any order.  Returns the sorted list of (node, estimate)
-    pairs whose estimate changed, each estimate an int over
+    endpoints in any order.  An endpoint is pending only if the edge
+    supported it at its old rounded weight, read before the edge changes,
+    while no level has moved inside the batch; so a batch that takes no
+    node's support runs no repair.  Returns the sorted list of (node,
+    estimate) pairs whose estimate changed, each estimate an int over
     ``params.phi.denominator`` as ``sg.scaled_query`` gives it (inf stays
     inf).
     """
@@ -379,15 +381,16 @@ def shortcut_process_update(sg, record, ball_changes):
                 sg.edges_ever += 1
                 sg.update_ops += 1
         elif graph.has_edge(key, u):
+            v, old = graph.adj[u][key]
             if kind == LEAVE or weight > cap:
-                pending.update(graph.delete_edge(key, u))
-                sg.update_ops += 1
+                graph.delete_edge(key, u)
             else:
-                # Rounding may absorb an increase entirely.
                 rounded = params.round_weight(weight)
-                if rounded > graph.adj[u][key][1]:
-                    pending.update(graph.increase_edge(key, u, rounded))
-                    sg.update_ops += 1
+                if rounded <= old:
+                    continue  # rounding absorbed the increase
+                graph.increase_edge(key, u, rounded)
+            pending.update(sg.tree.supported_ends(u, v, old))
+            sg.update_ops += 1
 
     changes = sg.tree.end_batch(pending)
     num = params._phi_num

@@ -10,20 +10,24 @@ when a ball passes its scope search, exact on the scope, as ``levels``.
 Every weight is an integer >= 1, except the zero-weight edges at a set
 watcher's virtual root, which is never pending.
 
-Two entry points share one repair:
+Two entry points share one repair, and one pending rule: an endpoint is
+pending only if the changed edge supported it at its old weight
+(``supported_ends``, read before the change while no level has moved), so a
+change on any other edge scans nothing.
 
 * ``process_update(record)``, the ball-contract entry, after the view took
-  the change: an endpoint is pending only if the changed edge supported it
-  at its old weight, so a change on any other edge scans nothing.  On a
-  view that only loses edges or sees weights rise the levels stay exact.
-* ``end_batch(pending)``, the shortcut graph's batch boundary, with both
-  endpoints of every edge deleted or increased since the last one.  Edges
-  inserted in between move no level, even when the new edge offers a
-  shorter route, which is what keeps levels monotone under the interleaved
-  insert/delete traffic of ball changes.  An edge whose head level exceeds
-  the level of its tail plus its weight is called *stretched*; stretched
-  edges can only come into existence at insertion time, and a node keeps
-  its level frozen while one of its incident edges stays stretched.
+  the change.  On a view that only loses edges or sees weights rise the
+  levels stay exact.
+* ``end_batch(pending)``, the shortcut graph's batch boundary.  Its
+  contract: ``pending`` holds every endpoint that an edge deleted or
+  increased since the last boundary supported there (more is allowed), and
+  an empty ``pending`` returns at once.  Edges inserted in between move no
+  level, even when the new edge offers a shorter route, which is what keeps
+  levels monotone under the interleaved insert/delete traffic of ball
+  changes.  An edge whose head level exceeds the level of its tail plus its
+  weight is called *stretched*; stretched edges can only come into
+  existence at insertion time, and a node keeps its level frozen while one
+  of its incident edges stays stretched.
 
 Both return the sorted list of ``(node, new_level)`` changes (new level
 ``inf`` once above the cap).
@@ -32,19 +36,27 @@ Between repairs every finite node but the root is *supported*: some
 incident edge has ``level(other) + weight <= level(node)``.  The new levels
 are the least ones that keep this, never drop below the old ones, and turn
 into ``inf`` above the cap.  The repair finds them in two phases, after
-Ramalingam and Reps (J. Algorithms 21, 1996):
+Ramalingam and Reps (J. Algorithms 21, 1996), reading each affected node's
+adjacency at most once per phase:
 
 1. The pending nodes are popped in ``(old level, node)`` order.  A node
    stays put if an unaffected neighbour still supports it (stretched edges
    count); otherwise it is *affected*, and each neighbour it supported is
    queued.  Weights >= 1 make a supporter's level strictly lower, so every
-   supporter is decided before the nodes it supports.
-2. Each affected node is seeded from its unaffected neighbours, then one
-   Dijkstra over the affected set settles them with the key
-   ``max(old level, level(other) + weight)``.  That key never falls below
-   its argument, so the Dijkstra order stays exact (Knuth, IPL 6, 1977).
-   A node whose key passes the cap is never settled and becomes ``inf`` in
-   one step, however high the cap.
+   supporter is decided before the nodes it supports, and so is every
+   neighbour below the node's old level.  The scan of an affected node
+   keeps what it read: the least route ``level(other) + weight`` through a
+   decided unaffected neighbour, and the neighbours at or above its old
+   level, which are checked against the final affected set when the phase
+   ends.
+2. Each affected node is seeded from those routes, without reading its
+   adjacency again, then one Dijkstra over the affected set settles them
+   with the key ``max(old level, level(other) + weight)``, and stops once
+   every affected node is settled; so a one-node rise reads the node's
+   neighbours once.  That key never falls below its argument, so the
+   Dijkstra order stays exact (Knuth, IPL 6, 1977).  A node whose key
+   passes the cap is never settled and becomes ``inf`` in one step, however
+   high the cap.
 
 ``work_counter`` counts heap traffic (pushes and pops of the two repair
 queues) and ``edge_scans`` counts adjacency entries read by the repair.
@@ -77,23 +89,28 @@ class MonotoneEsTree:
 
     # -- repair ----------------------------------------------------------------
 
+    def supported_ends(self, u, v, w):
+        """The endpoints that the edge (u, v) supports at weight ``w`` under
+        the current levels: the only nodes whose support the edge's deletion
+        or rise can take.  Weights >= 1 make that one endpoint at most."""
+        lu, lv = self.level.get(u, inf), self.level.get(v, inf)
+        if lu != inf and lv + w <= lu:
+            return (u,)
+        if lv != inf and lu + w <= lv:
+            return (v,)
+        return ()
+
     def process_update(self, record):
         """Repair after one change the view already holds; returns the
-        changes.  Only an endpoint that the edge supported at its old weight
-        can lose support."""
-        level, w = self.level, record.old_weight
-        lu, lv = level.get(record.u, inf), level.get(record.v, inf)
-        pending = []
-        if lu != inf and lv + w <= lu:
-            pending.append(record.u)
-        if lv != inf and lu + w <= lv:
-            pending.append(record.v)
+        changes."""
+        pending = self.supported_ends(record.u, record.v, record.old_weight)
         return self._repair(pending) if pending else []
 
     def end_batch(self, pending):
-        """Repair after a batch of edge operations; ``pending`` holds both
-        endpoints of every edge deleted or increased.  Returns the changes."""
-        return self._repair(pending)
+        """Repair after a batch of edge operations; ``pending`` holds at
+        least every endpoint that a deleted or raised edge supported at the
+        last boundary.  Returns the changes."""
+        return self._repair(pending) if pending else []
 
     def _repair(self, pending):
         """Repair the levels from the ``pending`` nodes (the two phases
@@ -105,38 +122,43 @@ class MonotoneEsTree:
         queued = {u for _, u in queue}
         pushes, pops, scans = len(queue), 0, 0
         affected = {}  # node -> old level
+        # affected node -> (least route through a decided unaffected
+        # neighbour, [(neighbour, level, weight)] of its undecided ones)
+        routes = {}
         while queue:
             lu, u = heapq.heappop(queue)
             pops += 1
-            supported = []  # neighbours this node may be supporting
+            least, later = inf, []
             for v, w in neighbors(u):
                 scans += 1
                 lv = level.get(v, inf)
                 if lv + w <= lu:
                     if v not in affected:
                         break
-                elif lv != inf and lu + w <= lv:
-                    supported.append(v)
+                elif lv < lu:  # popped already if it was ever queued
+                    if v not in affected and lv + w < least:
+                        least = lv + w
+                elif lv != inf:
+                    later.append((v, lv, w))
             else:
                 affected[u] = lu
-                for v in supported:
-                    if v not in queued:
+                routes[u] = least, later
+                for v, lv, w in later:
+                    if lu + w <= lv and v not in queued:
                         queued.add(v)
-                        heapq.heappush(queue, (level[v], v))
+                        heapq.heappush(queue, (lv, v))
                         pushes += 1
         # Phase 2: one Dijkstra over the affected set, keyed
-        # max(old level, route), seeded from the unaffected neighbours.
-        # A seed is already above the old level: no unaffected neighbour
-        # supports an affected node.
+        # max(old level, route), seeded from the routes phase 1 read through
+        # unaffected neighbours.  A seed is already above the old level: no
+        # unaffected neighbour supports an affected node.
         best = {}
-        for u in affected:
-            seed = inf
-            for v, w in neighbors(u):
-                scans += 1
-                if v not in affected:
-                    seed = min(seed, level.get(v, inf) + w)
-            if seed <= cap:
-                best[u] = seed
+        for u, (least, later) in routes.items():
+            for v, lv, w in later:
+                if lv + w < least and v not in affected:
+                    least = lv + w
+            if least <= cap:
+                best[u] = least
         heap = [(d, u) for u, d in best.items()]
         heapq.heapify(heap)
         pushes += len(heap)
@@ -147,6 +169,8 @@ class MonotoneEsTree:
             if u in settled:
                 continue
             settled[u] = d
+            if len(settled) == len(affected):
+                break
             for v, w in neighbors(u):
                 scans += 1
                 if v in affected and v not in settled:

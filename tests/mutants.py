@@ -310,6 +310,24 @@ MUTANTS = (
         "a level that no edge supports once that neighbour rises",
     ),
     Mutant(
+        "tree-tight-support-ignored",
+        "src/decrsp/monotone_tree.py",
+        (("                if lv + w <= lu:\n",
+          "                if lv + w < lu:\n"),),
+        ("tests/test_monotone_tree.py::test_tied_routes_pin_the_repair_work",),
+        "phase 1 counts only a strictly shorter route as support, so a node on a "
+        "tied route is repaired to the level it kept; only the work shows it",
+    ),
+    Mutant(
+        "tree-requeues-tied-key",
+        "src/decrsp/monotone_tree.py",
+        (("                    if key <= cap and key < best.get(v, inf):\n",
+          "                    if key <= cap and key <= best.get(v, inf):\n"),),
+        ("tests/test_monotone_tree.py::test_tied_routes_pin_the_repair_work",),
+        "phase 2 queues an affected node again at a key it already holds; only "
+        "the work shows it",
+    ),
+    Mutant(
         "contract-support-strict",
         "src/decrsp/monotone_tree.py",
         (("        if lu != inf and lv + w <= lu:\n",
@@ -321,18 +339,29 @@ MUTANTS = (
         + ("tests/test_monotone_tree.py::test_cut_off_region_in_a_ball_scope_costs_the_same_"
            "under_any_cap",
            "tests/test_apsp.py::test_apsp_state_machine::runTest"),
-        "a ball contract marks an endpoint only when the changed edge was strictly "
+        "the pending rule marks an endpoint only when the changed edge was strictly "
         "shorter than its level needs, so a tight edge's loss repairs nothing",
     ),
     Mutant(
         "contract-marks-one-endpoint",
         "src/decrsp/monotone_tree.py",
         (("        if lv != inf and lu + w <= lv:\n"
-          "            pending.append(record.v)\n", ""),),
+          "            return (v,)\n", ""),),
         tuple("tests/test_monotone_tree.py::test_contract_tree_on_a_view_is_exact_and_reports_"
               "what_moved[%d]" % seed for seed in range(6)),
-        "a ball contract marks only the first endpoint of a changed edge, so the "
+        "the pending rule marks only the first endpoint of a changed edge, so the "
         "second keeps a level that the edge alone supported",
+    ),
+    Mutant(
+        "tree-seeds-from-affected-neighbour",
+        "src/decrsp/monotone_tree.py",
+        (("                    if v not in affected and lv + w < least:\n",
+          "                    if lv + w < least:\n"),),
+        ("tests/test_monotone_tree.py::test_delete_cuts_component",
+         "tests/test_balls.py::test_properties_hold_after_every_update[3-declared0]",
+         "tests/test_balls.py::test_properties_hold_after_every_update[11-declared1]"),
+        "phase 2 seeds an affected node from the old level of an affected neighbour "
+        "below it, so a node cut off keeps a finite level",
     ),
     # -- the band mode and the shortcut keys --------------------------------------
     Mutant(
@@ -353,6 +382,15 @@ MUTANTS = (
          "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3]"),
         "a LEAVE keeps the pair's shortcut key in the tree, so it still routes and a "
         "rejoin reuses a live key",
+    ),
+    Mutant(
+        "batch-support-reads-raised-weight",
+        "src/decrsp/hopset.py",
+        (("            pending.update(sg.tree.supported_ends(u, v, old))\n",
+          "            pending.update(sg.tree.supported_ends(u, v, old + 1))\n"),),
+        ("tests/test_hopset.py::test_estimate_increase_below_grain_is_absorbed",),
+        "a shortcut batch tests each changed edge for support one above its old "
+        "rounded weight, so the end an edge supported tightly is never repaired",
     ),
     Mutant(
         "journal-skips-est-reweights",

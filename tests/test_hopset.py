@@ -300,8 +300,13 @@ def test_deletion_without_distance_change_reports_nothing():
     graph = graph_from_edges(3, 4, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
     ps = small_params(8)
     checks = StructureChecks(ShortcutGraph(graph, singleton_balls(graph), ps, 0))
+    tree = checks.structure.tree
+    # The edge 0-2 (rounded 6) supported neither end (levels 0 and 4), so the
+    # batch leaves nothing pending: no repair runs and nothing is read.
+    tree._repair = lambda pending: pytest.fail("repair ran on %r" % (pending,))
     rec = graph.apply_update(UpdateEvent("delete", 0, 2))
     assert feed(checks, rec, BallChangeSet(())) == []
+    assert (tree.work_counter, tree.edge_scans) == (0, 0)
 
 
 def test_estimate_increase_below_grain_is_absorbed():
@@ -377,7 +382,8 @@ def test_check_sandwich_reads_the_tree_weights():
     sg.check_sandwich()
     key = ("G", 0, 1)
     # ceil(1 / (2/3)) = 2; two grains more puts phi * 4 above 1 + phi.
-    sg.tree.end_batch(sg.multigraph.increase_edge(key, 0, tree_weight(sg, key) + 2))
+    sg.multigraph.increase_edge(key, 0, tree_weight(sg, key) + 2)
+    sg.tree.end_batch((0, 1))
     with pytest.raises(AssertionError, match="outside the sandwich"):
         sg.check_sandwich()
 
@@ -395,7 +401,8 @@ def test_checks_catch_a_tree_that_lost_a_live_shortcut():
     run_checks(sg)
     key = ("F", 0, 3)
     assert admitted(sg, key)
-    sg.tree.end_batch(sg.multigraph.delete_edge(key, 0))
+    sg.multigraph.delete_edge(key, 0)
+    sg.tree.end_batch((0, 3))
     with pytest.raises(AssertionError, match="missing from the tree"):
         run_checks(sg)
 
@@ -484,7 +491,7 @@ def test_full_deletion_battery_forty_nodes():
         def counted_increase(key, u, w):
             increases[key] = increases.get(key, 0) + 1
             counts.append(increases[key])
-            return increase_edge(key, u, w)
+            increase_edge(key, u, w)
 
         keyed.insert_edge, keyed.increase_edge = counted_insert, counted_increase
         rng = random.Random(seed * 7 + 1)

@@ -32,7 +32,7 @@ from decrsp.hopset import DuplicateEdgeError, KeyedMultigraph
 from decrsp.monotone_tree import MonotoneEsTree
 
 from checks import TreeWatcher
-from test_graph_core import random_graph
+from test_graph_core import graph_from_edges, random_graph
 
 import pytest
 
@@ -127,14 +127,10 @@ def play_and_compare(root, cap, edges, batches):
                 _, key, u, v, w = op
                 graph.insert_edge(key, u, v, w)
                 nodes.update((u, v))
-            elif op[0] == "delete":
-                _, key = op
+            else:
+                key = op[1]
                 u = next(x for x in graph.adj if key in graph.adj[x])
-                pending.update(graph.delete_edge(key, u))
-            elif op[0] == "increase":
-                _, key, w = op
-                u = next(x for x in graph.adj if key in graph.adj[x])
-                pending.update(graph.increase_edge(key, u, w))
+                pending.update(change(tree, op[0] + "_edge", key, u, *op[2:]))
         changes = tree.end_batch(pending)
         watcher.check()
         ref.apply_batch(ops)
@@ -161,11 +157,20 @@ def assert_fixpoint_holds(tree):
         assert any(tree.query(v) + w <= lu for v, w in tree.view.neighbors(u)), u
 
 
+def change(tree, op, key, u, *args):
+    """Run ``tree.view.<op>(key, u, *args)`` on the graph under ``tree``;
+    returns what the shortcut graph takes as pending for it: the end that a
+    deleted or raised edge supported before the change."""
+    graph = tree.view
+    pending = () if op == "insert_edge" else tree.supported_ends(u, *graph.adj[u][key])
+    getattr(graph, op)(key, u, *args)
+    return pending
+
+
 def one_batch(watcher, op, *args):
-    """Run one edge operation (``graph.<op>(*args)``) on the graph under the
-    watcher's tree as its own batch, then check the tree."""
-    pending = getattr(watcher.tree.view, op)(*args) or ()
-    changes = watcher.tree.end_batch(pending)
+    """Run one edge operation (``change(tree, op, *args)``) on the graph
+    under the watcher's tree as its own batch, then check the tree."""
+    changes = watcher.tree.end_batch(change(watcher.tree, op, *args))
     watcher.check()
     return changes
 
@@ -272,6 +277,61 @@ def test_cut_off_component_cost_is_independent_of_cap():
         outcomes.append((changes, w.tree.work_counter + w.tree.edge_scans - before))
     assert outcomes[0][0] == [(x, inf) for x in range(1, 7)]
     assert outcomes[0] == outcomes[1]
+
+
+# -- the work a repair does: what phase 1 read seeds phase 2 --------------------
+
+
+# Node 4 hangs from node 1 at level 2, with routes 4 and 5 through nodes 2 and 3.
+FAN = [(0, 1, 1), (0, 2, 2), (0, 3, 2), (1, 4, 1), (2, 4, 2), (3, 4, 3)]
+
+
+def test_one_node_rise_reads_each_neighbour_once():
+    # Node 4 hangs from node 1 and rises from 2 to 4 when that edge goes up.
+    # Phase 1 reads its three neighbours; phase 2 seeds it from those reads
+    # and stops once it is settled, so nothing is read twice.
+    graph = graph_from_edges(5, 8, FAN)
+    tree = MonotoneEsTree(graph, 0, 100)
+    assert tree.query(4) == 2
+    record = graph.apply_update(UpdateEvent("increase", 1, 4, 3))
+    assert tree.process_update(record) == [(4, 4)]
+    assert tree.edge_scans == len(graph.neighbors(4)) == 3
+    assert tree.work_counter == 4  # one push and one pop per phase
+
+
+def test_change_on_an_edge_that_supported_neither_end_reads_nothing():
+    # The edge 3-4 offers node 4 the route 5 and node 3 the route 5, both
+    # above their levels 2: no end is pending, so no repair runs.
+    graph = graph_from_edges(5, 8, FAN)
+    tree = MonotoneEsTree(graph, 0, 100)
+    assert tree.supported_ends(3, 4, 3) == () and tree.supported_ends(1, 4, 1) == (4,)
+    tree._repair = lambda pending: pytest.fail("repair ran on %r" % (pending,))
+    record = graph.apply_update(UpdateEvent("increase", 3, 4, 5))
+    assert tree.process_update(record) == []
+    assert tree.end_batch(()) == []
+    assert (tree.work_counter, tree.edge_scans) == (0, 0)
+
+
+def test_tied_routes_pin_the_repair_work():
+    # Node 5 carries nodes 1 and 2, and both carry node 3 by tied routes.
+    # Raising 0-5 moves all four; node 3 is reached from 1 and from 2 at the
+    # same key, which queues it once.  Then deleting 1-3 leaves node 3 on
+    # its tied route through 2, which keeps it unaffected.
+    edges = [("a", 0, 5, 1), ("b", 5, 1, 1), ("c", 5, 2, 1), ("d", 1, 3, 2),
+             ("e", 2, 3, 2), ("f", 0, 1, 10), ("g", 0, 2, 10)]
+    tree = tree_on(0, 100, edges)
+    assert [tree.query(x) for x in (5, 1, 2, 3)] == [1, 2, 2, 4]
+    pending = change(tree, "increase_edge", "a", 0, 3)
+    assert pending == (5,)
+    assert tree.end_batch(pending) == [(1, 4), (2, 4), (3, 6), (5, 3)]
+    # Phase 1: four pushes and four pops; phase 2: three seeds, three
+    # relaxations and four pops.  Phase 1 reads 3 + 3 + 3 + 2 adjacency
+    # entries, phase 2 those of 5, 1 and 2 but not of 3, settled last.
+    assert (tree.work_counter, tree.edge_scans) == (18, 20)
+    pending = change(tree, "delete_edge", "d", 1)
+    assert pending == (3,)
+    assert tree.end_batch(pending) == []
+    assert (tree.work_counter, tree.edge_scans) == (20, 21)
 
 
 BAD_EDGE_OPS = """
