@@ -11,12 +11,6 @@ exact distances from two independent shortest-path implementations.  It
 records stretch, underestimates, and any invariant failure into a
 ValidationReport whose rendering is byte-stable under a fixed seed; the
 answers written are the ones the report checked.
-
-``static_hopset_check`` is the one-shot verification oracle for the
-shortcut-edge idea itself: it builds distance-weighted ball edges over a
-frozen priority sampling, runs hop-limited Bellman-Ford on the augmented
-graph, and asserts the hop/weight trade-off pair by pair.  It lives here,
-in the validation path, not in the maintained-structure path.
 """
 
 from __future__ import annotations
@@ -25,13 +19,12 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, inf, isqrt
+from math import inf, isqrt
 
 from .apsp import ApspState
 from .graph import DynamicGraph, QueryProbe, UpdateError, UpdateEvent, update_line
 from .layered import FullRangeSssp
 from .oracle import cross_checked_distances
-from .sampling import sample_priorities
 
 
 class ScheduleError(ValueError):
@@ -207,7 +200,10 @@ def run_with_oracle(schedule, config, out=None):
     the source row with two independent exact implementations (which must
     agree).  One judge checks both: the report records every underestimate
     and every stretch over the bound with its update index and its node or
-    pair, and the worst stretch of a source row.  Inside an update an
+    pair, and the worst stretch of a source row.  Every answer read, of a
+    source row or a probe, is also held against the last one read for its
+    pair: an answer below it is an ``answer_decrease`` entry, and counts in
+    ``invariant_failures`` too.  Inside an update an
     ``AssertionError`` is then an invariant failure that ends the replay.
     Any other exception but ``UpdateError``, and without the oracle an
     ``AssertionError`` too, is raised again as an ``UpdateError`` naming the
@@ -234,6 +230,8 @@ def run_with_oracle(schedule, config, out=None):
     max_stretch = Fraction(0)
     underestimates = []
     invariant_failures = []
+    last_read = {}  # (u, v) -> the last answer read for the pair
+    decreases = []
     oracle_checks = 0
     update_index = 0
     query_answers = 0
@@ -254,12 +252,23 @@ def run_with_oracle(schedule, config, out=None):
                                       % (update_index, subject, fraction_str(stretch)))
         return stretch
 
+    def read(u, v):
+        """The answer for (u, v), recorded as a decrease if it is below the
+        last one read for the pair."""
+        est = answer(u, v)
+        prev = last_read.get((u, v), est)
+        if est < prev:
+            decreases.append("index=%d pair=%d,%d est=%s prev=%s" % (
+                update_index, u, v, fraction_str(est), fraction_str(prev)))
+        last_read[u, v] = est
+        return est
+
     def oracle_step():
         nonlocal max_stretch, oracle_checks
         oracle_checks += 1
         dist = cross_checked_distances(graph, config.source)
         for v in graph.node_ids():
-            stretch = judge("node=%d" % v, answer(config.source, v), dist.get(v, inf))
+            stretch = judge("node=%d" % v, read(config.source, v), dist.get(v, inf))
             max_stretch = max(max_stretch, stretch)
 
     if config.oracle_check:
@@ -271,7 +280,7 @@ def run_with_oracle(schedule, config, out=None):
             if config.mode == "sssp" and item.u != config.source:
                 write("Q %d %d unsupported-source\n" % (item.u, item.v))
                 continue
-            est = answer(item.u, item.v)
+            est = read(item.u, item.v)
             line = "Q %d %d %s\n" % (item.u, item.v, fraction_str(est))
             write(line)
             digest.update(line.encode())
@@ -316,7 +325,10 @@ def run_with_oracle(schedule, config, out=None):
     report.add("underestimate_violations", len(underestimates))
     for entry in underestimates:
         report.add("underestimate", entry)
-    report.add("invariant_failures", len(invariant_failures))
+    report.add("answer_decreases", len(decreases))
+    for entry in decreases:
+        report.add("answer_decrease", entry)
+    report.add("invariant_failures", len(invariant_failures) + len(decreases))
     for entry in invariant_failures:
         report.add("invariant_failure", entry)
     for key, value in sorted(collect_work_counters(config.mode, structure).items()):
@@ -341,121 +353,3 @@ def collect_work_counters(mode, structure):
             "query_heap_reads": stats["heap_reads"],
         }
     return {"apsp_heap_pairs": stats["heap_pairs"], "ball_rebuilds": stats["ball_rebuilds"]}
-
-
-# -- static shortcut-edge verification ------------------------------------------
-
-
-def _bounded_hop_distances(size, indexed_edges, source_index, rounds):
-    """Weights of cheapest <= h-edge paths for h = 0..rounds, per node index.
-
-    Returns a list of per-round weight arrays (round h at position h); plain
-    dynamic programming, exact by construction.  Once a round changes nothing
-    the remaining rounds are identical, so the last array stands for them.
-    """
-    cur = [inf] * size
-    cur[source_index] = 0
-    table = [cur]
-    for _ in range(rounds):
-        new = list(cur)
-        for x, v, w in indexed_edges:
-            cand = cur[x] + w
-            if cand < new[v]:
-                new[v] = cand
-        if new == cur:
-            break
-        cur = new
-        table.append(cur)
-    return table
-
-
-def static_hopset_check(graph, p, delta, eps, seed, *, c=2.0):
-    """One-shot verification of the shortcut-edge hop/weight trade-off.
-
-    Builds exact balls over a frozen priority sampling, adds one
-    distance-weighted edge per (owner, member) pair, and verifies by
-    hop-limited Bellman-Ford that every connected pair (u, v) reaches
-    weight <= (1+eps)*dist + 2*(2 + 2/eps)^(p-2)*delta within
-    p*ceil(dist/delta) hops -- and hence weight <= (1+2*eps)*dist for pairs
-    far enough that the additive term is dominated.  Returns a stable-order
-    report dict; raises AssertionError on any violated pair.
-    """
-    eps = Fraction(eps)
-    if not (0 < eps <= 1 and p >= 2 and delta >= 1):
-        raise AssertionError("need 0 < eps <= 1, p >= 2 and delta >= 1")
-    nodes = sorted(graph.node_ids())
-    dist = {u: cross_checked_distances(graph, u) for u in nodes}
-    assignment = sample_priorities(graph, p, c, seed)
-
-    shortcut_edges = {}
-    max_ball_size = 0
-    for u in nodes:
-        i = assignment.priority_of(u)
-        above = assignment.level_sets[i + 1]
-        horizon = min((dist[u].get(a, inf) for a in above), default=inf)
-        ball = {v for v, d in dist[u].items() if d < horizon}
-        max_ball_size = max(max_ball_size, len(ball))
-        for v in ball:
-            if v != u:
-                # distance weights are symmetric, so (u, v) and (v, u)
-                # collapse to one undirected shortcut
-                shortcut_edges[(min(u, v), max(u, v))] = dist[u][v]
-
-    index_of = {v: i for i, v in enumerate(nodes)}
-    directed = []
-    for u, v, w in graph.edges():
-        directed.append((index_of[u], index_of[v], w))
-        directed.append((index_of[v], index_of[u], w))
-    for (u, v), w in shortcut_edges.items():
-        directed.append((index_of[u], index_of[v], w))
-        directed.append((index_of[v], index_of[u], w))
-
-    additive = 2 * (2 + 2 / eps) ** (p - 2) * delta
-    covered_floor = additive / eps  # beyond this the additive term is dominated
-    max_hop_budget = 0
-    finite_pairs = 0
-    covered_pairs = 0
-    worst_needed_hops = 0
-    for u in nodes:
-        finite = {v: d for v, d in dist[u].items() if v != u and d != inf}
-        if not finite:
-            continue
-        budgets = {v: p * ceil(Fraction(d) / delta) for v, d in finite.items()}
-        rounds = max(budgets.values())
-        max_hop_budget = max(max_hop_budget, rounds)
-        table = _bounded_hop_distances(len(nodes), directed, index_of[u], rounds)
-        for v, budget in budgets.items():
-            d = finite[v]
-            finite_pairs += 1
-            vi = index_of[v]
-            curve = [row[vi] for row in table]
-            at_budget = curve[min(budget, len(curve) - 1)]
-            if at_budget > (1 + eps) * d + additive:
-                raise AssertionError(
-                    "pair (%d, %d): weight %s at %d hops exceeds additive allowance"
-                    % (u, v, at_budget, budget)
-                )
-            if d >= covered_floor:
-                covered_pairs += 1
-                target = (1 + 2 * eps) * d
-                if at_budget > target:
-                    raise AssertionError(
-                        "pair (%d, %d): weight %s at %d hops exceeds (1+2eps)*dist=%s"
-                        % (u, v, at_budget, budget, target)
-                    )
-                needed = next(h for h, w in enumerate(curve) if w <= target)
-                worst_needed_hops = max(worst_needed_hops, needed)
-
-    return {
-        "n": len(nodes),
-        "p": p,
-        "delta": delta,
-        "eps": str(eps),
-        "shortcut_edges": len(shortcut_edges),
-        "max_ball_size": max_ball_size,
-        "finite_pairs": finite_pairs,
-        "covered_pairs": covered_pairs,
-        "additive_allowance": str(additive),
-        "max_hop_budget": max_hop_budget,
-        "worst_needed_hops": worst_needed_hops,
-    }

@@ -392,7 +392,7 @@ class FullRangeSssp:
         self._next_band = 0  # layered mode: the band the run grows by next
         self._built = self._retired = 0
         # The work the retired bands did, so that stats() never decreases.
-        self._retired_scans = self._retired_heap_ops = 0
+        self._retired_scans = self._retired_heap_ops = self._retired_tree_scans = 0
         self.heap_reads = 0
         self._poisoned = False
         if plan.mode == "exact":
@@ -494,10 +494,11 @@ class FullRangeSssp:
         fault poisons the instance and empties it.
         ``heap_reads`` is the queries answered (the benchmark reads it under
         that name), ``es_edge_scans`` the edge scans of every band's exact
-        tree and ``monotone_heap_ops`` the heap operations of every
-        assembly's shortcut tree, retired bands included.
+        tree, and ``monotone_heap_ops`` and ``monotone_edge_scans`` the heap
+        operations and edge scans of every assembly's shortcut tree, retired
+        bands included.
         """
-        scans, heap_ops = self._work(self.stacks)
+        scans, heap_ops, tree_scans = self._work(self.stacks)
         return {
             "band_count": self._band_count,
             "bands_built": self._built,
@@ -506,26 +507,29 @@ class FullRangeSssp:
             "heap_reads": self.heap_reads,
             "es_edge_scans": scans + self._retired_scans,
             "monotone_heap_ops": heap_ops + self._retired_heap_ops,
+            "monotone_edge_scans": tree_scans + self._retired_tree_scans,
         }
 
     @staticmethod
     def _work(bands):
-        """The edge scans of the bands' exact trees and the heap operations
-        of their shortcut trees, summed."""
-        scans = heap_ops = 0
+        """The edge scans of the bands' exact trees, and the heap operations
+        and edge scans of their shortcut trees, summed."""
+        scans = heap_ops = tree_scans = 0
         for band in bands:
             if band.mode == "exact":
                 scans += band.work_counter
             else:
                 scans += band.lower.work_counter
                 heap_ops += band.sg.tree.work_counter
-        return scans, heap_ops
+                tree_scans += band.sg.tree.edge_scans
+        return scans, heap_ops, tree_scans
 
     def _retire(self, dead):
         """Retire the bands ``dead`` (see the class docstring)."""
-        scans, heap_ops = self._work(dead)
+        scans, heap_ops, tree_scans = self._work(dead)
         self._retired_scans += scans
         self._retired_heap_ops += heap_ops
+        self._retired_tree_scans += tree_scans
         self._retired += len(dead)
         for band in dead:
             b = self.stacks.index(band)
@@ -567,6 +571,7 @@ class FullRangeSssp:
         work = self.stats()
         self._retired_scans = work["es_edge_scans"]
         self._retired_heap_ops = work["monotone_heap_ops"]
+        self._retired_tree_scans = work["monotone_edge_scans"]
         self.stacks, self.mirrors, self._units, self._keys, self._answers = [], [], [], {}, {}
         self._top, self._poisoned = None, True
 

@@ -12,11 +12,20 @@ this module runs them:
 * ``check_apsp`` runs the three ``ApspState`` checks and ``check_routing``
   on its ball system;
 * ``check_routing`` checks a ``BallSystem``'s owners index, snapshots and
-  tables, which no public method exposes.
+  tables, which no public method exposes;
+* ``hopset_audit`` checks the hop/weight trade-off of a freshly built ball
+  system and shortcut graph, with ``hop_table`` as its hop-limited DP.
 """
 
-from decrsp.hopset import ShortcutGraph
+from fractions import Fraction
+from math import ceil, inf
+
+from decrsp.balls import BallSystem
+from decrsp.hopset import ShortcutGraph, derive_params
 from decrsp.layered import FullRangeSssp
+from decrsp.monotone_tree import MonotoneEsTree
+from decrsp.oracle import cross_checked_distances
+from decrsp.sampling import sample_priorities
 
 
 class TreeWatcher:
@@ -145,3 +154,61 @@ def check_routing(balls):
             assert list(snapshot.neighbors(x)) == want, (u, x)
     assert balls._owners == inverse
     return live
+
+
+def hop_table(edges, source, rounds):
+    """Weights of the cheapest paths of at most h edges from ``source`` over
+    the undirected ``(u, v, w)`` edges, one ``{node: weight}`` per h = 0..rounds.
+    The table stops at the first round that changes nothing: later rounds
+    equal its last row."""
+    table = [{source: 0}]
+    for _ in range(rounds):
+        cur, new = table[-1], dict(table[-1])
+        for u, v, w in edges:
+            for x, y in ((u, v), (v, u)):
+                if x in cur and cur[x] + w < new.get(y, inf):
+                    new[y] = cur[x] + w
+        if new == cur:
+            break
+        table.append(new)
+    return table
+
+
+def hopset_audit(graph, p, delta, eps, seed, *, c=2.0):
+    """Build a ball system and a shortcut graph rooted at 0 over ``graph``,
+    wired as ``LayerAssembly`` wires them, check them, and check that every
+    connected pair (u, v) at distance d reaches weight at most (1 + eps) d +
+    2 (2 + 2/eps)^(p-2) delta within p ceil(d / delta) hops of the
+    multigraph's keys at raw weights, and at most (1 + 2 eps) d once d is at
+    least that additive term over eps.  Returns a report dict."""
+    eps, nodes = Fraction(eps), list(graph.node_ids())
+    n, depth = len(nodes), len(nodes) * graph.max_weight
+    balls = BallSystem(graph, sample_priorities(graph, p, c, seed), MonotoneEsTree,
+                       alpha=1, depth=depth, bucket_eps=1)
+    sg = ShortcutGraph(graph, balls, derive_params(1, 0, 2, 1, eps, p, delta, depth, n), 0)
+    sg.check_sandwich()
+    sg.check_shortcut_mirror()
+    base = {("G", u, v): w for u, v, w in graph.edges()}
+    keys = {key for row in sg.multigraph.adj.values() for key in row}
+    edges = [(u, v, base[tag, u, v] if tag == "G" else balls.estimate(u, v))
+             for tag, u, v in keys]
+    additive = 2 * (2 + 2 / eps) ** (p - 2) * delta
+    budgets, needed = [], []  # per connected pair; per covered pair
+    for u in nodes:
+        dist = {v: d for v, d in cross_checked_distances(graph, u).items() if v != u}
+        hops = {v: p * ceil(Fraction(d) / delta) for v, d in dist.items() if d != inf}
+        table = hop_table(edges, u, max(hops.values(), default=0))
+        for v, budget in hops.items():
+            d, curve = dist[v], [row.get(v, inf) for row in table]
+            at_budget = curve[min(budget, len(curve) - 1)]
+            assert at_budget <= (1 + eps) * d + additive, (u, v, at_budget, budget)
+            budgets.append(budget)
+            if d >= additive / eps:
+                assert at_budget <= (1 + 2 * eps) * d, (u, v, at_budget, budget)
+                needed.append(next(h for h, w in enumerate(curve) if w <= (1 + 2 * eps) * d))
+    return dict(n=n, p=p, delta=delta, eps=str(eps),
+                shortcut_edges=sum(key[0] == "F" for key in keys),
+                max_ball_size=max(len(balls.members(u)) for u in nodes),
+                finite_pairs=len(budgets), covered_pairs=len(needed),
+                additive_allowance=str(additive), max_hop_budget=max(budgets, default=0),
+                worst_needed_hops=max(needed, default=0))

@@ -17,14 +17,14 @@ from decrsp.apsp import ApspState
 from decrsp.balls import BallSystem
 from decrsp.es_tree import EsTree
 from decrsp.graph import DynamicGraph, UpdateEvent
-from decrsp.harness import RunConfig, generate_instance, run_with_oracle, static_hopset_check
+from decrsp.harness import RunConfig, generate_instance, run_with_oracle
 from decrsp.hopset import derive_params
 from decrsp.layered import FullRangeSssp, LayerAssembly, StackPlan
 from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.oracle import dijkstra
 from decrsp.sampling import sample_priorities
 
-from checks import StructureChecks
+from checks import StructureChecks, hopset_audit
 from test_balls import InvariantChecker, apply as apply_ball_update
 from test_graph_core import random_graph
 
@@ -240,12 +240,19 @@ def test_criterion_6_apsp_stretch_and_expansion_budget():
           "expansions <= 4" % (checked, worst))
 
 
+REPORT_KEYS = ("n", "p", "delta", "eps", "shortcut_edges", "max_ball_size", "finite_pairs",
+               "covered_pairs", "additive_allowance", "max_hop_budget", "worst_needed_hops")
+
+
 def test_criterion_7_static_shortcut_trade_off_on_path_and_grid():
+    # The audit runs on a freshly built live ball system and shortcut graph
+    # and raises at the first pair outside either bound.
     path = DynamicGraph(100, 1)
     for i in range(99):
         path.add_edge(i, i + 1, 1)
-    report_path = static_hopset_check(path, 3, 2, Fraction(1, 2), seed=2, c=0.3)
-    assert report_path["covered_pairs"] > 0
+    report_path = hopset_audit(path, 3, 2, Fraction(1, 2), seed=2, c=0.3)
+    assert tuple(report_path) == REPORT_KEYS
+    assert (report_path["finite_pairs"], report_path["covered_pairs"]) == (9900, 2756)
     assert report_path["worst_needed_hops"] <= report_path["max_hop_budget"]
 
     grid = DynamicGraph(100, 1)
@@ -255,8 +262,9 @@ def test_criterion_7_static_shortcut_trade_off_on_path_and_grid():
             grid.add_edge(idx, idx + 1, 1)
         if r + 1 < 10:
             grid.add_edge(idx, idx + 10, 1)
-    report_grid = static_hopset_check(grid, 3, 1, Fraction(1, 1), seed=2, c=0.3)
-    assert report_grid["covered_pairs"] > 0
+    report_grid = hopset_audit(grid, 3, 1, Fraction(1, 1), seed=2, c=0.3)
+    assert tuple(report_grid) == REPORT_KEYS
+    assert (report_grid["finite_pairs"], report_grid["covered_pairs"]) == (9900, 3796)
     assert report_grid["worst_needed_hops"] <= report_grid["max_hop_budget"]
     print("PASS criterion 7: path covered pairs %d, grid covered pairs %d, "
           "all within budget" % (report_path["covered_pairs"],

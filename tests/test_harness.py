@@ -29,15 +29,16 @@ from decrsp.harness import (
     RunConfig,
     Schedule,
     ScheduleError,
-    _bounded_hop_distances,
     _unrank_pair,
     generate_instance,
     run_with_oracle,
-    static_hopset_check,
 )
 from decrsp.layered import FullRangeSssp
 from decrsp.monotone_tree import MonotoneEsTree
 from decrsp.oracle import cross_checked_distances
+
+from checks import hop_table, hopset_audit
+from test_frozen_outputs import FROZEN, _schedule
 
 
 def path_graph(n, w=1):
@@ -152,6 +153,14 @@ def test_rejects_bad_fraction_and_edge_count():
         generate_instance(5, 100, 2, "erdos-renyi", 0.5, seed=0)
 
 
+def test_fraction_and_edge_count_take_the_ends_of_their_ranges():
+    assert generate_instance(5, 4, 2, "erdos-renyi", 0, seed=0).items == ()
+    complete = generate_instance(5, 10, 2, "erdos-renyi", 1, seed=0)
+    assert len(complete.edges) == len(complete.updates()) == 10
+    with pytest.raises(ScheduleError):
+        generate_instance(5, 4, 2, "erdos-renyi", -0.25, seed=0)
+
+
 def test_dump_round_trips_through_the_file_formats():
     sched = generate_instance(10, 18, 5, "erdos-renyi", 1.0, seed=7,
                               increase_rate=0.4, query_rate=0.4)
@@ -225,6 +234,9 @@ def test_forged_low_estimate_is_reported_at_the_right_index(monkeypatch):
     assert report.get("underestimate_violations") == 1
     entry = report.get("underestimate")
     assert entry.startswith("index=2 node=5 est=0")
+    # The forged answer is also below the one read before it.
+    assert report.get("answer_decreases") == 1
+    assert report.get("answer_decrease").startswith("index=2 pair=0,5 est=0 prev=")
 
 
 def test_forged_over_stretched_source_row_estimate_is_reported_and_sets_max_stretch(monkeypatch):
@@ -238,8 +250,13 @@ def test_forged_over_stretched_source_row_estimate_is_reported_and_sets_max_stre
     forge_answer(monkeypatch, 5, 2, 100)
     report = run_with_oracle(sched, RunConfig(mode="sssp", seed=1))
     assert report.get("query_answers") == 0
-    assert (report.get("underestimate_violations"), report.get("invariant_failures")) == (0, 1)
+    # The answer read after the forged one falls back from 100: one answer
+    # decrease, counted in invariant_failures beside the stretch.
+    assert (report.get("underestimate_violations"), report.get("invariant_failures")) == (0, 2)
     assert report.get("invariant_failure") == "index=2 node=5 stretch=%s" % stretch
+    assert report.get("answer_decreases") == 1
+    assert report.get("answer_decrease").startswith("index=3 pair=0,5 est=")
+    assert report.get("answer_decrease").endswith(" prev=100")
     assert report.get("max_stretch") == str(stretch)
 
 
@@ -253,7 +270,45 @@ def test_reports_are_byte_identical_across_runs():
     assert first.encode() == second.encode()
 
 
-# -- static shortcut-edge verification ------------------------------------------
+@pytest.mark.parametrize("mode, bound", [("sssp", Fraction(3, 2)), ("apsp", Fraction(21, 4))])
+def test_answers_exactly_at_the_stretch_bound_are_no_failure(monkeypatch, mode, bound):
+    # Every answer read, of a source row or a probe, is the bound times the
+    # true distance: the worst stretch is the bound, and nothing is over it.
+    sched = generate_instance(12, 24, 8, "erdos-renyi", 1.0, seed=3, query_rate=0.5)
+    if mode == "sssp":
+        monkeypatch.setattr(FullRangeSssp, "query", lambda self, v: bound * cross_checked_distances(
+            self.view, self.source).get(v, inf))
+    else:
+        monkeypatch.setattr(ApspState, "query", lambda self, u, v: bound * cross_checked_distances(
+            self.graph, u).get(v, inf))
+    report = run_with_oracle(sched, RunConfig(mode=mode, k=2, seed=1, c=0.3))
+    assert report.get("stretch_bound") == report.get("max_stretch") == str(bound)
+    assert (report.get("underestimate_violations"), report.get("invariant_failures")) == (0, 0)
+    assert report.get("query_answers") > 0
+
+
+@pytest.mark.parametrize("shape, config", [row[:2] for row in FROZEN[:3]],
+                         ids=["sssp-default", "sssp-p4q3", "sssp-p4q3-late"])
+def test_check_reads_no_falling_answer_on_the_frozen_sssp_shapes(tmp_path, shape, config):
+    """``decrsp check`` holds each answer it reads against the last one read
+    for its pair.  On the late shape a settle that took a lower band key would
+    let one answer fall while it stays inside the stretch bound."""
+    sched = _schedule(*shape)
+    graph, updates = tmp_path / "g.txt", tmp_path / "u.txt"
+    graph.write_text(sched.dump_graph())
+    updates.write_text(sched.dump_updates())
+    args = ["check", "--graph", str(graph), "--updates", str(updates), "--c", str(config.c),
+            "--seed", str(config.seed), "--oracle-stride", str(config.oracle_stride)]
+    if config.q is not None:
+        args += ["--p", str(config.p), "--q", str(config.q)]
+    buf = io.StringIO()
+    code = main(args, out=buf)
+    lines = buf.getvalue().splitlines()
+    assert "answer_decreases=0" in lines and "invariant_failures=0" in lines, buf.getvalue()
+    assert code == 0
+
+
+# -- the hop-set audit of criterion 7 (tests/checks.py) ---------------------------
 
 
 def test_weighted_complete_graph_needs_one_hop_per_covered_pair():
@@ -261,13 +316,13 @@ def test_weighted_complete_graph_needs_one_hop_per_covered_pair():
     for u in range(8):
         for v in range(u + 1, 8):
             g.add_edge(u, v, 8 + (u + v) % 9)
-    report = static_hopset_check(g, 2, 1, Fraction(1, 1), seed=0)
+    report = hopset_audit(g, 2, 1, Fraction(1, 1), seed=0)
     assert report["covered_pairs"] == 8 * 7  # additive floor 2 <= every distance
     assert report["worst_needed_hops"] == 1
 
 
 def test_path_with_shortcut_edges_satisfies_the_trade_off():
-    report = static_hopset_check(path_graph(20), 3, 4, Fraction(1, 2), seed=0, c=0.3)
+    report = hopset_audit(path_graph(20), 3, 4, Fraction(1, 2), seed=0, c=0.3)
     assert report["finite_pairs"] == 20 * 19
     assert report["shortcut_edges"] > 0
 
@@ -276,7 +331,6 @@ def test_forced_empty_shortcut_set_reproduces_exact_hop_counts():
     # With no shortcut edges, the first round of the hop-limited DP in which
     # a node turns finite is its breadth-first hop count, for every pair.
     graph = path_graph(20)
-    directed = [arc for u, v, w in graph.edges() for arc in ((u, v, w), (v, u, w))]
     finite_pairs = 0
     for source in graph.node_ids():
         hops = {source: 0}
@@ -287,16 +341,16 @@ def test_forced_empty_shortcut_set_reproduces_exact_hop_counts():
                 if y not in hops:
                     hops[y] = hops[x] + 1
                     frontier.append(y)
-        table = _bounded_hop_distances(20, directed, source, max(hops.values()))
+        table = hop_table(list(graph.edges()), source, max(hops.values()))
         for v, exact in hops.items():
-            first = next(h for h, row in enumerate(table) if row[v] != inf)
+            first = next(h for h, row in enumerate(table) if row.get(v, inf) != inf)
             assert first == exact, (source, v)
             finite_pairs += v != source
     assert finite_pairs == 20 * 19
 
 
 def test_covered_band_is_populated_when_distances_dominate_the_additive_term():
-    report = static_hopset_check(path_graph(40), 3, 1, Fraction(1, 1), seed=2, c=0.3)
+    report = hopset_audit(path_graph(40), 3, 1, Fraction(1, 1), seed=2, c=0.3)
     assert report["covered_pairs"] > 0
     assert 0 < report["worst_needed_hops"] <= report["max_hop_budget"]
 

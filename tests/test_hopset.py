@@ -165,13 +165,10 @@ def test_integer_root_ceil_is_tight_beyond_float_range(value, p):
 
 GUARDS_UNDER_OPTIMIZE = """
 from ball_oracles import witness_reach
-from decrsp.harness import static_hopset_check
 from decrsp.hopset import derive_params, integer_root_ceil
-from decrsp.graph import DynamicGraph
 params = derive_params(1, 0, 2, 1, 1, 2, 2, 10, 8)
 for call in (lambda: witness_reach(2, 1, 5, 0), lambda: integer_root_ceil(5, 0),
-             lambda: params.hop_budget(3, 2),
-             lambda: static_hopset_check(DynamicGraph(3), 1, 1, 1, seed=0)):
+             lambda: params.hop_budget(3, 2)):
     try:
         print("returned", call())
     except AssertionError as exc:
@@ -193,7 +190,6 @@ def test_internal_guards_hold_under_optimize():
         "rejected chain length l=0 must be >= 1",
         "rejected root degree p=0 must be >= 1",
         "rejected priority 2 outside [0, 2)",
-        "rejected need 0 < eps <= 1, p >= 2 and delta >= 1",
     ]
 
 

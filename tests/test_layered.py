@@ -724,7 +724,8 @@ class LayeredMachine(RuleBasedStateMachine):
     a run of ``LayerAssembly`` bands that grows inside updates.  Until the
     fault, after every step the answers stay between the true distance and
     1 + eps times it, never fall and cost one read each, and each answer is
-    the larger of the previous one and the least band answer; the sentinel
+    the larger of the previous one and the least band answer (where it is
+    the larger, settling the node again moves nothing); the sentinel
     and every built band's lower tree hold the from-scratch bounded Dijkstra
     levels on their mirrors, and every built mirror holds exactly the
     current graph's edges, scaled; the run stays in band order below
@@ -872,7 +873,9 @@ class LayeredMachine(RuleBasedStateMachine):
         for v, est in answers.items():
             least = least_band_answer(self.full, v)
             assert est == max(self.answers[v], least)
-            self.clamped |= est > least
+            if est > least:  # the clamp binds, and settling the node again keeps it
+                self.clamped = True
+                assert not self.full._settle(v)
             d = dist.get(v, inf)
             assert est == d == inf or d <= est <= bound * d
         self.answers = answers
@@ -965,7 +968,7 @@ def test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late():
         assert_retired_bands_hold_the_source_alone(full, bands)
         assert {v: full.query(v) for v in g.node_ids()} == {
             v: twin.query(v) for v in g.node_ids()}
-        for key in ("es_edge_scans", "monotone_heap_ops"):
+        for key in ("es_edge_scans", "monotone_heap_ops", "monotone_edge_scans"):
             assert after[key] == twin.stats()[key]
     assert grew == [11, 19] and retired[0] < grew[0] < retired[-1]
     assert late and all(band is not live for band in late for live in full.stacks)
@@ -1003,7 +1006,8 @@ def test_stats_keys_are_fixed_and_counters_never_decrease(options):
         assert last["bands_built"] - last["bands_retired"] == len(full.stacks)
         assert last["es_edge_scans"] > 0
         assert (last["monotone_heap_ops"] > 0) == (full.plan.mode == "layered")
+        assert (last["monotone_edge_scans"] > 0) == (full.plan.mode == "layered")
         # A full drain leaves every band but the top one holding the source alone.
         assert last["bands_retired"] > 0 or full.plan.mode != "layered"
     assert keys == {"band_count", "bands_built", "bands_built_late", "bands_retired",
-                    "heap_reads", "es_edge_scans", "monotone_heap_ops"}
+                    "heap_reads", "es_edge_scans", "monotone_heap_ops", "monotone_edge_scans"}

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from math import inf
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,68 @@ def test_tied_routes_pin_the_repair_work():
     assert pending == (3,)
     assert tree.end_batch(pending) == []
     assert (tree.work_counter, tree.edge_scans) == (20, 21)
+
+
+# -- the tree's checks handed a broken tree, and the healthy boundary cases -----
+
+
+def boundary(tree, stretched=(), ever_stretched=()):
+    """A hand-built batch-boundary record for ``check_invariants``: the
+    tree's current levels, no insertion since, and the given pairs
+    stretched at the last boundary and at boundaries before it."""
+    return SimpleNamespace(levels=dict(tree.level), stretched=set(stretched),
+                           ever_stretched=set(ever_stretched), inserted=set(),
+                           ever_inserted=True)
+
+
+def test_a_route_exactly_at_the_cap_counts_as_stretched():
+    # Node 1 lies above the cap 5; the inserted edge b offers it exactly 5,
+    # which insertion does not act on.
+    watcher = watched(0, 5, [("a", 0, 1, 9)])
+    one_batch(watcher, "insert_edge", "b", 0, 1, 5)
+    assert watcher.tree.query(1) == inf
+    assert watcher.tree.stretched_pairs() == {("b", 1)}
+    # Stretched at the last boundary, with its head above the cap before
+    # and after: residual consistency does not ask a level for it.
+    watcher.tree.check_invariants(boundary(watcher.tree, {("b", 1)}))
+
+
+def test_a_forged_level_above_a_route_at_the_cap_is_a_new_stretch():
+    # Node 3 sits at the cap 9, on e23's route 5 + 4; forged above the cap,
+    # e23 (never inserted) turns stretched.
+    watcher = watched(0, 9, PATH)
+    del watcher.tree.level[3]
+    with pytest.raises(AssertionError, match="'e23' became stretched without an insertion"):
+        watcher.check()
+
+
+def test_an_exactly_tight_support_holds_a_node():
+    # Node 1 hangs from 0 by a tight 3; its route 1 + 3 through 2 is one over.
+    tree = tree_on(0, 100, [("a", 0, 1, 3), ("b", 0, 2, 1), ("c", 2, 1, 3)])
+    assert tree.query(1) == 3 and tree.stretched_pairs() == set()
+    TreeWatcher(tree).check()
+
+
+def test_a_forged_level_below_every_route_has_no_support():
+    # Node 2 is forged to 3 before the boundary, below its routes 2 + 3 and 9 + 4.
+    tree = tree_on(0, 100, PATH)
+    tree.level[2] = 3
+    with pytest.raises(AssertionError, match="node 2 has no supporting edge"):
+        TreeWatcher(tree).check()
+
+
+def test_a_forged_level_above_an_unstretched_route_is_inconsistent():
+    # Node 3 is forged from 9 to 12, above e23's route 9 and e13's 11.  Only
+    # a record whose earlier boundaries never saw those stretches reaches
+    # residual consistency: with them in ``stretched`` the new-stretch check
+    # passes, and the level did not move since.
+    tree = tree_on(0, 100, PATH)
+    tree.level[3] = 12
+    record = boundary(tree, tree.stretched_pairs())
+    assert record.stretched == {("e23", 3), ("e13", 3)}
+    with pytest.raises(AssertionError, match=r"unstretched edge 'e\d+' leaves node 3 inconsistent"):
+        tree.check_invariants(record)
+    tree.check_invariants(boundary(tree, record.stretched, record.stretched))
 
 
 BAD_EDGE_OPS = """
