@@ -32,7 +32,11 @@ rebuilds may produce smaller raw values (larger scope, fresh instance), and
 those are clamped away against the table's entry.  A (re)join starts from
 its raw value.  All membership changes are journaled as JOIN /
 LEAVE / EST events, sorted by (owner, member, kind), so downstream shortcut
-graphs can replay them deterministically.
+graphs can replay them deterministically.  A ``BallEvent`` and the
+``BallChangeSet`` that carries a batch of them are ``typing.NamedTuple``
+classes, immutable like the graph's change records: tuple equality, and a
+fixed field order.  An update that no watcher, scope or inner instance
+notices returns the empty change set ``BallChangeSet(())``.
 
 The contract factory is called as ``factory(view, root, depth, levels)``
 and must return objects exposing ``query(node)`` and
@@ -50,9 +54,9 @@ an exact tree may take as its levels instead of searching again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from typing import NamedTuple
 
 from .graph import ArtificialSourceView, InducedSnapshot, ParamConfigError, dijkstra_bounded
 
@@ -64,8 +68,7 @@ _KIND_RANK = {JOIN: 0, LEAVE: 1, EST: 2}
 _EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
-class BallEvent:
+class BallEvent(NamedTuple):
     kind: str
     owner: int
     member: int
@@ -75,9 +78,11 @@ class BallEvent:
         return (self.owner, self.member, _KIND_RANK[self.kind])
 
 
-@dataclass(frozen=True)
-class BallChangeSet:
+class BallChangeSet(NamedTuple):
     events: tuple
+
+
+_NO_CHANGES = BallChangeSet(())
 
 
 class BallSystem:
@@ -118,7 +123,8 @@ class BallSystem:
         bound = Fraction(self.threshold)
         self._thr_num, self._thr_den = bound.numerator, bound.denominator
         p = assignment.p
-        # Distance-to-set watchers for levels 1 .. p-1; an empty level has none.
+        # Distance-to-set watchers for levels 1 .. p-1, in level order and
+        # fixed from here on; an empty level has none.
         self._set_inst = {}
         for i in range(1, p):
             members = assignment.level_sets[i]
@@ -195,8 +201,8 @@ class BallSystem:
         return {u: dict(table) for u, table in self._est.items()}
 
     def _is_member_value(self, val):
-        if isinstance(val, float):  # inf; finite estimates are int or Fraction
-            return val != inf and val <= self.threshold
+        if isinstance(val, float):  # inf: finite estimates are int or Fraction
+            return False
         # Cross-multiplied, so no Fraction is built (an int has denominator 1).
         return val.numerator * self._thr_den <= self._thr_num * val.denominator
 
@@ -258,14 +264,17 @@ class BallSystem:
         """
         events = []
         watched = set()
-        for i in sorted(self._set_inst):
-            watched.update(node for node, _ in self._set_inst[i].process_update(rec))
+        for watcher in self._set_inst.values():
+            changed = watcher.process_update(rec)
+            if changed:
+                watched.update(node for node, _ in changed)
         rebuilt = set()
-        for u in sorted(watched & self._radius.keys()):  # no virtual sources
-            new_r = self._current_radius(u)
-            if new_r > self._radius[u]:
-                self._build_scope(u, new_r, record=events)
-                rebuilt.add(u)
+        if watched:
+            for u in sorted(watched & self._radius.keys()):  # no virtual sources
+                new_r = self._current_radius(u)
+                if new_r > self._radius[u]:
+                    self._build_scope(u, new_r, record=events)
+                    rebuilt.add(u)
         owners = self._owners
         for u in sorted(owners.get(rec.u, _EMPTY) & owners.get(rec.v, _EMPTY)):
             if u in rebuilt:
@@ -273,6 +282,8 @@ class BallSystem:
             self._snapshot[u].apply_record(rec)
             for node, val in self._inner[u].process_update(rec):
                 self._fold_inner(u, node, val, events)
+        if not events:
+            return _NO_CHANGES
         events.sort(key=BallEvent.sort_key)
         return BallChangeSet(tuple(events))
 

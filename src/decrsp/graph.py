@@ -25,6 +25,12 @@ its own subset.  Beside the graph there are two views:
   a single-source structure).  It holds no edge data of its own, so parent
   mutations show through immediately.
 
+Update events, query probes and change records are ``typing.NamedTuple``
+classes, so they are immutable: assigning a field raises ``AttributeError``.
+Two records are equal when their fields are (tuple equality: a record also
+equals the plain tuple of its fields), and the field order below is fixed,
+as records are built by position.
+
 A view filters no records: a change reaches only the structures whose view
 holds its edge.  Routing lives in :class:`~decrsp.balls.BallSystem`, which
 hands a change to an inner instance only when its scope holds both ends.
@@ -34,9 +40,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from math import inf
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 MAX_NODES = 2**20  # the largest node count a graph file's header may declare
@@ -57,8 +63,7 @@ class ParamConfigError(ValueError):
     """Raised when a structure's parameters violate their preconditions."""
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
     """A requested change: delete an edge, or raise its weight to an absolute value."""
 
     kind: str  # "delete" | "increase"
@@ -67,16 +72,14 @@ class UpdateEvent:
     new_weight: int | None = None
 
 
-@dataclass(frozen=True)
-class QueryProbe:
+class QueryProbe(NamedTuple):
     """A distance query interleaved into an update stream (``Q u v`` lines)."""
 
     u: int
     v: int
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     """What actually happened to the graph, as consumed by downstream structures."""
 
     kind: str  # "delete" | "increase"

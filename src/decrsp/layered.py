@@ -157,14 +157,12 @@ class LayerAssembly:
         return self.lower.holds_only_root() and len(self.sg.tree.level) == 1
 
     def process_update(self, record):
-        touched = set()
-        for node, _ in self.lower.process_update(record):
-            touched.add(node)
-        change_set = self.balls.process_update(record)
-        for node, _ in shortcut_process_update(self.sg, record, change_set):
-            touched.add(node)
+        lower = self.lower.process_update(record)
+        upper = shortcut_process_update(self.sg, record, self.balls.process_update(record))
+        if not (lower or upper):
+            return []
         out = []
-        for node in sorted(touched):
+        for node in sorted({node for node, _ in lower + upper}):
             value = self._estimate(node)
             old = self._est[node]
             if value != old:
@@ -551,12 +549,16 @@ class FullRangeSssp:
             for mirror, structure in zip(self.mirrors, self.stacks):
                 band_record = record if mirror is None else mirror.translate(record)
                 if band_record is not None:
-                    touched.update(node for node, _ in structure.process_update(band_record))
+                    changed = structure.process_update(band_record)
+                    if changed:
+                        touched.update(node for node, _ in changed)
                     if structure is not top and structure.holds_only_root():
                         dead.append(structure)
             if dead:
                 self._retire(dead)
-            if touched and self.plan.mode == "layered":
+            if not touched:
+                return []
+            if self.plan.mode == "layered":
                 self._grow(touched)
             answers = self._answers
             out = [(node, answers[node]) for node in sorted(touched) if self._settle(node)]

@@ -288,6 +288,81 @@ MUTANTS = (
         "_settle multiplies a band's inf by its unit, which raises once the unit "
         "passes the float range",
     ),
+    # -- the quiet update path: early exits for bands and batches that report nothing
+    Mutant(
+        "retirement-checked-only-when-a-band-changed",
+        "src/decrsp/layered.py",
+        (("                    if changed:\n"
+          "                        touched.update(node for node, _ in changed)\n"
+          "                    if structure is not top and structure.holds_only_root():\n"
+          "                        dead.append(structure)\n",
+          "                    if changed:\n"
+          "                        touched.update(node for node, _ in changed)\n"
+          "                        if structure is not top and structure.holds_only_root():\n"
+          "                            dead.append(structure)\n"),),
+        ("tests/test_layered.py::test_retiring_bands_moves_no_answer_in_a_drain_that_builds_bands_late",
+         "tests/test_layered.py::test_a_quiet_update_still_retires_the_bands_holding_the_source_alone"),
+        "a band that processes a record but reports no change is never checked for "
+        "retirement, so a band built late holding the source alone stays in stacks",
+    ),
+    Mutant(
+        "quiet-update-returns-before-retiring",
+        "src/decrsp/layered.py",
+        (("            if dead:\n"
+          "                self._retire(dead)\n"
+          "            if not touched:\n"
+          "                return []\n",
+          "            if not touched:\n"
+          "                return []\n"
+          "            if dead:\n"
+          "                self._retire(dead)\n"),),
+        ("tests/test_layered.py::test_a_quiet_update_still_retires_the_bands_holding_the_source_alone",),
+        "an update that no band reports returns before the bands it left holding "
+        "the source alone are retired",
+    ),
+    Mutant(
+        "settle-every-node",
+        "src/decrsp/layered.py",
+        (("            out = [(node, answers[node]) for node in sorted(touched) if self._settle(node)]\n",
+          "            out = [(node, answers[node]) for node in sorted(self._keys) if self._settle(node)]\n"),),
+        ("tests/test_layered.py::test_settle_runs_once_per_reported_node_and_never_on_a_quiet_update[default]",
+         "tests/test_layered.py::test_settle_runs_once_per_reported_node_and_never_on_a_quiet_update[layered]"),
+        "an update that some band reports settles every node, not only the reported "
+        "ones: the answers are the same, the work is not",
+    ),
+    Mutant(
+        "assembly-quiet-on-a-quiet-lower-tree",
+        "src/decrsp/layered.py",
+        (("        if not (lower or upper):\n", "        if not lower:\n"),),
+        ("tests/test_layered.py::test_full_range_tracks_oracle_with_mixed_updates",
+         "tests/test_layered.py::test_layered_drain_builds_bands_late_under_every_check",
+         "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]"),
+        "a layer assembly whose lower tree reports nothing returns at once, dropping "
+        "the shortcut graph's changes",
+    ),
+    Mutant(
+        "balls-quiet-when-no-watcher-moved",
+        "src/decrsp/balls.py",
+        (("        rebuilt = set()\n",
+          "        if not watched:\n"
+          "            return _NO_CHANGES\n"
+          "        rebuilt = set()\n"),),
+        ("tests/test_balls.py::test_disconnection_inside_scope_emits_leaves",
+         "tests/test_balls.py::test_properties_hold_after_every_update[3-declared0]"),
+        "a ball update that no set watcher reports skips the scopes holding the "
+        "changed edge",
+    ),
+    Mutant(
+        "ball-journal-dropped-when-no-watcher-moved",
+        "src/decrsp/balls.py",
+        (("        if not events:\n            return _NO_CHANGES\n",
+          "        if not watched:\n            return _NO_CHANGES\n"),),
+        ("tests/test_balls.py::test_disconnection_inside_scope_emits_leaves",
+         "tests/test_balls.py::test_properties_hold_after_every_update[3-declared0]",
+         "tests/test_frozen_outputs.py::test_emissions_and_stretch_are_frozen[sssp-p4q3-late]"),
+        "a ball update that no set watcher reports returns an empty journal, though "
+        "its scopes' inner trees moved their tables",
+    ),
     # -- the monotone tree's two-phase repair ---------------------------------------
     Mutant(
         "tree-key-below-old-level",

@@ -7,6 +7,7 @@ recomputes true distances, exact balls, and witness bounds from scratch with
 Dijkstra after every change.
 """
 
+import math
 from fractions import Fraction
 from math import inf
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decrsp.apsp import ApspState
-from decrsp.balls import BallChangeSet, BallEvent, BallSystem
+from decrsp.balls import MAX_BUCKETS, BallChangeSet, BallEvent, BallSystem
 from decrsp.graph import (
     ArtificialSourceView,
     DynamicGraph,
@@ -208,6 +209,41 @@ def test_tiny_bucket_eps_is_rejected():
             BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=5, bucket_eps=eps)
 
 
+def one_node_system(bucket_eps):
+    return BallSystem(DynamicGraph(1, 1), manual_assignment(1, 2, [set()]), MonotoneEsTree,
+                      alpha=1, depth=5, bucket_eps=bucket_eps)
+
+
+def test_bucket_eps_zero_is_rejected_where_no_bucket_count_would_catch_it():
+    # One node at W = 1 spans n*W = 1, so the bucket count is never read and
+    # the range check on eps alone must refuse 0.
+    with pytest.raises(ParamConfigError, match="lie in"):
+        one_node_system(0)
+
+
+def test_an_eps_that_underflows_is_accepted_when_one_bucket_spans_everything():
+    # float(eps) is 0.0, so log1p(eps) is 0; a span of n*W = 1 needs no
+    # bucket, so the system is built.
+    system = one_node_system(Fraction(1, 10**400))
+    assert system.radius(0) == 5 and system.members(0) == {0: 0}
+
+
+def test_a_span_of_exactly_max_buckets_is_accepted():
+    # log(n*W) / log1p(eps) == MAX_BUCKETS exactly on n*W = 2 is allowed;
+    # one ulp less of eps needs more buckets and is refused.
+    target = math.log(2) / MAX_BUCKETS
+    candidates = [math.expm1(target) + k * math.ulp(math.expm1(target)) for k in range(-4, 5)]
+    exact = [x for x in candidates if math.log(2) / math.log1p(x) == MAX_BUCKETS]
+    assert exact, "no float eps spans exactly MAX_BUCKETS buckets on this platform"
+    graph = DynamicGraph(2, 1)
+    assignment = manual_assignment(2, 2, [set()])
+    BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=2, bucket_eps=Fraction(exact[0]))
+    below = math.nextafter(exact[0], 0)
+    assert math.log(2) / math.log1p(below) > MAX_BUCKETS
+    with pytest.raises(ParamConfigError, match="buckets"):
+        BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=2, bucket_eps=Fraction(below))
+
+
 def test_top_priority_scope_covers_depth():
     graph = path_graph(8)
     assignment = manual_assignment(8, 2, [{7}])
@@ -302,6 +338,18 @@ def test_disconnection_inside_scope_emits_leaves():
     assert system.estimate(2, 0) == inf
 
 
+def test_ball_events_keep_their_fields_default_and_journal_order():
+    assert BallEvent._fields == ("kind", "owner", "member", "estimate")
+    assert BallEvent("leave", 3, 1).estimate is None
+    assert BallChangeSet._fields == ("events",)
+    # The journal sorts by (owner, member, kind), with JOIN < LEAVE < EST.
+    shuffled = [BallEvent("est", 2, 0, 7), BallEvent("leave", 1, 4), BallEvent("join", 1, 4, 3),
+                BallEvent("est", 1, 4, 5), BallEvent("join", 0, 9, 1)]
+    assert sorted(shuffled, key=BallEvent.sort_key) == [
+        BallEvent("join", 0, 9, 1), BallEvent("join", 1, 4, 3), BallEvent("leave", 1, 4),
+        BallEvent("est", 1, 4, 5), BallEvent("est", 2, 0, 7)]
+
+
 def test_update_without_bucket_or_estimate_change_is_empty():
     graph = graph_from_edges(
         5, 1, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1)]
@@ -370,6 +418,54 @@ def test_rebuild_clamps_estimates_against_history():
         BallEvent("est", 3, 1, 4),
         BallEvent("est", 3, 2, 3),
     )
+
+
+def test_an_est_strictly_raises_the_pairs_last_journaled_estimate():
+    # Ball 0's first inner tree doubles its levels, so member 1 joins at 2.
+    # The rebuild's exact tree reads 1, clamped to 2; raising (0, 1) to 2
+    # then lifts the raw level to exactly the journaled 2, which is no
+    # visible increase and must journal nothing for the pair.
+    graph = path_graph(4, max_weight=3)
+    assignment = manual_assignment(4, 2, [{3}])
+    seen_zero = []
+
+    def factory(view, source, depth, levels):
+        if source == 0 and not seen_zero:
+            seen_zero.append(True)
+            return InflatingTree(view, source, depth, levels, 2)
+        return MonotoneEsTree(view, source, depth, levels)
+
+    system = BallSystem(graph, assignment, factory, alpha=2, depth=10, bucket_eps=1)
+    snapshot = system.initial_membership()
+    assert system.estimate(0, 1) == 2
+    journal = [apply(graph, system, UpdateEvent("increase", 2, 3, 3))]
+    assert system.scope(0) == {0, 1, 2} and system._inner[0].query(1) == 1
+    assert system.estimate(0, 1) == 2
+    journal.append(apply(graph, system, UpdateEvent("increase", 0, 1, 2)))
+    assert system._inner[0].query(1) == 2 and system.estimate(0, 1) == 2
+    assert all((e.owner, e.member) != (0, 1) for e in journal[-1].events)
+    # The replay asserts that each EST lies above the pair's last estimate.
+    assert replay_journal(snapshot, journal) == system.initial_membership()
+
+
+def test_an_update_nothing_notices_returns_the_empty_change_set(monkeypatch):
+    # Ball radii reach 2 but the edges (1, 2) and (3, 4) weigh 5: every
+    # scope but 0's is lone, and no watcher's level leans on (3, 4).  Its
+    # deletion reaches each watcher once and no inner tree.
+    graph = graph_from_edges(5, 5, [(0, 1, 1), (1, 2, 5), (3, 4, 5)])
+    assignment = manual_assignment(5, 3, [{0, 1}, {0}])
+    system = BallSystem(graph, assignment, MonotoneEsTree, alpha=1, depth=2, bucket_eps=1)
+    assert system._owners.keys() == {0, 1}
+    repair, calls = MonotoneEsTree.process_update, []
+
+    def recorded(tree, rec):
+        calls.append((tree, repair(tree, rec)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(MonotoneEsTree, "process_update", recorded)
+    changes = apply(graph, system, UpdateEvent("delete", 3, 4))
+    assert changes == BallChangeSet(()) and type(changes) is BallChangeSet
+    assert calls == [(system._set_inst[1], []), (system._set_inst[2], [])]
 
 
 # -- per-update oracle battery --------------------------------------------------

@@ -93,6 +93,9 @@ def test_traced_run_reads_every_counter_and_restores_the_library(monkeypatch):
     for counter in ("layered.bands", "es_tree.edge_scans", "monotone_tree.heap_ops",
                     "hopset.update_ops"):
         assert c[counter] > 0, counter
+    # The tracer reads ``kind`` on every ball event and ``events`` on every
+    # change set that BallSystem.process_update returns.
+    assert c["balls.events.join"] + c["balls.events.est"] + c["balls.events.leave"] > 0
     modes = [mode for _, at_init in built for mode in at_init]
     exact = modes.count("exact")
     assert c["layered.bands"] == len(modes)

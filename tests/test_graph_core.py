@@ -393,6 +393,35 @@ def test_view_checks_hold_under_optimize():
     ]
 
 
+RECORDS_ARE_IMMUTABLE = """
+from decrsp.balls import BallChangeSet, BallEvent
+from decrsp.graph import ChangeRecord
+for record, field in ((ChangeRecord("delete", 0, 1, 3, None), "new_weight"),
+                      (BallEvent("join", 0, 1, 2), "estimate"),
+                      (BallChangeSet(()), "events")):
+    try:
+        setattr(record, field, 9)
+        print("assigned", type(record).__name__)
+    except AttributeError:
+        print("refused", type(record).__name__, getattr(record, field))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_change_records_and_ball_events_are_immutable(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *flags, "-c", RECORDS_ARE_IMMUTABLE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused ChangeRecord None",
+        "refused BallEvent 2",
+        "refused BallChangeSet ()",
+    ]
+
+
 # -- bounded Dijkstra ----------------------------------------------------------
 
 

@@ -661,6 +661,23 @@ def test_update_outside_source_component_emits_nothing():
     assert full.apply_event(UpdateEvent("delete", 3, 4)) == []
 
 
+def test_a_quiet_update_still_retires_the_bands_holding_the_source_alone():
+    # The source's one edge weighs 1000: the exact band (depth 32) and the
+    # scaled bands 4..7 (depth 4 * 2^i) hold the source alone from the
+    # build.  A deletion outside its component moves no answer, yet reaches
+    # each of them, and they are retired there.
+    g = DynamicGraph(4, 1024)
+    g.add_edge(0, 1, 1000)
+    g.add_edge(2, 3, 5)
+    full = FullRangeSssp(g, 0, 1)
+    answers = {v: full.query(v) for v in g.node_ids()}
+    assert [band.holds_only_root() for band in full.stacks] == [True] * 5 + [False] * 5
+    assert full.apply_event(UpdateEvent("delete", 2, 3)) == []
+    assert full.stats()["bands_retired"] == 5
+    assert not any(band.holds_only_root() for band in full.stacks)
+    assert {v: full.query(v) for v in g.node_ids()} == answers
+
+
 def test_full_range_rebuild_reproduces_identical_stream():
     def run():
         g = random_graph(16, 28, 4, seed=5)
@@ -678,6 +695,39 @@ def test_full_range_rebuild_reproduces_identical_stream():
         return repr((log, tail))
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("options", [{}, {"p": 4, "q": 3}], ids=["default", "layered"])
+def test_settle_runs_once_per_reported_node_and_never_on_a_quiet_update(options, monkeypatch):
+    """An update settles each node that some band reports, once, and no
+    other node: an update that no band reports settles nothing."""
+    g = random_graph(24, 60, 64, seed=3)
+    full = FullRangeSssp(g, 0, Fraction(1, 2), seed=3, **options)
+    reports, settled = [], []
+    for cls in (EsTree, LayerAssembly):
+        def recorded(band, rec, repair=cls.process_update):
+            out = repair(band, rec)
+            if any(band is b for b in full.stacks):  # not an assembly's lower tree
+                reports.append(out)
+            return out
+        monkeypatch.setattr(cls, "process_update", recorded)
+    settle = full._settle
+    full._settle = lambda node: settled.append(node) or settle(node)
+    rng = random.Random(3)
+    quiet = loud = 0
+    while g.edge_count:
+        u, v, w = rng.choice(list(g.edges()))
+        event = UpdateEvent("delete", u, v)
+        if w < g.max_weight and rng.random() < 0.3:
+            event = UpdateEvent("increase", u, v, rng.randint(w + 1, g.max_weight))
+        reports.clear()
+        settled.clear()
+        full.apply_event(event)
+        nodes = {node for out in reports for node, _ in out}
+        assert sorted(settled) == sorted(nodes)
+        quiet += not nodes
+        loud += bool(nodes)
+    assert quiet > 0 and loud > 0
 
 
 @pytest.mark.parametrize(
